@@ -3,10 +3,9 @@
 //!
 //! The harness measures four hot paths — threaded SpMV kernels, engine
 //! planning, plan replay, and CHSP codec round-trips — and emits a
-//! machine-readable report a committed baseline is compared against. The
-//! interactive criterion-shim benches under `benches/` remain for quick
-//! local exploration; this module is the reproducible, file-backed path
-//! CI gates on (`chason bench` / `cargo xtask bench`).
+//! machine-readable report a committed baseline is compared against. It
+//! is the crate's only benchmark path: reproducible, file-backed, and
+//! gated in CI (`chason bench` / `cargo xtask bench`).
 
 pub mod compare;
 pub mod registry;

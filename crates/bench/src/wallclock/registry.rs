@@ -22,7 +22,7 @@ use chason_sim::{ChasonEngine, SerpensEngine};
 use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::{CooMatrix, CsrMatrix, MatrixDelta};
 use chason_telemetry::metrics::Registry;
-use criterion::black_box;
+use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::rc::Rc;

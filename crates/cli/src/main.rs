@@ -51,14 +51,13 @@ USAGE:
   chason serve                 [--addr HOST:PORT] [--workers N] [--queue N]
                                [--plan-cache N] [--matrix-cache N] [--batch-max N]
                                [--retry-after-ms MS] [--channels N] [--pes N]
-                               [--net async|threads]
                                # CHSP daemon; runs until a Shutdown request;
-                               --net async (default) serves every connection
-                               from one readiness-driven event loop
+                               serves every connection from one
+                               readiness-driven event loop
   chason route                 --shards HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
                                [--workers N] [--queue N] [--matrix-cache N]
                                [--retry-attempts N] [--health-interval-ms MS]
-                               [--shutdown-shards] [--net async|threads]
+                               [--shutdown-shards]
                                # scatter-gather CHSP frontend over N serve shards;
                                --shutdown-shards forwards a wire Shutdown to
                                every backend before draining

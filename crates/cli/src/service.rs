@@ -8,7 +8,6 @@ use chason_serve::client::{Client, ClientError, RetryPolicy};
 use chason_serve::loadgen::{self, LoadgenOptions};
 use chason_serve::proto::{Engine, SolverKind};
 use chason_serve::server::{ServeConfig, Server};
-use chason_serve::NetMode;
 use chason_sparse::market::read_matrix_market;
 use chason_sparse::CooMatrix;
 use std::fs::File;
@@ -42,7 +41,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         batch_max: args.get_or("batch-max", 8usize)?,
         retry_after_ms: args.get_or("retry-after-ms", 20u32)?,
         sched: scheduler_config(args)?,
-        net: NetMode::parse(args.get("net").unwrap_or("async"))?,
         ..ServeConfig::default()
     };
     let server = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
@@ -85,7 +83,6 @@ pub fn route(args: &Args) -> Result<(), String> {
         },
         health_interval: Duration::from_millis(args.get_or("health-interval-ms", 2000u64)?),
         shutdown_shards: args.has_flag("shutdown-shards"),
-        net: NetMode::parse(args.get("net").unwrap_or("async"))?,
         ..RouterConfig::default()
     };
     let router = Router::start(config).map_err(|e| format!("cannot start router: {e}"))?;

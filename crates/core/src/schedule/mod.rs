@@ -161,8 +161,7 @@ pub struct ChannelSchedule {
 
 impl ChannelSchedule {
     /// Creates an empty schedule for a channel.
-    pub fn new(channel: usize, pes: usize) -> Self {
-        let _ = pes;
+    pub fn new(channel: usize) -> Self {
         ChannelSchedule {
             channel,
             grid: Vec::new(),
@@ -459,16 +458,6 @@ impl ScheduledMatrix {
         }
         Ok(())
     }
-
-    /// The pre-`chason-verify` string-typed checker.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `validate` for a typed first error, or `chason_verify::verify_schedule` \
-                for the full collect-everything rule set"
-    )]
-    pub fn check_invariants(&self, source: &CooMatrix) -> Result<(), String> {
-        self.validate(source).map_err(|e| e.to_string())
-    }
 }
 
 /// A non-zero scheduling policy.
@@ -632,7 +621,7 @@ mod tests {
 
     #[test]
     fn channel_schedule_counts() {
-        let mut ch = ChannelSchedule::new(0, 2);
+        let mut ch = ChannelSchedule::new(0);
         ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0)), None]);
         ch.grid.push(vec![None, None]);
         assert_eq!(ch.cycles(), 2);
@@ -643,7 +632,7 @@ mod tests {
 
     #[test]
     fn trim_removes_only_trailing_stall_cycles() {
-        let mut ch = ChannelSchedule::new(0, 1);
+        let mut ch = ChannelSchedule::new(0);
         ch.grid.push(vec![None]);
         ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0))]);
         ch.grid.push(vec![None]);
@@ -657,7 +646,7 @@ mod tests {
     #[test]
     fn data_list_round_trips_through_wire_format() {
         let cfg = SchedulerConfig::toy(1, 2, 10);
-        let mut ch = ChannelSchedule::new(0, 2);
+        let mut ch = ChannelSchedule::new(0);
         ch.grid.push(vec![Some(NzSlot::private(2.5, 0, 3)), None]);
         let words = ch.data_list(&cfg);
         assert_eq!(words.len(), 2);
@@ -670,7 +659,7 @@ mod tests {
     #[test]
     fn underutilization_matches_eq4() {
         let cfg = SchedulerConfig::toy(1, 1, 10);
-        let mut ch = ChannelSchedule::new(0, 1);
+        let mut ch = ChannelSchedule::new(0);
         ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0))]);
         ch.grid.push(vec![None]);
         ch.grid.push(vec![None]);
@@ -765,7 +754,7 @@ mod tests {
         let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 1.0)]).unwrap();
         let s = ScheduledMatrix {
             config: cfg,
-            channels: vec![ChannelSchedule::new(0, 1)],
+            channels: vec![ChannelSchedule::new(0)],
             rows: 1,
             cols: 1,
             nnz: 1,
@@ -779,7 +768,7 @@ mod tests {
         let cfg = SchedulerConfig::toy(1, 1, 5);
         let m =
             chason_sparse::CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 2.0)]).unwrap();
-        let mut ch = ChannelSchedule::new(0, 1);
+        let mut ch = ChannelSchedule::new(0);
         ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0))]);
         ch.grid.push(vec![Some(NzSlot::private(2.0, 0, 1))]); // 1 cycle apart < 5
         let s = ScheduledMatrix {
@@ -803,9 +792,9 @@ mod tests {
         // Row 0 is owned by channel 0; duplicate its sole entry into
         // channel 1 as a (tag-consistent-looking) migrated copy.
         let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 3.5)]).unwrap();
-        let mut ch0 = ChannelSchedule::new(0, 1);
+        let mut ch0 = ChannelSchedule::new(0);
         ch0.grid.push(vec![Some(NzSlot::private(3.5, 0, 0))]);
-        let mut ch1 = ChannelSchedule::new(1, 1);
+        let mut ch1 = ChannelSchedule::new(1);
         ch1.grid.push(vec![Some(NzSlot {
             value: 3.5,
             row: 0,
@@ -829,21 +818,5 @@ mod tests {
         );
         assert!(err.message.contains("channel 0"), "{}", err.message);
         assert_eq!(err.location.channel, Some(1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_check_invariants_shim_still_reports_strings() {
-        let cfg = SchedulerConfig::toy(1, 1, 2);
-        let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 1.0)]).unwrap();
-        let s = ScheduledMatrix {
-            config: cfg,
-            channels: vec![ChannelSchedule::new(0, 1)],
-            rows: 1,
-            cols: 1,
-            nnz: 1,
-        };
-        let err = s.check_invariants(&m).unwrap_err();
-        assert!(err.contains("S002"), "shim keeps the rule code: {err}");
     }
 }

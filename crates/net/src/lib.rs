@@ -1,11 +1,11 @@
 //! chason-net: a readiness-driven connection layer for CHSP servers.
 //!
-//! The thread-per-connection front ends in `chason-serve` and
-//! `chason-router` burn one OS thread (stack, scheduler slot, context
-//! switches) per idle connection. This crate replaces that edge with two
-//! threads total — one blocking accept thread and one event loop — while
-//! keeping the worker pools, shedding, batching, and drain semantics of
-//! the embedding server untouched and byte-identical at the wire.
+//! The one connection layer `chason serve` and `chason route` run on:
+//! two threads total — one blocking accept thread and one event loop —
+//! for any number of connections, instead of an OS thread (stack,
+//! scheduler slot, context switches) per idle connection. The worker
+//! pool, shedding, batching, and drain stay with the embedding server
+//! (`chason_serve::dispatch`).
 //!
 //! Layers, bottom up:
 //!
@@ -19,7 +19,7 @@
 //!
 //! An embedding server implements [`server::Service`] (decode a frame,
 //! answer inline or hand to a pool and [`server::LoopHandle::complete`]
-//! later) and chooses the front end per [`NetMode`].
+//! later).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,53 +33,3 @@ pub use assembler::{FrameAssembler, FrameTooLarge};
 pub use metrics::NetMetrics;
 pub use server::{FrameOutcome, LoopHandle, NetConfig, NetServer, Service};
 pub use wheel::TimerWheel;
-
-/// Which connection front end a server runs (`--net async|threads`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetMode {
-    /// The readiness loop in this crate: two OS threads for any number of
-    /// connections. The default.
-    #[default]
-    Async,
-    /// The original thread-per-connection edge.
-    Threads,
-}
-
-impl NetMode {
-    /// Parses the `--net` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Anything other than `async` or `threads`.
-    pub fn parse(s: &str) -> Result<NetMode, String> {
-        match s {
-            "async" => Ok(NetMode::Async),
-            "threads" => Ok(NetMode::Threads),
-            other => Err(format!("unknown net mode `{other}` (use async|threads)")),
-        }
-    }
-}
-
-impl std::fmt::Display for NetMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetMode::Async => f.write_str("async"),
-            NetMode::Threads => f.write_str("threads"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn net_mode_parses_and_defaults_to_async() {
-        assert_eq!(NetMode::default(), NetMode::Async);
-        assert_eq!(NetMode::parse("async").unwrap(), NetMode::Async);
-        assert_eq!(NetMode::parse("threads").unwrap(), NetMode::Threads);
-        assert!(NetMode::parse("epoll").is_err());
-        assert_eq!(NetMode::Async.to_string(), "async");
-        assert_eq!(NetMode::Threads.to_string(), "threads");
-    }
-}

@@ -16,8 +16,7 @@
 //! order, buffering out-of-order completions from the worker pool until
 //! the gap closes. Inline replies (`Stats` and friends) go through the
 //! same buffer: a `Stats` pipelined behind a slow `Solve` waits for the
-//! solve's reply, just as it would against the thread-per-connection
-//! listener.
+//! solve's reply.
 //!
 //! # Backpressure
 //!
@@ -33,8 +32,8 @@
 //!
 //! [`LoopHandle::begin_drain`] stops the accept thread, lets in-flight
 //! requests complete and their replies flush, closes connections as they
-//! go idle, and ends the loop when none remain — the same
-//! accepted-work-is-always-answered contract as the threaded listener.
+//! go idle, and ends the loop when none remain: accepted work is always
+//! answered.
 
 use crate::assembler::FrameAssembler;
 use crate::metrics::NetMetrics;
@@ -50,9 +49,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Wheel granularity; also how often the loop re-checks drain progress.
-/// Matches the threaded listener's `READ_TICK` so idle and shutdown
-/// latencies are comparable across `--net` modes.
+/// Wheel granularity; also how often the loop re-checks drain progress,
+/// so idle reaping and shutdown respond within about 100 ms.
 const TICK: Duration = Duration::from_millis(100);
 
 /// Wheel size: covers deadlines up to `TICK * WHEEL_SLOTS` (51.2 s)
@@ -210,8 +208,7 @@ impl LoopHandle {
 
     fn send(&self, completion: Completion) {
         // A send after the loop exited means the connection is long gone;
-        // dropping the reply mirrors the threaded path's disconnected
-        // reply channel.
+        // the reply has nowhere to go and is dropped.
         let _ = self.tx.send(completion);
         self.wake();
     }
@@ -599,7 +596,7 @@ impl<S: Service> EventLoop<S> {
             }
             if reply.close {
                 // Later pipelined frames are dropped, exactly as if the
-                // peer had sent them after the threaded listener hung up.
+                // peer had sent them after the connection closed.
                 conn.close_after_flush = true;
                 conn.read_closed = true;
                 conn.pending.clear();
@@ -678,7 +675,7 @@ impl<S: Service> EventLoop<S> {
         let draining = self.handle.is_draining();
         for stream in streams {
             if draining {
-                continue; // mirror the threaded listener: drop raced accepts
+                continue; // drop accepts that raced the drain
             }
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 continue;
@@ -735,7 +732,7 @@ impl<S: Service> EventLoop<S> {
             }
             conn.inflight = conn.inflight.saturating_sub(1);
             // A completed frame resets the idle clock in both
-            // directions — the fix the threaded path mirrors.
+            // directions, not only on request arrival.
             conn.idle_deadline = Instant::now() + self.config.idle_timeout;
             self.sequence(
                 completion.conn,

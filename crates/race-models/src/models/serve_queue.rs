@@ -1,7 +1,8 @@
-//! The serve daemon's bounded job queue, reduced to its sync skeleton:
-//! producers `try_send` and count a *shed* on `Full` (load-shedding in
-//! `chason-serve`'s accept path), a worker drains until disconnect and
-//! batches same-key jobs with `try_recv_if` (the worker-loop batching).
+//! The bounded job queue of `chason_serve::dispatch`, the core both
+//! `chason serve` and `chason route` run on, reduced to its sync skeleton:
+//! producers `try_send` and count a *shed* on `Full` (the loop thread's
+//! enqueue), a worker drains until disconnect and batches same-key jobs
+//! with `try_recv_if` (the worker-loop batching).
 //!
 //! Mutants:
 //! * `racy-shed-counter` — the shed counter becomes a plain read-modify-write

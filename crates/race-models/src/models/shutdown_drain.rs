@@ -1,4 +1,4 @@
-//! Producer/consumer shutdown drain: the serve daemon's exit path. The
+//! Producer/consumer shutdown drain: the dispatch core's exit path. The
 //! producer enqueues its last jobs and hangs up; the worker drains until
 //! disconnect and *publishes* its tally with a release store that a
 //! concurrent observer reads through an acquire load.

@@ -1,14 +1,13 @@
-//! The `chason route` frontend: listener, connection threads, worker
-//! pool, scatter-gather executors, and the shard health checker.
+//! The `chason route` daemon: scatter-gather executors and the shard
+//! health checker over the shared dispatch core.
 //!
 //! # Threading model
 //!
-//! The shape mirrors `chason serve` deliberately — one listener thread,
-//! a thread per connection, a bounded MPMC queue feeding a fixed worker
-//! pool, `Stats`/`Metrics`/`Shutdown` answered inline, `Busy` shed when
-//! the queue is full — so a router drops into any deployment script that
-//! already drives a server. The difference is inside the workers: instead
-//! of executing kernels, each worker owns one pooled
+//! Connections, the bounded worker queue, `Busy` shedding, the worker
+//! threads, and drain are `chason serve`'s, through the same
+//! [`chason_serve::dispatch`] core, so a router drops into any deployment
+//! script that already drives a server. The difference is inside the
+//! workers: instead of executing kernels, each worker owns one pooled
 //! [`ShardConn`](crate::shards::ShardConn) per backend and scatters
 //! sub-requests across them with scoped threads, so an N-shard fan-out
 //! costs one round trip, not N.
@@ -29,22 +28,16 @@ use crate::stats::RouterStats;
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::matrix_fingerprint;
-use chason_net::NetServer;
 use chason_serve::client::{Client, RetryPolicy};
-use chason_serve::frontend::{
-    start_async_frontend, threaded_listener_loop, ChspFrontend, EnqueueOutcome, Job,
-};
+use chason_serve::dispatch::{Daemon, PoolConfig, WorkerPool};
 use chason_serve::proto::{
     Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
-use chason_serve::stats::lock_unpoisoned;
-use chason_serve::NetMode;
+use chason_serve::stats::{lock_unpoisoned, ServerStats};
 use chason_sim::SimError;
 use chason_sparse::shard::ShardSpec;
 use chason_sparse::{CooMatrix, MatrixDelta};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -70,8 +63,6 @@ pub struct RouterConfig {
     /// How long a client connection may sit idle before the router hangs
     /// up.
     pub idle_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
     /// Largest accepted frame payload.
     pub max_frame_len: usize,
     /// Back-off hint carried by [`Reply::Busy`] when the router itself
@@ -85,8 +76,6 @@ pub struct RouterConfig {
     /// before the router drains (one `chason client shutdown` tears the
     /// whole deployment down).
     pub shutdown_shards: bool,
-    /// Which connection front end to run (`--net async|threads`).
-    pub net: NetMode,
 }
 
 impl Default for RouterConfig {
@@ -98,20 +87,18 @@ impl Default for RouterConfig {
             queue_capacity: 64,
             matrix_cache_capacity: 32,
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME,
             retry_after_ms: 20,
             shard_retry: RetryPolicy::default(),
             health_interval: Duration::from_secs(2),
             shutdown_shards: false,
-            net: NetMode::default(),
         }
     }
 }
 
-/// How often the health-checker sleep wakes up to re-check the shutdown
+/// How often the health-checker sleep wakes up to re-check the drain
 /// flag.
-const READ_TICK: Duration = Duration::from_millis(100);
+const HEALTH_TICK: Duration = Duration::from_millis(100);
 
 /// One sharded matrix the router can route: the full-matrix source of
 /// truth (the solver outer loops and update validation need it), the
@@ -133,7 +120,8 @@ struct ShardedResident {
     version: u64,
 }
 
-/// State shared by every connection, worker, and the health checker.
+/// The router's state, shared by the loop thread, every worker, and the
+/// health checker.
 struct Shared {
     /// Sharded residents keyed by full-matrix structural fingerprint —
     /// the same handle a single `chason serve` would mint, so clients are
@@ -141,11 +129,22 @@ struct Shared {
     residents: Mutex<LruCache<u64, ShardedResident>>,
     stats: RouterStats,
     health: Arc<HealthBoard>,
-    shutdown: AtomicBool,
     config: RouterConfig,
 }
 
-impl Shared {
+impl Daemon for Shared {
+    /// Each worker owns one pooled connection per shard, so concurrent
+    /// scatters from different workers never contend on a socket. After a
+    /// panic the pool is rebuilt: a connection may have been left
+    /// mid-frame.
+    type Worker = Vec<ShardConn>;
+    const WORKER_NAME: &'static str = "chason-router-worker";
+    const DRAINING: &'static str = "router is draining";
+
+    fn stats(&self) -> &ServerStats {
+        &self.stats.inner
+    }
+
     /// Router stats reuse the server snapshot layout; the plan-cache
     /// words are zero (plans live on the shards) and the matrix words
     /// describe the sharded-resident table.
@@ -167,95 +166,87 @@ impl Shared {
             .inner
             .render_exposition(CacheStats::default(), m.len as u64, m.evictions)
     }
-}
 
-/// The router's [`ChspFrontend`]: inline replies from [`Shared`], the
-/// worker queue sender, and the shard fan-out on a wire `Shutdown`. Held
-/// only by the connection layer, so dropping that layer drops the last
-/// queue sender and lets the workers drain and exit.
-struct RouterFrontend {
-    shared: Arc<Shared>,
-    job_tx: Sender<Job>,
-}
-
-impl ChspFrontend for RouterFrontend {
-    fn stats_reply(&self) -> Reply {
-        self.shared.stats.inner.requests.stats.add(1);
-        Reply::Stats(self.shared.snapshot())
+    fn worker(&self, index: usize) -> Vec<ShardConn> {
+        self.config
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(k, addr)| {
+                ShardConn::new(
+                    k,
+                    addr.clone(),
+                    self.config.shard_retry,
+                    self.config.shard_retry.seed ^ ((index as u64) << 32) ^ k as u64,
+                    Arc::clone(&self.health),
+                    Arc::clone(&self.stats.shard_requests[k]),
+                    Arc::clone(&self.stats.shard_retries),
+                    Arc::clone(&self.stats.shard_reconnects),
+                )
+            })
+            .collect()
     }
 
-    fn metrics_reply(&self) -> Reply {
-        self.shared.stats.inner.requests.metrics.add(1);
-        Reply::MetricsText {
-            text: self.shared.exposition(),
+    fn execute(&self, conns: &mut Vec<ShardConn>, request: Request) -> Reply {
+        match request {
+            Request::LoadMatrix {
+                rows,
+                cols,
+                triplets,
+            } => execute_load(self, conns, rows, cols, &triplets),
+            Request::Spmv { handle, engine, x } => execute_spmv(self, conns, handle, engine, &x),
+            Request::Solve {
+                handle,
+                engine,
+                solver,
+                max_iterations,
+                tolerance,
+                b,
+            } => execute_solve(
+                self,
+                conns,
+                handle,
+                engine,
+                solver,
+                max_iterations,
+                tolerance,
+                &b,
+            ),
+            Request::Plan { .. } => bad_request(
+                "plan artifacts are per-shard; request Plan from a backend shard directly",
+            ),
+            Request::Update {
+                handle,
+                inserts,
+                revalues,
+                deletes,
+            } => execute_update(self, conns, handle, &inserts, &revalues, &deletes),
+            Request::Sleep { .. } | Request::Stats | Request::Metrics | Request::Shutdown => {
+                unreachable!("the dispatch core answers Sleep and inline requests")
+            }
         }
     }
 
-    fn on_wire_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if self.shared.config.shutdown_shards {
+    fn on_shutdown(&self) {
+        if self.config.shutdown_shards {
             // Forward before acknowledging so "client shutdown; wait for
             // the router pid" is a complete drain of the whole deployment.
-            forward_shutdown(&self.shared);
+            forward_shutdown(self);
         }
-    }
-
-    fn is_draining(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn draining_message(&self) -> String {
-        "router is draining".to_string()
-    }
-
-    fn retry_after_ms(&self) -> u32 {
-        self.shared.config.retry_after_ms
-    }
-
-    fn enqueue(&self, job: Job) -> EnqueueOutcome {
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                self.shared
-                    .stats
-                    .inner
-                    .observe_queue_depth(self.job_tx.len() as u64);
-                EnqueueOutcome::Accepted
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.stats.inner.shed.add(1);
-                EnqueueOutcome::Shed
-            }
-            Err(TrySendError::Disconnected(_)) => EnqueueOutcome::Disconnected,
-        }
-    }
-
-    fn idle_timeout(&self) -> Duration {
-        self.shared.config.idle_timeout
-    }
-
-    fn write_timeout(&self) -> Duration {
-        self.shared.config.write_timeout
-    }
-
-    fn max_frame_len(&self) -> usize {
-        self.shared.config.max_frame_len
     }
 }
 
 /// A running `chason route` instance.
 pub struct Router {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    listener_thread: Option<JoinHandle<()>>,
-    net: Option<NetServer>,
-    workers: Vec<JoinHandle<()>>,
-    health_thread: Option<JoinHandle<()>>,
+    pool: WorkerPool<Shared>,
+    health_thread: JoinHandle<()>,
 }
 
 impl Router {
-    /// Binds, spawns the worker pool, listener, and health checker, and
-    /// returns immediately. Shards are probed lazily — a router starts
-    /// fine with every backend down and reports them via `Metrics`.
+    /// Binds, spawns the worker pool, connection loop, and health
+    /// checker, and returns immediately. Shards are probed lazily — a
+    /// router starts fine with every backend down and reports them via
+    /// `Metrics`.
     ///
     /// # Errors
     ///
@@ -268,71 +259,52 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
+        let pool_config = PoolConfig {
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            // Scatters are per request; the router never batches.
+            batch_max: 1,
+            retry_after_ms: config.retry_after_ms,
+            idle_timeout: config.idle_timeout,
+            max_frame_len: config.max_frame_len,
+        };
         let shared = Arc::new(Shared {
             residents: Mutex::new(LruCache::new(config.matrix_cache_capacity)),
             stats: RouterStats::new(config.shards.len()),
             health: Arc::new(HealthBoard::new(config.shards.len())),
-            shutdown: AtomicBool::new(false),
-            config: config.clone(),
+            config,
         });
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity);
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = job_rx.clone();
-                thread::Builder::new()
-                    .name(format!("chason-router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx, i as u64))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        drop(job_rx);
-        let health_shared = Arc::clone(&shared);
-        let health_thread = thread::Builder::new()
+        let pool = WorkerPool::start(listener, Arc::clone(&shared), pool_config)?;
+        let draining = pool.drain_flag();
+        let spawned = thread::Builder::new()
             .name("chason-router-health".to_string())
-            .spawn(move || health_loop(&health_shared))?;
-        let frontend = Arc::new(RouterFrontend {
-            shared: Arc::clone(&shared),
-            job_tx,
-        });
-        let (listener_thread, net) = match config.net {
-            NetMode::Async => {
-                let net = start_async_frontend(listener, frontend, shared.stats.inner.registry())?;
-                (None, Some(net))
+            .spawn(move || health_loop(&shared, &draining));
+        match spawned {
+            Ok(health_thread) => Ok(Router {
+                pool,
+                health_thread,
+            }),
+            Err(err) => {
+                pool.shutdown();
+                pool.join();
+                Err(err)
             }
-            NetMode::Threads => {
-                let listener_thread = thread::Builder::new()
-                    .name("chason-router-listener".to_string())
-                    .spawn(move || {
-                        threaded_listener_loop(&listener, &frontend, "chason-router-conn")
-                    })?;
-                (Some(listener_thread), None)
-            }
-        };
-        Ok(Router {
-            local_addr,
-            shared,
-            listener_thread,
-            net,
-            workers: worker_handles,
-            health_thread: Some(health_thread),
-        })
+        }
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.pool.local_addr()
     }
 
     /// A point-in-time copy of the router's counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot()
+        self.pool.daemon().snapshot()
     }
 
     /// Shards currently marked up by the health board.
     pub fn shards_up(&self) -> usize {
-        self.shared.health.up_count()
+        self.pool.daemon().health.up_count()
     }
 
     /// Initiates a graceful drain of the router itself. Shards are left
@@ -341,33 +313,16 @@ impl Router {
     /// [`shutdown_shards`](RouterConfig::shutdown_shards) set tears the
     /// backends down too.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &self.net {
-            Some(net) => net.shutdown(),
-            // Nudge the threaded listener out of `accept`.
-            None => {
-                let _ = TcpStream::connect(self.local_addr);
-            }
-        }
+        self.pool.shutdown();
     }
 
-    /// Blocks until the connection front end, every connection, every
-    /// worker, and the health checker have exited. Call
+    /// Blocks until the connection loop, every connection, every worker,
+    /// and the health checker have exited. Call
     /// [`shutdown`](Self::shutdown) first (or send a `Shutdown` request)
     /// or this blocks forever.
-    pub fn join(mut self) {
-        if let Some(listener) = self.listener_thread.take() {
-            let _ = listener.join();
-        }
-        if let Some(net) = self.net.take() {
-            net.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(health) = self.health_thread.take() {
-            let _ = health.join();
-        }
+    pub fn join(self) {
+        self.pool.join();
+        let _ = self.health_thread.join();
     }
 }
 
@@ -378,74 +333,6 @@ fn forward_shutdown(shared: &Shared) {
         if let Ok(mut client) = Client::connect(addr.as_str()) {
             let _ = client.request(&Request::Shutdown);
         }
-    }
-}
-
-fn record_accepted_kind(shared: &Shared, request: &Request) {
-    let requests = &shared.stats.inner.requests;
-    let counter = match request {
-        Request::LoadMatrix { .. } => &requests.load,
-        Request::Spmv { .. } => &requests.spmv,
-        Request::Solve { .. } => &requests.solve,
-        Request::Plan { .. } => &requests.plan,
-        Request::Sleep { .. } => &requests.sleep,
-        Request::Update { .. } => &requests.update,
-        Request::Stats | Request::Metrics | Request::Shutdown => return,
-    };
-    counter.add(1);
-}
-
-// ---------------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>, worker_index: u64) {
-    // Each worker owns its own connection pool, so concurrent scatters
-    // from different workers never contend on a socket lock.
-    let mut conns: Vec<ShardConn> = shared
-        .config
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(k, addr)| {
-            ShardConn::new(
-                k,
-                addr.clone(),
-                shared.config.shard_retry,
-                shared.config.shard_retry.seed ^ (worker_index << 32) ^ k as u64,
-                Arc::clone(&shared.health),
-                Arc::clone(&shared.stats.shard_requests[k]),
-                Arc::clone(&shared.stats.shard_retries),
-                Arc::clone(&shared.stats.shard_reconnects),
-            )
-        })
-        .collect();
-    while let Ok(job) = rx.recv() {
-        record_accepted_kind(shared, &job.request);
-        shared
-            .stats
-            .inner
-            .record_queue_wait_micros(job.received.elapsed().as_micros() as u64);
-        let started = Instant::now();
-        let reply = catch_unwind(AssertUnwindSafe(|| {
-            execute(shared, &mut conns, job.request)
-        }))
-        .unwrap_or_else(|_| {
-            // A panic may have left a shard connection mid-frame; drop
-            // them all so the next request starts clean.
-            for conn in &mut conns {
-                conn.disconnect();
-            }
-            Reply::Error {
-                code: ErrorCode::Internal,
-                message: "request execution panicked".to_string(),
-            }
-        });
-        shared
-            .stats
-            .inner
-            .record_service_micros(started.elapsed().as_micros() as u64);
-        job.reply_tx.send(&reply);
     }
 }
 
@@ -460,51 +347,6 @@ fn unknown_handle(handle: u64) -> Reply {
     Reply::Error {
         code: ErrorCode::UnknownHandle,
         message: format!("no sharded matrix with handle {handle:#018x}; send LoadMatrix first"),
-    }
-}
-
-fn execute(shared: &Shared, conns: &mut [ShardConn], request: Request) -> Reply {
-    match request {
-        Request::LoadMatrix {
-            rows,
-            cols,
-            triplets,
-        } => execute_load(shared, conns, rows, cols, &triplets),
-        Request::Spmv { handle, engine, x } => execute_spmv(shared, conns, handle, engine, &x),
-        Request::Solve {
-            handle,
-            engine,
-            solver,
-            max_iterations,
-            tolerance,
-            b,
-        } => execute_solve(
-            shared,
-            conns,
-            handle,
-            engine,
-            solver,
-            max_iterations,
-            tolerance,
-            &b,
-        ),
-        Request::Plan { .. } => {
-            bad_request("plan artifacts are per-shard; request Plan from a backend shard directly")
-        }
-        Request::Update {
-            handle,
-            inserts,
-            revalues,
-            deletes,
-        } => execute_update(shared, conns, handle, &inserts, &revalues, &deletes),
-        Request::Sleep { millis } => {
-            thread::sleep(Duration::from_millis(u64::from(millis.min(10_000))));
-            Reply::Done
-        }
-        Request::Stats | Request::Metrics | Request::Shutdown => Reply::Error {
-            code: ErrorCode::Internal,
-            message: "inline request reached the worker pool".to_string(),
-        },
     }
 }
 
@@ -1167,12 +1009,12 @@ fn execute_update(
 
 /// Periodically pings every shard with `Stats` over its own persistent
 /// connections, updating the board and the per-shard gauges. Sleeps in
-/// [`READ_TICK`] increments so shutdown is prompt.
-fn health_loop(shared: &Arc<Shared>) {
+/// [`HEALTH_TICK`] increments so it stops promptly once `draining` is set.
+fn health_loop(shared: &Shared, draining: &AtomicBool) {
     let mut clients: Vec<Option<Client>> = shared.config.shards.iter().map(|_| None).collect();
     loop {
         for (k, slot) in clients.iter_mut().enumerate() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if draining.load(Ordering::SeqCst) {
                 return;
             }
             if slot.is_none() {
@@ -1200,11 +1042,11 @@ fn health_loop(shared: &Arc<Shared>) {
         }
         let mut slept = Duration::ZERO;
         while slept < shared.config.health_interval {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if draining.load(Ordering::SeqCst) {
                 return;
             }
-            thread::sleep(READ_TICK);
-            slept += READ_TICK;
+            thread::sleep(HEALTH_TICK);
+            slept += HEALTH_TICK;
         }
     }
 }

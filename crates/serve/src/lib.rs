@@ -14,8 +14,11 @@
 //!
 //! * [`proto`] — wire format: frames, requests, replies, the incremental
 //!   [`FrameReader`](proto::FrameReader).
-//! * [`server`] — [`Server`](server::Server): listener, per-connection
-//!   threads, worker pool, shared caches, graceful drain.
+//! * [`dispatch`] — the dispatch and worker-pool core `chason serve` and
+//!   `chason route` share: the readiness-loop service, bounded queue and
+//!   shedding, worker threads, graceful drain.
+//! * [`server`] — [`Server`](server::Server): the SpMV/solver/plan/update
+//!   executors and shared caches over that core.
 //! * [`client`] — blocking [`Client`](client::Client) with typed helpers.
 //! * [`loadgen`] — deterministic closed-loop load generator
 //!   (`chason loadgen`).
@@ -29,13 +32,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod frontend;
+pub mod dispatch;
 pub mod loadgen;
 pub mod proto;
 pub mod server;
 pub mod stats;
 
-pub use chason_net::NetMode;
 pub use client::{Client, ClientError, RetryPolicy, UpdateOutcome};
 pub use loadgen::{LoadgenOptions, LoadgenReport, RouterLoadReport};
 pub use proto::{Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot};

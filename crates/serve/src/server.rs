@@ -1,36 +1,13 @@
-//! The `chason serve` daemon: connection front end plus worker pool.
+//! The `chason serve` daemon: the shared dispatch core plus the SpMV,
+//! solver, plan, and update executors.
 //!
-//! # Threading model
-//!
-//! The connection edge runs in one of two modes
-//! ([`ServeConfig::net`], `--net async|threads`), byte-identical at the
-//! wire:
-//!
-//! * **async** (default): a [`chason_net`] readiness event loop — one
-//!   accept thread plus one loop thread multiplex every connection,
-//!   reassemble frames incrementally, and allow request pipelining.
-//! * **threads**: the original thread-per-connection loop.
-//!
-//! Either way, `Stats`/`Metrics`/`Shutdown` are answered inline by the
-//! connection layer; everything else is pushed onto one bounded MPMC
-//! queue feeding a fixed pool of worker threads. The queue is the
-//! backpressure boundary: when it is full, the front end replies
-//! [`Reply::Busy`] immediately (load-shedding) instead of blocking, so a
-//! saturated server stays responsive and observable — `Stats` never
-//! queues. The shared connection-layer logic lives in
-//! [`crate::frontend`].
-//!
-//! # Shutdown
-//!
-//! `Shutdown` (or [`Server::shutdown`]) flips a flag and stops the
-//! accept path. In-flight requests finish and their replies flush; new
-//! work is refused with [`ErrorCode::ShuttingDown`]. Once the connection
-//! layer has dropped its queue handle the workers drain what remains and
-//! exit: accepted work is always answered.
+//! Connections, the bounded worker queue, shedding, worker threads, and
+//! drain all live in [`crate::dispatch`]; this module supplies the
+//! [`Daemon`] parts that are serve's own: executing requests against the
+//! shared matrix and plan caches, batching same-matrix SpMVs, and the
+//! `Stats`/`Metrics` content.
 
-use crate::frontend::{
-    start_async_frontend, threaded_listener_loop, ChspFrontend, EnqueueOutcome, Job,
-};
+use crate::dispatch::{Admits, Daemon, PoolConfig, WorkerPool};
 use crate::proto::{
     Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
@@ -39,15 +16,10 @@ use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::LruCache;
 use chason_core::plan::{matrix_fingerprint, PlanKey, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
-use chason_net::{NetMode, NetServer};
 use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine, SimError};
 use chason_sparse::{CooMatrix, CowCsr, MatrixDelta};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Tunable knobs of a [`Server`].
@@ -67,8 +39,6 @@ pub struct ServeConfig {
     /// How long a connection may sit idle (no frame progress) before the
     /// server hangs up.
     pub idle_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
     /// Largest accepted frame payload.
     pub max_frame_len: usize,
     /// Most same-matrix SpMV requests one worker dequeue may batch.
@@ -77,8 +47,6 @@ pub struct ServeConfig {
     pub retry_after_ms: u32,
     /// Scheduler configuration both simulated engines run under.
     pub sched: SchedulerConfig,
-    /// Which connection front end to run (`--net async|threads`).
-    pub net: NetMode,
 }
 
 impl Default for ServeConfig {
@@ -90,12 +58,10 @@ impl Default for ServeConfig {
             plan_cache_capacity: 64,
             matrix_cache_capacity: 32,
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME,
             batch_max: 8,
             retry_after_ms: 20,
             sched: SchedulerConfig::paper(),
-            net: NetMode::default(),
         }
     }
 }
@@ -111,7 +77,7 @@ struct ResidentMatrix {
     version: u64,
 }
 
-/// State shared by every connection and worker thread.
+/// The serve daemon's state, shared by the loop thread and every worker.
 ///
 /// Lock ordering: `matrices` before `plans` (updates splice plans while
 /// serialized under the matrices lock); no path acquires them in the
@@ -128,28 +94,9 @@ struct Shared {
     /// generations from serving requests against the current one.
     plans: Mutex<LruCache<(Engine, u64, PlanKey), Arc<SpmvPlan>>>,
     stats: ServerStats,
-    shutdown: AtomicBool,
-    config: ServeConfig,
 }
 
 impl Shared {
-    fn snapshot(&self) -> StatsSnapshot {
-        let plan_stats = lock_unpoisoned(&self.plans).stats();
-        let matrices = lock_unpoisoned(&self.matrices);
-        let m = matrices.stats();
-        drop(matrices);
-        self.stats.snapshot(plan_stats, m.len as u64, m.evictions)
-    }
-
-    fn exposition(&self) -> String {
-        let plan_stats = lock_unpoisoned(&self.plans).stats();
-        let matrices = lock_unpoisoned(&self.matrices);
-        let m = matrices.stats();
-        drop(matrices);
-        self.stats
-            .render_exposition(plan_stats, m.len as u64, m.evictions)
-    }
-
     fn matrix(&self, handle: u64) -> Option<ResidentMatrix> {
         lock_unpoisoned(&self.matrices).get(&handle).cloned()
     }
@@ -183,93 +130,102 @@ impl Shared {
     }
 }
 
-/// The serve daemon's [`ChspFrontend`]: inline replies from [`Shared`],
-/// the worker queue sender. Held only by the connection layer (threaded
-/// listener or async service), so dropping that layer drops the last
-/// queue sender and lets the workers drain and exit.
-struct ServeFrontend {
-    shared: Arc<Shared>,
-    job_tx: Sender<Job>,
-}
+impl Daemon for Shared {
+    /// Serve workers keep no state of their own: everything lives in the
+    /// shared caches.
+    type Worker = ();
+    const WORKER_NAME: &'static str = "chason-worker";
+    const DRAINING: &'static str = "server is draining";
 
-impl ChspFrontend for ServeFrontend {
-    fn stats_reply(&self) -> Reply {
-        self.shared.stats.requests.stats.add(1);
-        Reply::Stats(self.shared.snapshot())
+    fn stats(&self) -> &ServerStats {
+        &self.stats
     }
 
-    fn metrics_reply(&self) -> Reply {
-        self.shared.stats.requests.metrics.add(1);
-        Reply::MetricsText {
-            text: self.shared.exposition(),
+    fn snapshot(&self) -> StatsSnapshot {
+        let plan_stats = lock_unpoisoned(&self.plans).stats();
+        let matrices = lock_unpoisoned(&self.matrices);
+        let m = matrices.stats();
+        drop(matrices);
+        self.stats.snapshot(plan_stats, m.len as u64, m.evictions)
+    }
+
+    fn exposition(&self) -> String {
+        let plan_stats = lock_unpoisoned(&self.plans).stats();
+        let matrices = lock_unpoisoned(&self.matrices);
+        let m = matrices.stats();
+        drop(matrices);
+        self.stats
+            .render_exposition(plan_stats, m.len as u64, m.evictions)
+    }
+
+    fn worker(&self, _index: usize) {}
+
+    fn execute(&self, _worker: &mut (), request: Request) -> Reply {
+        match request {
+            Request::LoadMatrix {
+                rows,
+                cols,
+                triplets,
+            } => execute_load(self, rows, cols, &triplets),
+            Request::Spmv { handle, engine, x } => execute_spmv(self, handle, engine, &x),
+            Request::Solve {
+                handle,
+                engine,
+                solver,
+                max_iterations,
+                tolerance,
+                b,
+            } => execute_solve(self, handle, engine, solver, max_iterations, tolerance, &b),
+            Request::Plan { handle, engine } => execute_plan(self, handle, engine),
+            Request::Update {
+                handle,
+                inserts,
+                revalues,
+                deletes,
+            } => execute_update(self, handle, &inserts, &revalues, &deletes),
+            Request::Sleep { .. } | Request::Stats | Request::Metrics | Request::Shutdown => {
+                unreachable!("the dispatch core answers Sleep and inline requests")
+            }
         }
     }
 
-    fn on_wire_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    fn is_draining(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn draining_message(&self) -> String {
-        "server is draining".to_string()
-    }
-
-    fn retry_after_ms(&self) -> u32 {
-        self.shared.config.retry_after_ms
-    }
-
-    fn enqueue(&self, job: Job) -> EnqueueOutcome {
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                self.shared
-                    .stats
-                    .observe_queue_depth(self.job_tx.len() as u64);
-                EnqueueOutcome::Accepted
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.stats.shed.add(1);
-                EnqueueOutcome::Shed
-            }
-            Err(TrySendError::Disconnected(_)) => EnqueueOutcome::Disconnected,
-        }
-    }
-
-    fn idle_timeout(&self) -> Duration {
-        self.shared.config.idle_timeout
-    }
-
-    fn write_timeout(&self) -> Duration {
-        self.shared.config.write_timeout
-    }
-
-    fn max_frame_len(&self) -> usize {
-        self.shared.config.max_frame_len
+    /// Same-matrix SpMV batching. The batch key is (handle, engine,
+    /// version): an Update racing on another worker bumps the version and
+    /// closes the batch, so a batch never mixes requests against different
+    /// matrix generations. (Front-of-queue-only draining already keeps a
+    /// queued Update ordered before any Spmv sent after it.)
+    fn batch_with(&self, first: &Request) -> Option<Admits<'_>> {
+        let Request::Spmv { handle, engine, .. } = *first else {
+            return None;
+        };
+        let version = self.matrix_version(handle);
+        Some(Box::new(move |next| {
+            matches!(
+                *next,
+                Request::Spmv {
+                    handle: h,
+                    engine: e,
+                    ..
+                } if h == handle && e == engine
+            ) && self.matrix_version(handle) == version
+        }))
     }
 }
 
 /// A running `chason serve` instance.
 pub struct Server {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    listener_thread: Option<JoinHandle<()>>,
-    net: Option<NetServer>,
-    workers: Vec<JoinHandle<()>>,
+    pool: WorkerPool<Shared>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and the configured connection front
-    /// end, and returns immediately.
+    /// Binds, spawns the worker pool and the connection loop, and returns
+    /// immediately.
     ///
     /// # Errors
     ///
-    /// I/O failures binding the listener or starting the front end.
+    /// I/O failures binding the listener or starting the pool.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             chason: ChasonEngine::new(AcceleratorConfig {
                 sched: config.sched,
@@ -282,165 +238,43 @@ impl Server {
             matrices: Mutex::new(LruCache::new(config.matrix_cache_capacity)),
             plans: Mutex::new(LruCache::new(config.plan_cache_capacity)),
             stats: ServerStats::new(),
-            shutdown: AtomicBool::new(false),
-            config: config.clone(),
         });
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity);
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = job_rx.clone();
-                thread::Builder::new()
-                    .name(format!("chason-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        drop(job_rx);
-        let frontend = Arc::new(ServeFrontend {
-            shared: Arc::clone(&shared),
-            job_tx,
-        });
-        let (listener_thread, net) = match config.net {
-            NetMode::Async => {
-                let net = start_async_frontend(listener, frontend, shared.stats.registry())?;
-                (None, Some(net))
-            }
-            NetMode::Threads => {
-                let listener_thread = thread::Builder::new()
-                    .name("chason-listener".to_string())
-                    .spawn(move || threaded_listener_loop(&listener, &frontend, "chason-conn"))?;
-                (Some(listener_thread), None)
-            }
-        };
-        Ok(Server {
-            local_addr,
+        let pool = WorkerPool::start(
+            listener,
             shared,
-            listener_thread,
-            net,
-            workers: worker_handles,
-        })
+            PoolConfig {
+                workers: config.workers,
+                queue_capacity: config.queue_capacity,
+                batch_max: config.batch_max,
+                retry_after_ms: config.retry_after_ms,
+                idle_timeout: config.idle_timeout,
+                max_frame_len: config.max_frame_len,
+            },
+        )?;
+        Ok(Server { pool })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.pool.local_addr()
     }
 
     /// A point-in-time copy of the server's counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot()
+        self.pool.daemon().snapshot()
     }
 
     /// Initiates the same graceful drain a `Shutdown` request does.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &self.net {
-            Some(net) => net.shutdown(),
-            // Nudge the threaded listener out of `accept`.
-            None => {
-                let _ = TcpStream::connect(self.local_addr);
-            }
-        }
+        self.pool.shutdown();
     }
 
-    /// Blocks until the connection front end, every connection, and every
+    /// Blocks until the connection loop, every connection, and every
     /// worker have exited. Call [`shutdown`](Self::shutdown) first (or
     /// send a `Shutdown` request) or this blocks forever.
-    pub fn join(mut self) {
-        if let Some(listener) = self.listener_thread.take() {
-            let _ = listener.join();
-        }
-        if let Some(net) = self.net.take() {
-            net.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    pub fn join(self) {
+        self.pool.join();
     }
-}
-
-fn record_accepted_kind(shared: &Shared, request: &Request) {
-    let counter = match request {
-        Request::LoadMatrix { .. } => &shared.stats.requests.load,
-        Request::Spmv { .. } => &shared.stats.requests.spmv,
-        Request::Solve { .. } => &shared.stats.requests.solve,
-        Request::Plan { .. } => &shared.stats.requests.plan,
-        Request::Sleep { .. } => &shared.stats.requests.sleep,
-        Request::Update { .. } => &shared.stats.requests.update,
-        // Served inline, counted there.
-        Request::Stats | Request::Metrics | Request::Shutdown => return,
-    };
-    counter.add(1);
-}
-
-// ---------------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        // Same-matrix SpMV batching: one dequeue resolves the matrix and
-        // plan once, then drains queued twins (front-of-queue only, so
-        // FIFO fairness holds for everything else).
-        if let Request::Spmv { handle, engine, .. } = job.request {
-            // The batch key is (handle, engine, version): an Update racing
-            // on another worker bumps the version and closes the batch, so
-            // a batch never mixes requests against different matrix
-            // generations. (Front-of-queue-only draining already keeps a
-            // queued Update ordered before any Spmv sent after it.)
-            let version = shared.matrix_version(handle);
-            let mut batch = vec![job];
-            while batch.len() < shared.config.batch_max {
-                let twin = rx.try_recv_if(|next| {
-                    matches!(
-                        next.request,
-                        Request::Spmv {
-                            handle: h,
-                            engine: e,
-                            ..
-                        } if h == handle && e == engine
-                    ) && shared.matrix_version(handle) == version
-                });
-                match twin {
-                    Some(next) => batch.push(next),
-                    None => break,
-                }
-            }
-            if batch.len() > 1 {
-                shared.stats.batched.add(batch.len() as u64 - 1);
-            }
-            for job in batch {
-                run_job(shared, job);
-            }
-        } else {
-            run_job(shared, job);
-        }
-    }
-}
-
-fn run_job(shared: &Arc<Shared>, job: Job) {
-    record_accepted_kind(shared, &job.request);
-    // Queue wait (enqueue to dequeue) and execution time feed separate
-    // histograms: summing them into one "service time" conflates queue
-    // pressure with execution cost and made service_p99 track load, not
-    // the kernels.
-    shared
-        .stats
-        .record_queue_wait_micros(job.received.elapsed().as_micros() as u64);
-    let started = Instant::now();
-    // The executors validate their inputs, but a panic in a worker must
-    // not take the pool down: surface it as an Internal error instead.
-    let reply =
-        catch_unwind(AssertUnwindSafe(|| execute(shared, job.request))).unwrap_or_else(|_| {
-            Reply::Error {
-                code: ErrorCode::Internal,
-                message: "request execution panicked".to_string(),
-            }
-        });
-    shared
-        .stats
-        .record_service_micros(started.elapsed().as_micros() as u64);
-    job.reply_tx.send(&reply); // receiver gone = client disconnected
 }
 
 fn bad_request(message: impl Into<String>) -> Reply {
@@ -461,48 +295,6 @@ fn sim_error_reply(err: &SimError) -> Reply {
     Reply::Error {
         code: ErrorCode::BadRequest,
         message: err.to_string(),
-    }
-}
-
-fn execute(shared: &Shared, request: Request) -> Reply {
-    match request {
-        Request::LoadMatrix {
-            rows,
-            cols,
-            triplets,
-        } => execute_load(shared, rows, cols, &triplets),
-        Request::Spmv { handle, engine, x } => execute_spmv(shared, handle, engine, &x),
-        Request::Solve {
-            handle,
-            engine,
-            solver,
-            max_iterations,
-            tolerance,
-            b,
-        } => execute_solve(
-            shared,
-            handle,
-            engine,
-            solver,
-            max_iterations,
-            tolerance,
-            &b,
-        ),
-        Request::Plan { handle, engine } => execute_plan(shared, handle, engine),
-        Request::Update {
-            handle,
-            inserts,
-            revalues,
-            deletes,
-        } => execute_update(shared, handle, &inserts, &revalues, &deletes),
-        Request::Sleep { millis } => {
-            thread::sleep(Duration::from_millis(u64::from(millis.min(10_000))));
-            Reply::Done
-        }
-        Request::Stats | Request::Metrics | Request::Shutdown => Reply::Error {
-            code: ErrorCode::Internal,
-            message: "inline request reached the worker pool".to_string(),
-        },
     }
 }
 
