@@ -73,8 +73,8 @@ USAGE:
                                [--require-hits] [--churn PCT] [--router]
                                [--pipeline DEPTH] [--open-loop RPS]
                                # deterministic load generator; closed-loop by
-                               default, --pipeline keeps DEPTH requests in
-                               flight per connection, --open-loop sends on a
+                               default, --pipeline keeps up to DEPTH requests
+                               in flight per connection, --open-loop sends on a
                                fixed aggregate schedule instead of waiting;
                                --churn sends that percentage as matrix deltas;
                                --router targets a chason route frontend and

@@ -28,6 +28,7 @@ use crate::stats::RouterStats;
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::matrix_fingerprint;
+use chason_serve::admit::{self, Outcome};
 use chason_serve::client::{Client, RetryPolicy};
 use chason_serve::dispatch::{Daemon, PoolConfig, WorkerPool};
 use chason_serve::proto::{
@@ -36,7 +37,7 @@ use chason_serve::proto::{
 use chason_serve::stats::{lock_unpoisoned, ServerStats};
 use chason_sim::SimError;
 use chason_sparse::shard::ShardSpec;
-use chason_sparse::{CooMatrix, MatrixDelta};
+use chason_sparse::CooMatrix;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -212,9 +213,9 @@ impl Daemon for Shared {
                 tolerance,
                 &b,
             ),
-            Request::Plan { .. } => bad_request(
+            Request::Plan { .. } => Err(admit::bad_request(
                 "plan artifacts are per-shard; request Plan from a backend shard directly",
-            ),
+            )),
             Request::Update {
                 handle,
                 inserts,
@@ -225,6 +226,7 @@ impl Daemon for Shared {
                 unreachable!("the dispatch core answers Sleep and inline requests")
             }
         }
+        .unwrap_or_else(|rejected| *rejected)
     }
 
     fn on_shutdown(&self) {
@@ -333,20 +335,6 @@ fn forward_shutdown(shared: &Shared) {
         if let Ok(mut client) = Client::connect(addr.as_str()) {
             let _ = client.request(&Request::Shutdown);
         }
-    }
-}
-
-fn bad_request(message: impl Into<String>) -> Reply {
-    Reply::Error {
-        code: ErrorCode::BadRequest,
-        message: message.into(),
-    }
-}
-
-fn unknown_handle(handle: u64) -> Reply {
-    Reply::Error {
-        code: ErrorCode::UnknownHandle,
-        message: format!("no sharded matrix with handle {handle:#018x}; send LoadMatrix first"),
     }
 }
 
@@ -521,26 +509,8 @@ fn execute_load(
     rows: u64,
     cols: u64,
     triplets: &[(u64, u64, f32)],
-) -> Reply {
-    const MAX_DIM: u64 = 1 << 32;
-    if rows == 0 || cols == 0 || rows > MAX_DIM || cols > MAX_DIM {
-        return bad_request(format!("matrix dimensions {rows}x{cols} out of range"));
-    }
-    for &(r, c, v) in triplets {
-        if !v.is_finite() || v == 0.0 {
-            return bad_request(format!(
-                "unschedulable value {v} at ({r}, {c}): values must be finite and non-zero"
-            ));
-        }
-    }
-    let converted: Vec<(usize, usize, f32)> = triplets
-        .iter()
-        .map(|&(r, c, v)| (r as usize, c as usize, v))
-        .collect();
-    let matrix = match CooMatrix::from_triplets(rows as usize, cols as usize, converted) {
-        Ok(matrix) => matrix,
-        Err(err) => return bad_request(err.to_string()),
-    };
+) -> Outcome {
+    let matrix = admit::load_matrix(rows, cols, triplets)?;
     let handle = matrix_fingerprint(&matrix);
     // Loads serialize under the resident lock so two identical concurrent
     // loads scatter once, and no update interleaves with the scatter.
@@ -549,31 +519,26 @@ fn execute_load(
         // Same lineage semantics as a single server: the handle resolves
         // to the resident (possibly updated) copy, and the version tells
         // the caller whether the content moved past the sent triplets.
-        return Reply::Loaded {
+        return Ok(Reply::Loaded {
             handle,
             rows,
             cols,
             nnz: triplets.len() as u64,
             fresh: false,
             version: resident.version,
-        };
+        });
     }
     let shard_count = conns.len().min(matrix.rows());
-    let spec = match ShardSpec::nnz_balanced(&matrix, shard_count) {
-        Ok(spec) => spec,
-        Err(err) => return bad_request(format!("sharding failed: {err}")),
-    };
+    let spec = ShardSpec::nnz_balanced(&matrix, shard_count)
+        .map_err(|err| admit::bad_request(format!("sharding failed: {err}")))?;
     let mut requests: Vec<Option<Request>> = vec![None; conns.len()];
     for (k, slot) in requests.iter_mut().take(shard_count).enumerate() {
-        let slice = match spec.slice(&matrix, k) {
-            Ok(slice) => slice,
-            Err(err) => {
-                return Reply::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("slicing shard {k} failed: {err}"),
-                }
-            }
-        };
+        let slice = spec.slice(&matrix, k).map_err(|err| {
+            Box::new(Reply::Error {
+                code: ErrorCode::Internal,
+                message: format!("slicing shard {k} failed: {err}"),
+            })
+        })?;
         *slot = Some(Request::LoadMatrix {
             rows: slice.rows() as u64,
             cols: slice.cols() as u64,
@@ -591,7 +556,7 @@ fn execute_load(
         .record(started.elapsed().as_micros() as u64);
     let (oks, errors) = partition_results(results);
     if !errors.is_empty() {
-        return scatter_failure_reply(&errors, &shared.stats);
+        return Err(Box::new(scatter_failure_reply(&errors, &shared.stats)));
     }
     let mut shard_handles = vec![0u64; shard_count];
     for (k, reply) in oks {
@@ -605,18 +570,18 @@ fn execute_load(
                     // The shard already holds this slice lineage at a
                     // later version: someone updated the backend out of
                     // band. Routing against it would mix generations.
-                    return Reply::Error {
+                    return Err(Box::new(Reply::Error {
                         code: ErrorCode::PartialGather,
                         message: format!(
                             "shard {k} holds a diverged copy of this slice (version \
                              {version}); restart the shard or route updates through \
                              the router only"
                         ),
-                    };
+                    }));
                 }
                 shard_handles[k] = shard_handle;
             }
-            other => return unexpected_reply(k, &other),
+            other => return Err(Box::new(unexpected_reply(k, &other))),
         }
     }
     if let Ok(imbalance) = spec.nnz_imbalance(&matrix) {
@@ -635,14 +600,22 @@ fn execute_load(
             version: 0,
         },
     );
-    Reply::Loaded {
+    Ok(Reply::Loaded {
         handle,
         rows,
         cols,
         nnz: triplets.len() as u64,
         fresh: true,
         version: 0,
-    }
+    })
+}
+
+/// The sharded resident behind `handle`.
+fn resident(shared: &Shared, handle: u64) -> Result<ShardedResident, Box<Reply>> {
+    lock_unpoisoned(&shared.residents)
+        .get(&handle)
+        .cloned()
+        .ok_or_else(|| admit::unknown_handle(handle))
 }
 
 fn execute_spmv(
@@ -651,26 +624,16 @@ fn execute_spmv(
     handle: u64,
     engine: Engine,
     x: &[f32],
-) -> Reply {
-    let Some(resident) = lock_unpoisoned(&shared.residents).get(&handle).cloned() else {
-        return unknown_handle(handle);
-    };
-    if x.len() != resident.matrix.cols() {
-        return bad_request(format!(
-            "x has {} entries, matrix has {} columns",
-            x.len(),
-            resident.matrix.cols()
-        ));
-    }
+) -> Outcome {
+    let resident = resident(shared, handle)?;
+    admit::spmv(&resident.matrix, x)?;
     let start = Instant::now();
-    match scatter_spmv(conns, &resident, engine, x, &shared.stats) {
-        Ok((y, simulated_nanos)) => Reply::Vector {
-            y,
-            service_micros: start.elapsed().as_micros() as u64,
-            simulated_nanos,
-        },
-        Err(reply) => *reply,
-    }
+    let (y, simulated_nanos) = scatter_spmv(conns, &resident, engine, x, &shared.stats)?;
+    Ok(Reply::Vector {
+        y,
+        service_micros: start.elapsed().as_micros() as u64,
+        simulated_nanos,
+    })
 }
 
 /// The distributed Reduction Unit as a solver backend: every product the
@@ -727,45 +690,10 @@ fn execute_solve(
     max_iterations: u32,
     tolerance: f64,
     b: &[f32],
-) -> Reply {
-    let Some(resident) = lock_unpoisoned(&shared.residents).get(&handle).cloned() else {
-        return unknown_handle(handle);
-    };
+) -> Outcome {
+    let resident = resident(shared, handle)?;
     let matrix = Arc::clone(&resident.matrix);
-    // Same ahead-of-time validation as a single server: the solvers
-    // assert on these.
-    if matrix.rows() != matrix.cols() {
-        return bad_request(format!(
-            "solver requires a square system, matrix is {}x{}",
-            matrix.rows(),
-            matrix.cols()
-        ));
-    }
-    if b.len() != matrix.rows() {
-        return bad_request(format!(
-            "b has {} entries, system has {} rows",
-            b.len(),
-            matrix.rows()
-        ));
-    }
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return bad_request(format!(
-            "tolerance {tolerance} must be finite and non-negative"
-        ));
-    }
-    if solver == SolverKind::Jacobi {
-        let mut diag = vec![false; matrix.rows()];
-        for &(r, c, v) in matrix.iter() {
-            if r == c && v != 0.0 {
-                diag[r] = true;
-            }
-        }
-        if let Some(row) = diag.iter().position(|&set| !set) {
-            return bad_request(format!(
-                "Jacobi requires a non-zero diagonal; row {row} has none"
-            ));
-        }
-    }
+    admit::solve(&matrix, solver, tolerance, b)?;
     let options = CgOptions {
         max_iterations: max_iterations as usize,
         tolerance,
@@ -785,17 +713,16 @@ fn execute_solve(
     };
     let simulated_nanos = backend.simulated_nanos;
     let failure = backend.failure.take();
-    match result {
-        Ok(result) => Reply::Solved {
-            solution: result.solution,
-            iterations: result.iterations as u64,
-            residual: result.residual,
-            converged: result.converged,
-            service_micros: start.elapsed().as_micros() as u64,
-            simulated_nanos,
-        },
-        Err(err) => failure.unwrap_or_else(|| bad_request(err.to_string())),
-    }
+    let result = result
+        .map_err(|err| failure.map_or_else(|| admit::bad_request(err.to_string()), Box::new))?;
+    Ok(Reply::Solved {
+        solution: result.solution,
+        iterations: result.iterations as u64,
+        residual: result.residual,
+        converged: result.converged,
+        service_micros: start.elapsed().as_micros() as u64,
+        simulated_nanos,
+    })
 }
 
 fn execute_update(
@@ -805,72 +732,44 @@ fn execute_update(
     inserts: &[(u64, u64, f32)],
     revalues: &[(u64, u64, f32)],
     deletes: &[(u64, u64)],
-) -> Reply {
-    for &(r, c, v) in inserts.iter().chain(revalues.iter()) {
-        if !v.is_finite() || v == 0.0 {
-            return bad_request(format!(
-                "unschedulable value {v} at ({r}, {c}): values must be finite and non-zero"
-            ));
-        }
-    }
+) -> Outcome {
+    admit::update_values(inserts, revalues)?;
     // Updates serialize under the resident lock (held across the scatter)
     // so shard version N+1 is always derived from N and concurrent
     // loads/updates cannot interleave with a half-applied delta.
     let mut residents = lock_unpoisoned(&shared.residents);
-    let Some(resident) = residents.get(&handle).cloned() else {
-        return unknown_handle(handle);
-    };
+    let resident = residents
+        .get(&handle)
+        .cloned()
+        .ok_or_else(|| admit::unknown_handle(handle))?;
     // Validate the whole delta against the full matrix up front: a
     // rejected op must not reach any shard, or the fleet diverges.
-    let mut delta = MatrixDelta::for_matrix(&resident.matrix);
-    let push = |result: Result<(), chason_sparse::SparseError>| result.map_err(|e| e.to_string());
-    for &(r, c, v) in inserts {
-        if let Err(e) = push(delta.push_insert(r as usize, c as usize, v)) {
-            return bad_request(e);
-        }
-    }
-    for &(r, c, v) in revalues {
-        if let Err(e) = push(delta.push_revalue(r as usize, c as usize, v)) {
-            return bad_request(e);
-        }
-    }
-    for &(r, c) in deletes {
-        if let Err(e) = push(delta.push_delete(r as usize, c as usize)) {
-            return bad_request(e);
-        }
-    }
-    let updated = match delta.apply(&resident.matrix) {
-        Ok(updated) => updated,
-        Err(err) => return bad_request(err.to_string()),
-    };
+    let (_, updated) = admit::update(&resident.matrix, inserts, revalues, deletes)?;
     // Partition the ops by row footprint; only touched shards see a
     // sub-update. Rows are shard-local (offset by the range start).
     let n = resident.spec.shards();
     let mut shard_inserts: Vec<Vec<(u64, u64, f32)>> = vec![Vec::new(); n];
     let mut shard_revalues: Vec<Vec<(u64, u64, f32)>> = vec![Vec::new(); n];
     let mut shard_deletes: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    let route = |r: u64| -> Option<(usize, u64)> {
-        let k = resident.spec.shard_of_row(r as usize)?;
+    let route = |r: u64| -> Result<(usize, u64), Box<Reply>> {
+        let k = resident
+            .spec
+            .shard_of_row(r as usize)
+            .ok_or_else(|| admit::bad_request(format!("row {r} outside the sharded matrix")))?;
         let (start, _) = resident.spec.range(k);
-        Some((k, r - start as u64))
+        Ok((k, r - start as u64))
     };
     for &(r, c, v) in inserts {
-        match route(r) {
-            Some((k, local)) => shard_inserts[k].push((local, c, v)),
-            None => return bad_request(format!("row {r} outside the sharded matrix")),
-        }
+        let (k, local) = route(r)?;
+        shard_inserts[k].push((local, c, v));
     }
     for &(r, c, v) in revalues {
-        match route(r) {
-            Some((k, local)) => shard_revalues[k].push((local, c, v)),
-            None => return bad_request(format!("row {r} outside the sharded matrix")),
-        }
+        let (k, local) = route(r)?;
+        shard_revalues[k].push((local, c, v));
     }
     for &(r, c) in deletes {
-        match route(r) {
-            Some((k, local)) => shard_deletes[k].push((local, c)),
-            None => return bad_request(format!("row {r} outside the sharded matrix")),
-        }
+        let (k, local) = route(r)?;
+        shard_deletes[k].push((local, c));
     }
     let mut requests: Vec<Option<Request>> = vec![None; conns.len()];
     for k in 0..n {
@@ -904,7 +803,7 @@ fn execute_update(
         residents.remove(&handle);
         shared.stats.scatter_failures.add(1);
         let first = &errors[0];
-        return Reply::Error {
+        return Err(Box::new(Reply::Error {
             code: ErrorCode::PartialGather,
             message: format!(
                 "update reached only part of the shard set ({} of {} sub-updates \
@@ -913,7 +812,7 @@ fn execute_update(
                 errors.len(),
                 oks.len() + errors.len(),
             ),
-        };
+        }));
     }
     let mut new_versions = resident.shard_versions.as_ref().clone();
     let mut plans_spliced: u32 = 0;
@@ -932,14 +831,14 @@ fn execute_update(
                 let expected = resident.shard_versions[k] + 1;
                 if version != expected {
                     residents.remove(&handle);
-                    return Reply::Error {
+                    return Err(Box::new(Reply::Error {
                         code: ErrorCode::PartialGather,
                         message: format!(
                             "version skew on shard {k}: it reports v{version}, the \
                              router expected v{expected} — the shard was updated out \
                              of band; the sharded mapping was dropped"
                         ),
-                    };
+                    }));
                 }
                 new_versions[k] = version;
                 plans_spliced += spliced;
@@ -949,7 +848,7 @@ fn execute_update(
             }
             other => {
                 residents.remove(&handle);
-                return unexpected_reply(k, &other);
+                return Err(Box::new(unexpected_reply(k, &other)));
             }
         }
     }
@@ -961,7 +860,7 @@ fn execute_update(
                 if let Some(reported) = reported {
                     if *reported != counts[k] as u64 {
                         residents.remove(&handle);
-                        return Reply::Error {
+                        return Err(Box::new(Reply::Error {
                             code: ErrorCode::PartialGather,
                             message: format!(
                                 "shard {k} reports {reported} nnz after the update, \
@@ -969,17 +868,17 @@ fn execute_update(
                                  dropped",
                                 counts[k]
                             ),
-                        };
+                        }));
                     }
                 }
             }
         }
         Err(err) => {
             residents.remove(&handle);
-            return Reply::Error {
+            return Err(Box::new(Reply::Error {
                 code: ErrorCode::Internal,
                 message: format!("post-update nnz audit failed: {err}"),
-            };
+            }));
         }
     }
     let version = resident.version + 1;
@@ -994,13 +893,13 @@ fn execute_update(
             version,
         },
     );
-    Reply::Updated {
+    Ok(Reply::Updated {
         version,
         nnz,
         plans_spliced,
         windows_replanned,
         windows_total,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------

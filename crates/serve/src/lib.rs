@@ -14,14 +14,16 @@
 //!
 //! * [`proto`] — wire format: frames, requests, replies, the incremental
 //!   [`FrameReader`](proto::FrameReader).
+//! * [`admit`] — the request rules `chason serve` and `chason route`
+//!   share: value, dimension, solve and update checks and their replies.
 //! * [`dispatch`] — the dispatch and worker-pool core `chason serve` and
 //!   `chason route` share: the readiness-loop service, bounded queue and
 //!   shedding, worker threads, graceful drain.
 //! * [`server`] — [`Server`](server::Server): the SpMV/solver/plan/update
 //!   executors and shared caches over that core.
 //! * [`client`] — blocking [`Client`](client::Client) with typed helpers.
-//! * [`loadgen`] — deterministic closed-loop load generator
-//!   (`chason loadgen`).
+//! * [`loadgen`] — deterministic load generator (`chason loadgen`):
+//!   closed loop, pipelined, or open loop.
 //! * [`stats`] — lock-free counters behind the `Stats` request.
 //!
 //! Built entirely on `std` networking and the repo's vendored shims; see
@@ -31,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admit;
 pub mod client;
 pub mod dispatch;
 pub mod loadgen;

@@ -2,15 +2,16 @@
 //!
 //! `chason loadgen` drives a mixed workload — roughly 60% SpMV across all
 //! three backends, 20% iterative solves, 10% plan fetches, 10% stats
-//! polls — from N concurrent connections. By default each connection is a
-//! closed loop (next request only after the previous reply); `--pipeline
-//! DEPTH` keeps up to DEPTH requests in flight per connection, and
-//! `--open-loop RPS` switches to scheduled arrivals that do not wait for
-//! replies at all, so a single loadgen process can drive 1k+ connections
-//! against the async listener. The request schedule is a pure function of
-//! `(seed, connection index)`, so a run is reproducible end-to-end; the
-//! only nondeterminism is timing. `Busy` replies are retried and counted,
-//! never treated as errors: shedding is the server behaving as specified.
+//! polls — from N concurrent connections. Every connection runs the same
+//! driver: it keeps up to `--pipeline DEPTH` requests in flight, so the
+//! default depth 1 is a closed loop (next request only after the previous
+//! reply), and `--open-loop RPS` switches to scheduled arrivals that do
+//! not wait for replies at all, so a single loadgen process can drive 1k+
+//! connections against the readiness loop. The request schedule is a pure
+//! function of `(seed, connection index)`, so a run is reproducible
+//! end-to-end; the only nondeterminism is timing. `Busy` replies are
+//! retried once their `retry_after_ms` hint has passed and counted, never
+//! treated as errors: shedding is the server behaving as specified.
 
 use crate::client::{Client, ClientError};
 use crate::proto::{
@@ -52,10 +53,12 @@ pub struct LoadgenOptions {
     /// `router_*` metrics (per-shard request balance, gather-latency
     /// percentiles, scatter failures). Requires `addr`.
     pub router: bool,
-    /// Requests kept in flight per connection. `1` (the default) is the
-    /// classic closed loop; larger depths pipeline requests — each
+    /// Most requests kept in flight per connection. `1` (the default) is
+    /// the classic closed loop; larger depths pipeline requests — each
     /// connection writes up to `pipeline` frames before reading, matching
     /// replies FIFO (CHSP replies are strictly ordered per connection).
+    /// A `Busy` drops the window to one; it grows back by one per success
+    /// once a further `retry_after_ms` has passed without a `Busy`.
     pub pipeline: usize,
     /// Open-loop arrival mode: requests are sent on a fixed schedule of
     /// this many requests per second (aggregate, split evenly across
@@ -456,138 +459,7 @@ fn diagonal_of(matrix: &CooMatrix) -> Vec<f32> {
     diag
 }
 
-fn run_connection(
-    addr: &str,
-    matrices: &[CooMatrix],
-    requests: usize,
-    churn: u64,
-    router: bool,
-    mut rng: u64,
-) -> Result<ConnOutcome, ClientError> {
-    let mut client = Client::connect(addr)?;
-    let mut handles = Vec::with_capacity(matrices.len());
-    for matrix in matrices {
-        let (handle, _fresh) = client.load_matrix(matrix)?;
-        handles.push(handle);
-    }
-    let diagonals: Vec<Vec<f32>> = matrices.iter().map(diagonal_of).collect();
-    let churn = churn.min(100);
-    let mut outcome = ConnOutcome {
-        completed: 0,
-        protocol_errors: 0,
-        busy_retries: 0,
-        by_type: [0; 5],
-        latencies: Vec::with_capacity(requests),
-    };
-    for _ in 0..requests {
-        let which = (splitmix64(&mut rng) as usize) % matrices.len();
-        let (matrix, handle) = (&matrices[which], handles[which]);
-        let n = matrix.rows();
-        // First `churn`% of the roll space is matrix churn; the remainder
-        // maps onto the classic 60/20/10/10 mix.
-        let roll = splitmix64(&mut rng) % 100;
-        let kind = if roll < churn {
-            10 // churn
-        } else {
-            (roll - churn) * 10 / (100 - churn).max(1)
-        };
-        // Retry loop: Busy is shedding, not failure.
-        loop {
-            let start = Instant::now();
-            let result: Result<usize, ClientError> = match kind {
-                10 => {
-                    // Revalue a handful of diagonal entries upward. The
-                    // diagonal always exists whatever other connections
-                    // have churned, and only ever grows past its as-loaded
-                    // value, so concurrent deltas can never conflict or
-                    // break convergence.
-                    let count = 1 + (splitmix64(&mut rng) as usize) % 3;
-                    let mut revalues: Vec<(u64, u64, f32)> = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let i = (splitmix64(&mut rng) as usize) % n;
-                        if revalues.iter().any(|&(r, _, _)| r == i as u64) {
-                            continue; // a delta batch may touch a coordinate once
-                        }
-                        let bump = 0.5 + (splitmix64(&mut rng) % 1000) as f32 / 1000.0;
-                        revalues.push((i as u64, i as u64, diagonals[which][i] + bump));
-                    }
-                    client
-                        .update(handle, Vec::new(), revalues, Vec::new())
-                        .and_then(|outcome| {
-                            if outcome.version > 0 {
-                                Ok(4)
-                            } else {
-                                Err(ClientError::Unexpected(
-                                    "update did not advance the version".to_string(),
-                                ))
-                            }
-                        })
-                }
-                0..=5 => {
-                    let phase = (splitmix64(&mut rng) % 1000) as f32 / 1000.0;
-                    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37 + phase).sin()).collect();
-                    let engine = ENGINES[(splitmix64(&mut rng) as usize) % ENGINES.len()];
-                    client.spmv(handle, engine, x).and_then(|(y, _, _)| {
-                        if y.len() == n {
-                            Ok(0)
-                        } else {
-                            Err(ClientError::Unexpected(format!(
-                                "spmv returned {} values for {n} rows",
-                                y.len()
-                            )))
-                        }
-                    })
-                }
-                6 | 7 => {
-                    let b: Vec<f32> = (0..n).map(|i| 1.0 + (i % 5) as f32 * 0.25).collect();
-                    let engine = ENGINES[1 + (splitmix64(&mut rng) as usize) % 2];
-                    let solver = if splitmix64(&mut rng).is_multiple_of(2) {
-                        SolverKind::Jacobi
-                    } else {
-                        SolverKind::Cg
-                    };
-                    client.solve(handle, engine, solver, 8, 1e-4, b).map(|_| 1)
-                }
-                // A router refuses Plan (artifacts are per-shard), so the
-                // plan slot becomes an extra stats poll there.
-                8 if router => client.stats().map(|_| 3),
-                8 => {
-                    let engine = ENGINES[1 + (splitmix64(&mut rng) as usize) % 2];
-                    client.plan(handle, engine).and_then(|bytes| {
-                        if bytes.starts_with(b"CHPL") {
-                            Ok(2)
-                        } else {
-                            Err(ClientError::Unexpected(
-                                "plan artifact missing CHPL magic".to_string(),
-                            ))
-                        }
-                    })
-                }
-                _ => client.stats().map(|_| 3),
-            };
-            match result {
-                Ok(slot) => {
-                    outcome.latencies.push(start.elapsed().as_micros() as u64);
-                    outcome.completed += 1;
-                    outcome.by_type[slot] += 1;
-                    break;
-                }
-                Err(ClientError::Busy { retry_after_ms }) => {
-                    outcome.busy_retries += 1;
-                    thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
-                }
-                Err(ClientError::Io(e)) => return Err(ClientError::Io(e)), // connection gone
-                Err(_) => {
-                    outcome.protocol_errors += 1;
-                    break;
-                }
-            }
-        }
-    }
-    Ok(outcome)
-}
-
-/// A countdown gate lining every pipelined connection up after setup, so
+/// A countdown gate lining every connection up after setup, so
 /// the server demonstrably holds all of them open at once before the
 /// first request flies. Unlike [`std::sync::Barrier`], a participant that
 /// never starts (spawn failure, failed setup) can be forfeited without
@@ -634,7 +506,7 @@ impl StartGate {
     }
 }
 
-/// One pre-planned pipelined request: the encoded frame plus what reply
+/// One pre-planned request: the encoded frame plus what reply
 /// shape counts as success.
 struct Scheduled {
     payload: Vec<u8>,
@@ -645,8 +517,8 @@ struct Scheduled {
     n: usize,
 }
 
-/// Draws one request from the same mixed workload as the closed loop,
-/// already encoded so the pipelining loop only moves bytes.
+/// Draws one request from the mixed workload, already encoded so the
+/// connection loop only moves bytes.
 fn draw_request(
     matrices: &[CooMatrix],
     handles: &[u64],
@@ -658,6 +530,8 @@ fn draw_request(
     let which = (splitmix64(rng) as usize) % matrices.len();
     let (matrix, handle) = (&matrices[which], handles[which]);
     let n = matrix.rows();
+    // The first `churn`% of the roll space is matrix churn; the remainder
+    // maps onto the classic 60/20/10/10 mix.
     let roll = splitmix64(rng) % 100;
     let kind = if roll < churn {
         10
@@ -666,15 +540,16 @@ fn draw_request(
     };
     let (request, slot, expect_n) = match kind {
         10 => {
-            // Diagonal revalues only ever grow past the as-loaded value,
-            // so any interleaving across connections stays SPD (same
-            // invariant as the closed loop).
+            // Revalue a handful of diagonal entries upward. The diagonal
+            // always exists whatever other connections have churned, and
+            // only ever grows past its as-loaded value, so concurrent
+            // deltas can never conflict and every system stays SPD.
             let count = 1 + (splitmix64(rng) as usize) % 3;
             let mut revalues: Vec<(u64, u64, f32)> = Vec::with_capacity(count);
             for _ in 0..count {
                 let i = (splitmix64(rng) as usize) % n;
                 if revalues.iter().any(|&(r, _, _)| r == i as u64) {
-                    continue;
+                    continue; // a delta batch may touch a coordinate once
                 }
                 let bump = 0.5 + (splitmix64(rng) % 1000) as f32 / 1000.0;
                 revalues.push((i as u64, i as u64, diagonals[which][i] + bump));
@@ -721,6 +596,8 @@ fn draw_request(
             let engine = ENGINES[1 + (splitmix64(rng) as usize) % 2];
             (Request::Plan { handle, engine }, 2, 0)
         }
+        // A router refuses Plan (artifacts are per-shard), so the plan
+        // slot becomes an extra stats poll there.
         _ => (Request::Stats, 3, 0),
     };
     Scheduled {
@@ -730,7 +607,7 @@ fn draw_request(
     }
 }
 
-/// Checks a pipelined reply against what its request expected. `Ok(true)`
+/// Checks a reply against what its request expected. `Ok(true)`
 /// is success, `Ok(false)` is `Busy` (retry the request), `Err` is a
 /// protocol error.
 fn check_reply(reply: &Reply, expected: &Scheduled) -> Result<bool, String> {
@@ -755,7 +632,7 @@ fn check_reply(reply: &Reply, expected: &Scheduled) -> Result<bool, String> {
 
 /// One blocking request/reply exchange on a raw stream, retrying `Busy`
 /// per the server's hint. Used for per-connection setup (matrix uploads)
-/// before the pipelined loop takes over the socket.
+/// before the request loop takes over the socket.
 fn setup_request(stream: &mut TcpStream, request: &Request) -> Result<Reply, ClientError> {
     loop {
         write_frame(stream, &encode_request(request))?;
@@ -769,14 +646,21 @@ fn setup_request(stream: &mut TcpStream, request: &Request) -> Result<Reply, Cli
     }
 }
 
-/// Drives one connection with up to `depth` requests in flight
-/// (closed-loop pipelining), or on a fixed arrival schedule when
-/// `interval` is set (open loop). Replies are matched FIFO: CHSP carries
-/// no sequence numbers because replies are strictly ordered per
-/// connection. `start_gate` lines every connection up after setup so the
-/// server really holds all of them open at once.
-#[allow(clippy::too_many_arguments)] // internal fan-out helper, mirrors run_connection
-fn run_connection_pipelined(
+/// Drives one connection with up to `depth` requests in flight (depth 1
+/// is the closed loop), or on a fixed arrival schedule when `interval` is
+/// set (open loop). Replies are matched FIFO: CHSP carries no sequence
+/// numbers because replies are strictly ordered per connection.
+/// `start_gate` lines every connection up after setup so the server
+/// really holds all of them open at once.
+///
+/// The in-flight window is `depth`. A `Busy` reply pauses the
+/// connection's sends until its `retry_after_ms` hint has passed and
+/// collapses the window to one; after one more hint without a `Busy` it
+/// grows back by one per success. Shed requests go out again first, in
+/// their original order. A shedding server so sees about one request per
+/// connection per hint instead of a window of immediate resends.
+#[allow(clippy::too_many_arguments)] // one parameter per run option
+fn run_connection(
     addr: &str,
     matrices: &[CooMatrix],
     requests: usize,
@@ -823,7 +707,8 @@ fn run_connection_pipelined(
         latencies: Vec::with_capacity(requests),
     };
     // Pre-draw the whole schedule: the wire loop below then only moves
-    // bytes, and `Busy` retries re-enqueue without disturbing the rng.
+    // bytes, and `Busy` retries re-enqueue without disturbing the rng, so
+    // the request mix is independent of depth and shedding.
     let mut to_send: VecDeque<Scheduled> = (0..requests)
         .map(|_| draw_request(matrices, &handles, &diagonals, churn, router, &mut rng))
         .collect();
@@ -836,12 +721,22 @@ fn run_connection_pipelined(
     let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
     let started = Instant::now();
     let mut next_arrival = started;
+    // No send before `resume_at` (the latest `Busy` hint); no window
+    // growth before `calm_at` (one more hint without a `Busy`).
+    let mut resume_at = started;
+    let mut calm_at = started;
+    let mut window = depth;
+    // Shed requests waiting at the front of `to_send`, in schedule order.
+    let mut requeued = 0usize;
     while !(to_send.is_empty() && in_flight.is_empty()) {
-        // Admit sends: closed loop tops the window up to `depth`; open
-        // loop sends when the schedule says so (window-capped so unread
-        // replies stay bounded).
-        while !to_send.is_empty() && in_flight.len() < depth {
+        // Admit sends: closed loop tops the window up; open loop sends
+        // when the schedule says so (window-capped so unread replies stay
+        // bounded).
+        while !to_send.is_empty() && in_flight.len() < window {
             let now = Instant::now();
+            if now < resume_at {
+                break;
+            }
             let sent_at = match interval {
                 Some(gap) => {
                     if now < next_arrival {
@@ -855,12 +750,18 @@ fn run_connection_pipelined(
             };
             #[allow(clippy::expect_used)] // non-empty checked above
             let scheduled = to_send.pop_front().expect("to_send is non-empty");
+            requeued = requeued.saturating_sub(1);
             write_frame(&mut stream, &scheduled.payload)?;
             in_flight.push_back((scheduled, sent_at));
         }
         if in_flight.is_empty() {
-            // Open loop, ahead of schedule: nothing to read back yet.
-            thread::sleep(Duration::from_micros(200));
+            // Backing off, or open loop ahead of schedule: nothing to
+            // read back until the next send is due.
+            let due = match interval {
+                Some(_) => resume_at.max(next_arrival),
+                None => resume_at,
+            };
+            thread::sleep(due.saturating_duration_since(Instant::now()));
             continue;
         }
         match reader.poll(&mut stream) {
@@ -870,15 +771,26 @@ fn run_connection_pipelined(
                 match decode_reply(&payload) {
                     Ok(reply) => match check_reply(&reply, &expected) {
                         Ok(true) => {
+                            if Instant::now() >= calm_at {
+                                window = (window + 1).min(depth);
+                            }
                             outcome.latencies.push(sent_at.elapsed().as_micros() as u64);
                             outcome.completed += 1;
                             outcome.by_type[expected.slot] += 1;
                         }
                         Ok(false) => {
-                            // Shed: re-enqueue at the back, which spaces the
-                            // retry out behind the rest of the schedule.
+                            // Shed: honour the hint before sending anything
+                            // else, then retry this request after any shed
+                            // ahead of it.
                             outcome.busy_retries += 1;
-                            to_send.push_back(expected);
+                            window = 1;
+                            if let Reply::Busy { retry_after_ms } = reply {
+                                let hint = Duration::from_millis(u64::from(retry_after_ms.max(1)));
+                                resume_at = resume_at.max(Instant::now() + hint);
+                                calm_at = resume_at + hint;
+                            }
+                            to_send.insert(requeued, expected);
+                            requeued += 1;
                         }
                         Err(_) => outcome.protocol_errors += 1,
                     },
@@ -923,7 +835,6 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
         return Err("--open-loop requires a positive arrival rate".to_string());
     }
     let depth = options.pipeline.max(1);
-    let pipelined = depth > 1 || options.open_loop_rps.is_some();
     // Open loop: split the aggregate arrival rate evenly across
     // connections.
     let interval = options
@@ -939,9 +850,9 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
         (None, None) => unreachable!("local server started above"),
     };
     let matrices = workload_matrices(options.seed);
-    // Pipelined runs gate every connection's first request on all of them
-    // being connected, so the server demonstrably holds `connections`
-    // sockets open at once (the CI smoke asserts its high-water mark).
+    // Every connection's first request waits on all of them being
+    // connected, so the server demonstrably holds `connections` sockets
+    // open at once (the CI smoke asserts its high-water mark).
     let start_gate = StartGate::new(connections);
     let started = Instant::now();
     let outcomes: Vec<Result<ConnOutcome, ClientError>> = thread::scope(|scope| {
@@ -964,21 +875,17 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
                 .name(format!("loadgen-{conn}"))
                 .stack_size(256 * 1024);
             let spawned = builder.spawn_scoped(scope, move || {
-                if pipelined {
-                    run_connection_pipelined(
-                        &addr,
-                        matrices,
-                        share,
-                        options.churn,
-                        options.router,
-                        rng,
-                        depth,
-                        interval,
-                        start_gate,
-                    )
-                } else {
-                    run_connection(&addr, matrices, share, options.churn, options.router, rng)
-                }
+                run_connection(
+                    &addr,
+                    matrices,
+                    share,
+                    options.churn,
+                    options.router,
+                    rng,
+                    depth,
+                    interval,
+                    start_gate,
+                )
             });
             if spawned.is_err() {
                 // This participant will never reach the start gate;
@@ -1183,56 +1090,125 @@ mod tests {
 
     #[test]
     fn small_end_to_end_run_is_clean() {
-        let report = run(&LoadgenOptions {
-            connections: 2,
-            requests: 40,
-            seed: 3,
-            addr: None,
-            require_hits: true,
-            churn: 0,
-            ..LoadgenOptions::default()
-        })
-        .expect("loadgen run");
-        assert_eq!(report.completed, 40);
-        assert_eq!(report.protocol_errors, 0);
-        assert_eq!(report.by_type[4], 0, "churn defaults off");
-        assert!(report.server_stats.plan_cache_hits > 0);
-        assert!(report.render().contains("protocol errors      : 0"));
-        let json = report.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"completed\":40"), "{json}");
-        assert!(json.contains("\"protocol_errors\":0"), "{json}");
-        assert!(json.contains("\"server_stats\":{"), "{json}");
+        // The request mix is a function of the seed alone: the closed
+        // loop and a deep pipeline send the same requests.
+        for pipeline in [1, 8] {
+            let report = run(&LoadgenOptions {
+                connections: 2,
+                requests: 40,
+                seed: 3,
+                addr: None,
+                require_hits: true,
+                churn: 0,
+                pipeline,
+                ..LoadgenOptions::default()
+            })
+            .expect("loadgen run");
+            assert_eq!(report.completed, 40);
+            assert_eq!(report.protocol_errors, 0);
+            assert_eq!(report.by_type, [24, 9, 4, 3, 0], "depth {pipeline}");
+            assert_eq!(report.by_type[4], 0, "churn defaults off");
+            assert!(report.server_stats.plan_cache_hits > 0);
+            assert!(report.render().contains("protocol errors      : 0"));
+            let json = report.render_json();
+            assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+            assert!(json.contains("\"completed\":40"), "{json}");
+            assert!(json.contains("\"protocol_errors\":0"), "{json}");
+            assert!(json.contains("\"server_stats\":{"), "{json}");
+        }
     }
 
     #[test]
     fn churned_run_updates_matrices_and_stays_clean() {
-        let report = run(&LoadgenOptions {
-            connections: 3,
-            requests: 60,
-            seed: 5,
-            addr: None,
-            require_hits: true,
-            churn: 25,
+        for pipeline in [1, 8] {
+            let report = run(&LoadgenOptions {
+                connections: 3,
+                requests: 60,
+                seed: 5,
+                addr: None,
+                require_hits: true,
+                churn: 25,
+                pipeline,
+                ..LoadgenOptions::default()
+            })
+            .expect("churned loadgen run");
+            assert_eq!(report.completed, 60);
+            assert_eq!(report.protocol_errors, 0);
+            assert_eq!(report.by_type, [18, 13, 6, 5, 18], "depth {pipeline}");
+            assert!(
+                report.by_type[4] > 0,
+                "25% churn over 60 requests must send updates: {:?}",
+                report.by_type
+            );
+            assert_eq!(report.server_stats.requests_update, report.by_type[4]);
+            assert!(
+                report.server_stats.plans_spliced > 0,
+                "churn against warm plans must splice: {:?}",
+                report.server_stats
+            );
+            let json = report.render_json();
+            assert!(json.contains("\"update\":"), "{json}");
+            assert!(json.contains("\"plans_spliced\":"), "{json}");
+        }
+    }
+
+    /// A server that sheds almost everything: one worker behind a
+    /// one-slot queue.
+    fn shedding_server() -> Server {
+        Server::start(ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        })
+        .expect("shedding server")
+    }
+
+    fn shed_run(server: &Server, pipeline: usize) -> LoadgenReport {
+        run(&LoadgenOptions {
+            connections: 8,
+            requests: 160,
+            seed: 7,
+            addr: Some(server.local_addr().to_string()),
+            pipeline,
             ..LoadgenOptions::default()
         })
-        .expect("churned loadgen run");
-        assert_eq!(report.completed, 60);
+        .expect("a shedding server must not abort the run")
+    }
+
+    #[test]
+    fn closed_loop_survives_busy_during_setup() {
+        // Eight connections upload their matrices at once into a one-slot
+        // queue, so setup itself is shed and must retry.
+        let server = shedding_server();
+        let report = shed_run(&server, 1);
+        assert_eq!(report.completed, 160);
         assert_eq!(report.protocol_errors, 0);
-        assert!(
-            report.by_type[4] > 0,
-            "25% churn over 60 requests must send updates: {:?}",
-            report.by_type
-        );
-        assert_eq!(report.server_stats.requests_update, report.by_type[4]);
-        assert!(
-            report.server_stats.plans_spliced > 0,
-            "churn against warm plans must splice: {:?}",
-            report.server_stats
-        );
-        let json = report.render_json();
-        assert!(json.contains("\"update\":"), "{json}");
-        assert!(json.contains("\"plans_spliced\":"), "{json}");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn shed_requests_wait_out_the_retry_hint() {
+        let server = shedding_server();
+        let retry_after_ms = ServeConfig::default().retry_after_ms;
+        for pipeline in [2, 8] {
+            let report = shed_run(&server, pipeline);
+            assert_eq!(report.completed, 160);
+            assert_eq!(report.protocol_errors, 0);
+            assert!(report.server_stats.shed > 0, "the run must be shed");
+            // Each connection backs off for the hint after a Busy, so it
+            // sees about one Busy per hint interval at most, plus its first
+            // window of `pipeline` requests, sent before any hint is known.
+            let elapsed_ms = (report.elapsed_seconds * 1e3) as u64;
+            let bound = 8 * (elapsed_ms / u64::from(retry_after_ms) + pipeline as u64);
+            assert!(
+                report.busy_retries <= bound,
+                "depth {pipeline}: {} busy retries over {elapsed_ms} ms exceed {bound}",
+                report.busy_retries
+            );
+        }
+        server.shutdown();
+        server.join();
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! shared matrix and plan caches, batching same-matrix SpMVs, and the
 //! `Stats`/`Metrics` content.
 
+use crate::admit::{self, Outcome};
 use crate::dispatch::{Admits, Daemon, PoolConfig, WorkerPool};
 use crate::proto::{
     Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
@@ -97,8 +98,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn matrix(&self, handle: u64) -> Option<ResidentMatrix> {
-        lock_unpoisoned(&self.matrices).get(&handle).cloned()
+    fn matrix(&self, handle: u64) -> Result<ResidentMatrix, Box<Reply>> {
+        lock_unpoisoned(&self.matrices)
+            .get(&handle)
+            .cloned()
+            .ok_or_else(|| admit::unknown_handle(handle))
     }
 
     /// The current version of a resident matrix, without touching
@@ -187,6 +191,7 @@ impl Daemon for Shared {
                 unreachable!("the dispatch core answers Sleep and inline requests")
             }
         }
+        .unwrap_or_else(|rejected| *rejected)
     }
 
     /// Same-matrix SpMV batching. The batch key is (handle, engine,
@@ -277,49 +282,12 @@ impl Server {
     }
 }
 
-fn bad_request(message: impl Into<String>) -> Reply {
-    Reply::Error {
-        code: ErrorCode::BadRequest,
-        message: message.into(),
-    }
+fn sim_error_reply(err: SimError) -> Box<Reply> {
+    admit::bad_request(err.to_string())
 }
 
-fn unknown_handle(handle: u64) -> Reply {
-    Reply::Error {
-        code: ErrorCode::UnknownHandle,
-        message: format!("no resident matrix with handle {handle:#018x}; send LoadMatrix first"),
-    }
-}
-
-fn sim_error_reply(err: &SimError) -> Reply {
-    Reply::Error {
-        code: ErrorCode::BadRequest,
-        message: err.to_string(),
-    }
-}
-
-fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f32)]) -> Reply {
-    const MAX_DIM: u64 = 1 << 32;
-    if rows == 0 || cols == 0 || rows > MAX_DIM || cols > MAX_DIM {
-        return bad_request(format!("matrix dimensions {rows}x{cols} out of range"));
-    }
-    for &(r, c, v) in triplets {
-        if !v.is_finite() || v == 0.0 {
-            // §3.2 reserves the all-zero word for stalls, so an explicit
-            // zero (or non-finite) value is unschedulable.
-            return bad_request(format!(
-                "unschedulable value {v} at ({r}, {c}): values must be finite and non-zero"
-            ));
-        }
-    }
-    let converted: Vec<(usize, usize, f32)> = triplets
-        .iter()
-        .map(|&(r, c, v)| (r as usize, c as usize, v))
-        .collect();
-    let matrix = match CooMatrix::from_triplets(rows as usize, cols as usize, converted) {
-        Ok(matrix) => matrix,
-        Err(err) => return bad_request(err.to_string()),
-    };
+fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f32)]) -> Outcome {
+    let matrix = admit::load_matrix(rows, cols, triplets)?;
     let handle = matrix_fingerprint(&matrix);
     let csr = Arc::new(CowCsr::from(&matrix));
     let mut matrices = lock_unpoisoned(&shared.matrices);
@@ -341,44 +309,32 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f3
             (true, 0)
         }
     };
-    Reply::Loaded {
+    Ok(Reply::Loaded {
         handle,
         rows,
         cols,
         nnz: triplets.len() as u64,
         fresh,
         version,
-    }
+    })
 }
 
-fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Reply {
-    let Some(resident) = shared.matrix(handle) else {
-        return unknown_handle(handle);
-    };
-    if x.len() != resident.matrix.cols() {
-        return bad_request(format!(
-            "x has {} entries, matrix has {} columns",
-            x.len(),
-            resident.matrix.cols()
-        ));
-    }
+fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outcome {
+    let resident = shared.matrix(handle)?;
+    admit::spmv(&resident.matrix, x)?;
     let start = Instant::now();
     let (y, simulated_nanos) = match engine {
         Engine::Cpu => (resident.csr.spmv(x), 0),
-        Engine::Chason => match run_engine_spmv(shared, engine, &shared.chason, &resident, x) {
-            Ok(out) => out,
-            Err(err) => return sim_error_reply(&err),
-        },
-        Engine::Serpens => match run_engine_spmv(shared, engine, &shared.serpens, &resident, x) {
-            Ok(out) => out,
-            Err(err) => return sim_error_reply(&err),
-        },
+        Engine::Chason => run_engine_spmv(shared, engine, &shared.chason, &resident, x)
+            .map_err(sim_error_reply)?,
+        Engine::Serpens => run_engine_spmv(shared, engine, &shared.serpens, &resident, x)
+            .map_err(sim_error_reply)?,
     };
-    Reply::Vector {
+    Ok(Reply::Vector {
         y,
         service_micros: start.elapsed().as_micros() as u64,
         simulated_nanos,
-    }
+    })
 }
 
 fn run_engine_spmv<E: PlanningEngine>(
@@ -431,45 +387,10 @@ fn execute_solve(
     max_iterations: u32,
     tolerance: f64,
     b: &[f32],
-) -> Reply {
-    let Some(resident) = shared.matrix(handle) else {
-        return unknown_handle(handle);
-    };
+) -> Outcome {
+    let resident = shared.matrix(handle)?;
     let matrix = Arc::clone(&resident.matrix);
-    // The solvers assert on these; validate ahead so a bad request cannot
-    // panic a worker.
-    if matrix.rows() != matrix.cols() {
-        return bad_request(format!(
-            "solver requires a square system, matrix is {}x{}",
-            matrix.rows(),
-            matrix.cols()
-        ));
-    }
-    if b.len() != matrix.rows() {
-        return bad_request(format!(
-            "b has {} entries, system has {} rows",
-            b.len(),
-            matrix.rows()
-        ));
-    }
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return bad_request(format!(
-            "tolerance {tolerance} must be finite and non-negative"
-        ));
-    }
-    if solver == SolverKind::Jacobi {
-        let mut diag = vec![false; matrix.rows()];
-        for &(r, c, v) in matrix.iter() {
-            if r == c && v != 0.0 {
-                diag[r] = true;
-            }
-        }
-        if let Some(row) = diag.iter().position(|&set| !set) {
-            return bad_request(format!(
-                "Jacobi requires a non-zero diagonal; row {row} has none"
-            ));
-        }
-    }
+    admit::solve(&matrix, solver, tolerance, b)?;
     let options = CgOptions {
         max_iterations: max_iterations as usize,
         tolerance,
@@ -507,45 +428,37 @@ fn execute_solve(
             (result, (backend.elapsed * 1e9) as u64)
         }
     };
-    match result {
-        Ok(result) => Reply::Solved {
-            solution: result.solution,
-            iterations: result.iterations as u64,
-            residual: result.residual,
-            converged: result.converged,
-            service_micros: start.elapsed().as_micros() as u64,
-            simulated_nanos,
-        },
-        Err(err) => sim_error_reply(&err),
-    }
+    let result = result.map_err(sim_error_reply)?;
+    Ok(Reply::Solved {
+        solution: result.solution,
+        iterations: result.iterations as u64,
+        residual: result.residual,
+        converged: result.converged,
+        service_micros: start.elapsed().as_micros() as u64,
+        simulated_nanos,
+    })
 }
 
-fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Reply {
-    let Some(resident) = shared.matrix(handle) else {
-        return unknown_handle(handle);
-    };
+fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
+    let resident = shared.matrix(handle)?;
     let plan = match engine {
-        Engine::Cpu => return bad_request("the cpu backend has no schedule plan"),
+        Engine::Cpu => return Err(admit::bad_request("the cpu backend has no schedule plan")),
         Engine::Chason => {
             shared.resolve_plan(engine, resident.version, &shared.chason, &resident.matrix)
         }
         Engine::Serpens => {
             shared.resolve_plan(engine, resident.version, &shared.serpens, &resident.matrix)
         }
-    };
-    match plan {
-        Ok(plan) => {
-            let mut bytes = Vec::new();
-            match chason_core::export::write_plan(&mut bytes, &plan) {
-                Ok(()) => Reply::PlanArtifact { bytes },
-                Err(err) => Reply::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("plan serialization failed: {err}"),
-                },
-            }
-        }
-        Err(err) => sim_error_reply(&err),
     }
+    .map_err(sim_error_reply)?;
+    let mut bytes = Vec::new();
+    chason_core::export::write_plan(&mut bytes, &plan).map_err(|err| {
+        Box::new(Reply::Error {
+            code: ErrorCode::Internal,
+            message: format!("plan serialization failed: {err}"),
+        })
+    })?;
+    Ok(Reply::PlanArtifact { bytes })
 }
 
 /// Takes the cached plan for the outgoing matrix generation (if any),
@@ -581,53 +494,23 @@ fn execute_update(
     inserts: &[(u64, u64, f32)],
     revalues: &[(u64, u64, f32)],
     deletes: &[(u64, u64)],
-) -> Reply {
-    for &(r, c, v) in inserts.iter().chain(revalues.iter()) {
-        if !v.is_finite() || v == 0.0 {
-            // Same rule as LoadMatrix: §3.2 reserves the all-zero word for
-            // stalls. Deleting is the way to write a zero.
-            return bad_request(format!(
-                "unschedulable value {v} at ({r}, {c}): values must be finite and non-zero"
-            ));
-        }
-    }
+) -> Outcome {
+    admit::update_values(inserts, revalues)?;
     // Updates to a handle serialize under the matrices lock so version
     // N+1 is always derived from version N (lock ordering: matrices
     // before plans).
     let mut matrices = lock_unpoisoned(&shared.matrices);
-    let Some(resident) = matrices.get(&handle).cloned() else {
-        return unknown_handle(handle);
-    };
-    let mut delta = MatrixDelta::for_matrix(&resident.matrix);
-    let push = |result: Result<(), chason_sparse::SparseError>| result.map_err(|e| e.to_string());
-    for &(r, c, v) in inserts {
-        if let Err(e) = push(delta.push_insert(r as usize, c as usize, v)) {
-            return bad_request(e);
-        }
-    }
-    for &(r, c, v) in revalues {
-        if let Err(e) = push(delta.push_revalue(r as usize, c as usize, v)) {
-            return bad_request(e);
-        }
-    }
-    for &(r, c) in deletes {
-        if let Err(e) = push(delta.push_delete(r as usize, c as usize)) {
-            return bad_request(e);
-        }
-    }
-    let updated = match delta.apply(&resident.matrix) {
-        Ok(updated) => updated,
-        Err(err) => return bad_request(err.to_string()),
-    };
-    let csr = match resident.csr.apply_delta(&delta) {
-        Ok(csr) => csr,
-        Err(err) => {
-            return Reply::Error {
-                code: ErrorCode::Internal,
-                message: format!("csr delta diverged from coo delta: {err}"),
-            }
-        }
-    };
+    let resident = matrices
+        .get(&handle)
+        .cloned()
+        .ok_or_else(|| admit::unknown_handle(handle))?;
+    let (delta, updated) = admit::update(&resident.matrix, inserts, revalues, deletes)?;
+    let csr = resident.csr.apply_delta(&delta).map_err(|err| {
+        Box::new(Reply::Error {
+            code: ErrorCode::Internal,
+            message: format!("csr delta diverged from coo delta: {err}"),
+        })
+    })?;
     let mut plans_spliced: u32 = 0;
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
@@ -664,11 +547,11 @@ fn execute_update(
             version,
         },
     );
-    Reply::Updated {
+    Ok(Reply::Updated {
         version,
         nnz,
         plans_spliced,
         windows_replanned,
         windows_total,
-    }
+    })
 }

@@ -2,12 +2,13 @@
 //! same answers as a single `chason serve` instance on the same corpus —
 //! bit-identical on the `cpu` engine (row-block sharding preserves
 //! per-row accumulation order), ULP-equivalent on the modeled engines —
-//! including after an `UpdateMatrix` delta routed by row footprint.
+//! including after an `UpdateMatrix` delta routed by row footprint — and
+//! rejects the same malformed requests with the same code and message.
 
 use chason_conformance::ulp::{compare, row_scales, UlpTolerance};
 use chason_router::{Router, RouterConfig};
 use chason_serve::client::Client;
-use chason_serve::proto::{Engine, SolverKind};
+use chason_serve::proto::{Engine, ErrorCode, Reply, Request, SolverKind};
 use chason_serve::server::{ServeConfig, Server};
 use chason_sparse::{CooMatrix, MatrixDelta};
 use chason_testutil::{dense_x, spd_system};
@@ -317,6 +318,156 @@ fn three_shard_router_matches_single_instance_including_after_update() {
             !metrics.contains(&needle),
             "shard {k} must have received requests:\n{metrics}"
         );
+    }
+
+    deployment.stop();
+}
+
+/// Every admission rule answers the same through a router as from one
+/// server: the code and the message text.
+#[test]
+fn two_shard_router_rejects_like_a_single_server() {
+    let deployment = Deployment::start(2);
+    let (mut single, mut routed) = deployment.clients();
+
+    // 6x6, row 3 without a diagonal entry (Jacobi must refuse it).
+    let triplets: Vec<(u64, u64, f32)> = vec![
+        (0, 0, 4.0),
+        (0, 1, 1.0),
+        (1, 0, 1.0),
+        (1, 1, 4.0),
+        (2, 2, 4.0),
+        (3, 4, 1.0),
+        (4, 3, 1.0),
+        (4, 4, 4.0),
+        (5, 5, 4.0),
+    ];
+    let load = Request::LoadMatrix {
+        rows: 6,
+        cols: 6,
+        triplets: triplets.clone(),
+    };
+    let handle = match (
+        single.request(&load).expect("single load"),
+        routed.request(&load).expect("routed load"),
+    ) {
+        (Reply::Loaded { handle: a, .. }, Reply::Loaded { handle: b, .. }) if a == b => a,
+        other => panic!("both deployments must load the matrix: {other:?}"),
+    };
+    let missing = handle ^ 1;
+    let load_with = |rows: u64, mut extra: Vec<(u64, u64, f32)>| {
+        let mut t = triplets.clone();
+        t.append(&mut extra);
+        Request::LoadMatrix {
+            rows,
+            cols: 6,
+            triplets: t,
+        }
+    };
+    let update = |handle: u64,
+                  inserts: Vec<(u64, u64, f32)>,
+                  revalues: Vec<(u64, u64, f32)>,
+                  deletes: Vec<(u64, u64)>| Request::Update {
+        handle,
+        inserts,
+        revalues,
+        deletes,
+    };
+    let solve = |solver: SolverKind, tolerance: f64, n: usize| Request::Solve {
+        handle,
+        engine: Engine::Cpu,
+        solver,
+        max_iterations: 10,
+        tolerance,
+        b: vec![1.0; n],
+    };
+    let bad = ErrorCode::BadRequest;
+    let table: Vec<(&str, Request, ErrorCode)> = vec![
+        ("load: zero rows", load_with(0, Vec::new()), bad),
+        ("load: zero value", load_with(6, vec![(2, 3, 0.0)]), bad),
+        ("load: NaN value", load_with(6, vec![(2, 3, f32::NAN)]), bad),
+        ("load: out of bounds", load_with(6, vec![(6, 0, 1.0)]), bad),
+        ("load: duplicate", load_with(6, vec![(0, 1, 2.0)]), bad),
+        (
+            "spmv: x length",
+            Request::Spmv {
+                handle,
+                engine: Engine::Cpu,
+                x: vec![1.0; 5],
+            },
+            bad,
+        ),
+        (
+            "spmv: unknown handle",
+            Request::Spmv {
+                handle: missing,
+                engine: Engine::Cpu,
+                x: vec![1.0; 6],
+            },
+            ErrorCode::UnknownHandle,
+        ),
+        ("solve: b length", solve(SolverKind::Cg, 1e-4, 5), bad),
+        (
+            "solve: NaN tolerance",
+            solve(SolverKind::Cg, f64::NAN, 6),
+            bad,
+        ),
+        (
+            "solve: Jacobi without diagonal",
+            solve(SolverKind::Jacobi, 1e-4, 6),
+            bad,
+        ),
+        (
+            "update: zero value",
+            update(handle, Vec::new(), vec![(0, 0, 0.0)], Vec::new()),
+            bad,
+        ),
+        (
+            "update: insert at occupied",
+            update(handle, vec![(0, 1, 2.0)], Vec::new(), Vec::new()),
+            bad,
+        ),
+        (
+            "update: delete at vacant",
+            update(handle, Vec::new(), Vec::new(), vec![(2, 5)]),
+            bad,
+        ),
+        (
+            "update: out of bounds",
+            update(handle, vec![(6, 0, 1.0)], Vec::new(), Vec::new()),
+            bad,
+        ),
+        (
+            "update: same coordinate twice",
+            update(handle, Vec::new(), vec![(0, 0, 5.0)], vec![(0, 0)]),
+            bad,
+        ),
+        (
+            "update: unknown handle and zero value",
+            update(missing, vec![(2, 3, 0.0)], Vec::new(), Vec::new()),
+            bad,
+        ),
+    ];
+    for (what, request, want) in table {
+        let reply_single = single.request(&request).expect("single reply");
+        let reply_routed = routed.request(&request).expect("routed reply");
+        match (&reply_single, &reply_routed) {
+            (
+                Reply::Error {
+                    code: code_single,
+                    message: message_single,
+                },
+                Reply::Error {
+                    code: code_routed,
+                    message: message_routed,
+                },
+            ) => {
+                assert_eq!(*code_single, want, "{what}: {message_single}");
+                assert_eq!(code_routed, code_single, "{what}: code");
+                assert_eq!(message_routed, message_single, "{what}: message");
+            }
+            other => panic!("{what}: both deployments must reject: {other:?}"),
+        }
     }
 
     deployment.stop();
