@@ -1,7 +1,6 @@
 use super::{PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Cross-HBM-channel out-of-order scheduling (CrHCS) — §3, the paper's
 /// contribution.
@@ -68,6 +67,7 @@ impl Crhcs {
         let mut raw_skips = 0usize;
 
         if config.channels >= 2 {
+            let mut scratch = MigrationScratch::new(scheduled.rows, config);
             // Farthest sources first (§6.1's extended scheduling scope):
             // migrated values cannot hop twice, so letting the most distant
             // destination skim a donor's tail before nearer neighbours fill
@@ -76,21 +76,8 @@ impl Crhcs {
             for hop in (1..=config.migration_hops.min(config.channels - 1)).rev() {
                 for dest in 0..config.channels {
                     let src = (dest + hop) % config.channels;
-                    // Split each donor's surplus evenly across its
-                    // destinations: when this pass runs, `hop` passes
-                    // (including this one) will still pull from `src`, so
-                    // this destination may take at most a 1/hop share.
-                    // With a single hop the quota is the whole surplus and
-                    // behaviour is identical to the deployed design.
-                    let available = scheduled.channels[src]
-                        .grid
-                        .iter()
-                        .flatten()
-                        .flatten()
-                        .filter(|nz| nz.pvt)
-                        .count();
-                    let quota = available.div_ceil(hop);
-                    let (m, s) = migrate_channel(&mut scheduled, dest, src, config, quota);
+                    let (m, s) =
+                        migrate_channel(&mut scheduled, dest, src, hop, config, &mut scratch);
                     migrated_total += m;
                     raw_skips += s;
                 }
@@ -113,7 +100,65 @@ impl Crhcs {
     }
 }
 
-/// Fills `dest`'s stall slots with still-private values from `src`.
+/// Dense per-row migration state, indexed by the channel-local row
+/// `(row / total_pes) · P + lane` and shared by every [`migrate_channel`]
+/// pass of one schedule. Each pass resets exactly the entries it touched,
+/// so the work per pass stays linear in its candidates.
+struct MigrationScratch {
+    total_pes: usize,
+    pes: usize,
+    /// Per local row: 1 + index into `candidates` of the row's deepest
+    /// remaining position (0 = none left).
+    tail: Vec<usize>,
+    /// Per `local row · P + destination lane`: 1 + the last cycle a value
+    /// of the row was placed into that lane (0 = never).
+    last_cycle: Vec<usize>,
+    /// Candidate positions in stream order: `(cycle, lane, row, link)`,
+    /// where `link` is the row's previous candidate in the same `tail`
+    /// encoding — one per-row stack threaded through a flat arena.
+    candidates: Vec<(usize, usize, usize, usize)>,
+    /// Local rows whose `tail` this pass set.
+    rows: Vec<usize>,
+    /// `last_cycle` indices this pass set.
+    placed: Vec<usize>,
+}
+
+impl MigrationScratch {
+    fn new(rows: usize, config: &SchedulerConfig) -> Self {
+        let total_pes = config.total_pes();
+        let local_rows = rows.div_ceil(total_pes) * config.pes_per_channel;
+        MigrationScratch {
+            total_pes,
+            pes: config.pes_per_channel,
+            tail: vec![0; local_rows],
+            last_cycle: vec![0; local_rows * config.pes_per_channel],
+            candidates: Vec::new(),
+            rows: Vec::new(),
+            placed: Vec::new(),
+        }
+    }
+
+    /// Channel-local index of a global row.
+    fn local(&self, row: usize) -> usize {
+        (row / self.total_pes) * self.pes + row % self.pes
+    }
+
+    /// Clears everything the finished pass wrote.
+    fn reset(&mut self) {
+        for &r in &self.rows {
+            self.tail[r] = 0;
+        }
+        for &i in &self.placed {
+            self.last_cycle[i] = 0;
+        }
+        self.candidates.clear();
+        self.rows.clear();
+        self.placed.clear();
+    }
+}
+
+/// Fills `dest`'s stall slots with still-private values from `src`, the
+/// channel `hop` ring steps downstream.
 ///
 /// A migration is only performed when it moves a value to a *strictly
 /// earlier* cycle than it occupied in its home channel (`src_cycle >
@@ -129,11 +174,12 @@ fn migrate_channel(
     scheduled: &mut ScheduledMatrix,
     dest: usize,
     src: usize,
+    hop: usize,
     config: &SchedulerConfig,
-    quota: usize,
+    scratch: &mut MigrationScratch,
 ) -> (usize, usize) {
     use std::collections::BinaryHeap;
-    if dest == src || quota == 0 {
+    if dest == src {
         return (0, 0);
     }
     // Group candidate positions by source row, in stream order. Only
@@ -142,28 +188,43 @@ fn migrate_channel(
     // per-row grouping matters for performance: a RAW-chained heavy row can
     // contribute thousands of candidates that are all blocked for the same
     // reason, and they must be skipped in O(1), not re-scanned per slot.
-    let mut per_row: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-    let mut total_candidates = 0usize;
+    scratch.reset();
     for (cycle, slots) in scheduled.channels[src].grid.iter().enumerate() {
         for (lane, slot) in slots.iter().enumerate() {
             if let Some(nz) = slot {
                 if nz.pvt {
-                    per_row.entry(nz.row).or_default().push((cycle, lane));
-                    total_candidates += 1;
+                    let r = scratch.local(nz.row);
+                    if scratch.tail[r] == 0 {
+                        scratch.rows.push(r);
+                    }
+                    scratch
+                        .candidates
+                        .push((cycle, lane, nz.row, scratch.tail[r]));
+                    scratch.tail[r] = scratch.candidates.len();
                 }
             }
         }
     }
-    if total_candidates == 0 {
+    // Split each donor's surplus evenly across its destinations: when this
+    // pass runs, `hop` passes (including this one) will still pull from
+    // `src`, so this destination may take at most a 1/hop share. With a
+    // single hop the quota is the whole surplus and behaviour is identical
+    // to the deployed design.
+    let quota = scratch.candidates.len().div_ceil(hop);
+    if quota == 0 {
         return (0, 0);
     }
     // Max-heap of (tail cycle, row): the row whose *latest* remaining value
     // sits deepest in the source stream is offered first (tail-first
     // consumption is what lets the source list trim). Entries are lazily
     // invalidated: on pop, stale tails are refreshed and re-pushed.
-    let mut heap: BinaryHeap<(usize, usize)> = per_row
+    let mut heap: BinaryHeap<(usize, usize)> = scratch
+        .rows
         .iter()
-        .filter_map(|(&row, positions)| positions.last().map(|&(cycle, _)| (cycle, row)))
+        .map(|&r| {
+            let (cycle, _, row, _) = scratch.candidates[scratch.tail[r] - 1];
+            (cycle, row)
+        })
         .collect();
 
     // The destination may be shorter than the source (virtual
@@ -176,11 +237,11 @@ fn migrate_channel(
     }
     let d = config.dependency_distance;
     let scan_limit = config.migration_scan_limit.max(1);
-    // RAW tracking per (dest lane, row): the last cycle a value of `row`
-    // was scheduled into that PE. Private rows of `dest` are disjoint from
-    // the source's rows, so only migrated values need tracking; placements
-    // happen in ascending cycle order, so tracking the last cycle suffices.
-    let mut last_cycle: HashMap<(usize, usize), usize> = HashMap::new();
+    // RAW tracking per (dest lane, row) lives in `scratch.last_cycle`: the
+    // last cycle a value of `row` was scheduled into that PE. Private rows
+    // of `dest` are disjoint from the source's rows, so only migrated
+    // values need tracking; placements happen in ascending cycle order, so
+    // tracking the last cycle suffices.
     let mut migrated = 0usize;
     let mut raw_skips = 0usize;
 
@@ -207,13 +268,11 @@ fn migrate_channel(
             // other lanes and later cycles.
             blocked.clear();
             while let Some((tail, row)) = heap.pop() {
-                // A queued row always has remaining positions: entries are
-                // removed from `per_row` the moment their last position is
-                // consumed, before the heap entry could be re-pushed.
-                #[allow(clippy::expect_used)] // xtask: invariant documented above
-                let positions = per_row.get(&row).expect("row stays in map while queued");
-                #[allow(clippy::expect_used)] // xtask: same invariant
-                let &(sc, sl) = positions.last().expect("queued rows are non-empty");
+                // A queued row always has remaining positions: its heap
+                // entry is re-pushed only while its stack is non-empty.
+                let r = scratch.local(row);
+                let top = scratch.tail[r] - 1;
+                let (sc, sl, _, link) = scratch.candidates[top];
                 if sc != tail {
                     // Stale entry: refresh with the current tail.
                     heap.push((sc, row));
@@ -223,11 +282,9 @@ fn migrate_channel(
                     heap.push((sc, row));
                     break; // every remaining row is shallower still
                 }
-                let raw_ok = match last_cycle.get(&(lane, row)) {
-                    Some(&prev) => cycle >= prev + d,
-                    None => true,
-                };
-                if !raw_ok {
+                let raw_slot = r * pes + lane;
+                let prev = scratch.last_cycle[raw_slot];
+                if prev != 0 && cycle < prev - 1 + d {
                     raw_skips += 1;
                     blocked.push((sc, row));
                     if blocked.len() >= scan_limit {
@@ -236,9 +293,9 @@ fn migrate_channel(
                     continue;
                 }
                 // Migrate: tag with the source lane, clear the slot.
-                // Candidate positions are cleared from `per_row` in the same
-                // breath as the grid slot below, so a queued position always
-                // still holds its value.
+                // Candidate positions are popped in the same breath as the
+                // grid slot below, so a queued position always still holds
+                // its value.
                 #[allow(clippy::expect_used)] // xtask: invariant documented above
                 let nz = scheduled.channels[src].grid[sc][sl]
                     .expect("candidate slot holds a value until taken");
@@ -247,15 +304,14 @@ fn migrate_channel(
                 moved.pe_src = sl as u8;
                 scheduled.channels[dest].grid[cycle][lane] = Some(moved);
                 scheduled.channels[src].grid[sc][sl] = None;
-                last_cycle.insert((lane, row), cycle);
+                if prev == 0 {
+                    scratch.placed.push(raw_slot);
+                }
+                scratch.last_cycle[raw_slot] = cycle + 1;
                 migrated += 1;
-                #[allow(clippy::expect_used)] // xtask: row was just read from the map above
-                let positions = per_row.get_mut(&row).expect("row present");
-                positions.pop();
-                if let Some(&(next_tail, _)) = positions.last() {
-                    heap.push((next_tail, row));
-                } else {
-                    per_row.remove(&row);
+                scratch.tail[r] = link;
+                if link != 0 {
+                    heap.push((scratch.candidates[link - 1].0, row));
                 }
                 break;
             }

@@ -512,15 +512,43 @@ impl FlatLaneRows {
 }
 
 /// Reusable per-lane scheduling scratch ([`PeAware::schedule_lane`]): the
-/// row cursors and last-emission cycles are cleared and refilled for each
-/// lane instead of reallocated, which matters when planning schedules one
-/// window after another.
+/// row cursors, last-emission cycles and live-row ring are cleared and
+/// refilled for each lane instead of reallocated, which matters when
+/// planning schedules one window after another.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
     /// Next unconsumed index into `entries` per row span.
     pub(crate) cursor: Vec<usize>,
     /// Cycle of the row's previous emission (`usize::MAX` = never).
     pub(crate) last_cycle: Vec<usize>,
+    /// Ring of rows with entries left, in span order: successor per span.
+    pub(crate) next: Vec<usize>,
+    /// Predecessor per span in the same ring.
+    pub(crate) prev: Vec<usize>,
+}
+
+impl LaneScratch {
+    /// Refills the scratch for `lane`: cursors at each row's first entry,
+    /// no emissions yet, every row linked into the live ring.
+    pub(crate) fn reset(&mut self, lane: &FlatLaneRows) {
+        let n = lane.spans.len();
+        self.cursor.clear();
+        self.cursor
+            .extend(lane.spans.iter().map(|&(_, start, _)| start));
+        self.last_cycle.clear();
+        self.last_cycle.resize(n, usize::MAX);
+        self.next.clear();
+        self.next.extend((0..n).map(|i| (i + 1) % n));
+        self.prev.clear();
+        self.prev.extend((0..n).map(|i| (i + n - 1) % n));
+    }
+
+    /// Removes span `idx` from the live ring in O(1).
+    pub(crate) fn unlink(&mut self, idx: usize) {
+        let (prev, next) = (self.prev[idx], self.next[idx]);
+        self.next[prev] = next;
+        self.prev[next] = prev;
+    }
 }
 
 /// Cycle-block size for [`timelines_to_grid`]: 256 cycles × 8 lanes of

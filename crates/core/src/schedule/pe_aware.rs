@@ -30,46 +30,54 @@ impl PeAware {
     /// Rows are consumed through cursors into the lane's flat entry arena
     /// — no queues are materialized — and `scratch` is reused across lanes
     /// (and across windows during planning) instead of reallocated.
+    ///
+    /// The round-robin scan walks a ring of *live* rows only: a row is
+    /// unlinked in O(1) when its last entry is emitted, so long rows that
+    /// outlive their siblings never re-scan the dead ones. At most `D − 1`
+    /// live rows can be RAW-blocked at any cycle (one emission per cycle),
+    /// so each emitted slot passes at most `D − 1` rows; when every live
+    /// row is blocked, the whole stall run up to the earliest unblocking
+    /// cycle is emitted in one step.
     pub(crate) fn schedule_lane(
         lane: &FlatLaneRows,
         dependency_distance: usize,
         scratch: &mut LaneScratch,
     ) -> Vec<Option<NzSlot>> {
-        let n = lane.spans.len();
-        scratch.cursor.clear();
-        scratch
-            .cursor
-            .extend(lane.spans.iter().map(|&(_, start, _)| start));
-        scratch.last_cycle.clear();
-        scratch.last_cycle.resize(n, usize::MAX);
+        scratch.reset(lane);
         let mut remaining = lane.entries.len();
         let mut timeline = Vec::with_capacity(remaining);
-        let mut rr = 0usize; // round-robin pointer
+        let mut head = 0usize; // live row the round-robin scan starts at
         let mut cycle = 0usize;
         while remaining > 0 {
-            let mut emitted = false;
-            for step in 0..n {
-                let idx = (rr + step) % n;
-                let (row, _, end) = lane.spans[idx];
-                let cur = scratch.cursor[idx];
-                if cur >= end {
-                    continue; // row exhausted
-                }
+            let mut idx = head;
+            let mut unblock = usize::MAX;
+            let eligible = loop {
                 let last = scratch.last_cycle[idx];
-                if last != usize::MAX && cycle < last + dependency_distance {
-                    continue; // RAW-blocked
+                if last == usize::MAX || cycle >= last + dependency_distance {
+                    break Some(idx);
                 }
-                let (col, value) = lane.entries[cur];
-                timeline.push(Some(NzSlot::private(value, row, col)));
-                scratch.cursor[idx] = cur + 1;
-                scratch.last_cycle[idx] = cycle;
-                remaining -= 1;
-                rr = (idx + 1) % n;
-                emitted = true;
-                break;
-            }
-            if !emitted {
-                timeline.push(None);
+                unblock = unblock.min(last + dependency_distance);
+                idx = scratch.next[idx];
+                if idx == head {
+                    break None;
+                }
+            };
+            let Some(idx) = eligible else {
+                // Every live row is RAW-blocked: stall until the first frees.
+                timeline.resize(timeline.len() + (unblock - cycle), None);
+                cycle = unblock;
+                continue;
+            };
+            let (row, _, end) = lane.spans[idx];
+            let cur = scratch.cursor[idx];
+            let (col, value) = lane.entries[cur];
+            timeline.push(Some(NzSlot::private(value, row, col)));
+            scratch.cursor[idx] = cur + 1;
+            scratch.last_cycle[idx] = cycle;
+            remaining -= 1;
+            head = scratch.next[idx];
+            if cur + 1 == end {
+                scratch.unlink(idx);
             }
             cycle += 1;
         }

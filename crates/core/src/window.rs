@@ -7,7 +7,7 @@
 //! windows.
 
 use crate::element::WINDOW;
-use chason_sparse::{CooMatrix, CscMatrix};
+use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
 /// One column window of a matrix.
@@ -60,28 +60,33 @@ pub fn partition_columns(matrix: &CooMatrix, window: usize) -> Vec<ColumnWindow>
     if cols == 0 {
         return Vec::new();
     }
-    let csc = CscMatrix::from(matrix);
-    let mut windows = Vec::with_capacity(cols.div_ceil(window));
-    let mut start = 0usize;
-    let mut index = 0usize;
-    while start < cols {
-        let end = (start + window).min(cols);
-        let triplets = csc.column_window(start, end);
-        // `column_window` rebases columns into `0..end-start` and keeps rows
-        // untouched, so the triplets cannot be out of range.
-        #[allow(clippy::expect_used)] // xtask: invariant documented above
-        let m = CooMatrix::from_triplets(matrix.rows(), end - start, triplets)
-            .expect("window triplets are in range by construction");
-        windows.push(ColumnWindow {
-            index,
-            col_start: start,
-            col_end: end,
-            matrix: m,
-        });
-        start = end;
-        index += 1;
+    // One pass over the (row, col)-sorted entries deals each into its
+    // window; rebasing by the window start keeps every bucket sorted, so
+    // `from_triplets` accepts it on its linear path.
+    let mut buckets: Vec<Vec<chason_sparse::Triplet>> = vec![Vec::new(); cols.div_ceil(window)];
+    for &(r, c, v) in matrix.iter() {
+        let w = c / window;
+        buckets[w].push((r, c - w * window, v));
     }
-    windows
+    buckets
+        .into_iter()
+        .enumerate()
+        .map(|(index, triplets)| {
+            let col_start = index * window;
+            let col_end = (col_start + window).min(cols);
+            // Columns were rebased into `0..col_end-col_start` and rows are
+            // untouched, so the triplets cannot be out of range.
+            #[allow(clippy::expect_used)] // xtask: invariant documented above
+            let m = CooMatrix::from_triplets(matrix.rows(), col_end - col_start, triplets)
+                .expect("window triplets are in range by construction");
+            ColumnWindow {
+                index,
+                col_start,
+                col_end,
+                matrix: m,
+            }
+        })
+        .collect()
 }
 
 /// Splits `matrix` into the paper's `W = 8192` column windows.

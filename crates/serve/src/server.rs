@@ -15,11 +15,12 @@ use crate::proto::{
 use crate::stats::{lock_unpoisoned, ServerStats};
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::LruCache;
-use chason_core::plan::{matrix_fingerprint, PlanKey, SpmvPlan};
+use chason_core::plan::{matrix_fingerprint, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine, SimError};
 use chason_sparse::{CooMatrix, CowCsr, MatrixDelta};
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,7 +34,8 @@ pub struct ServeConfig {
     /// Bounded queue capacity between connections and workers; the
     /// load-shedding threshold.
     pub queue_capacity: usize,
-    /// Plan-cache capacity (entries are `(engine, plan key)` pairs).
+    /// Plan-cache capacity (one entry per engine and resident matrix
+    /// generation).
     pub plan_cache_capacity: usize,
     /// Resident-matrix cache capacity.
     pub matrix_cache_capacity: usize,
@@ -76,6 +78,8 @@ struct ResidentMatrix {
     matrix: Arc<CooMatrix>,
     csr: Arc<CowCsr>,
     version: u64,
+    /// Server-unique name of this exact content, the plan-cache key.
+    generation: u64,
 }
 
 /// The serve daemon's state, shared by the loop thread and every worker.
@@ -88,12 +92,16 @@ struct Shared {
     serpens: SerpensEngine,
     /// Resident matrices keyed by load-time structural fingerprint.
     matrices: Mutex<LruCache<u64, ResidentMatrix>>,
-    /// Plans keyed by engine family, matrix version, and `(fingerprint,
-    /// scheduler config)`. The engine tag matters: both engines share one
-    /// scheduler configuration here, so `PlanKey` alone would collide
-    /// across families. The version keeps plans for superseded matrix
-    /// generations from serving requests against the current one.
-    plans: Mutex<LruCache<(Engine, u64, PlanKey), Arc<SpmvPlan>>>,
+    /// Plans keyed by engine family and resident generation. Every load
+    /// and every update gives the resident content a fresh generation, so
+    /// the key names one `(handle, version)` without hashing the matrix
+    /// per request — and, unlike the version, it is never reused when an
+    /// evicted handle is loaded again and its versions restart at 0. Both
+    /// engines share one scheduler configuration, so the engine tag is
+    /// what keeps their plans apart.
+    plans: Mutex<LruCache<(Engine, u64), Arc<SpmvPlan>>>,
+    /// Source of [`ResidentMatrix::generation`].
+    generations: AtomicU64,
     stats: ServerStats,
 }
 
@@ -113,18 +121,25 @@ impl Shared {
             .map(|r| r.version)
     }
 
-    /// Returns the cached plan for (`engine`, `matrix` at `version`),
+    /// A generation number no resident content has carried before.
+    fn next_generation(&self) -> u64 {
+        // relaxed: only uniqueness matters, and fetch_add is atomic at
+        // every ordering; the matrices lock publishes the number.
+        self.generations.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Returns the cached plan for (`engine`, `matrix` at `generation`),
     /// scheduling and inserting it on a miss. Scheduling runs outside the
     /// cache lock, so concurrent misses on the same key may schedule
     /// twice; the loser's insert is a harmless replace.
     fn resolve_plan<E: PlanningEngine>(
         &self,
         wire: Engine,
-        version: u64,
+        generation: u64,
         planner: &E,
         matrix: &CooMatrix,
     ) -> Result<Arc<SpmvPlan>, SimError> {
-        let key = (wire, version, planner.plan_key(matrix));
+        let key = (wire, generation);
         if let Some(plan) = lock_unpoisoned(&self.plans).get(&key) {
             return Ok(Arc::clone(plan));
         }
@@ -242,6 +257,7 @@ impl Server {
             }),
             matrices: Mutex::new(LruCache::new(config.matrix_cache_capacity)),
             plans: Mutex::new(LruCache::new(config.plan_cache_capacity)),
+            generations: AtomicU64::new(0),
             stats: ServerStats::new(),
         });
         let pool = WorkerPool::start(
@@ -304,6 +320,7 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f3
                     matrix: Arc::new(matrix),
                     csr,
                     version: 0,
+                    generation: shared.next_generation(),
                 },
             );
             (true, 0)
@@ -344,7 +361,7 @@ fn run_engine_spmv<E: PlanningEngine>(
     resident: &ResidentMatrix,
     x: &[f32],
 ) -> Result<(Vec<f32>, u64), SimError> {
-    let plan = shared.resolve_plan(wire, resident.version, planner, &resident.matrix)?;
+    let plan = shared.resolve_plan(wire, resident.generation, planner, &resident.matrix)?;
     let exec = planner.run_planned(&plan, x)?;
     let nanos = (exec.latency_seconds() * 1e9) as u64;
     Ok((exec.y, nanos))
@@ -355,7 +372,7 @@ fn run_engine_spmv<E: PlanningEngine>(
 struct SharedPlanBackend<'a, E: PlanningEngine> {
     shared: &'a Shared,
     wire: Engine,
-    version: u64,
+    generation: u64,
     planner: &'a E,
     elapsed: f64,
 }
@@ -364,7 +381,7 @@ impl<E: PlanningEngine> SpmvBackend for SharedPlanBackend<'_, E> {
     fn spmv(&mut self, matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
         let plan = self
             .shared
-            .resolve_plan(self.wire, self.version, self.planner, matrix)?;
+            .resolve_plan(self.wire, self.generation, self.planner, matrix)?;
         let exec = self.planner.run_planned(&plan, x)?;
         self.elapsed += exec.latency_seconds();
         Ok(exec.y)
@@ -409,7 +426,7 @@ fn execute_solve(
             let mut backend = SharedPlanBackend {
                 shared,
                 wire: engine,
-                version: resident.version,
+                generation: resident.generation,
                 planner: &shared.chason,
                 elapsed: 0.0,
             };
@@ -420,7 +437,7 @@ fn execute_solve(
             let mut backend = SharedPlanBackend {
                 shared,
                 wire: engine,
-                version: resident.version,
+                generation: resident.generation,
                 planner: &shared.serpens,
                 elapsed: 0.0,
             };
@@ -443,12 +460,18 @@ fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
     let resident = shared.matrix(handle)?;
     let plan = match engine {
         Engine::Cpu => return Err(admit::bad_request("the cpu backend has no schedule plan")),
-        Engine::Chason => {
-            shared.resolve_plan(engine, resident.version, &shared.chason, &resident.matrix)
-        }
-        Engine::Serpens => {
-            shared.resolve_plan(engine, resident.version, &shared.serpens, &resident.matrix)
-        }
+        Engine::Chason => shared.resolve_plan(
+            engine,
+            resident.generation,
+            &shared.chason,
+            &resident.matrix,
+        ),
+        Engine::Serpens => shared.resolve_plan(
+            engine,
+            resident.generation,
+            &shared.serpens,
+            &resident.matrix,
+        ),
     }
     .map_err(sim_error_reply)?;
     let mut bytes = Vec::new();
@@ -462,26 +485,26 @@ fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
 }
 
 /// Takes the cached plan for the outgoing matrix generation (if any),
-/// resplices its dirty windows in place, and re-inserts it under the new
-/// generation's key. Returns `(windows_replanned, windows_total)`, or
-/// `None` when there was no cached plan or the splice failed — either way
-/// the stale plan is gone and the next request schedules from scratch.
+/// resplices its dirty windows in place, and re-inserts it under the
+/// `incoming` generation's key. Returns `(windows_replanned,
+/// windows_total)`, or `None` when there was no cached plan or the splice
+/// failed — either way the stale plan is gone and the next request
+/// schedules from scratch.
 fn splice_plan<E: PlanningEngine>(
     shared: &Shared,
     wire: Engine,
     planner: &E,
     outgoing: &ResidentMatrix,
+    incoming: u64,
     updated: &CooMatrix,
     delta: &MatrixDelta,
 ) -> Option<(u64, u64)> {
-    let old_key = (wire, outgoing.version, planner.plan_key(&outgoing.matrix));
-    let plan = lock_unpoisoned(&shared.plans).remove(&old_key)?;
+    let plan = lock_unpoisoned(&shared.plans).remove(&(wire, outgoing.generation))?;
     let mut spliced = (*plan).clone();
     match planner.replan_delta(&mut spliced, updated, delta) {
         Ok(report) => {
             let windows_total = spliced.window_count() as u64;
-            let new_key = (wire, outgoing.version + 1, planner.plan_key(updated));
-            lock_unpoisoned(&shared.plans).insert(new_key, Arc::new(spliced));
+            lock_unpoisoned(&shared.plans).insert((wire, incoming), Arc::new(spliced));
             Some((report.windows_replanned as u64, windows_total))
         }
         Err(_) => None,
@@ -514,11 +537,13 @@ fn execute_update(
     let mut plans_spliced: u32 = 0;
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
+    let generation = shared.next_generation();
     let chason = splice_plan(
         shared,
         Engine::Chason,
         &shared.chason,
         &resident,
+        generation,
         &updated,
         &delta,
     );
@@ -527,6 +552,7 @@ fn execute_update(
         Engine::Serpens,
         &shared.serpens,
         &resident,
+        generation,
         &updated,
         &delta,
     );
@@ -545,6 +571,7 @@ fn execute_update(
             matrix: Arc::new(updated),
             csr: Arc::new(csr),
             version,
+            generation,
         },
     );
     Ok(Reply::Updated {

@@ -460,3 +460,63 @@ fn updates_interleave_with_spmv_on_one_connection_without_stale_plans() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// An evicted handle that is loaded again restarts at version 0, so its
+/// versions repeat. A plan cached for the first lineage's version 1 must
+/// not serve the second lineage's different version 1.
+#[test]
+fn reloaded_handle_never_reuses_a_superseded_lineages_plan() {
+    use chason_sparse::generators::uniform_random;
+
+    let server = start(ServeConfig {
+        matrix_cache_capacity: 1,
+        ..small_config()
+    });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let m0 = uniform_random(64, 64, 400, 3);
+    let other = uniform_random(64, 64, 300, 4);
+    let x: Vec<f32> = (0..m0.cols()).map(|i| ((i % 7) as f32) - 3.0).collect();
+    let &(r, c, v) = m0.triplets().first().expect("non-empty matrix");
+    let revalued = |scale: f32| {
+        let mut t = m0.triplets().to_vec();
+        t[0].2 = v * scale;
+        chason_sparse::CooMatrix::from_triplets(m0.rows(), m0.cols(), t).expect("valid")
+    };
+    let check = |client: &mut Client, handle: u64, reference: &chason_sparse::CooMatrix| {
+        let (y, _, _) = client
+            .spmv(handle, Engine::Chason, x.clone())
+            .expect("spmv");
+        for (row, (got, want)) in y.iter().zip(reference.spmv(&x)).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-3 * want.abs().max(1.0),
+                "row {row}: got {got}, want {want}"
+            );
+        }
+    };
+
+    let (handle, _) = client.load_matrix(&m0).expect("load");
+    check(&mut client, handle, &m0);
+    let first = client
+        .update(handle, vec![], vec![(r as u64, c as u64, v * 64.0)], vec![])
+        .expect("update");
+    assert_eq!(first.version, 1);
+    check(&mut client, handle, &revalued(64.0));
+
+    // Evict the handle, load it again, and take it to a different version 1.
+    client.load_matrix(&other).expect("load other");
+    let (again, fresh) = client.load_matrix(&m0).expect("reload");
+    assert_eq!((again, fresh), (handle, true));
+    let second = client
+        .update(
+            handle,
+            vec![],
+            vec![(r as u64, c as u64, v * -32.0)],
+            vec![],
+        )
+        .expect("update");
+    assert_eq!(second.version, 1);
+    check(&mut client, handle, &revalued(-32.0));
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}

@@ -4,7 +4,6 @@
 use crate::memory::Uram;
 use crate::SimError;
 use chason_core::schedule::{NzSlot, SchedulerConfig};
-use std::collections::HashMap;
 
 /// One PE of a PEG.
 ///
@@ -28,9 +27,11 @@ pub struct Pe {
     uram_pvt: Uram,
     scug: Vec<Uram>,
     mac_ops: u64,
-    /// Pipeline-hazard detector: last cycle each (bank, local row) partial
-    /// sum entered the accumulator. `bank` is `None` for `URAM_pvt`.
-    last_access: HashMap<(Option<usize>, usize), u64>,
+    /// Pipeline-hazard detector: 1 + the last cycle each partial sum
+    /// entered the accumulator (0 = never), one stamp vector per URAM
+    /// (`URAM_pvt` first, then the ScUG banks in order), each as long as
+    /// the URAM it guards.
+    last_access: Vec<Vec<u64>>,
     hazards: u64,
 }
 
@@ -58,7 +59,7 @@ impl Pe {
             uram_pvt,
             scug,
             mac_ops: 0,
-            last_access: HashMap::new(),
+            last_access: (0..=scug_size).map(|_| vec![0; rows_per_pe]).collect(),
             hazards: 0,
         })
     }
@@ -100,6 +101,8 @@ impl Pe {
     /// PE within `dependency_distance` cycles would collide on the same
     /// URAM slot mid-pipeline (§3.2's bank conflict). Detected hazards are
     /// counted (see [`Pe::hazards`]); a correct schedule produces none.
+    /// An access aimed past every bank or row is not tracked: the routing
+    /// check or the URAM itself rejects it.
     pub fn process_at(
         &mut self,
         slot: &NzSlot,
@@ -112,19 +115,23 @@ impl Pe {
         self.mac_ops += 1;
         if let Some(now) = cycle {
             let bank = if slot.pvt {
-                None
+                0
             } else {
                 let home = sched.channel_for_row(slot.row);
                 let hop = sched.hop_for(self.channel, home);
-                Some(hop.saturating_sub(1) * sched.pes_per_channel + slot.pe_src as usize)
+                1 + hop.saturating_sub(1) * sched.pes_per_channel + slot.pe_src as usize
             };
-            let key = (bank, local_row);
-            if let Some(&prev) = self.last_access.get(&key) {
-                if now.saturating_sub(prev) < sched.dependency_distance as u64 {
+            let stamp = self
+                .last_access
+                .get_mut(bank)
+                .and_then(|stamps| stamps.get_mut(local_row));
+            if let Some(stamp) = stamp {
+                if *stamp != 0 && now.saturating_sub(*stamp - 1) < sched.dependency_distance as u64
+                {
                     self.hazards += 1;
                 }
+                *stamp = now.saturating_add(1);
             }
-            self.last_access.insert(key, now);
         }
         if slot.pvt {
             if sched.channel_for_row(slot.row) != self.channel
@@ -270,6 +277,66 @@ mod tests {
         pe.process(&NzSlot::private(1.0, 0, 0), 1.0, &cfg).unwrap();
         // One accumulate = 1 read + 1 write.
         assert_eq!(pe.uram_accesses(), 2);
+    }
+
+    fn migrant(row: usize, pe_src: u8) -> NzSlot {
+        NzSlot {
+            value: 1.0,
+            row,
+            col: 0,
+            pvt: false,
+            pe_src,
+        }
+    }
+
+    #[test]
+    fn same_row_within_the_distance_is_one_hazard() {
+        let cfg = sched(); // D = 4
+        let mut pe = Pe::new(0, 1, 4, 2).unwrap();
+        let row1 = NzSlot::private(1.0, 1, 0);
+        pe.process_at(&row1, 1.0, &cfg, Some(0)).unwrap();
+        pe.process_at(&row1, 1.0, &cfg, Some(3)).unwrap();
+        assert_eq!(pe.hazards(), 1);
+        // The same holds inside one shared bank.
+        pe.process_at(&migrant(2, 0), 1.0, &cfg, Some(5)).unwrap();
+        pe.process_at(&migrant(2, 0), 1.0, &cfg, Some(6)).unwrap();
+        assert_eq!(pe.hazards(), 2);
+    }
+
+    #[test]
+    fn exactly_the_distance_apart_is_no_hazard() {
+        let cfg = sched();
+        let mut pe = Pe::new(0, 1, 4, 2).unwrap();
+        let row1 = NzSlot::private(1.0, 1, 0);
+        pe.process_at(&row1, 1.0, &cfg, Some(0)).unwrap();
+        pe.process_at(&row1, 1.0, &cfg, Some(4)).unwrap();
+        pe.process_at(&row1, 1.0, &cfg, Some(8)).unwrap();
+        assert_eq!(pe.hazards(), 0);
+    }
+
+    #[test]
+    fn private_and_shared_banks_do_not_collide() {
+        let cfg = sched();
+        let mut pe = Pe::new(0, 1, 4, 2).unwrap();
+        // Row 1 (private) and row 2 (channel 1, lane 0) share local row 0.
+        pe.process_at(&NzSlot::private(1.0, 1, 0), 1.0, &cfg, Some(0))
+            .unwrap();
+        pe.process_at(&migrant(2, 0), 1.0, &cfg, Some(1)).unwrap();
+        pe.process_at(&NzSlot::private(1.0, 1, 0), 1.0, &cfg, Some(4))
+            .unwrap();
+        assert_eq!(pe.hazards(), 0);
+    }
+
+    #[test]
+    fn distinct_pe_src_banks_do_not_collide() {
+        let cfg = sched();
+        let mut pe = Pe::new(0, 0, 4, 2).unwrap();
+        // Rows 2 and 3 are lanes 0 and 1 of channel 1, both local row 0.
+        pe.process_at(&migrant(2, 0), 1.0, &cfg, Some(0)).unwrap();
+        pe.process_at(&migrant(3, 1), 1.0, &cfg, Some(1)).unwrap();
+        pe.process_at(&migrant(2, 0), 1.0, &cfg, Some(4)).unwrap();
+        pe.process_at(&migrant(3, 1), 1.0, &cfg, Some(5)).unwrap();
+        assert_eq!(pe.hazards(), 0);
     }
 
     #[test]

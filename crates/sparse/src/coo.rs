@@ -44,17 +44,29 @@ impl CooMatrix {
     /// Builds a matrix from a list of `(row, col, value)` triplets.
     ///
     /// Entries may be given in any order; they are sorted internally.
+    /// Input already strictly increasing in `(row, col)` and in bounds is
+    /// accepted in one linear pass, without hashing or sorting.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::RowOutOfBounds`] / [`SparseError::ColOutOfBounds`]
     /// for out-of-range coordinates and [`SparseError::DuplicateEntry`] when
-    /// two triplets share a coordinate.
+    /// two triplets share a coordinate, always for the first offending
+    /// triplet in input order.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
         mut triplets: Vec<Triplet>,
     ) -> Result<Self, SparseError> {
+        let in_bounds = |&(r, c, _): &Triplet| r < rows && c < cols;
+        let increasing = |w: &[Triplet]| (w[0].0, w[0].1) < (w[1].0, w[1].1);
+        if triplets.iter().all(in_bounds) && triplets.windows(2).all(increasing) {
+            return Ok(CooMatrix {
+                rows,
+                cols,
+                entries: triplets,
+            });
+        }
         let mut seen = HashSet::with_capacity(triplets.len());
         for &(r, c, _) in &triplets {
             if r >= rows {

@@ -125,29 +125,6 @@ impl CscMatrix {
         })
     }
 
-    /// Extracts the sub-matrix of columns `col_start..col_end` as triplets,
-    /// with column indices rebased to `0..(col_end - col_start)`.
-    ///
-    /// This is the primitive behind window partitioning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col_start > col_end` or `col_end > self.cols()`.
-    pub fn column_window(&self, col_start: usize, col_end: usize) -> Vec<Triplet> {
-        assert!(
-            col_start <= col_end && col_end <= self.cols,
-            "invalid column window"
-        );
-        let mut out = Vec::new();
-        for c in col_start..col_end {
-            let (rows, vals) = self.col(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                out.push((r, c - col_start, v));
-            }
-        }
-        out
-    }
-
     /// Computes `y = A·x` (column-major accumulation).
     ///
     /// # Panics
@@ -240,26 +217,6 @@ mod tests {
         let csc = CscMatrix::from(&coo);
         let x = [0.5, -2.0, 1.5];
         assert_eq!(csc.spmv(&x), csr.spmv(&x));
-    }
-
-    #[test]
-    fn column_window_rebases_indices() {
-        let csc = CscMatrix::from(&sample_coo());
-        let w = csc.column_window(1, 3);
-        assert_eq!(w, vec![(2, 0, 3.0), (0, 1, 2.0), (2, 1, 4.0)]);
-    }
-
-    #[test]
-    fn column_window_empty_range_is_empty() {
-        let csc = CscMatrix::from(&sample_coo());
-        assert!(csc.column_window(1, 1).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid column window")]
-    fn column_window_rejects_reversed_range() {
-        let csc = CscMatrix::from(&sample_coo());
-        let _ = csc.column_window(2, 1);
     }
 
     #[test]

@@ -1,0 +1,171 @@
+//! Plan-digest goldens: the CHPL bytes of Chasoň and Serpens plans, and the
+//! CHSN bytes of a row-split schedule, are pinned as FNV-1a digests for
+//! inputs that stress the scheduler's corner cases. A faster scheduler must
+//! reproduce every plan byte for byte, so these digests only change when
+//! the scheduling policy itself changes on purpose.
+//!
+//! The 16384² SPD case mirrors the size of the end-to-end benchmark's
+//! `sim-spmv` matrix and is `#[ignore]`d in debug runs; run it with
+//! `cargo test --release --test plan_digest -- --include-ignored`.
+
+use chason_core::export::{write_plan, write_schedule};
+use chason_core::schedule::{HybridRowSplit, Scheduler, SchedulerConfig};
+use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sparse::generators::{power_law, uniform_random};
+use chason_sparse::CooMatrix;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(chason, serpens)` CHPL digests of `matrix` under `sched`.
+fn plan_digests(matrix: &CooMatrix, sched: SchedulerConfig) -> (u64, u64) {
+    let chason = ChasonEngine::new(AcceleratorConfig {
+        sched,
+        ..AcceleratorConfig::chason()
+    });
+    let serpens = SerpensEngine::new(AcceleratorConfig {
+        sched,
+        ..AcceleratorConfig::serpens()
+    });
+    let digest = |plan| {
+        let mut bytes = Vec::new();
+        write_plan(&mut bytes, &plan).unwrap();
+        fnv1a(&bytes)
+    };
+    (
+        digest(chason.plan_with_threads(matrix, 1).unwrap()),
+        digest(serpens.plan_with_threads(matrix, 1).unwrap()),
+    )
+}
+
+fn assert_digests(matrix: &CooMatrix, sched: SchedulerConfig, expected: (u64, u64)) {
+    let got = plan_digests(matrix, sched);
+    assert_eq!(
+        got, expected,
+        "plan bytes changed: got (chason, serpens) = ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
+}
+
+/// A power-law matrix plus one hub row long enough that its RAW chain
+/// outlives every other row of its lane: the lane spends most of its
+/// stream in stall runs behind the hub.
+fn hub_matrix() -> CooMatrix {
+    let mut triplets = power_law(2048, 2048, 30_000, 1.9, 11).triplets().to_vec();
+    triplets.extend(
+        (0..2048)
+            .step_by(2)
+            .map(|c| (130, c, 0.5 + c as f32 / 4096.0)),
+    );
+    CooMatrix::from_triplets_summing(2048, 2048, triplets).unwrap()
+}
+
+/// Symmetric power-law pattern with a strictly dominant diagonal.
+fn spd_matrix(n: usize, pattern_nnz: usize, seed: u64) -> CooMatrix {
+    let pattern = power_law(n, n, pattern_nnz, 1.6, seed);
+    let mut triplets = Vec::with_capacity(2 * pattern.nnz() + n);
+    let mut row_sum = vec![0.0f32; n];
+    for (k, &(i, j, _)) in pattern.iter().enumerate() {
+        if i == j {
+            continue;
+        }
+        let v = 0.05 + (k % 400) as f32 / 1000.0;
+        triplets.push((i, j, v));
+        triplets.push((j, i, v));
+        row_sum[i] += v;
+        row_sum[j] += v;
+    }
+    for (i, &sum) in row_sum.iter().enumerate() {
+        triplets.push((i, i, sum + 1.0));
+    }
+    CooMatrix::from_triplets_summing(n, n, triplets).unwrap()
+}
+
+#[test]
+fn hub_row_with_long_stall_runs() {
+    assert_digests(
+        &hub_matrix(),
+        SchedulerConfig::paper(),
+        (0x2f622c930dbdc19a, 0x42436112a981e1e2),
+    );
+}
+
+#[test]
+fn matrix_wider_than_one_window() {
+    let m = uniform_random(3000, 20_000, 40_000, 5);
+    assert_digests(
+        &m,
+        SchedulerConfig::paper(),
+        (0x571e90437fae006f, 0xda8f307eee95a02b),
+    );
+}
+
+#[test]
+fn lanes_with_no_rows() {
+    // Only rows 16k and 16k + 3 carry entries: under the paper's 128 PEs,
+    // lanes 0 and 3 of every other channel are busy and the rest are empty.
+    let mut triplets = Vec::new();
+    for r in (0..1024).flat_map(|r| [16 * r, 16 * r + 3]) {
+        for k in 0..1 + r % 7 {
+            triplets.push((r, (r * 31 + k * 97) % 4096, 1.0 + k as f32));
+        }
+    }
+    let m = CooMatrix::from_triplets_summing(16_384, 4096, triplets).unwrap();
+    assert_digests(
+        &m,
+        SchedulerConfig::paper(),
+        (0x8228057b9edd6628, 0x6fae2b00782b8367),
+    );
+}
+
+#[test]
+fn unit_dependency_distance() {
+    let m = power_law(256, 256, 3000, 1.8, 3);
+    assert_digests(
+        &m,
+        SchedulerConfig::toy(4, 4, 1),
+        (0x3a085d7f1a2bf7a4, 0x218162772fb8a4b3),
+    );
+}
+
+#[test]
+fn multi_hop_migration() {
+    let sched = SchedulerConfig {
+        migration_hops: 3,
+        ..SchedulerConfig::paper()
+    };
+    assert_digests(
+        &hub_matrix(),
+        sched,
+        (0x7b6aaf1d0593a969, 0x237cca724d82a64a),
+    );
+}
+
+#[test]
+fn row_split_schedule() {
+    let config = SchedulerConfig::paper();
+    let m = hub_matrix();
+    let schedule = HybridRowSplit::auto(&m, &config).schedule(&m, &config);
+    let mut bytes = Vec::new();
+    write_schedule(&mut bytes, &schedule).unwrap();
+    assert_eq!(
+        fnv1a(&bytes),
+        0x8430061744107dc4,
+        "got {:#018x}",
+        fnv1a(&bytes)
+    );
+}
+
+#[test]
+#[ignore = "sim-spmv-sized; run in release with --include-ignored"]
+fn sim_spmv_sized_spd_matrix() {
+    let m = spd_matrix(16_384, 120_000, 2);
+    assert_digests(
+        &m,
+        SchedulerConfig::paper(),
+        (0xf4cab5364a4a0eb8, 0x17826ade9013fa06),
+    );
+}
