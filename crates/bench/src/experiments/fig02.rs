@@ -65,11 +65,11 @@ pub fn example_matrix() -> CooMatrix {
 
 fn pe0_timeline(s: &ScheduledMatrix) -> (Vec<String>, f64, f64) {
     let cycles = s.stream_cycles();
-    let grid = &s.channels[0].grid;
+    let channel = &s.channels[0];
     let mut tokens = Vec::with_capacity(cycles);
     let mut busy = 0usize;
     for c in 0..cycles {
-        match grid.get(c).and_then(|slots| slots[0]) {
+        match channel.slot(c, 0) {
             Some(nz) => {
                 busy += 1;
                 tokens.push(format!("r{}", nz.row));

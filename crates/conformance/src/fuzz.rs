@@ -4,7 +4,7 @@
 //! applies one corruption from `chason-verify`'s ten-mutation library, and
 //! then checks that the corruption is *caught* — by the static checker
 //! ([`chason_verify::verify_schedule`]) or, failing that, by a dynamic
-//! oracle watching a bare PEG-level replay of the corrupted grid:
+//! oracle watching a bare PEG-level replay of the corrupted schedule:
 //!
 //! * **model** — the replay errors, panics, or reports pipeline hazards;
 //! * **metamorphic** — the replay's MAC count disagrees with the source
@@ -234,7 +234,7 @@ fn replay_catches(schedule: &ScheduledMatrix, matrix: &CooMatrix) -> Option<Caug
     }
 }
 
-/// Drives one [`Peg`] per channel through the schedule grid and merges the
+/// Drives one [`Peg`] per channel through the schedule's occupied slots and merges the
 /// outputs with the Rearrange Unit's formula
 /// `y[row] = pvt[c][l][r] + Σ_hop shared[(c+C−hop)%C][(hop−1)·P + l][r]`.
 fn bare_replay(
@@ -252,8 +252,8 @@ fn bare_replay(
     }
     for ch in &schedule.channels {
         let peg = &mut pegs[ch.channel];
-        for (cycle, slots) in ch.grid.iter().enumerate() {
-            peg.consume_cycle_at(slots, cfg, Some(cycle as u64))?;
+        for (cycle, lane, nz) in ch.occupied() {
+            peg.consume_slot(lane, nz, cfg, Some(cycle as u64))?;
         }
     }
     let mac_ops: u64 = pegs.iter().map(Peg::mac_ops).sum();

@@ -64,6 +64,17 @@ pub enum ExportError {
     /// A structurally invalid encoding (bad tag, bad flag, non-UTF-8
     /// name, implausible geometry).
     Malformed(String),
+    /// The cycles of one channel disagree on their lane count.
+    RaggedChannel {
+        /// Channel index as recorded in the artifact.
+        channel: usize,
+        /// First cycle whose lane count differs from cycle 0's.
+        cycle: usize,
+        /// That cycle's lane count.
+        lanes: usize,
+        /// Cycle 0's lane count.
+        expected: usize,
+    },
     /// A count or length field exceeds the format's plausibility cap.
     Oversized {
         /// Which field overflowed.
@@ -89,6 +100,15 @@ impl fmt::Display for ExportError {
                 )
             }
             ExportError::Malformed(msg) => write!(f, "malformed artifact: {msg}"),
+            ExportError::RaggedChannel {
+                channel,
+                cycle,
+                lanes,
+                expected,
+            } => write!(
+                f,
+                "channel {channel} cycle {cycle} carries {lanes} lanes; cycle 0 carries {expected}"
+            ),
             ExportError::Oversized { what, got, cap } => {
                 write!(f, "implausible {what} count {got} (cap {cap})")
             }
@@ -333,23 +353,30 @@ fn write_schedule_grid<W: Write>(writer: &mut W, s: &ScheduledMatrix) -> io::Res
     ] {
         writer.write_all(&v.to_le_bytes())?;
     }
+    // The store keeps only occupied slots; the grid encoding spells out
+    // every slot, so the stalls are put back here, one tag byte each.
+    let mut record = Vec::new();
     for ch in &s.channels {
         writer.write_all(&(ch.channel as u64).to_le_bytes())?;
-        writer.write_all(&(ch.grid.len() as u64).to_le_bytes())?;
-        for cycle in &ch.grid {
-            writer.write_all(&(cycle.len() as u64).to_le_bytes())?;
-            for slot in cycle {
-                match slot {
-                    None => writer.write_all(&[0u8])?,
-                    Some(nz) => {
-                        writer.write_all(&[1u8])?;
-                        writer.write_all(&nz.value.to_bits().to_le_bytes())?;
-                        writer.write_all(&(nz.row as u64).to_le_bytes())?;
-                        writer.write_all(&(nz.col as u64).to_le_bytes())?;
-                        writer.write_all(&[u8::from(nz.pvt), nz.pe_src])?;
+        writer.write_all(&(ch.cycles() as u64).to_le_bytes())?;
+        let lanes = ch.lanes();
+        let mut occupied = ch.occupied().peekable();
+        for cycle in 0..ch.cycles() {
+            record.clear();
+            record.extend_from_slice(&(lanes as u64).to_le_bytes());
+            for lane in 0..lanes {
+                match occupied.next_if(|&(c, l, _)| (c, l) == (cycle, lane)) {
+                    None => record.push(0),
+                    Some((_, _, nz)) => {
+                        record.push(1);
+                        record.extend_from_slice(&nz.value.to_bits().to_le_bytes());
+                        record.extend_from_slice(&(nz.row as u64).to_le_bytes());
+                        record.extend_from_slice(&(nz.col as u64).to_le_bytes());
+                        record.extend_from_slice(&[u8::from(nz.pvt), nz.pe_src]);
                     }
                 }
             }
+            writer.write_all(&record)?;
         }
     }
     Ok(())
@@ -364,16 +391,26 @@ fn read_schedule_grid<R: Read>(reader: &mut R) -> Result<ScheduledMatrix, Export
     let mut channels = Vec::with_capacity(channel_count.min(PREALLOC_LIMIT));
     for _ in 0..channel_count {
         let channel = read_u64(reader)? as usize;
-        let cycles = read_count(reader, "cycle", 1 << 34)?;
-        let mut grid = Vec::with_capacity(cycles.min(PREALLOC_LIMIT));
-        for _ in 0..cycles {
+        let cycles = read_count(reader, "cycle", u64::from(u32::MAX))?;
+        // A channel with no cycles records no lane count; it gets the PEG's.
+        let mut ch = ChannelSchedule::new(channel, config.pes_per_channel);
+        for cycle in 0..cycles {
             let lanes = read_count(reader, "lane", 4096)?;
-            let mut row = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
+            if cycle == 0 {
+                ch.set_lanes(lanes);
+            } else if lanes != ch.lanes() {
+                return Err(ExportError::RaggedChannel {
+                    channel,
+                    cycle,
+                    lanes,
+                    expected: ch.lanes(),
+                });
+            }
+            for lane in 0..lanes {
                 let mut tag = [0u8; 1];
                 reader.read_exact(&mut tag)?;
-                row.push(match tag[0] {
-                    0 => None,
+                match tag[0] {
+                    0 => {}
                     1 => {
                         let value = f32::from_bits(read_u32(reader)?);
                         let nz_row = read_u64(reader)? as usize;
@@ -383,20 +420,24 @@ fn read_schedule_grid<R: Read>(reader: &mut R) -> Result<ScheduledMatrix, Export
                         if flags[0] > 1 {
                             return Err(invalid(format!("bad pvt flag {}", flags[0])));
                         }
-                        Some(NzSlot {
-                            value,
-                            row: nz_row,
-                            col: nz_col,
-                            pvt: flags[0] == 1,
-                            pe_src: flags[1],
-                        })
+                        ch.insert(
+                            cycle,
+                            lane,
+                            NzSlot {
+                                value,
+                                row: nz_row,
+                                col: nz_col,
+                                pvt: flags[0] == 1,
+                                pe_src: flags[1],
+                            },
+                        );
                     }
                     t => return Err(invalid(format!("bad slot tag {t}"))),
-                });
+                }
             }
-            grid.push(row);
         }
-        channels.push(ChannelSchedule { channel, grid });
+        ch.set_cycles(cycles);
+        channels.push(ch);
     }
     Ok(ScheduledMatrix {
         config,

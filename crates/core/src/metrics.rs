@@ -224,37 +224,33 @@ pub fn schedule_insights(schedule: &ScheduledMatrix) -> ScheduleInsights {
     let mut migrated_per_hop = vec![0usize; config.channels.max(1)];
     let mut fill_positions = 0.0f64;
     let global = schedule.stream_cycles();
+    let mut record_run = |run: usize| {
+        if run > 0 {
+            longest = longest.max(run);
+            run_lengths[(run - 1).min(STALL_RUN_BUCKETS - 1)] += 1;
+        }
+    };
     for ch in &schedule.channels {
-        let lanes = ch.grid.first().map_or(0, Vec::len);
+        // A channel with no cycles has no lanes to report runs for.
+        let lanes = if ch.cycles() == 0 { 0 } else { ch.lanes() };
+        // Lane by lane, so the fill positions are summed in a fixed order.
         for lane in 0..lanes {
-            let mut run = 0usize;
-            for cycle in 0..global {
-                let slot = ch.grid.get(cycle).and_then(|s| s[lane]);
-                match slot {
-                    None => run += 1,
-                    Some(nz) => {
-                        if run > 0 {
-                            longest = longest.max(run);
-                            run_lengths[(run - 1).min(STALL_RUN_BUCKETS - 1)] += 1;
-                            run = 0;
-                        }
-                        if !nz.pvt {
-                            migrated += 1;
-                            let hop = config.hop_for(ch.channel, config.channel_for_row(nz.row));
-                            if hop >= 1 {
-                                migrated_per_hop[hop - 1] += 1;
-                            }
-                            if global > 0 {
-                                fill_positions += cycle as f64 / global as f64;
-                            }
-                        }
+            let mut next = 0usize; // first cycle after the lane's last value
+            for (cycle, _, nz) in ch.occupied().filter(|&(_, l, _)| l == lane) {
+                record_run(cycle - next);
+                next = cycle + 1;
+                if !nz.pvt {
+                    migrated += 1;
+                    let hop = config.hop_for(ch.channel, config.channel_for_row(nz.row));
+                    if hop >= 1 {
+                        migrated_per_hop[hop - 1] += 1;
+                    }
+                    if global > 0 {
+                        fill_positions += cycle as f64 / global as f64;
                     }
                 }
             }
-            if run > 0 {
-                longest = longest.max(run);
-                run_lengths[(run - 1).min(STALL_RUN_BUCKETS - 1)] += 1;
-            }
+            record_run(global.saturating_sub(next));
         }
     }
     migrated_per_hop.truncate(config.migration_hops.max(1));

@@ -1,4 +1,4 @@
-use super::{PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
+use super::{NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +20,8 @@ use serde::{Deserialize, Serialize};
 /// 4. the last channel may only pull values that *originally* belonged to
 ///    channel 0 (never re-migrating channel 1's values a second hop),
 ///    keeping load imbalance minimal (§3.4);
-/// 5. trailing all-stall cycles are trimmed and the lists re-equalized.
+/// 5. trailing all-stall cycles are trimmed; the lists stay equalized
+///    virtually (see [`ScheduledMatrix`]).
 ///
 /// The result: shorter data lists (fewer HBM transfers) and lower PE
 /// underutilization, at the cost of the extra URAM + reduction hardware the
@@ -85,7 +86,7 @@ impl Crhcs {
         }
 
         for ch in &mut scheduled.channels {
-            ch.trim_trailing_stalls();
+            ch.trim();
         }
 
         let report = MigrationReport {
@@ -102,8 +103,10 @@ impl Crhcs {
 
 /// Dense per-row migration state, indexed by the channel-local row
 /// `(row / total_pes) · P + lane` and shared by every [`migrate_channel`]
-/// pass of one schedule. Each pass resets exactly the entries it touched,
-/// so the work per pass stays linear in its candidates.
+/// pass of one schedule, plus the per-pass bucket queue. Each pass resets
+/// exactly the row entries it touched, so the work per pass stays linear in
+/// its candidates and the source channel's length.
+#[derive(Default)]
 struct MigrationScratch {
     total_pes: usize,
     pes: usize,
@@ -113,14 +116,46 @@ struct MigrationScratch {
     /// Per `local row · P + destination lane`: 1 + the last cycle a value
     /// of the row was placed into that lane (0 = never).
     last_cycle: Vec<usize>,
-    /// Candidate positions in stream order: `(cycle, lane, row, link)`,
-    /// where `link` is the row's previous candidate in the same `tail`
-    /// encoding — one per-row stack threaded through a flat arena.
-    candidates: Vec<(usize, usize, usize, usize)>,
+    /// Candidate positions, grouped by source cycle in ascending order and
+    /// row-descending within a cycle.
+    candidates: Vec<Candidate>,
     /// Local rows whose `tail` this pass set.
     rows: Vec<usize>,
     /// `last_cycle` indices this pass set.
     placed: Vec<usize>,
+    /// Per source cycle: index of the cycle's first candidate.
+    first: Vec<usize>,
+    /// Per source cycle: the bucket, bit `k` set when candidate
+    /// `first[cycle] + k` is its row's current tail.
+    bucket: Vec<u8>,
+    /// One bit per source cycle: the cycle's bucket is non-empty.
+    nonempty: Vec<u64>,
+    /// The source cycle's candidates while they are being sorted.
+    group: Vec<Candidate>,
+    /// Values placed into the destination this pass, `(cycle, lane)`
+    /// ascending.
+    migrants: Vec<(usize, usize, NzSlot)>,
+    /// Source occupied-slot indices taken this pass.
+    taken: Vec<usize>,
+    /// Destination lane masks, one byte per cycle.
+    masks: Vec<u8>,
+}
+
+/// One still-private value of the source channel a destination may pull.
+#[derive(Clone, Copy)]
+struct Candidate {
+    /// Source cycle.
+    cycle: usize,
+    /// Source lane (the migrant's `PE_src`).
+    lane: usize,
+    /// Global row.
+    row: usize,
+    /// Channel-local row index.
+    local: usize,
+    /// The row's previous (shallower) candidate, in the `tail` encoding.
+    link: usize,
+    /// Index of the slot in the source's occupied order.
+    slot: usize,
 }
 
 impl MigrationScratch {
@@ -132,9 +167,7 @@ impl MigrationScratch {
             pes: config.pes_per_channel,
             tail: vec![0; local_rows],
             last_cycle: vec![0; local_rows * config.pes_per_channel],
-            candidates: Vec::new(),
-            rows: Vec::new(),
-            placed: Vec::new(),
+            ..MigrationScratch::default()
         }
     }
 
@@ -143,8 +176,9 @@ impl MigrationScratch {
         (row / self.total_pes) * self.pes + row % self.pes
     }
 
-    /// Clears everything the finished pass wrote.
-    fn reset(&mut self) {
+    /// Clears everything the finished pass wrote and sizes the bucket
+    /// queue for a source of `cycles` cycles.
+    fn reset(&mut self, cycles: usize) {
         for &r in &self.rows {
             self.tail[r] = 0;
         }
@@ -154,6 +188,65 @@ impl MigrationScratch {
         self.candidates.clear();
         self.rows.clear();
         self.placed.clear();
+        self.migrants.clear();
+        self.taken.clear();
+        self.first.resize(cycles, 0);
+        self.bucket.clear();
+        self.bucket.resize(cycles, 0);
+        self.nonempty.clear();
+        self.nonempty.resize(cycles.div_ceil(64), 0);
+    }
+
+    /// Appends the sorted `group` of one source cycle to `candidates`,
+    /// threading each row's stack through its previous candidate.
+    fn flush_group(&mut self) {
+        let Some(cycle) = self.group.first().map(|c| c.cycle) else {
+            return;
+        };
+        self.first[cycle] = self.candidates.len();
+        self.group
+            .sort_unstable_by_key(|c| std::cmp::Reverse(c.row));
+        for k in 0..self.group.len() {
+            let mut cand = self.group[k];
+            let r = cand.local;
+            if self.tail[r] == 0 {
+                self.rows.push(r);
+            }
+            cand.link = self.tail[r];
+            self.candidates.push(cand);
+            self.tail[r] = self.candidates.len();
+        }
+        self.group.clear();
+    }
+
+    /// Queues candidate `index` (its row's new tail) in its cycle's bucket.
+    fn enqueue(&mut self, index: usize) {
+        let cycle = self.candidates[index].cycle;
+        self.bucket[cycle] |= 1 << (index - self.first[cycle]);
+        self.nonempty[cycle / 64] |= 1 << (cycle % 64);
+    }
+
+    /// Removes candidate `index` from its cycle's bucket.
+    fn dequeue(&mut self, index: usize) {
+        let cycle = self.candidates[index].cycle;
+        self.bucket[cycle] &= !(1 << (index - self.first[cycle]));
+        if self.bucket[cycle] == 0 {
+            self.nonempty[cycle / 64] &= !(1 << (cycle % 64));
+        }
+    }
+
+    /// The highest source cycle below `cycle` with a non-empty bucket.
+    fn nonempty_below(&self, cycle: usize) -> Option<usize> {
+        let below = cycle.checked_sub(1)?;
+        let mut word = below / 64;
+        let mut bits = self.nonempty[word] & (u64::MAX >> (63 - below % 64));
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + 63 - bits.leading_zeros() as usize);
+            }
+            word = word.checked_sub(1)?;
+            bits = self.nonempty[word];
+        }
     }
 }
 
@@ -169,6 +262,15 @@ impl MigrationScratch {
 /// source's **tail** first, which is what lets the source list trim after
 /// its late values leave and produces the even load balance of Fig. 13.
 ///
+/// Rows are offered in (tail cycle desc, row desc) order from a bucket
+/// queue: one bucket per source cycle holding the rows whose deepest
+/// remaining value sits there — at most one per source lane, so at most P,
+/// kept row-descending — a bitset of non-empty buckets, and a top cursor.
+/// A taken row's tail moves to a shallower cycle and a RAW-blocked row
+/// keeps its place, so the deepest tail never grows and the cursor only
+/// moves down; blocked rows are stepped over in place instead of popped
+/// and re-pushed.
+///
 /// Returns `(migrated, raw_skips)`.
 fn migrate_channel(
     scheduled: &mut ScheduledMatrix,
@@ -178,33 +280,35 @@ fn migrate_channel(
     config: &SchedulerConfig,
     scratch: &mut MigrationScratch,
 ) -> (usize, usize) {
-    use std::collections::BinaryHeap;
     if dest == src {
         return (0, 0);
     }
+    let source = &scheduled.channels[src];
+    let src_len = source.cycles();
     // Group candidate positions by source row, in stream order. Only
     // private values are eligible: a value that already migrated into `src`
     // from its own neighbour must not hop a second channel (§3.4). The
     // per-row grouping matters for performance: a RAW-chained heavy row can
     // contribute thousands of candidates that are all blocked for the same
     // reason, and they must be skipped in O(1), not re-scanned per slot.
-    scratch.reset();
-    for (cycle, slots) in scheduled.channels[src].grid.iter().enumerate() {
-        for (lane, slot) in slots.iter().enumerate() {
-            if let Some(nz) = slot {
-                if nz.pvt {
-                    let r = scratch.local(nz.row);
-                    if scratch.tail[r] == 0 {
-                        scratch.rows.push(r);
-                    }
-                    scratch
-                        .candidates
-                        .push((cycle, lane, nz.row, scratch.tail[r]));
-                    scratch.tail[r] = scratch.candidates.len();
-                }
-            }
+    scratch.reset(src_len);
+    for (slot, (cycle, lane, nz)) in source.occupied().enumerate() {
+        if !nz.pvt {
+            continue;
         }
+        if scratch.group.first().is_some_and(|c| c.cycle != cycle) {
+            scratch.flush_group();
+        }
+        scratch.group.push(Candidate {
+            cycle,
+            lane,
+            row: nz.row,
+            local: scratch.local(nz.row),
+            link: 0,
+            slot,
+        });
     }
+    scratch.flush_group();
     // Split each donor's surplus evenly across its destinations: when this
     // pass runs, `hop` passes (including this one) will still pull from
     // `src`, so this destination may take at most a 1/hop share. With a
@@ -214,27 +318,22 @@ fn migrate_channel(
     if quota == 0 {
         return (0, 0);
     }
-    // Max-heap of (tail cycle, row): the row whose *latest* remaining value
-    // sits deepest in the source stream is offered first (tail-first
-    // consumption is what lets the source list trim). Entries are lazily
-    // invalidated: on pop, stale tails are refreshed and re-pushed.
-    let mut heap: BinaryHeap<(usize, usize)> = scratch
-        .rows
-        .iter()
-        .map(|&r| {
-            let (cycle, _, row, _) = scratch.candidates[scratch.tail[r] - 1];
-            (cycle, row)
-        })
-        .collect();
+    for i in 0..scratch.rows.len() {
+        let r = scratch.rows[i];
+        scratch.enqueue(scratch.tail[r] - 1);
+    }
+    let mut top = scratch.nonempty_below(src_len);
 
     // The destination may be shorter than the source (virtual
     // equalization): its implicit padding is eligible stall space, so
-    // materialize it up to the source's length before filling.
-    let src_len = scheduled.channels[src].grid.len();
-    let pes = config.pes_per_channel;
-    if scheduled.channels[dest].grid.len() < src_len {
-        scheduled.channels[dest].pad_to(src_len, pes);
+    // extend it to the source's length before filling.
+    let target = &mut scheduled.channels[dest];
+    if target.cycles() < src_len {
+        target.set_cycles(src_len);
     }
+    target.lane_masks(&mut scratch.masks);
+    let pes = config.pes_per_channel;
+    let all_lanes = u8::MAX >> (8 - pes);
     let d = config.dependency_distance;
     let scan_limit = config.migration_scan_limit.max(1);
     // RAW tracking per (dest lane, row) lives in `scratch.last_cycle`: the
@@ -244,81 +343,77 @@ fn migrate_channel(
     // tracking the last cycle suffices.
     let mut migrated = 0usize;
     let mut raw_skips = 0usize;
-
-    let dest_cycles = scheduled.channels[dest].grid.len();
-    let mut blocked: Vec<(usize, usize)> = Vec::new();
-    'slots: for cycle in 0..dest_cycles {
-        for lane in 0..pes {
-            if migrated >= quota {
+    let source = &scheduled.channels[src];
+    'slots: for cycle in 0..scratch.masks.len() {
+        let mut free = !scratch.masks[cycle] & all_lanes;
+        while free != 0 {
+            let lane = free.trailing_zeros() as usize;
+            free &= free - 1;
+            // Once even the deepest remaining candidate is no later than
+            // the destination cycle, no further slot (cycles only grow)
+            // can move work earlier.
+            let Some(deepest) = top.filter(|&t| t > cycle && migrated < quota) else {
                 break 'slots;
-            }
-            match heap.peek() {
-                None => break 'slots,
-                // Once even the deepest remaining candidate is no later
-                // than the destination cycle, no further slot (cycles only
-                // grow) can move work earlier.
-                Some(&(tail, _)) if tail <= cycle => break 'slots,
-                _ => {}
-            }
-            if scheduled.channels[dest].grid[cycle][lane].is_some() {
-                continue;
-            }
+            };
             // Offer rows deepest-tail-first until one passes the RAW check
-            // for this destination PE; rows blocked here stay available for
+            // for this destination PE; rows blocked here stay queued for
             // other lanes and later cycles.
-            blocked.clear();
-            while let Some((tail, row)) = heap.pop() {
-                // A queued row always has remaining positions: its heap
-                // entry is re-pushed only while its stack is non-empty.
-                let r = scratch.local(row);
-                let top = scratch.tail[r] - 1;
-                let (sc, sl, _, link) = scratch.candidates[top];
-                if sc != tail {
-                    // Stale entry: refresh with the current tail.
-                    heap.push((sc, row));
-                    continue;
+            let mut blocked = 0usize;
+            let mut at = deepest;
+            let mut pending = scratch.bucket[at];
+            loop {
+                if pending == 0 {
+                    match scratch.nonempty_below(at) {
+                        Some(next) if next > cycle => {
+                            at = next;
+                            pending = scratch.bucket[at];
+                        }
+                        // Every remaining row is no deeper than this slot.
+                        _ => break,
+                    }
                 }
-                if sc <= cycle {
-                    heap.push((sc, row));
-                    break; // every remaining row is shallower still
-                }
+                let k = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let index = scratch.first[at] + k;
+                let cand = scratch.candidates[index];
+                let r = cand.local;
                 let raw_slot = r * pes + lane;
                 let prev = scratch.last_cycle[raw_slot];
                 if prev != 0 && cycle < prev - 1 + d {
                     raw_skips += 1;
-                    blocked.push((sc, row));
-                    if blocked.len() >= scan_limit {
+                    blocked += 1;
+                    if blocked >= scan_limit {
                         break;
                     }
                     continue;
                 }
-                // Migrate: tag with the source lane, clear the slot.
-                // Candidate positions are popped in the same breath as the
-                // grid slot below, so a queued position always still holds
-                // its value.
-                #[allow(clippy::expect_used)] // xtask: invariant documented above
-                let nz = scheduled.channels[src].grid[sc][sl]
-                    .expect("candidate slot holds a value until taken");
-                let mut moved = nz;
+                // Migrate: tag with the source lane; the source slot is
+                // dropped when the pass ends.
+                let mut moved = source.nz_at(cand.slot);
                 moved.pvt = false;
-                moved.pe_src = sl as u8;
-                scheduled.channels[dest].grid[cycle][lane] = Some(moved);
-                scheduled.channels[src].grid[sc][sl] = None;
+                moved.pe_src = cand.lane as u8;
+                scratch.migrants.push((cycle, lane, moved));
+                scratch.taken.push(cand.slot);
                 if prev == 0 {
                     scratch.placed.push(raw_slot);
                 }
                 scratch.last_cycle[raw_slot] = cycle + 1;
                 migrated += 1;
-                scratch.tail[r] = link;
-                if link != 0 {
-                    heap.push((scratch.candidates[link - 1].0, row));
+                scratch.dequeue(index);
+                scratch.tail[r] = cand.link;
+                if cand.link != 0 {
+                    scratch.enqueue(cand.link - 1);
+                }
+                if scratch.bucket[deepest] == 0 {
+                    top = scratch.nonempty_below(deepest);
                 }
                 break;
             }
-            heap.extend(blocked.drain(..));
         }
     }
-
+    scheduled.channels[dest].merge(&scratch.migrants);
+    scratch.taken.sort_unstable();
+    scheduled.channels[src].remove_sorted(&scratch.taken);
     (migrated, raw_skips)
 }
 
@@ -373,7 +468,7 @@ mod tests {
             .collect();
         let m = CooMatrix::from_triplets(16, 16, triplets).unwrap();
         let s = Crhcs::new().schedule(&m, &config);
-        let migrated: Vec<_> = s.channels[0].grid.iter().flatten().flatten().collect();
+        let migrated: Vec<_> = s.channels[0].occupied().map(|(_, _, nz)| nz).collect();
         assert!(!migrated.is_empty(), "channel 0 should receive migrants");
         for nz in &migrated {
             assert!(!nz.pvt);

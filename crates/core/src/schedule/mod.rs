@@ -1,22 +1,26 @@
 //! Non-zero schedulers and the shared schedule representation.
 //!
-//! A schedule is a per-channel grid of *slots*: `grid[cycle][pe]` holds
-//! either a scheduled non-zero ([`NzSlot`]) or a stall (`None`). One cycle of
-//! a channel corresponds to one 512-bit HBM beat delivering
-//! `pes_per_channel` elements to the channel's PEG.
+//! A schedule is a per-channel grid of *slots*: slot `(cycle, pe)` holds
+//! either a scheduled non-zero ([`NzSlot`]) or a stall. One cycle of a
+//! channel corresponds to one 512-bit HBM beat delivering
+//! `pes_per_channel` elements to the channel's PEG. Stalls are never
+//! stored: a [`ChannelSchedule`] keeps only its occupied slots (see its
+//! docs), and schedulers emit those directly.
 
+mod channel;
 mod crhcs;
 mod pe_aware;
 mod row_based;
 mod row_split;
 
+pub use channel::ChannelSchedule;
 pub use crhcs::{Crhcs, MigrationReport};
 pub use pe_aware::PeAware;
 pub use row_based::RowBased;
 pub use row_split::HybridRowSplit;
 
 use crate::diag::{Location, RuleId, ScheduleError};
-use crate::element::{self, SparseElement};
+use crate::element;
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -150,112 +154,18 @@ impl NzSlot {
     }
 }
 
-/// The scheduled data list of one HBM channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChannelSchedule {
-    /// Channel index.
-    pub channel: usize,
-    /// `grid[cycle][pe]`: the slot streamed to PE `pe` at cycle `cycle`.
-    pub grid: Vec<Vec<Option<NzSlot>>>,
-}
-
-impl ChannelSchedule {
-    /// Creates an empty schedule for a channel.
-    pub fn new(channel: usize) -> Self {
-        ChannelSchedule {
-            channel,
-            grid: Vec::new(),
-        }
-    }
-
-    /// Number of scheduled cycles (beats).
-    pub fn cycles(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// Number of stall slots.
-    pub fn stalls(&self) -> usize {
-        self.grid.iter().flatten().filter(|s| s.is_none()).count()
-    }
-
-    /// Number of scheduled non-zeros.
-    pub fn nonzeros(&self) -> usize {
-        self.grid.iter().flatten().filter(|s| s.is_some()).count()
-    }
-
-    /// Stall slots per lane (PE), `lane -> count`.
-    pub fn stalls_per_lane(&self, pes: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; pes];
-        for cycle in &self.grid {
-            for (lane, slot) in cycle.iter().enumerate() {
-                if slot.is_none() && lane < pes {
-                    counts[lane] += 1;
-                }
-            }
-        }
-        counts
-    }
-
-    /// Removes trailing cycles that contain only stalls.
-    pub fn trim_trailing_stalls(&mut self) {
-        while self
-            .grid
-            .last()
-            .is_some_and(|cycle| cycle.iter().all(|s| s.is_none()))
-        {
-            self.grid.pop();
-        }
-    }
-
-    /// Pads the schedule with all-stall cycles up to `cycles` total.
-    pub fn pad_to(&mut self, cycles: usize, pes: usize) {
-        while self.grid.len() < cycles {
-            self.grid.push(vec![None; pes]);
-        }
-    }
-
-    /// Packs the schedule into the channel's 64-bit data list (row-major:
-    /// cycle 0 lanes 0..P, cycle 1 lanes 0..P, ...), the exact stream the
-    /// architecture consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot's local row or column overflows the wire format —
-    /// callers must schedule one [`crate::window`] at a time for matrices
-    /// wider than `W = 8192`.
-    pub fn data_list(&self, config: &SchedulerConfig) -> Vec<u64> {
-        let mut words = Vec::with_capacity(self.grid.len() * config.pes_per_channel);
-        for cycle in &self.grid {
-            for slot in cycle {
-                match slot {
-                    None => words.push(element::STALL_WORD),
-                    Some(nz) => {
-                        let e = SparseElement {
-                            value: nz.value,
-                            local_row: config.local_row(nz.row) as u16,
-                            pvt: nz.pvt,
-                            pe_src: nz.pe_src,
-                            local_col: nz.col as u16,
-                        };
-                        words.push(e.pack());
-                    }
-                }
-            }
-        }
-        words
-    }
-}
-
 /// A complete schedule: one [`ChannelSchedule`] per channel.
 ///
-/// Channel grids are stored *trimmed*: trailing all-stall cycles are
-/// implicit. The synchronized-finish rule of §3.1 — every list padded to
-/// the longest channel — is applied **virtually**: [`ScheduledMatrix::stalls`]
-/// and the underutilization metrics count the implicit padding, and
-/// [`ScheduledMatrix::data_lists_padded`] materializes it for the hardware
-/// stream. Keeping the padding virtual matters: a single RAW-chain-bound
-/// channel can be orders of magnitude longer than its siblings, and
-/// physically padding all 16 grids to match would cost gigabytes.
+/// Every stall is virtual. Within a channel, stall slots are the grid
+/// positions no occupied slot claims; across channels, the
+/// synchronized-finish rule of §3.1 — every list padded to the longest
+/// channel — is applied the same way: channels are stored *trimmed*,
+/// [`ScheduledMatrix::stalls`] and the underutilization metrics count the
+/// implicit padding, and [`ScheduledMatrix::data_lists_padded`]
+/// materializes it only for the hardware stream. PE-aware schedules are
+/// mostly stalls, and a single RAW-chain-bound channel can be orders of
+/// magnitude longer than its siblings, so storing stalls would dominate
+/// both memory and cold-start time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledMatrix {
     /// The configuration the schedule was built for.
@@ -343,19 +253,6 @@ impl ScheduledMatrix {
             .collect()
     }
 
-    /// Physically pads every channel grid to the longest channel (§3.1).
-    ///
-    /// The metrics already account for this padding virtually; call this
-    /// only when downstream code needs uniform physical grids. Beware the
-    /// memory cost on RAW-chain-bound schedules.
-    pub fn equalize(&mut self) {
-        let max = self.stream_cycles();
-        let pes = self.config.pes_per_channel;
-        for ch in &mut self.channels {
-            ch.pad_to(max, pes);
-        }
-    }
-
     /// Checks the structural invariants every scheduler must uphold,
     /// returning the first violation as a typed [`ScheduleError`] carrying a
     /// stable [`RuleId`]:
@@ -377,27 +274,24 @@ impl ScheduledMatrix {
         // locations instead of silently colliding in the map.
         let mut scheduled: HashMap<(usize, usize), (f32, Location)> = HashMap::new();
         for ch in &self.channels {
-            for (cycle, slots) in ch.grid.iter().enumerate() {
-                for (lane, slot) in slots.iter().enumerate() {
-                    let Some(nz) = slot else { continue };
-                    let here = Location::slot(ch.channel, cycle, lane);
-                    if let Some((prev_value, prev_loc)) =
-                        scheduled.insert((nz.row, nz.col), (nz.value, here))
-                    {
-                        let same = if prev_value == nz.value {
-                            " with an identical value"
-                        } else {
-                            ""
-                        };
-                        return Err(ScheduleError::new(
-                            RuleId::S002,
-                            here,
-                            format!(
-                                "entry ({}, {}) scheduled more than once{same}: first at {prev_loc}",
-                                nz.row, nz.col
-                            ),
-                        ));
-                    }
+            for (cycle, lane, nz) in ch.occupied() {
+                let here = Location::slot(ch.channel, cycle, lane);
+                if let Some((prev_value, prev_loc)) =
+                    scheduled.insert((nz.row, nz.col), (nz.value, here))
+                {
+                    let same = if prev_value == nz.value {
+                        " with an identical value"
+                    } else {
+                        ""
+                    };
+                    return Err(ScheduleError::new(
+                        RuleId::S002,
+                        here,
+                        format!(
+                            "entry ({}, {}) scheduled more than once{same}: first at {prev_loc}",
+                            nz.row, nz.col
+                        ),
+                    ));
                 }
             }
         }
@@ -434,26 +328,23 @@ impl ScheduledMatrix {
         // RAW distance within each destination PE (S003).
         let d = self.config.dependency_distance;
         for ch in &self.channels {
-            let pes = ch.grid.first().map_or(0, Vec::len);
-            for lane in 0..pes {
-                let mut last: HashMap<usize, usize> = HashMap::new();
-                for (cycle, slots) in ch.grid.iter().enumerate() {
-                    if let Some(slot) = slots.get(lane).copied().flatten() {
-                        if let Some(&prev) = last.get(&slot.row) {
-                            if cycle - prev < d {
-                                return Err(ScheduleError::new(
-                                    RuleId::S003,
-                                    Location::slot(ch.channel, cycle, lane),
-                                    format!(
-                                        "RAW violation: row {} at cycles {} and {} (distance {})",
-                                        slot.row, prev, cycle, d
-                                    ),
-                                ));
-                            }
-                        }
-                        last.insert(slot.row, cycle);
+            // Last cycle per (lane, row); occupied slots arrive in cycle
+            // order, so every lane sees its slots in stream order.
+            let mut last: HashMap<(usize, usize), usize> = HashMap::new();
+            for (cycle, lane, slot) in ch.occupied() {
+                if let Some(&prev) = last.get(&(lane, slot.row)) {
+                    if cycle - prev < d {
+                        return Err(ScheduleError::new(
+                            RuleId::S003,
+                            Location::slot(ch.channel, cycle, lane),
+                            format!(
+                                "RAW violation: row {} at cycles {} and {} (distance {})",
+                                slot.row, prev, cycle, d
+                            ),
+                        ));
                     }
                 }
+                last.insert((lane, slot.row), cycle);
             }
         }
         Ok(())
@@ -551,36 +442,6 @@ impl LaneScratch {
     }
 }
 
-/// Cycle-block size for [`timelines_to_grid`]: 256 cycles × 8 lanes of
-/// 16-byte slots is ~32 KiB of grid rows, small enough that a block's rows
-/// stay cache-resident while every lane's timeline is copied into them.
-const GRID_BLOCK_CYCLES: usize = 256;
-
-/// Transposes per-lane slot timelines into the `grid[cycle][lane]` layout
-/// shared by every scheduler, iterating in cycle blocks: within a block
-/// each timeline is read sequentially and the block's grid rows are reused
-/// while hot, instead of striding each lane across the full schedule.
-pub(crate) fn timelines_to_grid(
-    lane_timelines: &[Vec<Option<NzSlot>>],
-) -> Vec<Vec<Option<NzSlot>>> {
-    let lanes = lane_timelines.len();
-    let cycles = lane_timelines.iter().map(Vec::len).max().unwrap_or(0);
-    let mut grid: Vec<Vec<Option<NzSlot>>> = (0..cycles).map(|_| vec![None; lanes]).collect();
-    for start in (0..cycles).step_by(GRID_BLOCK_CYCLES) {
-        let end = cycles.min(start + GRID_BLOCK_CYCLES);
-        for (lane, timeline) in lane_timelines.iter().enumerate() {
-            if timeline.len() <= start {
-                continue;
-            }
-            let stop = end.min(timeline.len());
-            for (row, slot) in grid[start..stop].iter_mut().zip(&timeline[start..stop]) {
-                row[lane] = *slot;
-            }
-        }
-    }
-    grid
-}
-
 /// Groups a matrix's non-zeros by owning (channel, lane, row), the shared
 /// front-end of all three schedulers.
 ///
@@ -595,15 +456,16 @@ pub(crate) fn partition_rows(
     let mut nnz_per_pe = vec![0usize; config.total_pes()];
     let mut rows_per_pe = vec![0usize; config.total_pes()];
     let mut prev_row = usize::MAX;
+    let mut pe = 0;
     // COO iteration is (row, col)-sorted, so rows arrive grouped and in
-    // ascending order per PE.
+    // ascending order per PE: the owner is computed once per row.
     for &(r, _, _) in matrix.iter() {
-        let pe = config.pe_for_row(r);
-        nnz_per_pe[pe] += 1;
         if r != prev_row {
+            pe = config.pe_for_row(r);
             rows_per_pe[pe] += 1;
             prev_row = r;
         }
+        nnz_per_pe[pe] += 1;
     }
     let mut by_pe: Vec<Vec<FlatLaneRows>> = (0..config.channels)
         .map(|ch| {
@@ -618,8 +480,14 @@ pub(crate) fn partition_rows(
                 .collect()
         })
         .collect();
+    let mut prev_row = usize::MAX;
+    let (mut ch, mut lane) = (0, 0);
     for &(r, c, v) in matrix.iter() {
-        by_pe[config.channel_for_row(r)][config.lane_for_row(r)].push_entry(r, c, v);
+        if r != prev_row {
+            (ch, lane) = (config.channel_for_row(r), config.lane_for_row(r));
+            prev_row = r;
+        }
+        by_pe[ch][lane].push_entry(r, c, v);
     }
     by_pe
 }
@@ -627,6 +495,7 @@ pub(crate) fn partition_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::SparseElement;
 
     #[test]
     fn config_row_mapping_matches_eq1() {
@@ -649,33 +518,53 @@ mod tests {
 
     #[test]
     fn channel_schedule_counts() {
-        let mut ch = ChannelSchedule::new(0);
-        ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0)), None]);
-        ch.grid.push(vec![None, None]);
+        let mut ch = ChannelSchedule::new(0, 2);
+        ch.insert(0, 0, NzSlot::private(1.0, 0, 0));
+        ch.set_cycles(2);
         assert_eq!(ch.cycles(), 2);
         assert_eq!(ch.stalls(), 3);
         assert_eq!(ch.nonzeros(), 1);
-        assert_eq!(ch.stalls_per_lane(2), vec![1, 2]);
+        assert_eq!(ch.slot(0, 0), Some(&NzSlot::private(1.0, 0, 0)));
+        assert_eq!(ch.slot(0, 1), None);
+        assert_eq!(ch.slot(5, 0), None);
     }
 
     #[test]
     fn trim_removes_only_trailing_stall_cycles() {
-        let mut ch = ChannelSchedule::new(0);
-        ch.grid.push(vec![None]);
-        ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0))]);
-        ch.grid.push(vec![None]);
-        ch.grid.push(vec![None]);
-        ch.trim_trailing_stalls();
+        let mut ch = ChannelSchedule::new(0, 1);
+        ch.insert(1, 0, NzSlot::private(1.0, 0, 0));
+        ch.set_cycles(4);
+        assert_eq!(ch.cycles(), 4);
+        ch.trim();
         assert_eq!(ch.cycles(), 2);
         // Leading stall cycle survives.
         assert_eq!(ch.stalls(), 1);
     }
 
     #[test]
+    fn edits_keep_slots_in_stream_order() {
+        let mut ch = ChannelSchedule::new(0, 2);
+        ch.insert(3, 1, NzSlot::private(3.0, 1, 0));
+        ch.insert(0, 1, NzSlot::private(1.0, 1, 1));
+        ch.insert(3, 0, NzSlot::private(2.0, 0, 2));
+        ch.merge(&[(1, 0, NzSlot::private(4.0, 4, 0))]);
+        let order: Vec<(usize, usize)> = ch.occupied().map(|(c, l, _)| (c, l)).collect();
+        assert_eq!(order, vec![(0, 1), (1, 0), (3, 0), (3, 1)]);
+        assert_eq!(ch.take(1, 0).map(|nz| nz.value), Some(4.0));
+        assert_eq!(ch.take(1, 0), None);
+        ch.remove_sorted(&[0, 2]);
+        let order: Vec<(usize, usize)> = ch.occupied().map(|(c, l, _)| (c, l)).collect();
+        assert_eq!(order, vec![(3, 0)]);
+        assert_eq!(ch.cycles(), 4, "edits keep the channel length");
+        ch.set_lanes(0);
+        assert_eq!(ch.lanes(), 1, "lanes never drop below an occupied lane");
+    }
+
+    #[test]
     fn data_list_round_trips_through_wire_format() {
         let cfg = SchedulerConfig::toy(1, 2, 10);
-        let mut ch = ChannelSchedule::new(0);
-        ch.grid.push(vec![Some(NzSlot::private(2.5, 0, 3)), None]);
+        let mut ch = ChannelSchedule::new(0, 2);
+        ch.insert(0, 0, NzSlot::private(2.5, 0, 3));
         let words = ch.data_list(&cfg);
         assert_eq!(words.len(), 2);
         let e = SparseElement::unpack(words[0]).unwrap();
@@ -687,10 +576,9 @@ mod tests {
     #[test]
     fn underutilization_matches_eq4() {
         let cfg = SchedulerConfig::toy(1, 1, 10);
-        let mut ch = ChannelSchedule::new(0);
-        ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0))]);
-        ch.grid.push(vec![None]);
-        ch.grid.push(vec![None]);
+        let mut ch = ChannelSchedule::new(0, 1);
+        ch.insert(0, 0, NzSlot::private(1.0, 0, 0));
+        ch.set_cycles(3);
         let s = ScheduledMatrix {
             config: cfg,
             channels: vec![ch],
@@ -756,24 +644,28 @@ mod tests {
     }
 
     #[test]
-    fn timelines_to_grid_handles_uneven_lanes_across_blocks() {
-        // Lane lengths straddle the block size (256) so both the blocked
-        // interior and the ragged tails are exercised.
-        let mk = |len: usize, row: usize| -> Vec<Option<NzSlot>> {
+    fn from_lanes_interleaves_uneven_lanes_in_stream_order() {
+        let mk = |len: usize, row: usize| -> Vec<(usize, NzSlot)> {
             (0..len)
-                .map(|c| (c % 3 == 0).then(|| NzSlot::private(c as f32, row, c)))
+                .filter(|c| c % 3 == 0)
+                .map(|c| (c, NzSlot::private(c as f32, row, c)))
                 .collect()
         };
-        let timelines = vec![mk(600, 0), mk(10, 1), mk(257, 2)];
-        let grid = timelines_to_grid(&timelines);
-        assert_eq!(grid.len(), 600);
-        for (cycle, slots) in grid.iter().enumerate() {
-            assert_eq!(slots.len(), 3);
+        let timelines = vec![mk(600, 0), mk(10, 1), Vec::new(), mk(257, 2)];
+        let ch = ChannelSchedule::from_lanes(7, &timelines, &mut Vec::new());
+        assert_eq!((ch.channel, ch.lanes(), ch.cycles()), (7, 4, 598));
+        for cycle in 0..600 {
             for (lane, t) in timelines.iter().enumerate() {
-                assert_eq!(slots[lane], t.get(cycle).copied().flatten());
+                let want = t.iter().find(|&&(c, _)| c == cycle).map(|(_, nz)| nz);
+                assert_eq!(ch.slot(cycle, lane), want);
             }
         }
-        assert!(timelines_to_grid(&[]).is_empty());
+        let keys: Vec<(usize, usize)> = ch.occupied().map(|(c, l, _)| (c, l)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            ChannelSchedule::from_lanes(0, &[], &mut Vec::new()).cycles(),
+            0
+        );
     }
 
     #[test]
@@ -782,7 +674,7 @@ mod tests {
         let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 1.0)]).unwrap();
         let s = ScheduledMatrix {
             config: cfg,
-            channels: vec![ChannelSchedule::new(0)],
+            channels: vec![ChannelSchedule::new(0, 1)],
             rows: 1,
             cols: 1,
             nnz: 1,
@@ -796,9 +688,9 @@ mod tests {
         let cfg = SchedulerConfig::toy(1, 1, 5);
         let m =
             chason_sparse::CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 2.0)]).unwrap();
-        let mut ch = ChannelSchedule::new(0);
-        ch.grid.push(vec![Some(NzSlot::private(1.0, 0, 0))]);
-        ch.grid.push(vec![Some(NzSlot::private(2.0, 0, 1))]); // 1 cycle apart < 5
+        let mut ch = ChannelSchedule::new(0, 1);
+        ch.insert(0, 0, NzSlot::private(1.0, 0, 0));
+        ch.insert(1, 0, NzSlot::private(2.0, 0, 1)); // 1 cycle apart < 5
         let s = ScheduledMatrix {
             config: cfg,
             channels: vec![ch],
@@ -820,16 +712,20 @@ mod tests {
         // Row 0 is owned by channel 0; duplicate its sole entry into
         // channel 1 as a (tag-consistent-looking) migrated copy.
         let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 3.5)]).unwrap();
-        let mut ch0 = ChannelSchedule::new(0);
-        ch0.grid.push(vec![Some(NzSlot::private(3.5, 0, 0))]);
-        let mut ch1 = ChannelSchedule::new(1);
-        ch1.grid.push(vec![Some(NzSlot {
-            value: 3.5,
-            row: 0,
-            col: 0,
-            pvt: false,
-            pe_src: 0,
-        })]);
+        let mut ch0 = ChannelSchedule::new(0, 1);
+        ch0.insert(0, 0, NzSlot::private(3.5, 0, 0));
+        let mut ch1 = ChannelSchedule::new(1, 1);
+        ch1.insert(
+            0,
+            0,
+            NzSlot {
+                value: 3.5,
+                row: 0,
+                col: 0,
+                pvt: false,
+                pe_src: 0,
+            },
+        );
         let s = ScheduledMatrix {
             config: cfg,
             channels: vec![ch0, ch1],

@@ -1,6 +1,6 @@
 use super::{
-    partition_rows, timelines_to_grid, ChannelSchedule, FlatLaneRows, LaneScratch, NzSlot,
-    ScheduledMatrix, Scheduler, SchedulerConfig,
+    partition_rows, ChannelSchedule, FlatLaneRows, LaneScratch, NzSlot, ScheduledMatrix, Scheduler,
+    SchedulerConfig,
 };
 use chason_sparse::CooMatrix;
 
@@ -11,9 +11,10 @@ use chason_sparse::CooMatrix;
 /// once `dependency_distance` cycles have passed since its previous value.
 /// Interleaving independent rows hides the accumulator latency, but the
 /// scheme is *intra-channel*: when a PE's rows run dry (or are empty, as in
-/// skewed matrices) the scheduler must emit explicit zero slots — the stalls
-/// that leave ~70% of PEs idle across SuiteSparse (Fig. 3) and that CrHCS
-/// exists to fill.
+/// skewed matrices) the hardware stream carries explicit zero slots — the
+/// stalls that leave ~70% of PEs idle across SuiteSparse (Fig. 3) and that
+/// CrHCS exists to fill. The scheduler itself never writes them: it emits
+/// only the occupied slots and the stalls stay implicit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeAware {
     _private: (),
@@ -25,7 +26,9 @@ impl PeAware {
         PeAware { _private: () }
     }
 
-    /// Schedules one lane's rows round-robin, returning the slot timeline.
+    /// Schedules one lane's rows round-robin into `timeline`, which is
+    /// cleared first and receives the lane's occupied `(cycle, slot)` pairs
+    /// in cycle order.
     ///
     /// Rows are consumed through cursors into the lane's flat entry arena
     /// — no queues are materialized — and `scratch` is reused across lanes
@@ -36,16 +39,18 @@ impl PeAware {
     /// outlive their siblings never re-scan the dead ones. At most `D − 1`
     /// live rows can be RAW-blocked at any cycle (one emission per cycle),
     /// so each emitted slot passes at most `D − 1` rows; when every live
-    /// row is blocked, the whole stall run up to the earliest unblocking
-    /// cycle is emitted in one step.
+    /// row is blocked, the scan jumps over the whole stall run to the
+    /// earliest unblocking cycle in one step.
     pub(crate) fn schedule_lane(
         lane: &FlatLaneRows,
         dependency_distance: usize,
         scratch: &mut LaneScratch,
-    ) -> Vec<Option<NzSlot>> {
+        timeline: &mut Vec<(usize, NzSlot)>,
+    ) {
         scratch.reset(lane);
         let mut remaining = lane.entries.len();
-        let mut timeline = Vec::with_capacity(remaining);
+        timeline.clear();
+        timeline.reserve(remaining);
         let mut head = 0usize; // live row the round-robin scan starts at
         let mut cycle = 0usize;
         while remaining > 0 {
@@ -64,14 +69,13 @@ impl PeAware {
             };
             let Some(idx) = eligible else {
                 // Every live row is RAW-blocked: stall until the first frees.
-                timeline.resize(timeline.len() + (unblock - cycle), None);
                 cycle = unblock;
                 continue;
             };
             let (row, _, end) = lane.spans[idx];
             let cur = scratch.cursor[idx];
             let (col, value) = lane.entries[cur];
-            timeline.push(Some(NzSlot::private(value, row, col)));
+            timeline.push((cycle, NzSlot::private(value, row, col)));
             scratch.cursor[idx] = cur + 1;
             scratch.last_cycle[idx] = cycle;
             remaining -= 1;
@@ -81,7 +85,6 @@ impl PeAware {
             }
             cycle += 1;
         }
-        timeline
     }
 }
 
@@ -95,16 +98,14 @@ impl Scheduler for PeAware {
         let by_pe = partition_rows(matrix, config);
         let d = config.dependency_distance;
         let mut scratch = LaneScratch::default();
+        let mut timelines = vec![Vec::new(); config.pes_per_channel];
+        let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
         for (ch_idx, lanes) in by_pe.iter().enumerate() {
-            let lane_timelines: Vec<Vec<Option<NzSlot>>> = lanes
-                .iter()
-                .map(|rows| Self::schedule_lane(rows, d, &mut scratch))
-                .collect();
-            channels.push(ChannelSchedule {
-                channel: ch_idx,
-                grid: timelines_to_grid(&lane_timelines),
-            });
+            for (rows, timeline) in lanes.iter().zip(&mut timelines) {
+                Self::schedule_lane(rows, d, &mut scratch, timeline);
+            }
+            channels.push(ChannelSchedule::from_lanes(ch_idx, &timelines, &mut masks));
         }
         ScheduledMatrix {
             config: *config,
@@ -136,10 +137,9 @@ mod tests {
         .unwrap();
         let s = PeAware::new().schedule(&m, &config);
         let lane0: Vec<(usize, usize)> = s.channels[0]
-            .grid
-            .iter()
-            .enumerate()
-            .filter_map(|(c, slots)| slots[0].map(|nz| (c, nz.row)))
+            .occupied()
+            .filter(|&(_, lane, _)| lane == 0)
+            .map(|(c, _, nz)| (c, nz.row))
             .collect();
         // cycle 0: row 0; cycle 1: row 4; then both blocked until D elapses.
         assert_eq!(lane0[0], (0, 0));

@@ -1,7 +1,4 @@
-use super::{
-    partition_rows, timelines_to_grid, ChannelSchedule, NzSlot, ScheduledMatrix, Scheduler,
-    SchedulerConfig,
-};
+use super::{partition_rows, ChannelSchedule, NzSlot, ScheduledMatrix, Scheduler, SchedulerConfig};
 use chason_sparse::CooMatrix;
 
 /// Row-based (in-order) non-zero scheduling — Fig. 2a.
@@ -36,29 +33,31 @@ impl Scheduler for RowBased {
         assert!(config.is_valid(), "invalid scheduler configuration");
         let by_pe = partition_rows(matrix, config);
         let d = config.dependency_distance;
+        let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
         for (ch_idx, lanes) in by_pe.iter().enumerate() {
-            // Per lane, lay out the slot timeline independently.
-            let mut lane_timelines: Vec<Vec<Option<NzSlot>>> = Vec::with_capacity(lanes.len());
+            // Per lane, lay out the occupied slots independently.
+            let mut lane_timelines: Vec<Vec<(usize, NzSlot)>> = Vec::with_capacity(lanes.len());
             for lane in lanes {
-                // Each in-row step costs a value plus D-1 stalls.
-                let upper = lane.entries.len() * d;
-                let mut timeline: Vec<Option<NzSlot>> = Vec::with_capacity(upper);
+                let mut timeline = Vec::with_capacity(lane.entries.len());
+                let mut cycle = 0usize;
                 for (idx, &(row, _, _)) in lane.spans.iter().enumerate() {
                     for (i, &(col, value)) in lane.row_entries(idx).iter().enumerate() {
                         if i > 0 {
-                            // RAW gap to the previous value of the same row.
-                            timeline.extend(std::iter::repeat_n(None, d - 1));
+                            // RAW gap of D − 1 stalls to the row's previous value.
+                            cycle += d - 1;
                         }
-                        timeline.push(Some(NzSlot::private(value, row, col)));
+                        timeline.push((cycle, NzSlot::private(value, row, col)));
+                        cycle += 1;
                     }
                 }
                 lane_timelines.push(timeline);
             }
-            channels.push(ChannelSchedule {
-                channel: ch_idx,
-                grid: timelines_to_grid(&lane_timelines),
-            });
+            channels.push(ChannelSchedule::from_lanes(
+                ch_idx,
+                &lane_timelines,
+                &mut masks,
+            ));
         }
         ScheduledMatrix {
             config: *config,
@@ -97,10 +96,9 @@ mod tests {
         let s = RowBased::new().schedule(&m, &config);
         // Row 0: cycles 0 and 10; row 4 immediately after at cycle 11.
         let lane0: Vec<usize> = s.channels[0]
-            .grid
-            .iter()
-            .enumerate()
-            .filter_map(|(c, slots)| slots[0].map(|_| c))
+            .occupied()
+            .filter(|&(_, lane, _)| lane == 0)
+            .map(|(c, _, _)| c)
             .collect();
         assert_eq!(lane0, vec![0, 10, 11]);
         s.validate(&m).unwrap();

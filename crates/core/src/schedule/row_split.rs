@@ -1,6 +1,6 @@
 use super::{
-    partition_rows, timelines_to_grid, ChannelSchedule, FlatLaneRows, LaneScratch, NzSlot, PeAware,
-    ScheduledMatrix, Scheduler, SchedulerConfig,
+    partition_rows, ChannelSchedule, FlatLaneRows, LaneScratch, PeAware, ScheduledMatrix,
+    Scheduler, SchedulerConfig,
 };
 use chason_sparse::CooMatrix;
 
@@ -71,6 +71,8 @@ impl Scheduler for HybridRowSplit {
         let pes = config.pes_per_channel;
         let mut scratch = LaneScratch::default();
         let mut sub_starts = vec![0usize; pes];
+        let mut timelines = vec![Vec::new(); pes];
+        let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
         for (ch_idx, lanes) in by_pe.iter().enumerate() {
             // Pull heavy rows out of their home lane and deal their values
@@ -108,14 +110,10 @@ impl Scheduler for HybridRowSplit {
                     }
                 }
             }
-            let lane_timelines: Vec<Vec<Option<NzSlot>>> = lane_rows
-                .iter()
-                .map(|rows| PeAware::schedule_lane(rows, d, &mut scratch))
-                .collect();
-            channels.push(ChannelSchedule {
-                channel: ch_idx,
-                grid: timelines_to_grid(&lane_timelines),
-            });
+            for (rows, timeline) in lane_rows.iter().zip(&mut timelines) {
+                PeAware::schedule_lane(rows, d, &mut scratch, timeline);
+            }
+            channels.push(ChannelSchedule::from_lanes(ch_idx, &timelines, &mut masks));
         }
         ScheduledMatrix {
             config: *config,

@@ -44,8 +44,8 @@ pub fn render_schedule(schedule: &ScheduledMatrix) -> String {
         for lane in 0..pes {
             let mut line = format!("  PE{lane}: ");
             for cycle in 0..shown {
-                let token = match ch.grid.get(cycle).and_then(|slots| slots.get(lane)) {
-                    Some(Some(nz)) => {
+                let token = match ch.slot(cycle, lane) {
+                    Some(nz) => {
                         if nz.pvt {
                             format!("{:>4}", nz.row)
                         } else {
@@ -55,7 +55,7 @@ pub fn render_schedule(schedule: &ScheduledMatrix) -> String {
                             format!("{:>4}", format!("{}{}", nz.row, "'".repeat(hop)))
                         }
                     }
-                    _ => format!("{:>4}", "·"),
+                    None => format!("{:>4}", "·"),
                 };
                 line.push_str(&token);
             }
@@ -95,13 +95,7 @@ mod tests {
         assert!(art.contains("channel 0"));
         assert!(art.contains("channel 1"));
         assert!(art.contains('·'), "stalls should render");
-        if s.channels[0]
-            .grid
-            .iter()
-            .flatten()
-            .flatten()
-            .any(|nz| !nz.pvt)
-        {
+        if s.channels[0].occupied().any(|(_, _, nz)| !nz.pvt) {
             assert!(art.contains('\''), "migrated values should be marked");
         }
         assert!(art.contains("legend:"));

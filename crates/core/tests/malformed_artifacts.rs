@@ -7,30 +7,38 @@
 
 use chason_core::export::{read_plan, read_schedule, write_plan, write_schedule, ExportError};
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
-use chason_core::schedule::{Crhcs, Scheduler, SchedulerConfig};
+use chason_core::schedule::{
+    ChannelSchedule, Crhcs, NzSlot, ScheduledMatrix, Scheduler, SchedulerConfig,
+};
 use chason_sparse::generators::power_law;
 
 fn sample_plan_bytes() -> Vec<u8> {
     let m = power_law(64, 64, 300, 1.7, 5);
     let config = SchedulerConfig::toy(4, 4, 6);
-    let schedule = Crhcs::new().schedule(&m, &config);
+    plan_bytes(&m, Crhcs::new().schedule(&m, &config))
+}
+
+/// CHPL bytes of a one-window plan around `schedule`.
+fn plan_bytes(m: &chason_sparse::CooMatrix, schedule: ScheduledMatrix) -> Vec<u8> {
+    let config = schedule.config;
+    let (rows, cols, nnz) = (schedule.rows, schedule.cols, schedule.nnz);
     let stalls = schedule.stalls();
     let stream_cycles = schedule.stream_cycles();
     let plan = SpmvPlan {
-        key: PlanKey::new(&m, config),
+        key: PlanKey::new(m, config),
         engine: "chason".to_string(),
         window: 8192,
-        rows: 64,
-        cols: 64,
-        nnz: 300,
+        rows,
+        cols,
+        nnz,
         passes: vec![PassPlan {
             row_start: 0,
-            row_end: 64,
-            nnz: 300,
+            row_end: rows,
+            nnz,
             windows: vec![PlanWindow {
                 col_start: 0,
-                col_end: 64,
-                nnz: 300,
+                col_end: cols,
+                nnz,
                 stalls,
                 stream_cycles,
                 schedule,
@@ -169,6 +177,43 @@ fn schedule_cycle_bomb_fails_fast_without_allocating() {
     }
     let err = read_schedule(&bytes[..]).unwrap_err();
     assert!(matches!(err, ExportError::Io(_)), "{err}");
+}
+
+#[test]
+fn channel_with_ragged_cycles_is_rejected() {
+    // One channel of two lanes, three cycles, one value in the last cycle.
+    let config = SchedulerConfig::toy(1, 2, 4);
+    let m = chason_sparse::CooMatrix::from_triplets(2, 2, vec![(1, 1, 2.5)]).unwrap();
+    let mut channel = ChannelSchedule::new(0, 2);
+    channel.insert(2, 1, NzSlot::private(2.5, 1, 1));
+    let schedule = ScheduledMatrix {
+        config,
+        channels: vec![channel],
+        rows: 2,
+        cols: 2,
+        nnz: 1,
+    };
+    let mut bytes = plan_bytes(&m, schedule);
+    assert!(read_plan(&bytes[..]).is_ok());
+    // Cycle 1's lane count: header 78 + pass count 8 + pass header 32 +
+    // window header 40 + config 20 + shape and channel count 32 + channel
+    // id 8 + cycle count 8 = 226 for cycle 0's, whose two stall tags follow.
+    let at = 226 + 8 + 2;
+    assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
+    bytes[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
+    let err = read_plan(&bytes[..]).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ExportError::RaggedChannel {
+                channel: 0,
+                cycle: 1,
+                lanes: 3,
+                expected: 2
+            }
+        ),
+        "{err}"
+    );
 }
 
 #[test]

@@ -1,5 +1,4 @@
 use crate::HbmConfig;
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// One HBM channel holding a scheduled data list.
@@ -90,13 +89,9 @@ pub struct BeatStream<'a> {
 impl BeatStream<'_> {
     /// Serializes the next beat as little-endian bytes (wire format of the
     /// 512-bit port), or `None` when the stream is exhausted.
-    pub fn next_beat_bytes(&mut self) -> Option<Bytes> {
+    pub fn next_beat_bytes(&mut self) -> Option<Vec<u8>> {
         let beat = self.next()?;
-        let mut buf = BytesMut::with_capacity(beat.len() * 8);
-        for w in &beat {
-            buf.put_u64_le(*w);
-        }
-        Some(buf.freeze())
+        Some(beat.iter().flat_map(|w| w.to_le_bytes()).collect())
     }
 }
 

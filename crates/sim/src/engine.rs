@@ -166,14 +166,14 @@ pub(crate) fn execute_pass(
             occupancy.resize(occupancy_base + stream_cycles, 0);
         }
         for (c, channel) in schedule.channels.iter().enumerate() {
-            for (cycle, slots) in channel.grid.iter().enumerate() {
+            let peg = &mut pegs[c];
+            for (cycle, lane, nz) in channel.occupied() {
                 // Stamp the global cycle so the PEs' hazard detectors can
                 // verify the schedule is executable at II = 1; the base
                 // advances across windows (the reload gap separates them).
-                pegs[c].consume_cycle_at(slots, sched, Some(stamp_base + cycle as u64))?;
+                peg.consume_slot(lane, nz, sched, Some(stamp_base + cycle as u64))?;
                 if config.record_occupancy {
-                    let busy = slots.iter().flatten().count() as u16;
-                    occupancy[occupancy_base + cycle] += busy;
+                    occupancy[occupancy_base + cycle] += 1;
                 }
             }
         }

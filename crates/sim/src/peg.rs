@@ -101,39 +101,32 @@ impl Peg {
         self.x_banks[addr / BRAM18K_WORDS].read(addr % BRAM18K_WORDS)
     }
 
-    /// Consumes one beat: `slots[lane]` goes to PE `lane`; stalls are
-    /// skipped (the multiply/accumulate is suppressed, §2.2).
+    /// Consumes one occupied slot of a beat: `nz` goes to PE `lane`.
+    /// Stalls are never delivered — the PE suppresses the multiply and
+    /// accumulate for them (§2.2) — so replay walks only the occupied
+    /// slots. A cycle stamp enables the PE's pipeline-hazard detector (see
+    /// [`crate::Pe::hazards`]).
     ///
     /// # Errors
     ///
-    /// Propagates routing violations from the PEs.
-    pub fn consume_cycle(
+    /// Returns [`SimError::RoutingViolation`] for a lane the group does not
+    /// have, and propagates routing violations from the PE.
+    pub fn consume_slot(
         &mut self,
-        slots: &[Option<NzSlot>],
-        sched: &SchedulerConfig,
-    ) -> Result<(), SimError> {
-        self.consume_cycle_at(slots, sched, None)
-    }
-
-    /// Like [`Peg::consume_cycle`], with a cycle stamp enabling the PEs'
-    /// pipeline-hazard detectors (see [`crate::Pe::hazards`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing violations from the PEs.
-    pub fn consume_cycle_at(
-        &mut self,
-        slots: &[Option<NzSlot>],
+        lane: usize,
+        nz: &NzSlot,
         sched: &SchedulerConfig,
         cycle: Option<u64>,
     ) -> Result<(), SimError> {
-        for (lane, slot) in slots.iter().enumerate() {
-            if let Some(nz) = slot {
-                let x_value = self.read_x(nz.col);
-                self.pes[lane].process_at(nz, x_value, sched, cycle)?;
-            }
-        }
-        Ok(())
+        let x_value = self.read_x(nz.col);
+        let lanes = self.pes.len();
+        let Some(pe) = self.pes.get_mut(lane) else {
+            return Err(SimError::RoutingViolation(format!(
+                "slot for lane {lane} reached PEG {} of {lanes} PEs",
+                self.channel
+            )));
+        };
+        pe.process_at(nz, x_value, sched, cycle)
     }
 
     /// Total pipeline hazards observed by the group's PEs.
@@ -187,16 +180,15 @@ mod tests {
     }
 
     #[test]
-    fn consume_cycle_multiplies_by_buffered_x() {
+    fn consume_slot_multiplies_by_buffered_x() {
         let cfg = sched();
         let mut peg = Peg::new(0, 2, 16, 4, 2).unwrap();
         peg.load_x(&[0.0, 10.0, 20.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         // Row 0 -> (ch 0, lane 0); row 1 -> (ch 0, lane 1).
-        let slots = vec![
-            Some(NzSlot::private(2.0, 0, 1)),
-            Some(NzSlot::private(3.0, 1, 2)),
-        ];
-        peg.consume_cycle(&slots, &cfg).unwrap();
+        peg.consume_slot(0, &NzSlot::private(2.0, 0, 1), &cfg, None)
+            .unwrap();
+        peg.consume_slot(1, &NzSlot::private(3.0, 1, 2), &cfg, None)
+            .unwrap();
         let out = peg.reduce();
         assert_eq!(out.pvt[0][0], 20.0);
         assert_eq!(out.pvt[1][0], 60.0);
@@ -204,11 +196,14 @@ mod tests {
     }
 
     #[test]
-    fn stall_slots_are_skipped() {
+    fn a_lane_beyond_the_group_is_a_routing_violation() {
         let cfg = sched();
         let mut peg = Peg::new(0, 2, 8, 4, 2).unwrap();
         peg.load_x(&[1.0; 8]);
-        peg.consume_cycle(&[None, None], &cfg).unwrap();
+        let err = peg
+            .consume_slot(2, &NzSlot::private(1.0, 0, 0), &cfg, None)
+            .unwrap_err();
+        assert!(matches!(err, SimError::RoutingViolation(_)), "{err}");
         assert_eq!(peg.mac_ops(), 0);
     }
 
@@ -233,7 +228,8 @@ mod tests {
             pvt: false,
             pe_src: 0,
         };
-        peg.consume_cycle(&[Some(m0), Some(m1)], &cfg).unwrap();
+        peg.consume_slot(0, &m0, &cfg, None).unwrap();
+        peg.consume_slot(1, &m1, &cfg, None).unwrap();
         let out = peg.reduce();
         // The adder tree must merge both PEs' URAM_sh[0] banks.
         assert_eq!(out.shared[0][0], 12.0);

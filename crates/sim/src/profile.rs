@@ -16,7 +16,7 @@
 //!   `stalls` matches [`Execution::stalls`], so Chasoň's reclaimed-stall
 //!   benefit over Serpens is read directly off `migrated_slots`.
 //!
-//! Attribution is computed from the *plan* (schedule grids), not by
+//! Attribution is computed from the *plan* (its schedules), not by
 //! instrumenting the execution hot loop, so profiling costs nothing when
 //! unused. Window spans ([`window_spans`]) carry simulated-cycle
 //! timestamps replicating the executor's stamp arithmetic — integers
@@ -27,6 +27,7 @@ use crate::config::{AcceleratorConfig, CycleBreakdown, Execution};
 use crate::plan::PlanningEngine;
 use crate::SimError;
 use chason_core::plan::SpmvPlan;
+use chason_core::schedule::ChannelSchedule;
 use chason_sparse::CooMatrix;
 use chason_telemetry::trace::SpanEvent;
 
@@ -174,18 +175,14 @@ pub fn attribute(plan: &SpmvPlan, execution: &Execution) -> Result<Attribution, 
             let stream_cycles = schedule.stream_cycles() as u64;
             for channel in &schedule.channels {
                 let mut filled = vec![0u64; pes];
-                for cycle in &channel.grid {
-                    for (lane, slot) in cycle.iter().enumerate().take(pes) {
-                        if let Some(nz) = slot {
-                            let entry = &mut per_lane[channel.channel * pes + lane];
-                            if nz.pvt {
-                                entry.pvt += 1;
-                            } else {
-                                entry.migrated += 1;
-                            }
-                            filled[lane] += 1;
-                        }
+                for (_, lane, nz) in channel.occupied().filter(|&(_, lane, _)| lane < pes) {
+                    let entry = &mut per_lane[channel.channel * pes + lane];
+                    if nz.pvt {
+                        entry.pvt += 1;
+                    } else {
+                        entry.migrated += 1;
                     }
+                    filled[lane] += 1;
                 }
                 for (lane, &busy) in filled.iter().enumerate() {
                     per_lane[channel.channel * pes + lane].stall += stream_cycles - busy;
@@ -276,8 +273,8 @@ pub fn window_spans(plan: &SpmvPlan, config: &AcceleratorConfig) -> Vec<SpanEven
             let migrated = schedule
                 .channels
                 .iter()
-                .flat_map(|ch| ch.grid.iter().flatten().flatten())
-                .filter(|nz| !nz.pvt)
+                .flat_map(ChannelSchedule::occupied)
+                .filter(|(_, _, nz)| !nz.pvt)
                 .count() as u64;
             spans.push(
                 SpanEvent::new("sim.window", stamp_base, stamp_base + stream_cycles)

@@ -101,21 +101,6 @@ pub struct AttributedReport {
     pub attribution: crate::profile::Attribution,
 }
 
-impl AttributedReport {
-    /// Builds the extended report from a profiled execution plus the
-    /// bandwidth and power denominators of Eqs. 6–7.
-    pub fn from_profiled(
-        profiled: &crate::profile::ProfiledExecution,
-        bandwidth_gbps: f64,
-        power: MeasuredPower,
-    ) -> Self {
-        AttributedReport {
-            report: PerformanceReport::from_execution(&profiled.execution, bandwidth_gbps, power),
-            attribution: profiled.attribution.clone(),
-        }
-    }
-}
-
 /// An integer-only snapshot of one execution's cycle accounting.
 ///
 /// Every field is a counter the simulator computes exactly — no floats, no

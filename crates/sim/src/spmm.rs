@@ -148,8 +148,8 @@ pub(crate) fn execute_spmm<S: Scheduler>(
                 peg.load_x(slice);
             }
             for (ch, channel) in schedule.channels.iter().enumerate() {
-                for slots in &channel.grid {
-                    pegs[ch].consume_cycle(slots, sched)?;
+                for (_, lane, nz) in channel.occupied() {
+                    pegs[ch].consume_slot(lane, nz, sched, None)?;
                 }
             }
         }

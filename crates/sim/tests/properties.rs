@@ -67,9 +67,7 @@ fn corrupted_pvt_flag_is_caught() {
         pvt: true,
         pe_src: 0,
     };
-    let err = peg
-        .consume_cycle(&[Some(corrupted), None], &sched)
-        .unwrap_err();
+    let err = peg.consume_slot(0, &corrupted, &sched, None).unwrap_err();
     assert!(err.to_string().contains("routing violation"), "{err}");
 }
 
@@ -88,9 +86,7 @@ fn migrated_flag_inside_home_channel_is_caught() {
         pvt: false,
         pe_src: 0,
     };
-    let err = peg
-        .consume_cycle(&[Some(corrupted), None], &sched)
-        .unwrap_err();
+    let err = peg.consume_slot(0, &corrupted, &sched, None).unwrap_err();
     assert!(err.to_string().contains("home channel"), "{err}");
 }
 
@@ -109,15 +105,15 @@ fn crhcs_schedule_on_serpens_hardware_is_rejected() {
     let migrated = schedule
         .channels
         .iter()
-        .flat_map(|c| c.grid.iter().flatten().flatten())
-        .any(|nz| !nz.pvt);
+        .flat_map(|c| c.occupied())
+        .any(|(_, _, nz)| !nz.pvt);
     assert!(migrated, "test needs actual migration");
     // Serpens-style PEG: scug_size = 0.
     let mut peg0 = Peg::new(0, 2, 32, 16, 0).unwrap();
     peg0.load_x(&[1.0; 8]);
     let mut failed = false;
-    for slots in &schedule.channels[0].grid {
-        if peg0.consume_cycle(slots, &sched).is_err() {
+    for (_, lane, nz) in schedule.channels[0].occupied() {
+        if peg0.consume_slot(lane, nz, &sched, None).is_err() {
             failed = true;
             break;
         }
@@ -135,8 +131,8 @@ fn raw_violating_schedule_trips_the_hazard_detector() {
     peg.load_x(&[1.0; 8]);
     let v1 = NzSlot::private(1.0, 0, 0);
     let v2 = NzSlot::private(2.0, 0, 1);
-    peg.consume_cycle_at(&[Some(v1)], &sched, Some(0)).unwrap();
-    peg.consume_cycle_at(&[Some(v2)], &sched, Some(1)).unwrap();
+    peg.consume_slot(0, &v1, &sched, Some(0)).unwrap();
+    peg.consume_slot(0, &v2, &sched, Some(1)).unwrap();
     assert_eq!(
         peg.hazards(),
         1,
@@ -144,7 +140,7 @@ fn raw_violating_schedule_trips_the_hazard_detector() {
     );
     // A third value at the full distance is fine.
     let v3 = NzSlot::private(3.0, 0, 2);
-    peg.consume_cycle_at(&[Some(v3)], &sched, Some(11)).unwrap();
+    peg.consume_slot(0, &v3, &sched, Some(11)).unwrap();
     assert_eq!(peg.hazards(), 1);
 }
 
@@ -165,9 +161,9 @@ fn real_schedules_are_hazard_free() {
             peg.load_x(&vec![1.0; 512]);
         }
         for (c, channel) in schedule.channels.iter().enumerate() {
-            for (cycle, slots) in channel.grid.iter().enumerate() {
+            for (cycle, lane, nz) in channel.occupied() {
                 pegs[c]
-                    .consume_cycle_at(slots, &sched, Some(cycle as u64))
+                    .consume_slot(lane, nz, &sched, Some(cycle as u64))
                     .unwrap();
             }
         }
@@ -186,8 +182,8 @@ fn pe_aware_schedule_on_serpens_hardware_is_accepted() {
     for (ch, channel) in schedule.channels.iter().enumerate() {
         let mut peg = Peg::new(ch, 2, 32, 16, 0).unwrap();
         peg.load_x(&[1.0; 8]);
-        for slots in &channel.grid {
-            peg.consume_cycle(slots, &sched)
+        for (_, lane, nz) in channel.occupied() {
+            peg.consume_slot(lane, nz, &sched, None)
                 .expect("private-only schedule runs");
         }
     }

@@ -188,11 +188,6 @@ impl CooMatrix {
         self.entries.iter()
     }
 
-    /// Consumes the matrix and returns its entries, sorted by `(row, col)`.
-    pub fn into_triplets(self) -> Vec<Triplet> {
-        self.entries
-    }
-
     /// Returns the transpose (entries mirrored across the diagonal).
     pub fn transpose(&self) -> CooMatrix {
         let mut t: Vec<Triplet> = self.entries.iter().map(|&(r, c, v)| (c, r, v)).collect();

@@ -203,11 +203,6 @@ impl FlightRecorder {
     pub fn drain(&self) -> Vec<SpanEvent> {
         lock_unpoisoned(&self.inner).events.drain(..).collect()
     }
-
-    /// Renders the held spans as JSONL (see [`to_jsonl`]).
-    pub fn export_jsonl(&self) -> String {
-        to_jsonl(&self.snapshot())
-    }
 }
 
 fn escape_into(out: &mut String, s: &str) {

@@ -31,7 +31,7 @@ pub enum Corruption {
     TagFlip,
     /// Point a slot's `PE_src` tag at the wrong source lane.
     PeSrcSwap,
-    /// Give one cycle more lanes than the PEG has PEs.
+    /// Make one channel one lane wider than its PEG.
     RaggedLanes,
     /// Append a physical all-stall cycle to the longest channel.
     PhantomPadding,
@@ -96,32 +96,31 @@ impl Corruption {
             Corruption::ColOverflow => with_first_nz(s, |nz| nz.col += WINDOW),
             Corruption::DuplicateAcrossChannels => duplicate_across_channels(s),
             Corruption::DropElement => {
-                let Some((c, cycle, lane)) = first_nz(s) else {
+                let Some((c, cycle, lane)) = find_nz(s, |_| true) else {
                     return false;
                 };
-                s.channels[c].grid[cycle][lane] = None;
-                true
+                s.channels[c].take(cycle, lane).is_some()
             }
             Corruption::RawSqueeze => raw_squeeze(s),
             Corruption::TwoHopMigration => two_hop_migration(s),
             Corruption::TagFlip => tag_flip(s),
             Corruption::PeSrcSwap => pe_src_swap(s),
             Corruption::RaggedLanes => {
-                let Some(ch) = s.channels.iter_mut().find(|ch| !ch.grid.is_empty()) else {
+                let pes = s.config.pes_per_channel;
+                let Some(ch) = s.channels.iter_mut().find(|ch| ch.cycles() > 0) else {
                     return false;
                 };
-                ch.grid[0].push(None);
+                ch.set_lanes(pes + 1);
                 true
             }
             Corruption::PhantomPadding => {
-                let pes = s.config.pes_per_channel;
-                let Some(ch) = s.channels.iter_mut().max_by_key(|ch| ch.grid.len()) else {
+                let Some(ch) = s.channels.iter_mut().max_by_key(|ch| ch.cycles()) else {
                     return false;
                 };
-                if ch.grid.is_empty() {
+                if ch.cycles() == 0 {
                     return false;
                 }
-                ch.grid.push(vec![None; pes]);
+                ch.set_cycles(ch.cycles() + 1);
                 true
             }
         }
@@ -131,7 +130,7 @@ impl Corruption {
 impl Corruption {
     /// Applies the corruption to the first corruptible window of a plan.
     ///
-    /// Plans embed full [`ScheduledMatrix`] grids per window, so every
+    /// Plans embed a full [`ScheduledMatrix`] per window, so every
     /// schedule-level corruption applies unchanged; `verify_plan` must then
     /// report the same [`expected rule`](Corruption::expected_rule) the
     /// schedule-level checker would. Returns `false` when no window offers
@@ -144,47 +143,39 @@ impl Corruption {
     }
 }
 
-/// Position of the first scheduled non-zero, as (channel, cycle, lane).
-fn first_nz(s: &ScheduledMatrix) -> Option<(usize, usize, usize)> {
-    s.channels.iter().enumerate().find_map(|(c, ch)| {
-        ch.grid.iter().enumerate().find_map(|(cycle, slots)| {
-            slots
-                .iter()
-                .position(Option::is_some)
-                .map(|lane| (c, cycle, lane))
-        })
-    })
-}
-
 fn with_first_nz(s: &mut ScheduledMatrix, f: impl FnOnce(&mut NzSlot)) -> bool {
-    let Some((c, cycle, lane)) = first_nz(s) else {
-        return false;
-    };
-    if let Some(nz) = s.channels[c].grid[cycle][lane].as_mut() {
-        f(nz);
-        true
-    } else {
-        false
-    }
+    find_nz_mut(s, |_| true).map(f).is_some()
 }
 
 /// Finds the first slot matching `pred`, as (channel, cycle, lane).
 fn find_nz(
     s: &ScheduledMatrix,
-    mut pred: impl FnMut(usize, &NzSlot) -> bool,
+    mut pred: impl FnMut(&NzSlot) -> bool,
 ) -> Option<(usize, usize, usize)> {
-    for (c, ch) in s.channels.iter().enumerate() {
-        for (cycle, slots) in ch.grid.iter().enumerate() {
-            for (lane, slot) in slots.iter().enumerate() {
-                if let Some(nz) = slot {
-                    if pred(c, nz) {
-                        return Some((c, cycle, lane));
-                    }
-                }
-            }
-        }
-    }
-    None
+    s.channels.iter().enumerate().find_map(|(c, ch)| {
+        ch.occupied()
+            .find(|(_, _, nz)| pred(nz))
+            .map(|(cycle, lane, _)| (c, cycle, lane))
+    })
+}
+
+/// The first non-zero matching `pred`, for in-place edits.
+fn find_nz_mut(
+    s: &mut ScheduledMatrix,
+    mut pred: impl FnMut(&NzSlot) -> bool,
+) -> Option<&mut NzSlot> {
+    s.channels
+        .iter_mut()
+        .flat_map(|ch| ch.occupied_mut())
+        .map(|(_, _, nz)| nz)
+        .find(|nz| pred(nz))
+}
+
+/// Streams `nz` from a new cycle appended to channel `dest`, in lane 0.
+fn append_cycle(s: &mut ScheduledMatrix, dest: usize, nz: NzSlot) {
+    let ch = &mut s.channels[dest];
+    let cycle = ch.cycles();
+    ch.insert(cycle, 0, nz);
 }
 
 /// Streams a bit-identical second copy of a private element from the
@@ -195,10 +186,10 @@ fn duplicate_across_channels(s: &mut ScheduledMatrix) -> bool {
     if cfg.channels < 2 {
         return false;
     }
-    let Some((c, cycle, lane)) = find_nz(s, |_, nz| nz.pvt) else {
+    let Some((c, cycle, lane)) = find_nz(s, |nz| nz.pvt) else {
         return false;
     };
-    let Some(original) = s.channels[c].grid[cycle][lane] else {
+    let Some(&original) = s.channels[c].slot(cycle, lane) else {
         return false;
     };
     // hop_for(dest, home) == 1  ⇔  dest == home - 1 (mod channels).
@@ -206,35 +197,35 @@ fn duplicate_across_channels(s: &mut ScheduledMatrix) -> bool {
     let mut copy = original;
     copy.pvt = false;
     copy.pe_src = cfg.lane_for_row(copy.row) as u8;
-    let mut row = vec![None; cfg.pes_per_channel];
-    row[0] = Some(copy);
-    s.channels[dest].grid.push(row);
+    append_cycle(s, dest, copy);
     true
 }
 
 /// Swaps a lane's slots so two occurrences of one row land one cycle apart.
 fn raw_squeeze(s: &mut ScheduledMatrix) -> bool {
     for ch in &mut s.channels {
-        let width = ch.grid.iter().map(Vec::len).max().unwrap_or(0);
-        for lane in 0..width {
+        for lane in 0..ch.lanes() {
             let mut prev: Option<(usize, usize)> = None; // (cycle, row)
-            for cycle in 0..ch.grid.len() {
-                let Some(nz) = ch.grid[cycle].get(lane).copied().flatten() else {
-                    continue;
-                };
+            let mut squeeze = None;
+            for (cycle, _, nz) in ch.occupied().filter(|&(_, l, _)| l == lane) {
                 if let Some((a, row)) = prev {
                     if row == nz.row && cycle > a + 1 {
-                        // Pull the later occurrence right behind the earlier
-                        // one; the displaced slot moves to the later cycle,
-                        // so nothing is lost or duplicated.
-                        let moved = ch.grid[cycle][lane].take();
-                        let displaced = ch.grid[a + 1][lane];
-                        ch.grid[a + 1][lane] = moved;
-                        ch.grid[cycle][lane] = displaced;
-                        return true;
+                        squeeze = Some((a + 1, cycle));
+                        break;
                     }
                 }
                 prev = Some((cycle, nz.row));
+            }
+            // Pull the later occurrence right behind the earlier one; the
+            // displaced slot moves to the later cycle, so nothing is lost or
+            // duplicated.
+            if let Some((to, from)) = squeeze {
+                if let Some(moved) = ch.take(from, lane) {
+                    if let Some(displaced) = ch.insert(to, lane, moved) {
+                        ch.insert(from, lane, displaced);
+                    }
+                    return true;
+                }
             }
         }
     }
@@ -249,10 +240,10 @@ fn two_hop_migration(s: &mut ScheduledMatrix) -> bool {
     if cfg.channels < 3 || cfg.migration_hops >= 2 {
         return false;
     }
-    let Some((c, cycle, lane)) = find_nz(s, |_, nz| nz.pvt) else {
+    let Some((c, cycle, lane)) = find_nz(s, |nz| nz.pvt) else {
         return false;
     };
-    let Some(original) = s.channels[c].grid[cycle][lane].take() else {
+    let Some(original) = s.channels[c].take(cycle, lane) else {
         return false;
     };
     // hop_for(dest, home) == 2  ⇔  dest == home - 2 (mod channels).
@@ -260,51 +251,33 @@ fn two_hop_migration(s: &mut ScheduledMatrix) -> bool {
     let mut moved = original;
     moved.pvt = false;
     moved.pe_src = cfg.lane_for_row(moved.row) as u8;
-    let mut row = vec![None; cfg.pes_per_channel];
-    row[0] = Some(moved);
-    s.channels[dest].grid.push(row);
+    append_cycle(s, dest, moved);
     true
 }
 
 /// Flips `pvt` on a migrated slot (preferred — the lie is "this is mine"),
 /// falling back to un-flagging a private slot.
 fn tag_flip(s: &mut ScheduledMatrix) -> bool {
-    if let Some((c, cycle, lane)) = find_nz(s, |_, nz| !nz.pvt) {
-        if let Some(nz) = s.channels[c].grid[cycle][lane].as_mut() {
-            nz.pvt = true;
-            return true;
-        }
+    if let Some(nz) = find_nz_mut(s, |nz| !nz.pvt) {
+        nz.pvt = true;
+        return true;
     }
-    if let Some((c, cycle, lane)) = find_nz(s, |_, nz| nz.pvt) {
-        if let Some(nz) = s.channels[c].grid[cycle][lane].as_mut() {
-            nz.pvt = false;
-            return true;
-        }
-    }
-    false
+    with_first_nz(s, |nz| nz.pvt = false)
 }
 
 /// Points a slot's `PE_src` at a lane that is not the element's home lane
 /// (for migrated slots), or sets a non-zero tag on a private slot.
 fn pe_src_swap(s: &mut ScheduledMatrix) -> bool {
     let pes = s.config.pes_per_channel;
-    if let Some((c, cycle, lane)) = find_nz(s, |_, nz| !nz.pvt) {
-        if let Some(nz) = s.channels[c].grid[cycle][lane].as_mut() {
-            nz.pe_src = if pes >= 2 {
-                ((nz.pe_src as usize + 1) % pes) as u8
-            } else {
-                7
-            };
-            return true;
-        }
+    if let Some(nz) = find_nz_mut(s, |nz| !nz.pvt) {
+        nz.pe_src = if pes >= 2 {
+            ((nz.pe_src as usize + 1) % pes) as u8
+        } else {
+            7
+        };
+        return true;
     }
-    if let Some((c, cycle, lane)) = find_nz(s, |_, nz| nz.pvt) {
-        if let Some(nz) = s.channels[c].grid[cycle][lane].as_mut() {
-            nz.pe_src = 1;
-            return true;
-        }
-    }
-    false
+    with_first_nz(s, |nz| nz.pe_src = 1)
 }
 
 #[cfg(test)]

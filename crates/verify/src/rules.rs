@@ -9,7 +9,7 @@ use crate::report::{Diagnostic, Report};
 use chason_core::diag::{Location, RuleId};
 use chason_core::element::{MAX_LOCAL_ROWS, PE_SRC_BITS, WINDOW};
 use chason_core::plan::{matrix_fingerprint, PassPlan, SpmvPlan};
-use chason_core::schedule::{ScheduledMatrix, SchedulerConfig};
+use chason_core::schedule::{ChannelSchedule, ScheduledMatrix, SchedulerConfig};
 use chason_sparse::CooMatrix;
 use std::collections::HashMap;
 
@@ -114,14 +114,15 @@ pub(crate) fn check_schedule(
                 ),
             ));
         }
-        for (cycle, slots) in ch.grid.iter().enumerate() {
-            if slots.len() != pes {
-                report.push(Diagnostic::error(
-                    RuleId::S006,
-                    cycle_loc(c, cycle),
-                    format!("cycle carries {} lanes; the PEG has {pes} PEs", slots.len()),
-                ));
-            }
+        if ch.cycles() > 0 && ch.lanes() != pes {
+            report.push(Diagnostic::error(
+                RuleId::S006,
+                Location::channel(c),
+                format!(
+                    "every cycle carries {} lanes; the PEG has {pes} PEs",
+                    ch.lanes()
+                ),
+            ));
         }
     }
     // S006: trimmed-or-equalized channel lengths. The equalized stream is as
@@ -131,21 +132,20 @@ pub(crate) fn check_schedule(
     // not lengthen the stream (Warn) — schedulers keep that padding virtual.
     let stream = schedule.stream_cycles();
     if stream > 0 {
+        let ends_stalled = |ch: &ChannelSchedule| {
+            ch.cycles() > 0
+                && ch
+                    .occupied()
+                    .next_back()
+                    .is_none_or(|(cycle, _, _)| cycle + 1 < ch.cycles())
+        };
         let longest_all_end_stalled = schedule
             .channels
             .iter()
             .filter(|ch| ch.cycles() == stream)
-            .all(|ch| {
-                ch.grid
-                    .last()
-                    .is_some_and(|s| s.iter().all(Option::is_none))
-            });
+            .all(ends_stalled);
         for (c, ch) in schedule.channels.iter().enumerate() {
-            let ends_stalled = ch
-                .grid
-                .last()
-                .is_some_and(|s| s.iter().all(Option::is_none));
-            if !ends_stalled {
+            if !ends_stalled(ch) {
                 continue;
             }
             if ch.cycles() == stream && longest_all_end_stalled {
@@ -171,128 +171,125 @@ pub(crate) fn check_schedule(
     // Per-slot rules: S001 packability, S004 hop budget, S005 tag
     // consistency, R001 ScUG bank addressing.
     for (c, ch) in schedule.channels.iter().enumerate() {
-        for (cycle, slots) in ch.grid.iter().enumerate() {
-            for (lane, slot) in slots.iter().enumerate() {
-                let Some(nz) = slot else { continue };
-                let here = Location::slot(c, cycle, lane);
-                if nz.value.to_bits() == 0 {
-                    report.push(Diagnostic::error(
-                        RuleId::S001,
-                        here,
-                        format!(
-                            "entry ({}, {}) has value +0.0, whose packed word collides \
-                             with the reserved stall word",
-                            nz.row, nz.col
-                        ),
-                    ));
-                }
-                let local = cfg.local_row(nz.row);
-                if local >= MAX_LOCAL_ROWS {
-                    report.push(Diagnostic::error(
-                        RuleId::S001,
-                        here,
-                        format!(
-                            "row {} has per-PE address {local}, beyond the 15-bit row \
-                             field ({MAX_LOCAL_ROWS} rows per PE); row-partition the matrix",
-                            nz.row
-                        ),
-                    ));
-                }
-                if nz.col >= WINDOW {
-                    report.push(Diagnostic::error(
-                        RuleId::S001,
-                        here,
-                        format!(
-                            "column {} exceeds the 13-bit in-window budget (W = {WINDOW}); \
-                             schedule one column window at a time",
-                            nz.col
-                        ),
-                    ));
-                }
-                if (nz.pe_src as u32) >= (1 << PE_SRC_BITS) {
-                    report.push(Diagnostic::error(
-                        RuleId::S001,
-                        here,
-                        format!("PE_src {} exceeds the 3-bit source-PE tag", nz.pe_src),
-                    ));
-                }
+        for (cycle, lane, nz) in ch.occupied() {
+            let here = Location::slot(c, cycle, lane);
+            if nz.value.to_bits() == 0 {
+                report.push(Diagnostic::error(
+                    RuleId::S001,
+                    here,
+                    format!(
+                        "entry ({}, {}) has value +0.0, whose packed word collides \
+                         with the reserved stall word",
+                        nz.row, nz.col
+                    ),
+                ));
+            }
+            let local = cfg.local_row(nz.row);
+            if local >= MAX_LOCAL_ROWS {
+                report.push(Diagnostic::error(
+                    RuleId::S001,
+                    here,
+                    format!(
+                        "row {} has per-PE address {local}, beyond the 15-bit row \
+                         field ({MAX_LOCAL_ROWS} rows per PE); row-partition the matrix",
+                        nz.row
+                    ),
+                ));
+            }
+            if nz.col >= WINDOW {
+                report.push(Diagnostic::error(
+                    RuleId::S001,
+                    here,
+                    format!(
+                        "column {} exceeds the 13-bit in-window budget (W = {WINDOW}); \
+                         schedule one column window at a time",
+                        nz.col
+                    ),
+                ));
+            }
+            if (nz.pe_src as u32) >= (1 << PE_SRC_BITS) {
+                report.push(Diagnostic::error(
+                    RuleId::S001,
+                    here,
+                    format!("PE_src {} exceeds the 3-bit source-PE tag", nz.pe_src),
+                ));
+            }
 
-                let home = cfg.channel_for_row(nz.row);
-                if nz.pvt {
-                    if home != c {
-                        report.push(Diagnostic::error(
-                            RuleId::S005,
-                            here,
-                            format!(
-                                "slot tagged private, but row {} belongs to channel {home}, \
-                                 not the streaming channel {c}",
-                                nz.row
-                            ),
-                        ));
-                    }
-                    if nz.pe_src != 0 {
-                        report.push(Diagnostic::error(
-                            RuleId::S005,
-                            here,
-                            format!(
-                                "private slot carries PE_src {} (private elements set 0)",
-                                nz.pe_src
-                            ),
-                        ));
-                    }
-                } else if home == c {
+            let home = cfg.channel_for_row(nz.row);
+            if nz.pvt {
+                if home != c {
                     report.push(Diagnostic::error(
                         RuleId::S005,
                         here,
                         format!(
-                            "slot tagged migrated, but row {}'s home is the streaming \
-                             channel {c} itself",
+                            "slot tagged private, but row {} belongs to channel {home}, \
+                             not the streaming channel {c}",
                             nz.row
                         ),
                     ));
-                } else {
-                    let hop = cfg.hop_for(c, home);
-                    if hop > cfg.migration_hops {
-                        report.push(Diagnostic::error(
-                            RuleId::S004,
-                            here,
-                            format!(
-                                "row {} migrated {hop} hop(s) from home channel {home} to \
-                                 channel {c}; the budget is {} neighbour hop(s), and lists \
-                                 never wrap past the last channel (§3.4)",
-                                nz.row, cfg.migration_hops
-                            ),
-                        ));
-                    }
-                    let expected_lane = cfg.lane_for_row(nz.row);
-                    if (nz.pe_src as usize) != expected_lane {
-                        report.push(Diagnostic::error(
-                            RuleId::S005,
-                            here,
-                            format!(
-                                "migrated slot carries PE_src {}, but row {}'s home lane \
-                                 is {expected_lane}",
-                                nz.pe_src, nz.row
-                            ),
-                        ));
-                    }
-                    // R001: the Reduction Unit resolves a migrated element to
-                    // ScUG bank (hop-1)·PEs + PE_src; a tag outside the lane
-                    // range addresses a bank the hardware does not have.
-                    if hop >= 1 && hop <= cfg.migration_hops && (nz.pe_src as usize) >= pes {
-                        report.push(Diagnostic::error(
-                            RuleId::R001,
-                            here,
-                            format!(
-                                "PE_src {} addresses ScUG bank {}, but the channel's ScUG \
-                                 has {} banks ({pes} lanes × {} hop(s))",
-                                nz.pe_src,
-                                (hop - 1) * pes + nz.pe_src as usize,
-                                pes * cfg.migration_hops,
-                                cfg.migration_hops
-                            ),
-                        ));
-                    }
+                }
+                if nz.pe_src != 0 {
+                    report.push(Diagnostic::error(
+                        RuleId::S005,
+                        here,
+                        format!(
+                            "private slot carries PE_src {} (private elements set 0)",
+                            nz.pe_src
+                        ),
+                    ));
+                }
+            } else if home == c {
+                report.push(Diagnostic::error(
+                    RuleId::S005,
+                    here,
+                    format!(
+                        "slot tagged migrated, but row {}'s home is the streaming \
+                         channel {c} itself",
+                        nz.row
+                    ),
+                ));
+            } else {
+                let hop = cfg.hop_for(c, home);
+                if hop > cfg.migration_hops {
+                    report.push(Diagnostic::error(
+                        RuleId::S004,
+                        here,
+                        format!(
+                            "row {} migrated {hop} hop(s) from home channel {home} to \
+                             channel {c}; the budget is {} neighbour hop(s), and lists \
+                             never wrap past the last channel (§3.4)",
+                            nz.row, cfg.migration_hops
+                        ),
+                    ));
+                }
+                let expected_lane = cfg.lane_for_row(nz.row);
+                if (nz.pe_src as usize) != expected_lane {
+                    report.push(Diagnostic::error(
+                        RuleId::S005,
+                        here,
+                        format!(
+                            "migrated slot carries PE_src {}, but row {}'s home lane \
+                             is {expected_lane}",
+                            nz.pe_src, nz.row
+                        ),
+                    ));
+                }
+                // R001: the Reduction Unit resolves a migrated element to
+                // ScUG bank (hop-1)·PEs + PE_src; a tag outside the lane
+                // range addresses a bank the hardware does not have.
+                if hop >= 1 && hop <= cfg.migration_hops && (nz.pe_src as usize) >= pes {
+                    report.push(Diagnostic::error(
+                        RuleId::R001,
+                        here,
+                        format!(
+                            "PE_src {} addresses ScUG bank {}, but the channel's ScUG \
+                             has {} banks ({pes} lanes × {} hop(s))",
+                            nz.pe_src,
+                            (hop - 1) * pes + nz.pe_src as usize,
+                            pes * cfg.migration_hops,
+                            cfg.migration_hops
+                        ),
+                    ));
                 }
             }
         }
@@ -301,13 +298,9 @@ pub(crate) fn check_schedule(
     // S003: RAW distance within every destination PE, all violations.
     let d = cfg.dependency_distance;
     for (c, ch) in schedule.channels.iter().enumerate() {
-        let width = ch.grid.iter().map(Vec::len).max().unwrap_or(0);
-        for lane in 0..width {
+        for lane in 0..ch.lanes() {
             let mut last: HashMap<usize, usize> = HashMap::new();
-            for (cycle, slots) in ch.grid.iter().enumerate() {
-                let Some(nz) = slots.get(lane).copied().flatten() else {
-                    continue;
-                };
+            for (cycle, _, nz) in ch.occupied().filter(|&(_, l, _)| l == lane) {
                 if let Some(&prev) = last.get(&nz.row) {
                     if cycle - prev < d {
                         report.push(Diagnostic::error(
@@ -330,11 +323,8 @@ pub(crate) fn check_schedule(
     // S002: conservation against the source matrix.
     if let Some(source) = source {
         let slots = schedule.channels.iter().enumerate().flat_map(|(c, ch)| {
-            ch.grid.iter().enumerate().flat_map(move |(cycle, row)| {
-                row.iter().enumerate().filter_map(move |(lane, slot)| {
-                    slot.as_ref()
-                        .map(|nz| (nz.row, nz.col, nz.value, Location::slot(c, cycle, lane)))
-                })
+            ch.occupied().map(move |(cycle, lane, nz)| {
+                (nz.row, nz.col, nz.value, Location::slot(c, cycle, lane))
             })
         });
         check_conservation(slots, source, report);
@@ -657,17 +647,13 @@ pub(crate) fn check_plan(plan: &SpmvPlan, source: Option<&CooMatrix>, report: &m
         for pass in &plan.passes {
             for (j, w) in pass.windows.iter().enumerate() {
                 for (c, ch) in w.schedule.channels.iter().enumerate() {
-                    for (cycle, row) in ch.grid.iter().enumerate() {
-                        for (lane, slot) in row.iter().enumerate() {
-                            if let Some(nz) = slot {
-                                slots.push((
-                                    pass.row_start + nz.row,
-                                    w.col_start + nz.col,
-                                    nz.value,
-                                    Location::slot(c, cycle, lane).in_window(window_base + j),
-                                ));
-                            }
-                        }
+                    for (cycle, lane, nz) in ch.occupied() {
+                        slots.push((
+                            pass.row_start + nz.row,
+                            w.col_start + nz.col,
+                            nz.value,
+                            Location::slot(c, cycle, lane).in_window(window_base + j),
+                        ));
                     }
                 }
             }

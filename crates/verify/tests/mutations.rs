@@ -136,8 +136,8 @@ fn scug_bank_overflow_is_flagged() {
     let site = s
         .channels
         .iter_mut()
-        .flat_map(|ch| ch.grid.iter_mut().flatten())
-        .filter_map(Option::as_mut)
+        .flat_map(|ch| ch.occupied_mut())
+        .map(|(_, _, nz)| nz)
         .find(|nz| !nz.pvt)
         .expect("CrHCS migrates on a skewed matrix");
     site.pe_src = 7; // valid for the 3-bit tag, beyond the 4-lane ScUG

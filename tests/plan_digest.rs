@@ -145,6 +145,57 @@ fn multi_hop_migration() {
 }
 
 #[test]
+fn migration_scan_limit_one() {
+    let sched = SchedulerConfig {
+        migration_scan_limit: 1,
+        ..SchedulerConfig::paper()
+    };
+    assert_digests(
+        &hub_matrix(),
+        sched,
+        (0x312f6f5ca409b71c, 0x13a539aacc083e4a),
+    );
+}
+
+#[test]
+fn migration_scan_limit_three() {
+    let sched = SchedulerConfig {
+        migration_scan_limit: 3,
+        ..SchedulerConfig::paper()
+    };
+    assert_digests(
+        &hub_matrix(),
+        sched,
+        (0xea613b9fe2482b98, 0x14b101b371dd992e),
+    );
+}
+
+#[test]
+fn odd_toy_geometry() {
+    // Five channels of three lanes: P is not a power of two and the ring
+    // wraps at an odd channel count.
+    let m = power_law(600, 600, 6000, 1.8, 17);
+    assert_digests(
+        &m,
+        SchedulerConfig::toy(5, 3, 6),
+        (0xecb804d8255377a0, 0xff376c71b77a10cc),
+    );
+}
+
+#[test]
+fn two_hop_migration() {
+    let sched = SchedulerConfig {
+        migration_hops: 2,
+        ..SchedulerConfig::paper()
+    };
+    assert_digests(
+        &hub_matrix(),
+        sched,
+        (0xe22796185f6d37d6, 0x31ea90e24bdbe4d0),
+    );
+}
+
+#[test]
 fn row_split_schedule() {
     let config = SchedulerConfig::paper();
     let m = hub_matrix();
