@@ -9,7 +9,7 @@ use chason_core::schedule::{Crhcs, PeAware, RowBased, Scheduler, SchedulerConfig
 use chason_hbm::HbmConfig;
 use chason_sim::power::MeasuredPower;
 use chason_sim::report::PerformanceReport;
-use chason_sim::{AcceleratorConfig, ChasonEngine, Execution, SerpensEngine};
+use chason_sim::{AcceleratorConfig, ChasonEngine, Execution, PlanningEngine, SerpensEngine};
 use chason_sparse::generators::{arrow_with_nnz, banded_with_nnz, power_law, uniform_random};
 use chason_sparse::market::{read_matrix_market, write_matrix_market};
 use chason_sparse::stats::row_stats;
@@ -144,29 +144,21 @@ fn print_execution(exec: &Execution) {
 fn execute(args: &Args, matrix: &CooMatrix, engine_name: &str) -> Result<Execution, String> {
     let sched = scheduler_config(args)?;
     let x = vec![1.0f32; matrix.cols()];
+    let engine: Box<dyn PlanningEngine> = match engine_name {
+        "chason" => Box::new(ChasonEngine::new(AcceleratorConfig {
+            sched,
+            ..AcceleratorConfig::chason()
+        })),
+        "serpens" => Box::new(SerpensEngine::new(AcceleratorConfig {
+            sched,
+            ..AcceleratorConfig::serpens()
+        })),
+        other => return Err(format!("unknown engine '{other}'")),
+    };
     // Plan first (windows scheduled in parallel), then execute the plan —
     // the same artifact a solver would cache across iterations.
-    match engine_name {
-        "chason" => {
-            let config = AcceleratorConfig {
-                sched,
-                ..AcceleratorConfig::chason()
-            };
-            let engine = ChasonEngine::new(config);
-            let plan = engine.plan(matrix).map_err(|e| e.to_string())?;
-            engine.run_planned(&plan, &x).map_err(|e| e.to_string())
-        }
-        "serpens" => {
-            let config = AcceleratorConfig {
-                sched,
-                ..AcceleratorConfig::serpens()
-            };
-            let engine = SerpensEngine::new(config);
-            let plan = engine.plan(matrix).map_err(|e| e.to_string())?;
-            engine.run_planned(&plan, &x).map_err(|e| e.to_string())
-        }
-        other => Err(format!("unknown engine '{other}'")),
-    }
+    let plan = engine.plan(matrix).map_err(|e| e.to_string())?;
+    engine.run_planned(&plan, &x).map_err(|e| e.to_string())
 }
 
 /// `chason run <matrix.mtx>` — simulated execution.

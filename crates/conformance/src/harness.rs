@@ -21,7 +21,7 @@ use crate::corpus::CorpusCase;
 use crate::ulp::{compare, row_scales, UlpTolerance};
 use chason_baselines::{parallel, reference};
 use chason_core::schedule::SchedulerConfig;
-use chason_sim::{AcceleratorConfig, ChasonEngine, Execution, SerpensEngine};
+use chason_sim::{AcceleratorConfig, ChasonEngine, Execution, PlanningEngine, SerpensEngine};
 use chason_sparse::{CooMatrix, CsrMatrix};
 
 /// Options controlling a harness run.
@@ -228,73 +228,11 @@ pub fn run_case(case: &CorpusCase, options: &HarnessOptions) -> CaseOutcome {
     }
 }
 
-/// Trait object over the two engine families for the per-engine paths.
-trait EnginePaths {
-    fn stream_ii(&self) -> f64;
-    fn run(&self, m: &CooMatrix, x: &[f32]) -> Result<Execution, chason_sim::SimError>;
-    fn plan_threads(
-        &self,
-        m: &CooMatrix,
-        threads: usize,
-    ) -> Result<chason_core::plan::SpmvPlan, chason_sim::SimError>;
-    fn run_planned(
-        &self,
-        plan: &chason_core::plan::SpmvPlan,
-        x: &[f32],
-    ) -> Result<Execution, chason_sim::SimError>;
-}
-
-impl EnginePaths for ChasonEngine {
-    fn stream_ii(&self) -> f64 {
-        self.config().stream_ii
-    }
-    fn run(&self, m: &CooMatrix, x: &[f32]) -> Result<Execution, chason_sim::SimError> {
-        ChasonEngine::run(self, m, x)
-    }
-    fn plan_threads(
-        &self,
-        m: &CooMatrix,
-        threads: usize,
-    ) -> Result<chason_core::plan::SpmvPlan, chason_sim::SimError> {
-        self.plan_with_threads(m, threads)
-    }
-    fn run_planned(
-        &self,
-        plan: &chason_core::plan::SpmvPlan,
-        x: &[f32],
-    ) -> Result<Execution, chason_sim::SimError> {
-        ChasonEngine::run_planned(self, plan, x)
-    }
-}
-
-impl EnginePaths for SerpensEngine {
-    fn stream_ii(&self) -> f64 {
-        self.config().stream_ii
-    }
-    fn run(&self, m: &CooMatrix, x: &[f32]) -> Result<Execution, chason_sim::SimError> {
-        SerpensEngine::run(self, m, x)
-    }
-    fn plan_threads(
-        &self,
-        m: &CooMatrix,
-        threads: usize,
-    ) -> Result<chason_core::plan::SpmvPlan, chason_sim::SimError> {
-        self.plan_with_threads(m, threads)
-    }
-    fn run_planned(
-        &self,
-        plan: &chason_core::plan::SpmvPlan,
-        x: &[f32],
-    ) -> Result<Execution, chason_sim::SimError> {
-        SerpensEngine::run_planned(self, plan, x)
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_engine_paths(
     case: &str,
     engine_name: &str,
-    engine: &dyn EnginePaths,
+    engine: &dyn PlanningEngine,
     m: &CooMatrix,
     x: &[f32],
     oracle: &[f32],
@@ -327,7 +265,7 @@ fn run_engine_paths(
     }
 
     // Planning: serial is the baseline; every thread count must agree.
-    let plan = match engine.plan_threads(m, 1) {
+    let plan = match engine.plan_with_threads(m, 1) {
         Ok(p) => p,
         Err(e) => {
             push(
@@ -343,7 +281,7 @@ fn run_engine_paths(
         if threads <= 1 {
             continue;
         }
-        match engine.plan_threads(m, threads) {
+        match engine.plan_with_threads(m, threads) {
             Ok(p) if p == plan => {}
             Ok(_) => push(
                 violations,
@@ -397,7 +335,7 @@ fn run_engine_paths(
             ),
         );
     }
-    let ii = engine.stream_ii();
+    let ii = engine.config().stream_ii;
     let expected_stream: u64 = plan
         .passes
         .iter()

@@ -128,15 +128,24 @@ impl Shared {
         self.generations.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// The simulated engine behind `wire`, or `None` for the CPU backend.
+    fn planner(&self, wire: Engine) -> Option<&dyn PlanningEngine> {
+        match wire {
+            Engine::Cpu => None,
+            Engine::Chason => Some(&self.chason),
+            Engine::Serpens => Some(&self.serpens),
+        }
+    }
+
     /// Returns the cached plan for (`engine`, `matrix` at `generation`),
     /// scheduling and inserting it on a miss. Scheduling runs outside the
     /// cache lock, so concurrent misses on the same key may schedule
     /// twice; the loser's insert is a harmless replace.
-    fn resolve_plan<E: PlanningEngine>(
+    fn resolve_plan(
         &self,
         wire: Engine,
         generation: u64,
-        planner: &E,
+        planner: &dyn PlanningEngine,
         matrix: &CooMatrix,
     ) -> Result<Arc<SpmvPlan>, SimError> {
         let key = (wire, generation);
@@ -340,12 +349,11 @@ fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outc
     let resident = shared.matrix(handle)?;
     admit::spmv(&resident.matrix, x)?;
     let start = Instant::now();
-    let (y, simulated_nanos) = match engine {
-        Engine::Cpu => (resident.csr.spmv(x), 0),
-        Engine::Chason => run_engine_spmv(shared, engine, &shared.chason, &resident, x)
-            .map_err(sim_error_reply)?,
-        Engine::Serpens => run_engine_spmv(shared, engine, &shared.serpens, &resident, x)
-            .map_err(sim_error_reply)?,
+    let (y, simulated_nanos) = match shared.planner(engine) {
+        None => (resident.csr.spmv(x), 0),
+        Some(planner) => {
+            run_engine_spmv(shared, engine, planner, &resident, x).map_err(sim_error_reply)?
+        }
     };
     Ok(Reply::Vector {
         y,
@@ -354,10 +362,10 @@ fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outc
     })
 }
 
-fn run_engine_spmv<E: PlanningEngine>(
+fn run_engine_spmv(
     shared: &Shared,
     wire: Engine,
-    planner: &E,
+    planner: &dyn PlanningEngine,
     resident: &ResidentMatrix,
     x: &[f32],
 ) -> Result<(Vec<f32>, u64), SimError> {
@@ -369,15 +377,15 @@ fn run_engine_spmv<E: PlanningEngine>(
 
 /// A solver backend that routes every product through the server's shared
 /// plan cache, so a solve warms the same cache later `Spmv` requests hit.
-struct SharedPlanBackend<'a, E: PlanningEngine> {
+struct SharedPlanBackend<'a> {
     shared: &'a Shared,
     wire: Engine,
     generation: u64,
-    planner: &'a E,
+    planner: &'a dyn PlanningEngine,
     elapsed: f64,
 }
 
-impl<E: PlanningEngine> SpmvBackend for SharedPlanBackend<'_, E> {
+impl SpmvBackend for SharedPlanBackend<'_> {
     fn spmv(&mut self, matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
         let plan = self
             .shared
@@ -417,28 +425,17 @@ fn execute_solve(
         SolverKind::Cg => conjugate_gradient(backend, &matrix, b, options),
         SolverKind::Jacobi => jacobi(backend, &matrix, b, options),
     };
-    let (result, simulated_nanos) = match engine {
-        Engine::Cpu => {
+    let (result, simulated_nanos) = match shared.planner(engine) {
+        None => {
             let mut backend = chason::solvers::CpuBackend::default();
             (run(&mut backend), 0)
         }
-        Engine::Chason => {
+        Some(planner) => {
             let mut backend = SharedPlanBackend {
                 shared,
                 wire: engine,
                 generation: resident.generation,
-                planner: &shared.chason,
-                elapsed: 0.0,
-            };
-            let result = run(&mut backend);
-            (result, (backend.elapsed * 1e9) as u64)
-        }
-        Engine::Serpens => {
-            let mut backend = SharedPlanBackend {
-                shared,
-                wire: engine,
-                generation: resident.generation,
-                planner: &shared.serpens,
+                planner,
                 elapsed: 0.0,
             };
             let result = run(&mut backend);
@@ -458,22 +455,12 @@ fn execute_solve(
 
 fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
     let resident = shared.matrix(handle)?;
-    let plan = match engine {
-        Engine::Cpu => return Err(admit::bad_request("the cpu backend has no schedule plan")),
-        Engine::Chason => shared.resolve_plan(
-            engine,
-            resident.generation,
-            &shared.chason,
-            &resident.matrix,
-        ),
-        Engine::Serpens => shared.resolve_plan(
-            engine,
-            resident.generation,
-            &shared.serpens,
-            &resident.matrix,
-        ),
-    }
-    .map_err(sim_error_reply)?;
+    let planner = shared
+        .planner(engine)
+        .ok_or_else(|| admit::bad_request("the cpu backend has no schedule plan"))?;
+    let plan = shared
+        .resolve_plan(engine, resident.generation, planner, &resident.matrix)
+        .map_err(sim_error_reply)?;
     let mut bytes = Vec::new();
     chason_core::export::write_plan(&mut bytes, &plan).map_err(|err| {
         Box::new(Reply::Error {
@@ -484,21 +471,21 @@ fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
     Ok(Reply::PlanArtifact { bytes })
 }
 
-/// Takes the cached plan for the outgoing matrix generation (if any),
+/// Takes `wire`'s cached plan for the outgoing matrix generation (if any),
 /// resplices its dirty windows in place, and re-inserts it under the
 /// `incoming` generation's key. Returns `(windows_replanned,
 /// windows_total)`, or `None` when there was no cached plan or the splice
 /// failed — either way the stale plan is gone and the next request
 /// schedules from scratch.
-fn splice_plan<E: PlanningEngine>(
+fn splice_plan(
     shared: &Shared,
     wire: Engine,
-    planner: &E,
     outgoing: &ResidentMatrix,
     incoming: u64,
     updated: &CooMatrix,
     delta: &MatrixDelta,
 ) -> Option<(u64, u64)> {
+    let planner = shared.planner(wire)?;
     let plan = lock_unpoisoned(&shared.plans).remove(&(wire, outgoing.generation))?;
     let mut spliced = (*plan).clone();
     match planner.replan_delta(&mut spliced, updated, delta) {
@@ -538,25 +525,9 @@ fn execute_update(
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
     let generation = shared.next_generation();
-    let chason = splice_plan(
-        shared,
-        Engine::Chason,
-        &shared.chason,
-        &resident,
-        generation,
-        &updated,
-        &delta,
-    );
-    let serpens = splice_plan(
-        shared,
-        Engine::Serpens,
-        &shared.serpens,
-        &resident,
-        generation,
-        &updated,
-        &delta,
-    );
-    for (replanned, total) in [chason, serpens].into_iter().flatten() {
+    let splices = [Engine::Chason, Engine::Serpens]
+        .map(|wire| splice_plan(shared, wire, &resident, generation, &updated, &delta));
+    for (replanned, total) in splices.into_iter().flatten() {
         plans_spliced += 1;
         windows_replanned += replanned;
         windows_total = windows_total.max(total);

@@ -1,10 +1,7 @@
 //! The Chasoň accelerator engine (§4).
 
-use crate::config::{AcceleratorConfig, Execution};
-use crate::engine::execute;
-use crate::SimError;
+use crate::config::AcceleratorConfig;
 use chason_core::schedule::Crhcs;
-use chason_sparse::CooMatrix;
 
 /// The Chasoň streaming SpMV accelerator.
 ///
@@ -65,27 +62,6 @@ impl ChasonEngine {
     pub(crate) fn scug_size(&self) -> usize {
         self.config.sched.pes_per_channel * self.config.sched.migration_hops
     }
-
-    /// Executes `y = A·x`, returning the result vector and the cycle/traffic
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::VectorLengthMismatch`] if `x.len() != matrix.cols()`;
-    /// * [`SimError::RowCapacityExceeded`] if the matrix needs more
-    ///   partial-sum rows per PE than a URAM holds (row-partition first);
-    /// * [`SimError::InvalidConfig`] for inconsistent configurations.
-    pub fn run(&self, matrix: &CooMatrix, x: &[f32]) -> Result<Execution, SimError> {
-        execute(
-            "chason",
-            &self.scheduler,
-            &self.config,
-            self.scug_size(),
-            true,
-            matrix,
-            x,
-        )
-    }
 }
 
 impl Default for ChasonEngine {
@@ -97,7 +73,9 @@ impl Default for ChasonEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimError;
     use chason_sparse::generators::{power_law, uniform_random};
+    use chason_sparse::CooMatrix;
 
     fn reference(m: &CooMatrix, x: &[f32]) -> Vec<f32> {
         m.spmv(x)

@@ -1,261 +1,750 @@
-//! Shared execution core of the two accelerator engines, split into a
-//! *planning* half (schedule every column window — vector-independent,
-//! parallelizable) and an *execution* half (replay a plan against a dense
-//! vector). `run` composes the two, so planned and unplanned execution are
-//! bit-identical by construction.
+//! The execution core of both accelerator engines, split into a *planning*
+//! half (schedule every column window — vector-independent, parallelizable)
+//! and an *execution* half (replay a plan against dense vectors).
+//!
+//! Everything an engine does goes through `Core`: `run`,
+//! `run_partitioned` and `run_planned` share one pass loop, SpMM replays the
+//! same per-pass kernel once per column of `B`, and one function
+//! (`Core::pass_cost`) owns the cycle model. `run` composes planning and
+//! replay, so planned and unplanned execution are bit-identical by
+//! construction. `impl_engine!` turns a `Core` into each engine's public
+//! methods.
 
 use crate::config::{AcceleratorConfig, CycleBreakdown, Execution};
+use crate::memory::URAM_PARTIALS;
 use crate::peg::Peg;
+use crate::plan::PlanningEngine;
 use crate::rearrange::merge_outputs;
-use crate::SimError;
-use chason_core::plan::{PassPlan, PlanWindow};
-use chason_core::schedule::Scheduler;
-use chason_core::window::partition_columns;
-use chason_sparse::CooMatrix;
+use crate::spmm::{SpmmExecution, TILE_COLS};
+use crate::{ChasonEngine, SerpensEngine, SimError};
+use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
+use chason_core::replan::ReplanReport;
+use chason_core::schedule::{Crhcs, PeAware, Scheduler};
+use chason_core::window::{partition_columns, partition_rows_capacity};
+use chason_sparse::{CooMatrix, DenseMatrix, MatrixDelta};
 
-/// Schedules every column window of `matrix`, producing the windows of a
-/// [`PassPlan`] covering rows `row_start..row_start + matrix.rows()`.
-///
-/// Windows are independent — each is scheduled from its own sub-matrix — so
-/// with `threads > 1` they are scheduled concurrently. Workers own disjoint
-/// contiguous chunks of the window list and results are reassembled in
-/// window order, so the plan is identical for every thread count.
-pub(crate) fn plan_pass<S: Scheduler + Sync>(
-    scheduler: &S,
-    config: &AcceleratorConfig,
-    matrix: &CooMatrix,
-    row_start: usize,
-    threads: usize,
-) -> Result<PassPlan, SimError> {
-    if !config.is_valid() {
-        return Err(SimError::InvalidConfig(
-            "accelerator configuration failed validation".to_string(),
-        ));
-    }
-    let sched = &config.sched;
-    let windows = partition_columns(matrix, config.window);
-
-    let plan_one = |window: &chason_core::window::ColumnWindow| {
-        let schedule = scheduler.schedule(&window.matrix, sched);
-        PlanWindow {
-            col_start: window.col_start,
-            col_end: window.col_end,
-            nnz: window.matrix.nnz(),
-            stalls: schedule.stalls(),
-            stream_cycles: schedule.stream_cycles(),
-            schedule,
-        }
-    };
-
-    let threads = threads.clamp(1, windows.len().max(1));
-    let planned: Vec<PlanWindow> = if threads <= 1 {
-        windows.iter().map(plan_one).collect()
+fn check_config(config: &AcceleratorConfig) -> Result<(), SimError> {
+    if config.is_valid() {
+        Ok(())
     } else {
-        let chunk = windows.len().div_ceil(threads);
-        let chunks = crossbeam::scope(|scope| {
-            let handles: Vec<_> = windows
-                .chunks(chunk)
-                .map(|ws| scope.spawn(move |_| ws.iter().map(plan_one).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // A panic in a worker can only come from a scheduler bug;
-                    // propagating it (rather than discarding the plan) is the
-                    // correct surface for that failure.
-                    #[allow(clippy::expect_used)] // xtask: propagates worker panics
-                    h.join().expect("window planner threads do not panic")
-                })
-                .collect()
-        });
-        #[allow(clippy::expect_used)] // xtask: scope only errs if a child panicked
-        let chunks: Vec<Vec<PlanWindow>> = chunks.expect("window planner scope does not panic");
-        chunks.into_iter().flatten().collect()
-    };
-
-    Ok(PassPlan {
-        row_start,
-        row_end: row_start + matrix.rows(),
-        nnz: matrix.nnz(),
-        windows: planned,
-    })
+        Err(SimError::InvalidConfig(
+            "accelerator configuration failed validation".to_string(),
+        ))
+    }
 }
 
-/// Executes one planned pass against `x`, replaying each window's stored
-/// schedule on the PEG models and charging the cycle/traffic accounting.
-///
-/// In debug builds (and under the `strict-verify` feature) the pass is
-/// first run through the `chason-verify` static checker; a pass with rule
-/// violations is rejected with [`SimError::InvalidSchedule`] instead of
-/// executing and producing silently wrong numbers.
-pub(crate) fn execute_pass(
-    engine: &'static str,
-    config: &AcceleratorConfig,
-    scug_size: usize,
-    has_reduction: bool,
-    pass: &PassPlan,
-    cols: usize,
-    x: &[f32],
-) -> Result<Execution, SimError> {
-    if !config.is_valid() {
-        return Err(SimError::InvalidConfig(
-            "accelerator configuration failed validation".to_string(),
-        ));
+fn check_len(got: usize, expected: usize) -> Result<(), SimError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(SimError::VectorLengthMismatch { got, expected })
     }
-    if x.len() != cols {
-        return Err(SimError::VectorLengthMismatch {
-            got: x.len(),
-            expected: cols,
-        });
-    }
-    #[cfg(any(debug_assertions, feature = "strict-verify"))]
-    {
-        let report = chason_verify::verify_pass(pass, &config.sched, config.window);
-        if report.has_errors() {
-            return Err(SimError::InvalidSchedule(report.to_string()));
-        }
-    }
-    let sched = &config.sched;
-    let rows = pass.rows();
-    let rows_per_pe = rows.div_ceil(sched.total_pes().max(1));
+}
 
-    // Build one PEG per channel.
-    let mut pegs = (0..sched.channels)
-        .map(|c| {
-            Peg::new(
-                c,
-                sched.pes_per_channel,
-                config.window,
-                rows_per_pe,
-                scug_size,
-            )
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+/// Derates `beats` memory-path beats by the calibrated initiation-interval
+/// inflation ([`AcceleratorConfig::stream_ii`]).
+fn derate(config: &AcceleratorConfig, beats: u64) -> u64 {
+    (beats as f64 * config.stream_ii).ceil() as u64
+}
 
-    let mut cycles = CycleBreakdown::default();
-    let mut stalls = 0usize;
-    let mut bytes_streamed = 0u64;
-    let mut stamp_base = 0u64;
-    let mut bytes_auxiliary = 0u64;
-    let mut occupancy: Vec<u16> = Vec::new();
-
-    for window in &pass.windows {
-        let schedule = &window.schedule;
-        // Reload every PEG's x buffer with this window's slice; the reload
-        // is broadcast from one HBM channel at `x_reload_lanes` words/cycle.
-        let x_slice = &x[window.col_start..window.col_end];
-        for peg in &mut pegs {
-            peg.load_x(x_slice);
-        }
-        cycles.x_reload +=
-            (x_slice.len().div_ceil(config.x_reload_lanes) as f64 * config.stream_ii).ceil() as u64;
-
-        // Stream: all channels advance in lockstep, one beat per cycle,
-        // derated by the calibrated initiation-interval inflation.
-        let stream_cycles = schedule.stream_cycles();
-        cycles.stream += (stream_cycles as f64 * config.stream_ii).ceil() as u64;
-        cycles.fill_drain += sched.dependency_distance as u64;
-        stalls += schedule.stalls();
-        // Every channel streams its (equalized) list: one 64-bit word per
-        // lane per cycle.
-        bytes_streamed += (stream_cycles * sched.channels * sched.pes_per_channel * 8) as u64;
-        bytes_auxiliary += (x_slice.len() * 4) as u64; // x reload
-
-        let occupancy_base = occupancy.len();
-        if config.record_occupancy {
-            occupancy.resize(occupancy_base + stream_cycles, 0);
-        }
-        for (c, channel) in schedule.channels.iter().enumerate() {
-            let peg = &mut pegs[c];
-            for (cycle, lane, nz) in channel.occupied() {
-                // Stamp the global cycle so the PEs' hazard detectors can
-                // verify the schedule is executable at II = 1; the base
-                // advances across windows (the reload gap separates them).
-                peg.consume_slot(lane, nz, sched, Some(stamp_base + cycle as u64))?;
-                if config.record_occupancy {
-                    occupancy[occupancy_base + cycle] += 1;
-                }
-            }
-        }
-        stamp_base += (stream_cycles
-            + sched.dependency_distance
-            + config.window.div_ceil(config.x_reload_lanes)) as u64;
-    }
-
-    // Reduction Unit sweep (Chasoň only): the adder tree visits every
-    // partial-sum address once per source lane's consolidated URAM, plus the
-    // tree's own depth (§4.2.2).
-    if has_reduction && scug_size > 0 {
-        let tree_depth = (sched.pes_per_channel as f64).log2().ceil() as u64;
-        cycles.reduction +=
-            ((rows_per_pe as u64 + tree_depth) as f64 * config.stream_ii).ceil() as u64;
-    }
-    // Arbiter/Merger drain: 16 FP32 output values per cycle (§4.3).
-    cycles.merge += (rows.div_ceil(config.merge_width) as f64 * config.stream_ii).ceil() as u64;
-    cycles.invocation += config.invocation_overhead_cycles;
-
-    let outputs: Vec<_> = pegs.iter().map(Peg::reduce).collect();
-    let y = merge_outputs(&outputs, sched, rows);
-    let mac_ops: u64 = pegs.iter().map(Peg::mac_ops).sum();
-    let hazards: u64 = pegs.iter().map(Peg::hazards).sum();
-    debug_assert_eq!(hazards, 0, "scheduler emitted a stream with RAW hazards");
-
-    let nnz = pass.nnz;
-    let underutilization = if nnz + stalls == 0 {
+/// Stall slots as a fraction of all stream slots (Eq. 4).
+fn underutilization(stalls: usize, nnz: usize) -> f64 {
+    if nnz + stalls == 0 {
         0.0
     } else {
         stalls as f64 / (nnz + stalls) as f64
-    };
-
-    bytes_auxiliary += (rows * 4) as u64; // y writeback
-    Ok(Execution {
-        engine,
-        y,
-        cycles,
-        clock_mhz: config.clock_mhz,
-        nnz,
-        rows,
-        cols,
-        stalls,
-        underutilization,
-        bytes_streamed,
-        bytes_auxiliary,
-        windows: pass.windows.len(),
-        mac_ops,
-        occupancy,
-    })
+    }
 }
 
-/// Runs one SpMV on the architecture described by `config`, scheduling each
-/// column window with `scheduler` and executing immediately.
-///
-/// `scug_size` selects the architecture family: `pes_per_channel` for
-/// Chasoň (one `URAM_sh` per neighbour PE), 0 for Serpens. When
-/// `has_reduction` is set the Reduction Unit sweep is charged to the cycle
-/// budget (§4.2.2); Serpens has no such unit.
-pub(crate) fn execute<S: Scheduler + Sync>(
-    engine: &'static str,
-    scheduler: &S,
-    config: &AcceleratorConfig,
-    scug_size: usize,
-    has_reduction: bool,
-    matrix: &CooMatrix,
-    x: &[f32],
-) -> Result<Execution, SimError> {
-    if x.len() != matrix.cols() {
-        return Err(SimError::VectorLengthMismatch {
-            got: x.len(),
-            expected: matrix.cols(),
-        });
+/// Simulated beats from the start of one window's stream to the start of
+/// the next: the stream itself, the pipeline drain, and the x reload gap.
+/// Debug replay stamps hazard-detector cycles with it and
+/// [`crate::profile::window_spans`] timestamps its spans with it.
+pub(crate) fn window_stamp_gap(config: &AcceleratorConfig, stream_cycles: usize) -> u64 {
+    (stream_cycles
+        + config.sched.dependency_distance
+        + config.window.div_ceil(config.x_reload_lanes)) as u64
+}
+
+/// Concatenates row-partition passes into one execution: outputs are
+/// stacked, every cost adds up, and each pass has paid its own invocation
+/// and reload overheads (§4.5).
+fn combine(parts: Vec<Execution>) -> Option<Execution> {
+    let mut parts = parts.into_iter();
+    let mut total = parts.next()?;
+    for e in parts {
+        total.y.extend_from_slice(&e.y);
+        total.occupancy.extend_from_slice(&e.occupancy);
+        total.cycles.stream += e.cycles.stream;
+        total.cycles.fill_drain += e.cycles.fill_drain;
+        total.cycles.x_reload += e.cycles.x_reload;
+        total.cycles.reduction += e.cycles.reduction;
+        total.cycles.merge += e.cycles.merge;
+        total.cycles.invocation += e.cycles.invocation;
+        total.stalls += e.stalls;
+        total.nnz += e.nnz;
+        total.bytes_streamed += e.bytes_streamed;
+        total.bytes_auxiliary += e.bytes_auxiliary;
+        total.windows += e.windows;
+        total.mac_ops += e.mac_ops;
     }
-    let pass = plan_pass(scheduler, config, matrix, 0, 1)?;
-    execute_pass(
-        engine,
-        config,
-        scug_size,
-        has_reduction,
-        &pass,
-        matrix.cols(),
-        x,
-    )
+    total.rows = total.y.len();
+    total.underutilization = underutilization(total.stalls, total.nnz);
+    Some(total)
+}
+
+/// The functional result of replaying one pass against one dense vector.
+struct Replay {
+    y: Vec<f32>,
+    mac_ops: u64,
+    occupancy: Vec<u16>,
+}
+
+/// One engine as the execution core sees it.
+struct Core<'a, S> {
+    /// Engine name, stamped on executions and plans.
+    name: &'static str,
+    config: &'a AcceleratorConfig,
+    scheduler: &'a S,
+    /// Deployed `URAM_sh` banks per PE: 0 for Serpens, whose PEs carry no
+    /// ScUG and whose PEGs have no Reduction Unit.
+    scug_size: usize,
+}
+
+impl<S: Scheduler + Sync> Core<'_, S> {
+    /// Schedules every column window of `matrix`, producing the windows of
+    /// a [`PassPlan`] covering rows `row_start..row_start + matrix.rows()`.
+    ///
+    /// Windows are independent — each is scheduled from its own
+    /// sub-matrix — so with `threads > 1` they are scheduled concurrently.
+    /// Workers own disjoint contiguous chunks of the window list and
+    /// results are reassembled in window order, so the plan is identical
+    /// for every thread count.
+    fn plan_pass(
+        &self,
+        matrix: &CooMatrix,
+        row_start: usize,
+        threads: usize,
+    ) -> Result<PassPlan, SimError> {
+        check_config(self.config)?;
+        let sched = &self.config.sched;
+        let windows = partition_columns(matrix, self.config.window);
+
+        let plan_one = |window: &chason_core::window::ColumnWindow| {
+            let schedule = self.scheduler.schedule(&window.matrix, sched);
+            PlanWindow {
+                col_start: window.col_start,
+                col_end: window.col_end,
+                nnz: window.matrix.nnz(),
+                stalls: schedule.stalls(),
+                stream_cycles: schedule.stream_cycles(),
+                schedule,
+            }
+        };
+
+        let threads = threads.clamp(1, windows.len().max(1));
+        let planned: Vec<PlanWindow> = if threads <= 1 {
+            windows.iter().map(plan_one).collect()
+        } else {
+            let chunk = windows.len().div_ceil(threads);
+            let chunks = crossbeam::scope(|scope| {
+                let handles: Vec<_> = windows
+                    .chunks(chunk)
+                    .map(|ws| scope.spawn(move |_| ws.iter().map(plan_one).collect::<Vec<_>>()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        // A panic in a worker can only come from a scheduler
+                        // bug; propagating it (rather than discarding the
+                        // plan) is the correct surface for that failure.
+                        #[allow(clippy::expect_used)] // xtask: propagates worker panics
+                        h.join().expect("window planner threads do not panic")
+                    })
+                    .collect()
+            });
+            #[allow(clippy::expect_used)] // xtask: scope only errs if a child panicked
+            let chunks: Vec<Vec<PlanWindow>> = chunks.expect("window planner scope does not panic");
+            chunks.into_iter().flatten().collect()
+        };
+
+        Ok(PassPlan {
+            row_start,
+            row_end: row_start + matrix.rows(),
+            nnz: matrix.nnz(),
+            windows: planned,
+        })
+    }
+
+    /// Plans `matrix` pass by pass. With `partition` set, a matrix needing
+    /// more partial-sum rows per PE than a URAM holds is split on capacity
+    /// boundaries into row-partition passes (§4.5); otherwise it is planned
+    /// as one pass and replay reports the overflow.
+    fn plan_passes(
+        &self,
+        matrix: &CooMatrix,
+        threads: usize,
+        partition: bool,
+    ) -> Result<Vec<PassPlan>, SimError> {
+        let total_pes = self.config.sched.total_pes();
+        if !partition || matrix.rows().div_ceil(total_pes.max(1)) <= URAM_PARTIALS {
+            return Ok(vec![self.plan_pass(matrix, 0, threads)?]);
+        }
+        partition_rows_capacity(matrix, URAM_PARTIALS, total_pes)
+            .iter()
+            .map(|p| self.plan_pass(&p.matrix, p.row_start, threads))
+            .collect()
+    }
+
+    fn plan(&self, matrix: &CooMatrix, threads: usize) -> Result<SpmvPlan, SimError> {
+        let config = self.config;
+        Ok(SpmvPlan {
+            key: PlanKey::new(matrix, config.sched),
+            engine: self.name.to_string(),
+            window: config.window,
+            rows: matrix.rows(),
+            cols: matrix.cols(),
+            nnz: matrix.nnz(),
+            passes: self.plan_passes(matrix, threads, true)?,
+        })
+    }
+
+    /// Plans (serially) and replays in one go; see `plan_passes` for
+    /// `partition`.
+    fn run(&self, matrix: &CooMatrix, x: &[f32], partition: bool) -> Result<Execution, SimError> {
+        check_len(x.len(), matrix.cols())?;
+        let passes = self.plan_passes(matrix, 1, partition)?;
+        self.execute_passes(&passes, matrix.cols(), x)
+    }
+
+    /// Rejects a plan built by another engine family or configuration.
+    fn check_plan(&self, plan: &SpmvPlan, action: &str) -> Result<(), SimError> {
+        if plan.engine != self.name {
+            return Err(SimError::PlanMismatch(format!(
+                "plan built by the {} engine cannot {action} {}",
+                plan.engine, self.name
+            )));
+        }
+        if plan.key.config != self.config.sched || plan.window != self.config.window {
+            return Err(SimError::PlanMismatch(
+                "plan was built under a different configuration".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError> {
+        self.check_plan(plan, "run on")?;
+        self.execute_passes(&plan.passes, plan.cols, x)
+    }
+
+    fn replan_delta(
+        &self,
+        plan: &mut SpmvPlan,
+        updated: &CooMatrix,
+        delta: &MatrixDelta,
+    ) -> Result<ReplanReport, SimError> {
+        self.check_plan(plan, "be respliced on")?;
+        plan.apply_delta(updated, delta, self.scheduler)
+            .map_err(|e| SimError::PlanMismatch(e.to_string()))
+    }
+
+    /// The pass loop: replays every pass against `x` and concatenates them.
+    fn execute_passes(
+        &self,
+        passes: &[PassPlan],
+        cols: usize,
+        x: &[f32],
+    ) -> Result<Execution, SimError> {
+        check_len(x.len(), cols)?;
+        check_config(self.config)?;
+        let parts = passes
+            .iter()
+            .map(|pass| self.execute_pass(pass, cols, x))
+            .collect::<Result<Vec<_>, _>>()?;
+        combine(parts).ok_or_else(|| SimError::PlanMismatch("plan contains no passes".to_string()))
+    }
+
+    /// In debug builds (and under the `strict-verify` feature) a pass is run
+    /// through the `chason-verify` static checker before it executes; a
+    /// pass with rule violations is rejected with
+    /// [`SimError::InvalidSchedule`] instead of producing silently wrong
+    /// numbers.
+    fn verify(&self, pass: &PassPlan) -> Result<(), SimError> {
+        if cfg!(any(debug_assertions, feature = "strict-verify")) {
+            let report = chason_verify::verify_pass(pass, &self.config.sched, self.config.window);
+            if report.has_errors() {
+                return Err(SimError::InvalidSchedule(report.to_string()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes one planned SpMV pass against `x`: the cycle model with one
+    /// stream replay, the per-window x reload, and one functional replay.
+    fn execute_pass(&self, pass: &PassPlan, cols: usize, x: &[f32]) -> Result<Execution, SimError> {
+        self.verify(pass)?;
+        let config = self.config;
+        let rows = pass.rows();
+        let (mut cycles, bytes_streamed) = self.pass_cost(pass, 1, rows);
+        let mut bytes_auxiliary = (rows * 4) as u64; // y writeback
+        for window in &pass.windows {
+            // Every PEG's x buffer is reloaded with the window's slice,
+            // broadcast from one HBM channel at `x_reload_lanes` words/cycle.
+            let width = window.col_end - window.col_start;
+            cycles.x_reload += derate(config, width.div_ceil(config.x_reload_lanes) as u64);
+            bytes_auxiliary += (width * 4) as u64;
+        }
+        let stalls = pass.windows.iter().map(|w| w.schedule.stalls()).sum();
+        let replay = self.replay(pass, x)?;
+        Ok(Execution {
+            engine: self.name,
+            y: replay.y,
+            cycles,
+            clock_mhz: config.clock_mhz,
+            nnz: pass.nnz,
+            rows,
+            cols,
+            stalls,
+            underutilization: underutilization(stalls, pass.nnz),
+            bytes_streamed,
+            bytes_auxiliary,
+            windows: pass.windows.len(),
+            mac_ops: replay.mac_ops,
+            occupancy: replay.occupancy,
+        })
+    }
+
+    /// Partial-sum rows each PE owns in `pass` (Eq. 1 deals rows to PEs
+    /// round-robin), which sizes every URAM.
+    fn rows_per_pe(&self, pass: &PassPlan) -> usize {
+        pass.rows().div_ceil(self.config.sched.total_pes().max(1))
+    }
+
+    /// The cycle model of one pass whose non-zero stream is replayed
+    /// `tiles` times (once for SpMV, once per 8-column tile of `B` for
+    /// SpMM) and which writes `outputs` values through the Arbiter/Merger.
+    /// Returns the cycles — every term but the x reload, which SpMV charges
+    /// per window slice and SpMM per `B` tile — and the bytes streamed from
+    /// the sparse-matrix channels.
+    fn pass_cost(&self, pass: &PassPlan, tiles: u64, outputs: usize) -> (CycleBreakdown, u64) {
+        let config = self.config;
+        let sched = &config.sched;
+        let mut cycles = CycleBreakdown::default();
+        let mut bytes_streamed = 0u64;
+        for window in &pass.windows {
+            // All channels stream their (equalized) lists in lockstep, one
+            // 64-bit word per lane per beat; each replay drains the pipeline.
+            let beats = window.schedule.stream_cycles() as u64 * tiles;
+            cycles.stream += derate(config, beats);
+            cycles.fill_drain += sched.dependency_distance as u64 * tiles;
+            bytes_streamed += beats * (sched.channels * sched.pes_per_channel * 8) as u64;
+        }
+        // Reduction Unit sweep (Chasoň only): the adder tree visits every
+        // partial-sum address once per source lane's consolidated URAM,
+        // plus the tree's own depth (§4.2.2).
+        if self.scug_size > 0 {
+            let tree_depth = (sched.pes_per_channel as f64).log2().ceil() as u64;
+            cycles.reduction +=
+                derate(config, (self.rows_per_pe(pass) as u64 + tree_depth) * tiles);
+        }
+        // Arbiter/Merger drain: 16 FP32 output values per cycle (§4.3).
+        cycles.merge += derate(config, outputs.div_ceil(config.merge_width) as u64);
+        cycles.invocation += config.invocation_overhead_cycles;
+        (cycles, bytes_streamed)
+    }
+
+    /// Replays `pass`'s stored schedules against `x` on fresh PEGs, then
+    /// reduces and merges their partial sums into `y`.
+    ///
+    /// Each window reloads the x buffers with its slice and walks every
+    /// channel's occupied slots; stalls never reach a PE. In debug builds
+    /// slots carry global cycle stamps so the PEs' hazard detectors check
+    /// the schedule is executable at II = 1; the hazard count has no other
+    /// reader, so release builds skip that bookkeeping.
+    fn replay(&self, pass: &PassPlan, x: &[f32]) -> Result<Replay, SimError> {
+        let stamped = cfg!(debug_assertions);
+        let config = self.config;
+        let sched = &config.sched;
+        let mut pegs = (0..sched.channels)
+            .map(|c| {
+                Peg::new(
+                    c,
+                    sched.pes_per_channel,
+                    config.window,
+                    self.rows_per_pe(pass),
+                    self.scug_size,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let mut stamp_base = 0u64;
+        let mut occupancy: Vec<u16> = Vec::new();
+        for window in &pass.windows {
+            let schedule = &window.schedule;
+            for peg in &mut pegs {
+                peg.load_x(&x[window.col_start..window.col_end]);
+            }
+            let stream_cycles = schedule.stream_cycles();
+            let occupancy_base = occupancy.len();
+            if config.record_occupancy {
+                occupancy.resize(occupancy_base + stream_cycles, 0);
+            }
+            for (c, channel) in schedule.channels.iter().enumerate() {
+                let peg = &mut pegs[c];
+                for (cycle, lane, nz) in channel.occupied() {
+                    peg.consume_slot(lane, nz, sched, stamped.then(|| stamp_base + cycle as u64))?;
+                    if config.record_occupancy {
+                        occupancy[occupancy_base + cycle] += 1;
+                    }
+                }
+            }
+            stamp_base += window_stamp_gap(config, stream_cycles);
+        }
+
+        let outputs: Vec<_> = pegs.iter().map(Peg::reduce).collect();
+        let hazards: u64 = pegs.iter().map(Peg::hazards).sum();
+        debug_assert_eq!(hazards, 0, "scheduler emitted a stream with RAW hazards");
+        Ok(Replay {
+            y: merge_outputs(&outputs, sched, pass.rows()),
+            mac_ops: pegs.iter().map(Peg::mac_ops).sum(),
+            occupancy,
+        })
+    }
+
+    /// `C = α·A·B + β·C0` (§7.2). `A` is planned once as a single pass; the
+    /// columns of a tile run concurrently in hardware (widened URAM slots),
+    /// and since the result is column-separable each column of `B` is
+    /// replayed through the SpMV kernel while the cycle model charges one
+    /// stream per 8-column tile.
+    fn run_spmm(
+        &self,
+        a: &CooMatrix,
+        b: &DenseMatrix,
+        alpha: f32,
+        beta: f32,
+        c0: &DenseMatrix,
+    ) -> Result<SpmmExecution, SimError> {
+        let config = self.config;
+        check_config(config)?;
+        check_len(b.rows(), a.cols())?;
+        if c0.rows() != a.rows() || c0.cols() != b.cols() {
+            return Err(SimError::InvalidConfig(format!(
+                "C shape {}x{} must be {}x{}",
+                c0.rows(),
+                c0.cols(),
+                a.rows(),
+                b.cols()
+            )));
+        }
+        let pass = self.plan_pass(a, 0, 1)?;
+        self.verify(&pass)?;
+        let n = b.cols();
+        let tiles = n.div_ceil(TILE_COLS).max(usize::from(n == 0));
+        // C read-modify-write goes through the 8 output channels (§7.2).
+        let (mut cycles, bytes_streamed) = self.pass_cost(&pass, tiles as u64, a.rows() * n);
+        // B-tile loading between windows (4 channels stream B in §7.2): a
+        // full window per tile, unlike SpMV's per-slice x reload.
+        let reload = (pass.windows.len() * tiles)
+            .max(1)
+            .saturating_mul(config.window.div_ceil(config.x_reload_lanes));
+        cycles.x_reload += derate(config, reload as u64);
+
+        let mut c = DenseMatrix::zeros(a.rows(), n);
+        let mut mac_ops = 0u64;
+        for j in 0..n {
+            let column = self.replay(&pass, &b.column(j))?;
+            mac_ops += column.mac_ops;
+            for (r, &v) in column.y.iter().enumerate() {
+                c.set(r, j, alpha * v + beta * c0.get(r, j));
+            }
+        }
+        Ok(SpmmExecution {
+            engine: self.name,
+            c,
+            cycles,
+            clock_mhz: config.clock_mhz,
+            tiles,
+            mac_ops,
+            bytes_streamed,
+        })
+    }
+}
+
+/// Threads used by `plan` when the caller does not choose a count.
+fn default_planning_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Generates an engine's public API on top of its `Core`: the direct,
+/// row-partitioned, planned and SpMM entry points, and its
+/// [`PlanningEngine`] impl.
+macro_rules! impl_engine {
+    ($engine:ty, $scheduler:ty, $name:literal) => {
+        impl $engine {
+            fn core(&self) -> Core<'_, $scheduler> {
+                Core {
+                    name: $name,
+                    config: self.config(),
+                    scheduler: self.scheduler(),
+                    scug_size: self.scug_size(),
+                }
+            }
+
+            /// Executes `y = A·x`, returning the result vector and the
+            /// cycle/traffic accounting.
+            ///
+            /// # Errors
+            ///
+            /// * [`SimError::VectorLengthMismatch`] if
+            ///   `x.len() != matrix.cols()`;
+            /// * [`SimError::RowCapacityExceeded`] if the matrix needs more
+            ///   partial-sum rows per PE than a URAM holds (use
+            ///   [`run_partitioned`](Self::run_partitioned));
+            /// * [`SimError::InvalidConfig`] for inconsistent
+            ///   configurations.
+            pub fn run(&self, matrix: &CooMatrix, x: &[f32]) -> Result<Execution, SimError> {
+                self.core().run(matrix, x, false)
+            }
+
+            /// Executes `y = A·x`, automatically row-partitioning matrices
+            /// whose per-PE row count exceeds the partial-sum URAM capacity
+            /// (§4.5). Each pass pays its own invocation and x-reload
+            /// overheads, exactly as the hardware would.
+            ///
+            /// # Errors
+            ///
+            /// Same conditions as [`run`](Self::run), except that
+            /// [`SimError::RowCapacityExceeded`] can no longer occur.
+            pub fn run_partitioned(
+                &self,
+                matrix: &CooMatrix,
+                x: &[f32],
+            ) -> Result<Execution, SimError> {
+                self.core().run(matrix, x, true)
+            }
+
+            /// Schedules `matrix` into a reusable [`SpmvPlan`] without
+            /// executing it.
+            ///
+            /// The plan captures every column window's schedule (grouped
+            /// into the same row-partition passes
+            /// [`run_partitioned`](Self::run_partitioned) uses when the
+            /// matrix exceeds the per-PE partial-sum capacity), keyed by
+            /// the matrix fingerprint and scheduler configuration. Windows
+            /// are scheduled in parallel across all available cores; the
+            /// result is independent of the thread count.
+            ///
+            /// # Errors
+            ///
+            /// [`SimError::InvalidConfig`] for inconsistent configurations.
+            pub fn plan(&self, matrix: &CooMatrix) -> Result<SpmvPlan, SimError> {
+                self.plan_with_threads(matrix, default_planning_threads())
+            }
+
+            /// [`plan`](Self::plan) with an explicit window-scheduling
+            /// thread count (`1` forces serial planning).
+            ///
+            /// # Errors
+            ///
+            /// Same conditions as [`plan`](Self::plan).
+            pub fn plan_with_threads(
+                &self,
+                matrix: &CooMatrix,
+                threads: usize,
+            ) -> Result<SpmvPlan, SimError> {
+                self.core().plan(matrix, threads)
+            }
+
+            /// Splices `delta` into `plan` by re-scheduling only the column
+            /// windows the delta's row/column footprint dirties, leaving
+            /// every other window's schedule untouched.
+            ///
+            /// `updated` must be the delta applied to the plan's source
+            /// matrix (`MatrixDelta::apply`). Because the pass/window
+            /// skeleton depends only on the matrix shape — which deltas
+            /// never change — and this engine's scheduler is
+            /// deterministic, the spliced plan is bit-identical to
+            /// [`plan`](Self::plan) of `updated`; the conformance suite's
+            /// delta oracle asserts exactly that across the corpus. The
+            /// report says how many windows were re-scheduled.
+            ///
+            /// # Errors
+            ///
+            /// * [`SimError::PlanMismatch`] if the plan was built by a
+            ///   different engine family or configuration, or if
+            ///   `updated`/`delta` are inconsistent with the plan (shape or
+            ///   non-zero count disagreement).
+            pub fn replan_delta(
+                &self,
+                plan: &mut SpmvPlan,
+                updated: &CooMatrix,
+                delta: &MatrixDelta,
+            ) -> Result<ReplanReport, SimError> {
+                self.core().replan_delta(plan, updated, delta)
+            }
+
+            /// Executes `y = A·x` from a plan built by
+            /// [`plan`](Self::plan), without rescheduling. The result is
+            /// bit-identical to [`run`](Self::run) (or
+            /// [`run_partitioned`](Self::run_partitioned) for matrices that
+            /// needed row partitioning) on the plan's source matrix.
+            ///
+            /// # Errors
+            ///
+            /// * [`SimError::PlanMismatch`] if the plan was built by a
+            ///   different engine family or under a different scheduler
+            ///   configuration or window width;
+            /// * [`SimError::VectorLengthMismatch`] if
+            ///   `x.len() != plan.cols`;
+            /// * [`SimError::InvalidConfig`] for inconsistent
+            ///   configurations.
+            pub fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError> {
+                self.core().run_planned(plan, x)
+            }
+
+            /// Executes `C = α·A·B + β·C` on this engine's datapath (§7.2):
+            /// `A` is scheduled once and its stream is replayed for every
+            /// 8-column tile of `B`.
+            ///
+            /// # Errors
+            ///
+            /// Same conditions as [`run`](Self::run), plus shape
+            /// mismatches between `A`, `B` and `C`.
+            pub fn run_spmm(
+                &self,
+                a: &CooMatrix,
+                b: &DenseMatrix,
+                alpha: f32,
+                beta: f32,
+                c: &DenseMatrix,
+            ) -> Result<SpmmExecution, SimError> {
+                self.core().run_spmm(a, b, alpha, beta, c)
+            }
+        }
+
+        impl PlanningEngine for $engine {
+            fn config(&self) -> &AcceleratorConfig {
+                <$engine>::config(self)
+            }
+
+            fn run(&self, matrix: &CooMatrix, x: &[f32]) -> Result<Execution, SimError> {
+                <$engine>::run(self, matrix, x)
+            }
+
+            fn plan(&self, matrix: &CooMatrix) -> Result<SpmvPlan, SimError> {
+                <$engine>::plan(self, matrix)
+            }
+
+            fn plan_with_threads(
+                &self,
+                matrix: &CooMatrix,
+                threads: usize,
+            ) -> Result<SpmvPlan, SimError> {
+                <$engine>::plan_with_threads(self, matrix, threads)
+            }
+
+            fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError> {
+                <$engine>::run_planned(self, plan, x)
+            }
+
+            fn plan_key(&self, matrix: &CooMatrix) -> PlanKey {
+                PlanKey::new(matrix, self.config().sched)
+            }
+
+            fn replan_delta(
+                &self,
+                plan: &mut SpmvPlan,
+                updated: &CooMatrix,
+                delta: &MatrixDelta,
+            ) -> Result<ReplanReport, SimError> {
+                <$engine>::replan_delta(self, plan, updated, delta)
+            }
+        }
+    };
+}
+
+impl_engine!(ChasonEngine, Crhcs, "chason");
+impl_engine!(SerpensEngine, PeAware, "serpens");
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chason_core::schedule::SchedulerConfig;
+    use chason_sparse::generators::uniform_random;
+
+    /// A tiny machine (4 PEs) makes partitioning kick in at small sizes
+    /// without allocating million-row URAM mirrors.
+    fn tiny_engine() -> ChasonEngine {
+        ChasonEngine::new(AcceleratorConfig {
+            sched: SchedulerConfig::toy(2, 2, 4),
+            ..AcceleratorConfig::chason()
+        })
+    }
+
+    #[test]
+    fn small_matrices_take_the_single_pass_path() {
+        let m = uniform_random(128, 64, 400, 3);
+        let x = vec![1.0f32; 64];
+        let direct = ChasonEngine::default().run(&m, &x).unwrap();
+        let auto = ChasonEngine::default().run_partitioned(&m, &x).unwrap();
+        assert_eq!(direct, auto);
+    }
+
+    #[test]
+    fn oversized_matrix_is_partitioned_and_correct() {
+        // 4 PEs x 8192 rows/PE = 32_768 rows per pass; use 70_000 rows.
+        let m = uniform_random(70_000, 128, 30_000, 5);
+        let x: Vec<f32> = (0..128).map(|i| 0.25 + (i % 3) as f32).collect();
+        let engine = tiny_engine();
+        assert!(matches!(
+            engine.run(&m, &x),
+            Err(SimError::RowCapacityExceeded { .. })
+        ));
+        let exec = engine.run_partitioned(&m, &x).unwrap();
+        assert_eq!(exec.y.len(), 70_000);
+        assert_eq!(exec.mac_ops, 30_000);
+        let oracle = m.spmv(&x);
+        for (i, (a, b)) in exec.y.iter().zip(&oracle).enumerate() {
+            let scale = a.abs().max(b.abs()).max(1.0);
+            assert!((a - b).abs() / scale < 1e-4, "row {i}: {a} vs {b}");
+        }
+        // Three passes, each paying an invocation overhead.
+        let passes = 70_000usize.div_ceil(32_768) as u64;
+        assert_eq!(
+            exec.cycles.invocation,
+            passes * engine.config().invocation_overhead_cycles
+        );
+    }
+
+    #[test]
+    fn serpens_partitions_too() {
+        let m = uniform_random(40_000, 64, 10_000, 7);
+        let x = vec![0.5f32; 64];
+        let engine = SerpensEngine::new(AcceleratorConfig {
+            sched: SchedulerConfig::toy(2, 2, 4),
+            clock_mhz: 223.0,
+            ..AcceleratorConfig::serpens()
+        });
+        let exec = engine.run_partitioned(&m, &x).unwrap();
+        assert_eq!(exec.engine, "serpens");
+        assert_eq!(exec.y.len(), 40_000);
+        let oracle = m.spmv(&x);
+        let err: f32 = exec
+            .y
+            .iter()
+            .zip(&oracle)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f32::max);
+        assert!(err < 1e-2, "max abs err {err}");
+    }
+
+    #[test]
+    fn vector_mismatch_is_still_detected() {
+        let m = uniform_random(10, 10, 10, 1);
+        let err = ChasonEngine::default()
+            .run_partitioned(&m, &[1.0; 3])
+            .unwrap_err();
+        assert!(matches!(err, SimError::VectorLengthMismatch { .. }));
+    }
 }

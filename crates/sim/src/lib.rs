@@ -46,7 +46,6 @@ mod config;
 mod engine;
 mod error;
 mod memory;
-mod partitioned;
 mod pe;
 mod peg;
 mod plan;

@@ -35,8 +35,8 @@ impl Peg {
     /// Creates a PEG for `channel` with `lanes` PEs.
     ///
     /// `window` is the x-buffer capacity in words; `rows_per_pe` sizes the
-    /// partial-sum URAMs; `scug_size` is 0 for Serpens and `lanes` for
-    /// Chasoň.
+    /// partial-sum URAMs; `scug_size` is 0 for Serpens and
+    /// `lanes × migration_hops` for Chasoň (one bank group per hop).
     ///
     /// # Errors
     ///

@@ -2,35 +2,42 @@
 //!
 //! `plan` schedules every column window of a matrix (row-partitioning first
 //! when it exceeds the partial-sum URAM capacity, exactly as
-//! `run_partitioned` would) and packages the result with the matrix
+//! `run_partitioned` does) and packages the result with the matrix
 //! fingerprint and scheduler configuration. `run_planned` replays the plan
 //! against a dense vector without touching a scheduler, producing an
 //! [`Execution`] bit-identical to `run` / `run_partitioned` on the source
 //! matrix. Window scheduling is fanned out across threads — windows are
 //! independent — with results reassembled in window order, so the plan is
 //! the same at every thread count.
+//!
+//! The engines implement all of this in the shared execution core
+//! (`engine.rs`); this module holds [`PlanningEngine`], the object-safe
+//! view of an engine that callers generic over the family use, and
+//! sharded planning and replay on top of it.
 
-use crate::engine::{execute_pass, plan_pass};
-use crate::memory::URAM_PARTIALS;
-use crate::partitioned::combine;
-use crate::{ChasonEngine, Execution, SerpensEngine, SimError};
+use crate::{AcceleratorConfig, Execution, SimError};
 use chason_core::plan::{PlanKey, SpmvPlan};
 use chason_core::replan::ReplanReport;
 use chason_core::shard::ShardedPlan;
-use chason_core::window::partition_rows_capacity;
 use chason_sparse::shard::ShardSpec;
 use chason_sparse::{CooMatrix, MatrixDelta};
 
-/// Threads used by `plan` when the caller does not choose a count.
-fn default_planning_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Engines supporting the plan/execute split, for callers generic over the
-/// accelerator family (e.g. solver backends caching plans per matrix).
+/// accelerator family (solver backends caching plans per matrix, the
+/// serve daemon, the conformance harness).
 pub trait PlanningEngine {
+    /// The engine's configuration.
+    fn config(&self) -> &AcceleratorConfig;
+
+    /// Executes `y = A·x` directly. See `ChasonEngine::run`.
+    fn run(&self, matrix: &CooMatrix, x: &[f32]) -> Result<Execution, SimError>;
+
     /// Schedules `matrix` into a reusable plan. See `ChasonEngine::plan`.
     fn plan(&self, matrix: &CooMatrix) -> Result<SpmvPlan, SimError>;
+
+    /// [`plan`](Self::plan) with an explicit window-scheduling thread
+    /// count. See `ChasonEngine::plan_with_threads`.
+    fn plan_with_threads(&self, matrix: &CooMatrix, threads: usize) -> Result<SpmvPlan, SimError>;
 
     /// Executes a previously built plan against `x`. See
     /// `ChasonEngine::run_planned`.
@@ -49,181 +56,6 @@ pub trait PlanningEngine {
         delta: &MatrixDelta,
     ) -> Result<ReplanReport, SimError>;
 }
-
-macro_rules! impl_planning {
-    ($engine:ty, $name:literal, $has_reduction:expr) => {
-        impl $engine {
-            /// Schedules `matrix` into a reusable [`SpmvPlan`] without
-            /// executing it.
-            ///
-            /// The plan captures every column window's schedule (grouped
-            /// into row-partition passes when the matrix exceeds the
-            /// per-PE partial-sum capacity, mirroring `run_partitioned`),
-            /// keyed by the matrix fingerprint and scheduler
-            /// configuration. Windows are scheduled in parallel across all
-            /// available cores; the result is independent of the thread
-            /// count.
-            ///
-            /// # Errors
-            ///
-            /// [`SimError::InvalidConfig`] for inconsistent configurations.
-            pub fn plan(&self, matrix: &CooMatrix) -> Result<SpmvPlan, SimError> {
-                self.plan_with_threads(matrix, default_planning_threads())
-            }
-
-            /// [`plan`](Self::plan) with an explicit window-scheduling
-            /// thread count (`1` forces serial planning).
-            pub fn plan_with_threads(
-                &self,
-                matrix: &CooMatrix,
-                threads: usize,
-            ) -> Result<SpmvPlan, SimError> {
-                let config = self.config();
-                let total_pes = config.sched.total_pes();
-                let single_pass = matrix.rows().div_ceil(total_pes.max(1)) <= URAM_PARTIALS;
-                let passes = if single_pass {
-                    vec![plan_pass(self.scheduler(), config, matrix, 0, threads)?]
-                } else {
-                    partition_rows_capacity(matrix, URAM_PARTIALS, total_pes)
-                        .iter()
-                        .map(|p| {
-                            plan_pass(self.scheduler(), config, &p.matrix, p.row_start, threads)
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
-                };
-                Ok(SpmvPlan {
-                    key: PlanKey::new(matrix, config.sched),
-                    engine: $name.to_string(),
-                    window: config.window,
-                    rows: matrix.rows(),
-                    cols: matrix.cols(),
-                    nnz: matrix.nnz(),
-                    passes,
-                })
-            }
-
-            /// Splices `delta` into `plan` by re-scheduling only the column
-            /// windows the delta's row/column footprint dirties, leaving
-            /// every other window's schedule untouched.
-            ///
-            /// `updated` must be the delta applied to the plan's source
-            /// matrix (`MatrixDelta::apply`). Because the pass/window
-            /// skeleton depends only on the matrix shape — which deltas
-            /// never change — and this engine's scheduler is
-            /// deterministic, the spliced plan is bit-identical to
-            /// [`plan`](Self::plan) of `updated`; the conformance suite's
-            /// delta oracle asserts exactly that across the corpus. The
-            /// report says how many windows were re-scheduled.
-            ///
-            /// # Errors
-            ///
-            /// * [`SimError::PlanMismatch`] if the plan was built by a
-            ///   different engine family or configuration, or if
-            ///   `updated`/`delta` are inconsistent with the plan (shape or
-            ///   non-zero count disagreement).
-            pub fn replan_delta(
-                &self,
-                plan: &mut SpmvPlan,
-                updated: &CooMatrix,
-                delta: &MatrixDelta,
-            ) -> Result<ReplanReport, SimError> {
-                let config = self.config();
-                if plan.engine != $name {
-                    return Err(SimError::PlanMismatch(format!(
-                        "plan built by the {} engine cannot be respliced on {}",
-                        plan.engine, $name
-                    )));
-                }
-                if plan.key.config != config.sched || plan.window != config.window {
-                    return Err(SimError::PlanMismatch(
-                        "plan was built under a different configuration".to_string(),
-                    ));
-                }
-                plan.apply_delta(updated, delta, self.scheduler())
-                    .map_err(|e| SimError::PlanMismatch(e.to_string()))
-            }
-
-            /// Executes `y = A·x` from a plan built by
-            /// [`plan`](Self::plan), without rescheduling. The result is
-            /// bit-identical to `run` (or `run_partitioned` for matrices
-            /// that needed row partitioning) on the plan's source matrix.
-            ///
-            /// # Errors
-            ///
-            /// * [`SimError::PlanMismatch`] if the plan was built by a
-            ///   different engine family or under a different scheduler
-            ///   configuration or window width;
-            /// * [`SimError::VectorLengthMismatch`] if
-            ///   `x.len() != plan.cols`;
-            /// * [`SimError::InvalidConfig`] for inconsistent
-            ///   configurations.
-            pub fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError> {
-                let config = self.config();
-                if plan.engine != $name {
-                    return Err(SimError::PlanMismatch(format!(
-                        "plan built by the {} engine cannot run on {}",
-                        plan.engine, $name
-                    )));
-                }
-                if plan.key.config != config.sched || plan.window != config.window {
-                    return Err(SimError::PlanMismatch(
-                        "plan was built under a different configuration".to_string(),
-                    ));
-                }
-                if x.len() != plan.cols {
-                    return Err(SimError::VectorLengthMismatch {
-                        got: x.len(),
-                        expected: plan.cols,
-                    });
-                }
-                let scug = self.scug_size();
-                let mut parts = plan
-                    .passes
-                    .iter()
-                    .map(|pass| {
-                        execute_pass($name, config, scug, $has_reduction, pass, plan.cols, x)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                match parts.pop() {
-                    Some(single) if parts.is_empty() => Ok(single),
-                    Some(last) => {
-                        parts.push(last);
-                        Ok(combine($name, parts, plan.cols))
-                    }
-                    None => Err(SimError::PlanMismatch(
-                        "plan contains no passes".to_string(),
-                    )),
-                }
-            }
-        }
-
-        impl PlanningEngine for $engine {
-            fn plan(&self, matrix: &CooMatrix) -> Result<SpmvPlan, SimError> {
-                <$engine>::plan(self, matrix)
-            }
-
-            fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError> {
-                <$engine>::run_planned(self, plan, x)
-            }
-
-            fn plan_key(&self, matrix: &CooMatrix) -> PlanKey {
-                PlanKey::new(matrix, self.config().sched)
-            }
-
-            fn replan_delta(
-                &self,
-                plan: &mut SpmvPlan,
-                updated: &CooMatrix,
-                delta: &MatrixDelta,
-            ) -> Result<ReplanReport, SimError> {
-                <$engine>::replan_delta(self, plan, updated, delta)
-            }
-        }
-    };
-}
-
-impl_planning!(ChasonEngine, "chason", true);
-impl_planning!(SerpensEngine, "serpens", false);
 
 /// Result of executing a [`ShardedPlan`]'s shards and reducing the
 /// partials, with the latency accounting a distributed deployment would
@@ -291,7 +123,7 @@ pub fn run_sharded<E: PlanningEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AcceleratorConfig;
+    use crate::{ChasonEngine, SerpensEngine};
     use chason_core::schedule::SchedulerConfig;
     use chason_sparse::generators::{power_law, uniform_random};
 

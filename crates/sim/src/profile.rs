@@ -19,11 +19,12 @@
 //! Attribution is computed from the *plan* (its schedules), not by
 //! instrumenting the execution hot loop, so profiling costs nothing when
 //! unused. Window spans ([`window_spans`]) carry simulated-cycle
-//! timestamps replicating the executor's stamp arithmetic — integers
+//! timestamps spaced by the executor's own inter-window stamp gap — integers
 //! derived only from the plan, hence byte-identical across runs, machines,
 //! and planning thread counts.
 
 use crate::config::{AcceleratorConfig, CycleBreakdown, Execution};
+use crate::engine::window_stamp_gap;
 use crate::plan::PlanningEngine;
 use crate::SimError;
 use chason_core::plan::SpmvPlan;
@@ -257,9 +258,10 @@ pub fn profile_planned<E: PlanningEngine>(
 /// One deterministic span per column window, timestamped in simulated
 /// stream beats.
 ///
-/// Timestamps replicate the executor's stamp arithmetic: window `w`
+/// Timestamps use the executor's inter-window stamp gap: window `w`
 /// starts where window `w-1`'s stream, drain and x-reload gap ended, and
-/// passes follow each other. Every field derives from the plan alone —
+/// passes follow each other. `config` is the configuration the plan was
+/// built under. Every field derives from the plan alone —
 /// no wall clock — so the rendered JSONL is byte-identical across runs
 /// and planning thread counts, which is what lets golden traces be
 /// committed.
@@ -269,7 +271,7 @@ pub fn window_spans(plan: &SpmvPlan, config: &AcceleratorConfig) -> Vec<SpanEven
     for (p, pass) in plan.passes.iter().enumerate() {
         for (w, window) in pass.windows.iter().enumerate() {
             let schedule = &window.schedule;
-            let stream_cycles = schedule.stream_cycles() as u64;
+            let stream_cycles = schedule.stream_cycles();
             let migrated = schedule
                 .channels
                 .iter()
@@ -277,7 +279,7 @@ pub fn window_spans(plan: &SpmvPlan, config: &AcceleratorConfig) -> Vec<SpanEven
                 .filter(|(_, _, nz)| !nz.pvt)
                 .count() as u64;
             spans.push(
-                SpanEvent::new("sim.window", stamp_base, stamp_base + stream_cycles)
+                SpanEvent::new("sim.window", stamp_base, stamp_base + stream_cycles as u64)
                     .attr("engine", plan.engine.as_str())
                     .attr("pass", p)
                     .attr("window", w)
@@ -287,9 +289,7 @@ pub fn window_spans(plan: &SpmvPlan, config: &AcceleratorConfig) -> Vec<SpanEven
                     .attr("migrated", migrated)
                     .attr("stalls", window.stalls),
             );
-            stamp_base += stream_cycles
-                + plan.key.config.dependency_distance as u64
-                + config.window.div_ceil(config.x_reload_lanes) as u64;
+            stamp_base += window_stamp_gap(config, stream_cycles);
         }
     }
     spans

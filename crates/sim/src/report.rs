@@ -87,20 +87,6 @@ impl PerformanceReport {
     }
 }
 
-/// A [`PerformanceReport`] extended with the profiler's unit-level
-/// attribution — the Table 3 metrics plus *where* the cycles and stream
-/// slots went (`chason profile`'s data model).
-///
-/// The attribution's unit rows sum exactly to `report.cycles`; see
-/// [`Attribution::verify_exact`](crate::profile::Attribution::verify_exact).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttributedReport {
-    /// The derived Table 3 metrics.
-    pub report: PerformanceReport,
-    /// Per-unit cycle and per-PE slot attribution.
-    pub attribution: crate::profile::Attribution,
-}
-
 /// An integer-only snapshot of one execution's cycle accounting.
 ///
 /// Every field is a counter the simulator computes exactly — no floats, no

@@ -1,10 +1,7 @@
 //! The Serpens baseline engine (§4.4).
 
-use crate::config::{AcceleratorConfig, Execution};
-use crate::engine::execute;
-use crate::SimError;
+use crate::config::AcceleratorConfig;
 use chason_core::schedule::PeAware;
-use chason_sparse::CooMatrix;
 
 /// The Serpens streaming SpMV accelerator (Song et al., DAC 2022) — the
 /// paper's primary baseline.
@@ -42,23 +39,6 @@ impl SerpensEngine {
     /// Serpens PEs carry no ScUG.
     pub(crate) fn scug_size(&self) -> usize {
         0
-    }
-
-    /// Executes `y = A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::ChasonEngine::run`].
-    pub fn run(&self, matrix: &CooMatrix, x: &[f32]) -> Result<Execution, SimError> {
-        execute(
-            "serpens",
-            &self.scheduler,
-            &self.config,
-            0,
-            false,
-            matrix,
-            x,
-        )
     }
 }
 

@@ -12,16 +12,17 @@
 //! * the stream is re-played once per 8-column tile of `B`, so stream
 //!   cycles scale with `⌈N / 8⌉` while the schedule (and its stalls) is
 //!   shared;
-//! * functionally, every tile column is executed through the same
-//!   PEG/ScUG/Reduction/Merge pipeline as SpMV, so the `pvt`/`PE_src`
-//!   routing is exercised for every output column.
+//! * functionally, every column of `B` is replayed through the SpMV
+//!   replay kernel (PEG/ScUG/Reduction/Merge), so the `pvt`/`PE_src`
+//!   routing is exercised for every output column and each column of `C`
+//!   is bit-identical to the SpMV of that column of `B` when `α = 1`,
+//!   `β = 0`.
+//!
+//! The engines' `run_spmm` lives in the shared execution core
+//! (`engine.rs`); this module holds the result type and the dense
+//! reference.
 
-use crate::config::{AcceleratorConfig, CycleBreakdown};
-use crate::peg::Peg;
-use crate::rearrange::merge_outputs;
-use crate::SimError;
-use chason_core::schedule::{Crhcs, PeAware, ScheduledMatrix, Scheduler};
-use chason_core::window::partition_columns;
+use crate::config::CycleBreakdown;
 use chason_sparse::{CooMatrix, DenseMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -66,191 +67,6 @@ impl SpmmExecution {
     }
 }
 
-/// Shared SpMM executor (see module docs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_spmm<S: Scheduler>(
-    engine: &'static str,
-    scheduler: &S,
-    config: &AcceleratorConfig,
-    scug_size: usize,
-    has_reduction: bool,
-    a: &CooMatrix,
-    b: &DenseMatrix,
-    alpha: f32,
-    beta: f32,
-    c0: &DenseMatrix,
-) -> Result<SpmmExecution, SimError> {
-    if !config.is_valid() {
-        return Err(SimError::InvalidConfig(
-            "accelerator configuration failed validation".to_string(),
-        ));
-    }
-    if b.rows() != a.cols() {
-        return Err(SimError::VectorLengthMismatch {
-            got: b.rows(),
-            expected: a.cols(),
-        });
-    }
-    if c0.rows() != a.rows() || c0.cols() != b.cols() {
-        return Err(SimError::InvalidConfig(format!(
-            "C shape {}x{} must be {}x{}",
-            c0.rows(),
-            c0.cols(),
-            a.rows(),
-            b.cols()
-        )));
-    }
-    let sched = &config.sched;
-    let rows_per_pe = a.rows().div_ceil(sched.total_pes().max(1));
-    let n = b.cols();
-    let tiles = n.div_ceil(TILE_COLS).max(usize::from(n == 0));
-
-    // Schedule every window of A exactly once; the schedule is shared by
-    // all tiles (§7.2: the non-zero stream is independent of B).
-    let windows = partition_columns(a, config.window);
-    let schedules: Vec<ScheduledMatrix> = windows
-        .iter()
-        .map(|w| scheduler.schedule(&w.matrix, sched))
-        .collect();
-
-    let mut cycles = CycleBreakdown::default();
-    let mut bytes_streamed = 0u64;
-    for s in &schedules {
-        let stream = s.stream_cycles() as u64;
-        cycles.stream += ((stream * tiles as u64) as f64 * config.stream_ii).ceil() as u64;
-        cycles.fill_drain += (sched.dependency_distance * tiles.max(1)) as u64;
-        bytes_streamed +=
-            stream * (sched.channels * sched.pes_per_channel * 8) as u64 * tiles as u64;
-    }
-
-    let mut c = DenseMatrix::zeros(a.rows(), n);
-    let mut mac_ops = 0u64;
-    // Execute each output column through the full PEG pipeline. Columns of
-    // a tile run concurrently in hardware (widened URAM slots); the
-    // functional result is column-separable, so we drive them one plane at
-    // a time while the cycle model above charges per-tile streams.
-    for j in 0..n {
-        let mut pegs = (0..sched.channels)
-            .map(|ch| {
-                Peg::new(
-                    ch,
-                    sched.pes_per_channel,
-                    config.window,
-                    rows_per_pe,
-                    scug_size,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let b_col = b.column(j);
-        for (window, schedule) in windows.iter().zip(&schedules) {
-            let slice = &b_col[window.col_start..window.col_end];
-            for peg in &mut pegs {
-                peg.load_x(slice);
-            }
-            for (ch, channel) in schedule.channels.iter().enumerate() {
-                for (_, lane, nz) in channel.occupied() {
-                    pegs[ch].consume_slot(lane, nz, sched, None)?;
-                }
-            }
-        }
-        mac_ops += pegs.iter().map(Peg::mac_ops).sum::<u64>();
-        let outputs: Vec<_> = pegs.iter().map(Peg::reduce).collect();
-        let column = merge_outputs(&outputs, sched, a.rows());
-        for (r, &v) in column.iter().enumerate() {
-            c.set(r, j, alpha * v + beta * c0.get(r, j));
-        }
-    }
-
-    // B-tile loading between windows (4 channels stream B in §7.2).
-    let reload = (windows.len() * tiles)
-        .max(1)
-        .saturating_mul(config.window.div_ceil(config.x_reload_lanes));
-    cycles.x_reload += (reload as f64 * config.stream_ii).ceil() as u64;
-    if has_reduction && scug_size > 0 {
-        let tree_depth = (sched.pes_per_channel as f64).log2().ceil() as u64;
-        cycles.reduction += (((rows_per_pe as u64 + tree_depth) * tiles as u64) as f64
-            * config.stream_ii)
-            .ceil() as u64;
-    }
-    // C read-modify-write through the 8 output channels (§7.2).
-    cycles.merge +=
-        (((a.rows() * n).div_ceil(config.merge_width)) as f64 * config.stream_ii).ceil() as u64;
-    cycles.invocation += config.invocation_overhead_cycles;
-
-    Ok(SpmmExecution {
-        engine,
-        c,
-        cycles,
-        clock_mhz: config.clock_mhz,
-        tiles,
-        mac_ops,
-        bytes_streamed,
-    })
-}
-
-impl crate::ChasonEngine {
-    /// Executes `C = α·A·B + β·C` on the Chasoň datapath (§7.2).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::ChasonEngine::run`], plus shape
-    /// mismatches between `A`, `B` and `C`.
-    pub fn run_spmm(
-        &self,
-        a: &CooMatrix,
-        b: &DenseMatrix,
-        alpha: f32,
-        beta: f32,
-        c: &DenseMatrix,
-    ) -> Result<SpmmExecution, SimError> {
-        let config = *self.config();
-        execute_spmm(
-            "chason",
-            &Crhcs::new(),
-            &config,
-            config.sched.pes_per_channel * config.sched.migration_hops,
-            true,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-        )
-    }
-}
-
-impl crate::SerpensEngine {
-    /// Executes `C = α·A·B + β·C` on the Serpens-style datapath (as in
-    /// Sextans, the prior OoO SpMM accelerator).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::SerpensEngine::run`], plus shape
-    /// mismatches between `A`, `B` and `C`.
-    pub fn run_spmm(
-        &self,
-        a: &CooMatrix,
-        b: &DenseMatrix,
-        alpha: f32,
-        beta: f32,
-        c: &DenseMatrix,
-    ) -> Result<SpmmExecution, SimError> {
-        let config = *self.config();
-        execute_spmm(
-            "serpens",
-            &PeAware::new(),
-            &config,
-            0,
-            false,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-        )
-    }
-}
-
 /// Dense reference SpMM oracle: `α·A·B + β·C0`.
 pub fn reference_spmm(
     a: &CooMatrix,
@@ -277,7 +93,7 @@ pub fn reference_spmm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+    use crate::{AcceleratorConfig, ChasonEngine, SerpensEngine, SimError};
     use chason_sparse::generators::power_law;
 
     fn operands(n_cols: usize) -> (CooMatrix, DenseMatrix, DenseMatrix) {
@@ -339,6 +155,32 @@ mod tests {
             e3.cycles.stream,
             e1.cycles.stream
         );
+    }
+
+    /// With `α = 1, β = 0` every column of `C` is the SpMV of that column
+    /// of `B`, bit for bit: SpMM replays the same schedule through the same
+    /// PEGs, once per column.
+    #[test]
+    fn every_spmm_column_equals_spmv() {
+        let (a, b, c0) = operands(11);
+        let mut two_hops = AcceleratorConfig::chason();
+        two_hops.sched.migration_hops = 2;
+        let check = |spmm: SpmmExecution, spmv: &dyn Fn(&[f32]) -> Vec<f32>| {
+            for j in 0..b.cols() {
+                let column: Vec<u32> = (0..a.rows()).map(|r| spmm.c.get(r, j).to_bits()).collect();
+                let y: Vec<u32> = spmv(&b.column(j)).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(column, y, "{} column {j}", spmm.engine);
+            }
+        };
+        for chason in [ChasonEngine::default(), ChasonEngine::new(two_hops)] {
+            check(chason.run_spmm(&a, &b, 1.0, 0.0, &c0).unwrap(), &|x| {
+                chason.run(&a, x).unwrap().y
+            });
+        }
+        let serpens = SerpensEngine::default();
+        check(serpens.run_spmm(&a, &b, 1.0, 0.0, &c0).unwrap(), &|x| {
+            serpens.run(&a, x).unwrap().y
+        });
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! CHSN bytes of a row-split schedule, are pinned as FNV-1a digests for
 //! inputs that stress the scheduler's corner cases. A faster scheduler must
 //! reproduce every plan byte for byte, so these digests only change when
-//! the scheduling policy itself changes on purpose.
+//! the scheduling policy itself changes on purpose. SpMM runs are pinned
+//! the same way: their modeled cycles, streamed bytes, tile count and the
+//! bits of `C` for both engines at several dense widths.
 //!
 //! The 16384² SPD case mirrors the size of the end-to-end benchmark's
 //! `sim-spmv` matrix and is `#[ignore]`d in debug runs; run it with
@@ -12,7 +14,7 @@ use chason_core::export::{write_plan, write_schedule};
 use chason_core::schedule::{HybridRowSplit, Scheduler, SchedulerConfig};
 use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
 use chason_sparse::generators::{power_law, uniform_random};
-use chason_sparse::CooMatrix;
+use chason_sparse::{CooMatrix, DenseMatrix};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -219,4 +221,62 @@ fn sim_spmv_sized_spd_matrix() {
         SchedulerConfig::paper(),
         (0xf4cab5364a4a0eb8, 0x17826ade9013fa06),
     );
+}
+
+/// Digest of `C = 1.5·A·B + 0.5·C0` on both engines for a `width`-column
+/// `B`: `(chason, serpens)`, each over the cycle breakdown,
+/// `bytes_streamed`, `tiles` and the bits of `C`.
+fn spmm_digests(width: usize) -> (u64, u64) {
+    // Three column windows of a skewed matrix: x reload, fill/drain and
+    // the Reduction Unit all scale with the tile count.
+    let a = power_law(2000, 20_000, 30_000, 1.8, 9);
+    let b = DenseMatrix::from_fn(a.cols(), width, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.25);
+    let c0 = DenseMatrix::from_fn(a.rows(), width, |r, c| ((r + c) % 5) as f32 - 2.0);
+    let digest = |exec: chason_sim::SpmmExecution| {
+        let cy = exec.cycles;
+        let mut bytes = Vec::new();
+        for word in [
+            cy.stream,
+            cy.fill_drain,
+            cy.x_reload,
+            cy.reduction,
+            cy.merge,
+            cy.invocation,
+            exec.bytes_streamed,
+            exec.tiles as u64,
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        for v in exec.c.data() {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        fnv1a(&bytes)
+    };
+    let chason = ChasonEngine::default().run_spmm(&a, &b, 1.5, 0.5, &c0);
+    let serpens = SerpensEngine::default().run_spmm(&a, &b, 1.5, 0.5, &c0);
+    (digest(chason.unwrap()), digest(serpens.unwrap()))
+}
+
+fn assert_spmm_digests(width: usize, expected: (u64, u64)) {
+    let got = spmm_digests(width);
+    assert_eq!(
+        got, expected,
+        "SpMM at N = {width} changed: got (chason, serpens) = ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn spmm_single_column() {
+    assert_spmm_digests(1, (0xb83bade832b41947, 0x326b7c42dd5c0888));
+}
+
+#[test]
+fn spmm_one_full_tile() {
+    assert_spmm_digests(8, (0x8846ee4b462f2a37, 0x72620cbae76a8603));
+}
+
+#[test]
+fn spmm_three_tiles() {
+    assert_spmm_digests(24, (0x36aecc7fe2afa153, 0x9e41e2497a40391f));
 }
