@@ -49,7 +49,7 @@ USAGE:
                                (recipes: uniform, powerlaw, banded, arrow)
   chason catalog
   chason serve                 [--addr HOST:PORT] [--workers N] [--queue N]
-                               [--plan-cache N] [--matrix-cache N] [--batch-max N]
+                               [--plan-cache N] [--matrix-cache N]
                                [--retry-after-ms MS] [--channels N] [--pes N]
                                # CHSP daemon; runs until a Shutdown request;
                                serves every connection from one

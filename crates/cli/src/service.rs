@@ -38,7 +38,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         plan_cache_capacity: args.get_or("plan-cache", 64usize)?,
         matrix_cache_capacity: args.get_or("matrix-cache", 32usize)?,
         idle_timeout: Duration::from_secs(args.get_or("idle-timeout-secs", 30u64)?),
-        batch_max: args.get_or("batch-max", 8usize)?,
         retry_after_ms: args.get_or("retry-after-ms", 20u32)?,
         sched: scheduler_config(args)?,
         ..ServeConfig::default()

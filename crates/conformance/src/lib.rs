@@ -22,7 +22,7 @@
 //!
 //! On top sit two adversarial stages:
 //!
-//! * a deterministic schedule [`fuzz`]er that reuses the ten-corruption
+//! * a deterministic schedule [`fuzz`](mod@fuzz)er that reuses the ten-corruption
 //!   mutation library from `chason-verify` as fault injection: every
 //!   injected corruption must be caught by the static checker or by a
 //!   dynamic oracle, proving the two layers compose into a net with no

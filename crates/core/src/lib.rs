@@ -45,7 +45,6 @@ pub mod metrics;
 pub mod plan;
 pub mod replan;
 pub mod schedule;
-pub mod shard;
 pub mod viz;
 pub mod window;
 
@@ -58,4 +57,3 @@ pub use schedule::{
     ChannelSchedule, Crhcs, HybridRowSplit, NzSlot, PeAware, RowBased, ScheduledMatrix, Scheduler,
     SchedulerConfig,
 };
-pub use shard::ShardedPlan;

@@ -3,15 +3,19 @@
 //! The readiness loop hands a connection whatever bytes the socket had —
 //! half a header, three frames and a fragment, one byte at a time — and
 //! [`FrameAssembler`] turns that stream back into whole frame payloads.
-//! It is the nonblocking twin of the serve crate's `FrameReader`: the same
-//! little-endian `u32` length prefix, the same cap enforcement before any
-//! payload allocation, the same bounded preallocation so a hostile header
-//! cannot reserve gigabytes.
+//! It reads the little-endian `u32` length prefix, enforces the cap
+//! before any payload allocation, and bounds preallocation so a hostile
+//! header cannot reserve gigabytes. The serve crate's blocking
+//! `FrameReader` is this state machine fed from a `Read`.
 
 /// Frame payloads never preallocate more than this many bytes up front,
 /// however large the (validated) declared length is; the buffer grows as
 /// real bytes arrive.
 const PREALLOC_LIMIT: usize = 1 << 20;
+
+/// The most bytes one socket read asks for: the readiness loop's scratch
+/// buffer and the blocking `FrameReader`'s largest payload read.
+pub const READ_CHUNK: usize = 16 * 1024;
 
 /// Why reassembly stopped: the one unrecoverable stream state.
 ///
@@ -73,6 +77,16 @@ impl FrameAssembler {
         self.filled > 0 || self.payload_len.is_some()
     }
 
+    /// How many more bytes complete the current header or payload: the
+    /// most a reader that must not consume the next frame may ask for.
+    /// Zero only once poisoned, when no byte can complete anything.
+    pub fn wanted(&self) -> usize {
+        match self.payload_len {
+            Some(len) => len - self.payload.len(),
+            None => 4 - self.filled,
+        }
+    }
+
     /// Consumes `bytes`, appending every completed frame payload to
     /// `out`.
     ///
@@ -90,22 +104,18 @@ impl FrameAssembler {
             });
         }
         while !bytes.is_empty() {
+            let (head, rest) = bytes.split_at(self.wanted().min(bytes.len()));
+            bytes = rest;
             if let Some(len) = self.payload_len {
-                let want = len - self.payload.len();
-                let take = want.min(bytes.len());
-                self.payload.extend_from_slice(&bytes[..take]);
-                bytes = &bytes[take..];
+                self.payload.extend_from_slice(head);
                 if self.payload.len() == len {
                     out.push(std::mem::take(&mut self.payload));
                     self.payload_len = None;
                     self.filled = 0;
                 }
             } else {
-                let want = 4 - self.filled;
-                let take = want.min(bytes.len());
-                self.header[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
-                self.filled += take;
-                bytes = &bytes[take..];
+                self.header[self.filled..self.filled + head.len()].copy_from_slice(head);
+                self.filled += head.len();
                 if self.filled == 4 {
                     let len = u32::from_le_bytes(self.header) as usize;
                     if len > self.max_len {
@@ -186,12 +196,23 @@ mod tests {
         let mut asm = FrameAssembler::new(64);
         let mut out = Vec::new();
         assert!(!asm.mid_frame());
+        assert_eq!(asm.wanted(), 4);
         asm.feed(&[5, 0], &mut out).unwrap();
         assert!(asm.mid_frame());
+        assert_eq!(asm.wanted(), 2, "the rest of the header");
         asm.feed(&[0, 0, b'h', b'e', b'l'], &mut out).unwrap();
         assert!(asm.mid_frame());
+        assert_eq!(asm.wanted(), 2, "the rest of the payload");
         asm.feed(b"lo", &mut out).unwrap();
         assert!(!asm.mid_frame());
+        assert_eq!(asm.wanted(), 4, "the next header");
         assert_eq!(out, vec![b"hello".to_vec()]);
+    }
+
+    #[test]
+    fn poisoned_assembler_wants_nothing() {
+        let mut asm = FrameAssembler::new(8);
+        assert!(asm.feed(&[9, 0, 0, 0], &mut Vec::new()).is_err());
+        assert_eq!(asm.wanted(), 0);
     }
 }

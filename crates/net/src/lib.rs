@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod server;
 pub mod wheel;
 
-pub use assembler::{FrameAssembler, FrameTooLarge};
+pub use assembler::{FrameAssembler, FrameTooLarge, READ_CHUNK};
 pub use metrics::NetMetrics;
 pub use server::{FrameOutcome, LoopHandle, NetConfig, NetServer, Service};
 pub use wheel::TimerWheel;

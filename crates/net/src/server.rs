@@ -35,7 +35,7 @@
 //! go idle, and ends the loop when none remain: accepted work is always
 //! answered.
 
-use crate::assembler::FrameAssembler;
+use crate::assembler::{FrameAssembler, READ_CHUNK};
 use crate::metrics::NetMetrics;
 use crate::wheel::{Expired, TimerWheel};
 use chason_telemetry::metrics::Registry;
@@ -56,9 +56,6 @@ const TICK: Duration = Duration::from_millis(100);
 /// Wheel size: covers deadlines up to `TICK * WHEEL_SLOTS` (51.2 s)
 /// without wrap-induced spurious firings.
 const WHEEL_SLOTS: usize = 512;
-
-/// Per-`read` scratch buffer size, matching `FrameReader`'s chunking.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// How the application responded to one reassembled frame.
 #[derive(Debug)]

@@ -8,7 +8,7 @@
 //!
 //! | suite             | models                                              |
 //! |-------------------|-----------------------------------------------------|
-//! | `serve-queue`     | `chason_serve::dispatch` queue, shed, batching      |
+//! | `serve-queue`     | `chason_serve::dispatch` queue, shed, worker drain  |
 //! | `shutdown-drain`  | producer/consumer shutdown with disconnect drain    |
 //! | `lru-cache`       | shared `LruCache` get/insert/evict counters         |
 //! | `dynamic-cursor`  | `spmv_dynamic`-style work-stealing chunk claims     |

@@ -8,9 +8,8 @@
 //! [`chason_serve::dispatch`] core, so a router drops into any deployment
 //! script that already drives a server. The difference is inside the
 //! workers: instead of executing kernels, each worker owns one pooled
-//! [`ShardConn`](crate::shards::ShardConn) per backend and scatters
-//! sub-requests across them with scoped threads, so an N-shard fan-out
-//! costs one round trip, not N.
+//! [`ShardConn`] per backend and scatters sub-requests across them with
+//! scoped threads, so an N-shard fan-out costs one round trip, not N.
 //!
 //! # Consistency
 //!
@@ -264,8 +263,6 @@ impl Router {
         let pool_config = PoolConfig {
             workers: config.workers,
             queue_capacity: config.queue_capacity,
-            // Scatters are per request; the router never batches.
-            batch_max: 1,
             retry_after_ms: config.retry_after_ms,
             idle_timeout: config.idle_timeout,
             max_frame_len: config.max_frame_len,

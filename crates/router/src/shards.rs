@@ -73,7 +73,7 @@ impl std::error::Error for ShardError {}
 /// Shared per-shard liveness flags.
 ///
 /// Written by the health-check thread (periodic `Stats` pings) and by
-/// workers when a request fails or succeeds; read by [`Stats`] reporting.
+/// workers when a request fails or succeeds; read by `Stats` reporting.
 /// The board is advisory — workers always attempt the request rather than
 /// fast-failing on a stale flag.
 #[derive(Debug)]

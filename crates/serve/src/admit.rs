@@ -55,7 +55,7 @@ fn check_values<'a>(
     Ok(())
 }
 
-/// Admits a `LoadMatrix`: dimensions in range, every value schedulable,
+/// Admission for a `LoadMatrix`: dimensions in range, every value schedulable,
 /// every coordinate in bounds and unique. Rejects with `BadRequest`
 /// naming the first violated rule.
 pub fn load_matrix(
@@ -76,7 +76,7 @@ pub fn load_matrix(
     CooMatrix::from_triplets(rows as usize, cols as usize, converted).map_err(sparse_error)
 }
 
-/// Admits an `Spmv` input vector: one entry per matrix column.
+/// Admission for an `Spmv` input vector: one entry per matrix column.
 pub fn spmv(matrix: &CooMatrix, x: &[f32]) -> Result<(), Box<Reply>> {
     if x.len() != matrix.cols() {
         return Err(bad_request(format!(
@@ -88,7 +88,7 @@ pub fn spmv(matrix: &CooMatrix, x: &[f32]) -> Result<(), Box<Reply>> {
     Ok(())
 }
 
-/// Admits a `Solve`: a square system, one `b` entry per row, a finite
+/// Admission for a `Solve`: a square system, one `b` entry per row, a finite
 /// non-negative tolerance, and for Jacobi a non-zero diagonal in every
 /// row. The solvers assert on these, so checking ahead keeps a bad
 /// request from panicking a worker.

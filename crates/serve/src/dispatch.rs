@@ -7,9 +7,8 @@
 //! bounded worker queue is full, and run everything else on a fixed pool
 //! of worker threads. This module is that machinery, written once. A
 //! daemon plugs in through the [`Daemon`] trait and supplies only what
-//! differs: how a request executes (with per-worker state), which queued
-//! requests may batch together, its `Stats`/`Metrics` content, its
-//! shutdown fan-out, and its drain message.
+//! differs: how a request executes (with per-worker state), its
+//! `Stats`/`Metrics` content, its shutdown fan-out, and its drain message.
 //!
 //! # Dispatch
 //!
@@ -17,10 +16,10 @@
 //! the spot; everything else becomes a job on one bounded MPMC queue. The
 //! queue is the backpressure boundary: when it is full the job is shed
 //! with `Busy` (counted in `chsp_shed_total`) instead of blocking the
-//! loop, so a saturated daemon stays responsive and observable. Workers
-//! encode their replies themselves and complete the frame's
-//! `(conn, seq)` slot; the loop writes replies in per-connection request
-//! order.
+//! loop, so a saturated daemon stays responsive and observable. A worker
+//! takes one job per dequeue, encodes its reply itself and completes the
+//! frame's `(conn, seq)` slot; the loop writes replies in per-connection
+//! request order.
 //!
 //! # Drain
 //!
@@ -42,10 +41,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// A batch-admission predicate: which queued requests may run along with
-/// the one a worker just dequeued.
-pub type Admits<'a> = Box<dyn Fn(&Request) -> bool + 'a>;
 
 /// What a CHSP daemon plugs into the shared core.
 pub trait Daemon: Send + Sync + 'static {
@@ -69,13 +64,6 @@ pub trait Daemon: Send + Sync + 'static {
     /// Executes one queued request. Never sees `Sleep` or the inline
     /// requests: the core answers those itself.
     fn execute(&self, worker: &mut Self::Worker, request: Request) -> Reply;
-    /// Opens a batch on a dequeued request: the predicate queued requests
-    /// must meet to be taken off the queue front along with it, or `None`
-    /// to run it alone.
-    fn batch_with(&self, first: &Request) -> Option<Admits<'_>> {
-        let _ = first;
-        None
-    }
     /// A wire `Shutdown` arrived. Runs after the drain flag is set and
     /// before the `Done` acknowledgement is sent.
     fn on_shutdown(&self) {}
@@ -88,8 +76,6 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Bounded queue capacity; the load-shedding threshold.
     pub queue_capacity: usize,
-    /// Most requests one dequeue may run as a batch.
-    pub batch_max: usize,
     /// Back-off hint carried by [`Reply::Busy`].
     pub retry_after_ms: u32,
     /// How long a connection may sit idle before it is reaped.
@@ -135,10 +121,9 @@ impl<D: Daemon> WorkerPool<D> {
             .map(|index| {
                 let daemon = Arc::clone(&daemon);
                 let jobs = jobs_rx.clone();
-                let batch_max = config.batch_max;
                 thread::Builder::new()
                     .name(format!("{}-{index}", D::WORKER_NAME))
-                    .spawn(move || worker_loop(&*daemon, index, &jobs, batch_max))
+                    .spawn(move || worker_loop(&*daemon, index, &jobs))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         drop(jobs_rx);
@@ -294,26 +279,10 @@ impl<D: Daemon> Service for ChspService<D> {
     }
 }
 
-fn worker_loop<D: Daemon>(daemon: &D, index: usize, jobs: &Receiver<Job>, batch_max: usize) {
+fn worker_loop<D: Daemon>(daemon: &D, index: usize, jobs: &Receiver<Job>) {
     let mut state = daemon.worker(index);
-    while let Ok(first) = jobs.recv() {
-        // Batching takes twins from the queue front only, so FIFO
-        // fairness holds for everything else.
-        let mut twins = Vec::new();
-        if let Some(admits) = daemon.batch_with(&first.request) {
-            while twins.len() + 1 < batch_max {
-                match jobs.try_recv_if(|next| admits(&next.request)) {
-                    Some(next) => twins.push(next),
-                    None => break,
-                }
-            }
-        }
-        if !twins.is_empty() {
-            daemon.stats().batched.add(twins.len() as u64);
-        }
-        for job in std::iter::once(first).chain(twins) {
-            run_job(daemon, &mut state, index, job);
-        }
+    while let Ok(job) = jobs.recv() {
+        run_job(daemon, &mut state, index, job);
     }
 }
 

@@ -19,9 +19,9 @@
 //! * [`dispatch`] — the dispatch and worker-pool core `chason serve` and
 //!   `chason route` share: the readiness-loop service, bounded queue and
 //!   shedding, worker threads, graceful drain.
-//! * [`server`] — [`Server`](server::Server): the SpMV/solver/plan/update
+//! * [`server`] — [`Server`]: the SpMV/solver/plan/update
 //!   executors and shared caches over that core.
-//! * [`client`] — blocking [`Client`](client::Client) with typed helpers.
+//! * [`client`] — blocking [`Client`] with typed helpers.
 //! * [`loadgen`] — deterministic load generator (`chason loadgen`):
 //!   closed loop, pipelined, or open loop.
 //! * [`stats`] — lock-free counters behind the `Stats` request.

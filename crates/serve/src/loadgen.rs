@@ -347,7 +347,7 @@ impl LoadgenReport {
                 concat!(
                     "{{\"uptime_millis\":{},\"requests_load\":{},\"requests_spmv\":{},",
                     "\"requests_solve\":{},\"requests_plan\":{},\"requests_stats\":{},",
-                    "\"requests_sleep\":{},\"shed\":{},\"batched\":{},\"queue_depth_hwm\":{},",
+                    "\"requests_sleep\":{},\"shed\":{},\"queue_depth_hwm\":{},",
                     "\"plan_cache_hits\":{},\"plan_cache_misses\":{},\"plan_cache_evictions\":{},",
                     "\"plan_cache_len\":{},\"plan_cache_capacity\":{},\"matrices_resident\":{},",
                     "\"matrix_evictions\":{},\"service_p50_micros\":{},\"service_p99_micros\":{},",
@@ -363,7 +363,6 @@ impl LoadgenReport {
                 s.requests_stats,
                 s.requests_sleep,
                 s.shed,
-                s.batched,
                 s.queue_depth_hwm,
                 s.plan_cache_hits,
                 s.plan_cache_misses,

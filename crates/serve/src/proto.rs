@@ -13,6 +13,7 @@
 //! ([`chason_core::export::write_plan`]), so a client can persist it or
 //! feed it back to any offline tool that already speaks CHPL.
 
+use chason_net::{FrameAssembler, FrameTooLarge, READ_CHUNK};
 use chason_sparse::CooMatrix;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -59,6 +60,15 @@ impl std::error::Error for ProtoError {}
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
         ProtoError::Io(e)
+    }
+}
+
+impl From<FrameTooLarge> for ProtoError {
+    fn from(e: FrameTooLarge) -> Self {
+        ProtoError::FrameTooLarge {
+            len: e.len,
+            cap: e.cap,
+        }
     }
 }
 
@@ -418,8 +428,8 @@ pub struct StatsSnapshot {
     pub requests_sleep: u64,
     /// Requests rejected with `Busy` because the queue was full.
     pub shed: u64,
-    /// Extra SpMV requests executed by piggybacking on another request's
-    /// plan resolution (same-matrix batching).
+    /// Reserved, always 0. The slot keeps the reply layout stable; no
+    /// server batches requests.
     pub batched: u64,
     /// Highest queue depth observed.
     pub queue_depth_hwm: u64,
@@ -575,7 +585,6 @@ impl StatsSnapshot {
         );
         line("stats served inline", self.requests_stats.to_string());
         line("shed (queue full)", self.shed.to_string());
-        line("batched spmv", self.batched.to_string());
         line("queue depth hwm", self.queue_depth_hwm.to_string());
         line(
             "plan cache",
@@ -1254,32 +1263,28 @@ pub enum FrameEvent {
 ///
 /// A timeout mid-frame must not lose the bytes already read — the server
 /// polls in short ticks so it can notice shutdown — so this reader keeps
-/// partial header/payload progress across calls.
+/// partial header/payload progress across calls. It is a
+/// [`FrameAssembler`] fed from a blocking `Read`: each read asks for at
+/// most the bytes that complete the current header or payload (payload
+/// reads in chunks of at most 16 KiB), so `poll` never consumes a byte
+/// past the frame it returns.
 #[derive(Debug)]
 pub struct FrameReader {
-    max_len: usize,
-    header: [u8; 4],
-    filled: usize,
-    payload: Vec<u8>,
-    payload_len: Option<usize>,
+    assembler: FrameAssembler,
 }
 
 impl FrameReader {
     /// Creates a reader enforcing `max_len` on every frame.
     pub fn new(max_len: usize) -> Self {
         FrameReader {
-            max_len,
-            header: [0; 4],
-            filled: 0,
-            payload: Vec::new(),
-            payload_len: None,
+            assembler: FrameAssembler::new(max_len),
         }
     }
 
     /// Whether a frame is partially read (EOF here is a mid-frame
     /// disconnect, not a clean close).
     pub fn mid_frame(&self) -> bool {
-        self.filled > 0 || self.payload_len.is_some()
+        self.assembler.mid_frame()
     }
 
     /// Advances the read state machine by at most one socket read
@@ -1288,62 +1293,34 @@ impl FrameReader {
     /// # Errors
     ///
     /// [`ProtoError::FrameTooLarge`] for an over-cap declared length
-    /// (unrecoverable: the stream cannot be resynchronized);
+    /// (unrecoverable: the stream cannot be resynchronized, and every
+    /// later `poll` reports it again);
     /// [`ProtoError::Io`] for I/O failures other than timeouts, including
     /// mid-frame EOF.
     pub fn poll<R: Read>(&mut self, reader: &mut R) -> Result<FrameEvent, ProtoError> {
+        let mut frames = Vec::new();
+        // Feeding nothing is a no-op, unless an over-cap header poisoned
+        // the assembler: then it reports that header again.
+        self.assembler.feed(&[], &mut frames)?;
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            if let Some(len) = self.payload_len {
-                // Reading the payload.
-                let have = self.payload.len();
-                if have == len {
-                    let frame = std::mem::take(&mut self.payload);
-                    self.payload_len = None;
-                    self.filled = 0;
-                    return Ok(FrameEvent::Frame(frame));
+            let want = self.assembler.wanted().min(READ_CHUNK);
+            match reader.read(&mut chunk[..want]) {
+                Ok(0) if self.assembler.mid_frame() => {
+                    return Err(ProtoError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    )))
                 }
-                let mut chunk = [0u8; 16 * 1024];
-                let want = (len - have).min(chunk.len());
-                match reader.read(&mut chunk[..want]) {
-                    Ok(0) => {
-                        return Err(ProtoError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        )))
+                Ok(0) => return Ok(FrameEvent::Eof),
+                Ok(n) => {
+                    self.assembler.feed(&chunk[..n], &mut frames)?;
+                    if let Some(frame) = frames.pop() {
+                        return Ok(FrameEvent::Frame(frame));
                     }
-                    Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
-                    Err(e) if is_timeout(&e) => return Ok(FrameEvent::Timeout),
-                    Err(e) => return Err(ProtoError::Io(e)),
                 }
-            } else {
-                // Reading the 4-byte length header.
-                match reader.read(&mut self.header[self.filled..]) {
-                    Ok(0) => {
-                        if self.filled == 0 {
-                            return Ok(FrameEvent::Eof);
-                        }
-                        return Err(ProtoError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-header",
-                        )));
-                    }
-                    Ok(n) => {
-                        self.filled += n;
-                        if self.filled == 4 {
-                            let len = u32::from_le_bytes(self.header) as usize;
-                            if len > self.max_len {
-                                return Err(ProtoError::FrameTooLarge {
-                                    len: len as u64,
-                                    cap: self.max_len as u64,
-                                });
-                            }
-                            self.payload = Vec::with_capacity(len.min(1 << 20));
-                            self.payload_len = Some(len);
-                        }
-                    }
-                    Err(e) if is_timeout(&e) => return Ok(FrameEvent::Timeout),
-                    Err(e) => return Err(ProtoError::Io(e)),
-                }
+                Err(e) if is_timeout(&e) => return Ok(FrameEvent::Timeout),
+                Err(e) => return Err(ProtoError::Io(e)),
             }
         }
     }
@@ -1435,6 +1412,62 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(matches!(reader.poll(&mut src).unwrap(), FrameEvent::Eof));
+    }
+
+    #[test]
+    fn poll_reads_no_further_than_the_frame_it_returns() {
+        /// Serves a byte slice and records the size of every read.
+        struct Counting<'a> {
+            bytes: &'a [u8],
+            consumed: usize,
+            asks: Vec<usize>,
+        }
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.asks.push(buf.len());
+                let n = buf.len().min(self.bytes.len() - self.consumed);
+                buf[..n].copy_from_slice(&self.bytes[self.consumed..self.consumed + n]);
+                self.consumed += n;
+                Ok(n)
+            }
+        }
+        let first = vec![7u8; 40_000];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &first).unwrap();
+        write_frame(&mut wire, b"next").unwrap();
+        let mut src = Counting {
+            bytes: &wire,
+            consumed: 0,
+            asks: Vec::new(),
+        };
+        let mut reader = FrameReader::new(1 << 16);
+        match reader.poll(&mut src).unwrap() {
+            FrameEvent::Frame(f) => assert_eq!(f, first),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(src.consumed, 4 + first.len());
+        assert_eq!(src.asks[0], 4, "a header read asks for the header only");
+        assert!(src.asks.iter().all(|&n| n <= 16 * 1024), "{:?}", src.asks);
+        match reader.poll(&mut src).unwrap() {
+            FrameEvent::Frame(f) => assert_eq!(f, b"next"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(src.consumed, wire.len());
+    }
+
+    #[test]
+    fn over_cap_header_is_reported_on_every_later_poll() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[0u8; 100]).unwrap();
+        let mut src = wire.as_slice();
+        let mut reader = FrameReader::new(50);
+        for _ in 0..2 {
+            let err = reader.poll(&mut src).unwrap_err();
+            assert!(
+                matches!(err, ProtoError::FrameTooLarge { len: 100, cap: 50 }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

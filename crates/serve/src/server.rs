@@ -4,11 +4,10 @@
 //! Connections, the bounded worker queue, shedding, worker threads, and
 //! drain all live in [`crate::dispatch`]; this module supplies the
 //! [`Daemon`] parts that are serve's own: executing requests against the
-//! shared matrix and plan caches, batching same-matrix SpMVs, and the
-//! `Stats`/`Metrics` content.
+//! shared matrix and plan caches, and the `Stats`/`Metrics` content.
 
 use crate::admit::{self, Outcome};
-use crate::dispatch::{Admits, Daemon, PoolConfig, WorkerPool};
+use crate::dispatch::{Daemon, PoolConfig, WorkerPool};
 use crate::proto::{
     Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
@@ -44,8 +43,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Largest accepted frame payload.
     pub max_frame_len: usize,
-    /// Most same-matrix SpMV requests one worker dequeue may batch.
-    pub batch_max: usize,
     /// Back-off hint carried by [`Reply::Busy`].
     pub retry_after_ms: u32,
     /// Scheduler configuration both simulated engines run under.
@@ -62,7 +59,6 @@ impl Default for ServeConfig {
             matrix_cache_capacity: 32,
             idle_timeout: Duration::from_secs(30),
             max_frame_len: DEFAULT_MAX_FRAME,
-            batch_max: 8,
             retry_after_ms: 20,
             sched: SchedulerConfig::paper(),
         }
@@ -111,14 +107,6 @@ impl Shared {
             .get(&handle)
             .cloned()
             .ok_or_else(|| admit::unknown_handle(handle))
-    }
-
-    /// The current version of a resident matrix, without touching
-    /// recency or hit/miss counters (the batching predicate polls this).
-    fn matrix_version(&self, handle: u64) -> Option<u64> {
-        lock_unpoisoned(&self.matrices)
-            .peek(&handle)
-            .map(|r| r.version)
     }
 
     /// A generation number no resident content has carried before.
@@ -217,28 +205,6 @@ impl Daemon for Shared {
         }
         .unwrap_or_else(|rejected| *rejected)
     }
-
-    /// Same-matrix SpMV batching. The batch key is (handle, engine,
-    /// version): an Update racing on another worker bumps the version and
-    /// closes the batch, so a batch never mixes requests against different
-    /// matrix generations. (Front-of-queue-only draining already keeps a
-    /// queued Update ordered before any Spmv sent after it.)
-    fn batch_with(&self, first: &Request) -> Option<Admits<'_>> {
-        let Request::Spmv { handle, engine, .. } = *first else {
-            return None;
-        };
-        let version = self.matrix_version(handle);
-        Some(Box::new(move |next| {
-            matches!(
-                *next,
-                Request::Spmv {
-                    handle: h,
-                    engine: e,
-                    ..
-                } if h == handle && e == engine
-            ) && self.matrix_version(handle) == version
-        }))
-    }
 }
 
 /// A running `chason serve` instance.
@@ -275,7 +241,6 @@ impl Server {
             PoolConfig {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
-                batch_max: config.batch_max,
                 retry_after_ms: config.retry_after_ms,
                 idle_timeout: config.idle_timeout,
                 max_frame_len: config.max_frame_len,

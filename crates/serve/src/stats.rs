@@ -64,9 +64,6 @@ pub struct ServerStats {
     pub requests: RequestCounters,
     /// Requests rejected with `Busy` (`chsp_shed_total`).
     pub shed: Arc<Counter>,
-    /// Extra same-matrix SpMVs executed by piggybacking on a dequeued
-    /// request (`chsp_batched_total`).
-    pub batched: Arc<Counter>,
     /// Cached plans incrementally respliced after matrix updates
     /// (`chsp_plans_spliced_total`).
     pub plans_spliced: Arc<Counter>,
@@ -84,7 +81,6 @@ impl ServerStats {
         let registry = Registry::new();
         let requests = RequestCounters::new(&registry);
         let shed = registry.counter("chsp_shed_total");
-        let batched = registry.counter("chsp_batched_total");
         let plans_spliced = registry.counter("chsp_plans_spliced_total");
         let replan_windows = registry.counter("chsp_replan_windows_total");
         let queue_depth_hwm = registry.gauge("chsp_queue_depth_hwm");
@@ -95,7 +91,6 @@ impl ServerStats {
             registry,
             requests,
             shed,
-            batched,
             plans_spliced,
             replan_windows,
             queue_depth_hwm,
@@ -147,7 +142,7 @@ impl ServerStats {
             requests_stats: self.requests.stats.get(),
             requests_sleep: self.requests.sleep.get(),
             shed: self.shed.get(),
-            batched: self.batched.get(),
+            batched: 0,
             queue_depth_hwm: self.queue_depth_hwm.get(),
             plan_cache_hits: plan_cache.hits,
             plan_cache_misses: plan_cache.misses,
@@ -261,7 +256,6 @@ mod tests {
         let stats = ServerStats::new();
         stats.requests.load.add(1);
         stats.requests.metrics.add(2);
-        stats.batched.add(4);
         stats.observe_queue_depth(7);
         stats.record_service_micros(100);
         stats.record_queue_wait_micros(9);
@@ -269,7 +263,6 @@ mod tests {
         for needle in [
             "chsp_requests_load_total 1",
             "chsp_requests_metrics_total 2",
-            "chsp_batched_total 4",
             "chsp_queue_depth_hwm 7",
             "chsp_plan_cache_hits 8",
             "chsp_matrices_resident 6",

@@ -109,7 +109,6 @@ fn start(fake: &Arc<Fake>, workers: usize, queue_capacity: usize) -> WorkerPool<
         PoolConfig {
             workers,
             queue_capacity,
-            batch_max: 1,
             retry_after_ms: 7,
             idle_timeout: Duration::from_secs(30),
             max_frame_len: DEFAULT_MAX_FRAME,

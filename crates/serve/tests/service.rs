@@ -104,6 +104,9 @@ fn happy_path_load_spmv_solve_plan_stats_over_concurrent_clients() {
     );
     assert!(metrics.contains("# TYPE chsp_service_micros histogram"));
     assert!(metrics.contains("chsp_matrices_resident 3"));
+    // Each worker runs one job per dequeue; the reply keeps the reserved
+    // `batched` word, and it reads 0.
+    assert_eq!(client.stats().expect("stats").batched, 0);
     client.shutdown().expect("shutdown");
     server.join();
 }

@@ -63,7 +63,7 @@ pub use error::SimError;
 pub use memory::{Bram, Uram, BRAM18K_WORDS, URAM_PARTIALS};
 pub use pe::Pe;
 pub use peg::Peg;
-pub use plan::{plan_shards, run_sharded, PlanningEngine, ShardedExecution};
+pub use plan::PlanningEngine;
 pub use profile::{Attribution, LaneSlots, ProfiledExecution};
 pub use serpens::SerpensEngine;
 pub use spmm::SpmmExecution;

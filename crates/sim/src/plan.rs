@@ -12,14 +12,11 @@
 //!
 //! The engines implement all of this in the shared execution core
 //! (`engine.rs`); this module holds [`PlanningEngine`], the object-safe
-//! view of an engine that callers generic over the family use, and
-//! sharded planning and replay on top of it.
+//! view of an engine that callers generic over the family use.
 
 use crate::{AcceleratorConfig, Execution, SimError};
 use chason_core::plan::{PlanKey, SpmvPlan};
 use chason_core::replan::ReplanReport;
-use chason_core::shard::ShardedPlan;
-use chason_sparse::shard::ShardSpec;
 use chason_sparse::{CooMatrix, MatrixDelta};
 
 /// Engines supporting the plan/execute split, for callers generic over the
@@ -55,69 +52,6 @@ pub trait PlanningEngine {
         updated: &CooMatrix,
         delta: &MatrixDelta,
     ) -> Result<ReplanReport, SimError>;
-}
-
-/// Result of executing a [`ShardedPlan`]'s shards and reducing the
-/// partials, with the latency accounting a distributed deployment would
-/// observe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedExecution {
-    /// The gathered output vector `y = A·x`.
-    pub y: Vec<f32>,
-    /// Makespan: the slowest shard's modeled latency (shards run
-    /// concurrently in a deployment).
-    pub max_latency_seconds: f64,
-    /// Aggregate device time: sum of every shard's modeled latency.
-    pub total_latency_seconds: f64,
-}
-
-/// Plans each row-block slice of `matrix` under `spec` with `engine`.
-///
-/// The spec's slices keep the full column width, so each per-shard plan
-/// consumes the same dense input vector as a full-matrix plan would.
-pub fn plan_shards<E: PlanningEngine>(
-    engine: &E,
-    matrix: &CooMatrix,
-    spec: &ShardSpec,
-) -> Result<ShardedPlan, SimError> {
-    let mut plans = Vec::with_capacity(spec.shards());
-    for k in 0..spec.shards() {
-        let slice = spec
-            .slice(matrix, k)
-            .map_err(|e| SimError::InvalidConfig(format!("shard {k}: {e}")))?;
-        plans.push(engine.plan(&slice)?);
-    }
-    ShardedPlan::assemble(spec.clone(), plans).map_err(|e| SimError::InvalidConfig(e.to_string()))
-}
-
-/// Executes every shard plan against `x` and reduces the partial vectors.
-///
-/// The gather is a pure placement (each output row is owned by exactly one
-/// shard), so the result matches running the shards on separate machines
-/// and concatenating their replies.
-pub fn run_sharded<E: PlanningEngine>(
-    engine: &E,
-    sharded: &ShardedPlan,
-    x: &[f32],
-) -> Result<ShardedExecution, SimError> {
-    let mut partials = Vec::with_capacity(sharded.shards());
-    let mut max_latency = 0.0f64;
-    let mut total_latency = 0.0f64;
-    for plan in sharded.plans() {
-        let exec = engine.run_planned(plan, x)?;
-        let latency = exec.latency_seconds();
-        max_latency = max_latency.max(latency);
-        total_latency += latency;
-        partials.push(exec.y);
-    }
-    let y = sharded
-        .reduce_partials(&partials)
-        .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-    Ok(ShardedExecution {
-        y,
-        max_latency_seconds: max_latency,
-        total_latency_seconds: total_latency,
-    })
 }
 
 #[cfg(test)]

@@ -6,9 +6,6 @@
 //!
 //! * [`MatrixDelta`] — a validated batch of entry insertions, deletions and
 //!   revaluations against a fixed matrix shape,
-//! * [`VersionedMatrix`] — a copy-on-write snapshot chain: applying a delta
-//!   produces a new version while outstanding snapshots of older versions
-//!   stay valid and unchanged,
 //! * [`CowCsr`] — a CSR-shaped container with per-row structural sharing,
 //!   so applying a delta touching `k` rows clones only those `k` rows and
 //!   shares every other row's storage with the predecessor version.
@@ -224,8 +221,8 @@ impl MatrixDelta {
     /// Applies the delta to `base`, producing the updated matrix.
     ///
     /// `base` is untouched; the result is a fresh matrix sharing no storage
-    /// (see [`VersionedMatrix`] / [`CowCsr`] for the sharing layers built on
-    /// top). Entries stay sorted by `(row, col)`.
+    /// (see [`CowCsr`] for the sharing layer built on top). Entries stay
+    /// sorted by `(row, col)`.
     ///
     /// # Errors
     ///
@@ -289,56 +286,6 @@ impl MatrixDelta {
         #[allow(clippy::expect_used)] // xtask: invariant documented above
         Ok(CooMatrix::from_triplets(self.rows, self.cols, merged)
             .expect("merged triplets are sorted, unique and in range by construction"))
-    }
-}
-
-/// A copy-on-write version chain over a [`CooMatrix`].
-///
-/// Applying a delta replaces the snapshot and bumps the version counter;
-/// clones handed out earlier (the `Arc` returned by
-/// [`matrix`](Self::matrix)) keep observing the version they were taken
-/// from. Serving layers use the version to key plan caches so a request
-/// planned against version `n` can never read a schedule spliced for
-/// version `n + 1`.
-#[derive(Debug, Clone)]
-pub struct VersionedMatrix {
-    matrix: Arc<CooMatrix>,
-    version: u64,
-}
-
-impl VersionedMatrix {
-    /// Wraps `matrix` as version 0.
-    pub fn new(matrix: CooMatrix) -> Self {
-        VersionedMatrix {
-            matrix: Arc::new(matrix),
-            version: 0,
-        }
-    }
-
-    /// The current snapshot. Cloning the `Arc` is the cheap way to hold the
-    /// snapshot across a later [`apply`](Self::apply).
-    pub fn matrix(&self) -> &Arc<CooMatrix> {
-        &self.matrix
-    }
-
-    /// The current version (0 for a freshly wrapped matrix, +1 per applied
-    /// delta).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Applies `delta`, replacing the snapshot and bumping the version.
-    /// Returns the new version number.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MatrixDelta::apply`]; on error the snapshot and
-    /// version are unchanged.
-    pub fn apply(&mut self, delta: &MatrixDelta) -> Result<u64, SparseError> {
-        let updated = delta.apply(&self.matrix)?;
-        self.matrix = Arc::new(updated);
-        self.version += 1;
-        Ok(self.version)
     }
 }
 
@@ -623,28 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn versioned_matrix_snapshots_are_copy_on_write() {
-        let mut vm = VersionedMatrix::new(base());
-        assert_eq!(vm.version(), 0);
-        let snapshot = Arc::clone(vm.matrix());
-        let mut d = MatrixDelta::new(3, 4);
-        d.push_revalue(0, 0, 9.0).unwrap();
-        assert_eq!(vm.apply(&d).unwrap(), 1);
-        assert_eq!(snapshot.triplets()[0], (0, 0, 1.0)); // old snapshot intact
-        assert_eq!(vm.matrix().triplets()[0], (0, 0, 9.0));
-    }
-
-    #[test]
-    fn versioned_matrix_failed_apply_leaves_version_unchanged() {
-        let mut vm = VersionedMatrix::new(base());
-        let mut d = MatrixDelta::new(3, 4);
-        d.push_delete(0, 1).unwrap();
-        assert!(vm.apply(&d).is_err());
-        assert_eq!(vm.version(), 0);
-        assert_eq!(*vm.matrix().as_ref(), base());
-    }
-
-    #[test]
     fn cow_csr_matches_coo_and_shares_untouched_rows() {
         let m = base();
         let csr = CowCsr::from(&m);
@@ -691,8 +616,8 @@ mod tests {
 
     #[test]
     fn delta_chain_through_versions_tracks_scratch_rebuild() {
-        let mut vm = VersionedMatrix::new(base());
-        let mut csr = CowCsr::from(vm.matrix().as_ref());
+        let mut coo = base();
+        let mut csr = CowCsr::from(&coo);
         for step in 0..4u32 {
             let mut d = MatrixDelta::new(3, 4);
             let v = step as f32 + 1.5;
@@ -706,13 +631,12 @@ mod tests {
                 }
             }
             csr = csr.apply_delta(&d).unwrap();
-            vm.apply(&d).unwrap();
+            coo = d.apply(&coo).unwrap();
             assert_eq!(
                 csr.iter().collect::<Vec<_>>(),
-                vm.matrix().triplets(),
+                coo.triplets(),
                 "CowCsr chain diverged from COO chain at step {step}"
             );
         }
-        assert_eq!(vm.version(), 4);
     }
 }

@@ -50,7 +50,7 @@ pub mod stats;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use delta::{CowCsr, MatrixDelta, VersionedMatrix};
+pub use delta::{CowCsr, MatrixDelta};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use shard::ShardSpec;
