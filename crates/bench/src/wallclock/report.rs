@@ -1,12 +1,14 @@
 //! The `BENCH_<name>.json` schema: emission and strict parsing.
 //!
 //! Reports are hand-emitted and hand-parsed (the workspace is offline;
-//! there is no serde_json), following the same fixed-schema byte-parser
-//! idiom as `chason_telemetry::trace`. The emitter writes one result
+//! there is no serde_json) through `chason_telemetry::json`'s byte
+//! cursor and escaper, as span JSONL is. The emitter writes one result
 //! object per line inside the `results` array so committed baselines diff
 //! cleanly, and the parser accepts exactly that layout. Floats use Rust's
 //! shortest round-trip formatting, so `parse(to_json(r)) == r` holds
 //! bit-exactly for finite values.
+
+use chason_telemetry::json::{escape_into, Cursor};
 
 /// Version stamped into every report; bump when the schema changes shape.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -143,9 +145,9 @@ impl BenchReport {
     /// the emitted schema, and rejects schema versions newer than this
     /// build understands.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let mut p = Parser::new(text);
+        let mut p = Cursor::new(text);
         p.expect_str("{\"schema_version\":")?;
-        let schema_version = p.parse_u64()?;
+        let schema_version = parse_u64(&mut p)?;
         if schema_version > SCHEMA_VERSION {
             return Err(format!(
                 "report schema v{schema_version} is newer than this build (v{SCHEMA_VERSION})"
@@ -160,25 +162,25 @@ impl BenchReport {
         p.expect_str(",\"arch\":")?;
         let arch = p.parse_string()?;
         p.expect_str(",\"cpus\":")?;
-        let cpus = p.parse_u64()?;
+        let cpus = parse_u64(&mut p)?;
         p.expect_str("},\"results\":[")?;
-        p.skip_newlines();
+        skip_newlines(&mut p);
         let mut results = Vec::new();
         if p.peek() != Some(b']') {
             loop {
-                results.push(p.parse_result()?);
-                p.skip_newlines();
+                results.push(parse_result(&mut p)?);
+                skip_newlines(&mut p);
                 match p.peek() {
                     Some(b',') => {
-                        p.pos += 1;
-                        p.skip_newlines();
+                        p.bump();
+                        skip_newlines(&mut p);
                     }
                     _ => break,
                 }
             }
         }
         p.expect_str("]}")?;
-        p.skip_newlines();
+        skip_newlines(&mut p);
         if !p.at_end() {
             return p.fail("trailing bytes after report object");
         }
@@ -205,163 +207,54 @@ fn fmt_f64(v: f64) -> String {
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn skip_newlines(p: &mut Cursor<'_>) {
+    while matches!(p.peek(), Some(b'\n') | Some(b'\r')) {
+        p.bump();
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
+fn parse_u64(p: &mut Cursor<'_>) -> Result<u64, String> {
+    let text = p.number_text()?;
+    text.parse::<u64>().map_err(|e| format!("{text:?}: {e}"))
+}
 
-    fn fail<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("byte {}: {what}", self.pos))
-    }
+fn parse_f64(p: &mut Cursor<'_>) -> Result<f64, String> {
+    let text = p.number_text()?;
+    text.parse::<f64>().map_err(|e| format!("{text:?}: {e}"))
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn skip_newlines(&mut self) {
-        while matches!(self.peek(), Some(b'\n') | Some(b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_str(&mut self, s: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(s.as_bytes()) {
-            self.pos += s.len();
-            Ok(())
-        } else {
-            self.fail(&format!("expected {s:?}"))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        if self.peek() != Some(b'"') {
-            return self.fail("expected '\"'");
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.fail("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return self.fail("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| format!("\\u: {e}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return self.fail(&format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number_text(&mut self) -> Result<&'a str, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return self.fail("expected a number");
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let text = self.number_text()?;
-        text.parse::<u64>().map_err(|e| format!("{text:?}: {e}"))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, String> {
-        let text = self.number_text()?;
-        text.parse::<f64>().map_err(|e| format!("{text:?}: {e}"))
-    }
-
-    fn parse_result(&mut self) -> Result<BenchResult, String> {
-        self.expect_str("{\"id\":")?;
-        let id = self.parse_string()?;
-        self.expect_str(",\"fingerprint\":")?;
-        let fingerprint = self.parse_u64()?;
-        self.expect_str(",\"warmup_iters\":")?;
-        let warmup_iters = self.parse_u64()?;
-        self.expect_str(",\"samples\":")?;
-        let samples = self.parse_u64()?;
-        self.expect_str(",\"iters_per_sample\":")?;
-        let iters_per_sample = self.parse_u64()?;
-        self.expect_str(",\"median_ns_per_iter\":")?;
-        let median_ns_per_iter = self.parse_f64()?;
-        self.expect_str(",\"mad_ns_per_iter\":")?;
-        let mad_ns_per_iter = self.parse_f64()?;
-        self.expect_str(",\"bytes_per_iter\":")?;
-        let bytes_per_iter = self.parse_u64()?;
-        self.expect_str("}")?;
-        Ok(BenchResult {
-            id,
-            fingerprint,
-            warmup_iters,
-            samples,
-            iters_per_sample,
-            median_ns_per_iter,
-            mad_ns_per_iter,
-            bytes_per_iter,
-        })
-    }
+fn parse_result(p: &mut Cursor<'_>) -> Result<BenchResult, String> {
+    p.expect_str("{\"id\":")?;
+    let id = p.parse_string()?;
+    p.expect_str(",\"fingerprint\":")?;
+    let fingerprint = parse_u64(p)?;
+    p.expect_str(",\"warmup_iters\":")?;
+    let warmup_iters = parse_u64(p)?;
+    p.expect_str(",\"samples\":")?;
+    let samples = parse_u64(p)?;
+    p.expect_str(",\"iters_per_sample\":")?;
+    let iters_per_sample = parse_u64(p)?;
+    p.expect_str(",\"median_ns_per_iter\":")?;
+    let median_ns_per_iter = parse_f64(p)?;
+    p.expect_str(",\"mad_ns_per_iter\":")?;
+    let mad_ns_per_iter = parse_f64(p)?;
+    p.expect_str(",\"bytes_per_iter\":")?;
+    let bytes_per_iter = parse_u64(p)?;
+    p.expect_str("}")?;
+    Ok(BenchResult {
+        id,
+        fingerprint,
+        warmup_iters,
+        samples,
+        iters_per_sample,
+        median_ns_per_iter,
+        mad_ns_per_iter,
+        bytes_per_iter,
+    })
 }
 
 #[cfg(test)]

@@ -41,23 +41,26 @@ USAGE:
   chason conformance           [--corpus small|extended] [--fuzz N] [--deltas N]
                                [--seed S] [--fixtures DIR] [--artifacts DIR]
                                # differential cross-engine harness, schedule
-                               fuzzer, and delta-splice oracles (spliced plans
-                               must equal from-scratch plans); exits non-zero
-                               on violations or escapes
+                               fuzzer, and delta-splice sweep: N rounds per
+                               case, each under a drawn scheduler geometry,
+                               where spliced plans must equal from-scratch
+                               plans; exits non-zero on violations or escapes
   chason generate <recipe> <out.mtx> --n N --nnz NNZ
                                [--alpha A] [--bandwidth W] [--dense-rows D] [--seed S]
                                (recipes: uniform, powerlaw, banded, arrow)
   chason catalog
   chason serve                 [--addr HOST:PORT] [--workers N] [--queue N]
                                [--plan-cache N] [--matrix-cache N]
-                               [--retry-after-ms MS] [--channels N] [--pes N]
+                               [--idle-timeout-secs S] [--retry-after-ms MS]
+                               [--channels N] [--pes N] [--distance D]
+                               [--hops H] [--scan-limit N]
                                # CHSP daemon; runs until a Shutdown request;
                                serves every connection from one
                                readiness-driven event loop
   chason route                 --shards HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
                                [--workers N] [--queue N] [--matrix-cache N]
-                               [--retry-attempts N] [--health-interval-ms MS]
-                               [--shutdown-shards]
+                               [--retry-after-ms MS] [--retry-attempts N]
+                               [--health-interval-ms MS] [--shutdown-shards]
                                # scatter-gather CHSP frontend over N serve shards;
                                --shutdown-shards forwards a wire Shutdown to
                                every backend before draining

@@ -6,7 +6,9 @@
 //! engines splice a delta into a cached [`SpmvPlan`] by re-scheduling only
 //! the column windows the delta's footprint dirties
 //! (`PlanningEngine::replan_delta`). This module proves that splicing is
-//! *sound*, per corpus case × delta kind × engine:
+//! *sound*, per corpus case × round × delta kind × engine. Round 0 runs
+//! the paper geometry; every later round draws a toy geometry and a narrow
+//! column window (channels 2–4, PEs 2–4, `D ∈ {2, 4, 6}`, `W ∈ {16, 32}`):
 //!
 //! 1. **Splice ≡ scratch** — the spliced plan is *bit-identical*
 //!    (`SpmvPlan: PartialEq`) to planning the updated matrix from scratch.
@@ -23,8 +25,8 @@
 //!    friends, plus fingerprint/conservation against the updated source)
 //!    passes on every spliced plan.
 //!
-//! Deltas are generated deterministically from a [`SplitMix64`] stream, so
-//! a violation is reproducible from `(seed, case, kind, round)` alone.
+//! Geometries and deltas are drawn deterministically from a [`SplitMix64`]
+//! stream, so a violation is reproducible from `(seed, case, round)` alone.
 
 use crate::corpus::CorpusCase;
 use crate::harness::{probe_vector, Violation};
@@ -73,25 +75,18 @@ impl DeltaKind {
 /// Options controlling a delta-oracle run.
 #[derive(Debug, Clone)]
 pub struct DeltaOptions {
-    /// Scheduler geometry both engines run under.
-    pub sched: SchedulerConfig,
-    /// Column-window width override (`None` keeps the engines' paper
-    /// `W = 8192`). Small corpus matrices fit one paper window, so tests
-    /// shrink `W` to force genuine partial splices.
-    pub window: Option<usize>,
     /// Numeric tolerance for replay-vs-reference comparisons.
     pub tol: UlpTolerance,
-    /// Independent delta batches generated per case × kind.
+    /// Rounds per case. Each round draws a scheduler geometry and splices
+    /// one delta batch of every kind into both engines' plans.
     pub deltas_per_case: usize,
-    /// Seed for the deterministic delta generator.
+    /// Seed for the deterministic geometry and delta generator.
     pub seed: u64,
 }
 
 impl Default for DeltaOptions {
     fn default() -> Self {
         DeltaOptions {
-            sched: SchedulerConfig::paper(),
-            window: None,
             tol: UlpTolerance::default(),
             deltas_per_case: 2,
             seed: 0xC0FF_EE00,
@@ -106,6 +101,9 @@ pub struct DeltaReport {
     pub checks: usize,
     /// Delta batches generated and spliced.
     pub deltas: usize,
+    /// Distinct `(channels, PEs per channel, dependency distance, window)`
+    /// geometries the rounds ran under.
+    pub geometries: BTreeSet<(usize, usize, usize, usize)>,
     /// Every violation found, in corpus order.
     pub violations: Vec<Violation>,
 }
@@ -119,8 +117,9 @@ impl DeltaReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "delta oracle: {} delta(s), {} splice check(s), {} violation(s)",
+            "delta oracle: {} delta(s) over {} geometries, {} splice check(s), {} violation(s)",
             self.deltas,
+            self.geometries.len(),
             self.checks,
             self.violations.len()
         )
@@ -128,8 +127,8 @@ impl DeltaReport {
 }
 
 /// SplitMix64 — tiny, deterministic, and independent of the OS. The only
-/// randomness the delta generator and both fuzzers use, so every run is
-/// reproducible from its seed alone.
+/// randomness the delta oracles and the schedule fuzzer use, so every run
+/// is reproducible from its seed alone.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(pub u64);
 
@@ -257,21 +256,19 @@ fn push(violations: &mut Vec<Violation>, case: &str, oracle: &'static str, detai
     });
 }
 
-/// Runs all four oracles for one `(engine, base plan, delta)` triple.
+/// Runs all four oracles for one `(engine, base plan, delta)` triple;
+/// `tag` names the engine, delta kind and geometry in every violation.
 #[allow(clippy::too_many_arguments)] // internal fan-in of precomputed state
 fn check_engine<E: PlanningEngine>(
-    engine_name: &'static str,
     engine: &E,
     case_name: &str,
-    kind: DeltaKind,
+    tag: &str,
     base_plan: &SpmvPlan,
     delta: &MatrixDelta,
     updated: &CooMatrix,
     tol: &UlpTolerance,
     violations: &mut Vec<Violation>,
 ) {
-    let tag = format!("{engine_name}/{}", kind.name());
-
     // Splice the delta into a copy of the cached base plan.
     let mut spliced = base_plan.clone();
     let report = match engine.replan_delta(&mut spliced, updated, delta) {
@@ -418,47 +415,70 @@ fn check_engine<E: PlanningEngine>(
     }
 }
 
-/// Runs the delta oracles over an explicit case list.
-pub fn run_delta_cases(cases: &[CorpusCase], options: &DeltaOptions) -> DeltaReport {
-    let mut chason_cfg = AcceleratorConfig::chason();
-    chason_cfg.sched = options.sched;
-    let mut serpens_cfg = AcceleratorConfig::serpens();
-    serpens_cfg.sched = options.sched;
-    if let Some(w) = options.window {
-        chason_cfg.window = w;
-        serpens_cfg.window = w;
+/// The scheduler geometry and column window of one round. Round 0 runs
+/// the paper geometry at `W = 8192`, where a small case is one window and
+/// a splice degenerates to a full replan. Every later round draws a toy
+/// geometry with a narrow window, so matrices span several windows and
+/// splices are genuinely partial.
+fn round_geometry(round: usize, rng: &mut SplitMix64) -> (SchedulerConfig, usize) {
+    if round == 0 {
+        return (SchedulerConfig::paper(), AcceleratorConfig::chason().window);
     }
-    let chason = ChasonEngine::new(chason_cfg);
-    let serpens = SerpensEngine::new(serpens_cfg);
+    let sched = SchedulerConfig::toy(2 + rng.pick(3), 2 + rng.pick(3), [2, 4, 6][rng.pick(3)]);
+    (sched, [16, 32][rng.pick(2)])
+}
 
+/// Runs the delta oracles over an explicit case list: every case ×
+/// round × kind, through both engines.
+pub fn run_delta_cases(cases: &[CorpusCase], options: &DeltaOptions) -> DeltaReport {
     let mut report = DeltaReport::default();
     for case in cases {
         let m = &case.matrix;
-        // One base plan per engine, spliced repeatedly — exactly how a
-        // serving cache reuses a resident plan across updates.
-        let (chason_base, serpens_base) = match (chason.plan(m), serpens.plan(m)) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(e), _) | (_, Err(e)) => {
-                push(
-                    &mut report.violations,
-                    &case.name,
-                    "execution",
-                    format!("base planning failed: {e}"),
-                );
-                continue;
-            }
-        };
         for round in 0..options.deltas_per_case {
+            // Seed from (global seed, case, round) so any single round
+            // reproduces in isolation.
+            let mut rng = SplitMix64(
+                options
+                    .seed
+                    .wrapping_add(fingerprint(&case.name))
+                    .wrapping_add((round as u64) << 8),
+            );
+            let (sched, window) = round_geometry(round, &mut rng);
+            report.geometries.insert((
+                sched.channels,
+                sched.pes_per_channel,
+                sched.dependency_distance,
+                window,
+            ));
+            let geometry = format!(
+                "{}x{} D={} W={window}",
+                sched.channels, sched.pes_per_channel, sched.dependency_distance
+            );
+            let chason = ChasonEngine::new(AcceleratorConfig {
+                sched,
+                window,
+                ..AcceleratorConfig::chason()
+            });
+            let serpens = SerpensEngine::new(AcceleratorConfig {
+                sched,
+                window,
+                ..AcceleratorConfig::serpens()
+            });
+            // One base plan per engine, spliced once per kind — exactly how
+            // a serving cache reuses a resident plan across updates.
+            let (chason_base, serpens_base) = match (chason.plan(m), serpens.plan(m)) {
+                (Ok(a), Ok(b)) => (a, b),
+                (Err(e), _) | (_, Err(e)) => {
+                    push(
+                        &mut report.violations,
+                        &case.name,
+                        "execution",
+                        format!("{geometry}: base planning failed: {e}"),
+                    );
+                    continue;
+                }
+            };
             for kind in DeltaKind::ALL {
-                // Seed from (global seed, case, kind, round) so any single
-                // combination reproduces in isolation.
-                let mut rng = SplitMix64(
-                    options
-                        .seed
-                        .wrapping_add(fingerprint(&case.name))
-                        .wrapping_add((round as u64) << 8)
-                        .wrapping_add(kind as u64 + 1),
-                );
                 let Some(delta) = random_delta(m, kind, &mut rng) else {
                     continue;
                 };
@@ -476,29 +496,26 @@ pub fn run_delta_cases(cases: &[CorpusCase], options: &DeltaOptions) -> DeltaRep
                 };
                 report.deltas += 1;
                 check_engine(
-                    "chason",
                     &chason,
                     &case.name,
-                    kind,
+                    &format!("chason/{} @ {geometry}", kind.name()),
                     &chason_base,
                     &delta,
                     &updated,
                     &options.tol,
                     &mut report.violations,
                 );
-                report.checks += 1;
                 check_engine(
-                    "serpens",
                     &serpens,
                     &case.name,
-                    kind,
+                    &format!("serpens/{} @ {geometry}", kind.name()),
                     &serpens_base,
                     &delta,
                     &updated,
                     &options.tol,
                     &mut report.violations,
                 );
-                report.checks += 1;
+                report.checks += 2;
             }
         }
     }
@@ -519,17 +536,6 @@ fn fingerprint(name: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::corpus::{corpus, CorpusSize};
-
-    /// Toy geometry + a narrow window so the small corpus matrices span
-    /// several column windows — splices must then be genuinely partial.
-    fn toy_options() -> DeltaOptions {
-        DeltaOptions {
-            sched: SchedulerConfig::toy(4, 4, 6),
-            window: Some(32),
-            deltas_per_case: 2,
-            ..DeltaOptions::default()
-        }
-    }
 
     #[test]
     fn generated_deltas_match_their_kind_and_apply_cleanly() {
@@ -569,11 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn corpus_splices_are_clean_under_multi_window_toy_geometry() {
+    fn corpus_splices_are_clean_under_paper_and_drawn_geometries() {
         let cases = corpus(CorpusSize::Small);
-        let report = run_delta_cases(&cases[..4], &toy_options());
+        let report = run_delta_cases(&cases[..4], &DeltaOptions::default());
         assert_eq!(report.deltas, 4 * 2 * DeltaKind::ALL.len());
         assert_eq!(report.checks, report.deltas * 2);
+        assert!(report.geometries.contains(&(16, 8, 10, 8192)));
+        assert!(report.geometries.len() > 1, "{:?}", report.geometries);
         assert!(
             report.is_clean(),
             "{}\n{}",
@@ -588,26 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn paper_window_splices_are_clean_too() {
-        // Full-width W = 8192: every small case is a single window, so the
-        // splice degenerates to a full replan — it must still be
-        // bit-identical and verifiable.
-        let cases = corpus(CorpusSize::Small);
-        let options = DeltaOptions {
-            deltas_per_case: 1,
-            ..DeltaOptions::default()
-        };
-        let report = run_delta_cases(&cases[..3], &options);
-        assert!(report.is_clean(), "{}", report.summary());
-    }
-
-    #[test]
     fn delta_runs_are_deterministic() {
         let cases = corpus(CorpusSize::Small);
-        let a = run_delta_cases(&cases[..2], &toy_options());
-        let b = run_delta_cases(&cases[..2], &toy_options());
+        let a = run_delta_cases(&cases[..2], &DeltaOptions::default());
+        let b = run_delta_cases(&cases[..2], &DeltaOptions::default());
         assert_eq!(a.deltas, b.deltas);
         assert_eq!(a.checks, b.checks);
+        assert_eq!(a.geometries, b.geometries);
         assert_eq!(a.violations.len(), b.violations.len());
     }
 }

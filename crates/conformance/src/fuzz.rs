@@ -23,13 +23,13 @@
 //! Everything is seeded: the same `(seed, iterations)` pair explores the
 //! same `(matrix, config, corruption)` sequence on every machine.
 
-// SplitMix64 lives in `crate::delta` and is shared by both fuzzers: tiny,
-// deterministic, and independent of the OS — the only randomness used.
-use crate::delta::{random_delta, DeltaKind, SplitMix64};
+// SplitMix64 lives in `crate::delta` and is shared with the delta oracles:
+// tiny, deterministic, and independent of the OS — the only randomness used.
+use crate::delta::SplitMix64;
 use crate::ulp::{compare, row_scales, UlpTolerance};
 use chason_baselines::reference;
 use chason_core::schedule::{Crhcs, ScheduledMatrix, Scheduler, SchedulerConfig};
-use chason_sim::{AcceleratorConfig, ChasonEngine, Peg};
+use chason_sim::Peg;
 use chason_sparse::generators::{banded_with_nnz, diagonal, power_law, uniform_random};
 use chason_sparse::CooMatrix;
 use chason_verify::mutate::Corruption;
@@ -282,242 +282,6 @@ fn bare_replay(
     Ok((y, mac_ops, hazards))
 }
 
-// ---------------------------------------------------------------------------
-// Delta-splice fuzzing: random insert/delete/revalue batches against the
-// corpus pool, spliced into cached plans, replayed on bare PEGs.
-// ---------------------------------------------------------------------------
-
-/// One delta-splice iteration that failed an oracle.
-#[derive(Debug, Clone)]
-pub struct DeltaEscape {
-    /// Iteration index (reproduce with the same seed).
-    pub iteration: u64,
-    /// Shape of the delta batch involved.
-    pub kind: DeltaKind,
-    /// Name of the pool matrix involved.
-    pub matrix: String,
-    /// Which oracle failed and how.
-    pub detail: String,
-    /// The matrix itself, for minimization / `.mtx` artifact export.
-    pub source: CooMatrix,
-}
-
-/// Per-delta-kind tallies of a [`fuzz_deltas`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaKindStats {
-    /// Delta batches of this kind generated and spliced.
-    pub applied: u64,
-    /// Splices bit-identical to a from-scratch plan.
-    pub equivalent: u64,
-    /// Spliced plans whose bare-PEG replay matched the reference SpMV of
-    /// the updated matrix (MAC count and numerics, zero hazards).
-    pub replay_clean: u64,
-}
-
-/// Aggregate result of a delta-splice fuzz run.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaFuzzOutcome {
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Iterations where no valid delta could be generated.
-    pub skipped: u64,
-    /// `delta kind -> tallies`.
-    pub per_kind: BTreeMap<&'static str, DeltaKindStats>,
-    /// Iterations that failed the equivalence or replay oracle.
-    pub escapes: Vec<DeltaEscape>,
-}
-
-impl DeltaFuzzOutcome {
-    /// True when every splice was equivalent and replayed clean.
-    pub fn is_clean(&self) -> bool {
-        self.escapes.is_empty()
-    }
-
-    /// Whether every delta kind was actually exercised.
-    pub fn covered_all_kinds(&self) -> bool {
-        DeltaKind::ALL
-            .iter()
-            .all(|k| self.per_kind.get(k.name()).is_some_and(|s| s.applied > 0))
-    }
-
-    /// Renders the per-delta-kind detection/equivalence table.
-    pub fn equivalence_table(&self) -> String {
-        let mut out = String::from(
-            "delta kind  applied  spliced==scratch  replay clean\n\
-             ----------  -------  ----------------  ------------\n",
-        );
-        for kind in DeltaKind::ALL {
-            let stats = self.per_kind.get(kind.name()).copied().unwrap_or_default();
-            out.push_str(&format!(
-                "{:<10}  {:>7}  {:>16}  {:>12}\n",
-                kind.name(),
-                stats.applied,
-                stats.equivalent,
-                stats.replay_clean
-            ));
-        }
-        out
-    }
-}
-
-/// Runs `iterations` delta-splice fuzz cycles from `seed`.
-///
-/// Each iteration draws a pool matrix, a toy scheduler geometry, and a
-/// narrow column window (so the small matrices span several windows and
-/// splices are genuinely partial), generates a random valid delta of the
-/// cycled kind, splices it into a cached plan, and checks two oracles:
-///
-/// * **equivalence** — the spliced plan is bit-identical to planning the
-///   updated matrix from scratch;
-/// * **replay** — driving the spliced plan's window schedules on bare
-///   [`Peg`]s (summing the per-window outputs) reproduces the reference
-///   SpMV of the *updated* matrix: one MAC per non-zero, zero pipeline
-///   hazards, numerics within the default [`UlpTolerance`].
-///
-/// The bare replay matters for the same reason it does in [`fuzz`]: the
-/// engines re-verify plans in debug builds, so only a from-scratch PEG
-/// drive can show that a spliced schedule *executes* correctly rather
-/// than merely passing the static checker.
-pub fn fuzz_deltas(seed: u64, iterations: u64) -> DeltaFuzzOutcome {
-    let pool = pool();
-    let mut rng = SplitMix64(seed);
-    let mut outcome = DeltaFuzzOutcome::default();
-    for i in 0..iterations {
-        // Cycle the kinds so all four are exercised even in short runs.
-        let kind = DeltaKind::ALL[(i % DeltaKind::ALL.len() as u64) as usize];
-        let (name, matrix) = &pool[rng.pick(pool.len())];
-        let sched = SchedulerConfig::toy(2 + rng.pick(3), 2 + rng.pick(3), [2, 4, 6][rng.pick(3)]);
-        let window = [16, 32][rng.pick(2)];
-        outcome.iterations += 1;
-
-        let Some(delta) = random_delta(matrix, kind, &mut rng) else {
-            outcome.skipped += 1;
-            continue;
-        };
-        let escape = |detail: String, outcome: &mut DeltaFuzzOutcome| {
-            outcome.escapes.push(DeltaEscape {
-                iteration: i,
-                kind,
-                matrix: name.clone(),
-                detail,
-                source: matrix.clone(),
-            });
-        };
-
-        let engine = ChasonEngine::new(AcceleratorConfig {
-            sched,
-            window,
-            ..AcceleratorConfig::chason()
-        });
-        let entry = outcome.per_kind.entry(kind.name()).or_default();
-        entry.applied += 1;
-        let (updated, spliced) = match splice(&engine, matrix, &delta) {
-            Ok(pair) => pair,
-            Err(detail) => {
-                escape(detail, &mut outcome);
-                continue;
-            }
-        };
-
-        // Oracle 1: spliced ≡ scratch, bit for bit.
-        match engine.plan(&updated) {
-            Ok(scratch) if spliced == scratch => {
-                if let Some(entry) = outcome.per_kind.get_mut(kind.name()) {
-                    entry.equivalent += 1;
-                }
-            }
-            Ok(_) => {
-                escape(
-                    "spliced plan diverges from scratch plan".to_string(),
-                    &mut outcome,
-                );
-                continue;
-            }
-            Err(e) => {
-                escape(format!("scratch planning failed: {e}"), &mut outcome);
-                continue;
-            }
-        }
-
-        // Oracle 2: bare-PEG replay of the spliced plan.
-        match replay_spliced(&spliced, &updated) {
-            Ok(()) => {
-                if let Some(entry) = outcome.per_kind.get_mut(kind.name()) {
-                    entry.replay_clean += 1;
-                }
-            }
-            Err(detail) => escape(detail, &mut outcome),
-        }
-    }
-    outcome
-}
-
-/// Splices `delta` into a fresh plan of `matrix`, returning the updated
-/// matrix and the spliced plan (or a description of the failure).
-fn splice(
-    engine: &ChasonEngine,
-    matrix: &CooMatrix,
-    delta: &chason_sparse::MatrixDelta,
-) -> Result<(CooMatrix, chason_core::plan::SpmvPlan), String> {
-    let updated = delta
-        .apply(matrix)
-        .map_err(|e| format!("generated delta failed to apply: {e}"))?;
-    let mut spliced = engine
-        .plan(matrix)
-        .map_err(|e| format!("base planning failed: {e}"))?;
-    engine
-        .replan_delta(&mut spliced, &updated, delta)
-        .map_err(|e| format!("replan_delta rejected a valid delta: {e}"))?;
-    Ok((updated, spliced))
-}
-
-/// Replays every window schedule of a (single-pass) spliced plan on bare
-/// [`Peg`]s, sums the per-window outputs, and holds the result against the
-/// reference SpMV of the updated matrix.
-fn replay_spliced(plan: &chason_core::plan::SpmvPlan, updated: &CooMatrix) -> Result<(), String> {
-    let [pass] = plan.passes.as_slice() else {
-        // Pool matrices are far below the partial-sum capacity; more than
-        // one pass here means the skeleton itself is wrong.
-        return Err(format!(
-            "expected a single pass, found {}",
-            plan.passes.len()
-        ));
-    };
-    let x: Vec<f32> = (0..updated.cols())
-        .map(|i| ((i as f32) * 0.61).cos().mul_add(3.0, 3.5))
-        .collect();
-    let mut y = vec![0.0f32; plan.rows];
-    let mut mac_ops = 0u64;
-    for w in &pass.windows {
-        // Window schedules index columns window-locally; feed each the
-        // matching x slice, exactly as the engines reload between windows.
-        let (wy, wmac, hazards) = bare_replay(&w.schedule, &x[w.col_start..w.col_end])
-            .map_err(|e| format!("bare replay errored: {e}"))?;
-        if hazards > 0 {
-            return Err(format!("replay observed {hazards} pipeline hazards"));
-        }
-        mac_ops += wmac;
-        for (acc, v) in y.iter_mut().zip(wy) {
-            *acc += v;
-        }
-    }
-    if mac_ops != updated.nnz() as u64 {
-        return Err(format!(
-            "replay performed {mac_ops} MACs for {} non-zeros",
-            updated.nnz()
-        ));
-    }
-    let want = reference::spmv(updated, &x);
-    let scales = row_scales(updated, &x);
-    let diverging = compare(&want, &y, &scales, &UlpTolerance::default());
-    if let Some((i, w, g)) = diverging.first() {
-        return Err(format!(
-            "replay y[{i}] = {g} vs reference {w} beyond tolerance"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,51 +344,6 @@ mod tests {
         let table = fuzz(3, 30).detection_table();
         for c in Corruption::ALL {
             assert!(table.contains(c.name()), "{table}");
-        }
-    }
-
-    #[test]
-    fn delta_fuzz_is_deterministic() {
-        let a = fuzz_deltas(11, 16);
-        let b = fuzz_deltas(11, 16);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.skipped, b.skipped);
-        assert_eq!(a.per_kind, b.per_kind);
-        assert_eq!(a.escapes.len(), b.escapes.len());
-    }
-
-    #[test]
-    fn every_delta_kind_splices_equivalent_and_replays_clean() {
-        let outcome = fuzz_deltas(5, 32);
-        assert!(outcome.covered_all_kinds(), "{:?}", outcome.per_kind);
-        assert!(
-            outcome.is_clean(),
-            "escapes: {:?}\n{}",
-            outcome
-                .escapes
-                .iter()
-                .map(|e| (
-                    e.kind.name(),
-                    e.matrix.as_str(),
-                    e.iteration,
-                    e.detail.as_str()
-                ))
-                .collect::<Vec<_>>(),
-            outcome.equivalence_table()
-        );
-        // Every applied delta must have passed *both* oracles, not merely
-        // avoided escaping.
-        for (kind, stats) in &outcome.per_kind {
-            assert_eq!(stats.equivalent, stats.applied, "{kind}: {stats:?}");
-            assert_eq!(stats.replay_clean, stats.applied, "{kind}: {stats:?}");
-        }
-    }
-
-    #[test]
-    fn equivalence_table_lists_all_kinds() {
-        let table = fuzz_deltas(9, 12).equivalence_table();
-        for kind in DeltaKind::ALL {
-            assert!(table.contains(kind.name()), "{table}");
         }
     }
 }

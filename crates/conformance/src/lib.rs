@@ -28,11 +28,10 @@
 //!   dynamic oracle, proving the two layers compose into a net with no
 //!   holes; and
 //! * the [`delta`] oracles for dynamic matrices: every spliced plan
-//!   (`PlanningEngine::replan_delta`) must be bit-identical to a
+//!   (`PlanningEngine::replan_delta`), across random insert/delete/revalue
+//!   batches and drawn scheduler geometries, must be bit-identical to a
 //!   from-scratch plan of the updated matrix, replay to the reference
-//!   SpMV, conserve its cycle report, and pass `chason-verify` — with a
-//!   delta-splice fuzzer ([`fuzz_deltas`]) replaying spliced plans on
-//!   bare PEGs across random insert/delete/revalue batches.
+//!   SpMV, conserve its cycle report, and pass `chason-verify`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +45,7 @@ pub mod ulp;
 
 pub use corpus::{corpus, load_fixtures, CorpusCase, CorpusSize};
 pub use delta::{random_delta, run_delta_cases, DeltaKind, DeltaOptions, DeltaReport, SplitMix64};
-pub use fuzz::{fuzz, fuzz_deltas, CaughtBy, DeltaFuzzOutcome, FuzzOutcome};
+pub use fuzz::{fuzz, CaughtBy, FuzzOutcome};
 pub use harness::{run_case, CaseOutcome, HarnessOptions, Violation};
 pub use ulp::UlpTolerance;
 

@@ -121,12 +121,11 @@ impl Default for NetConfig {
     }
 }
 
-/// An asynchronous reply or control message routed to the loop.
+/// An asynchronous reply routed to the loop.
 struct Completion {
     conn: u64,
     seq: u64,
-    payload: Option<Vec<u8>>,
-    close: bool,
+    payload: Vec<u8>,
 }
 
 struct HandleShared {
@@ -167,23 +166,7 @@ impl LoopHandle {
     /// encoded reply, written once every earlier reply of the connection
     /// has been. Completions for closed connections are dropped.
     pub fn complete(&self, conn: u64, seq: u64, payload: Vec<u8>) {
-        self.send(Completion {
-            conn,
-            seq,
-            payload: Some(payload),
-            close: false,
-        });
-    }
-
-    /// Like [`complete`](Self::complete), but closes the connection once
-    /// this reply has flushed.
-    pub fn complete_and_close(&self, conn: u64, seq: u64, payload: Vec<u8>) {
-        self.send(Completion {
-            conn,
-            seq,
-            payload: Some(payload),
-            close: true,
-        });
+        self.send(Completion { conn, seq, payload });
     }
 
     /// Starts a graceful drain: stop accepting, answer everything already
@@ -734,8 +717,8 @@ impl<S: Service> EventLoop<S> {
             self.sequence(
                 completion.conn,
                 completion.seq,
-                completion.payload,
-                completion.close,
+                Some(completion.payload),
+                false,
             );
             self.update_pause(completion.conn);
         }

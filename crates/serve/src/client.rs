@@ -150,7 +150,9 @@ impl Default for RetryPolicy {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: tiny, seedable, and good enough to jitter a backoff or
+/// shuffle a workload.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

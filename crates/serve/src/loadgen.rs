@@ -13,7 +13,7 @@
 //! retried once their `retry_after_ms` hint has passed and counted, never
 //! treated as errors: shedding is the server behaving as specified.
 
-use crate::client::{Client, ClientError};
+use crate::client::{splitmix64, Client, ClientError};
 use crate::proto::{
     decode_reply, encode_request, read_frame_blocking, write_frame, Engine, FrameEvent,
     FrameReader, ProtoError, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
@@ -397,15 +397,6 @@ struct ConnOutcome {
     busy_retries: u64,
     by_type: [u64; 5],
     latencies: Vec<u64>,
-}
-
-/// SplitMix64: tiny, seedable, and good enough to shuffle a workload.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A symmetric, strictly diagonally dominant system (hence SPD), so both

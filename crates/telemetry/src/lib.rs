@@ -14,6 +14,10 @@
 //! * a process-wide [`Telemetry`] instance ([`global`]) so deep call sites
 //!   (solver iterations, worker threads) can emit without plumbing.
 //!
+//! The JSONL export parses back through [`json`], the fixed-schema byte
+//! cursor and string escaper the bench crate's `BENCH_*.json` reports
+//! share.
+//!
 //! # The `telemetry-off` feature
 //!
 //! With `--features telemetry-off` every recording site compiles to a
@@ -46,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

@@ -12,6 +12,7 @@
 //! deterministic tick counter — for golden tests, where byte-identical
 //! traces across runs, machines, and thread counts are required.
 
+use crate::json::{escape_into, Cursor};
 use crate::lock_unpoisoned;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -205,22 +206,6 @@ impl FlightRecorder {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_attr_value(out: &mut String, value: &AttrValue) {
     match value {
         AttrValue::U64(v) => {
@@ -279,130 +264,30 @@ pub fn to_jsonl(events: &[SpanEvent]) -> String {
     out
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Parses a number: `F64` when it has a fraction or exponent, `I64` when
+/// negative, `U64` otherwise.
+fn parse_number(p: &mut Cursor<'_>) -> Result<AttrValue, String> {
+    let text = p.number_text()?;
+    if text.contains('.') || text.contains('e') || text.contains('E') {
+        text.parse::<f64>()
+            .map(AttrValue::F64)
+            .map_err(|e| format!("{text:?}: {e}"))
+    } else if let Some(stripped) = text.strip_prefix('-') {
+        stripped
+            .parse::<u64>()
+            .map(|v| AttrValue::I64(-(v as i64)))
+            .map_err(|e| format!("{text:?}: {e}"))
+    } else {
+        text.parse::<u64>()
+            .map(AttrValue::U64)
+            .map_err(|e| format!("{text:?}: {e}"))
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(line: &'a str) -> Self {
-        Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn fail<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("byte {}: {what}", self.pos))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.fail(&format!("expected {:?}", c as char))
-        }
-    }
-
-    fn expect_str(&mut self, s: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(s.as_bytes()) {
-            self.pos += s.len();
-            Ok(())
-        } else {
-            self.fail(&format!("expected {s:?}"))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.fail("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return self.fail("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| format!("\\u: {e}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return self.fail(&format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<AttrValue, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        if text.is_empty() {
-            return self.fail("expected a number");
-        }
-        if text.contains('.') || text.contains('e') || text.contains('E') {
-            text.parse::<f64>()
-                .map(AttrValue::F64)
-                .map_err(|e| format!("{text:?}: {e}"))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
-                .parse::<u64>()
-                .map(|v| AttrValue::I64(-(v as i64)))
-                .map_err(|e| format!("{text:?}: {e}"))
-        } else {
-            text.parse::<u64>()
-                .map(AttrValue::U64)
-                .map_err(|e| format!("{text:?}: {e}"))
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        match self.parse_number()? {
-            AttrValue::U64(v) => Ok(v),
-            other => self.fail(&format!("expected unsigned integer, got {other:?}")),
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
+fn parse_u64(p: &mut Cursor<'_>) -> Result<u64, String> {
+    match parse_number(p)? {
+        AttrValue::U64(v) => Ok(v),
+        other => p.fail(&format!("expected unsigned integer, got {other:?}")),
     }
 }
 
@@ -413,13 +298,13 @@ impl<'a> Parser<'a> {
 /// Returns a message with the byte offset of the first deviation from the
 /// emitted schema.
 pub fn parse_span(line: &str) -> Result<SpanEvent, String> {
-    let mut p = Parser::new(line.trim_end());
+    let mut p = Cursor::new(line.trim_end());
     p.expect_str("{\"name\":")?;
     let name = p.parse_string()?;
     p.expect_str(",\"start\":")?;
-    let start = p.parse_u64()?;
+    let start = parse_u64(&mut p)?;
     p.expect_str(",\"end\":")?;
-    let end = p.parse_u64()?;
+    let end = parse_u64(&mut p)?;
     p.expect_str(",\"attrs\":{")?;
     let mut attrs = Vec::new();
     if p.peek() != Some(b'}') {
@@ -428,11 +313,11 @@ pub fn parse_span(line: &str) -> Result<SpanEvent, String> {
             p.expect(b':')?;
             let value = match p.peek() {
                 Some(b'"') => AttrValue::Str(p.parse_string()?),
-                _ => p.parse_number()?,
+                _ => parse_number(&mut p)?,
             };
             attrs.push((key, value));
             match p.peek() {
-                Some(b',') => p.pos += 1,
+                Some(b',') => p.bump(),
                 _ => break,
             }
         }

@@ -2,13 +2,74 @@
 
 use chason::baselines::reference;
 use chason::core::element::SparseElement;
-use chason::core::schedule::{Crhcs, PeAware, RowBased, Scheduler};
+use chason::core::schedule::{
+    Crhcs, HybridRowSplit, PeAware, RowBased, ScheduledMatrix, Scheduler, SchedulerConfig,
+};
 use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
-use chason_testutil::{sparse_matrix, toy_config};
+use chason::sparse::CooMatrix;
+use chason_testutil::{config_grid, sparse_matrix, toy_config};
 use proptest::prelude::*;
+
+/// Every channel's length and every occupied slot's position: channel,
+/// cycle, lane, row, col, `pvt` and `PE_src` — everything but the value.
+#[allow(clippy::type_complexity)]
+fn slot_positions(
+    s: &ScheduledMatrix,
+) -> (
+    Vec<usize>,
+    Vec<(usize, usize, usize, usize, usize, bool, u8)>,
+) {
+    let lengths = s.channels.iter().map(|ch| ch.cycles()).collect();
+    let slots = s
+        .channels
+        .iter()
+        .flat_map(|ch| {
+            ch.occupied().map(move |(cycle, lane, nz)| {
+                (ch.channel, cycle, lane, nz.row, nz.col, nz.pvt, nz.pe_src)
+            })
+        })
+        .collect();
+    (lengths, slots)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Scheduling reads only the sparsity pattern: a copy of the matrix
+    /// with every value scrambled (and still non-zero) schedules to the
+    /// same slot positions, for every scheduler over the configuration
+    /// grid at 1–3 migration hops.
+    #[test]
+    fn scheduling_is_value_invariant(m in sparse_matrix(48, 200), salt in any::<u64>()) {
+        let scrambled: Vec<(usize, usize, f32)> = m
+            .triplets()
+            .iter()
+            .enumerate()
+            .map(|(i, &(r, c, _))| {
+                let h = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let magnitude = (1 + (h >> 40) % 4_000) as f32 * 0.125;
+                (r, c, if h >> 63 == 0 { magnitude } else { -magnitude })
+            })
+            .collect();
+        let scrambled = CooMatrix::from_triplets(m.rows(), m.cols(), scrambled)
+            .expect("same coordinates as a valid matrix");
+        let split = HybridRowSplit::default();
+        for base in config_grid() {
+            for hops in 1..=3 {
+                let cfg = SchedulerConfig { migration_hops: hops, ..base };
+                if !cfg.is_valid() {
+                    continue;
+                }
+                for scheduler in [&RowBased::new() as &dyn Scheduler, &PeAware::new(), &split, &Crhcs::new()] {
+                    prop_assert_eq!(
+                        slot_positions(&scheduler.schedule(&m, &cfg)),
+                        slot_positions(&scheduler.schedule(&scrambled, &cfg)),
+                        "{} at {:?}", scheduler.name(), cfg
+                    );
+                }
+            }
+        }
+    }
 
     /// The wire codec round-trips every representable element.
     #[test]
