@@ -16,10 +16,11 @@
 //! spliced plan is **bit-identical** to a from-scratch plan of the updated
 //! matrix; `crates/conformance` proves this across the whole corpus.
 
-use crate::plan::{matrix_fingerprint, PlanWindow, SpmvPlan};
+use crate::plan::{matrix_fingerprint, PassPlan, PlanWindow, SpmvPlan};
 use crate::schedule::Scheduler;
-use chason_sparse::{CooMatrix, MatrixDelta, Triplet};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::window::deal_windows;
+use chason_sparse::{CooMatrix, MatrixDelta};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -234,40 +235,46 @@ impl SpmvPlan {
             return Ok(report);
         }
 
-        // One scan of the updated matrix buckets the entries of every dirty
-        // window, rebased exactly as `partition_rows_capacity` +
-        // `partition_columns` would rebase them.
-        let mut buckets: BTreeMap<(usize, usize), Vec<Triplet>> =
-            dirty.iter().map(|&k| (k, Vec::new())).collect();
-        for &(r, c, v) in updated.iter() {
-            let pi = self.passes.partition_point(|p| p.row_end <= r);
-            let wi = c / self.window;
-            if let Some(bucket) = buckets.get_mut(&(pi, wi)) {
-                let pass = &self.passes[pi];
-                let window = &pass.windows[wi];
-                bucket.push((r - pass.row_start, c - window.col_start, v));
-            }
+        // Deal the dirty windows' entries straight from `updated`, under
+        // the skeleton the engines plan with: passes of the first pass's
+        // height (one pass when it covers every row), windows of the
+        // plan's width.
+        let config = self.key.config;
+        let rows_per_pe = self
+            .passes
+            .first()
+            .map_or(0, PassPlan::rows)
+            .div_ceil(config.total_pes())
+            .max(1);
+        let dealt = deal_windows(updated, &config, rows_per_pe, self.window, |pi, wi| {
+            dirty.contains(&(pi, wi))
+        });
+        let skeleton_matches = dealt.len() == self.passes.len()
+            && dealt.iter().zip(&self.passes).all(|(d, p)| {
+                (d.row_start, d.row_end) == (p.row_start, p.row_end)
+                    && d.windows.iter().all(|w| {
+                        p.windows.get(w.index).is_some_and(|pw| {
+                            (pw.col_start, pw.col_end) == (w.col_start, w.col_end)
+                        })
+                    })
+            });
+        if !skeleton_matches {
+            return Err(ReplanError::Structure(
+                "plan passes or windows do not follow the engines' partition rule".to_string(),
+            ));
         }
-
-        for ((pi, wi), triplets) in buckets {
-            let pass = &self.passes[pi];
-            let window = &pass.windows[wi];
-            let wrows = pass.row_end - pass.row_start;
-            let wcols = window.col_end - window.col_start;
-            // The bucket scan rebased every entry into the window's range.
-            #[allow(clippy::expect_used)] // xtask: invariant documented above
-            let wmatrix = CooMatrix::from_triplets(wrows, wcols, triplets)
-                .expect("window triplets are in range by construction");
-            let schedule = scheduler.schedule(&wmatrix, &self.key.config);
-            let spliced = PlanWindow {
-                col_start: window.col_start,
-                col_end: window.col_end,
-                nnz: wmatrix.nnz(),
-                stalls: schedule.stalls(),
-                stream_cycles: schedule.stream_cycles(),
-                schedule,
-            };
-            self.passes[pi].windows[wi] = spliced;
+        for (pi, pass) in dealt.into_iter().enumerate() {
+            for window in pass.windows {
+                let schedule = scheduler.schedule_rows(&window.rows, &config);
+                self.passes[pi].windows[window.index] = PlanWindow {
+                    col_start: window.col_start,
+                    col_end: window.col_end,
+                    nnz: window.rows.nnz(),
+                    stalls: schedule.stalls(),
+                    stream_cycles: schedule.stream_cycles(),
+                    schedule,
+                };
+            }
         }
         for pass in &mut self.passes {
             pass.nnz = pass.windows.iter().map(|w| w.nnz).sum();
@@ -281,7 +288,7 @@ impl SpmvPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{PassPlan, PlanKey};
+    use crate::plan::PlanKey;
     use crate::schedule::{Crhcs, PeAware, SchedulerConfig};
     use crate::window::{partition_columns, partition_rows_capacity};
     use chason_sparse::generators::{power_law, uniform_random};

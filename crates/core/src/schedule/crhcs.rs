@@ -1,4 +1,4 @@
-use super::{NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
+use super::{NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +60,17 @@ impl Crhcs {
         matrix: &CooMatrix,
         config: &SchedulerConfig,
     ) -> (ScheduledMatrix, MigrationReport) {
+        self.schedule_rows_with_report(&WindowRows::from_matrix(matrix, config), config)
+    }
+
+    /// [`Scheduler::schedule_rows`] plus the migration statistics.
+    fn schedule_rows_with_report(
+        &self,
+        rows: &WindowRows,
+        config: &SchedulerConfig,
+    ) -> (ScheduledMatrix, MigrationReport) {
         assert!(config.is_valid(), "invalid scheduler configuration");
-        let mut scheduled = PeAware::new().schedule(matrix, config);
+        let mut scheduled = PeAware::new().schedule_rows(rows, config);
         let stalls_before = scheduled.stalls();
         let cycles_before = scheduled.stream_cycles();
         let mut migrated_total = 0usize;
@@ -422,8 +431,8 @@ impl Scheduler for Crhcs {
         "crhcs (chason)"
     }
 
-    fn schedule(&self, matrix: &CooMatrix, config: &SchedulerConfig) -> ScheduledMatrix {
-        self.schedule_with_report(matrix, config).0
+    fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix {
+        self.schedule_rows_with_report(rows, config).0
     }
 }
 

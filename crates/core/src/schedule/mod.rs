@@ -360,8 +360,116 @@ pub trait Scheduler {
     /// Human-readable name used in reports.
     fn name(&self) -> &'static str;
 
-    /// Schedules every non-zero of `matrix` onto the channels of `config`.
-    fn schedule(&self, matrix: &CooMatrix, config: &SchedulerConfig) -> ScheduledMatrix;
+    /// Schedules one window's non-zeros, already dealt to the PE lanes
+    /// that own them ([`crate::window::deal_windows`]), onto the channels
+    /// of `config`. Planning calls this once per (row pass, column
+    /// window) without materializing a sub-matrix per window.
+    fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix;
+
+    /// Schedules every non-zero of `matrix` onto the channels of `config`:
+    /// the whole matrix dealt as a single window.
+    fn schedule(&self, matrix: &CooMatrix, config: &SchedulerConfig) -> ScheduledMatrix {
+        self.schedule_rows(&WindowRows::from_matrix(matrix, config), config)
+    }
+}
+
+/// One window's non-zeros grouped by owning (channel, lane, row): the
+/// shared front end of every scheduler.
+///
+/// Rows and columns are local to the window — rebased by its row pass and
+/// column window exactly as `partition_rows_capacity` and
+/// `partition_columns` rebase them. Lanes are stored flat, PE `channel ×
+/// pes_per_channel + lane` at that index, each one flat arena of its rows'
+/// `(col, value)` entries sized exactly by the dealing routine's counting
+/// pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRows {
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+    pub(crate) lanes: Vec<FlatLaneRows>,
+}
+
+impl WindowRows {
+    pub(crate) fn new(rows: usize, cols: usize, nnz: usize, lanes: Vec<FlatLaneRows>) -> Self {
+        WindowRows {
+            rows,
+            cols,
+            nnz,
+            lanes,
+        }
+    }
+
+    /// Deals all of `matrix` as one window: the whole-matrix case of
+    /// [`crate::window::deal_windows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid.
+    pub fn from_matrix(matrix: &CooMatrix, config: &SchedulerConfig) -> Self {
+        let rows_per_pe = matrix.rows().div_ceil(config.total_pes().max(1)).max(1);
+        crate::window::deal_windows(matrix, config, rows_per_pe, matrix.cols().max(1), |_, _| {
+            true
+        })
+        .into_iter()
+        .flat_map(|pass| pass.windows)
+        .map(|window| window.rows)
+        .next()
+        // Only a column-less matrix has no window, and it has no entries.
+        .unwrap_or_else(|| {
+            WindowRows::new(
+                matrix.rows(),
+                matrix.cols(),
+                0,
+                vec![FlatLaneRows::default(); config.total_pes()],
+            )
+        })
+    }
+
+    /// Rows of the window (its row pass's height).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the window.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Non-zeros in the window.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// The lanes of each channel in channel order, checked against the
+    /// geometry the window was dealt for.
+    pub(crate) fn channels(
+        &self,
+        config: &SchedulerConfig,
+    ) -> std::slice::Chunks<'_, FlatLaneRows> {
+        assert_eq!(
+            self.lanes.len(),
+            config.total_pes(),
+            "window rows were dealt for another PE geometry"
+        );
+        self.lanes.chunks(config.pes_per_channel)
+    }
+
+    /// The empty schedule skeleton `schedule_rows` fills: the window's
+    /// dimensions and `channels` under `config`.
+    pub(crate) fn scheduled(
+        &self,
+        config: &SchedulerConfig,
+        channels: Vec<ChannelSchedule>,
+    ) -> ScheduledMatrix {
+        ScheduledMatrix {
+            config: *config,
+            channels,
+            rows: self.rows,
+            cols: self.cols,
+            nnz: self.nnz,
+        }
+    }
 }
 
 /// The rows owned by one PE lane, stored flat: one shared `(col, value)`
@@ -442,60 +550,24 @@ impl LaneScratch {
     }
 }
 
-/// Groups a matrix's non-zeros by owning (channel, lane, row), the shared
-/// front-end of all three schedulers.
-///
-/// Returns `rows_by_pe[channel][lane]` as [`FlatLaneRows`]. A counting
-/// pass sizes each lane's arena exactly, so the fill pass never
-/// reallocates.
-pub(crate) fn partition_rows(
-    matrix: &CooMatrix,
-    config: &SchedulerConfig,
-) -> Vec<Vec<FlatLaneRows>> {
-    let lanes = config.pes_per_channel;
-    let mut nnz_per_pe = vec![0usize; config.total_pes()];
-    let mut rows_per_pe = vec![0usize; config.total_pes()];
-    let mut prev_row = usize::MAX;
-    let mut pe = 0;
-    // COO iteration is (row, col)-sorted, so rows arrive grouped and in
-    // ascending order per PE: the owner is computed once per row.
-    for &(r, _, _) in matrix.iter() {
-        if r != prev_row {
-            pe = config.pe_for_row(r);
-            rows_per_pe[pe] += 1;
-            prev_row = r;
-        }
-        nnz_per_pe[pe] += 1;
-    }
-    let mut by_pe: Vec<Vec<FlatLaneRows>> = (0..config.channels)
-        .map(|ch| {
-            (0..lanes)
-                .map(|l| {
-                    let pe = ch * lanes + l;
-                    FlatLaneRows {
-                        entries: Vec::with_capacity(nnz_per_pe[pe]),
-                        spans: Vec::with_capacity(rows_per_pe[pe]),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let mut prev_row = usize::MAX;
-    let (mut ch, mut lane) = (0, 0);
-    for &(r, c, v) in matrix.iter() {
-        if r != prev_row {
-            (ch, lane) = (config.channel_for_row(r), config.lane_for_row(r));
-            prev_row = r;
-        }
-        by_pe[ch][lane].push_entry(r, c, v);
-    }
-    by_pe
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::element::SparseElement;
+
+    /// Reference front end: groups a whole matrix's non-zeros by owning
+    /// (channel, lane, row) with one push per entry, the grouping
+    /// [`WindowRows`] must reproduce.
+    pub(crate) fn partition_rows(
+        matrix: &CooMatrix,
+        config: &SchedulerConfig,
+    ) -> Vec<FlatLaneRows> {
+        let mut by_pe = vec![FlatLaneRows::default(); config.total_pes()];
+        for &(r, c, v) in matrix.iter() {
+            by_pe[config.pe_for_row(r)].push_entry(r, c, v);
+        }
+        by_pe
+    }
 
     #[test]
     fn config_row_mapping_matches_eq1() {
@@ -619,7 +691,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let parts = partition_rows(&m, &cfg);
+        let dealt = WindowRows::from_matrix(&m, &cfg);
+        assert_eq!((dealt.rows(), dealt.cols(), dealt.nnz()), (6, 6, 5));
+        let parts: Vec<&[FlatLaneRows]> = dealt.channels(&cfg).collect();
         assert_eq!(parts[0][0].spans.len(), 1); // row 0
         assert_eq!(parts[0][1].spans.len(), 2); // rows 1 and 5
         assert_eq!(parts[1][0].spans.len(), 1); // row 2
@@ -627,9 +701,14 @@ mod tests {
         assert_eq!(parts[0][1].row_entries(0), &[(0, 2.0), (3, 5.0)]);
         assert_eq!(parts[0][1].spans[1].0, 5);
         // The counting pass sized each arena exactly.
-        for lane in parts.iter().flatten() {
+        for lane in &dealt.lanes {
             assert_eq!(lane.entries.len(), lane.entries.capacity());
+            assert_eq!(lane.spans.len(), lane.spans.capacity());
         }
+        assert_eq!(dealt.lanes, partition_rows(&m, &cfg));
+        let empty = WindowRows::from_matrix(&chason_sparse::CooMatrix::new(5, 0), &cfg);
+        assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (5, 0, 0));
+        assert_eq!(empty.lanes.len(), cfg.total_pes());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 use super::{
-    partition_rows, ChannelSchedule, FlatLaneRows, LaneScratch, NzSlot, ScheduledMatrix, Scheduler,
-    SchedulerConfig,
+    ChannelSchedule, FlatLaneRows, LaneScratch, NzSlot, ScheduledMatrix, Scheduler,
+    SchedulerConfig, WindowRows,
 };
-use chason_sparse::CooMatrix;
 
 /// PE-aware out-of-order non-zero scheduling — Serpens' scheme (Fig. 2b).
 ///
@@ -93,27 +92,20 @@ impl Scheduler for PeAware {
         "pe-aware (serpens)"
     }
 
-    fn schedule(&self, matrix: &CooMatrix, config: &SchedulerConfig) -> ScheduledMatrix {
+    fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix {
         assert!(config.is_valid(), "invalid scheduler configuration");
-        let by_pe = partition_rows(matrix, config);
         let d = config.dependency_distance;
         let mut scratch = LaneScratch::default();
         let mut timelines = vec![Vec::new(); config.pes_per_channel];
         let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
-        for (ch_idx, lanes) in by_pe.iter().enumerate() {
-            for (rows, timeline) in lanes.iter().zip(&mut timelines) {
-                Self::schedule_lane(rows, d, &mut scratch, timeline);
+        for (ch_idx, lanes) in rows.channels(config).enumerate() {
+            for (lane, timeline) in lanes.iter().zip(&mut timelines) {
+                Self::schedule_lane(lane, d, &mut scratch, timeline);
             }
             channels.push(ChannelSchedule::from_lanes(ch_idx, &timelines, &mut masks));
         }
-        ScheduledMatrix {
-            config: *config,
-            channels,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            nnz: matrix.nnz(),
-        }
+        rows.scheduled(config, channels)
     }
 }
 

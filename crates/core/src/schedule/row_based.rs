@@ -1,5 +1,4 @@
-use super::{partition_rows, ChannelSchedule, NzSlot, ScheduledMatrix, Scheduler, SchedulerConfig};
-use chason_sparse::CooMatrix;
+use super::{ChannelSchedule, NzSlot, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows};
 
 /// Row-based (in-order) non-zero scheduling — Fig. 2a.
 ///
@@ -29,13 +28,12 @@ impl Scheduler for RowBased {
         "row-based"
     }
 
-    fn schedule(&self, matrix: &CooMatrix, config: &SchedulerConfig) -> ScheduledMatrix {
+    fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix {
         assert!(config.is_valid(), "invalid scheduler configuration");
-        let by_pe = partition_rows(matrix, config);
         let d = config.dependency_distance;
         let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
-        for (ch_idx, lanes) in by_pe.iter().enumerate() {
+        for (ch_idx, lanes) in rows.channels(config).enumerate() {
             // Per lane, lay out the occupied slots independently.
             let mut lane_timelines: Vec<Vec<(usize, NzSlot)>> = Vec::with_capacity(lanes.len());
             for lane in lanes {
@@ -59,13 +57,7 @@ impl Scheduler for RowBased {
                 &mut masks,
             ));
         }
-        ScheduledMatrix {
-            config: *config,
-            channels,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            nnz: matrix.nnz(),
-        }
+        rows.scheduled(config, channels)
     }
 }
 

@@ -1,6 +1,6 @@
 use super::{
-    partition_rows, ChannelSchedule, FlatLaneRows, LaneScratch, PeAware, ScheduledMatrix,
-    Scheduler, SchedulerConfig,
+    ChannelSchedule, FlatLaneRows, LaneScratch, PeAware, ScheduledMatrix, Scheduler,
+    SchedulerConfig, WindowRows,
 };
 use chason_sparse::CooMatrix;
 
@@ -64,9 +64,8 @@ impl Scheduler for HybridRowSplit {
         "hybrid row-split (hispmv)"
     }
 
-    fn schedule(&self, matrix: &CooMatrix, config: &SchedulerConfig) -> ScheduledMatrix {
+    fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix {
         assert!(config.is_valid(), "invalid scheduler configuration");
-        let by_pe = partition_rows(matrix, config);
         let d = config.dependency_distance;
         let pes = config.pes_per_channel;
         let mut scratch = LaneScratch::default();
@@ -74,7 +73,7 @@ impl Scheduler for HybridRowSplit {
         let mut timelines = vec![Vec::new(); pes];
         let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
-        for (ch_idx, lanes) in by_pe.iter().enumerate() {
+        for (ch_idx, lanes) in rows.channels(config).enumerate() {
             // Pull heavy rows out of their home lane and deal their values
             // across all lanes of the PEG round-robin: lane `l` receives
             // the sub-row holding every `P`-th value. Each sub-row then
@@ -82,9 +81,9 @@ impl Scheduler for HybridRowSplit {
             // of different hubs interleave and hide each other's RAW gaps
             // exactly like independent rows do.
             let mut lane_rows: Vec<FlatLaneRows> = vec![FlatLaneRows::default(); pes];
-            for (lane, rows) in lanes.iter().enumerate() {
-                for (idx, &(row, _, _)) in rows.spans.iter().enumerate() {
-                    let entries = rows.row_entries(idx);
+            for (lane, owned) in lanes.iter().enumerate() {
+                for (idx, &(row, _, _)) in owned.spans.iter().enumerate() {
+                    let entries = owned.row_entries(idx);
                     if entries.len() >= self.split_threshold.max(2) {
                         // Rows are dealt one at a time, so each target
                         // arena receives its sub-row's entries
@@ -110,18 +109,12 @@ impl Scheduler for HybridRowSplit {
                     }
                 }
             }
-            for (rows, timeline) in lane_rows.iter().zip(&mut timelines) {
-                PeAware::schedule_lane(rows, d, &mut scratch, timeline);
+            for (dealt, timeline) in lane_rows.iter().zip(&mut timelines) {
+                PeAware::schedule_lane(dealt, d, &mut scratch, timeline);
             }
             channels.push(ChannelSchedule::from_lanes(ch_idx, &timelines, &mut masks));
         }
-        ScheduledMatrix {
-            config: *config,
-            channels,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            nnz: matrix.nnz(),
-        }
+        rows.scheduled(config, channels)
     }
 }
 

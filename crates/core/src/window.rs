@@ -7,6 +7,7 @@
 //! windows.
 
 use crate::element::WINDOW;
+use crate::schedule::{FlatLaneRows, SchedulerConfig, WindowRows};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -185,10 +186,247 @@ pub fn partition_rows_capacity(
         .collect()
 }
 
+/// One column window of a [`DealtPass`], its entries dealt to the PE
+/// lanes that own them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DealtWindow {
+    /// Index of the window within its pass.
+    pub index: usize,
+    /// First source column covered (inclusive).
+    pub col_start: usize,
+    /// One past the last source column covered.
+    pub col_end: usize,
+    /// The window's entries, rebased and grouped for the schedulers.
+    pub rows: WindowRows,
+}
+
+/// One row pass of a dealt matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DealtPass {
+    /// First source row covered (inclusive).
+    pub row_start: usize,
+    /// One past the last source row covered.
+    pub row_end: usize,
+    /// The pass's selected windows, in column order.
+    pub windows: Vec<DealtWindow>,
+}
+
+/// Splits `(row, col)`-sorted entries into runs of one row within one
+/// column window: `(row, window index, entry range)`, in entry order. Only
+/// the first entry of a run is divided by the window width.
+fn window_runs(
+    entries: &[chason_sparse::Triplet],
+    window: usize,
+) -> impl Iterator<Item = (usize, usize, std::ops::Range<usize>)> + '_ {
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let &(row, col, _) = entries.get(next)?;
+        let w = col / window;
+        let window_end = (w + 1) * window;
+        let start = next;
+        next += 1 + entries[next + 1..]
+            .iter()
+            .take_while(|&&(r, c, _)| r == row && c < window_end)
+            .count();
+        Some((row, w, start..next))
+    })
+}
+
+/// Deals the entries of `matrix` straight into the schedulers' per-lane
+/// arenas for every (row pass, column window) that `keep(pass, window)`
+/// selects — the result of [`partition_rows_capacity`], then
+/// [`partition_columns`] on each pass, then grouping each window by
+/// owning lane, without building any intermediate matrix.
+///
+/// Passes cover `max_rows_per_pe × total_PEs` rows each (a matrix with no
+/// rows still has one, empty, pass); windows cover `window` columns each
+/// (a matrix with no columns has none). Rows are rebased by their pass
+/// start and columns by their window start.
+///
+/// The work is two linear scans of the `(row, col)`-sorted entries,
+/// whatever the window count: a counting pass sizes every selected lane's
+/// arena exactly, and a fill pass deals each entry into it. Entries of
+/// unselected windows are skipped by both.
+///
+/// # Panics
+///
+/// Panics if `config` is invalid or `max_rows_per_pe` or `window` is 0.
+pub fn deal_windows(
+    matrix: &CooMatrix,
+    config: &SchedulerConfig,
+    max_rows_per_pe: usize,
+    window: usize,
+    keep: impl Fn(usize, usize) -> bool,
+) -> Vec<DealtPass> {
+    assert!(config.is_valid(), "invalid scheduler configuration");
+    assert!(max_rows_per_pe > 0, "per-PE row capacity must be positive");
+    assert!(window > 0, "window width must be positive");
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    let pes = config.total_pes();
+    let span = max_rows_per_pe * pes;
+    let passes = rows.div_ceil(span).max(1);
+    let windows = cols.div_ceil(window);
+    let kept: Vec<bool> = (0..passes * windows)
+        .map(|cell| keep(cell / windows, cell % windows))
+        .collect();
+
+    // Counting pass: non-zeros and row spans per (cell, PE); each run is
+    // one row's entries in one window, so it is one span.
+    let entries = matrix.triplets();
+    let mut nnz = vec![0usize; kept.len() * pes];
+    let mut spans = vec![0usize; kept.len() * pes];
+    for (r, w, run) in window_runs(entries, window) {
+        let cell = r / span * windows + w;
+        if kept[cell] {
+            let at = cell * pes + config.pe_for_row(r);
+            nnz[at] += run.len();
+            spans[at] += 1;
+        }
+    }
+
+    let mut lanes: Vec<FlatLaneRows> = nnz
+        .iter()
+        .zip(&spans)
+        .map(|(&n, &s)| FlatLaneRows {
+            entries: Vec::with_capacity(n),
+            spans: Vec::with_capacity(s),
+        })
+        .collect();
+    // Fill pass. Rows ascend, so each lane's rows arrive grouped and in
+    // order; rebasing by a multiple of the PE count keeps every row's
+    // owner, so the owner of the global row is the owner of the local one.
+    for (r, w, run) in window_runs(entries, window) {
+        let cell = r / span * windows + w;
+        if kept[cell] {
+            let lane = &mut lanes[cell * pes + config.pe_for_row(r)];
+            let start = lane.entries.len();
+            let col_start = w * window;
+            lane.entries
+                .extend(entries[run].iter().map(|&(_, c, v)| (c - col_start, v)));
+            lane.spans.push((r % span, start, lane.entries.len()));
+        }
+    }
+
+    let mut dealt: Vec<DealtPass> = (0..passes)
+        .map(|p| DealtPass {
+            row_start: p * span,
+            row_end: ((p + 1) * span).min(rows),
+            windows: Vec::new(),
+        })
+        .collect();
+    let mut lanes = lanes.into_iter();
+    for (cell, (&selected, cell_nnz)) in kept.iter().zip(nnz.chunks(pes)).enumerate() {
+        let cell_lanes = lanes.by_ref().take(pes);
+        if !selected {
+            cell_lanes.for_each(drop);
+            continue;
+        }
+        let pass = &mut dealt[cell / windows];
+        let index = cell % windows;
+        let col_start = index * window;
+        let col_end = (col_start + window).min(cols);
+        let rows = WindowRows::new(
+            pass.row_end - pass.row_start,
+            col_end - col_start,
+            cell_nnz.iter().sum(),
+            cell_lanes.collect(),
+        );
+        pass.windows.push(DealtWindow {
+            index,
+            col_start,
+            col_end,
+            rows,
+        });
+    }
+    dealt
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::tests::partition_rows;
     use chason_sparse::generators::uniform_random;
+    use proptest::prelude::*;
+
+    /// What [`deal_windows`] must equal: partition into row passes, then
+    /// each pass into column windows, then group each selected window by
+    /// lane.
+    fn reference_deal(
+        m: &CooMatrix,
+        config: &SchedulerConfig,
+        max_rows_per_pe: usize,
+        window: usize,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<DealtPass> {
+        partition_rows_capacity(m, max_rows_per_pe, config.total_pes())
+            .into_iter()
+            .map(|pass| DealtPass {
+                row_start: pass.row_start,
+                row_end: pass.row_end,
+                windows: partition_columns(&pass.matrix, window)
+                    .into_iter()
+                    .filter(|w| keep(pass.index, w.index))
+                    .map(|w| DealtWindow {
+                        index: w.index,
+                        col_start: w.col_start,
+                        col_end: w.col_end,
+                        rows: WindowRows::new(
+                            w.matrix.rows(),
+                            w.matrix.cols(),
+                            w.matrix.nnz(),
+                            partition_rows(&w.matrix, config),
+                        ),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn dealing_equals_partitioning_then_grouping(
+            (rows, cols) in (1usize..120, 0usize..90),
+            nnz in 0usize..400,
+            seed in 0u64..1000,
+            (channels, lanes) in (1usize..5, 1usize..5),
+            max_rows_per_pe in 1usize..8,
+            window in 1usize..24,
+            keep_mask in any::<u64>(),
+        ) {
+            let m = uniform_random(rows, cols, nnz, seed);
+            let config = SchedulerConfig::toy(channels, lanes, 4);
+            let keep = |p: usize, w: usize| keep_mask >> ((p * 13 + w) % 64) & 1 == 1;
+            let dealt = deal_windows(&m, &config, max_rows_per_pe, window, keep);
+            prop_assert_eq!(&dealt, &reference_deal(&m, &config, max_rows_per_pe, window, keep));
+            // The counting pass sized every arena exactly.
+            for lane in dealt.iter().flat_map(|p| &p.windows).flat_map(|w| &w.rows.lanes) {
+                prop_assert_eq!(lane.entries.len(), lane.entries.capacity());
+                prop_assert_eq!(lane.spans.len(), lane.spans.capacity());
+            }
+        }
+    }
+
+    #[test]
+    fn dealing_covers_passes_without_rows_or_windows() {
+        let config = SchedulerConfig::toy(2, 2, 4);
+        // No rows: one empty pass; its windows are still dealt.
+        let dealt = deal_windows(&CooMatrix::new(0, 10), &config, 3, 4, |_, _| true);
+        assert_eq!(dealt.len(), 1);
+        assert_eq!((dealt[0].row_start, dealt[0].row_end), (0, 0));
+        assert_eq!(dealt[0].windows.len(), 3);
+        assert!(dealt[0].windows.iter().all(|w| w.rows.nnz() == 0));
+        // No columns: passes without windows.
+        let dealt = deal_windows(&CooMatrix::new(30, 0), &config, 3, 4, |_, _| true);
+        assert_eq!(dealt.len(), 3);
+        assert!(dealt.iter().all(|p| p.windows.is_empty()));
+        // Nothing selected: the skeleton alone.
+        let m = uniform_random(30, 30, 200, 4);
+        let dealt = deal_windows(&m, &config, 3, 8, |_, _| false);
+        assert_eq!(dealt.len(), 3);
+        assert!(dealt.iter().all(|p| p.windows.is_empty()));
+    }
 
     #[test]
     fn windows_cover_every_entry_once() {

@@ -193,7 +193,7 @@ impl Daemon for Shared {
                 rows,
                 cols,
                 triplets,
-            } => execute_load(self, conns, rows, cols, &triplets),
+            } => execute_load(self, conns, rows, cols, triplets),
             Request::Spmv { handle, engine, x } => execute_spmv(self, conns, handle, engine, &x),
             Request::Solve {
                 handle,
@@ -505,10 +505,11 @@ fn execute_load(
     conns: &mut [ShardConn],
     rows: u64,
     cols: u64,
-    triplets: &[(u64, u64, f32)],
+    triplets: Vec<(u64, u64, f32)>,
 ) -> Outcome {
     let matrix = admit::load_matrix(rows, cols, triplets)?;
     let handle = matrix_fingerprint(&matrix);
+    let nnz = matrix.nnz() as u64;
     // Loads serialize under the resident lock so two identical concurrent
     // loads scatter once, and no update interleaves with the scatter.
     let mut residents = lock_unpoisoned(&shared.residents);
@@ -520,7 +521,7 @@ fn execute_load(
             handle,
             rows,
             cols,
-            nnz: triplets.len() as u64,
+            nnz,
             fresh: false,
             version: resident.version,
         });
@@ -601,7 +602,7 @@ fn execute_load(
         handle,
         rows,
         cols,
-        nnz: triplets.len() as u64,
+        nnz,
         fresh: true,
         version: 0,
     })

@@ -58,20 +58,25 @@ fn check_values<'a>(
 /// Admission for a `LoadMatrix`: dimensions in range, every value schedulable,
 /// every coordinate in bounds and unique. Rejects with `BadRequest`
 /// naming the first violated rule.
+///
+/// The decoded triplets become the matrix's entries: `(u64, u64, f32)` and
+/// `(usize, usize, f32)` have one layout on the 64-bit targets CHSP
+/// serves from, so the conversion reuses the request's buffer rather than
+/// copying it.
 pub fn load_matrix(
     rows: u64,
     cols: u64,
-    triplets: &[(u64, u64, f32)],
+    triplets: Vec<(u64, u64, f32)>,
 ) -> Result<CooMatrix, Box<Reply>> {
     if rows == 0 || cols == 0 || rows > MAX_DIM || cols > MAX_DIM {
         return Err(bad_request(format!(
             "matrix dimensions {rows}x{cols} out of range"
         )));
     }
-    check_values(triplets)?;
+    check_values(&triplets)?;
     let converted = triplets
-        .iter()
-        .map(|&(r, c, v)| (r as usize, c as usize, v))
+        .into_iter()
+        .map(|(r, c, v)| (r as usize, c as usize, v))
         .collect();
     CooMatrix::from_triplets(rows as usize, cols as usize, converted).map_err(sparse_error)
 }

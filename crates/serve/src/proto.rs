@@ -749,9 +749,37 @@ fn put_f32_vec(buf: &mut Vec<u8>, v: &[f32]) {
     }
 }
 
-/// Encodes a request payload (framing is [`write_frame`]'s job).
+/// Bytes of a `(row, col, value)` triplet on the wire.
+const TRIPLET_BYTES: usize = 20;
+
+/// Bytes of a length-prefixed `f32` vector on the wire.
+fn f32_vec_len(v: &[f32]) -> usize {
+    8 + 4 * v.len()
+}
+
+/// The exact payload length [`encode_request`] writes for `req`.
+fn request_len(req: &Request) -> usize {
+    match req {
+        Request::LoadMatrix { triplets, .. } => 1 + 24 + TRIPLET_BYTES * triplets.len(),
+        Request::Spmv { x, .. } => 1 + 8 + 1 + f32_vec_len(x),
+        Request::Solve { b, .. } => 1 + 8 + 1 + 1 + 4 + 8 + f32_vec_len(b),
+        Request::Plan { .. } => 1 + 8 + 1,
+        Request::Stats | Request::Metrics | Request::Shutdown => 1,
+        Request::Sleep { .. } => 1 + 4,
+        Request::Update {
+            inserts,
+            revalues,
+            deletes,
+            ..
+        } => 1 + 8 + 24 + TRIPLET_BYTES * (inserts.len() + revalues.len()) + 16 * deletes.len(),
+    }
+}
+
+/// Encodes a request payload (framing is [`write_frame`]'s job) into a
+/// buffer reserved at its exact length.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let len = request_len(req);
+    let mut buf = Vec::with_capacity(len);
     match req {
         Request::LoadMatrix {
             rows,
@@ -824,6 +852,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             }
         }
     }
+    debug_assert_eq!(buf.len(), len, "request length mispredicted");
     buf
 }
 
@@ -948,9 +977,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
     Ok(req)
 }
 
-/// Encodes a reply payload (framing is [`write_frame`]'s job).
+/// Encodes a reply payload (framing is [`write_frame`]'s job) into a
+/// buffer reserved at its exact length.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let len = reply_len(reply);
+    let mut buf = Vec::with_capacity(len);
     match reply {
         Reply::Loaded {
             handle,
@@ -1038,7 +1069,24 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             put_u64(&mut buf, *windows_total);
         }
     }
+    debug_assert_eq!(buf.len(), len, "reply length mispredicted");
     buf
+}
+
+/// The exact payload length [`encode_reply`] writes for `reply`.
+fn reply_len(reply: &Reply) -> usize {
+    match reply {
+        Reply::Loaded { .. } => 1 + 4 * 8 + 1 + 8,
+        Reply::Vector { y, .. } => 1 + 8 + 8 + f32_vec_len(y),
+        Reply::Solved { solution, .. } => 1 + 8 + 8 + 1 + 8 + 8 + f32_vec_len(solution),
+        Reply::PlanArtifact { bytes } => 1 + 8 + bytes.len(),
+        Reply::Stats(_) => 1 + 8 * StatsSnapshot::FIELDS,
+        Reply::MetricsText { text } => 1 + 4 + text.len(),
+        Reply::Done => 1,
+        Reply::Busy { .. } => 1 + 4,
+        Reply::Error { message, .. } => 1 + 1 + 4 + message.len(),
+        Reply::Updated { .. } => 1 + 8 + 8 + 4 + 8 + 8,
+    }
 }
 
 /// Decodes a reply payload.

@@ -17,7 +17,7 @@ use chason_core::cache::LruCache;
 use chason_core::plan::{matrix_fingerprint, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine, SimError};
-use chason_sparse::{CooMatrix, CowCsr, MatrixDelta};
+use chason_sparse::{CooMatrix, MatrixDelta};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,14 +65,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// A resident matrix: the COO source of truth, a CSR mirror whose row
-/// storage is structurally shared across versions, and a version counter
+/// A resident matrix: the one copy of its content, row-sorted COO that the
+/// CPU backend multiplies and the engines plan from, and a version counter
 /// that `Update` bumps. The cache key (the load-time fingerprint) never
 /// changes; the version distinguishes delta generations.
 #[derive(Debug, Clone)]
 struct ResidentMatrix {
     matrix: Arc<CooMatrix>,
-    csr: Arc<CowCsr>,
     version: u64,
     /// Server-unique name of this exact content, the plan-cache key.
     generation: u64,
@@ -182,7 +181,7 @@ impl Daemon for Shared {
                 rows,
                 cols,
                 triplets,
-            } => execute_load(self, rows, cols, &triplets),
+            } => execute_load(self, rows, cols, triplets),
             Request::Spmv { handle, engine, x } => execute_spmv(self, handle, engine, &x),
             Request::Solve {
                 handle,
@@ -276,10 +275,11 @@ fn sim_error_reply(err: SimError) -> Box<Reply> {
     admit::bad_request(err.to_string())
 }
 
-fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f32)]) -> Outcome {
+fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: Vec<(u64, u64, f32)>) -> Outcome {
     let matrix = admit::load_matrix(rows, cols, triplets)?;
+    // Hashed once here; the engines' plan keys reuse the memo.
     let handle = matrix_fingerprint(&matrix);
-    let csr = Arc::new(CowCsr::from(&matrix));
+    let nnz = matrix.nnz() as u64;
     let mut matrices = lock_unpoisoned(&shared.matrices);
     // Re-loading a matrix whose resident copy has since been updated keeps
     // the updated (current-version) copy: the handle names a lineage. The
@@ -292,7 +292,6 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f3
                 handle,
                 ResidentMatrix {
                     matrix: Arc::new(matrix),
-                    csr,
                     version: 0,
                     generation: shared.next_generation(),
                 },
@@ -304,7 +303,7 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f3
         handle,
         rows,
         cols,
-        nnz: triplets.len() as u64,
+        nnz,
         fresh,
         version,
     })
@@ -315,7 +314,7 @@ fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outc
     admit::spmv(&resident.matrix, x)?;
     let start = Instant::now();
     let (y, simulated_nanos) = match shared.planner(engine) {
-        None => (resident.csr.spmv(x), 0),
+        None => (resident.matrix.spmv(x), 0),
         Some(planner) => {
             run_engine_spmv(shared, engine, planner, &resident, x).map_err(sim_error_reply)?
         }
@@ -480,12 +479,6 @@ fn execute_update(
         .cloned()
         .ok_or_else(|| admit::unknown_handle(handle))?;
     let (delta, updated) = admit::update(&resident.matrix, inserts, revalues, deletes)?;
-    let csr = resident.csr.apply_delta(&delta).map_err(|err| {
-        Box::new(Reply::Error {
-            code: ErrorCode::Internal,
-            message: format!("csr delta diverged from coo delta: {err}"),
-        })
-    })?;
     let mut plans_spliced: u32 = 0;
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
@@ -505,7 +498,6 @@ fn execute_update(
         handle,
         ResidentMatrix {
             matrix: Arc::new(updated),
-            csr: Arc::new(csr),
             version,
             generation,
         },

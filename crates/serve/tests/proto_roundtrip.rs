@@ -107,6 +107,8 @@ proptest! {
             _ => Request::Sleep { millis },
         };
         let wire = encode_request(&request);
+        // The buffer was reserved at its exact length: it never grew.
+        prop_assert_eq!(wire.capacity(), wire.len());
         let decoded = decode_request(&wire).expect("encoded request must decode");
         prop_assert_eq!(encode_request(&decoded), wire);
     }
@@ -165,6 +167,7 @@ proptest! {
             },
         };
         let wire = encode_reply(&reply);
+        prop_assert_eq!(wire.capacity(), wire.len());
         let decoded = decode_reply(&wire).expect("encoded reply must decode");
         prop_assert_eq!(encode_reply(&decoded), wire);
     }

@@ -20,8 +20,9 @@ use crate::{ChasonEngine, SerpensEngine, SimError};
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
 use chason_core::replan::ReplanReport;
 use chason_core::schedule::{Crhcs, PeAware, Scheduler};
-use chason_core::window::{partition_columns, partition_rows_capacity};
+use chason_core::window::{deal_windows, DealtPass, DealtWindow};
 use chason_sparse::{CooMatrix, DenseMatrix, MatrixDelta};
+use std::sync::OnceLock;
 
 fn check_config(config: &AcceleratorConfig) -> Result<(), SimError> {
     if config.is_valid() {
@@ -97,6 +98,9 @@ fn combine(parts: Vec<Execution>) -> Option<Execution> {
 struct Replay {
     y: Vec<f32>,
     mac_ops: u64,
+    /// Pipeline hazards the PEs detected (debug builds stamp cycles; release
+    /// builds count none).
+    hazards: u64,
     occupancy: Vec<u16>,
 }
 
@@ -112,30 +116,22 @@ struct Core<'a, S> {
 }
 
 impl<S: Scheduler + Sync> Core<'_, S> {
-    /// Schedules every column window of `matrix`, producing the windows of
-    /// a [`PassPlan`] covering rows `row_start..row_start + matrix.rows()`.
+    /// Schedules every dealt column window of `pass` into a [`PassPlan`].
     ///
-    /// Windows are independent — each is scheduled from its own
-    /// sub-matrix — so with `threads > 1` they are scheduled concurrently.
-    /// Workers own disjoint contiguous chunks of the window list and
-    /// results are reassembled in window order, so the plan is identical
-    /// for every thread count.
-    fn plan_pass(
-        &self,
-        matrix: &CooMatrix,
-        row_start: usize,
-        threads: usize,
-    ) -> Result<PassPlan, SimError> {
-        check_config(self.config)?;
+    /// Windows are independent — each is scheduled from its own lanes — so
+    /// with `threads > 1` they are scheduled concurrently. Workers own
+    /// disjoint contiguous chunks of the window list and results are
+    /// reassembled in window order, so the plan is identical for every
+    /// thread count.
+    fn plan_pass(&self, pass: DealtPass, threads: usize) -> PassPlan {
         let sched = &self.config.sched;
-        let windows = partition_columns(matrix, self.config.window);
-
-        let plan_one = |window: &chason_core::window::ColumnWindow| {
-            let schedule = self.scheduler.schedule(&window.matrix, sched);
+        let windows = pass.windows;
+        let plan_one = |window: &DealtWindow| {
+            let schedule = self.scheduler.schedule_rows(&window.rows, sched);
             PlanWindow {
                 col_start: window.col_start,
                 col_end: window.col_end,
-                nnz: window.matrix.nnz(),
+                nnz: window.rows.nnz(),
                 stalls: schedule.stalls(),
                 stream_cycles: schedule.stream_cycles(),
                 schedule,
@@ -168,32 +164,38 @@ impl<S: Scheduler + Sync> Core<'_, S> {
             chunks.into_iter().flatten().collect()
         };
 
-        Ok(PassPlan {
-            row_start,
-            row_end: row_start + matrix.rows(),
-            nnz: matrix.nnz(),
+        PassPlan {
+            row_start: pass.row_start,
+            row_end: pass.row_end,
+            nnz: planned.iter().map(|w| w.nnz).sum(),
             windows: planned,
-        })
+        }
     }
 
-    /// Plans `matrix` pass by pass. With `partition` set, a matrix needing
-    /// more partial-sum rows per PE than a URAM holds is split on capacity
-    /// boundaries into row-partition passes (§4.5); otherwise it is planned
-    /// as one pass and replay reports the overflow.
+    /// Plans `matrix` pass by pass, dealing every window's entries to its
+    /// lanes in one sweep of the matrix. With `partition` set, a matrix
+    /// needing more partial-sum rows per PE than a URAM holds is split on
+    /// capacity boundaries into row-partition passes (§4.5); otherwise it
+    /// is planned as one pass and replay reports the overflow.
     fn plan_passes(
         &self,
         matrix: &CooMatrix,
         threads: usize,
         partition: bool,
     ) -> Result<Vec<PassPlan>, SimError> {
-        let total_pes = self.config.sched.total_pes();
-        if !partition || matrix.rows().div_ceil(total_pes.max(1)) <= URAM_PARTIALS {
-            return Ok(vec![self.plan_pass(matrix, 0, threads)?]);
-        }
-        partition_rows_capacity(matrix, URAM_PARTIALS, total_pes)
-            .iter()
-            .map(|p| self.plan_pass(&p.matrix, p.row_start, threads))
-            .collect()
+        check_config(self.config)?;
+        let sched = &self.config.sched;
+        let rows_per_pe = if partition {
+            URAM_PARTIALS
+        } else {
+            matrix.rows().div_ceil(sched.total_pes()).max(1)
+        };
+        Ok(
+            deal_windows(matrix, sched, rows_per_pe, self.config.window, |_, _| true)
+                .into_iter()
+                .map(|pass| self.plan_pass(pass, threads))
+                .collect(),
+        )
     }
 
     fn plan(&self, matrix: &CooMatrix, threads: usize) -> Result<SpmvPlan, SimError> {
@@ -296,7 +298,7 @@ impl<S: Scheduler + Sync> Core<'_, S> {
             bytes_auxiliary += (width * 4) as u64;
         }
         let stalls = pass.windows.iter().map(|w| w.schedule.stalls()).sum();
-        let replay = self.replay(pass, x)?;
+        let replay = self.replay(pass, x, replay_threads(pass))?;
         Ok(Execution {
             engine: self.name,
             y: replay.y,
@@ -358,11 +360,17 @@ impl<S: Scheduler + Sync> Core<'_, S> {
     /// reduces and merges their partial sums into `y`.
     ///
     /// Each window reloads the x buffers with its slice and walks every
-    /// channel's occupied slots; stalls never reach a PE. In debug builds
-    /// slots carry global cycle stamps so the PEs' hazard detectors check
-    /// the schedule is executable at II = 1; the hazard count has no other
+    /// channel's occupied slots; stalls never reach a PE. A PEG sees only
+    /// its own channel's slots until `Peg::reduce`, so the PEGs are split
+    /// into contiguous groups, one per thread (at most `threads`, never
+    /// more than there are channels), each replaying every window for its
+    /// channels. The stamp base and occupancy offset of every window are
+    /// fixed before the groups start; reduction and merge stay serial, so
+    /// the result is the same for every thread count. In debug builds slots
+    /// carry global cycle stamps so the PEs' hazard detectors check the
+    /// schedule is executable at II = 1; the hazard count has no other
     /// reader, so release builds skip that bookkeeping.
-    fn replay(&self, pass: &PassPlan, x: &[f32]) -> Result<Replay, SimError> {
+    fn replay(&self, pass: &PassPlan, x: &[f32], threads: usize) -> Result<Replay, SimError> {
         let stamped = cfg!(debug_assertions);
         let config = self.config;
         let sched = &config.sched;
@@ -377,39 +385,105 @@ impl<S: Scheduler + Sync> Core<'_, S> {
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
+        if let Some(window) = pass
+            .windows
+            .iter()
+            .find(|w| w.schedule.channels.len() > pegs.len())
+        {
+            return Err(SimError::RoutingViolation(format!(
+                "window at column {} streams {} channels to {} PEGs",
+                window.col_start,
+                window.schedule.channels.len(),
+                pegs.len()
+            )));
+        }
 
-        let mut stamp_base = 0u64;
-        let mut occupancy: Vec<u16> = Vec::new();
+        // Per window: its first hazard stamp and its first occupancy slot.
+        let mut starts = Vec::with_capacity(pass.windows.len());
+        let (mut stamp_base, mut occupancy_len) = (0u64, 0usize);
         for window in &pass.windows {
-            let schedule = &window.schedule;
-            for peg in &mut pegs {
-                peg.load_x(&x[window.col_start..window.col_end]);
-            }
-            let stream_cycles = schedule.stream_cycles();
-            let occupancy_base = occupancy.len();
-            if config.record_occupancy {
-                occupancy.resize(occupancy_base + stream_cycles, 0);
-            }
-            for (c, channel) in schedule.channels.iter().enumerate() {
-                let peg = &mut pegs[c];
-                for (cycle, lane, nz) in channel.occupied() {
-                    peg.consume_slot(lane, nz, sched, stamped.then(|| stamp_base + cycle as u64))?;
-                    if config.record_occupancy {
-                        occupancy[occupancy_base + cycle] += 1;
+            let stream_cycles = window.schedule.stream_cycles();
+            starts.push((stamp_base, occupancy_len));
+            stamp_base += window_stamp_gap(config, stream_cycles);
+            occupancy_len += stream_cycles;
+        }
+        if !config.record_occupancy {
+            occupancy_len = 0;
+        }
+
+        // Replays every window on the PEGs of channels `first..`; a failure
+        // is tagged with its (window, channel) so the serial order's first
+        // error can be picked across groups.
+        let replay_group = |first: usize, group: &mut [Peg]| {
+            let mut occupancy = vec![0u16; occupancy_len];
+            for (w, (window, &(stamp_base, occupancy_base))) in
+                pass.windows.iter().zip(&starts).enumerate()
+            {
+                let slice = &x[window.col_start..window.col_end];
+                for (c, peg) in (first..).zip(group.iter_mut()) {
+                    peg.load_x(slice);
+                    let Some(channel) = window.schedule.channels.get(c) else {
+                        continue;
+                    };
+                    for (cycle, lane, nz) in channel.occupied() {
+                        let stamp = stamped.then(|| stamp_base + cycle as u64);
+                        peg.consume_slot(lane, nz, sched, stamp)
+                            .map_err(|err| (w, c, err))?;
+                        if config.record_occupancy {
+                            occupancy[occupancy_base + cycle] += 1;
+                        }
                     }
                 }
             }
-            stamp_base += window_stamp_gap(config, stream_cycles);
+            Ok::<_, (usize, usize, SimError)>(occupancy)
+        };
+        let replay_group = &replay_group;
+        let per_group = pegs
+            .len()
+            .div_ceil(threads.clamp(1, pegs.len().max(1)))
+            .max(1);
+        let groups = std::thread::scope(|scope| {
+            let mut chunks = pegs.chunks_mut(per_group).enumerate();
+            let head = chunks.next();
+            let spawned: Vec<_> = chunks
+                .map(|(g, group)| scope.spawn(move || replay_group(g * per_group, group)))
+                .collect();
+            let mut groups = vec![head.map_or(Ok(Vec::new()), |(_, group)| replay_group(0, group))];
+            groups.extend(spawned.into_iter().map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            groups
+        });
+        let mut occupancy = vec![0u16; occupancy_len];
+        let mut failures = Vec::new();
+        for group in groups {
+            match group {
+                Ok(counts) => {
+                    for (total, n) in occupancy.iter_mut().zip(counts) {
+                        *total += n;
+                    }
+                }
+                Err(failure) => failures.push(failure),
+            }
+        }
+        if let Some((_, _, err)) = failures.into_iter().min_by_key(|&(w, c, _)| (w, c)) {
+            return Err(err);
         }
 
         let outputs: Vec<_> = pegs.iter().map(Peg::reduce).collect();
-        let hazards: u64 = pegs.iter().map(Peg::hazards).sum();
-        debug_assert_eq!(hazards, 0, "scheduler emitted a stream with RAW hazards");
-        Ok(Replay {
+        let replay = Replay {
             y: merge_outputs(&outputs, sched, pass.rows()),
             mac_ops: pegs.iter().map(Peg::mac_ops).sum(),
+            hazards: pegs.iter().map(Peg::hazards).sum(),
             occupancy,
-        })
+        };
+        debug_assert_eq!(
+            replay.hazards, 0,
+            "scheduler emitted a stream with RAW hazards"
+        );
+        Ok(replay)
     }
 
     /// `C = α·A·B + β·C0` (§7.2). `A` is planned once as a single pass; the
@@ -437,12 +511,14 @@ impl<S: Scheduler + Sync> Core<'_, S> {
                 b.cols()
             )));
         }
-        let pass = self.plan_pass(a, 0, 1)?;
-        self.verify(&pass)?;
+        // Unpartitioned planning deals exactly one pass.
+        let passes = self.plan_passes(a, 1, false)?;
+        let pass = &passes[0];
+        self.verify(pass)?;
         let n = b.cols();
         let tiles = n.div_ceil(TILE_COLS).max(usize::from(n == 0));
         // C read-modify-write goes through the 8 output channels (§7.2).
-        let (mut cycles, bytes_streamed) = self.pass_cost(&pass, tiles as u64, a.rows() * n);
+        let (mut cycles, bytes_streamed) = self.pass_cost(pass, tiles as u64, a.rows() * n);
         // B-tile loading between windows (4 channels stream B in §7.2): a
         // full window per tile, unlike SpMV's per-slice x reload.
         let reload = (pass.windows.len() * tiles)
@@ -453,7 +529,7 @@ impl<S: Scheduler + Sync> Core<'_, S> {
         let mut c = DenseMatrix::zeros(a.rows(), n);
         let mut mac_ops = 0u64;
         for j in 0..n {
-            let column = self.replay(&pass, &b.column(j))?;
+            let column = self.replay(pass, &b.column(j), replay_threads(pass))?;
             mac_ops += column.mac_ops;
             for (r, &v) in column.y.iter().enumerate() {
                 c.set(r, j, alpha * v + beta * c0.get(r, j));
@@ -471,9 +547,24 @@ impl<S: Scheduler + Sync> Core<'_, S> {
     }
 }
 
-/// Threads used by `plan` when the caller does not choose a count.
-fn default_planning_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// Threads used by `plan` when the caller does not choose a count: the
+/// host's available parallelism, read once.
+fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Occupied slots a replay thread must have to pay for starting it: a slot
+/// costs tens of nanoseconds to replay, a thread tens of microseconds to
+/// start.
+const SLOTS_PER_REPLAY_THREAD: usize = 1 << 15;
+
+/// Threads replaying `pass`: the available parallelism, but none that
+/// would have fewer than [`SLOTS_PER_REPLAY_THREAD`] slots.
+fn replay_threads(pass: &PassPlan) -> usize {
+    available_threads()
+        .min(pass.nnz / SLOTS_PER_REPLAY_THREAD)
+        .max(1)
 }
 
 /// Generates an engine's public API on top of its `Core`: the direct,
@@ -539,7 +630,7 @@ macro_rules! impl_engine {
             ///
             /// [`SimError::InvalidConfig`] for inconsistent configurations.
             pub fn plan(&self, matrix: &CooMatrix) -> Result<SpmvPlan, SimError> {
-                self.plan_with_threads(matrix, default_planning_threads())
+                self.plan_with_threads(matrix, available_threads())
             }
 
             /// [`plan`](Self::plan) with an explicit window-scheduling
@@ -680,6 +771,82 @@ mod tests {
             sched: SchedulerConfig::toy(2, 2, 4),
             ..AcceleratorConfig::chason()
         })
+    }
+
+    #[test]
+    fn replay_is_the_same_on_every_thread_count() {
+        use chason_sparse::generators::power_law;
+        let m = power_law(3000, 20_000, 40_000, 1.6, 11);
+        let x: Vec<f32> = (0..m.cols()).map(|i| 0.5 + (i % 7) as f32 * 0.25).collect();
+        let recording = |config: AcceleratorConfig| AcceleratorConfig {
+            record_occupancy: true,
+            ..config
+        };
+        let chason = ChasonEngine::new(recording(AcceleratorConfig::chason()));
+        let serpens = SerpensEngine::new(recording(AcceleratorConfig::serpens()));
+        let chason_plan = chason.plan_with_threads(&m, 1).unwrap();
+        let serpens_plan = serpens.plan_with_threads(&m, 1).unwrap();
+        let replays = |threads: usize| {
+            [
+                chason.core().replay(&chason_plan.passes[0], &x, threads),
+                serpens.core().replay(&serpens_plan.passes[0], &x, threads),
+            ]
+            .map(Result::unwrap)
+        };
+        let serial = replays(1);
+        assert!(serial
+            .iter()
+            .all(|r| !r.occupancy.is_empty() && r.mac_ops == 40_000));
+        for threads in [2, 3, 5, 16, 64] {
+            for (one, many) in serial.iter().zip(replays(threads)) {
+                assert_eq!(one.y.len(), many.y.len());
+                assert!(one
+                    .y
+                    .iter()
+                    .zip(&many.y)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert_eq!(one.mac_ops, many.mac_ops);
+                assert_eq!(one.hazards, many.hazards);
+                assert_eq!(one.occupancy, many.occupancy);
+            }
+        }
+    }
+
+    #[test]
+    fn replay_reports_the_first_failure_in_serial_order() {
+        let m = uniform_random(512, 300, 2_000, 4);
+        let x = vec![1.0f32; 300];
+        let engine = ChasonEngine::default();
+        let mut plan = engine.plan_with_threads(&m, 1).unwrap();
+        let pass = &mut plan.passes[0];
+        // Misroute one slot in each of channels 3 and 12: lane 9 does not
+        // exist in an 8-PE group.
+        for c in [12, 3] {
+            let channel = &mut pass.windows[0].schedule.channels[c];
+            let (cycle, lane, nz) = channel
+                .occupied()
+                .next()
+                .map(|(c, l, nz)| (c, l, *nz))
+                .unwrap();
+            channel.take(cycle, lane);
+            channel.insert(cycle, 9, nz);
+        }
+        for threads in [1, 2, 16] {
+            match engine.core().replay(pass, &x, threads) {
+                Err(SimError::RoutingViolation(msg)) => {
+                    assert!(msg.contains("PEG 3 "), "{threads} threads: {msg}")
+                }
+                _ => panic!("{threads} threads: misrouted slot not rejected"),
+            }
+        }
+        // A plan read from a file may carry more channels than PEGs: a
+        // typed error, not an out-of-bounds panic.
+        let extra = pass.windows[0].schedule.channels[0].clone();
+        pass.windows[0].schedule.channels.push(extra);
+        assert!(matches!(
+            engine.core().replay(pass, &x, 2),
+            Err(SimError::RoutingViolation(msg)) if msg.contains("17 channels to 16 PEGs")
+        ));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 use crate::{SparseError, Triplet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A sparse matrix in coordinate (triplet) form.
 ///
@@ -24,20 +26,46 @@ use std::collections::HashSet;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,
     entries: Vec<Triplet>,
+    /// [`CooMatrix::fingerprint`], computed on first use. Every edit
+    /// clears it; equality and `Debug` ignore it.
+    #[serde(skip)]
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for CooMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.cols == other.cols && self.entries == other.entries
+    }
+}
+
+impl fmt::Debug for CooMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CooMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl CooMatrix {
     /// Creates an empty matrix of the given shape with no explicit entries.
     pub fn new(rows: usize, cols: usize) -> Self {
+        CooMatrix::sorted(rows, cols, Vec::new())
+    }
+
+    /// Wraps entries already sorted, unique and in bounds.
+    fn sorted(rows: usize, cols: usize, entries: Vec<Triplet>) -> Self {
         CooMatrix {
             rows,
             cols,
-            entries: Vec::new(),
+            entries,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -61,11 +89,7 @@ impl CooMatrix {
         let in_bounds = |&(r, c, _): &Triplet| r < rows && c < cols;
         let increasing = |w: &[Triplet]| (w[0].0, w[0].1) < (w[1].0, w[1].1);
         if triplets.iter().all(in_bounds) && triplets.windows(2).all(increasing) {
-            return Ok(CooMatrix {
-                rows,
-                cols,
-                entries: triplets,
-            });
+            return Ok(CooMatrix::sorted(rows, cols, triplets));
         }
         let mut seen = HashSet::with_capacity(triplets.len());
         for &(r, c, _) in &triplets {
@@ -80,11 +104,7 @@ impl CooMatrix {
             }
         }
         triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        Ok(CooMatrix {
-            rows,
-            cols,
-            entries: triplets,
-        })
+        Ok(CooMatrix::sorted(rows, cols, triplets))
     }
 
     /// Builds a matrix from triplets, summing values of duplicate coordinates
@@ -114,11 +134,7 @@ impl CooMatrix {
                 _ => merged.push((r, c, v)),
             }
         }
-        Ok(CooMatrix {
-            rows,
-            cols,
-            entries: merged,
-        })
+        Ok(CooMatrix::sorted(rows, cols, merged))
     }
 
     /// Inserts a single entry.
@@ -146,6 +162,7 @@ impl CooMatrix {
             Ok(_) => Err(SparseError::DuplicateEntry { row, col }),
             Err(pos) => {
                 self.entries.insert(pos, (row, col, value));
+                self.fingerprint = OnceLock::new();
                 Ok(())
             }
         }
@@ -192,14 +209,33 @@ impl CooMatrix {
     pub fn transpose(&self) -> CooMatrix {
         let mut t: Vec<Triplet> = self.entries.iter().map(|&(r, c, v)| (c, r, v)).collect();
         t.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        CooMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            entries: t,
-        }
+        CooMatrix::sorted(self.cols, self.rows, t)
+    }
+
+    /// FNV-1a fingerprint of the dimensions and the `(row, col, value)`
+    /// triplets, each fed as little-endian 64-bit words (values as their
+    /// `f32` bits).
+    ///
+    /// It is computed once per content: the first call hashes and every
+    /// later call — on this matrix or on a clone — returns the memo, until
+    /// [`insert`](Self::insert) changes the entries.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = fnv1a_word(FNV_OFFSET, self.rows as u64);
+            h = fnv1a_word(h, self.cols as u64);
+            for &(r, c, v) in &self.entries {
+                h = fnv1a_word(h, r as u64);
+                h = fnv1a_word(h, c as u64);
+                h = fnv1a_word(h, u64::from(v.to_bits()));
+            }
+            h
+        })
     }
 
     /// Computes `y = A·x` directly on the triplet representation.
+    ///
+    /// Each row is summed in column order from 0.0, the order a CSR
+    /// product uses, so the result is bit-identical to one.
     ///
     /// # Panics
     ///
@@ -211,11 +247,49 @@ impl CooMatrix {
             "dense vector length must equal matrix columns"
         );
         let mut y = vec![0.0f32; self.rows];
+        let Some(&(first, _, _)) = self.entries.first() else {
+            return y;
+        };
+        // One pass, the current row's sum kept in a register.
+        let (mut row, mut acc) = (first, 0.0f32);
         for &(r, c, v) in &self.entries {
-            y[r] += v * x[c];
+            if r != row {
+                y[row] = acc;
+                (row, acc) = (r, 0.0);
+            }
+            acc += v * x[c];
         }
+        y[row] = acc;
         y
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k = 0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
+/// Feeds the eight little-endian bytes of `word` to FNV-1a. Since
+/// `h ^ 0 = h`, the word's run of high zero bytes — six of eight for a
+/// small index, four for every `f32` — is one multiply by `PRIME^k`, and
+/// the result is bit-identical to hashing a byte at a time.
+fn fnv1a_word(mut h: u64, word: u64) -> u64 {
+    let zero_bytes = (word.leading_zeros() / 8) as usize;
+    let mut rest = word;
+    for _ in zero_bytes..8 {
+        h = (h ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+    }
+    h.wrapping_mul(FNV_PRIME_POWERS[zero_bytes])
 }
 
 impl Default for CooMatrix {
@@ -236,6 +310,154 @@ impl<'a> IntoIterator for &'a CooMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::uniform_random;
+    use proptest::prelude::*;
+
+    /// Byte-at-a-time FNV-1a over little-endian words.
+    fn reference(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(FNV_OFFSET, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+            })
+    }
+
+    fn reference_fingerprint(m: &CooMatrix) -> u64 {
+        let mut words = vec![m.rows() as u64, m.cols() as u64];
+        for &(r, c, v) in m.triplets() {
+            words.extend([r as u64, c as u64, u64::from(v.to_bits())]);
+        }
+        reference(&words)
+    }
+
+    /// A word with exactly `zeros` leading zero bytes; `holes` clears
+    /// lower bytes too, so zero bytes inside the word occur as well.
+    fn word_with_leading_zero_bytes(bits: u64, zeros: u32, holes: u8) -> u64 {
+        if zeros == 8 {
+            return 0;
+        }
+        let mut word = bits >> (8 * zeros);
+        for byte in 0..8 - zeros {
+            if holes & (1 << byte) != 0 {
+                word &= !(0xff << (8 * byte));
+            }
+        }
+        word | 1 << (8 * (7 - zeros) + 7)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_hash_matches_byte_at_a_time(
+            drawn in proptest::collection::vec((any::<u64>(), 0u32..9, any::<u8>()), 0..12),
+        ) {
+            let words: Vec<u64> = drawn
+                .iter()
+                .map(|&(bits, zeros, holes)| word_with_leading_zero_bytes(bits, zeros, holes))
+                .collect();
+            for (&(_, zeros, _), &w) in drawn.iter().zip(&words) {
+                prop_assert_eq!(w.leading_zeros() / 8, zeros);
+            }
+            let fast = words.iter().fold(FNV_OFFSET, |h, &w| fnv1a_word(h, w));
+            prop_assert_eq!(fast, reference(&words));
+        }
+
+        #[test]
+        fn fingerprint_matches_byte_at_a_time(
+            rows in 1usize..100_000,
+            cols in 1usize..100_000,
+            seed in 0u64..1000,
+            nnz in 0usize..40,
+        ) {
+            let m = uniform_random(rows, cols, nnz.min(rows * cols), seed);
+            prop_assert_eq!(m.fingerprint(), reference_fingerprint(&m));
+            // The memoized second answer is the same hash.
+            prop_assert_eq!(m.fingerprint(), reference_fingerprint(&m));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Serve multiplies its one resident copy, the row-sorted COO,
+        /// where it used to keep a CSR mirror: the products must agree bit
+        /// for bit, empty rows and cancelling sums included.
+        #[test]
+        fn coo_spmv_is_bit_identical_to_csr(
+            (rows, cols) in (1usize..80, 1usize..80),
+            nnz in 0usize..600,
+            seed in 0u64..1000,
+            scales in proptest::collection::vec(-4000i32..4000, 80),
+        ) {
+            let base = uniform_random(rows, cols, nnz, seed);
+            let triplets = base
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c, v))| (r, c, v * scales[i % 80] as f32 / 7.0))
+                .collect();
+            let m = CooMatrix::from_triplets(rows, cols, triplets).unwrap();
+            let x: Vec<f32> = (0..cols).map(|j| scales[j % 80] as f32 / 13.0 + 0.1).collect();
+            let bits = |y: Vec<f32>| y.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            let coo = bits(m.spmv(&x));
+            prop_assert_eq!(&coo, &bits(crate::CsrMatrix::from(&m).spmv(&x)));
+            prop_assert_eq!(&coo, &bits(crate::CowCsr::from(&m).spmv(&x)));
+        }
+    }
+
+    #[test]
+    fn empty_matrix_fingerprint_matches_byte_at_a_time() {
+        for (rows, cols) in [(0, 0), (0, 7), (1 << 40, 3)] {
+            let m = CooMatrix::new(rows, cols);
+            assert_eq!(m.fingerprint(), reference_fingerprint(&m));
+        }
+    }
+
+    #[test]
+    fn fingerprint_sees_dimensions_and_values() {
+        let base = CooMatrix::from_triplets(4, 4, vec![(0, 0, 1.0)]).unwrap();
+        let taller = CooMatrix::from_triplets(5, 4, vec![(0, 0, 1.0)]).unwrap();
+        let other_value = CooMatrix::from_triplets(4, 4, vec![(0, 0, 2.0)]).unwrap();
+        assert_ne!(base.fingerprint(), taller.fingerprint());
+        assert_ne!(base.fingerprint(), other_value.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_memo_survives_clone_and_is_cleared_by_insert() {
+        let mut m = uniform_random(40, 40, 90, 3);
+        let hashed = m.fingerprint();
+        assert_eq!(m.fingerprint.get(), Some(&hashed));
+        let copy = m.clone();
+        assert_eq!(
+            copy.fingerprint.get(),
+            Some(&hashed),
+            "clone keeps the memo"
+        );
+        let (r, c) = (0..40)
+            .flat_map(|r| (0..40).map(move |c| (r, c)))
+            .find(|&(r, c)| !m.iter().any(|&(tr, tc, _)| (tr, tc) == (r, c)))
+            .unwrap();
+        m.insert(r, c, 5.0).unwrap();
+        assert_eq!(m.fingerprint.get(), None, "insert clears the memo");
+        assert_eq!(m.fingerprint(), reference_fingerprint(&m));
+        assert_ne!(m.fingerprint(), hashed);
+        // A rejected insert changes nothing and keeps the memo.
+        let again = m.fingerprint();
+        assert!(m.insert(r, c, 6.0).is_err());
+        assert_eq!(m.fingerprint.get(), Some(&again));
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_memo() {
+        let hashed = uniform_random(30, 30, 60, 8);
+        let _ = hashed.fingerprint();
+        let fresh = uniform_random(30, 30, 60, 8);
+        assert_eq!(fresh.fingerprint.get(), None);
+        assert_eq!(hashed, fresh);
+        assert_eq!(format!("{hashed:?}"), format!("{fresh:?}"));
+        assert!(!format!("{hashed:?}").contains("fingerprint"));
+    }
 
     #[test]
     fn empty_matrix_has_zero_nnz_and_density() {
