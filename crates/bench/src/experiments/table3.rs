@@ -1,10 +1,9 @@
 //! Table 3 — detailed per-matrix performance of Chasoň and Serpens:
 //! latency, throughput, bandwidth efficiency, and energy efficiency.
 
-use chason_hbm::HbmConfig;
 use chason_sim::power::MeasuredPower;
 use chason_sim::report::PerformanceReport;
-use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sim::{hbm_bandwidth_gbps, AcceleratorConfig, ChasonEngine, SerpensEngine};
 use chason_sparse::datasets::table2;
 use serde::{Deserialize, Serialize};
 
@@ -39,8 +38,7 @@ pub fn run(limit: usize) -> Table3Result {
     let chason = ChasonEngine::new(AcceleratorConfig::chason());
     let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
     // Both designs stream matrix A over 16 channels at 14.37 GB/s each.
-    let hbm = HbmConfig::alveo_u55c();
-    let bandwidth = hbm.aggregate_bandwidth_gbps(16);
+    let bandwidth = hbm_bandwidth_gbps(16);
     let rows = table2()
         .into_iter()
         .take(limit)

@@ -6,10 +6,11 @@ use chason::solvers::{
 };
 use chason_core::metrics::{schedule_insights, windowed_metrics, WindowedMetrics};
 use chason_core::schedule::{Crhcs, PeAware, RowBased, Scheduler, SchedulerConfig};
-use chason_hbm::HbmConfig;
 use chason_sim::power::MeasuredPower;
 use chason_sim::report::PerformanceReport;
-use chason_sim::{AcceleratorConfig, ChasonEngine, Execution, PlanningEngine, SerpensEngine};
+use chason_sim::{
+    hbm_bandwidth_gbps, AcceleratorConfig, ChasonEngine, Execution, PlanningEngine, SerpensEngine,
+};
 use chason_sparse::generators::{arrow_with_nnz, banded_with_nnz, power_law, uniform_random};
 use chason_sparse::market::{read_matrix_market, write_matrix_market};
 use chason_sparse::stats::row_stats;
@@ -103,8 +104,7 @@ pub fn schedule(args: &Args) -> Result<(), String> {
 }
 
 fn print_execution(exec: &Execution) {
-    let hbm = HbmConfig::alveo_u55c();
-    let bandwidth = hbm.aggregate_bandwidth_gbps(16);
+    let bandwidth = hbm_bandwidth_gbps(16);
     let power = match exec.engine {
         "chason" => MeasuredPower::chason(),
         _ => MeasuredPower::serpens(),

@@ -25,7 +25,8 @@ pub struct AcceleratorConfig {
     /// handshaking and HLS II hiccups. This factor is calibrated so the
     /// simulated absolute latencies land on Table 3's measurements (both
     /// engines show the same ≈2.8× inflation over the ideal stream, so
-    /// speedup ratios are unaffected).
+    /// speedup ratios are unaffected). [`StreamTiming::u55c`] derives the
+    /// value from beat-level DRAM timing.
     pub stream_ii: f64,
     /// Fixed per-invocation cycles (kernel control, FIFO flush, XRT kick)
     /// — the latency floor visible in the paper's smallest measurements
@@ -80,6 +81,82 @@ impl AcceleratorConfig {
 impl Default for AcceleratorConfig {
     fn default() -> Self {
         AcceleratorConfig::chason()
+    }
+}
+
+/// Aggregate bandwidth of `channels` Alveo U55c HBM2 channels at 14.37 GB/s
+/// each, in GB/s. Both designs stream `A` over 16 channels, so Eq. 7's
+/// denominator is `hbm_bandwidth_gbps(16)`; all 32 give the 460 GB/s peak.
+pub fn hbm_bandwidth_gbps(channels: usize) -> f64 {
+    14.37 * channels as f64
+}
+
+/// Beat-level timing of one streamed HBM channel: where
+/// [`AcceleratorConfig::stream_ii`]'s ≈2.8× inflation comes from.
+///
+/// The schedule model assumes one 512-bit beat per clock. A real HBM2
+/// pseudo-channel cannot sustain that against a 300 MHz consumer: reads are
+/// issued in bursts, row activations insert gaps between bursts, and
+/// periodic refresh steals whole windows. [`StreamTiming::effective_ii`]
+/// composes those effects into cycles per beat.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct StreamTiming {
+    /// Beats delivered per burst (BL4 on HBM2 = 2 × 512-bit beats at the
+    /// kernel clock).
+    pub beats_per_burst: u64,
+    /// Dead cycles between consecutive bursts of the same row
+    /// (tCCD + AXI handshake).
+    pub inter_burst_gap: u64,
+    /// Additional dead cycles when a burst crosses a DRAM row boundary
+    /// (tRP + tRCD).
+    pub row_miss_penalty: u64,
+    /// Beats per DRAM row (1 KB row / 64 B beat = 16).
+    pub beats_per_row: u64,
+    /// Cycles between refresh windows (tREFI at the kernel clock).
+    pub refresh_interval: u64,
+    /// Cycles a refresh window blocks the channel (tRFC).
+    pub refresh_penalty: u64,
+}
+
+impl StreamTiming {
+    /// The Alveo U55c operating point at a 301 MHz kernel clock; its
+    /// [`effective_ii`](Self::effective_ii) is the calibrated
+    /// [`AcceleratorConfig::stream_ii`].
+    pub fn u55c() -> Self {
+        StreamTiming {
+            beats_per_burst: 2,
+            inter_burst_gap: 2,
+            row_miss_penalty: 10,
+            beats_per_row: 16,
+            refresh_interval: 1170, // 3.9 us at 301 MHz (per-bank tREFI)
+            refresh_penalty: 78,    // 260 ns tRFC
+        }
+    }
+
+    /// Cycles to stream `beats` sequentially through one channel. A burst
+    /// length, row length or refresh interval of 0, or one longer than the
+    /// stream, disables that effect.
+    pub fn stream_cycles(&self, beats: u64) -> u64 {
+        let mut cycles = beats; // one transfer cycle per beat
+        if self.beats_per_burst > 0 {
+            let bursts = beats.div_ceil(self.beats_per_burst);
+            cycles += bursts.saturating_sub(1) * self.inter_burst_gap;
+        }
+        if self.beats_per_row > 0 {
+            let row_crossings = beats.div_ceil(self.beats_per_row).saturating_sub(1);
+            cycles += row_crossings * self.row_miss_penalty;
+        }
+        if let Some(refreshes) = cycles.checked_div(self.refresh_interval) {
+            cycles += refreshes * self.refresh_penalty;
+        }
+        cycles
+    }
+
+    /// Effective cycles per beat of a long stream (the `stream_ii` this
+    /// timing implies).
+    pub fn effective_ii(&self) -> f64 {
+        let beats = 1_000_000u64;
+        self.stream_cycles(beats) as f64 / beats as f64
     }
 }
 
@@ -184,6 +261,69 @@ mod tests {
         assert!(AcceleratorConfig::chason().is_valid());
         assert!(AcceleratorConfig::serpens().is_valid());
         assert_eq!(AcceleratorConfig::default(), AcceleratorConfig::chason());
+    }
+
+    #[test]
+    fn u55c_timing_is_the_calibrated_stream_ii() {
+        let ii = StreamTiming::u55c().effective_ii();
+        let calibrated = AcceleratorConfig::chason().stream_ii;
+        assert!(
+            (ii - calibrated).abs() < 1e-4,
+            "u55c timing implies II {ii:.6}, calibration uses {calibrated}"
+        );
+    }
+
+    /// Hand-computed cycle counts for a short stream, each effect isolated.
+    #[test]
+    fn burst_and_row_accounting_is_exact() {
+        let t = StreamTiming {
+            beats_per_burst: 2,
+            inter_burst_gap: 3,
+            row_miss_penalty: 10,
+            beats_per_row: 4,
+            refresh_interval: u64::MAX,
+            refresh_penalty: 0,
+        };
+        assert_eq!(t.stream_cycles(0), 0);
+        // 8 beats = 4 bursts -> 3 gaps; 2 rows -> 1 row crossing.
+        assert_eq!(t.stream_cycles(8), 8 + 3 * 3 + 10);
+        // 1 beat: a single burst, no gaps, no crossings.
+        assert_eq!(t.stream_cycles(1), 1);
+        // 2 beats: still one burst and one row.
+        assert_eq!(t.stream_cycles(2), 2);
+        // 3 beats: second burst opens -> one gap.
+        assert_eq!(t.stream_cycles(3), 3 + 3);
+        // 5 beats: 3 bursts (2 gaps), second row (1 crossing).
+        assert_eq!(t.stream_cycles(5), 5 + 2 * 3 + 10);
+    }
+
+    /// Refresh windows tax exactly the cycles that cross a tREFI boundary.
+    #[test]
+    fn refresh_accounting_is_exact() {
+        let t = StreamTiming {
+            beats_per_burst: u64::MAX,
+            inter_burst_gap: 0,
+            row_miss_penalty: 0,
+            beats_per_row: u64::MAX,
+            refresh_interval: 100,
+            refresh_penalty: 7,
+        };
+        assert_eq!(t.stream_cycles(99), 99);
+        assert_eq!(t.stream_cycles(100), 100 + 7);
+        assert_eq!(t.stream_cycles(250), 250 + 2 * 7);
+        // A u55c stream shorter than tREFI sees no refresh tax.
+        let u55c = StreamTiming::u55c();
+        let no_refresh = StreamTiming {
+            refresh_interval: u64::MAX,
+            ..u55c
+        };
+        assert_eq!(u55c.stream_cycles(64), no_refresh.stream_cycles(64));
+    }
+
+    #[test]
+    fn hbm_bandwidth_is_channels_times_14_37() {
+        assert!((hbm_bandwidth_gbps(16) - 229.92).abs() < 1e-9);
+        assert!((hbm_bandwidth_gbps(32) - 460.0).abs() < 0.2);
     }
 
     #[test]

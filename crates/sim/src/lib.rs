@@ -58,7 +58,7 @@ mod serpens;
 pub mod spmm;
 
 pub use chason::ChasonEngine;
-pub use config::{AcceleratorConfig, CycleBreakdown, Execution};
+pub use config::{hbm_bandwidth_gbps, AcceleratorConfig, CycleBreakdown, Execution, StreamTiming};
 pub use error::SimError;
 pub use memory::{Bram, Uram, BRAM18K_WORDS, URAM_PARTIALS};
 pub use pe::Pe;

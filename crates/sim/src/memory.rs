@@ -1,9 +1,8 @@
 //! On-chip memory models: BRAM (dense-vector buffers) and URAM (partial-sum
 //! stores).
 //!
-//! The models are functional-plus-counters: they hold the actual values the
-//! datapath reads and writes and count accesses, so tests can verify both
-//! numerical results and traffic. Capacities mirror the Alveo U55c blocks
+//! The models are functional: they hold the actual values the datapath
+//! reads and writes. Capacities mirror the Alveo U55c blocks
 //! the paper uses: 18 Kb dual-port BRAMs for the `x` buffer and 36 KB
 //! (288 Kb) URAMs whose 72-bit slots hold two FP32 partial sums (§4.2.1).
 
@@ -19,8 +18,6 @@ pub const URAM_PARTIALS: usize = 8192;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bram {
     words: Vec<f32>,
-    reads: u64,
-    writes: u64,
 }
 
 impl Bram {
@@ -37,8 +34,6 @@ impl Bram {
         );
         Bram {
             words: vec![0.0; words],
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -52,34 +47,22 @@ impl Bram {
         self.words.is_empty()
     }
 
-    /// Reads a word (counted).
+    /// Reads a word.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
-    pub fn read(&mut self, addr: usize) -> f32 {
-        self.reads += 1;
+    pub fn read(&self, addr: usize) -> f32 {
         self.words[addr]
     }
 
-    /// Writes a word (counted).
+    /// Writes a word.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: f32) {
-        self.writes += 1;
         self.words[addr] = value;
-    }
-
-    /// Total reads performed.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -87,8 +70,6 @@ impl Bram {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Uram {
     partials: Vec<f32>,
-    reads: u64,
-    writes: u64,
 }
 
 impl Uram {
@@ -107,8 +88,6 @@ impl Uram {
         }
         Ok(Uram {
             partials: vec![0.0; rows],
-            reads: 0,
-            writes: 0,
         })
     }
 
@@ -129,45 +108,31 @@ impl Uram {
     ///
     /// Panics if `row` is out of range.
     pub fn accumulate(&mut self, row: usize, delta: f32) {
-        self.reads += 1;
-        self.writes += 1;
         self.partials[row] += delta;
     }
 
-    /// Reads a partial sum (counted).
+    /// Reads a partial sum.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn read(&mut self, row: usize) -> f32 {
-        self.reads += 1;
+    pub fn read(&self, row: usize) -> f32 {
         self.partials[row]
     }
 
-    /// Overwrites a partial sum (counted).
+    /// Overwrites a partial sum.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
     pub fn write(&mut self, row: usize, value: f32) {
-        self.writes += 1;
         self.partials[row] = value;
     }
 
-    /// Borrows the raw contents (uncounted; used by the Reduction Unit
-    /// sweep, whose cycles are charged separately).
+    /// Borrows the raw contents (used by the Reduction Unit sweep, whose
+    /// cycles are charged separately).
     pub fn contents(&self) -> &[f32] {
         &self.partials
-    }
-
-    /// Total reads performed.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -176,12 +141,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bram_counts_accesses() {
+    fn bram_read_write_roundtrip() {
         let mut b = Bram::new(16);
         b.write(3, 2.5);
         assert_eq!(b.read(3), 2.5);
-        assert_eq!(b.reads(), 1);
-        assert_eq!(b.writes(), 1);
         assert_eq!(b.len(), 16);
     }
 
@@ -192,13 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn uram_accumulates_with_rmw_counting() {
+    fn uram_accumulates() {
         let mut u = Uram::new(8).unwrap();
         u.accumulate(2, 1.5);
         u.accumulate(2, 2.5);
         assert_eq!(u.contents()[2], 4.0);
-        assert_eq!(u.reads(), 2);
-        assert_eq!(u.writes(), 2);
     }
 
     #[test]

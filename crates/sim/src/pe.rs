@@ -198,13 +198,6 @@ impl Pe {
     pub fn hazards(&self) -> u64 {
         self.hazards
     }
-
-    /// Total URAM accesses (reads + writes) across private and shared banks.
-    pub fn uram_accesses(&self) -> u64 {
-        let pvt = self.uram_pvt.reads() + self.uram_pvt.writes();
-        let sh: u64 = self.scug.iter().map(|u| u.reads() + u.writes()).sum();
-        pvt + sh
-    }
 }
 
 #[cfg(test)]
@@ -268,15 +261,6 @@ mod tests {
         };
         let err = pe.process(&slot, 1.0, &cfg).unwrap_err();
         assert!(matches!(err, SimError::RoutingViolation(_)));
-    }
-
-    #[test]
-    fn uram_accesses_are_counted() {
-        let cfg = sched();
-        let mut pe = Pe::new(0, 0, 4, 1).unwrap();
-        pe.process(&NzSlot::private(1.0, 0, 0), 1.0, &cfg).unwrap();
-        // One accumulate = 1 read + 1 write.
-        assert_eq!(pe.uram_accesses(), 2);
     }
 
     fn migrant(row: usize, pe_src: u8) -> NzSlot {

@@ -96,7 +96,7 @@ impl Peg {
         self.x_len = x_window.len();
     }
 
-    fn read_x(&mut self, addr: usize) -> f32 {
+    fn read_x(&self, addr: usize) -> f32 {
         debug_assert!(addr < self.x_len, "x read past loaded window");
         self.x_banks[addr / BRAM18K_WORDS].read(addr % BRAM18K_WORDS)
     }

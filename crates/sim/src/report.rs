@@ -49,18 +49,6 @@ impl PerformanceReport {
         }
     }
 
-    /// Latency speedup of `self` over `other` (>1 means `self` is faster).
-    pub fn speedup_over(&self, other: &PerformanceReport) -> f64 {
-        if self.latency_ms == 0.0 {
-            return if other.latency_ms == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        other.latency_ms / self.latency_ms
-    }
-
     /// Energy-efficiency gain of `self` over `other`.
     pub fn energy_gain_over(&self, other: &PerformanceReport) -> f64 {
         if other.energy_efficiency == 0.0 {
@@ -71,19 +59,6 @@ impl PerformanceReport {
             };
         }
         self.energy_efficiency / other.energy_efficiency
-    }
-
-    /// Data-transfer reduction of `self` relative to `other` (>1 means
-    /// `self` moves less data) — the Fig. 15 metric.
-    pub fn transfer_reduction_over(&self, other: &PerformanceReport) -> f64 {
-        if self.bytes_streamed == 0 {
-            return if other.bytes_streamed == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        other.bytes_streamed as f64 / self.bytes_streamed as f64
     }
 }
 
@@ -317,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_gains_compare_correctly() {
+    fn energy_gain_compares_correctly() {
         let fast = PerformanceReport::from_execution(
             &exec("chason", 301_000, 301.0, 1000),
             273.0,
@@ -328,8 +303,6 @@ mod tests {
             273.0,
             MeasuredPower::serpens(),
         );
-        assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-9);
-        assert!((fast.transfer_reduction_over(&slow) - 7.0).abs() < 1e-12);
         assert!(fast.energy_gain_over(&slow) > 1.0);
     }
 
@@ -342,8 +315,7 @@ mod tests {
         );
         assert_eq!(r.bandwidth_efficiency, 0.0);
         assert_eq!(r.energy_efficiency, 0.0);
-        assert_eq!(r.speedup_over(&r), 1.0);
-        assert_eq!(r.transfer_reduction_over(&r), 1.0);
+        assert_eq!(r.energy_gain_over(&r), 1.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! This crate provides everything the scheduler and architecture models need
 //! from the "data" side of the paper:
 //!
-//! * validated sparse-matrix containers ([`CooMatrix`], [`CsrMatrix`],
-//!   [`CscMatrix`]) with conversions between them,
+//! * validated sparse-matrix containers ([`CooMatrix`], [`CsrMatrix`])
+//!   with conversions between them,
 //! * a MatrixMarket reader/writer ([`market`]) so real SuiteSparse / SNAP
 //!   files can be used when they are available on disk,
 //! * deterministic synthetic generators ([`generators`]) standing in for the
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod coo;
-mod csc;
 mod csr;
 pub mod datasets;
 mod delta;
@@ -48,7 +47,6 @@ pub mod shard;
 pub mod stats;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use delta::{CowCsr, MatrixDelta};
 pub use dense::DenseMatrix;

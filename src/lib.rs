@@ -11,7 +11,6 @@
 //!
 //! * [`sparse`] — matrix formats, generators, MatrixMarket IO
 //!   ([`chason_sparse`]);
-//! * [`hbm`] — HBM channel and traffic model ([`chason_hbm`]);
 //! * [`core`] — the CrHCS / PE-aware / row-based schedulers
 //!   ([`chason_core`]);
 //! * [`sim`] — the Chasoň and Serpens architecture models
@@ -49,6 +48,5 @@ pub mod solvers;
 
 pub use chason_baselines as baselines;
 pub use chason_core as core;
-pub use chason_hbm as hbm;
 pub use chason_sim as sim;
 pub use chason_sparse as sparse;

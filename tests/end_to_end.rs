@@ -107,25 +107,29 @@ fn multi_window_execution_is_correct() {
     assert!(reference::max_relative_error(&exec.y, &oracle) < 1e-3);
 }
 
-/// HBM traffic accounting is consistent between the engine and the HBM
-/// crate's channel model.
+/// The engines' streamed bytes equal the scheduled data lists moved in
+/// 512-bit beats: each channel pays ⌈len / 8⌉ beats of 64 bytes.
 #[test]
 fn traffic_accounting_is_consistent() {
-    use chason::hbm::{traffic::TrafficSummary, Channel, HbmConfig};
     let config = SchedulerConfig::paper();
     let matrix = chason::sparse::generators::power_law(2048, 2048, 12_000, 1.6, 4);
-    let schedule = PeAware::new().schedule(&matrix, &config);
-    let lists = schedule.data_lists_padded();
-    let channels: Vec<Channel> = lists
-        .into_iter()
-        .enumerate()
-        .map(|(i, data)| Channel::with_data(i, data))
-        .collect();
-    let hbm = HbmConfig::alveo_u55c();
-    let summary = TrafficSummary::measure(&channels, &hbm);
-    // Engine accounting: stream_cycles beats per channel (8 words = 1 beat).
-    let exec = SerpensEngine::new(AcceleratorConfig::serpens())
-        .run(&matrix, &vec![1.0; 2048])
+    let x = vec![1.0; 2048];
+    let beat_bytes = |schedule: &chason::core::schedule::ScheduledMatrix| -> u64 {
+        schedule
+            .data_lists_padded()
+            .iter()
+            .map(|list| list.len().div_ceil(8) as u64 * 64)
+            .sum()
+    };
+    let serpens = SerpensEngine::new(AcceleratorConfig::serpens())
+        .run(&matrix, &x)
         .unwrap();
-    assert_eq!(summary.bytes, exec.bytes_streamed, "bytes must agree");
+    let pe_aware = PeAware::new().schedule(&matrix, &config);
+    assert_eq!(serpens.bytes_streamed, beat_bytes(&pe_aware), "serpens");
+    let chason = ChasonEngine::new(AcceleratorConfig::chason())
+        .run(&matrix, &x)
+        .unwrap();
+    let crhcs = Crhcs::new().schedule(&matrix, &config);
+    assert_eq!(chason.bytes_streamed, beat_bytes(&crhcs), "chason");
+    assert!(chason.bytes_streamed < serpens.bytes_streamed);
 }

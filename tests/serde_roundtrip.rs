@@ -16,7 +16,6 @@ fn data_structures_are_serde_compatible() {
     assert_serde::<AcceleratorConfig>();
     assert_serde::<CooMatrix>();
     assert_serde::<CsrMatrix>();
-    assert_serde::<chason::sparse::CscMatrix>();
     assert_serde::<DenseMatrix>();
     assert_serde::<chason::core::schedule::ScheduledMatrix>();
     assert_serde::<chason::core::schedule::ChannelSchedule>();
@@ -29,9 +28,7 @@ fn data_structures_are_serde_compatible() {
     assert_serde::<chason::sim::report::PerformanceReport>();
     assert_serde::<chason::sim::power::PowerBreakdown>();
     assert_serde::<chason::sim::resources::ResourceUsage>();
-    assert_serde::<chason::hbm::HbmConfig>();
-    assert_serde::<chason::hbm::StreamTiming>();
-    assert_serde::<chason::hbm::traffic::TrafficSummary>();
+    assert_serde::<chason::sim::StreamTiming>();
     assert_serialize::<chason::baselines::DeviceModel>(); // borrows &'static str names
     assert_serde::<chason::baselines::DevicePrediction>();
     assert_serialize::<chason::sparse::datasets::DatasetSpec>(); // borrows &'static str names
