@@ -4,7 +4,10 @@
 //! reproduce every plan byte for byte, so these digests only change when
 //! the scheduling policy itself changes on purpose. SpMM runs are pinned
 //! the same way: their modeled cycles, streamed bytes, tile count and the
-//! bits of `C` for both engines at several dense widths.
+//! bits of `C` for both engines at several dense widths. SpMV replay is
+//! pinned by the bits of `run_planned`'s `y` on multi-hop, row-partitioned
+//! and sim-spmv-sized inputs, so any change to the replay kernel's
+//! accumulation order shows up here.
 //!
 //! The 16384² SPD case mirrors the size of the end-to-end benchmark's
 //! `sim-spmv` matrix and is `#[ignore]`d in debug runs; run it with
@@ -221,6 +224,89 @@ fn sim_spmv_sized_spd_matrix() {
         SchedulerConfig::paper(),
         (0xf4cab5364a4a0eb8, 0x17826ade9013fa06),
     );
+    assert_spmv_digests(
+        &m,
+        SchedulerConfig::paper(),
+        (0xb3898fb92e507218, 0xd481cd06c5cab4c5),
+    );
+}
+
+/// `(chason, serpens)` digests of the bits of `y = A·x` replayed from a
+/// serially built plan of `matrix` under `sched`.
+fn spmv_digests(matrix: &CooMatrix, sched: SchedulerConfig) -> (u64, u64) {
+    // Mixed signs and magnitudes, so a changed summation order changes bits.
+    let x: Vec<f32> = (0..matrix.cols())
+        .map(|i| ((i * 7 + 3) % 13) as f32 * 0.375 - 2.0)
+        .collect();
+    let digest = |y: Vec<f32>| {
+        let bytes: Vec<u8> = y.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        fnv1a(&bytes)
+    };
+    let chason = ChasonEngine::new(AcceleratorConfig {
+        sched,
+        ..AcceleratorConfig::chason()
+    });
+    let serpens = SerpensEngine::new(AcceleratorConfig {
+        sched,
+        ..AcceleratorConfig::serpens()
+    });
+    let chason_plan = chason.plan_with_threads(matrix, 1).unwrap();
+    let serpens_plan = serpens.plan_with_threads(matrix, 1).unwrap();
+    (
+        digest(chason.run_planned(&chason_plan, &x).unwrap().y),
+        digest(serpens.run_planned(&serpens_plan, &x).unwrap().y),
+    )
+}
+
+fn assert_spmv_digests(matrix: &CooMatrix, sched: SchedulerConfig, expected: (u64, u64)) {
+    let got = spmv_digests(matrix, sched);
+    assert_eq!(
+        got, expected,
+        "SpMV y bits changed: got (chason, serpens) = ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn spmv_y_two_hop_migration() {
+    let sched = SchedulerConfig {
+        migration_hops: 2,
+        ..SchedulerConfig::paper()
+    };
+    assert_spmv_digests(
+        &hub_matrix(),
+        sched,
+        (0x1aa444aa31a5d5e2, 0xa00400ab094dc1c9),
+    );
+}
+
+#[test]
+fn spmv_y_three_hop_migration() {
+    let sched = SchedulerConfig {
+        migration_hops: 3,
+        ..SchedulerConfig::paper()
+    };
+    assert_spmv_digests(
+        &hub_matrix(),
+        sched,
+        (0xf38a93a3912600f9, 0xa00400ab094dc1c9),
+    );
+}
+
+#[test]
+fn spmv_y_row_partitioned_toy_geometry() {
+    // Three channels of two lanes hold 6 × 8192 rows per pass, so 60 000
+    // rows replay as two row-partition passes over three column windows.
+    let m = power_law(60_000, 20_000, 50_000, 1.7, 23);
+    let sched = SchedulerConfig::toy(3, 2, 5);
+    let plan = ChasonEngine::new(AcceleratorConfig {
+        sched,
+        ..AcceleratorConfig::chason()
+    })
+    .plan_with_threads(&m, 1)
+    .unwrap();
+    assert_eq!(plan.passes.len(), 2);
+    assert_spmv_digests(&m, sched, (0xcdb18b3dc1dc8d76, 0x8488b36375e735cb));
 }
 
 /// Digest of `C = 1.5·A·B + 0.5·C0` on both engines for a `width`-column
