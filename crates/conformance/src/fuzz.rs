@@ -4,21 +4,23 @@
 //! applies one corruption from `chason-verify`'s ten-mutation library, and
 //! then checks that the corruption is *caught* — by the static checker
 //! ([`chason_verify::verify_schedule`]) or, failing that, by a dynamic
-//! oracle watching a bare PEG-level replay of the corrupted schedule:
+//! oracle watching an unverified replay of the corrupted schedule
+//! ([`chason_sim::replay_schedule`]):
 //!
-//! * **model** — the replay errors, panics, or reports pipeline hazards;
-//! * **metamorphic** — the replay's MAC count disagrees with the source
-//!   matrix's non-zero count;
+//! * **model** — the replay rejects a slot it cannot route;
+//! * **metamorphic** — the schedule's occupied-slot count (the replay's
+//!   MAC count) disagrees with the source matrix's non-zero count;
 //! * **numeric** — the merged `y` deviates from the CPU reference beyond
 //!   the [`UlpTolerance`].
 //!
-//! The replay is *bare* on purpose: the engines re-run the static checker
+//! The replay skips the static checker on purpose: the engines re-run it
 //! in debug builds, so routing a corrupted schedule through them would
-//! never reach the dynamic layer. Driving [`Peg`]s directly (with the
-//! Rearrange Unit's documented merge formula reimplemented here) lets the
-//! fuzzer attribute each catch to the layer that actually made it — the
-//! evidence that the static and dynamic oracles compose into a net with no
-//! holes.
+//! never reach the dynamic layer. `replay_schedule` runs the engines' own
+//! replay kernel without it, which lets the fuzzer attribute each catch to
+//! the layer that actually made it — the evidence that the static and
+//! dynamic oracles compose into a net with no holes. The RAW distance has
+//! no dynamic oracle: the model accumulates in stream order whatever the
+//! spacing, so only the static checker's S003 catches a squeezed lane.
 //!
 //! Everything is seeded: the same `(seed, iterations)` pair explores the
 //! same `(matrix, config, corruption)` sequence on every machine.
@@ -29,20 +31,19 @@ use crate::delta::SplitMix64;
 use crate::ulp::{compare, row_scales, UlpTolerance};
 use chason_baselines::reference;
 use chason_core::schedule::{Crhcs, ScheduledMatrix, Scheduler, SchedulerConfig};
-use chason_sim::Peg;
+use chason_sim::replay_schedule;
 use chason_sparse::generators::{banded_with_nnz, diagonal, power_law, uniform_random};
 use chason_sparse::CooMatrix;
 use chason_verify::mutate::Corruption;
 use chason_verify::verify_schedule;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which oracle layer detected an injected corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CaughtBy {
     /// `chason-verify`'s static rules rejected the schedule outright.
     Static,
-    /// The bare replay errored, panicked, or observed pipeline hazards.
+    /// The replay rejected the schedule with a typed error.
     DynamicModel,
     /// The replay ran clean but performed a wrong number of MACs.
     DynamicMetamorphic,
@@ -157,11 +158,6 @@ pub fn fuzz(seed: u64, iterations: u64) -> FuzzOutcome {
     let pool = pool();
     let mut rng = SplitMix64(seed);
     let mut outcome = FuzzOutcome::default();
-    // Several corruptions legitimately panic the bare replay (that *is* the
-    // dynamic/model catch); keep the default hook from spraying backtraces
-    // for each one.
-    let previous_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     for i in 0..iterations {
         // Cycle through the corruptions so all ten are exercised even in
         // short runs; matrix and config stay pseudo-random.
@@ -200,29 +196,23 @@ pub fn fuzz(seed: u64, iterations: u64) -> FuzzOutcome {
             }
         }
     }
-    std::panic::set_hook(previous_hook);
     for (_, layers) in outcome.detections.values_mut() {
         layers.sort();
     }
     outcome
 }
 
-/// Replays a (possibly corrupted) schedule on bare [`Peg`]s and returns the
-/// first dynamic oracle that rejects it, or `None` when the replay is
-/// indistinguishable from correct.
+/// Replays a (possibly corrupted) schedule without the static checker and
+/// returns the first dynamic oracle that rejects it, or `None` when the
+/// replay is indistinguishable from correct.
 fn replay_catches(schedule: &ScheduledMatrix, matrix: &CooMatrix) -> Option<CaughtBy> {
     let x: Vec<f32> = (0..matrix.cols())
         .map(|i| ((i as f32) * 0.61).cos().mul_add(3.0, 3.5))
         .collect();
-    let replay = catch_unwind(AssertUnwindSafe(|| bare_replay(schedule, &x)));
-    let (y, mac_ops, hazards) = match replay {
-        Err(_) | Ok(Err(_)) => return Some(CaughtBy::DynamicModel),
-        Ok(Ok(r)) => r,
-    };
-    if hazards > 0 {
+    let Ok(y) = replay_schedule(schedule, &x) else {
         return Some(CaughtBy::DynamicModel);
-    }
-    if mac_ops != matrix.nnz() as u64 {
+    };
+    if schedule.scheduled_nonzeros() != matrix.nnz() {
         return Some(CaughtBy::DynamicMetamorphic);
     }
     let want = reference::spmv(matrix, &x);
@@ -232,54 +222,6 @@ fn replay_catches(schedule: &ScheduledMatrix, matrix: &CooMatrix) -> Option<Caug
     } else {
         Some(CaughtBy::DynamicNumeric)
     }
-}
-
-/// Drives one [`Peg`] per channel through the schedule's occupied slots and merges the
-/// outputs with the Rearrange Unit's formula
-/// `y[row] = pvt[c][l][r] + Σ_hop shared[(c+C−hop)%C][(hop−1)·P + l][r]`.
-fn bare_replay(
-    schedule: &ScheduledMatrix,
-    x: &[f32],
-) -> Result<(Vec<f32>, u64, u64), chason_sim::SimError> {
-    let cfg = &schedule.config;
-    let rows_per_pe = schedule.rows.div_ceil(cfg.total_pes()).max(1);
-    let scug = cfg.pes_per_channel * cfg.migration_hops;
-    let mut pegs = Vec::with_capacity(cfg.channels);
-    for c in 0..cfg.channels {
-        let mut peg = Peg::new(c, cfg.pes_per_channel, x.len().max(1), rows_per_pe, scug)?;
-        peg.load_x(x);
-        pegs.push(peg);
-    }
-    for ch in &schedule.channels {
-        let peg = &mut pegs[ch.channel];
-        for (cycle, lane, nz) in ch.occupied() {
-            peg.consume_slot(lane, nz, cfg, Some(cycle as u64))?;
-        }
-    }
-    let mac_ops: u64 = pegs.iter().map(Peg::mac_ops).sum();
-    let hazards: u64 = pegs.iter().map(Peg::hazards).sum();
-    let outputs: Vec<_> = pegs.iter().map(Peg::reduce).collect();
-
-    let channels = cfg.channels;
-    let pes = cfg.pes_per_channel;
-    let mut y = vec![0.0f32; schedule.rows];
-    for (row, out) in y.iter_mut().enumerate() {
-        let c = cfg.channel_for_row(row);
-        let l = cfg.lane_for_row(row);
-        let r = cfg.local_row(row);
-        let mut acc = outputs[c].pvt[l].get(r).copied().unwrap_or(0.0);
-        if channels >= 2 {
-            for hop in 1..=cfg.migration_hops.min(channels - 1) {
-                let holder = (c + channels - hop) % channels;
-                let bank = (hop - 1) * pes + l;
-                if let Some(sh) = outputs[holder].shared.get(bank) {
-                    acc += sh.get(r).copied().unwrap_or(0.0);
-                }
-            }
-        }
-        *out = acc;
-    }
-    Ok((y, mac_ops, hazards))
 }
 
 #[cfg(test)]

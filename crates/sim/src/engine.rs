@@ -11,10 +11,8 @@
 //! methods.
 
 use crate::config::{AcceleratorConfig, CycleBreakdown, Execution};
-use crate::memory::URAM_PARTIALS;
-use crate::peg::Peg;
 use crate::plan::PlanningEngine;
-use crate::rearrange::merge_outputs;
+use crate::replay::{rows_per_pe, Datapath, Replay, URAM_PARTIALS};
 use crate::spmm::{SpmmExecution, TILE_COLS};
 use crate::{ChasonEngine, SerpensEngine, SimError};
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
@@ -57,16 +55,6 @@ fn underutilization(stalls: usize, nnz: usize) -> f64 {
     }
 }
 
-/// Simulated beats from the start of one window's stream to the start of
-/// the next: the stream itself, the pipeline drain, and the x reload gap.
-/// Debug replay stamps hazard-detector cycles with it and
-/// [`crate::profile::window_spans`] timestamps its spans with it.
-pub(crate) fn window_stamp_gap(config: &AcceleratorConfig, stream_cycles: usize) -> u64 {
-    (stream_cycles
-        + config.sched.dependency_distance
-        + config.window.div_ceil(config.x_reload_lanes)) as u64
-}
-
 /// Concatenates row-partition passes into one execution: outputs are
 /// stacked, every cost adds up, and each pass has paid its own invocation
 /// and reload overheads (§4.5).
@@ -92,16 +80,6 @@ fn combine(parts: Vec<Execution>) -> Option<Execution> {
     total.rows = total.y.len();
     total.underutilization = underutilization(total.stalls, total.nnz);
     Some(total)
-}
-
-/// The functional result of replaying one pass against one dense vector.
-struct Replay {
-    y: Vec<f32>,
-    mac_ops: u64,
-    /// Pipeline hazards the PEs detected (debug builds stamp cycles; release
-    /// builds count none).
-    hazards: u64,
-    occupancy: Vec<u16>,
 }
 
 /// One engine as the execution core sees it.
@@ -317,12 +295,6 @@ impl<S: Scheduler + Sync> Core<'_, S> {
         })
     }
 
-    /// Partial-sum rows each PE owns in `pass` (Eq. 1 deals rows to PEs
-    /// round-robin), which sizes every URAM.
-    fn rows_per_pe(&self, pass: &PassPlan) -> usize {
-        pass.rows().div_ceil(self.config.sched.total_pes().max(1))
-    }
-
     /// The cycle model of one pass whose non-zero stream is replayed
     /// `tiles` times (once for SpMV, once per 8-column tile of `B` for
     /// SpMM) and which writes `outputs` values through the Arbiter/Merger.
@@ -347,8 +319,10 @@ impl<S: Scheduler + Sync> Core<'_, S> {
         // plus the tree's own depth (§4.2.2).
         if self.scug_size > 0 {
             let tree_depth = (sched.pes_per_channel as f64).log2().ceil() as u64;
-            cycles.reduction +=
-                derate(config, (self.rows_per_pe(pass) as u64 + tree_depth) * tiles);
+            cycles.reduction += derate(
+                config,
+                (rows_per_pe(sched, pass.rows()) as u64 + tree_depth) * tiles,
+            );
         }
         // Arbiter/Merger drain: 16 FP32 output values per cycle (§4.3).
         cycles.merge += derate(config, outputs.div_ceil(config.merge_width) as u64);
@@ -356,134 +330,22 @@ impl<S: Scheduler + Sync> Core<'_, S> {
         (cycles, bytes_streamed)
     }
 
-    /// Replays `pass`'s stored schedules against `x` on fresh PEGs, then
-    /// reduces and merges their partial sums into `y`.
-    ///
-    /// Each window reloads the x buffers with its slice and walks every
-    /// channel's occupied slots; stalls never reach a PE. A PEG sees only
-    /// its own channel's slots until `Peg::reduce`, so the PEGs are split
-    /// into contiguous groups, one per thread (at most `threads`, never
-    /// more than there are channels), each replaying every window for its
-    /// channels. The stamp base and occupancy offset of every window are
-    /// fixed before the groups start; reduction and merge stay serial, so
-    /// the result is the same for every thread count. In debug builds slots
-    /// carry global cycle stamps so the PEs' hazard detectors check the
-    /// schedule is executable at II = 1; the hazard count has no other
-    /// reader, so release builds skip that bookkeeping.
+    /// Replays `pass`'s stored schedules against `x` on fresh PEGs and
+    /// merges their partial sums into `y` (see [`Datapath::replay`]).
     fn replay(&self, pass: &PassPlan, x: &[f32], threads: usize) -> Result<Replay, SimError> {
-        let stamped = cfg!(debug_assertions);
         let config = self.config;
-        let sched = &config.sched;
-        let mut pegs = (0..sched.channels)
-            .map(|c| {
-                Peg::new(
-                    c,
-                    sched.pes_per_channel,
-                    config.window,
-                    self.rows_per_pe(pass),
-                    self.scug_size,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(window) = pass
+        let windows: Vec<_> = pass
             .windows
             .iter()
-            .find(|w| w.schedule.channels.len() > pegs.len())
-        {
-            return Err(SimError::RoutingViolation(format!(
-                "window at column {} streams {} channels to {} PEGs",
-                window.col_start,
-                window.schedule.channels.len(),
-                pegs.len()
-            )));
-        }
-
-        // Per window: its first hazard stamp and its first occupancy slot.
-        let mut starts = Vec::with_capacity(pass.windows.len());
-        let (mut stamp_base, mut occupancy_len) = (0u64, 0usize);
-        for window in &pass.windows {
-            let stream_cycles = window.schedule.stream_cycles();
-            starts.push((stamp_base, occupancy_len));
-            stamp_base += window_stamp_gap(config, stream_cycles);
-            occupancy_len += stream_cycles;
-        }
-        if !config.record_occupancy {
-            occupancy_len = 0;
-        }
-
-        // Replays every window on the PEGs of channels `first..`; a failure
-        // is tagged with its (window, channel) so the serial order's first
-        // error can be picked across groups.
-        let replay_group = |first: usize, group: &mut [Peg]| {
-            let mut occupancy = vec![0u16; occupancy_len];
-            for (w, (window, &(stamp_base, occupancy_base))) in
-                pass.windows.iter().zip(&starts).enumerate()
-            {
-                let slice = &x[window.col_start..window.col_end];
-                for (c, peg) in (first..).zip(group.iter_mut()) {
-                    peg.load_x(slice);
-                    let Some(channel) = window.schedule.channels.get(c) else {
-                        continue;
-                    };
-                    for (cycle, lane, nz) in channel.occupied() {
-                        let stamp = stamped.then(|| stamp_base + cycle as u64);
-                        peg.consume_slot(lane, nz, sched, stamp)
-                            .map_err(|err| (w, c, err))?;
-                        if config.record_occupancy {
-                            occupancy[occupancy_base + cycle] += 1;
-                        }
-                    }
-                }
-            }
-            Ok::<_, (usize, usize, SimError)>(occupancy)
-        };
-        let replay_group = &replay_group;
-        let per_group = pegs
-            .len()
-            .div_ceil(threads.clamp(1, pegs.len().max(1)))
-            .max(1);
-        let groups = std::thread::scope(|scope| {
-            let mut chunks = pegs.chunks_mut(per_group).enumerate();
-            let head = chunks.next();
-            let spawned: Vec<_> = chunks
-                .map(|(g, group)| scope.spawn(move || replay_group(g * per_group, group)))
-                .collect();
-            let mut groups = vec![head.map_or(Ok(Vec::new()), |(_, group)| replay_group(0, group))];
-            groups.extend(spawned.into_iter().map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            }));
-            groups
-        });
-        let mut occupancy = vec![0u16; occupancy_len];
-        let mut failures = Vec::new();
-        for group in groups {
-            match group {
-                Ok(counts) => {
-                    for (total, n) in occupancy.iter_mut().zip(counts) {
-                        *total += n;
-                    }
-                }
-                Err(failure) => failures.push(failure),
-            }
-        }
-        if let Some((_, _, err)) = failures.into_iter().min_by_key(|&(w, c, _)| (w, c)) {
-            return Err(err);
-        }
-
-        let outputs: Vec<_> = pegs.iter().map(Peg::reduce).collect();
-        let replay = Replay {
-            y: merge_outputs(&outputs, sched, pass.rows()),
-            mac_ops: pegs.iter().map(Peg::mac_ops).sum(),
-            hazards: pegs.iter().map(Peg::hazards).sum(),
-            occupancy,
-        };
-        debug_assert_eq!(
-            replay.hazards, 0,
-            "scheduler emitted a stream with RAW hazards"
-        );
-        Ok(replay)
+            .map(|w| (w.col_start..w.col_end, &w.schedule))
+            .collect();
+        Datapath::new(config.sched, self.scug_size, pass.rows())?.replay(
+            &windows,
+            x,
+            config.window,
+            threads,
+            config.record_occupancy,
+        )
     }
 
     /// `C = α·A·B + β·C0` (§7.2). `A` is planned once as a single pass; the
@@ -761,7 +623,7 @@ impl_engine!(SerpensEngine, PeAware, "serpens");
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chason_core::schedule::SchedulerConfig;
+    use chason_core::schedule::{NzSlot, SchedulerConfig};
     use chason_sparse::generators::uniform_random;
 
     /// A tiny machine (4 PEs) makes partitioning kick in at small sizes
@@ -806,7 +668,6 @@ mod tests {
                     .zip(&many.y)
                     .all(|(a, b)| a.to_bits() == b.to_bits()));
                 assert_eq!(one.mac_ops, many.mac_ops);
-                assert_eq!(one.hazards, many.hazards);
                 assert_eq!(one.occupancy, many.occupancy);
             }
         }
@@ -847,6 +708,109 @@ mod tests {
             engine.core().replay(pass, &x, 2),
             Err(SimError::RoutingViolation(msg)) if msg.contains("17 channels to 16 PEGs")
         ));
+    }
+
+    /// The first occupied slot of window `w`.
+    fn first_slot(pass: &mut PassPlan, w: usize) -> &mut NzSlot {
+        pass.windows[w]
+            .schedule
+            .channels
+            .iter_mut()
+            .flat_map(|ch| ch.occupied_mut())
+            .map(|(_, _, nz)| nz)
+            .next()
+            .unwrap()
+    }
+
+    #[test]
+    fn malformed_slots_and_windows_are_routing_violations() {
+        // 4 PEs and 16-column windows: 64 rows are 16 per PE, and 40
+        // columns are windows 0..16, 16..32 and the narrower 32..40.
+        let engine = ChasonEngine::new(AcceleratorConfig {
+            sched: SchedulerConfig::toy(2, 2, 4),
+            window: 16,
+            ..AcceleratorConfig::chason()
+        });
+        let plan = engine
+            .plan_with_threads(&uniform_random(64, 40, 400, 8), 1)
+            .unwrap();
+        let x: Vec<f32> = (0..40).map(|i| 1.0 + i as f32).collect();
+        type Corrupt = fn(&mut PassPlan);
+        let cases: [(Corrupt, &str); 3] = [
+            // Inside the 16-word buffer, past the last window's 8 columns:
+            // no x word of this window lives there.
+            (|pass| first_slot(pass, 2).col = 8, "x window holds 8 words"),
+            // Same PE, one URAM's worth of rows further on.
+            (|pass| first_slot(pass, 0).row += 64, "in a pass of 64 rows"),
+            (
+                |pass| pass.windows[0].col_end = 17,
+                "window at columns 0..17 does not fit a 16-word x buffer",
+            ),
+        ];
+        for (corrupt, expected) in cases {
+            let mut pass = plan.passes[0].clone();
+            corrupt(&mut pass);
+            for threads in [1, 2] {
+                match engine.core().replay(&pass, &x, threads) {
+                    Err(SimError::RoutingViolation(msg)) => {
+                        assert!(msg.contains(expected), "{msg}")
+                    }
+                    Err(other) => panic!("{expected}: wrong error {other}"),
+                    Ok(_) => panic!("{expected}: replayed without an error"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_crhcs_pass_needs_a_scug() {
+        // Every row lives on channel 1, so CrHCS migrates into channel 0.
+        let sched = SchedulerConfig::toy(2, 2, 4);
+        let t: Vec<_> = (0..30)
+            .map(|i| (2 + (i % 2) + 4 * (i / 2), i % 8, 1.0 + i as f32))
+            .collect();
+        let m = CooMatrix::from_triplets(64, 8, t).unwrap();
+        let x = vec![1.0f32; 8];
+        let chason = ChasonEngine::new(AcceleratorConfig {
+            sched,
+            ..AcceleratorConfig::chason()
+        });
+        let serpens = SerpensEngine::new(AcceleratorConfig {
+            sched,
+            ..AcceleratorConfig::serpens()
+        });
+        let crhcs = chason.plan_with_threads(&m, 1).unwrap();
+        let pe_aware = serpens.plan_with_threads(&m, 1).unwrap();
+        assert!(crhcs.passes[0].windows[0].schedule.channels[0]
+            .occupied()
+            .any(|(_, _, nz)| !nz.pvt));
+        // Serpens PEs have no ScUG: a migrated element has nowhere to go.
+        assert!(matches!(
+            serpens.core().replay(&crhcs.passes[0], &x, 1),
+            Err(SimError::RoutingViolation(msg)) if msg.contains("with ScUG size 0")
+        ));
+        let replay = serpens.core().replay(&pe_aware.passes[0], &x, 1).unwrap();
+        assert_eq!(replay.y, m.spmv(&x));
+        assert_eq!(replay.mac_ops, 30);
+    }
+
+    #[test]
+    fn one_uram_bounds_the_rows_of_a_pass() {
+        // One PE: a pass of URAM_PARTIALS rows fits, one more does not.
+        let engine = ChasonEngine::new(AcceleratorConfig {
+            sched: SchedulerConfig::toy(1, 1, 4),
+            ..AcceleratorConfig::chason()
+        });
+        let matrix = |rows| CooMatrix::from_triplets(rows, 1, vec![(rows - 1, 0, 2.0)]).unwrap();
+        let exec = engine.run(&matrix(URAM_PARTIALS), &[1.5]).unwrap();
+        assert_eq!(exec.y[URAM_PARTIALS - 1], 3.0);
+        assert_eq!(
+            engine.run(&matrix(URAM_PARTIALS + 1), &[1.5]),
+            Err(SimError::RowCapacityExceeded {
+                rows_per_pe: URAM_PARTIALS + 1,
+                capacity: URAM_PARTIALS,
+            })
+        );
     }
 
     #[test]

@@ -45,13 +45,10 @@ mod chason;
 mod config;
 mod engine;
 mod error;
-mod memory;
-mod pe;
-mod peg;
 mod plan;
 pub mod power;
 pub mod profile;
-mod rearrange;
+mod replay;
 pub mod report;
 pub mod resources;
 mod serpens;
@@ -60,10 +57,8 @@ pub mod spmm;
 pub use chason::ChasonEngine;
 pub use config::{hbm_bandwidth_gbps, AcceleratorConfig, CycleBreakdown, Execution, StreamTiming};
 pub use error::SimError;
-pub use memory::{Bram, Uram, BRAM18K_WORDS, URAM_PARTIALS};
-pub use pe::Pe;
-pub use peg::Peg;
 pub use plan::PlanningEngine;
 pub use profile::{Attribution, LaneSlots, ProfiledExecution};
+pub use replay::{replay_schedule, URAM_PARTIALS};
 pub use serpens::SerpensEngine;
 pub use spmm::SpmmExecution;

@@ -19,12 +19,11 @@
 //! Attribution is computed from the *plan* (its schedules), not by
 //! instrumenting the execution hot loop, so profiling costs nothing when
 //! unused. Window spans ([`window_spans`]) carry simulated-cycle
-//! timestamps spaced by the executor's own inter-window stamp gap — integers
-//! derived only from the plan, hence byte-identical across runs, machines,
-//! and planning thread counts.
+//! timestamps spaced by each window's stream, drain and x-reload beats —
+//! integers derived only from the plan, hence byte-identical across runs,
+//! machines, and planning thread counts.
 
 use crate::config::{AcceleratorConfig, CycleBreakdown, Execution};
-use crate::engine::window_stamp_gap;
 use crate::plan::PlanningEngine;
 use crate::SimError;
 use chason_core::plan::SpmvPlan;
@@ -255,11 +254,20 @@ pub fn profile_planned<E: PlanningEngine>(
     })
 }
 
+/// Simulated beats from the start of one window's stream to the start of
+/// the next: the stream itself, the pipeline drain, and the x reload gap.
+fn window_stamp_gap(config: &AcceleratorConfig, stream_cycles: usize) -> u64 {
+    (stream_cycles
+        + config.sched.dependency_distance
+        + config.window.div_ceil(config.x_reload_lanes)) as u64
+}
+
 /// One deterministic span per column window, timestamped in simulated
 /// stream beats.
 ///
-/// Timestamps use the executor's inter-window stamp gap: window `w`
-/// starts where window `w-1`'s stream, drain and x-reload gap ended, and
+/// Timestamps use an inter-window gap of stream, drain and x-reload beats:
+/// window `w` starts where window `w-1`'s stream, drain and x-reload gap
+/// ended, and
 /// passes follow each other. `config` is the configuration the plan was
 /// built under. Every field derives from the plan alone —
 /// no wall clock — so the rendered JSONL is byte-identical across runs

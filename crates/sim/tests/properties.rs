@@ -1,7 +1,9 @@
 //! Property-based and failure-injection tests of the architecture model.
 
-use chason_core::schedule::{Crhcs, NzSlot, PeAware, Scheduler, SchedulerConfig};
-use chason_sim::{AcceleratorConfig, ChasonEngine, Peg, SerpensEngine};
+use chason_core::schedule::{
+    ChannelSchedule, Crhcs, NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig,
+};
+use chason_sim::{replay_schedule, AcceleratorConfig, ChasonEngine, SerpensEngine, SimError};
 use chason_sparse::CooMatrix;
 use chason_testutil::sparse_matrix;
 use proptest::prelude::*;
@@ -51,140 +53,124 @@ proptest! {
     }
 }
 
-/// Failure injection: hand the Chasoň PEG a slot whose `pvt` flag was
-/// corrupted (claims to be private but belongs to another channel's row).
-/// The Router must refuse instead of silently corrupting a partial sum.
-#[test]
-fn corrupted_pvt_flag_is_caught() {
-    let sched = SchedulerConfig::toy(2, 2, 4);
-    let mut peg = Peg::new(0, 2, 16, 8, 2).unwrap();
-    peg.load_x(&[1.0; 16]);
-    // Row 2 belongs to channel 1; claim it is private to channel 0.
-    let corrupted = NzSlot {
-        value: 1.0,
-        row: 2,
-        col: 0,
-        pvt: true,
-        pe_src: 0,
-    };
-    let err = peg.consume_slot(0, &corrupted, &sched, None).unwrap_err();
-    assert!(err.to_string().contains("routing violation"), "{err}");
-}
-
-/// Failure injection: a migrated element whose home channel equals the
-/// streaming channel is structurally impossible; the Router must refuse.
-#[test]
-fn migrated_flag_inside_home_channel_is_caught() {
-    let sched = SchedulerConfig::toy(2, 2, 4);
-    let mut peg = Peg::new(0, 2, 16, 8, 2).unwrap();
-    peg.load_x(&[1.0; 16]);
-    // Row 0 belongs to channel 0, but the slot claims it migrated.
-    let corrupted = NzSlot {
-        value: 1.0,
-        row: 0,
-        col: 0,
-        pvt: false,
-        pe_src: 0,
-    };
-    let err = peg.consume_slot(0, &corrupted, &sched, None).unwrap_err();
-    assert!(err.to_string().contains("home channel"), "{err}");
-}
-
-/// Failure injection: running a CrHCS schedule on the Serpens datapath
-/// (no ScUGs) must fail loudly whenever migration actually happened —
-/// mirrors §4.4's point that Serpens cannot support cross-channel data.
-#[test]
-fn crhcs_schedule_on_serpens_hardware_is_rejected() {
-    let sched = SchedulerConfig::toy(2, 2, 4);
-    // A matrix that forces migration: all rows on channel 1, many values.
-    let t: Vec<_> = (0..30)
-        .map(|i| (2 + (i % 2) + 4 * (i / 2), i % 8, 1.0 + i as f32))
+/// A schedule of `rows × cols` under `sched` streaming only `slots`, each
+/// `(channel, cycle, lane, non-zero)`.
+fn hand_schedule(
+    sched: SchedulerConfig,
+    rows: usize,
+    cols: usize,
+    slots: &[(usize, usize, usize, NzSlot)],
+) -> ScheduledMatrix {
+    let mut channels: Vec<_> = (0..sched.channels)
+        .map(|c| ChannelSchedule::new(c, sched.pes_per_channel))
         .collect();
-    let m = CooMatrix::from_triplets(64, 8, t).unwrap();
-    let schedule = Crhcs::new().schedule(&m, &sched);
-    let migrated = schedule
-        .channels
-        .iter()
-        .flat_map(|c| c.occupied())
-        .any(|(_, _, nz)| !nz.pvt);
-    assert!(migrated, "test needs actual migration");
-    // Serpens-style PEG: scug_size = 0.
-    let mut peg0 = Peg::new(0, 2, 32, 16, 0).unwrap();
-    peg0.load_x(&[1.0; 8]);
-    let mut failed = false;
-    for (_, lane, nz) in schedule.channels[0].occupied() {
-        if peg0.consume_slot(lane, nz, &sched, None).is_err() {
-            failed = true;
-            break;
-        }
+    for &(c, cycle, lane, nz) in slots {
+        channels[c].insert(cycle, lane, nz);
     }
-    assert!(failed, "Serpens hardware must reject migrated elements");
-}
-
-/// Failure injection: a hand-built schedule that violates the RAW distance
-/// (two values of one row on one PE in consecutive cycles) trips the PEs'
-/// pipeline-hazard detector.
-#[test]
-fn raw_violating_schedule_trips_the_hazard_detector() {
-    let sched = SchedulerConfig::toy(1, 1, 10);
-    let mut peg = Peg::new(0, 1, 8, 8, 0).unwrap();
-    peg.load_x(&[1.0; 8]);
-    let v1 = NzSlot::private(1.0, 0, 0);
-    let v2 = NzSlot::private(2.0, 0, 1);
-    peg.consume_slot(0, &v1, &sched, Some(0)).unwrap();
-    peg.consume_slot(0, &v2, &sched, Some(1)).unwrap();
-    assert_eq!(
-        peg.hazards(),
-        1,
-        "back-to-back same-row values must be flagged"
-    );
-    // A third value at the full distance is fine.
-    let v3 = NzSlot::private(3.0, 0, 2);
-    peg.consume_slot(0, &v3, &sched, Some(11)).unwrap();
-    assert_eq!(peg.hazards(), 1);
-}
-
-/// Every scheduler's real output executes hazard-free (the detector stays
-/// at zero when driven by the actual schedulers).
-#[test]
-fn real_schedules_are_hazard_free() {
-    let sched = SchedulerConfig::toy(2, 4, 10);
-    let m = chason_sparse::generators::arrow_with_nnz(512, 3, 4, 6_000, 7);
-    for schedule in [
-        PeAware::new().schedule(&m, &sched),
-        Crhcs::new().schedule(&m, &sched),
-    ] {
-        let mut pegs: Vec<Peg> = (0..2)
-            .map(|c| Peg::new(c, 4, 512, 64, 8).unwrap())
-            .collect();
-        for peg in &mut pegs {
-            peg.load_x(&vec![1.0; 512]);
-        }
-        for (c, channel) in schedule.channels.iter().enumerate() {
-            for (cycle, lane, nz) in channel.occupied() {
-                pegs[c]
-                    .consume_slot(lane, nz, &sched, Some(cycle as u64))
-                    .unwrap();
-            }
-        }
-        let hazards: u64 = pegs.iter().map(Peg::hazards).sum();
-        assert_eq!(hazards, 0, "scheduler produced a hazardous stream");
+    ScheduledMatrix {
+        config: sched,
+        channels,
+        rows,
+        cols,
+        nnz: slots.len(),
     }
 }
 
-/// The PE-aware scheduler's output on Serpens hardware is always accepted
-/// (the complementary positive case).
+fn migrant(value: f32, row: usize, col: usize, pe_src: u8) -> NzSlot {
+    NzSlot {
+        value,
+        row,
+        col,
+        pvt: false,
+        pe_src,
+    }
+}
+
+/// Failure injection: the Router refuses every slot the hardware cannot
+/// route instead of silently corrupting a partial sum. Under `toy(C, 2, _)`
+/// row `r` belongs to channel `(r % 2C) / 2`, lane `r % 2`; every case
+/// streams one slot from channel 0 at cycle 0 on the given lane.
 #[test]
-fn pe_aware_schedule_on_serpens_hardware_is_accepted() {
+fn misrouted_slots_are_routing_violations() {
+    let two = SchedulerConfig::toy(2, 2, 4);
+    let three = SchedulerConfig::toy(3, 2, 4);
+    let hop2 = SchedulerConfig {
+        migration_hops: 2,
+        ..three
+    };
+    let pvt = |row| NzSlot::private(1.0, row, 0);
+    let mig = |row, pe_src| migrant(1.0, row, 0, pe_src);
+    let wide = NzSlot { col: 3, ..pvt(0) };
+    let cases = [
+        (two, 0, pvt(1), "private element of row 1 reached PE (0, 0)"),
+        (two, 0, pvt(2), "private element of row 2 reached PE (0, 0)"),
+        (two, 0, mig(0, 0), "migrated inside its home channel 0"),
+        // PE_src past the ScUG, and past the PEs into a later hop's banks.
+        (two, 1, mig(2, 2), "(hop 1, PE_src 2) reached PE (0, 1)"),
+        (hop2, 1, mig(2, 2), "(hop 1, PE_src 2) reached PE (0, 1)"),
+        // Two hops on a one-hop datapath.
+        (three, 0, mig(4, 0), "(hop 2, PE_src 0) reached PE (0, 0)"),
+        (two, 2, pvt(0), "slot for lane 2 reached PEG 0 of 2 PEs"),
+        (two, 0, wide, "element of column 3 reached PEG 0"),
+        (two, 0, pvt(8), "row 8 reached PE (0, 0) in a pass"),
+    ];
+    for (sched, lane, nz, expected) in cases {
+        let schedule = hand_schedule(sched, 8, 3, &[(0, 0, lane, nz)]);
+        match replay_schedule(&schedule, &[1.0; 3]) {
+            Err(SimError::RoutingViolation(msg)) => assert!(msg.contains(expected), "{msg}"),
+            other => panic!("{expected}: {other:?}"),
+        }
+    }
+}
+
+/// Each PE multiplies by its window's `x` word and accumulates in its own
+/// banks; the Reduction Unit sums every PE's bank for a source lane, and the
+/// Merger adds that sum to the home PE's private sum in the ring successor.
+#[test]
+fn shared_banks_merge_into_the_ring_successor() {
     let sched = SchedulerConfig::toy(2, 2, 4);
-    let m = chason_sparse::generators::uniform_random(64, 8, 100, 3);
-    let schedule = PeAware::new().schedule(&m, &sched);
-    for (ch, channel) in schedule.channels.iter().enumerate() {
-        let mut peg = Peg::new(ch, 2, 32, 16, 0).unwrap();
-        peg.load_x(&[1.0; 8]);
-        for (_, lane, nz) in channel.occupied() {
-            peg.consume_slot(lane, nz, &sched, None)
-                .expect("private-only schedule runs");
+    let x = [1.0, 10.0, 20.0];
+    let slots = [
+        // Row 2 (channel 1, lane 0): 100·1 private, plus 5·10 and 7·20
+        // migrated into both PEs of channel 0.
+        (1, 0, 0, NzSlot::private(100.0, 2, 0)),
+        (0, 0, 0, migrant(5.0, 2, 1, 0)),
+        (0, 1, 1, migrant(7.0, 2, 2, 0)),
+        // Row 7 (channel 1, lane 1, local row 1): migrated only.
+        (0, 1, 0, migrant(0.5, 7, 0, 1)),
+        // Row 5 (channel 0, lane 1, local row 1): private only.
+        (0, 2, 1, NzSlot::private(3.0, 5, 2)),
+        // Row 0 (channel 0, lane 0) migrated into channel 1: on a
+        // two-channel ring channel 1 precedes channel 0 as well.
+        (1, 1, 1, migrant(0.25, 0, 1, 0)),
+    ];
+    let y = replay_schedule(&hand_schedule(sched, 8, 3, &slots), &x).unwrap();
+    assert_eq!(y, [2.5, 0.0, 290.0, 0.0, 0.0, 60.0, 0.0, 0.5]);
+}
+
+/// The merged `y` of real schedules equals the CPU reference on both
+/// datapath flavours (CrHCS through the ScUGs, PE-aware through `URAM_pvt`
+/// only), and on one channel, which has no ring neighbour to merge from.
+#[test]
+fn real_schedules_replay_to_the_reference() {
+    let m = chason_sparse::generators::arrow_with_nnz(512, 3, 4, 6_000, 7);
+    let x: Vec<f32> = (0..m.cols()).map(|i| 0.5 + (i % 5) as f32).collect();
+    let want = m.spmv(&x);
+    for sched in [
+        SchedulerConfig::toy(2, 4, 10),
+        SchedulerConfig::toy(1, 2, 4),
+    ] {
+        for schedule in [
+            PeAware::new().schedule(&m, &sched),
+            Crhcs::new().schedule(&m, &sched),
+        ] {
+            let y = replay_schedule(&schedule, &x).unwrap();
+            for (row, (a, b)) in y.iter().zip(&want).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-3 * b.abs().max(1.0),
+                    "{sched:?} row {row}: {a} vs {b}"
+                );
+            }
         }
     }
 }

@@ -2,7 +2,9 @@
 //! verify silently; targeted corruptions must each trip their rule.
 
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
-use chason_core::schedule::{Crhcs, Scheduler, SchedulerConfig};
+use chason_core::schedule::{
+    ChannelSchedule, Crhcs, NzSlot, ScheduledMatrix, Scheduler, SchedulerConfig,
+};
 use chason_core::window::partition_columns;
 use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::CooMatrix;
@@ -147,6 +149,47 @@ fn scug_bank_overflow_is_flagged() {
         report.has_rule(RuleId::S005),
         "wrong-lane tag too: {report}"
     );
+}
+
+/// S003 at its boundaries, on hand-built schedules under `toy(2, 2, 4)`
+/// whose lane 0 of channel 0 streams two slots `gap` cycles apart: a row
+/// may re-enter its PE after exactly `D = 4` cycles, not sooner, and
+/// distinct rows never conflict, whether they share a local row across
+/// `URAM_pvt` and a ScUG bank or sit in two ScUG banks.
+#[test]
+fn raw_distance_boundaries() {
+    // Rows 0 and 4 belong to channel 0, lane 0; rows 2 and 3 to channel 1.
+    let pvt = |row| NzSlot::private(1.0, row, 0);
+    let mig = |row| NzSlot {
+        pe_src: (row % 2) as u8,
+        pvt: false,
+        ..pvt(row)
+    };
+    let cases = [
+        ("same row D - 1 apart", pvt(0), 3, pvt(0), true),
+        ("same row exactly D apart", pvt(0), 4, pvt(0), false),
+        ("same migrated row D - 1 apart", mig(2), 3, mig(2), true),
+        ("different rows within D", pvt(0), 1, pvt(4), false),
+        ("private and shared bank within D", pvt(0), 1, mig(2), false),
+        ("two shared banks within D", mig(2), 1, mig(3), false),
+    ];
+    for (name, first, gap, second, flagged) in cases {
+        let mut channels = vec![ChannelSchedule::new(0, 2), ChannelSchedule::new(1, 2)];
+        channels[0].insert(0, 0, first);
+        channels[0].insert(gap, 0, second);
+        let s = ScheduledMatrix {
+            config: SchedulerConfig::toy(2, 2, 4),
+            channels,
+            rows: 8,
+            cols: 1,
+            nnz: 2,
+        };
+        let report = verify_schedule(&s, None);
+        assert_eq!(report.has_rule(RuleId::S003), flagged, "{name}:\n{report}");
+        if !flagged {
+            assert!(report.is_clean(), "{name}:\n{report}");
+        }
+    }
 }
 
 /// Builds a coherent single-pass plan by hand (windowed CrHCS schedules with
