@@ -11,8 +11,8 @@
 //! * [`precision`] — §5.5: 64-bit values with 32-bit metadata fit only 5
 //!   elements in a 512-bit beat, shrinking each PEG to 5 PEs.
 
-use chason_core::metrics::windowed_metrics;
-use chason_core::schedule::{Crhcs, PeAware, SchedulerConfig};
+use chason_core::schedule::{migrate, PeAware, Scheduler, SchedulerConfig};
+use chason_core::window::partition_columns;
 use chason_sim::resources::uram_count;
 use chason_sparse::generators::{arrow_with_nnz, power_law};
 use chason_sparse::permute::{degree_interleave, permute_rows, Permutation};
@@ -50,18 +50,58 @@ pub fn workload(seed: u64) -> CooMatrix {
     arrow_with_nnz(4096, 4, 16, 80_000, seed)
 }
 
-fn measure(matrix: &CooMatrix, config: &SchedulerConfig) -> (f64, f64, usize, u64) {
-    let window = chason_core::element::WINDOW;
-    let s = windowed_metrics(&PeAware::new(), matrix, config, window);
-    let c = windowed_metrics(&Crhcs::new(), matrix, config, window);
-    let (schedule, report) = Crhcs::new().schedule_with_report(matrix, config);
-    let _ = schedule;
-    (
-        s.underutilization_pct(),
-        c.underutilization_pct(),
-        c.stream_cycles,
-        report.migrated as u64,
-    )
+/// Both engines' Eq. 4 underutilization percent and stream cycles, and the
+/// values CrHCS migrated, summed window by window (§5.3's offline
+/// procedure). Each window is scheduled PE-aware once and migrated in
+/// place; its [`MigrationReport`](chason_core::schedule::MigrationReport)
+/// carries the stalls and cycles before and after.
+struct Measured {
+    serpens_pct: f64,
+    chason_pct: f64,
+    serpens_cycles: usize,
+    chason_cycles: usize,
+    migrated: usize,
+}
+
+impl Measured {
+    fn row(&self, parameter: usize, cost: u64) -> AblationRow {
+        AblationRow {
+            parameter,
+            serpens_pct: self.serpens_pct,
+            chason_pct: self.chason_pct,
+            chason_cycles: self.chason_cycles,
+            cost,
+        }
+    }
+}
+
+fn measure(matrix: &CooMatrix, config: &SchedulerConfig) -> Measured {
+    let (mut stalls_before, mut stalls_after) = (0, 0);
+    let (mut serpens_cycles, mut chason_cycles, mut migrated) = (0, 0, 0);
+    for w in partition_columns(matrix, chason_core::element::WINDOW) {
+        let mut schedule = PeAware::new().schedule(&w.matrix, config);
+        let r = migrate(&mut schedule);
+        stalls_before += r.stalls_before;
+        stalls_after += r.stalls_after;
+        serpens_cycles += r.cycles_before;
+        chason_cycles += r.cycles_after;
+        migrated += r.migrated;
+    }
+    let pct = |stalls: usize| {
+        let slots = matrix.nnz() + stalls;
+        if slots == 0 {
+            0.0
+        } else {
+            100.0 * stalls as f64 / slots as f64
+        }
+    };
+    Measured {
+        serpens_pct: pct(stalls_before),
+        chason_pct: pct(stalls_after),
+        serpens_cycles,
+        chason_cycles,
+        migrated,
+    }
 }
 
 /// §6.1: sweep the migration scope (ring hops).
@@ -73,15 +113,8 @@ pub fn hops(max_hops: usize, seed: u64) -> AblationResult {
                 migration_hops: h,
                 ..SchedulerConfig::paper()
             };
-            let (serpens_pct, chason_pct, chason_cycles, _) = measure(&matrix, &config);
-            AblationRow {
-                parameter: h,
-                serpens_pct,
-                chason_pct,
-                chason_cycles,
-                // One URAM_sh bank group per hop plus the private bank.
-                cost: uram_count(16, 8, (3 * h) as u64),
-            }
+            // One URAM_sh bank group per hop plus the private bank.
+            measure(&matrix, &config).row(h, uram_count(16, 8, (3 * h) as u64))
         })
         .collect();
     AblationResult {
@@ -100,14 +133,7 @@ pub fn dependency_distance(values: &[usize], seed: u64) -> AblationResult {
                 dependency_distance: d,
                 ..SchedulerConfig::paper()
             };
-            let (serpens_pct, chason_pct, chason_cycles, _) = measure(&matrix, &config);
-            AblationRow {
-                parameter: d,
-                serpens_pct,
-                chason_pct,
-                chason_cycles,
-                cost: 0,
-            }
+            measure(&matrix, &config).row(d, 0)
         })
         .collect();
     AblationResult {
@@ -126,14 +152,8 @@ pub fn scan_limit(values: &[usize], seed: u64) -> AblationResult {
                 migration_scan_limit: limit,
                 ..SchedulerConfig::paper()
             };
-            let (serpens_pct, chason_pct, chason_cycles, migrated) = measure(&matrix, &config);
-            AblationRow {
-                parameter: limit,
-                serpens_pct,
-                chason_pct,
-                chason_cycles,
-                cost: migrated,
-            }
+            let m = measure(&matrix, &config);
+            m.row(limit, m.migrated as u64)
         })
         .collect();
     AblationResult {
@@ -146,21 +166,14 @@ pub fn scan_limit(values: &[usize], seed: u64) -> AblationResult {
 /// metadata (5 elements/beat, 5 PEs).
 pub fn precision(seed: u64) -> AblationResult {
     let matrix = power_law(4096, 4096, 80_000, 1.6, seed);
-    let rows = [(8usize, "fp32"), (5, "fp64")]
+    let rows = [8usize, 5]
         .iter()
-        .map(|&(pes, _)| {
+        .map(|&pes| {
             let config = SchedulerConfig {
                 pes_per_channel: pes,
                 ..SchedulerConfig::paper()
             };
-            let (serpens_pct, chason_pct, chason_cycles, _) = measure(&matrix, &config);
-            AblationRow {
-                parameter: pes,
-                serpens_pct,
-                chason_pct,
-                chason_cycles,
-                cost: 0,
-            }
+            measure(&matrix, &config).row(pes, 0)
         })
         .collect();
     AblationResult {
@@ -180,7 +193,6 @@ pub fn precision(seed: u64) -> AblationResult {
 pub fn row_order(seed: u64) -> AblationResult {
     let matrix = workload(seed);
     let config = SchedulerConfig::paper();
-    let window = chason_core::element::WINDOW;
     let orders: [(&str, CooMatrix); 3] = [
         ("natural", matrix.clone()),
         (
@@ -196,15 +208,8 @@ pub fn row_order(seed: u64) -> AblationResult {
         .iter()
         .enumerate()
         .map(|(i, (_, m))| {
-            let s = windowed_metrics(&PeAware::new(), m, &config, window);
-            let c = windowed_metrics(&Crhcs::new(), m, &config, window);
-            AblationRow {
-                parameter: i,
-                serpens_pct: s.underutilization_pct(),
-                chason_pct: c.underutilization_pct(),
-                chason_cycles: c.stream_cycles,
-                cost: s.stream_cycles as u64,
-            }
+            let m = measure(m, &config);
+            m.row(i, m.serpens_cycles as u64)
         })
         .collect();
     AblationResult {

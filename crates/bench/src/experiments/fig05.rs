@@ -4,7 +4,9 @@
 //! in 36 slots (52% underutilization, 3 cycles) and ends, after ring
 //! migration, at 7 stalls in 24 slots (29%, 2 cycles).
 
-use chason_core::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
+use chason_core::schedule::{
+    migrate, MigrationReport, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig,
+};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -56,16 +58,23 @@ pub fn example_matrix() -> CooMatrix {
     CooMatrix::from_triplets(36, 3, t).expect("example triplets are valid")
 }
 
-/// Runs the walkthrough.
-pub fn run() -> Fig05Result {
-    let config = config();
+/// The example's PE-aware schedule, its CrHCS schedule (the PE-aware one
+/// migrated), and the migration statistics.
+fn schedules() -> (ScheduledMatrix, ScheduledMatrix, MigrationReport) {
     let matrix = example_matrix();
-    let before = PeAware::new().schedule(&matrix, &config);
+    let before = PeAware::new().schedule(&matrix, &config());
+    let mut after = before.clone();
+    let report = migrate(&mut after);
     #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants
     before.validate(&matrix).expect("pe-aware invariants");
-    let (after, report) = Crhcs::new().schedule_with_report(&matrix, &config);
     #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants
     after.validate(&matrix).expect("crhcs invariants");
+    (before, after, report)
+}
+
+/// Runs the walkthrough.
+pub fn run() -> Fig05Result {
+    let (before, after, report) = schedules();
     Fig05Result {
         cycles_before: before.stream_cycles(),
         stalls_before: before.stalls(),
@@ -80,10 +89,7 @@ pub fn run() -> Fig05Result {
 /// Renders the walkthrough summary plus the actual schedule grids
 /// (the reproduction's version of Fig. 5's panels).
 pub fn report_with_grids() -> String {
-    let config = config();
-    let matrix = example_matrix();
-    let before = PeAware::new().schedule(&matrix, &config);
-    let after = Crhcs::new().schedule(&matrix, &config);
+    let (before, after, _) = schedules();
     let mut out = report(&run());
     out.push_str("\npe-aware schedule:\n");
     out.push_str(&chason_core::viz::render_schedule(&before));

@@ -335,7 +335,7 @@ fn run_engine_paths(
             ),
         );
     }
-    let ii = engine.config().stream_ii;
+    let ii = chason_sim::STREAM_II;
     let expected_stream: u64 = plan
         .passes
         .iter()

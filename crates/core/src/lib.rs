@@ -13,7 +13,9 @@
 //! * [`schedule::Crhcs`] — the contribution (Fig. 2c, §3): stall slots are
 //!   filled by *migrating* non-zeros from the neighbouring HBM channel,
 //!   tagged with `pvt`/`PE_src` flags so the architecture can segregate the
-//!   partial sums.
+//!   partial sums. It is `PeAware` followed by [`schedule::migrate`], the
+//!   migration pass over a PE-aware schedule, which callers holding a
+//!   PE-aware schedule can run on a copy of it directly.
 //!
 //! Supporting modules: [`element`] packs scheduled non-zeros into the 64-bit
 //! wire format of §3.2; [`metrics`] computes PE underutilization (Eq. 4);
@@ -23,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use chason_core::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
+//! use chason_core::schedule::{migrate, Crhcs, PeAware, Scheduler, SchedulerConfig};
 //! use chason_sparse::generators::power_law;
 //!
 //! let matrix = power_law(256, 256, 1500, 1.8, 7);
@@ -32,6 +34,11 @@
 //! let chason = Crhcs::new().schedule(&matrix, &config);
 //! // CrHCS fills stalls by migrating values across channels:
 //! assert!(chason.underutilization() <= serpens.underutilization());
+//! // ... and is exactly the migration pass over the PE-aware schedule.
+//! let mut migrated = serpens.clone();
+//! let report = migrate(&mut migrated);
+//! assert_eq!(migrated, chason);
+//! assert_eq!(report.stalls_after, chason.stalls());
 //! ```
 
 #![forbid(unsafe_code)]

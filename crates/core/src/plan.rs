@@ -77,6 +77,21 @@ pub struct PassPlan {
     pub windows: Vec<PlanWindow>,
 }
 
+impl PlanWindow {
+    /// The window of columns `col_start..col_end` holding `schedule`, with
+    /// the schedule's statistics cached beside it.
+    pub fn new(col_start: usize, col_end: usize, schedule: ScheduledMatrix) -> Self {
+        PlanWindow {
+            col_start,
+            col_end,
+            nnz: schedule.nnz,
+            stalls: schedule.stalls(),
+            stream_cycles: schedule.stream_cycles(),
+            schedule,
+        }
+    }
+}
+
 impl PassPlan {
     /// Rows this pass covers.
     pub fn rows(&self) -> usize {

@@ -17,7 +17,7 @@
 //! matrix; `crates/conformance` proves this across the whole corpus.
 
 use crate::plan::{matrix_fingerprint, PassPlan, PlanWindow, SpmvPlan};
-use crate::schedule::Scheduler;
+use crate::schedule::{ScheduledMatrix, WindowRows};
 use crate::window::deal_windows;
 use chason_sparse::{CooMatrix, MatrixDelta};
 use std::collections::BTreeSet;
@@ -160,13 +160,13 @@ impl SpmvPlan {
     /// it was.
     ///
     /// `updated` must be the result of applying `delta` to the plan's
-    /// source matrix, and `scheduler` must be the same scheduler (and the
-    /// plan's own [`SchedulerConfig`](crate::schedule::SchedulerConfig))
-    /// the plan was built with — under those conditions, and a
-    /// deterministic scheduler, the spliced plan equals a from-scratch plan
-    /// of `updated` exactly. The plan's cache fingerprint is advanced to
-    /// `updated`'s, so version-aware caches treat the result as a plan for
-    /// the new matrix content.
+    /// source matrix, and `schedule_window` must schedule a dealt window
+    /// the way the plan's windows were scheduled, under the plan's own
+    /// [`SchedulerConfig`](crate::schedule::SchedulerConfig) — under those
+    /// conditions, and a deterministic scheduler, the spliced plan equals a
+    /// from-scratch plan of `updated` exactly. The plan's cache fingerprint
+    /// is advanced to `updated`'s, so version-aware caches treat the result
+    /// as a plan for the new matrix content.
     ///
     /// On error the plan is left unchanged.
     ///
@@ -178,11 +178,11 @@ impl SpmvPlan {
     ///   delta` (wrong non-zero count);
     /// * [`ReplanError::Structure`] — the plan skeleton cannot place a
     ///   delta coordinate.
-    pub fn apply_delta<S: Scheduler>(
+    pub fn apply_delta(
         &mut self,
         updated: &CooMatrix,
         delta: &MatrixDelta,
-        scheduler: &S,
+        schedule_window: impl Fn(&WindowRows) -> ScheduledMatrix,
     ) -> Result<ReplanReport, ReplanError> {
         if updated.rows() != self.rows || updated.cols() != self.cols {
             return Err(ReplanError::ShapeMismatch(format!(
@@ -265,15 +265,11 @@ impl SpmvPlan {
         }
         for (pi, pass) in dealt.into_iter().enumerate() {
             for window in pass.windows {
-                let schedule = scheduler.schedule_rows(&window.rows, &config);
-                self.passes[pi].windows[window.index] = PlanWindow {
-                    col_start: window.col_start,
-                    col_end: window.col_end,
-                    nnz: window.rows.nnz(),
-                    stalls: schedule.stalls(),
-                    stream_cycles: schedule.stream_cycles(),
-                    schedule,
-                };
+                self.passes[pi].windows[window.index] = PlanWindow::new(
+                    window.col_start,
+                    window.col_end,
+                    schedule_window(&window.rows),
+                );
             }
         }
         for pass in &mut self.passes {
@@ -289,7 +285,7 @@ impl SpmvPlan {
 mod tests {
     use super::*;
     use crate::plan::PlanKey;
-    use crate::schedule::{Crhcs, PeAware, SchedulerConfig};
+    use crate::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
     use crate::window::{partition_columns, partition_rows_capacity};
     use chason_sparse::generators::{power_law, uniform_random};
 
@@ -311,15 +307,11 @@ mod tests {
             windows: partition_columns(m, window)
                 .iter()
                 .map(|w| {
-                    let schedule = scheduler.schedule(&w.matrix, &config);
-                    PlanWindow {
-                        col_start: w.col_start,
-                        col_end: w.col_end,
-                        nnz: w.matrix.nnz(),
-                        stalls: schedule.stalls(),
-                        stream_cycles: schedule.stream_cycles(),
-                        schedule,
-                    }
+                    PlanWindow::new(
+                        w.col_start,
+                        w.col_end,
+                        scheduler.schedule(&w.matrix, &config),
+                    )
                 })
                 .collect(),
         };
@@ -340,6 +332,15 @@ mod tests {
             nnz: matrix.nnz(),
             passes,
         }
+    }
+
+    /// `scheduler` under `config` as the window-scheduling function
+    /// `apply_delta` takes.
+    fn by<S: Scheduler>(
+        scheduler: &S,
+        config: SchedulerConfig,
+    ) -> impl Fn(&WindowRows) -> ScheduledMatrix + '_ {
+        move |rows| scheduler.schedule_rows(rows, &config)
     }
 
     fn sample_delta(matrix: &CooMatrix, seed: usize) -> MatrixDelta {
@@ -374,7 +375,9 @@ mod tests {
             let mut plan = build_plan(&m, &scheduler, config, window, m.rows());
             let delta = sample_delta(&m, 1);
             let updated = delta.apply(&m).unwrap();
-            let report = plan.apply_delta(&updated, &delta, &scheduler).unwrap();
+            let report = plan
+                .apply_delta(&updated, &delta, by(&scheduler, config))
+                .unwrap();
             let scratch = build_plan(&updated, &scheduler, config, window, m.rows());
             assert_eq!(plan, scratch, "splice diverged at window width {window}");
             assert!(report.windows_replanned >= 1);
@@ -392,7 +395,9 @@ mod tests {
         assert_eq!(plan.passes.len(), 3);
         let delta = sample_delta(&m, 7);
         let updated = delta.apply(&m).unwrap();
-        let report = plan.apply_delta(&updated, &delta, &scheduler).unwrap();
+        let report = plan
+            .apply_delta(&updated, &delta, by(&scheduler, config))
+            .unwrap();
         let scratch = build_plan(&updated, &scheduler, config, 25, 32);
         assert_eq!(plan, scratch);
         assert_eq!(plan.nnz, updated.nnz());
@@ -423,7 +428,9 @@ mod tests {
         assert_eq!(dirty, BTreeSet::from([(0, 0)]));
         let before: Vec<_> = plan.passes[0].windows[1..].to_vec();
         let updated = delta.apply(&m).unwrap();
-        let report = plan.apply_delta(&updated, &delta, &scheduler).unwrap();
+        let report = plan
+            .apply_delta(&updated, &delta, by(&scheduler, config))
+            .unwrap();
         assert_eq!(report.windows_replanned, 1);
         assert_eq!(&plan.passes[0].windows[1..], &before[..]);
         assert!((report.replanned_fraction() - 0.25).abs() < 1e-12);
@@ -437,7 +444,9 @@ mod tests {
         let mut plan = build_plan(&m, &scheduler, config, 16, m.rows());
         let before = plan.clone();
         let delta = MatrixDelta::for_matrix(&m);
-        let report = plan.apply_delta(&m, &delta, &scheduler).unwrap();
+        let report = plan
+            .apply_delta(&m, &delta, by(&scheduler, config))
+            .unwrap();
         assert_eq!(report.windows_replanned, 0);
         assert_eq!(report.replanned_fraction(), 0.0);
         assert_eq!(plan, before);
@@ -453,7 +462,7 @@ mod tests {
 
         let wrong_shape = MatrixDelta::new(33, 32);
         assert!(matches!(
-            plan.apply_delta(&m, &wrong_shape, &scheduler),
+            plan.apply_delta(&m, &wrong_shape, by(&scheduler, config)),
             Err(ReplanError::ShapeMismatch(_))
         ));
 
@@ -464,7 +473,7 @@ mod tests {
             .expect("row 0 has a vacant column");
         delta.push_insert(0, vacant, 1.0).unwrap();
         assert!(matches!(
-            plan.apply_delta(&m, &delta, &scheduler),
+            plan.apply_delta(&m, &delta, by(&scheduler, config)),
             Err(ReplanError::NnzMismatch { .. })
         ));
         assert_eq!(plan, before);

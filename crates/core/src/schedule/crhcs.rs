@@ -1,12 +1,11 @@
 use super::{NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows};
-use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Cross-HBM-channel out-of-order scheduling (CrHCS) — §3, the paper's
 /// contribution.
 ///
 /// CrHCS starts from the PE-aware schedule and *migrates* non-zeros across
-/// channels to fill stall slots:
+/// channels to fill stall slots ([`migrate`]):
 ///
 /// 1. channels are processed in ring order: channel `c`'s stalls are filled
 ///    with values pulled from channel `c + 1`'s data list (§3.1 limits
@@ -53,60 +52,54 @@ impl Crhcs {
     pub fn new() -> Self {
         Crhcs { _private: () }
     }
+}
 
-    /// Schedules `matrix` and also returns the migration statistics.
-    pub fn schedule_with_report(
-        &self,
-        matrix: &CooMatrix,
-        config: &SchedulerConfig,
-    ) -> (ScheduledMatrix, MigrationReport) {
-        self.schedule_rows_with_report(&WindowRows::from_matrix(matrix, config), config)
-    }
+/// CrHCS's migration pass: fills the stall slots of `schedule`, a PE-aware
+/// schedule, with values migrated from ring-neighbour channels under the
+/// schedule's own configuration, then trims trailing all-stall cycles.
+///
+/// [`Crhcs`] is [`PeAware`] followed by this pass, so migrating a copy of a
+/// PE-aware schedule yields exactly the CrHCS schedule of the same rows.
+///
+/// # Panics
+///
+/// Panics if the schedule's configuration is invalid.
+pub fn migrate(schedule: &mut ScheduledMatrix) -> MigrationReport {
+    let config = schedule.config;
+    assert!(config.is_valid(), "invalid scheduler configuration");
+    let stalls_before = schedule.stalls();
+    let cycles_before = schedule.stream_cycles();
+    let mut migrated = 0usize;
+    let mut raw_skips = 0usize;
 
-    /// [`Scheduler::schedule_rows`] plus the migration statistics.
-    fn schedule_rows_with_report(
-        &self,
-        rows: &WindowRows,
-        config: &SchedulerConfig,
-    ) -> (ScheduledMatrix, MigrationReport) {
-        assert!(config.is_valid(), "invalid scheduler configuration");
-        let mut scheduled = PeAware::new().schedule_rows(rows, config);
-        let stalls_before = scheduled.stalls();
-        let cycles_before = scheduled.stream_cycles();
-        let mut migrated_total = 0usize;
-        let mut raw_skips = 0usize;
-
-        if config.channels >= 2 {
-            let mut scratch = MigrationScratch::new(scheduled.rows, config);
-            // Farthest sources first (§6.1's extended scheduling scope):
-            // migrated values cannot hop twice, so letting the most distant
-            // destination skim a donor's tail before nearer neighbours fill
-            // up spreads a hub channel's surplus across the whole scope
-            // instead of freezing it all in the immediate predecessor.
-            for hop in (1..=config.migration_hops.min(config.channels - 1)).rev() {
-                for dest in 0..config.channels {
-                    let src = (dest + hop) % config.channels;
-                    let (m, s) =
-                        migrate_channel(&mut scheduled, dest, src, hop, config, &mut scratch);
-                    migrated_total += m;
-                    raw_skips += s;
-                }
+    if config.channels >= 2 {
+        let mut scratch = MigrationScratch::new(schedule.rows, &config);
+        // Farthest sources first (§6.1's extended scheduling scope):
+        // migrated values cannot hop twice, so letting the most distant
+        // destination skim a donor's tail before nearer neighbours fill up
+        // spreads a hub channel's surplus across the whole scope instead
+        // of freezing it all in the immediate predecessor.
+        for hop in (1..=config.migration_hops.min(config.channels - 1)).rev() {
+            for dest in 0..config.channels {
+                let src = (dest + hop) % config.channels;
+                let (m, s) = migrate_channel(schedule, dest, src, hop, &config, &mut scratch);
+                migrated += m;
+                raw_skips += s;
             }
         }
+    }
 
-        for ch in &mut scheduled.channels {
-            ch.trim();
-        }
+    for ch in &mut schedule.channels {
+        ch.trim();
+    }
 
-        let report = MigrationReport {
-            migrated: migrated_total,
-            stalls_before,
-            stalls_after: scheduled.stalls(),
-            raw_skips,
-            cycles_before,
-            cycles_after: scheduled.stream_cycles(),
-        };
-        (scheduled, report)
+    MigrationReport {
+        migrated,
+        stalls_before,
+        stalls_after: schedule.stalls(),
+        raw_skips,
+        cycles_before,
+        cycles_after: schedule.stream_cycles(),
     }
 }
 
@@ -432,7 +425,9 @@ impl Scheduler for Crhcs {
     }
 
     fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix {
-        self.schedule_rows_with_report(rows, config).0
+        let mut schedule = PeAware::new().schedule_rows(rows, config);
+        migrate(&mut schedule);
+        schedule
     }
 }
 
@@ -447,7 +442,8 @@ mod tests {
         let config = SchedulerConfig::paper();
         let m = power_law(1024, 1024, 8000, 1.8, 21);
         let serpens = PeAware::new().schedule(&m, &config);
-        let (chason, report) = Crhcs::new().schedule_with_report(&m, &config);
+        let mut chason = serpens.clone();
+        let report = migrate(&mut chason);
         assert!(chason.underutilization() <= serpens.underutilization());
         assert!(
             report.migrated > 0,
@@ -490,16 +486,18 @@ mod tests {
     #[test]
     fn raw_distance_is_respected_in_migrants() {
         // One source row with many values; destination has many stalls.
-        // validate verifies the per-PE distance; this test mainly
-        // asserts migration still happens under the constraint.
+        // validate verifies the per-PE distance; the report shows that
+        // migration still happens under the constraint, and that the RAW
+        // distance held some candidates back.
         let config = SchedulerConfig::toy(2, 1, 5);
         let mut triplets: Vec<(usize, usize, f32)> =
             (0..10).map(|c| (1usize, c, c as f32 + 1.0)).collect();
         triplets.push((0, 0, 99.0));
         let m = CooMatrix::from_triplets(2, 10, triplets).unwrap();
-        let (s, report) = Crhcs::new().schedule_with_report(&m, &config);
+        let mut s = PeAware::new().schedule(&m, &config);
+        let report = migrate(&mut s);
         s.validate(&m).unwrap();
-        assert!(report.raw_skips > 0 || report.migrated == 0 || report.migrated > 0);
+        assert!(report.migrated > 0 && report.raw_skips > 0, "{report:?}");
     }
 
     #[test]
@@ -522,7 +520,8 @@ mod tests {
             .collect();
         let m = CooMatrix::from_triplets(128, 16, triplets).unwrap();
         let serpens = PeAware::new().schedule(&m, &config);
-        let (chason, report) = Crhcs::new().schedule_with_report(&m, &config);
+        let mut chason = serpens.clone();
+        let report = migrate(&mut chason);
         assert!(
             chason.stream_cycles() < serpens.stream_cycles(),
             "chason {} vs serpens {}",
@@ -536,7 +535,8 @@ mod tests {
     #[test]
     fn empty_matrix_is_fine() {
         let config = SchedulerConfig::paper();
-        let (s, report) = Crhcs::new().schedule_with_report(&CooMatrix::new(64, 64), &config);
+        let mut s = PeAware::new().schedule(&CooMatrix::new(64, 64), &config);
+        let report = migrate(&mut s);
         assert_eq!(s.stream_cycles(), 0);
         assert_eq!(report.migrated, 0);
     }

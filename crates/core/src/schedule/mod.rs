@@ -14,7 +14,7 @@ mod row_based;
 mod row_split;
 
 pub use channel::ChannelSchedule;
-pub use crhcs::{Crhcs, MigrationReport};
+pub use crhcs::{migrate, Crhcs, MigrationReport};
 pub use pe_aware::PeAware;
 pub use row_based::RowBased;
 pub use row_split::HybridRowSplit;

@@ -1,12 +1,13 @@
 //! The Chasoň accelerator engine (§4).
 
 use crate::config::AcceleratorConfig;
-use chason_core::schedule::Crhcs;
 
 /// The Chasoň streaming SpMV accelerator.
 ///
-/// Chasoň schedules each column window with [`Crhcs`] (cross-channel data
-/// migration) and executes it on PEGs whose PEs carry a full ScUG (one
+/// Chasoň schedules each column window like Serpens, then runs CrHCS's
+/// cross-channel migration pass ([`chason_core::schedule::migrate`]) over
+/// it, because its ScUG can hold migrated partial sums. It executes the
+/// window on PEGs whose PEs carry a full ScUG (one
 /// `URAM_sh` per neighbour-channel PE), a Reduction Unit, and the extended
 /// Rearrange/Arbiter/Merger path. Runs at 301 MHz post-route on the Alveo
 /// U55c.
@@ -28,25 +29,17 @@ use chason_core::schedule::Crhcs;
 #[derive(Debug, Clone)]
 pub struct ChasonEngine {
     config: AcceleratorConfig,
-    scheduler: Crhcs,
 }
 
 impl ChasonEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: AcceleratorConfig) -> Self {
-        ChasonEngine {
-            config,
-            scheduler: Crhcs::new(),
-        }
+        ChasonEngine { config }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
-    }
-
-    pub(crate) fn scheduler(&self) -> &Crhcs {
-        &self.scheduler
     }
 
     /// Deployed ScUG size: `URAM_sh` banks per PE.
@@ -173,7 +166,9 @@ mod tests {
         let exec = ChasonEngine::default().run(&m, &vec![1.0; 256]).unwrap();
         // 256 rows / 128 PEs = 2 rows per PE + tree depth 3, derated by the
         // memory-path initiation interval.
-        let ii = AcceleratorConfig::chason().stream_ii;
-        assert_eq!(exec.cycles.reduction, ((2.0 + 3.0) * ii).ceil() as u64);
+        assert_eq!(
+            exec.cycles.reduction,
+            ((2.0 + 3.0) * crate::STREAM_II).ceil() as u64
+        );
     }
 }

@@ -11,31 +11,6 @@ pub struct AcceleratorConfig {
     pub clock_mhz: f64,
     /// Column-window width (`W = 8192`, §4.1).
     pub window: usize,
-    /// FP32 values the final merged output stream carries per cycle
-    /// (16, §4.3).
-    pub merge_width: usize,
-    /// FP32 words per cycle when reloading the on-chip `x` buffers between
-    /// windows (one 512-bit HBM channel feeds the broadcast).
-    pub x_reload_lanes: usize,
-    /// Effective initiation-interval inflation of the memory-path loops
-    /// (matrix stream, x reload, reduction sweep, output merge).
-    ///
-    /// The schedule model assumes one beat per clock; the real U55c
-    /// pipeline loses throughput to DRAM burst boundaries, refresh, AXI
-    /// handshaking and HLS II hiccups. This factor is calibrated so the
-    /// simulated absolute latencies land on Table 3's measurements (both
-    /// engines show the same ≈2.8× inflation over the ideal stream, so
-    /// speedup ratios are unaffected). [`StreamTiming::u55c`] derives the
-    /// value from beat-level DRAM timing.
-    pub stream_ii: f64,
-    /// Fixed per-invocation cycles (kernel control, FIFO flush, XRT kick)
-    /// — the latency floor visible in the paper's smallest measurements
-    /// (CollegeMsg: 3 µs ≈ 900 cycles end to end).
-    pub invocation_overhead_cycles: u64,
-    /// Record per-stream-cycle PE occupancy into
-    /// [`Execution::occupancy`] (costs memory proportional to the stream
-    /// length; off by default).
-    pub record_occupancy: bool,
 }
 
 impl AcceleratorConfig {
@@ -45,11 +20,6 @@ impl AcceleratorConfig {
             sched: SchedulerConfig::paper(),
             clock_mhz: 301.0,
             window: chason_core::element::WINDOW,
-            merge_width: 16,
-            x_reload_lanes: 16,
-            stream_ii: 2.8,
-            invocation_overhead_cycles: 500,
-            record_occupancy: false,
         }
     }
 
@@ -72,9 +42,6 @@ impl AcceleratorConfig {
             && self.clock_mhz > 0.0
             && self.window > 0
             && self.window <= chason_core::element::WINDOW
-            && self.merge_width > 0
-            && self.x_reload_lanes > 0
-            && self.stream_ii >= 1.0
     }
 }
 
@@ -91,8 +58,32 @@ pub fn hbm_bandwidth_gbps(channels: usize) -> f64 {
     14.37 * channels as f64
 }
 
-/// Beat-level timing of one streamed HBM channel: where
-/// [`AcceleratorConfig::stream_ii`]'s ≈2.8× inflation comes from.
+/// FP32 values the final merged output stream carries per cycle (16, §4.3).
+pub const MERGE_WIDTH: usize = 16;
+
+/// FP32 words per cycle when reloading the on-chip `x` buffers between
+/// windows (one 512-bit HBM channel feeds the broadcast).
+pub const X_RELOAD_LANES: usize = 16;
+
+/// Effective initiation-interval inflation of the memory-path loops
+/// (matrix stream, x reload, reduction sweep, output merge).
+///
+/// The schedule model assumes one beat per clock; the real U55c pipeline
+/// loses throughput to DRAM burst boundaries, refresh, AXI handshaking and
+/// HLS II hiccups. This factor is calibrated so the simulated absolute
+/// latencies land on Table 3's measurements (both engines show the same
+/// ≈2.8× inflation over the ideal stream, so speedup ratios are
+/// unaffected). [`StreamTiming::u55c`] derives the value from beat-level
+/// DRAM timing.
+pub const STREAM_II: f64 = 2.8;
+
+/// Fixed per-invocation cycles (kernel control, FIFO flush, XRT kick) —
+/// the latency floor visible in the paper's smallest measurements
+/// (CollegeMsg: 3 µs ≈ 900 cycles end to end).
+pub const INVOCATION_OVERHEAD_CYCLES: u64 = 500;
+
+/// Beat-level timing of one streamed HBM channel: where [`STREAM_II`]'s
+/// ≈2.8× inflation comes from.
 ///
 /// The schedule model assumes one 512-bit beat per clock. A real HBM2
 /// pseudo-channel cannot sustain that against a 300 MHz consumer: reads are
@@ -121,7 +112,7 @@ pub struct StreamTiming {
 impl StreamTiming {
     /// The Alveo U55c operating point at a 301 MHz kernel clock; its
     /// [`effective_ii`](Self::effective_ii) is the calibrated
-    /// [`AcceleratorConfig::stream_ii`].
+    /// [`STREAM_II`].
     pub fn u55c() -> Self {
         StreamTiming {
             beats_per_burst: 2,
@@ -152,7 +143,7 @@ impl StreamTiming {
         cycles
     }
 
-    /// Effective cycles per beat of a long stream (the `stream_ii` this
+    /// Effective cycles per beat of a long stream (the [`STREAM_II`] this
     /// timing implies).
     pub fn effective_ii(&self) -> f64 {
         let beats = 1_000_000u64;
@@ -221,10 +212,6 @@ pub struct Execution {
     pub windows: usize,
     /// Multiply-accumulate operations performed (sanity: equals `nnz`).
     pub mac_ops: u64,
-    /// Busy PEs per stream cycle across all channels (empty unless
-    /// [`AcceleratorConfig::record_occupancy`] is set). Windows are
-    /// concatenated in order.
-    pub occupancy: Vec<u16>,
 }
 
 impl Execution {
@@ -266,10 +253,9 @@ mod tests {
     #[test]
     fn u55c_timing_is_the_calibrated_stream_ii() {
         let ii = StreamTiming::u55c().effective_ii();
-        let calibrated = AcceleratorConfig::chason().stream_ii;
         assert!(
-            (ii - calibrated).abs() < 1e-4,
-            "u55c timing implies II {ii:.6}, calibration uses {calibrated}"
+            (ii - STREAM_II).abs() < 1e-4,
+            "u55c timing implies II {ii:.6}, calibration uses {STREAM_II}"
         );
     }
 
@@ -374,7 +360,6 @@ mod tests {
             bytes_auxiliary: 0,
             windows: 1,
             mac_ops: 4000,
-            occupancy: Vec::new(),
         };
         // 1000 cycles at 100 MHz = 10 us = 10_000 ns.
         assert!((e.latency_seconds() - 1e-5).abs() < 1e-15);

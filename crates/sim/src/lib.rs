@@ -55,7 +55,10 @@ mod serpens;
 pub mod spmm;
 
 pub use chason::ChasonEngine;
-pub use config::{hbm_bandwidth_gbps, AcceleratorConfig, CycleBreakdown, Execution, StreamTiming};
+pub use config::{
+    hbm_bandwidth_gbps, AcceleratorConfig, CycleBreakdown, Execution, StreamTiming,
+    INVOCATION_OVERHEAD_CYCLES, MERGE_WIDTH, STREAM_II, X_RELOAD_LANES,
+};
 pub use error::SimError;
 pub use plan::PlanningEngine;
 pub use profile::{Attribution, LaneSlots, ProfiledExecution};

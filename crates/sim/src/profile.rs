@@ -254,12 +254,33 @@ pub fn profile_planned<E: PlanningEngine>(
     })
 }
 
+/// Busy PEs across all channels in each stream beat of `plan`, windows
+/// concatenated in (pass, window) order: the time-resolved view behind
+/// Eq. 4's underutilization scalar. Each window contributes its
+/// equalized stream length, so a beat with no busy PE counts 0.
+pub fn busy_pes_per_beat(plan: &SpmvPlan) -> Vec<u16> {
+    let mut busy = Vec::new();
+    for window in plan.passes.iter().flat_map(|p| &p.windows) {
+        let base = busy.len();
+        busy.resize(base + window.schedule.stream_cycles(), 0u16);
+        for (cycle, _, _) in window
+            .schedule
+            .channels
+            .iter()
+            .flat_map(ChannelSchedule::occupied)
+        {
+            busy[base + cycle] += 1;
+        }
+    }
+    busy
+}
+
 /// Simulated beats from the start of one window's stream to the start of
 /// the next: the stream itself, the pipeline drain, and the x reload gap.
 fn window_stamp_gap(config: &AcceleratorConfig, stream_cycles: usize) -> u64 {
     (stream_cycles
         + config.sched.dependency_distance
-        + config.window.div_ceil(config.x_reload_lanes)) as u64
+        + config.window.div_ceil(crate::X_RELOAD_LANES)) as u64
 }
 
 /// One deterministic span per column window, timestamped in simulated
@@ -390,6 +411,25 @@ mod tests {
         assert_eq!(a.pvt_slots + a.migrated_slots, 30_000);
         assert_eq!(a.stall_slots, profiled.execution.stalls as u64);
         assert_eq!(a.windows, profiled.execution.windows);
+    }
+
+    #[test]
+    fn busy_pes_cover_every_beat_of_every_pass() {
+        let engine = ChasonEngine::new(AcceleratorConfig {
+            sched: SchedulerConfig::toy(2, 2, 4),
+            window: 64,
+            ..AcceleratorConfig::chason()
+        });
+        let m = uniform_random(70_000, 128, 30_000, 5);
+        let plan = engine.plan(&m).expect("plan");
+        assert!(plan.passes.len() > 1 && plan.passes[0].windows.len() == 2);
+        let busy = busy_pes_per_beat(&plan);
+        assert_eq!(busy.len(), plan.stream_cycles());
+        assert_eq!(busy.iter().map(|&b| b as usize).sum::<usize>(), 30_000);
+        assert!(busy.iter().all(|&b| b <= 4));
+        // Stalls are the beats' idle PEs.
+        let idle: usize = busy.iter().map(|&b| 4 - b as usize).sum();
+        assert_eq!(idle, plan.stalls());
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub(crate) struct Replay {
     pub(crate) y: Vec<f32>,
     /// Multiply-accumulates performed: the occupied slots replayed.
     pub(crate) mac_ops: u64,
-    pub(crate) occupancy: Vec<u16>,
 }
 
 /// One column window as the kernel replays it: the columns of `x` the PEGs'
@@ -117,19 +116,15 @@ impl Datapath {
     /// one per thread (at most `threads`, never more than there are
     /// channels), each replaying every window for its channels. The merge
     /// is serial, so the result, and the first routing error in serial
-    /// (window, channel) order, are the same for every thread count. With
-    /// `record_occupancy` set, the result counts the occupied slots of
-    /// every stream beat.
+    /// (window, channel) order, are the same for every thread count.
     pub(crate) fn replay(
         &self,
         windows: &[Window<'_>],
         x: &[f32],
         x_capacity: usize,
         threads: usize,
-        record_occupancy: bool,
     ) -> Result<Replay, SimError> {
         let channels = self.sched.channels;
-        let mut occupancy = Vec::new();
         for (cols, schedule) in windows {
             if schedule.channels.len() > channels {
                 return Err(SimError::RoutingViolation(format!(
@@ -146,13 +141,6 @@ impl Datapath {
                     cols.end,
                     x.len()
                 )));
-            }
-            if record_occupancy {
-                let base = occupancy.len();
-                occupancy.resize(base + schedule.stream_cycles(), 0u16);
-                for (cycle, _, _) in schedule.channels.iter().flat_map(ChannelSchedule::occupied) {
-                    occupancy[base + cycle] += 1;
-                }
             }
         }
 
@@ -202,7 +190,6 @@ impl Datapath {
                 .iter()
                 .map(|(_, schedule)| schedule.scheduled_nonzeros() as u64)
                 .sum(),
-            occupancy,
         })
     }
 
@@ -339,7 +326,5 @@ pub fn replay_schedule(schedule: &ScheduledMatrix, x: &[f32]) -> Result<Vec<f32>
         sched.pes_per_channel * sched.migration_hops,
         schedule.rows,
     )?;
-    Ok(datapath
-        .replay(&[(0..x.len(), schedule)], x, x.len(), 1, false)?
-        .y)
+    Ok(datapath.replay(&[(0..x.len(), schedule)], x, x.len(), 1)?.y)
 }

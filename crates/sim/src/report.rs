@@ -275,7 +275,6 @@ mod tests {
             bytes_auxiliary: 0,
             windows: 1,
             mac_ops: 100_000,
-            occupancy: Vec::new(),
         }
     }
 

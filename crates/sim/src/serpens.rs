@@ -1,7 +1,6 @@
 //! The Serpens baseline engine (§4.4).
 
 use crate::config::AcceleratorConfig;
-use chason_core::schedule::PeAware;
 
 /// The Serpens streaming SpMV accelerator (Song et al., DAC 2022) — the
 /// paper's primary baseline.
@@ -15,25 +14,17 @@ use chason_core::schedule::PeAware;
 #[derive(Debug, Clone)]
 pub struct SerpensEngine {
     config: AcceleratorConfig,
-    scheduler: PeAware,
 }
 
 impl SerpensEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: AcceleratorConfig) -> Self {
-        SerpensEngine {
-            config,
-            scheduler: PeAware::new(),
-        }
+        SerpensEngine { config }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
-    }
-
-    pub(crate) fn scheduler(&self) -> &PeAware {
-        &self.scheduler
     }
 
     /// Serpens PEs carry no ScUG.

@@ -6,7 +6,8 @@
 //! cargo run --release --example occupancy_profile
 //! ```
 
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::profile::busy_pes_per_beat;
+use chason::sim::{ChasonEngine, PlanningEngine, SerpensEngine, SimError};
 use chason::sparse::generators::arrow_with_nnz;
 
 /// Downsamples an occupancy trace into `buckets` means (fraction of busy
@@ -35,24 +36,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // intra-channel scheduling.
     let matrix = arrow_with_nnz(4096, 4, 12, 60_000, 3);
     let x = vec![1.0f32; 4096];
-    let record = |mut cfg: AcceleratorConfig| {
-        cfg.record_occupancy = true;
-        cfg
+    // Plans each engine, runs the plan, and counts its busy PEs per beat.
+    let occupancy = |engine: &dyn PlanningEngine| -> Result<_, SimError> {
+        let plan = engine.plan(&matrix)?;
+        let exec = engine.run_planned(&plan, &x)?;
+        Ok((exec.engine, busy_pes_per_beat(&plan)))
     };
-
-    let serpens = SerpensEngine::new(record(AcceleratorConfig::serpens())).run(&matrix, &x)?;
-    let chason = ChasonEngine::new(record(AcceleratorConfig::chason())).run(&matrix, &x)?;
+    let serpens = occupancy(&SerpensEngine::default())?;
+    let chason = occupancy(&ChasonEngine::default())?;
     let total_pes = 128.0;
 
     println!("matrix: 4096 x 4096, {} nnz (12 hub rows)\n", matrix.nnz());
-    for exec in [&serpens, &chason] {
-        let p = profile(&exec.occupancy, total_pes, 64);
+    for (engine, busy) in [&serpens, &chason] {
+        let p = profile(busy, total_pes, 64);
         let mean = p.iter().sum::<f64>() / p.len() as f64;
         println!(
             "{:8} | {} | stream {:6} cycles, mean occupancy {:4.1}%",
-            exec.engine,
+            engine,
             sparkline(&p),
-            exec.occupancy.len(),
+            busy.len(),
             mean * 100.0
         );
     }
@@ -60,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nSerpens idles through the hub rows' RAW chains; CrHCS's migrated\n\
          values keep the other PEGs busy, compressing the same work into\n\
          {:.1}x fewer stream cycles.",
-        serpens.occupancy.len() as f64 / chason.occupancy.len().max(1) as f64
+        serpens.1.len() as f64 / chason.1.len().max(1) as f64
     );
     Ok(())
 }
