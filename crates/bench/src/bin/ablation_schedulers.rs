@@ -2,8 +2,8 @@
 //! (Serpens), HiSpMV-style hybrid row splitting, and CrHCS — across
 //! imbalance regimes. Row splitting fixes intra-channel hub rows; only
 //! CrHCS also fixes inter-channel imbalance.
-use chason_core::metrics::windowed_metrics;
-use chason_core::schedule::{Crhcs, HybridRowSplit, PeAware, RowBased, SchedulerConfig};
+use chason_core::metrics::{windowed_metrics, windowed_metrics_pe_aware_and_crhcs};
+use chason_core::schedule::{HybridRowSplit, RowBased, SchedulerConfig};
 use chason_sparse::generators::{arrow_with_nnz, power_law, uniform_random};
 use chason_sparse::CooMatrix;
 
@@ -22,10 +22,10 @@ fn main() {
     );
     for (name, m) in &workloads {
         let rb = windowed_metrics(&RowBased::new(), m, &config, window).underutilization_pct();
-        let pa = windowed_metrics(&PeAware::new(), m, &config, window).underutilization_pct();
+        let (pa, ch) = windowed_metrics_pe_aware_and_crhcs(m, &config, window);
+        let (pa, ch) = (pa.underutilization_pct(), ch.underutilization_pct());
         let rs = windowed_metrics(&HybridRowSplit::auto(m, &config), m, &config, window)
             .underutilization_pct();
-        let ch = windowed_metrics(&Crhcs::new(), m, &config, window).underutilization_pct();
         println!("{name:22} {rb:>9.1}% {pa:>9.1}% {rs:>9.1}% {ch:>9.1}%");
     }
     println!("\n(row splitting needs HiSpMV's intra-PEG adder tree; it is a\n metrics-level baseline, not executable on the Chason datapath)");

@@ -4,8 +4,8 @@
 //! 19–96%; Chasoň's distribution shifts to ≈30% with range 5–66% and most
 //! matrices below 50%.
 
-use chason_core::metrics::windowed_metrics;
-use chason_core::schedule::{Crhcs, PeAware, SchedulerConfig};
+use chason_core::metrics::windowed_metrics_pe_aware_and_crhcs;
+use chason_core::schedule::SchedulerConfig;
 use chason_sparse::datasets::corpus;
 use chason_sparse::stats::{histogram, histogram_to_pdf};
 use serde::{Deserialize, Serialize};
@@ -83,12 +83,9 @@ pub fn run_specs(specs: &[chason_sparse::datasets::CorpusSpec]) -> Fig11Result {
     let mut serpens = Vec::with_capacity(specs.len());
     let mut chason = Vec::with_capacity(specs.len());
     for spec in specs {
-        let matrix = spec.generate();
-        serpens.push(
-            windowed_metrics(&PeAware::new(), &matrix, &config, window).underutilization_pct(),
-        );
-        chason
-            .push(windowed_metrics(&Crhcs::new(), &matrix, &config, window).underutilization_pct());
+        let (s, c) = windowed_metrics_pe_aware_and_crhcs(&spec.generate(), &config, window);
+        serpens.push(s.underutilization_pct());
+        chason.push(c.underutilization_pct());
     }
     Fig11Result {
         matrices: specs.len(),
@@ -142,9 +139,8 @@ mod tests {
         let config = SchedulerConfig::paper();
         let window = chason_core::element::WINDOW;
         for spec in small_specs(6, 5) {
-            let m = spec.generate();
-            let s = windowed_metrics(&PeAware::new(), &m, &config, window).underutilization_pct();
-            let c = windowed_metrics(&Crhcs::new(), &m, &config, window).underutilization_pct();
+            let (s, c) = windowed_metrics_pe_aware_and_crhcs(&spec.generate(), &config, window);
+            let (s, c) = (s.underutilization_pct(), c.underutilization_pct());
             assert!(
                 c <= s + 1e-9,
                 "matrix {}: chason {c} vs serpens {s}",

@@ -5,8 +5,8 @@
 //! (80–100% for most of these matrices); Chasoň's curves shift left and
 //! widen, showing the stalls being rebalanced across PEGs.
 
-use chason_core::metrics::windowed_metrics;
-use chason_core::schedule::{Crhcs, PeAware, SchedulerConfig};
+use chason_core::metrics::windowed_metrics_pe_aware_and_crhcs;
+use chason_core::schedule::SchedulerConfig;
 use chason_sparse::datasets::table2;
 use serde::{Deserialize, Serialize};
 
@@ -52,9 +52,7 @@ pub fn run(limit: usize) -> Fig12Result {
         .into_iter()
         .take(limit)
         .map(|spec| {
-            let m = spec.generate();
-            let s = windowed_metrics(&PeAware::new(), &m, &config, window);
-            let c = windowed_metrics(&Crhcs::new(), &m, &config, window);
+            let (s, c) = windowed_metrics_pe_aware_and_crhcs(&spec.generate(), &config, window);
             MatrixPegs {
                 id: spec.id.to_string(),
                 name: spec.name.to_string(),

@@ -16,7 +16,8 @@ use chason_baselines::parallel::{spmv_dynamic, spmv_static};
 use chason_core::plan::matrix_fingerprint;
 use chason_net::server::{FrameOutcome, NetConfig, NetServer, Service};
 use chason_serve::proto::{
-    decode_reply, decode_request, encode_reply, encode_request, Engine, Reply, Request,
+    decode_reply, decode_request, encode_load_matrix, encode_reply, encode_request, Engine, Reply,
+    Request,
 };
 use chason_sim::{ChasonEngine, SerpensEngine};
 use chason_sparse::generators::{power_law, uniform_random};
@@ -254,7 +255,11 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
     }
 
     // (e) CHSP codec round-trips on realistic payload sizes.
-    let chsp_ids = ["chsp/request-spmv", "chsp/reply-vector"];
+    let chsp_ids = [
+        "chsp/request-spmv",
+        "chsp/reply-vector",
+        "chsp/request-load",
+    ];
     if chsp_ids.iter().any(|id| matches(id, filter)) {
         let n = chsp_vector_len(profile);
         let values: Vec<f32> = (0..n).map(|i| (i as f32 * 0.13).sin()).collect();
@@ -295,6 +300,24 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                     let wire = encode_reply(&reply);
                     #[allow(clippy::expect_used)] // decoding our own encoder's output
                     black_box(decode_reply(&wire).expect("decode reply"));
+                }),
+            });
+        }
+        if matches(chsp_ids[2], filter) {
+            // A matrix upload: the client encodes the plan matrix, the
+            // server decodes it.
+            let matrix = plan_matrix(profile);
+            let payload = encode_load_matrix(&matrix);
+            let fingerprint = fnv1a(&payload);
+            let bytes = payload.len() as u64 * 2;
+            out.push(Benchmark {
+                id: chsp_ids[2].to_string(),
+                fingerprint,
+                bytes_per_iter: bytes,
+                routine: Box::new(move || {
+                    let wire = encode_load_matrix(&matrix);
+                    #[allow(clippy::expect_used)] // decoding our own encoder's output
+                    black_box(decode_request(&wire).expect("decode load"));
                 }),
             });
         }
@@ -405,7 +428,7 @@ mod tests {
                 "missing group {prefix} in {ids:?}"
             );
         }
-        assert_eq!(ids.len(), 17);
+        assert_eq!(ids.len(), 18);
     }
 
     #[test]
@@ -423,7 +446,7 @@ mod tests {
     fn filter_prunes_construction() {
         let profile = Profile::smoke();
         let only_chsp = benchmarks(&profile, Some("chsp"));
-        assert_eq!(only_chsp.len(), 2);
+        assert_eq!(only_chsp.len(), 3);
         assert!(only_chsp.iter().all(|b| b.id.starts_with("chsp/")));
         assert!(benchmarks(&profile, Some("no-such-bench")).is_empty());
     }

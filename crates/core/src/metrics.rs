@@ -10,7 +10,7 @@
 //! These helpers bundle the per-schedule numbers needed by the Figure 3 /
 //! 11 / 12 / 13 experiment binaries.
 
-use crate::schedule::{ScheduledMatrix, Scheduler, SchedulerConfig};
+use crate::schedule::{migrate, Crhcs, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -132,6 +132,32 @@ pub struct WindowedMetrics {
 }
 
 impl WindowedMetrics {
+    fn empty(scheduler: &str, windows: usize, config: &SchedulerConfig) -> Self {
+        WindowedMetrics {
+            scheduler: scheduler.to_string(),
+            nnz: 0,
+            stalls: 0,
+            stream_cycles: 0,
+            windows,
+            per_channel_stalls: vec![0; config.channels],
+            per_channel_nnz: vec![0; config.channels],
+        }
+    }
+
+    /// Adds one window's schedule.
+    fn add(&mut self, s: &ScheduledMatrix, config: &SchedulerConfig) {
+        let cycles = s.stream_cycles();
+        self.nnz += s.scheduled_nonzeros();
+        self.stalls += s.stalls();
+        self.stream_cycles += cycles;
+        for (i, ch) in s.channels.iter().enumerate() {
+            // Per-channel stalls include the virtual padding to the
+            // window's longest channel (§3.1).
+            self.per_channel_stalls[i] += cycles * config.pes_per_channel - ch.nonzeros();
+            self.per_channel_nnz[i] += ch.nonzeros();
+        }
+    }
+
     /// PE underutilization per Eq. 4 over the whole run.
     pub fn underutilization_pct(&self) -> f64 {
         let total = self.nnz + self.stalls;
@@ -167,29 +193,31 @@ pub fn windowed_metrics<S: Scheduler>(
     window: usize,
 ) -> WindowedMetrics {
     let windows = crate::window::partition_columns(matrix, window);
-    let mut out = WindowedMetrics {
-        scheduler: scheduler.name().to_string(),
-        nnz: 0,
-        stalls: 0,
-        stream_cycles: 0,
-        windows: windows.len(),
-        per_channel_stalls: vec![0; config.channels],
-        per_channel_nnz: vec![0; config.channels],
-    };
+    let mut out = WindowedMetrics::empty(scheduler.name(), windows.len(), config);
     for w in &windows {
-        let s = scheduler.schedule(&w.matrix, config);
-        let cycles = s.stream_cycles();
-        out.nnz += s.scheduled_nonzeros();
-        out.stalls += s.stalls();
-        out.stream_cycles += cycles;
-        for (i, ch) in s.channels.iter().enumerate() {
-            // Per-channel stalls include the virtual padding to the
-            // window's longest channel (§3.1).
-            out.per_channel_stalls[i] += cycles * config.pes_per_channel - ch.nonzeros();
-            out.per_channel_nnz[i] += ch.nonzeros();
-        }
+        out.add(&scheduler.schedule(&w.matrix, config), config);
     }
     out
+}
+
+/// [`windowed_metrics`] of [`PeAware`] and of [`Crhcs`] from one PE-aware
+/// pass per window: the CrHCS schedule is that window's PE-aware schedule
+/// after [`migrate`], so no window is scheduled PE-aware twice.
+pub fn windowed_metrics_pe_aware_and_crhcs(
+    matrix: &CooMatrix,
+    config: &SchedulerConfig,
+    window: usize,
+) -> (WindowedMetrics, WindowedMetrics) {
+    let windows = crate::window::partition_columns(matrix, window);
+    let mut pe_aware = WindowedMetrics::empty(PeAware::new().name(), windows.len(), config);
+    let mut crhcs = WindowedMetrics::empty(Crhcs::new().name(), windows.len(), config);
+    for w in &windows {
+        let mut s = PeAware::new().schedule(&w.matrix, config);
+        pe_aware.add(&s, config);
+        migrate(&mut s);
+        crhcs.add(&s, config);
+    }
+    (pe_aware, crhcs)
 }
 
 /// Structural insights into one schedule: where the stalls sit and how far
@@ -344,6 +372,20 @@ mod tests {
         assert_eq!(w.nnz, 4000);
         assert_eq!(w.per_channel_nnz.iter().sum::<usize>(), 4000);
         assert_eq!(w.per_channel_stalls.iter().sum::<usize>(), w.stalls);
+    }
+
+    #[test]
+    fn one_pe_aware_pass_gives_both_schedulers_metrics() {
+        let m = power_law(256, 2000, 4000, 1.5, 6);
+        for hops in [1, 2] {
+            let config = SchedulerConfig {
+                migration_hops: hops,
+                ..SchedulerConfig::paper()
+            };
+            let (pa, cr) = windowed_metrics_pe_aware_and_crhcs(&m, &config, 512);
+            assert_eq!(pa, windowed_metrics(&PeAware::new(), &m, &config, 512));
+            assert_eq!(cr, windowed_metrics(&Crhcs::new(), &m, &config, 512));
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ use chason_serve::admit::{self, Outcome};
 use chason_serve::client::{Client, RetryPolicy};
 use chason_serve::dispatch::{Daemon, PoolConfig, WorkerPool};
 use chason_serve::proto::{
-    Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
+    encode_load_matrix, encode_request, encode_spmv, Engine, ErrorCode, Reply, Request, SolverKind,
+    StatsSnapshot, DEFAULT_MAX_FRAME,
 };
 use chason_serve::stats::{lock_unpoisoned, ServerStats};
 use chason_sim::SimError;
@@ -344,18 +345,18 @@ fn forward_shutdown(shared: &Shared) {
 /// a panicked request thread is reported as that shard being unavailable.
 fn scatter(
     conns: &mut [ShardConn],
-    requests: Vec<Option<Request>>,
+    payloads: Vec<Option<Vec<u8>>>,
     resend_safe: bool,
 ) -> Vec<Option<Result<Reply, ShardError>>> {
-    debug_assert_eq!(conns.len(), requests.len());
+    debug_assert_eq!(conns.len(), payloads.len());
     thread::scope(|scope| {
         let handles: Vec<_> = conns
             .iter_mut()
-            .zip(requests)
-            .map(|(conn, request)| {
-                request.map(|request| {
+            .zip(payloads)
+            .map(|(conn, payload)| {
+                payload.map(|payload| {
                     let index = conn.index();
-                    (index, scope.spawn(move || conn.call(&request, resend_safe)))
+                    (index, scope.spawn(move || conn.call(&payload, resend_safe)))
                 })
             })
             .collect();
@@ -457,13 +458,9 @@ fn scatter_spmv(
     stats: &RouterStats,
 ) -> Result<(Vec<f32>, u64), Box<Reply>> {
     let n = resident.spec.shards();
-    let mut requests: Vec<Option<Request>> = vec![None; conns.len()];
+    let mut requests: Vec<Option<Vec<u8>>> = vec![None; conns.len()];
     for (k, slot) in requests.iter_mut().take(n).enumerate() {
-        *slot = Some(Request::Spmv {
-            handle: resident.shard_handles[k],
-            engine,
-            x: x.to_vec(),
-        });
+        *slot = Some(encode_spmv(resident.shard_handles[k], engine, x));
     }
     let started = Instant::now();
     let results = scatter(conns, requests, true);
@@ -529,7 +526,7 @@ fn execute_load(
     let shard_count = conns.len().min(matrix.rows());
     let spec = ShardSpec::nnz_balanced(&matrix, shard_count)
         .map_err(|err| admit::bad_request(format!("sharding failed: {err}")))?;
-    let mut requests: Vec<Option<Request>> = vec![None; conns.len()];
+    let mut requests: Vec<Option<Vec<u8>>> = vec![None; conns.len()];
     for (k, slot) in requests.iter_mut().take(shard_count).enumerate() {
         let slice = spec.slice(&matrix, k).map_err(|err| {
             Box::new(Reply::Error {
@@ -537,14 +534,7 @@ fn execute_load(
                 message: format!("slicing shard {k} failed: {err}"),
             })
         })?;
-        *slot = Some(Request::LoadMatrix {
-            rows: slice.rows() as u64,
-            cols: slice.cols() as u64,
-            triplets: slice
-                .iter()
-                .map(|&(r, c, v)| (r as u64, c as u64, v))
-                .collect(),
-        });
+        *slot = Some(encode_load_matrix(&slice));
     }
     let started = Instant::now();
     let results = scatter(conns, requests, true);
@@ -769,7 +759,7 @@ fn execute_update(
         let (k, local) = route(r)?;
         shard_deletes[k].push((local, c));
     }
-    let mut requests: Vec<Option<Request>> = vec![None; conns.len()];
+    let mut requests: Vec<Option<Vec<u8>>> = vec![None; conns.len()];
     for k in 0..n {
         if shard_inserts[k].is_empty()
             && shard_revalues[k].is_empty()
@@ -777,12 +767,12 @@ fn execute_update(
         {
             continue;
         }
-        requests[k] = Some(Request::Update {
+        requests[k] = Some(encode_request(&Request::Update {
             handle: resident.shard_handles[k],
             inserts: std::mem::take(&mut shard_inserts[k]),
             revalues: std::mem::take(&mut shard_revalues[k]),
             deletes: std::mem::take(&mut shard_deletes[k]),
-        });
+        }));
     }
     let started = Instant::now();
     // Updates are not idempotent: never resend on a broken pooled

@@ -9,7 +9,7 @@
 //! first-hand.
 
 use chason_serve::client::{Client, ClientError, RetryPolicy};
-use chason_serve::proto::{ErrorCode, Reply, Request};
+use chason_serve::proto::{ErrorCode, Reply};
 use chason_telemetry::metrics::Counter;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -188,7 +188,8 @@ impl ShardConn {
         }
     }
 
-    /// Sends one request, pooling the connection across calls.
+    /// Sends one encoded request, pooling the connection across calls;
+    /// every resend writes the same bytes.
     ///
     /// * `Busy` replies are retried up to the policy's attempt budget,
     ///   sleeping the maximum of the shard's hint and the jittered
@@ -205,7 +206,7 @@ impl ShardConn {
     /// # Errors
     ///
     /// [`ShardError`] attributing the failure to this shard.
-    pub fn call(&mut self, request: &Request, resend_safe: bool) -> Result<Reply, ShardError> {
+    pub fn call(&mut self, payload: &[u8], resend_safe: bool) -> Result<Reply, ShardError> {
         let mut busy_attempts = 0u32;
         let mut resends_left = u32::from(resend_safe);
         loop {
@@ -224,7 +225,7 @@ impl ShardConn {
                 },
             };
             self.requests.add(1);
-            let result = client.request(request);
+            let result = client.round_trip(payload);
             match result {
                 Ok(Reply::Busy { retry_after_ms }) => {
                     busy_attempts += 1;
@@ -282,6 +283,7 @@ impl ShardConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chason_serve::proto::{encode_request, Request};
 
     #[test]
     fn health_board_flags_flip() {
@@ -313,7 +315,9 @@ mod tests {
             counter(),
             counter(),
         );
-        let err = conn.call(&Request::Stats, true).unwrap_err();
+        let err = conn
+            .call(&encode_request(&Request::Stats), true)
+            .unwrap_err();
         assert_eq!(err.shard, 0);
         assert!(matches!(err.kind, ShardErrorKind::Unavailable(_)), "{err}");
         assert!(!board.is_up(0));

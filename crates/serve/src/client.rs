@@ -2,7 +2,7 @@
 //! the integration tests.
 
 use crate::proto::{
-    decode_reply, encode_request, load_request, read_frame_blocking, write_frame, Engine,
+    decode_reply, encode_load_matrix, encode_request, read_frame_blocking, write_frame, Engine,
     ErrorCode, ProtoError, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
 use chason_sparse::CooMatrix;
@@ -233,15 +233,32 @@ impl Client {
     ///
     /// Connection and decode failures.
     pub fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        write_frame(&mut self.stream, &encode_request(request))?;
-        let payload = read_frame_blocking(&mut self.stream, self.max_frame)?;
-        Ok(decode_reply(&payload)?)
+        self.round_trip(&encode_request(request))
+    }
+
+    /// [`Client::request`] for a payload that is already encoded, so a
+    /// caller that resends it (after `Busy`, or to another connection)
+    /// encodes it once.
+    ///
+    /// # Errors
+    ///
+    /// Connection and decode failures.
+    pub fn round_trip(&mut self, payload: &[u8]) -> Result<Reply, ClientError> {
+        write_frame(&mut self.stream, payload)?;
+        let reply = read_frame_blocking(&mut self.stream, self.max_frame)?;
+        Ok(decode_reply(&reply)?)
     }
 
     fn expect(&mut self, request: &Request) -> Result<Reply, ClientError> {
+        self.expect_payload(&encode_request(request))
+    }
+
+    /// Sends `payload` until it is not shed, under the retry policy; every
+    /// retry resends the same bytes.
+    fn expect_payload(&mut self, payload: &[u8]) -> Result<Reply, ClientError> {
         let mut attempt = 0u32;
         loop {
-            match self.request(request)? {
+            match self.round_trip(payload)? {
                 Reply::Busy { retry_after_ms } => {
                     let Some(policy) = self.retry else {
                         return Err(ClientError::Busy { retry_after_ms });
@@ -271,7 +288,7 @@ impl Client {
     ///
     /// [`ClientError`] variants as for every typed helper.
     pub fn load_matrix(&mut self, matrix: &CooMatrix) -> Result<(u64, bool), ClientError> {
-        match self.expect(&load_request(matrix))? {
+        match self.expect_payload(&encode_load_matrix(matrix))? {
             Reply::Loaded { handle, fresh, .. } => Ok((handle, fresh)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }

@@ -15,8 +15,9 @@
 
 use crate::client::{splitmix64, Client, ClientError};
 use crate::proto::{
-    decode_reply, encode_request, read_frame_blocking, write_frame, Engine, FrameEvent,
-    FrameReader, ProtoError, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
+    decode_reply, encode_load_matrix, encode_request, read_frame_blocking, write_frame, Engine,
+    FrameEvent, FrameReader, ProtoError, Reply, Request, SolverKind, StatsSnapshot,
+    DEFAULT_MAX_FRAME,
 };
 use crate::server::{ServeConfig, Server};
 use chason_sparse::CooMatrix;
@@ -620,14 +621,15 @@ fn check_reply(reply: &Reply, expected: &Scheduled) -> Result<bool, String> {
     }
 }
 
-/// One blocking request/reply exchange on a raw stream, retrying `Busy`
-/// per the server's hint. Used for per-connection setup (matrix uploads)
-/// before the request loop takes over the socket.
-fn setup_request(stream: &mut TcpStream, request: &Request) -> Result<Reply, ClientError> {
+/// One blocking request/reply exchange on a raw stream, resending the
+/// encoded request after `Busy` per the server's hint. Used for
+/// per-connection setup (matrix uploads) before the request loop takes
+/// over the socket.
+fn setup_request(stream: &mut TcpStream, payload: &[u8]) -> Result<Reply, ClientError> {
     loop {
-        write_frame(stream, &encode_request(request))?;
-        let payload = read_frame_blocking(stream, DEFAULT_MAX_FRAME)?;
-        match decode_reply(&payload)? {
+        write_frame(stream, payload)?;
+        let reply = read_frame_blocking(stream, DEFAULT_MAX_FRAME)?;
+        match decode_reply(&reply)? {
             Reply::Busy { retry_after_ms } => {
                 thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
             }
@@ -666,15 +668,7 @@ fn run_connection(
         stream.set_nodelay(true)?;
         let mut handles = Vec::with_capacity(matrices.len());
         for matrix in matrices {
-            let request = Request::LoadMatrix {
-                rows: matrix.rows() as u64,
-                cols: matrix.cols() as u64,
-                triplets: matrix
-                    .iter()
-                    .map(|&(r, c, v)| (r as u64, c as u64, v))
-                    .collect(),
-            };
-            match setup_request(&mut stream, &request)? {
+            match setup_request(&mut stream, &encode_load_matrix(matrix))? {
                 Reply::Loaded { handle, .. } => handles.push(handle),
                 other => return Err(ClientError::Unexpected(format!("LoadMatrix got {other:?}"))),
             }

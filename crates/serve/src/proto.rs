@@ -23,10 +23,6 @@ use std::io::{self, Read, Write};
 /// cannot make the server allocate without bound.
 pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
 
-/// Pre-allocation ceiling for declared element counts: capacity beyond
-/// this grows only as bytes are actually decoded.
-const PREALLOC_LIMIT: usize = 4096;
-
 /// Failure while framing or decoding a CHSP message.
 #[derive(Debug)]
 pub enum ProtoError {
@@ -658,6 +654,89 @@ const RP_ERROR: u8 = 0x88;
 const RP_METRICS: u8 = 0x89;
 const RP_UPDATED: u8 = 0x8A;
 
+/// A fixed-width element of a CHSP bulk array: `LoadMatrix` and `Update`
+/// triplets, `Update` deletes, and the `f32` vectors of `Spmv`, `Solve`,
+/// `Vector` and `Solved`. Every array is a `u64` count followed by that
+/// many records, so one encoder and one decoder serve them all.
+trait Record: Sized {
+    /// Bytes of one record on the wire.
+    const WIDTH: usize;
+    /// Writes the record's little-endian bytes into exactly
+    /// [`Record::WIDTH`] bytes.
+    fn write(self, out: &mut [u8]);
+    /// Decodes one record from exactly [`Record::WIDTH`] bytes.
+    fn read(bytes: &[u8]) -> Self;
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes([
+        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
+    ])
+}
+
+impl Record for f32 {
+    const WIDTH: usize = 4;
+
+    fn write(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_bits().to_le_bytes());
+    }
+
+    fn read(bytes: &[u8]) -> Self {
+        f32::from_bits(le_u32(bytes))
+    }
+}
+
+/// `(row u64, col u64, value f32)`.
+impl Record for (u64, u64, f32) {
+    const WIDTH: usize = 20;
+
+    fn write(self, out: &mut [u8]) {
+        let (row, col, value) = self;
+        out[..8].copy_from_slice(&row.to_le_bytes());
+        out[8..16].copy_from_slice(&col.to_le_bytes());
+        out[16..20].copy_from_slice(&value.to_bits().to_le_bytes());
+    }
+
+    fn read(bytes: &[u8]) -> Self {
+        (
+            le_u64(&bytes[..8]),
+            le_u64(&bytes[8..16]),
+            f32::from_bits(le_u32(&bytes[16..20])),
+        )
+    }
+}
+
+/// `(row u64, col u64)`.
+impl Record for (u64, u64) {
+    const WIDTH: usize = 16;
+
+    fn write(self, out: &mut [u8]) {
+        let (row, col) = self;
+        out[..8].copy_from_slice(&row.to_le_bytes());
+        out[8..16].copy_from_slice(&col.to_le_bytes());
+    }
+
+    fn read(bytes: &[u8]) -> Self {
+        (le_u64(&bytes[..8]), le_u64(&bytes[8..16]))
+    }
+}
+
+/// Bytes of a `(row, col, value)` triplet on the wire.
+const TRIPLET_BYTES: usize = <(u64, u64, f32) as Record>::WIDTH;
+
+/// Bytes of a `(row, col)` coordinate on the wire.
+const COORD_BYTES: usize = <(u64, u64) as Record>::WIDTH;
+
+/// Bytes of `count` records of `width` bytes each; `None` when a hostile
+/// count overflows `usize`.
+fn bulk_len(count: u64, width: usize) -> Option<usize> {
+    usize::try_from(count).ok()?.checked_mul(width)
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -689,38 +768,56 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(le_u32(self.take(4)?))
     }
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_bits(self.u32()?))
+        Ok(le_u64(self.take(8)?))
     }
 
     fn f64(&mut self) -> Result<f64, ProtoError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Fails unless exactly `expected` payload bytes remain (`None`: the
+    /// declared counts overflow). Every bulk array is checked this way
+    /// before anything is allocated for it.
+    fn expect_remaining(
+        &self,
+        expected: Option<usize>,
+        declared: impl FnOnce() -> String,
+    ) -> Result<(), ProtoError> {
+        if expected == Some(self.remaining()) {
+            return Ok(());
+        }
+        Err(ProtoError::Malformed(format!(
+            "{} but {} payload bytes remain",
+            declared(),
+            self.remaining()
+        )))
+    }
+
+    /// Decodes `count` records from the next `count × WIDTH` bytes in one
+    /// pass into a vector of exactly that capacity. The slice is taken
+    /// before the vector is allocated, so the allocation never exceeds
+    /// the bytes received.
+    fn records<R: Record>(&mut self, count: u64) -> Result<Vec<R>, ProtoError> {
+        let len = bulk_len(count, R::WIDTH).ok_or_else(|| {
+            ProtoError::Malformed(format!("{count} records overflow the address space"))
+        })?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(R::WIDTH)
+            .map(R::read)
+            .collect())
+    }
+
     fn f32_vec(&mut self, what: &str) -> Result<Vec<f32>, ProtoError> {
-        let n = self.u64()? as usize;
-        if self.remaining() != n.saturating_mul(4) {
-            return Err(ProtoError::Malformed(format!(
-                "{what}: declared {n} f32 values but {} payload bytes remain",
-                self.remaining()
-            )));
-        }
-        let mut v = Vec::with_capacity(n.min(PREALLOC_LIMIT));
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
-        Ok(v)
+        let n = self.u64()?;
+        self.expect_remaining(bulk_len(n, f32::WIDTH), || {
+            format!("{what}: declared {n} f32 values")
+        })?;
+        self.records(n)
     }
 
     fn finish(self) -> Result<(), ProtoError> {
@@ -742,26 +839,65 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f32_vec(buf: &mut Vec<u8>, v: &[f32]) {
-    put_u64(buf, v.len() as u64);
-    for &x in v {
-        put_u32(buf, x.to_bits());
+/// Appends `records` as whole records: the buffer grows once by their
+/// total size, then each record is written into its own slot.
+fn put_records<R: Record>(buf: &mut Vec<u8>, records: impl ExactSizeIterator<Item = R>) {
+    let start = buf.len();
+    buf.resize(start + R::WIDTH * records.len(), 0);
+    for (slot, record) in buf[start..].chunks_exact_mut(R::WIDTH).zip(records) {
+        record.write(slot);
     }
 }
 
-/// Bytes of a `(row, col, value)` triplet on the wire.
-const TRIPLET_BYTES: usize = 20;
+fn put_f32_vec(buf: &mut Vec<u8>, v: &[f32]) {
+    put_u64(buf, v.len() as u64);
+    put_records(buf, v.iter().copied());
+}
 
 /// Bytes of a length-prefixed `f32` vector on the wire.
 fn f32_vec_len(v: &[f32]) -> usize {
-    8 + 4 * v.len()
+    8 + f32::WIDTH * v.len()
+}
+
+/// Bytes of a `LoadMatrix` payload carrying `nnz` triplets.
+fn load_len(nnz: usize) -> usize {
+    1 + 24 + TRIPLET_BYTES * nnz
+}
+
+/// Bytes of an `Spmv` payload carrying `x`.
+fn spmv_len(x: &[f32]) -> usize {
+    1 + 8 + 1 + f32_vec_len(x)
+}
+
+/// Writes a whole `Spmv` payload: the one writer behind both
+/// [`encode_request`] and [`encode_spmv`].
+fn put_spmv(buf: &mut Vec<u8>, handle: u64, engine: Engine, x: &[f32]) {
+    buf.push(OP_SPMV);
+    put_u64(buf, handle);
+    buf.push(engine.code());
+    put_f32_vec(buf, x);
+}
+
+/// Writes a whole `LoadMatrix` payload: the one triplet writer behind
+/// both [`encode_request`] and [`encode_load_matrix`].
+fn put_load(
+    buf: &mut Vec<u8>,
+    rows: u64,
+    cols: u64,
+    triplets: impl ExactSizeIterator<Item = (u64, u64, f32)>,
+) {
+    buf.push(OP_LOAD);
+    put_u64(buf, rows);
+    put_u64(buf, cols);
+    put_u64(buf, triplets.len() as u64);
+    put_records(buf, triplets);
 }
 
 /// The exact payload length [`encode_request`] writes for `req`.
 fn request_len(req: &Request) -> usize {
     match req {
-        Request::LoadMatrix { triplets, .. } => 1 + 24 + TRIPLET_BYTES * triplets.len(),
-        Request::Spmv { x, .. } => 1 + 8 + 1 + f32_vec_len(x),
+        Request::LoadMatrix { triplets, .. } => load_len(triplets.len()),
+        Request::Spmv { x, .. } => spmv_len(x),
         Request::Solve { b, .. } => 1 + 8 + 1 + 1 + 4 + 8 + f32_vec_len(b),
         Request::Plan { .. } => 1 + 8 + 1,
         Request::Stats | Request::Metrics | Request::Shutdown => 1,
@@ -771,7 +907,12 @@ fn request_len(req: &Request) -> usize {
             revalues,
             deletes,
             ..
-        } => 1 + 8 + 24 + TRIPLET_BYTES * (inserts.len() + revalues.len()) + 16 * deletes.len(),
+        } => {
+            1 + 8
+                + 24
+                + TRIPLET_BYTES * (inserts.len() + revalues.len())
+                + COORD_BYTES * deletes.len()
+        }
     }
 }
 
@@ -785,23 +926,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             rows,
             cols,
             triplets,
-        } => {
-            buf.push(OP_LOAD);
-            put_u64(&mut buf, *rows);
-            put_u64(&mut buf, *cols);
-            put_u64(&mut buf, triplets.len() as u64);
-            for &(r, c, v) in triplets {
-                put_u64(&mut buf, r);
-                put_u64(&mut buf, c);
-                put_u32(&mut buf, v.to_bits());
-            }
-        }
-        Request::Spmv { handle, engine, x } => {
-            buf.push(OP_SPMV);
-            put_u64(&mut buf, *handle);
-            buf.push(engine.code());
-            put_f32_vec(&mut buf, x);
-        }
+        } => put_load(&mut buf, *rows, *cols, triplets.iter().copied()),
+        Request::Spmv { handle, engine, x } => put_spmv(&mut buf, *handle, *engine, x),
         Request::Solve {
             handle,
             engine,
@@ -841,15 +967,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut buf, inserts.len() as u64);
             put_u64(&mut buf, revalues.len() as u64);
             put_u64(&mut buf, deletes.len() as u64);
-            for &(r, c, v) in inserts.iter().chain(revalues.iter()) {
-                put_u64(&mut buf, r);
-                put_u64(&mut buf, c);
-                put_u32(&mut buf, v.to_bits());
-            }
-            for &(r, c) in deletes {
-                put_u64(&mut buf, r);
-                put_u64(&mut buf, c);
-            }
+            put_records(&mut buf, inserts.iter().copied());
+            put_records(&mut buf, revalues.iter().copied());
+            put_records(&mut buf, deletes.iter().copied());
         }
     }
     debug_assert_eq!(buf.len(), len, "request length mispredicted");
@@ -869,24 +989,14 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         OP_LOAD => {
             let rows = c.u64()?;
             let cols = c.u64()?;
-            let nnz = c.u64()? as usize;
-            if c.remaining() != nnz.saturating_mul(20) {
-                return Err(ProtoError::Malformed(format!(
-                    "LoadMatrix: declared {nnz} triplets but {} payload bytes remain",
-                    c.remaining()
-                )));
-            }
-            let mut triplets = Vec::with_capacity(nnz.min(PREALLOC_LIMIT));
-            for _ in 0..nnz {
-                let r = c.u64()?;
-                let col = c.u64()?;
-                let v = c.f32()?;
-                triplets.push((r, col, v));
-            }
+            let nnz = c.u64()?;
+            c.expect_remaining(bulk_len(nnz, TRIPLET_BYTES), || {
+                format!("LoadMatrix: declared {nnz} triplets")
+            })?;
             Request::LoadMatrix {
                 rows,
                 cols,
-                triplets,
+                triplets: c.records(nnz)?,
             }
         }
         OP_SPMV => {
@@ -926,45 +1036,21 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         OP_SLEEP => Request::Sleep { millis: c.u32()? },
         OP_UPDATE => {
             let handle = c.u64()?;
-            let n_ins = c.u64()? as usize;
-            let n_rev = c.u64()? as usize;
-            let n_del = c.u64()? as usize;
-            let expect = n_ins
-                .saturating_mul(20)
-                .saturating_add(n_rev.saturating_mul(20))
-                .saturating_add(n_del.saturating_mul(16));
-            if c.remaining() != expect {
-                return Err(ProtoError::Malformed(format!(
-                    "Update: declared {n_ins}+{n_rev} triplets and {n_del} coordinates \
-                     but {} payload bytes remain",
-                    c.remaining()
-                )));
-            }
-            let mut inserts = Vec::with_capacity(n_ins.min(PREALLOC_LIMIT));
-            for _ in 0..n_ins {
-                let r = c.u64()?;
-                let col = c.u64()?;
-                let v = c.f32()?;
-                inserts.push((r, col, v));
-            }
-            let mut revalues = Vec::with_capacity(n_rev.min(PREALLOC_LIMIT));
-            for _ in 0..n_rev {
-                let r = c.u64()?;
-                let col = c.u64()?;
-                let v = c.f32()?;
-                revalues.push((r, col, v));
-            }
-            let mut deletes = Vec::with_capacity(n_del.min(PREALLOC_LIMIT));
-            for _ in 0..n_del {
-                let r = c.u64()?;
-                let col = c.u64()?;
-                deletes.push((r, col));
-            }
+            let n_ins = c.u64()?;
+            let n_rev = c.u64()?;
+            let n_del = c.u64()?;
+            let expect = bulk_len(n_ins, TRIPLET_BYTES)
+                .zip(bulk_len(n_rev, TRIPLET_BYTES))
+                .zip(bulk_len(n_del, COORD_BYTES))
+                .and_then(|((ins, rev), del)| ins.checked_add(rev)?.checked_add(del));
+            c.expect_remaining(expect, || {
+                format!("Update: declared {n_ins}+{n_rev} triplets and {n_del} coordinates")
+            })?;
             Request::Update {
                 handle,
-                inserts,
-                revalues,
-                deletes,
+                inserts: c.records(n_ins)?,
+                revalues: c.records(n_rev)?,
+                deletes: c.records(n_del)?,
             }
         }
         other => {
@@ -1154,14 +1240,11 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtoError> {
             }
         }
         RP_PLAN => {
-            let len = c.u64()? as usize;
-            if c.remaining() != len {
-                return Err(ProtoError::Malformed(format!(
-                    "PlanArtifact: declared {len} bytes but {} remain",
-                    c.remaining()
-                )));
-            }
-            let bytes = c.take(len)?.to_vec();
+            let len = c.u64()?;
+            c.expect_remaining(usize::try_from(len).ok(), || {
+                format!("PlanArtifact: declared {len} bytes")
+            })?;
+            let bytes = c.take(c.remaining())?.to_vec();
             Reply::PlanArtifact { bytes }
         }
         RP_STATS => {
@@ -1215,16 +1298,27 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtoError> {
     Ok(reply)
 }
 
-/// Builds a [`Request::LoadMatrix`] from a COO matrix.
-pub fn load_request(matrix: &CooMatrix) -> Request {
-    Request::LoadMatrix {
-        rows: matrix.rows() as u64,
-        cols: matrix.cols() as u64,
-        triplets: matrix
-            .iter()
-            .map(|&(r, c, v)| (r as u64, c as u64, v))
-            .collect(),
-    }
+/// Encodes the `LoadMatrix` payload of `matrix` straight from its
+/// entries, with no intermediate [`Request`]: the bytes are exactly
+/// [`encode_request`]'s for the same rows, columns and triplets.
+pub fn encode_load_matrix(matrix: &CooMatrix) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(load_len(matrix.nnz()));
+    put_load(
+        &mut buf,
+        matrix.rows() as u64,
+        matrix.cols() as u64,
+        matrix.iter().map(|&(r, c, v)| (r as u64, c as u64, v)),
+    );
+    buf
+}
+
+/// Encodes an `Spmv` payload from a borrowed `x`, with no intermediate
+/// [`Request`] (which would own a copy of `x`): the bytes are exactly
+/// [`encode_request`]'s for the same fields.
+pub fn encode_spmv(handle: u64, engine: Engine, x: &[f32]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(spmv_len(x));
+    put_spmv(&mut buf, handle, engine, x);
+    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -1547,6 +1641,97 @@ mod tests {
         payload.push(1);
         payload.extend_from_slice(&1_000_000u64.to_le_bytes());
         payload.extend_from_slice(&[0u8; 4]);
+        let err = decode_request(&payload).unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+
+        // Every bulk field, with a count one short, one over, far over,
+        // and so large that its byte size overflows `usize` (the body
+        // holds one record's bytes in each case).
+        let overflow = |width: usize| ((usize::MAX / width) as u64).saturating_add(1);
+        let cases: [(&str, Vec<u8>, usize, bool); 9] = [
+            (
+                "LoadMatrix",
+                [&[OP_LOAD][..], &[0u8; 16]].concat(),
+                20,
+                true,
+            ),
+            ("Spmv", [&[OP_SPMV][..], &[0u8; 8], &[1]].concat(), 4, true),
+            (
+                "Solve",
+                [&[OP_SOLVE][..], &[0u8; 8], &[1, 0], &[0u8; 12]].concat(),
+                4,
+                true,
+            ),
+            ("Vector", [&[RP_VECTOR][..], &[0u8; 16]].concat(), 4, false),
+            (
+                "Solved",
+                [&[RP_SOLVED][..], &[0u8; 16], &[0], &[0u8; 16]].concat(),
+                4,
+                false,
+            ),
+            ("PlanArtifact", vec![RP_PLAN], 1, false),
+            (
+                "Update inserts",
+                [&[OP_UPDATE][..], &[0u8; 8]].concat(),
+                20,
+                true,
+            ),
+            (
+                "Update revalues",
+                [&[OP_UPDATE][..], &[0u8; 16]].concat(),
+                20,
+                true,
+            ),
+            (
+                "Update deletes",
+                [&[OP_UPDATE][..], &[0u8; 24]].concat(),
+                16,
+                true,
+            ),
+        ];
+        for (what, head, width, is_request) in cases {
+            let update = what.starts_with("Update");
+            for count in [0, 2, 1_000_000, overflow(width), u64::MAX] {
+                let mut payload = head.clone();
+                payload.extend_from_slice(&count.to_le_bytes());
+                if update {
+                    // The other Update counts follow the one under test
+                    // and are zero.
+                    payload.resize(1 + 8 + 24, 0);
+                }
+                payload.extend(std::iter::repeat_n(0xAB, width));
+                let result = if is_request {
+                    decode_request(&payload).map(|_| ())
+                } else {
+                    decode_reply(&payload).map(|_| ())
+                };
+                let err = result.expect_err(&format!("{what}: count {count} over {width} bytes"));
+                assert!(
+                    matches!(err, ProtoError::Malformed(_)),
+                    "{what} count {count}: {err}"
+                );
+            }
+            // The exact count decodes.
+            let mut payload = head.clone();
+            payload.extend_from_slice(&1u64.to_le_bytes());
+            if update {
+                payload.resize(1 + 8 + 24, 0);
+            }
+            payload.extend(std::iter::repeat_n(0xAB, width));
+            let result = if is_request {
+                decode_request(&payload).map(|_| ())
+            } else {
+                decode_reply(&payload).map(|_| ())
+            };
+            assert!(result.is_ok(), "{what}: {result:?}");
+        }
+
+        // Update counts that each fit but whose byte total overflows.
+        let mut payload = vec![OP_UPDATE];
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        for count in [overflow(40), overflow(40), 0] {
+            payload.extend_from_slice(&count.to_le_bytes());
+        }
         let err = decode_request(&payload).unwrap_err();
         assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
     }

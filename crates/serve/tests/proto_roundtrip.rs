@@ -1,5 +1,6 @@
 //! Property tests: every CHSP frame type survives an encode/decode round
-//! trip.
+//! trip, and the codec writes exactly the bytes of a plain field-by-field
+//! reference encoder.
 //!
 //! The round-trip law is stated on the wire bytes —
 //! `encode(decode(encode(m))) == encode(m)` — rather than on the decoded
@@ -7,11 +8,232 @@
 //! bit-exactly.
 
 use chason_serve::proto::{
-    decode_reply, decode_request, encode_reply, encode_request, read_frame_blocking, write_frame,
-    Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot,
+    decode_reply, decode_request, encode_load_matrix, encode_reply, encode_request, encode_spmv,
+    read_frame_blocking, write_frame, Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot,
 };
+use chason_sparse::CooMatrix;
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// The CHSP v1 layout written one field at a time, as each message's
+/// documentation states it: the reference the bulk codec must match byte
+/// for byte.
+mod reference {
+    use super::*;
+
+    fn u32(buf: &mut Vec<u8>, v: u32) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u64(buf: &mut Vec<u8>, v: u64) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn f32s(buf: &mut Vec<u8>, v: &[f32]) {
+        u64(buf, v.len() as u64);
+        for &x in v {
+            u32(buf, x.to_bits());
+        }
+    }
+
+    fn triplets(buf: &mut Vec<u8>, t: &[(u64, u64, f32)]) {
+        for &(r, c, v) in t {
+            u64(buf, r);
+            u64(buf, c);
+            u32(buf, v.to_bits());
+        }
+    }
+
+    fn text(buf: &mut Vec<u8>, s: &str) {
+        u32(buf, s.len() as u32);
+        buf.extend_from_slice(s.as_bytes());
+    }
+
+    pub fn request(req: &Request) -> Vec<u8> {
+        let mut buf = Vec::new();
+        match req {
+            Request::LoadMatrix {
+                rows,
+                cols,
+                triplets: t,
+            } => {
+                buf.push(0x01);
+                u64(&mut buf, *rows);
+                u64(&mut buf, *cols);
+                u64(&mut buf, t.len() as u64);
+                triplets(&mut buf, t);
+            }
+            Request::Spmv { handle, engine, x } => {
+                buf.push(0x02);
+                u64(&mut buf, *handle);
+                buf.push(engine.code());
+                f32s(&mut buf, x);
+            }
+            Request::Solve {
+                handle,
+                engine,
+                solver,
+                max_iterations,
+                tolerance,
+                b,
+            } => {
+                buf.push(0x03);
+                u64(&mut buf, *handle);
+                buf.push(engine.code());
+                buf.push(solver.code());
+                u32(&mut buf, *max_iterations);
+                u64(&mut buf, tolerance.to_bits());
+                f32s(&mut buf, b);
+            }
+            Request::Plan { handle, engine } => {
+                buf.push(0x04);
+                u64(&mut buf, *handle);
+                buf.push(engine.code());
+            }
+            Request::Stats => buf.push(0x05),
+            Request::Shutdown => buf.push(0x06),
+            Request::Sleep { millis } => {
+                buf.push(0x07);
+                u32(&mut buf, *millis);
+            }
+            Request::Metrics => buf.push(0x08),
+            Request::Update {
+                handle,
+                inserts,
+                revalues,
+                deletes,
+            } => {
+                buf.push(0x09);
+                u64(&mut buf, *handle);
+                u64(&mut buf, inserts.len() as u64);
+                u64(&mut buf, revalues.len() as u64);
+                u64(&mut buf, deletes.len() as u64);
+                triplets(&mut buf, inserts);
+                triplets(&mut buf, revalues);
+                for &(r, c) in deletes {
+                    u64(&mut buf, r);
+                    u64(&mut buf, c);
+                }
+            }
+        }
+        buf
+    }
+
+    pub fn reply(reply: &Reply) -> Vec<u8> {
+        let mut buf = Vec::new();
+        match reply {
+            Reply::Loaded {
+                handle,
+                rows,
+                cols,
+                nnz,
+                fresh,
+                version,
+            } => {
+                buf.push(0x81);
+                for word in [*handle, *rows, *cols, *nnz] {
+                    u64(&mut buf, word);
+                }
+                buf.push(u8::from(*fresh));
+                u64(&mut buf, *version);
+            }
+            Reply::Vector {
+                y,
+                service_micros,
+                simulated_nanos,
+            } => {
+                buf.push(0x82);
+                u64(&mut buf, *service_micros);
+                u64(&mut buf, *simulated_nanos);
+                f32s(&mut buf, y);
+            }
+            Reply::Solved {
+                solution,
+                iterations,
+                residual,
+                converged,
+                service_micros,
+                simulated_nanos,
+            } => {
+                buf.push(0x83);
+                u64(&mut buf, *iterations);
+                u64(&mut buf, residual.to_bits());
+                buf.push(u8::from(*converged));
+                u64(&mut buf, *service_micros);
+                u64(&mut buf, *simulated_nanos);
+                f32s(&mut buf, solution);
+            }
+            Reply::PlanArtifact { bytes } => {
+                buf.push(0x84);
+                u64(&mut buf, bytes.len() as u64);
+                buf.extend_from_slice(bytes);
+            }
+            Reply::Stats(s) => {
+                buf.push(0x85);
+                for word in [
+                    s.uptime_millis,
+                    s.requests_load,
+                    s.requests_spmv,
+                    s.requests_solve,
+                    s.requests_plan,
+                    s.requests_stats,
+                    s.requests_sleep,
+                    s.shed,
+                    s.batched,
+                    s.queue_depth_hwm,
+                    s.plan_cache_hits,
+                    s.plan_cache_misses,
+                    s.plan_cache_evictions,
+                    s.plan_cache_len,
+                    s.plan_cache_capacity,
+                    s.matrices_resident,
+                    s.matrix_evictions,
+                    s.service_p50_micros,
+                    s.service_p99_micros,
+                    s.service_max_micros,
+                    s.service_samples,
+                    s.queue_p50_micros,
+                    s.queue_p99_micros,
+                    s.queue_max_micros,
+                    s.requests_update,
+                    s.plans_spliced,
+                    s.replan_windows,
+                ] {
+                    u64(&mut buf, word);
+                }
+            }
+            Reply::Done => buf.push(0x86),
+            Reply::Busy { retry_after_ms } => {
+                buf.push(0x87);
+                u32(&mut buf, *retry_after_ms);
+            }
+            Reply::Error { code, message } => {
+                buf.push(0x88);
+                buf.push(code.code());
+                text(&mut buf, message);
+            }
+            Reply::MetricsText { text: t } => {
+                buf.push(0x89);
+                text(&mut buf, t);
+            }
+            Reply::Updated {
+                version,
+                nnz,
+                plans_spliced,
+                windows_replanned,
+                windows_total,
+            } => {
+                buf.push(0x8A);
+                u64(&mut buf, *version);
+                u64(&mut buf, *nnz);
+                u32(&mut buf, *plans_spliced);
+                u64(&mut buf, *windows_replanned);
+                u64(&mut buf, *windows_total);
+            }
+        }
+        buf
+    }
+}
 
 fn floats(bits: &[u32]) -> Vec<f32> {
     bits.iter().map(|&b| f32::from_bits(b)).collect()
@@ -109,8 +331,34 @@ proptest! {
         let wire = encode_request(&request);
         // The buffer was reserved at its exact length: it never grew.
         prop_assert_eq!(wire.capacity(), wire.len());
+        prop_assert_eq!(&wire, &reference::request(&request));
+        if let Request::Spmv { handle, engine, x } = &request {
+            let direct = encode_spmv(*handle, *engine, x);
+            prop_assert_eq!(direct.capacity(), direct.len());
+            prop_assert_eq!(&direct, &wire);
+        }
         let decoded = decode_request(&wire).expect("encoded request must decode");
         prop_assert_eq!(encode_request(&decoded), wire);
+
+        // An upload encoded straight from a matrix writes the bytes of
+        // the request built from the matrix's own triplets.
+        let entries = coords
+            .iter()
+            .map(|&(r, c, v)| ((r % dims.0) as usize, (c % dims.1) as usize, f32::from_bits(v)))
+            .collect();
+        let matrix = CooMatrix::from_triplets_summing(dims.0 as usize, dims.1 as usize, entries)
+            .expect("coordinates are in bounds");
+        let direct = encode_load_matrix(&matrix);
+        prop_assert_eq!(direct.capacity(), direct.len());
+        let via_request = reference::request(&Request::LoadMatrix {
+            rows: dims.0,
+            cols: dims.1,
+            triplets: matrix
+                .iter()
+                .map(|&(r, c, v)| (r as u64, c as u64, v))
+                .collect(),
+        });
+        prop_assert_eq!(direct, via_request);
     }
 
     #[test]
@@ -168,6 +416,7 @@ proptest! {
         };
         let wire = encode_reply(&reply);
         prop_assert_eq!(wire.capacity(), wire.len());
+        prop_assert_eq!(&wire, &reference::reply(&reply));
         let decoded = decode_reply(&wire).expect("encoded reply must decode");
         prop_assert_eq!(encode_reply(&decoded), wire);
     }
