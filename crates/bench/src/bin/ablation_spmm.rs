@@ -1,13 +1,13 @@
 //! Ablation (§7.2): SpMM scaling — cycles and throughput vs dense-column
 //! count N for both engines (stream cycles scale with ceil(N / 8) tiles).
-use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::generators::power_law;
 use chason_sparse::DenseMatrix;
 
 fn main() {
     let a = power_law(2048, 2048, 30_000, 1.7, 5);
-    let chason = ChasonEngine::new(AcceleratorConfig::chason());
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
     println!("Ablation — SpMM dense-column scaling (A: 2048x2048, 30k nnz)\n");
     println!(
         "{:>4} {:>6} {:>12} {:>12} {:>9} {:>9}",

@@ -11,7 +11,7 @@ use chason_baselines::gpu::{rtx4090, rtx_a6000};
 use chason_baselines::DeviceModel;
 use chason_core::metrics::geometric_mean;
 use chason_sim::power::MeasuredPower;
-use chason_sim::{AcceleratorConfig, ChasonEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::datasets::corpus;
 use serde::{Deserialize, Serialize};
 
@@ -50,7 +50,7 @@ pub fn run(count: usize, seed: u64) -> Fig14Result {
 
 /// Runs the comparison over an explicit spec list.
 pub fn run_specs(specs: &[chason_sparse::datasets::CorpusSpec]) -> Fig14Result {
-    let engine = ChasonEngine::new(AcceleratorConfig::chason());
+    let engine = Accelerator::new(AcceleratorConfig::chason());
     let chason_power = MeasuredPower::chason();
     let devices: Vec<DeviceModel> = vec![rtx4090(), rtx_a6000(), core_i9_11980hk()];
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); devices.len()];

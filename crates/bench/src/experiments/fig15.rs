@@ -6,7 +6,7 @@
 //! both collections.
 
 use chason_core::metrics::geometric_mean;
-use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::datasets::{table2, Collection};
 use serde::{Deserialize, Serialize};
 
@@ -44,8 +44,8 @@ pub struct Fig15Result {
 
 /// Runs both engines over `limit` Table 2 matrices (20 = the full figure).
 pub fn run(limit: usize) -> Fig15Result {
-    let chason = ChasonEngine::new(AcceleratorConfig::chason());
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
     let mut rows = Vec::new();
     for spec in table2().into_iter().take(limit) {
         let matrix = spec.generate();

@@ -3,7 +3,7 @@
 
 use chason_sim::power::MeasuredPower;
 use chason_sim::report::PerformanceReport;
-use chason_sim::{hbm_bandwidth_gbps, AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sim::{hbm_bandwidth_gbps, Accelerator, AcceleratorConfig};
 use chason_sparse::datasets::table2;
 use serde::{Deserialize, Serialize};
 
@@ -35,8 +35,8 @@ pub struct Table3Result {
 
 /// Runs both engines over `limit` Table 2 matrices.
 pub fn run(limit: usize) -> Table3Result {
-    let chason = ChasonEngine::new(AcceleratorConfig::chason());
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
     // Both designs stream matrix A over 16 channels at 14.37 GB/s each.
     let bandwidth = hbm_bandwidth_gbps(16);
     let rows = table2()

@@ -19,7 +19,7 @@ use chason_serve::proto::{
     decode_reply, decode_request, encode_load_matrix, encode_reply, encode_request, Engine, Reply,
     Request,
 };
-use chason_sim::{ChasonEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::{CooMatrix, CsrMatrix, MatrixDelta};
 use chason_telemetry::metrics::Registry;
@@ -138,14 +138,14 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
 
     // (b) Engine planning (schedule every column window, no execution).
     let plan_ids = [
-        ("plan/chason-t1", true, 1usize),
-        ("plan/chason-t4", true, 4),
-        ("plan/serpens-t1", false, 1),
+        ("plan/chason-t1", AcceleratorConfig::chason(), 1usize),
+        ("plan/chason-t4", AcceleratorConfig::chason(), 4),
+        ("plan/serpens-t1", AcceleratorConfig::serpens(), 1),
     ];
     if plan_ids.iter().any(|(id, ..)| matches(id, filter)) {
         let matrix = Rc::new(plan_matrix(profile));
         let fingerprint = matrix_fingerprint(&matrix);
-        for (id, is_chason, threads) in plan_ids {
+        for (id, config, threads) in plan_ids {
             if !matches(id, filter) {
                 continue;
             }
@@ -155,15 +155,9 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 fingerprint,
                 bytes_per_iter: 0,
                 routine: Box::new(move || {
-                    if is_chason {
-                        let engine = ChasonEngine::default();
-                        #[allow(clippy::expect_used)] // bench corpus fits the engines
-                        black_box(engine.plan_with_threads(&matrix, threads).expect("plan"));
-                    } else {
-                        let engine = SerpensEngine::default();
-                        #[allow(clippy::expect_used)] // bench corpus fits the engines
-                        black_box(engine.plan_with_threads(&matrix, threads).expect("plan"));
-                    }
+                    let engine = Accelerator::new(config);
+                    #[allow(clippy::expect_used)] // bench corpus fits the engines
+                    black_box(engine.plan_with_threads(&matrix, threads).expect("plan"));
                 }),
             });
         }
@@ -175,7 +169,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         let matrix = plan_matrix(profile);
         let fingerprint = matrix_fingerprint(&matrix);
         let bytes = spmv_bytes(&matrix);
-        let engine = ChasonEngine::default();
+        let engine = Accelerator::new(AcceleratorConfig::chason());
         #[allow(clippy::expect_used)] // bench corpus fits the engines
         let plan = engine.plan_with_threads(&matrix, 1).expect("plan");
         let x: Vec<f32> = (0..matrix.cols())
@@ -220,7 +214,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         let updated = delta.apply(&matrix).expect("apply delta");
         let fingerprint = matrix_fingerprint(&updated);
         if matches(replan_ids[0], filter) {
-            let engine = ChasonEngine::default();
+            let engine = Accelerator::new(AcceleratorConfig::chason());
             let updated = updated.clone();
             out.push(Benchmark {
                 id: replan_ids[0].to_string(),
@@ -233,7 +227,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
             });
         }
         if matches(replan_ids[1], filter) {
-            let engine = ChasonEngine::default();
+            let engine = Accelerator::new(AcceleratorConfig::chason());
             #[allow(clippy::expect_used)] // bench corpus fits the engines
             let base = engine.plan_with_threads(&matrix, 1).expect("plan");
             out.push(Benchmark {

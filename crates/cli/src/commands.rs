@@ -8,9 +8,7 @@ use chason_core::metrics::{schedule_insights, windowed_metrics, WindowedMetrics}
 use chason_core::schedule::{Crhcs, PeAware, RowBased, Scheduler, SchedulerConfig};
 use chason_sim::power::MeasuredPower;
 use chason_sim::report::PerformanceReport;
-use chason_sim::{
-    hbm_bandwidth_gbps, AcceleratorConfig, ChasonEngine, Execution, PlanningEngine, SerpensEngine,
-};
+use chason_sim::{hbm_bandwidth_gbps, Accelerator, AcceleratorConfig, Execution};
 use chason_sparse::generators::{arrow_with_nnz, banded_with_nnz, power_law, uniform_random};
 use chason_sparse::market::{read_matrix_market, write_matrix_market};
 use chason_sparse::stats::row_stats;
@@ -141,20 +139,19 @@ fn print_execution(exec: &Execution) {
     );
 }
 
-fn execute(args: &Args, matrix: &CooMatrix, engine_name: &str) -> Result<Execution, String> {
-    let sched = scheduler_config(args)?;
-    let x = vec![1.0f32; matrix.cols()];
-    let engine: Box<dyn PlanningEngine> = match engine_name {
-        "chason" => Box::new(ChasonEngine::new(AcceleratorConfig {
-            sched,
-            ..AcceleratorConfig::chason()
-        })),
-        "serpens" => Box::new(SerpensEngine::new(AcceleratorConfig {
-            sched,
-            ..AcceleratorConfig::serpens()
-        })),
+/// The accelerator named `name` (`chason` or `serpens`) under `sched`.
+fn accelerator(name: &str, sched: SchedulerConfig) -> Result<Accelerator, String> {
+    let preset = match name {
+        "chason" => AcceleratorConfig::chason(),
+        "serpens" => AcceleratorConfig::serpens(),
         other => return Err(format!("unknown engine '{other}'")),
     };
+    Ok(Accelerator::new(AcceleratorConfig { sched, ..preset }))
+}
+
+fn execute(args: &Args, matrix: &CooMatrix, engine_name: &str) -> Result<Execution, String> {
+    let engine = accelerator(engine_name, scheduler_config(args)?)?;
+    let x = vec![1.0f32; matrix.cols()];
     // Plan first (windows scheduled in parallel), then execute the plan —
     // the same artifact a solver would cache across iterations.
     let plan = engine.plan(matrix).map_err(|e| e.to_string())?;
@@ -247,20 +244,8 @@ pub fn solve(args: &Args) -> Result<(), String> {
     let solver = args.get("solver").unwrap_or("jacobi").to_string();
     let sched = scheduler_config(args)?;
     let mut backend: Box<dyn SpmvBackend> = match args.get("engine").unwrap_or("chason") {
-        "chason" => Box::new(EngineBackend::chason(ChasonEngine::new(
-            AcceleratorConfig {
-                sched,
-                ..AcceleratorConfig::chason()
-            },
-        ))),
-        "serpens" => Box::new(EngineBackend::serpens(SerpensEngine::new(
-            AcceleratorConfig {
-                sched,
-                ..AcceleratorConfig::serpens()
-            },
-        ))),
         "cpu" => Box::new(CpuBackend::default()),
-        other => return Err(format!("unknown engine '{other}'")),
+        name => Box::new(EngineBackend::new(accelerator(name, sched)?)),
     };
     let result = match solver.as_str() {
         "cg" => conjugate_gradient(backend.as_mut(), &matrix, &b, options),
@@ -530,14 +515,8 @@ pub fn profile(args: &Args) -> Result<(), String> {
     let sched = scheduler_config(args)?;
     let x = vec![1.0f32; matrix.cols()];
 
-    let chason_engine = ChasonEngine::new(AcceleratorConfig {
-        sched,
-        ..AcceleratorConfig::chason()
-    });
-    let serpens_engine = SerpensEngine::new(AcceleratorConfig {
-        sched,
-        ..AcceleratorConfig::serpens()
-    });
+    let chason_engine = accelerator("chason", sched)?;
+    let serpens_engine = accelerator("serpens", sched)?;
     let chason_plan = chason_engine.plan(&matrix).map_err(|e| e.to_string())?;
     let serpens_plan = serpens_engine.plan(&matrix).map_err(|e| e.to_string())?;
     let chason = profile_planned(&chason_engine, &chason_plan, &x).map_err(|e| e.to_string())?;

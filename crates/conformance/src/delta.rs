@@ -5,7 +5,7 @@
 //! coordinates, deletions and revaluations of existing entries). The
 //! engines splice a delta into a cached [`SpmvPlan`] by re-scheduling only
 //! the column windows the delta's footprint dirties
-//! (`PlanningEngine::replan_delta`). This module proves that splicing is
+//! (`Accelerator::replan_delta`). This module proves that splicing is
 //! *sound*, per corpus case × round × delta kind × engine. Round 0 runs
 //! the paper geometry; every later round draws a toy geometry and a narrow
 //! column window (channels 2–4, PEs 2–4, `D ∈ {2, 4, 6}`, `W ∈ {16, 32}`):
@@ -34,7 +34,7 @@ use crate::ulp::{compare, row_scales, UlpTolerance};
 use chason_baselines::reference;
 use chason_core::plan::SpmvPlan;
 use chason_core::schedule::SchedulerConfig;
-use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::{CooMatrix, MatrixDelta};
 use chason_verify::verify_plan;
 use std::collections::BTreeSet;
@@ -259,8 +259,8 @@ fn push(violations: &mut Vec<Violation>, case: &str, oracle: &'static str, detai
 /// Runs all four oracles for one `(engine, base plan, delta)` triple;
 /// `tag` names the engine, delta kind and geometry in every violation.
 #[allow(clippy::too_many_arguments)] // internal fan-in of precomputed state
-fn check_engine<E: PlanningEngine>(
-    engine: &E,
+fn check_engine(
+    engine: &Accelerator,
     case_name: &str,
     tag: &str,
     base_plan: &SpmvPlan,
@@ -454,12 +454,12 @@ pub fn run_delta_cases(cases: &[CorpusCase], options: &DeltaOptions) -> DeltaRep
                 "{}x{} D={} W={window}",
                 sched.channels, sched.pes_per_channel, sched.dependency_distance
             );
-            let chason = ChasonEngine::new(AcceleratorConfig {
+            let chason = Accelerator::new(AcceleratorConfig {
                 sched,
                 window,
                 ..AcceleratorConfig::chason()
             });
-            let serpens = SerpensEngine::new(AcceleratorConfig {
+            let serpens = Accelerator::new(AcceleratorConfig {
                 sched,
                 window,
                 ..AcceleratorConfig::serpens()

@@ -8,10 +8,10 @@
 //! | `reference::spmv_csr` (CSR, serial) | ULP vs. oracle |
 //! | `parallel::spmv_static` (threads ∈ grid) | bit-identical vs. CSR serial |
 //! | `parallel::spmv_dynamic` (threads ∈ grid) | bit-identical vs. CSR serial |
-//! | `SerpensEngine::run` | ULP vs. oracle |
-//! | `SerpensEngine::run_planned` | bit-identical vs. direct |
-//! | `ChasonEngine::run` | ULP vs. oracle |
-//! | `ChasonEngine::run_planned` (twice) | bit-identical vs. direct, idempotent |
+//! | Serpens `Accelerator::run` | ULP vs. oracle |
+//! | Serpens `Accelerator::run_planned` | bit-identical vs. direct |
+//! | Chasoň `Accelerator::run` | ULP vs. oracle |
+//! | Chasoň `Accelerator::run_planned` (twice) | bit-identical vs. direct, idempotent |
 //!
 //! plus the metamorphic cycle-report invariants: Chasoň never slower than
 //! Serpens (latency, stream cycles, streamed bytes), plan↔execution cycle
@@ -21,7 +21,7 @@ use crate::corpus::CorpusCase;
 use crate::ulp::{compare, row_scales, UlpTolerance};
 use chason_baselines::{parallel, reference};
 use chason_core::schedule::SchedulerConfig;
-use chason_sim::{AcceleratorConfig, ChasonEngine, Execution, PlanningEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig, Execution};
 use chason_sparse::{CooMatrix, CsrMatrix};
 
 /// Options controlling a harness run.
@@ -147,11 +147,11 @@ pub fn run_case(case: &CorpusCase, options: &HarnessOptions) -> CaseOutcome {
     }
 
     // --- Engine paths ----------------------------------------------------
-    let chason_engine = ChasonEngine::new(AcceleratorConfig {
+    let chason_engine = Accelerator::new(AcceleratorConfig {
         sched: options.sched,
         ..AcceleratorConfig::chason()
     });
-    let serpens_engine = SerpensEngine::new(AcceleratorConfig {
+    let serpens_engine = Accelerator::new(AcceleratorConfig {
         sched: options.sched,
         ..AcceleratorConfig::serpens()
     });
@@ -232,7 +232,7 @@ pub fn run_case(case: &CorpusCase, options: &HarnessOptions) -> CaseOutcome {
 fn run_engine_paths(
     case: &str,
     engine_name: &str,
-    engine: &dyn PlanningEngine,
+    engine: &Accelerator,
     m: &CooMatrix,
     x: &[f32],
     oracle: &[f32],

@@ -28,7 +28,7 @@
 //!   dynamic oracle, proving the two layers compose into a net with no
 //!   holes; and
 //! * the [`delta`] oracles for dynamic matrices: every spliced plan
-//!   (`PlanningEngine::replan_delta`), across random insert/delete/revalue
+//!   (`Accelerator::replan_delta`), across random insert/delete/revalue
 //!   batches and drawn scheduler geometries, must be bit-identical to a
 //!   from-scratch plan of the updated matrix, replay to the reference
 //!   SpMV, conserve its cycle report, and pass `chason-verify`.

@@ -2,7 +2,8 @@
 //! HBM-based streaming SpMV accelerators, including **CrHCS** — cross-HBM
 //! channel out-of-order scheduling with data migration.
 //!
-//! Three schedulers are provided, matching §2.2 and §3 of the paper:
+//! Four schedulers are provided: three match §2.2 and §3 of the paper, and
+//! one is the §2.1 related-work alternative:
 //!
 //! * [`schedule::RowBased`] — all non-zeros of a row go to the row's PE in
 //!   order (Fig. 2a); RAW dependencies between consecutive values of the same
@@ -16,6 +17,11 @@
 //!   partial sums. It is `PeAware` followed by [`schedule::migrate`], the
 //!   migration pass over a PE-aware schedule, which callers holding a
 //!   PE-aware schedule can run on a copy of it directly.
+//! * [`schedule::HybridRowSplit`] — the HiSpMV-style alternative (§2.1):
+//!   a row that dwarfs its siblings is split into `P` interleaved sub-rows
+//!   recombined by an intra-PEG adder tree. That fixes imbalance within a
+//!   channel but not across channels, and the simulated datapath has no
+//!   such tree, so it is a metrics-level baseline only.
 //!
 //! Supporting modules: [`element`] packs scheduled non-zeros into the 64-bit
 //! wire format of §3.2; [`metrics`] computes PE underutilization (Eq. 4);

@@ -19,8 +19,8 @@ use chason_sparse::CooMatrix;
 ///   one PE), but the hub channel as a whole still holds all of the hub's
 ///   work — *inter-channel* imbalance remains, which is exactly the gap
 ///   CrHCS closes;
-/// * it needs different hardware (the sub-row adder tree). The Chasoň/
-///   Serpens engines in `chason-sim` do not implement that tree, so this
+/// * it needs different hardware (the sub-row adder tree). Neither design
+///   of `chason-sim`'s `Accelerator` implements that tree, so this
 ///   scheduler is a **metrics-level baseline**: its schedules satisfy the
 ///   conservation and RAW invariants and are compared via Eq. 4, but they
 ///   are not executable on the simulated datapaths (the split values sit in

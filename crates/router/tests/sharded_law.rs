@@ -10,14 +10,14 @@
 //! engines (whose column windows re-associate sums within a slice).
 
 use chason_conformance::ulp::{compare, row_scales, UlpTolerance};
-use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::shard::ShardSpec;
 use chason_sparse::CooMatrix;
 use chason_testutil::{archetype_corpus, dense_x, sparse_matrix_nonempty};
 use proptest::prelude::*;
 
-fn check_engine<E: PlanningEngine>(
-    engine: &E,
+fn check_engine(
+    engine: &Accelerator,
     name: &str,
     matrix: &CooMatrix,
     spec: &ShardSpec,
@@ -64,7 +64,7 @@ fn check_all(matrix: &CooMatrix, shards: usize) {
     );
 
     check_engine(
-        &ChasonEngine::new(AcceleratorConfig::chason()),
+        &Accelerator::new(AcceleratorConfig::chason()),
         "chason",
         matrix,
         &spec,
@@ -72,7 +72,7 @@ fn check_all(matrix: &CooMatrix, shards: usize) {
         &scales,
     );
     check_engine(
-        &SerpensEngine::new(AcceleratorConfig::serpens()),
+        &Accelerator::new(AcceleratorConfig::serpens()),
         "serpens",
         matrix,
         &spec,

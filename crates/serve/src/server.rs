@@ -16,7 +16,7 @@ use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::LruCache;
 use chason_core::plan::{matrix_fingerprint, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
-use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine, SimError};
+use chason_sim::{Accelerator, AcceleratorConfig, SimError};
 use chason_sparse::{CooMatrix, MatrixDelta};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,8 +83,8 @@ struct ResidentMatrix {
 /// serialized under the matrices lock); no path acquires them in the
 /// opposite nesting.
 struct Shared {
-    chason: ChasonEngine,
-    serpens: SerpensEngine,
+    chason: Accelerator,
+    serpens: Accelerator,
     /// Resident matrices keyed by load-time structural fingerprint.
     matrices: Mutex<LruCache<u64, ResidentMatrix>>,
     /// Plans keyed by engine family and resident generation. Every load
@@ -115,8 +115,8 @@ impl Shared {
         self.generations.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The simulated engine behind `wire`, or `None` for the CPU backend.
-    fn planner(&self, wire: Engine) -> Option<&dyn PlanningEngine> {
+    /// The simulated accelerator behind `wire`, or `None` for the CPU backend.
+    fn planner(&self, wire: Engine) -> Option<&Accelerator> {
         match wire {
             Engine::Cpu => None,
             Engine::Chason => Some(&self.chason),
@@ -132,7 +132,7 @@ impl Shared {
         &self,
         wire: Engine,
         generation: u64,
-        planner: &dyn PlanningEngine,
+        planner: &Accelerator,
         matrix: &CooMatrix,
     ) -> Result<Arc<SpmvPlan>, SimError> {
         let key = (wire, generation);
@@ -221,11 +221,11 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let shared = Arc::new(Shared {
-            chason: ChasonEngine::new(AcceleratorConfig {
+            chason: Accelerator::new(AcceleratorConfig {
                 sched: config.sched,
                 ..AcceleratorConfig::chason()
             }),
-            serpens: SerpensEngine::new(AcceleratorConfig {
+            serpens: Accelerator::new(AcceleratorConfig {
                 sched: config.sched,
                 ..AcceleratorConfig::serpens()
             }),
@@ -329,7 +329,7 @@ fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outc
 fn run_engine_spmv(
     shared: &Shared,
     wire: Engine,
-    planner: &dyn PlanningEngine,
+    planner: &Accelerator,
     resident: &ResidentMatrix,
     x: &[f32],
 ) -> Result<(Vec<f32>, u64), SimError> {
@@ -345,7 +345,7 @@ struct SharedPlanBackend<'a> {
     shared: &'a Shared,
     wire: Engine,
     generation: u64,
-    planner: &'a dyn PlanningEngine,
+    planner: &'a Accelerator,
     elapsed: f64,
 }
 

@@ -1,9 +1,62 @@
 use chason_core::schedule::SchedulerConfig;
 use serde::{Deserialize, Serialize};
 
+/// Which of the paper's two accelerators a configuration describes. Both
+/// share one streaming datapath (§4); they differ in what the PEGs carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Design {
+    /// The Chasoň accelerator (§4). It schedules each column window like
+    /// Serpens, then runs CrHCS's cross-channel migration pass
+    /// ([`chason_core::schedule::migrate`]) over it, because its ScUG can
+    /// hold migrated partial sums. Its PEs carry a full ScUG (one `URAM_sh`
+    /// per neighbour-channel PE), its PEGs a Reduction Unit and the
+    /// extended Rearrange/Arbiter/Merger path. Runs at 301 MHz post-route
+    /// on the Alveo U55c.
+    Chason,
+    /// The Serpens accelerator (Song et al., DAC 2022), the paper's primary
+    /// baseline (§4.4). It schedules each window with the intra-channel
+    /// PE-aware OoO scheme and its PEs have only a private partial-sum
+    /// URAM: no ScUGs, no Reduction Unit, and an Arbiter/Merger that merely
+    /// concatenates private streams. Its U55c implementation closes timing
+    /// at 223 MHz (§5.2). Running a CrHCS schedule on it is a routing
+    /// violation: the hardware cannot segregate migrated partial sums.
+    Serpens,
+}
+
+impl Design {
+    /// The design's tag, `"chason"` or `"serpens"`, as plans, CHPL files
+    /// and [`Execution::engine`] carry it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Design::Chason => "chason",
+            Design::Serpens => "serpens",
+        }
+    }
+
+    /// Deployed ScUG size under `sched`: `URAM_sh` banks per PE.
+    ///
+    /// Serpens PEs carry no ScUG, so its size is 0. Chasoň's scales
+    /// *linearly* with the migration-hop count: accepting elements from `h`
+    /// ring neighbours requires segregated partial-sum storage for each
+    /// neighbour channel's `pes_per_channel` source PEs, i.e.
+    /// `h × pes_per_channel` banks. This is exactly the cost §6.1 cites for
+    /// deploying only one hop on the U55c ("each extra hop costs another
+    /// set of `URAM_sh` banks per PE"); no sharing across hops is modelled
+    /// because partial sums from different home channels can never merge
+    /// before the Reduction Unit.
+    pub fn scug_size(self, sched: &SchedulerConfig) -> usize {
+        match self {
+            Design::Chason => sched.pes_per_channel * sched.migration_hops,
+            Design::Serpens => 0,
+        }
+    }
+}
+
 /// Configuration of a simulated accelerator instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AcceleratorConfig {
+    /// Which accelerator this is: Chasoň or the Serpens baseline.
+    pub design: Design,
     /// Scheduling parameters (channels, PEs, dependency distance).
     pub sched: SchedulerConfig,
     /// Implemented clock frequency in MHz (301 for Chasoň, 223 for Serpens
@@ -17,6 +70,7 @@ impl AcceleratorConfig {
     /// The Chasoň implementation point: paper scheduling config at 301 MHz.
     pub fn chason() -> Self {
         AcceleratorConfig {
+            design: Design::Chason,
             sched: SchedulerConfig::paper(),
             clock_mhz: 301.0,
             window: chason_core::element::WINDOW,
@@ -26,6 +80,7 @@ impl AcceleratorConfig {
     /// The Serpens baseline point: same parallelism at 223 MHz (§5.2).
     pub fn serpens() -> Self {
         AcceleratorConfig {
+            design: Design::Serpens,
             clock_mhz: 223.0,
             ..AcceleratorConfig::chason()
         }
@@ -185,7 +240,7 @@ impl CycleBreakdown {
 /// The result of one simulated SpMV execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Execution {
-    /// Engine name (`"chason"` or `"serpens"`).
+    /// The design that ran, as [`Design::name`] tags it.
     pub engine: &'static str,
     /// The computed output vector `y = A·x`.
     pub y: Vec<f32>,

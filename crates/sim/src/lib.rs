@@ -1,13 +1,14 @@
-//! Cycle-level architecture models of the **Chasoň** and **Serpens** HBM
+//! Cycle-level architecture model of the **Chasoň** and **Serpens** HBM
 //! streaming SpMV accelerators (§4 of the paper).
 //!
-//! The two engines consume schedules produced by `chason-core` and execute
-//! them *functionally* — every multiply-accumulate lands in the on-chip
-//! memory the real datapath would use (`URAM_pvt`, the per-PE Shared-Channel
-//! URAM Groups, the Reduction Unit adder tree, the Rearrange/Arbiter/Merger
-//! path) — while a cycle model accounts for stream, drain, reduction and
-//! merge time at the implemented clock frequency (301 MHz for Chasoň,
-//! 223 MHz for Serpens).
+//! One [`Accelerator`] models both; its [`AcceleratorConfig`]'s
+//! [`Design`] picks which. It consumes schedules produced by `chason-core`
+//! and executes them *functionally* — every multiply-accumulate lands in
+//! the on-chip memory the real datapath would use (`URAM_pvt`, the per-PE
+//! Shared-Channel URAM Groups, the Reduction Unit adder tree, the
+//! Rearrange/Arbiter/Merger path) — while a cycle model accounts for
+//! stream, drain, reduction and merge time at the implemented clock
+//! frequency (301 MHz for Chasoň, 223 MHz for Serpens).
 //!
 //! Companion modules reproduce the paper's static artifacts:
 //!
@@ -20,17 +21,17 @@
 //! # Example
 //!
 //! ```
-//! use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+//! use chason_sim::{Accelerator, AcceleratorConfig};
 //! use chason_sparse::generators::power_law;
 //!
 //! # fn main() -> Result<(), chason_sim::SimError> {
 //! let matrix = power_law(512, 512, 4000, 1.8, 42);
 //! let x = vec![1.0f32; matrix.cols()];
 //!
-//! let chason = ChasonEngine::new(AcceleratorConfig::chason()).run(&matrix, &x)?;
-//! let serpens = SerpensEngine::new(AcceleratorConfig::serpens()).run(&matrix, &x)?;
+//! let chason = Accelerator::new(AcceleratorConfig::chason()).run(&matrix, &x)?;
+//! let serpens = Accelerator::new(AcceleratorConfig::serpens()).run(&matrix, &x)?;
 //!
-//! // Both engines compute the same SpMV result ...
+//! // Both designs compute the same SpMV result ...
 //! assert_eq!(chason.y.len(), serpens.y.len());
 //! // ... but Chasoň streams fewer cycles at a higher clock.
 //! assert!(chason.latency_seconds() <= serpens.latency_seconds());
@@ -41,27 +42,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chason;
 mod config;
 mod engine;
 mod error;
-mod plan;
 pub mod power;
 pub mod profile;
 mod replay;
 pub mod report;
 pub mod resources;
-mod serpens;
 pub mod spmm;
 
-pub use chason::ChasonEngine;
 pub use config::{
-    hbm_bandwidth_gbps, AcceleratorConfig, CycleBreakdown, Execution, StreamTiming,
+    hbm_bandwidth_gbps, AcceleratorConfig, CycleBreakdown, Design, Execution, StreamTiming,
     INVOCATION_OVERHEAD_CYCLES, MERGE_WIDTH, STREAM_II, X_RELOAD_LANES,
 };
+pub use engine::Accelerator;
 pub use error::SimError;
-pub use plan::PlanningEngine;
 pub use profile::{Attribution, LaneSlots, ProfiledExecution};
 pub use replay::{replay_schedule, URAM_PARTIALS};
-pub use serpens::SerpensEngine;
 pub use spmm::SpmmExecution;
+
+/// Former name of a Chasoň [`Accelerator`], kept only because the
+/// `e2e-bench` benchmark still builds with it.
+#[deprecated(note = "use `Accelerator::new(AcceleratorConfig::chason())`")]
+pub type ChasonEngine = Accelerator;
+
+/// Former name of a Serpens [`Accelerator`], kept only because the
+/// `e2e-bench` benchmark still builds with it.
+#[deprecated(note = "use `Accelerator::new(AcceleratorConfig::serpens())`")]
+pub type SerpensEngine = Accelerator;

@@ -24,8 +24,7 @@
 //! machines, and planning thread counts.
 
 use crate::config::{AcceleratorConfig, CycleBreakdown, Execution};
-use crate::plan::PlanningEngine;
-use crate::SimError;
+use crate::{Accelerator, SimError};
 use chason_core::plan::SpmvPlan;
 use chason_core::schedule::ChannelSchedule;
 use chason_sparse::CooMatrix;
@@ -227,8 +226,8 @@ pub fn attribute(plan: &SpmvPlan, execution: &Execution) -> Result<Attribution, 
 /// Any planning or execution error of the engine, plus
 /// [`SimError::PlanMismatch`] if attribution invariants fail (a simulator
 /// bug, not a caller error).
-pub fn profile_run<E: PlanningEngine>(
-    engine: &E,
+pub fn profile_run(
+    engine: &Accelerator,
     matrix: &CooMatrix,
     x: &[f32],
 ) -> Result<ProfiledExecution, SimError> {
@@ -241,8 +240,8 @@ pub fn profile_run<E: PlanningEngine>(
 /// # Errors
 ///
 /// See [`profile_run`].
-pub fn profile_planned<E: PlanningEngine>(
-    engine: &E,
+pub fn profile_planned(
+    engine: &Accelerator,
     plan: &SpmvPlan,
     x: &[f32],
 ) -> Result<ProfiledExecution, SimError> {
@@ -327,19 +326,19 @@ pub fn window_spans(plan: &SpmvPlan, config: &AcceleratorConfig) -> Vec<SpanEven
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+    use crate::AcceleratorConfig;
     use chason_core::schedule::SchedulerConfig;
     use chason_sparse::generators::{power_law, uniform_random};
     use chason_telemetry::trace::to_jsonl;
 
-    fn engines() -> (ChasonEngine, SerpensEngine) {
+    fn engines() -> (Accelerator, Accelerator) {
         let sched = SchedulerConfig::toy(4, 4, 6);
         (
-            ChasonEngine::new(AcceleratorConfig {
+            Accelerator::new(AcceleratorConfig {
                 sched,
                 ..AcceleratorConfig::chason()
             }),
-            SerpensEngine::new(AcceleratorConfig {
+            Accelerator::new(AcceleratorConfig {
                 sched,
                 ..AcceleratorConfig::serpens()
             }),
@@ -398,7 +397,7 @@ mod tests {
 
     #[test]
     fn multi_pass_plans_attribute_across_all_passes() {
-        let engine = ChasonEngine::new(AcceleratorConfig {
+        let engine = Accelerator::new(AcceleratorConfig {
             sched: SchedulerConfig::toy(2, 2, 4),
             ..AcceleratorConfig::chason()
         });
@@ -415,7 +414,7 @@ mod tests {
 
     #[test]
     fn busy_pes_cover_every_beat_of_every_pass() {
-        let engine = ChasonEngine::new(AcceleratorConfig {
+        let engine = Accelerator::new(AcceleratorConfig {
             sched: SchedulerConfig::toy(2, 2, 4),
             window: 64,
             ..AcceleratorConfig::chason()

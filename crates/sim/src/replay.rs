@@ -30,7 +30,7 @@
 //! so a row's shared sums live in its ring predecessors, up to
 //! `min(hops, C − 1)` of them.
 
-use crate::SimError;
+use crate::{Design, SimError};
 use chason_core::schedule::{ChannelSchedule, ScheduledMatrix, SchedulerConfig};
 use std::ops::Range;
 
@@ -301,7 +301,7 @@ impl Datapath {
 /// schedule's configuration (`P × hops` ScUG banks per PE), with every
 /// column in one x window, and returns `y`.
 ///
-/// The engines run the `chason-verify` static checker on a pass before
+/// The accelerator runs the `chason-verify` static checker on a pass before
 /// replaying it in debug and `strict-verify` builds; this entry point does
 /// not, so a corrupted schedule reaches the datapath model itself. The
 /// conformance fuzzer uses it as its dynamic oracle.
@@ -321,10 +321,6 @@ pub fn replay_schedule(schedule: &ScheduledMatrix, x: &[f32]) -> Result<Vec<f32>
         });
     }
     let sched = schedule.config;
-    let datapath = Datapath::new(
-        sched,
-        sched.pes_per_channel * sched.migration_hops,
-        schedule.rows,
-    )?;
+    let datapath = Datapath::new(sched, Design::Chason.scug_size(&sched), schedule.rows)?;
     Ok(datapath.replay(&[(0..x.len(), schedule)], x, x.len(), 1)?.y)
 }

@@ -18,9 +18,8 @@
 //!   is bit-identical to the SpMV of that column of `B` when `α = 1`,
 //!   `β = 0`.
 //!
-//! The engines' `run_spmm` lives in the shared execution core
-//! (`engine.rs`); this module holds the result type and the dense
-//! reference.
+//! [`Accelerator::run_spmm`](crate::Accelerator::run_spmm) lives in
+//! `engine.rs`; this module holds the result type and the dense reference.
 
 use crate::config::CycleBreakdown;
 use chason_sparse::{CooMatrix, DenseMatrix};
@@ -93,7 +92,7 @@ pub fn reference_spmm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcceleratorConfig, ChasonEngine, SerpensEngine, SimError};
+    use crate::{Accelerator, AcceleratorConfig, SimError};
     use chason_sparse::generators::power_law;
 
     fn operands(n_cols: usize) -> (CooMatrix, DenseMatrix, DenseMatrix) {
@@ -112,7 +111,7 @@ mod tests {
     fn chason_spmm_matches_reference() {
         let (a, b, c0) = operands(12);
         let oracle = reference_spmm(&a, &b, 1.5, 0.5, &c0);
-        let exec = ChasonEngine::default()
+        let exec = Accelerator::new(AcceleratorConfig::chason())
             .run_spmm(&a, &b, 1.5, 0.5, &c0)
             .unwrap();
         assert_close(&exec.c, &oracle, 1e-2);
@@ -124,10 +123,10 @@ mod tests {
     fn serpens_spmm_matches_reference_and_is_slower() {
         let (a, b, c0) = operands(8);
         let oracle = reference_spmm(&a, &b, 1.0, 0.0, &c0);
-        let serpens = SerpensEngine::default()
+        let serpens = Accelerator::new(AcceleratorConfig::serpens())
             .run_spmm(&a, &b, 1.0, 0.0, &c0)
             .unwrap();
-        let chason = ChasonEngine::default()
+        let chason = Accelerator::new(AcceleratorConfig::chason())
             .run_spmm(&a, &b, 1.0, 0.0, &c0)
             .unwrap();
         assert_close(&serpens.c, &oracle, 1e-2);
@@ -139,10 +138,10 @@ mod tests {
     fn stream_cycles_scale_with_tiles() {
         let (a, b1, c1) = operands(8);
         let (_, b3, c3) = operands(24);
-        let e1 = ChasonEngine::default()
+        let e1 = Accelerator::new(AcceleratorConfig::chason())
             .run_spmm(&a, &b1, 1.0, 0.0, &c1)
             .unwrap();
-        let e3 = ChasonEngine::default()
+        let e3 = Accelerator::new(AcceleratorConfig::chason())
             .run_spmm(&a, &b3, 1.0, 0.0, &c3)
             .unwrap();
         assert_eq!(e1.tiles, 1);
@@ -172,12 +171,15 @@ mod tests {
                 assert_eq!(column, y, "{} column {j}", spmm.engine);
             }
         };
-        for chason in [ChasonEngine::default(), ChasonEngine::new(two_hops)] {
+        for chason in [
+            Accelerator::new(AcceleratorConfig::chason()),
+            Accelerator::new(two_hops),
+        ] {
             check(chason.run_spmm(&a, &b, 1.0, 0.0, &c0).unwrap(), &|x| {
                 chason.run(&a, x).unwrap().y
             });
         }
-        let serpens = SerpensEngine::default();
+        let serpens = Accelerator::new(AcceleratorConfig::serpens());
         check(serpens.run_spmm(&a, &b, 1.0, 0.0, &c0).unwrap(), &|x| {
             serpens.run(&a, x).unwrap().y
         });
@@ -188,7 +190,7 @@ mod tests {
         let (a, b, _) = operands(4);
         let garbage = DenseMatrix::from_fn(300, 4, |_, _| f32::from_bits(0x7f7fffff));
         let oracle = reference_spmm(&a, &b, 2.0, 0.0, &DenseMatrix::zeros(300, 4));
-        let exec = ChasonEngine::default()
+        let exec = Accelerator::new(AcceleratorConfig::chason())
             .run_spmm(&a, &b, 2.0, 0.0, &garbage)
             .unwrap();
         assert_close(&exec.c, &oracle, 1e-2);
@@ -199,12 +201,12 @@ mod tests {
         let (a, b, c0) = operands(4);
         let bad_b = DenseMatrix::zeros(299, 4);
         assert!(matches!(
-            ChasonEngine::default().run_spmm(&a, &bad_b, 1.0, 0.0, &c0),
+            Accelerator::new(AcceleratorConfig::chason()).run_spmm(&a, &bad_b, 1.0, 0.0, &c0),
             Err(SimError::VectorLengthMismatch { .. })
         ));
         let bad_c = DenseMatrix::zeros(300, 5);
         assert!(matches!(
-            ChasonEngine::default().run_spmm(&a, &b, 1.0, 0.0, &bad_c),
+            Accelerator::new(AcceleratorConfig::chason()).run_spmm(&a, &b, 1.0, 0.0, &bad_c),
             Err(SimError::InvalidConfig(_))
         ));
         let _ = AcceleratorConfig::chason();
@@ -215,7 +217,7 @@ mod tests {
         let (a, _, _) = operands(4);
         let b = DenseMatrix::zeros(300, 0);
         let c0 = DenseMatrix::zeros(300, 0);
-        let exec = ChasonEngine::default()
+        let exec = Accelerator::new(AcceleratorConfig::chason())
             .run_spmm(&a, &b, 1.0, 1.0, &c0)
             .unwrap();
         assert_eq!(exec.mac_ops, 0);

@@ -3,7 +3,7 @@
 use chason_core::schedule::{
     ChannelSchedule, Crhcs, NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig,
 };
-use chason_sim::{replay_schedule, AcceleratorConfig, ChasonEngine, SerpensEngine, SimError};
+use chason_sim::{replay_schedule, Accelerator, AcceleratorConfig, SimError};
 use chason_sparse::CooMatrix;
 use chason_testutil::sparse_matrix;
 use proptest::prelude::*;
@@ -33,7 +33,7 @@ proptest! {
         prop_assume!(sched.is_valid());
         let config = AcceleratorConfig { sched, ..AcceleratorConfig::chason() };
         let x = vec![1.0f32; m.cols()];
-        let exec = ChasonEngine::new(config).run(&m, &x).expect("run succeeds");
+        let exec = Accelerator::new(config).run(&m, &x).expect("run succeeds");
         prop_assert_eq!(exec.mac_ops as usize, m.nnz());
         prop_assert_eq!(exec.y.len(), m.rows());
     }
@@ -43,8 +43,8 @@ proptest! {
     #[test]
     fn chason_stream_never_longer(m in matrix_strategy(), channels in 2usize..4, pes in 1usize..5) {
         let sched = SchedulerConfig::toy(channels, pes, 6);
-        let chason = ChasonEngine::new(AcceleratorConfig { sched, ..AcceleratorConfig::chason() });
-        let serpens = SerpensEngine::new(AcceleratorConfig { sched, ..AcceleratorConfig::serpens() });
+        let chason = Accelerator::new(AcceleratorConfig { sched, ..AcceleratorConfig::chason() });
+        let serpens = Accelerator::new(AcceleratorConfig { sched, ..AcceleratorConfig::serpens() });
         let x = vec![0.5f32; m.cols()];
         let ce = chason.run(&m, &x).expect("chason runs");
         let se = serpens.run(&m, &x).expect("serpens runs");

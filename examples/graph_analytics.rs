@@ -11,7 +11,7 @@
 //! cargo run --example graph_analytics
 //! ```
 
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::generators::power_law;
 use chason::sparse::stats::row_stats;
 use chason::sparse::CooMatrix;
@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let matrix = normalize_columns(&graph);
     let damping = 0.85f32;
-    let chason = ChasonEngine::new(AcceleratorConfig::chason());
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
 
     let mut rank = vec![1.0f32 / n as f32; n];
     let mut chason_time = 0.0f64;

@@ -7,7 +7,7 @@
 //! ```
 
 use chason::sim::profile::busy_pes_per_beat;
-use chason::sim::{ChasonEngine, PlanningEngine, SerpensEngine, SimError};
+use chason::sim::{Accelerator, AcceleratorConfig, SimError};
 use chason::sparse::generators::arrow_with_nnz;
 
 /// Downsamples an occupancy trace into `buckets` means (fraction of busy
@@ -36,14 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // intra-channel scheduling.
     let matrix = arrow_with_nnz(4096, 4, 12, 60_000, 3);
     let x = vec![1.0f32; 4096];
-    // Plans each engine, runs the plan, and counts its busy PEs per beat.
-    let occupancy = |engine: &dyn PlanningEngine| -> Result<_, SimError> {
+    // Plans each design, runs the plan, and counts its busy PEs per beat.
+    let occupancy = |engine: &Accelerator| -> Result<_, SimError> {
         let plan = engine.plan(&matrix)?;
         let exec = engine.run_planned(&plan, &x)?;
         Ok((exec.engine, busy_pes_per_beat(&plan)))
     };
-    let serpens = occupancy(&SerpensEngine::default())?;
-    let chason = occupancy(&ChasonEngine::default())?;
+    let serpens = occupancy(&Accelerator::new(AcceleratorConfig::serpens()))?;
+    let chason = occupancy(&Accelerator::new(AcceleratorConfig::chason()))?;
     let total_pes = 128.0;
 
     println!("matrix: 4096 x 4096, {} nnz (12 hub rows)\n", matrix.nnz());

@@ -7,7 +7,7 @@
 
 use chason::baselines::reference;
 use chason::core::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::generators::power_law;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Architecture simulation: run both engines end to end.
-    let chason = ChasonEngine::new(AcceleratorConfig::chason()).run(&matrix, &x)?;
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens()).run(&matrix, &x)?;
+    let chason = Accelerator::new(AcceleratorConfig::chason()).run(&matrix, &x)?;
+    let serpens = Accelerator::new(AcceleratorConfig::serpens()).run(&matrix, &x)?;
     println!("\n== simulated execution ==");
     for exec in [&serpens, &chason] {
         println!(

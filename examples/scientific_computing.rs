@@ -11,7 +11,7 @@
 //! ```
 
 use chason::baselines::reference;
-use chason::sim::{AcceleratorConfig, ChasonEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::generators::arrow_with_nnz;
 use chason::sparse::CooMatrix;
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let engine = ChasonEngine::new(AcceleratorConfig::chason());
+    let engine = Accelerator::new(AcceleratorConfig::chason());
     let mut u = vec![0.0f32; n];
     let mut simulated_time = 0.0f64;
     let b_norm: f64 = b

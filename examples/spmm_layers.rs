@@ -8,7 +8,7 @@
 //! ```
 
 use chason::sim::spmm::reference_spmm;
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::generators::power_law;
 use chason::sparse::DenseMatrix;
 
@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ((r * 31 + c * 17) % 64) as f32 / 64.0 - 0.5
     });
 
-    let chason = ChasonEngine::new(AcceleratorConfig::chason());
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
     let zero = DenseMatrix::zeros(n, features);
 
     let mut chason_time = 0.0f64;

@@ -26,7 +26,7 @@
 
 use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::{PlanKey, SpmvPlan};
-use chason_sim::{ChasonEngine, PlanningEngine, SerpensEngine, SimError};
+use chason_sim::{Accelerator, SimError};
 use chason_sparse::CooMatrix;
 use chason_telemetry::trace::SpanEvent;
 
@@ -126,37 +126,29 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 /// [`plan_cache_stats`](Self::plan_cache_stats) exposes hit/miss/eviction
 /// counters.
 #[derive(Debug)]
-pub struct EngineBackend<E> {
-    engine: E,
+pub struct EngineBackend {
+    engine: Accelerator,
     elapsed: f64,
-    name: &'static str,
     plans: LruCache<PlanKey, SpmvPlan>,
     schedules_built: u64,
 }
 
-impl EngineBackend<ChasonEngine> {
-    /// Wraps a Chasoň engine.
-    pub fn chason(engine: ChasonEngine) -> Self {
-        EngineBackend::wrap(engine, "chason")
-    }
-}
-
-impl EngineBackend<SerpensEngine> {
-    /// Wraps a Serpens engine.
-    pub fn serpens(engine: SerpensEngine) -> Self {
-        EngineBackend::wrap(engine, "serpens")
-    }
-}
-
-impl<E> EngineBackend<E> {
-    fn wrap(engine: E, name: &'static str) -> Self {
+impl EngineBackend {
+    /// Wraps an accelerator; the backend is named by its design.
+    pub fn new(engine: Accelerator) -> Self {
         EngineBackend {
             engine,
             elapsed: 0.0,
-            name,
             plans: LruCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             schedules_built: 0,
         }
+    }
+
+    /// Former name of [`new`](Self::new), kept only because the
+    /// `e2e-bench` benchmark still builds with it.
+    #[deprecated(note = "use `EngineBackend::new`")]
+    pub fn chason(engine: Accelerator) -> Self {
+        EngineBackend::new(engine)
     }
 
     /// Rebounds the plan cache to hold at most `capacity` plans (existing
@@ -189,7 +181,7 @@ impl<E> EngineBackend<E> {
     }
 }
 
-impl<E: PlanningEngine> SpmvBackend for EngineBackend<E> {
+impl SpmvBackend for EngineBackend {
     fn spmv(&mut self, matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
         let key = self.engine.plan_key(matrix);
         if self.plans.get(&key).is_none() {
@@ -209,7 +201,7 @@ impl<E: PlanningEngine> SpmvBackend for EngineBackend<E> {
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        self.engine.config().design.name()
     }
 }
 
@@ -491,7 +483,7 @@ mod tests {
     fn cg_on_chason_matches_cpu() {
         let (a, b) = spd_system(256, 5);
         let mut cpu = CpuBackend::default();
-        let mut acc = EngineBackend::chason(ChasonEngine::new(AcceleratorConfig::chason()));
+        let mut acc = EngineBackend::new(Accelerator::new(AcceleratorConfig::chason()));
         let r_cpu = conjugate_gradient(&mut cpu, &a, &b, CgOptions::default()).unwrap();
         let r_acc = conjugate_gradient(&mut acc, &a, &b, CgOptions::default()).unwrap();
         assert!(r_acc.converged);
@@ -508,8 +500,8 @@ mod tests {
     #[test]
     fn jacobi_converges_and_serpens_costs_more_time() {
         let (a, b) = spd_system(256, 9);
-        let mut chason = EngineBackend::chason(ChasonEngine::new(AcceleratorConfig::chason()));
-        let mut serpens = EngineBackend::serpens(SerpensEngine::new(AcceleratorConfig::serpens()));
+        let mut chason = EngineBackend::new(Accelerator::new(AcceleratorConfig::chason()));
+        let mut serpens = EngineBackend::new(Accelerator::new(AcceleratorConfig::serpens()));
         let rc = jacobi(&mut chason, &a, &b, CgOptions::default()).unwrap();
         let rs = jacobi(&mut serpens, &a, &b, CgOptions::default()).unwrap();
         assert!(rc.converged && rs.converged);
@@ -540,7 +532,7 @@ mod tests {
     #[test]
     fn solver_backends_schedule_each_matrix_exactly_once() {
         let (a, b) = spd_system(256, 13);
-        let mut acc = EngineBackend::chason(ChasonEngine::new(AcceleratorConfig::chason()));
+        let mut acc = EngineBackend::new(Accelerator::new(AcceleratorConfig::chason()));
         let opts = CgOptions {
             max_iterations: 50,
             tolerance: 0.0,
@@ -576,8 +568,8 @@ mod tests {
     fn plan_cache_is_bounded_and_observably_lru() {
         let (a1, b1) = spd_system(128, 31);
         let (a2, _) = spd_system(130, 32);
-        let mut acc = EngineBackend::chason(ChasonEngine::new(AcceleratorConfig::chason()))
-            .with_plan_capacity(1);
+        let mut acc =
+            EngineBackend::new(Accelerator::new(AcceleratorConfig::chason())).with_plan_capacity(1);
         acc.spmv(&a1, &b1).unwrap();
         acc.spmv(&a1, &b1).unwrap(); // hit
         assert_eq!(acc.schedules_built(), 1);
@@ -596,10 +588,10 @@ mod tests {
     #[test]
     fn plan_cache_does_not_change_solver_results() {
         let (a, b) = spd_system(256, 21);
-        let mut cached = EngineBackend::chason(ChasonEngine::new(AcceleratorConfig::chason()));
+        let mut cached = EngineBackend::new(Accelerator::new(AcceleratorConfig::chason()));
         let r_cached = conjugate_gradient(&mut cached, &a, &b, CgOptions::default()).unwrap();
         // Fresh backend per iteration count comparison: direct engine runs.
-        let engine = ChasonEngine::new(AcceleratorConfig::chason());
+        let engine = Accelerator::new(AcceleratorConfig::chason());
         let direct = engine.run_partitioned(&a, &r_cached.solution).unwrap();
         let replayed = engine
             .run_planned(&engine.plan(&a).unwrap(), &r_cached.solution)

@@ -3,15 +3,15 @@
 
 use chason::baselines::reference;
 use chason::core::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::datasets::{corpus, table2};
 
 /// The smaller Table 2 matrices run through both engines and must agree
 /// with the CPU reference.
 #[test]
 fn table2_small_matrices_execute_correctly_on_both_engines() {
-    let chason = ChasonEngine::new(AcceleratorConfig::chason());
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
     for spec in table2().into_iter().filter(|s| s.nnz < 120_000) {
         let matrix = spec.generate();
         let x: Vec<f32> = (0..matrix.cols())
@@ -99,7 +99,7 @@ fn crhcs_data_lists_round_trip_the_wire_format() {
 fn multi_window_execution_is_correct() {
     let matrix = chason::sparse::generators::uniform_random(256, 30_000, 20_000, 8);
     let x: Vec<f32> = (0..30_000).map(|i| ((i % 97) as f32) * 0.01).collect();
-    let exec = ChasonEngine::new(AcceleratorConfig::chason())
+    let exec = Accelerator::new(AcceleratorConfig::chason())
         .run(&matrix, &x)
         .unwrap();
     assert_eq!(exec.windows, 4);
@@ -121,12 +121,12 @@ fn traffic_accounting_is_consistent() {
             .map(|list| list.len().div_ceil(8) as u64 * 64)
             .sum()
     };
-    let serpens = SerpensEngine::new(AcceleratorConfig::serpens())
+    let serpens = Accelerator::new(AcceleratorConfig::serpens())
         .run(&matrix, &x)
         .unwrap();
     let pe_aware = PeAware::new().schedule(&matrix, &config);
     assert_eq!(serpens.bytes_streamed, beat_bytes(&pe_aware), "serpens");
-    let chason = ChasonEngine::new(AcceleratorConfig::chason())
+    let chason = Accelerator::new(AcceleratorConfig::chason())
         .run(&matrix, &x)
         .unwrap();
     let crhcs = Crhcs::new().schedule(&matrix, &config);

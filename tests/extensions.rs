@@ -4,7 +4,7 @@
 use chason::baselines::reference;
 use chason::core::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
 use chason::sim::spmm::reference_spmm;
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::generators::{arrow_with_nnz, power_law};
 use chason::sparse::DenseMatrix;
 
@@ -46,7 +46,7 @@ fn multi_hop_execution_matches_reference() {
             sched: hops_config(hops),
             ..AcceleratorConfig::chason()
         };
-        let exec = ChasonEngine::new(config).run(&matrix, &x).unwrap();
+        let exec = Accelerator::new(config).run(&matrix, &x).unwrap();
         let err = reference::max_relative_error(&exec.y, &oracle);
         assert!(err < 1e-3, "hops = {hops}: error {err}");
         assert_eq!(exec.mac_ops as usize, matrix.nnz());
@@ -62,10 +62,10 @@ fn spmm_extension_end_to_end() {
     let c0 = DenseMatrix::from_fn(400, 20, |r, c| ((r ^ c) % 4) as f32);
     let oracle = reference_spmm(&a, &b, 1.25, -0.5, &c0);
 
-    let chason = ChasonEngine::default()
+    let chason = Accelerator::new(AcceleratorConfig::chason())
         .run_spmm(&a, &b, 1.25, -0.5, &c0)
         .unwrap();
-    let serpens = SerpensEngine::default()
+    let serpens = Accelerator::new(AcceleratorConfig::serpens())
         .run_spmm(&a, &b, 1.25, -0.5, &c0)
         .unwrap();
     assert!(chason.c.max_abs_diff(&oracle) < 1e-2);
@@ -89,7 +89,7 @@ fn partitioned_and_windowed_execution_composes() {
     };
     let matrix = uniform_random(70_000, 20_000, 40_000, 17);
     let x: Vec<f32> = (0..20_000).map(|i| ((i % 13) as f32) * 0.2).collect();
-    let exec = ChasonEngine::new(config)
+    let exec = Accelerator::new(config)
         .run_partitioned(&matrix, &x)
         .unwrap();
     let oracle = reference::spmv(&matrix, &x);

@@ -10,7 +10,7 @@ use chason_core::plan::SpmvPlan;
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::power::MeasuredPower;
 use chason_sim::report::PerformanceReport;
-use chason_sim::{AcceleratorConfig, ChasonEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::generators::power_law;
 use chason_sparse::CooMatrix;
 use std::path::PathBuf;
@@ -25,8 +25,8 @@ fn sample_matrix() -> CooMatrix {
     power_law(96, 96, 700, 1.7, 31)
 }
 
-fn engine() -> ChasonEngine {
-    ChasonEngine::new(AcceleratorConfig {
+fn engine() -> Accelerator {
+    Accelerator::new(AcceleratorConfig {
         sched: SchedulerConfig::toy(4, 4, 6),
         ..AcceleratorConfig::chason()
     })

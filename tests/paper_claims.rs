@@ -8,7 +8,7 @@ use chason::core::metrics::windowed_metrics;
 use chason::core::schedule::{Crhcs, PeAware, SchedulerConfig};
 use chason::sim::power::MeasuredPower;
 use chason::sim::resources::{DeviceCapacity, ResourceConfig, ResourceUsage};
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::datasets::corpus;
 
 const WINDOW: usize = chason::core::element::WINDOW;
@@ -58,8 +58,12 @@ fn claim_crhcs_always_improves() {
 fn claim_data_transfer_reduction() {
     let m = chason::sparse::generators::arrow_with_nnz(3000, 4, 10, 36_000, 5);
     let x = vec![1.0f32; 3000];
-    let ce = ChasonEngine::default().run(&m, &x).unwrap();
-    let se = SerpensEngine::default().run(&m, &x).unwrap();
+    let ce = Accelerator::new(AcceleratorConfig::chason())
+        .run(&m, &x)
+        .unwrap();
+    let se = Accelerator::new(AcceleratorConfig::serpens())
+        .run(&m, &x)
+        .unwrap();
     let reduction = se.bytes_streamed as f64 / ce.bytes_streamed as f64;
     assert!(
         reduction > 3.0,
@@ -72,8 +76,8 @@ fn claim_data_transfer_reduction() {
 /// never fall below 1.
 #[test]
 fn claim_speedup_band_over_serpens() {
-    let chason = ChasonEngine::default();
-    let serpens = SerpensEngine::default();
+    let chason = Accelerator::new(AcceleratorConfig::chason());
+    let serpens = Accelerator::new(AcceleratorConfig::serpens());
     for spec in corpus(10, 3).into_iter().filter(|s| s.nnz <= 60_000) {
         let m = spec.generate();
         let x = vec![1.0f32; m.cols()];
@@ -99,8 +103,12 @@ fn claim_frequency_and_energy() {
 
     let m = chason::sparse::generators::power_law(2048, 2048, 24_000, 1.7, 7);
     let x = vec![1.0f32; 2048];
-    let ce = ChasonEngine::default().run(&m, &x).unwrap();
-    let se = SerpensEngine::default().run(&m, &x).unwrap();
+    let ce = Accelerator::new(AcceleratorConfig::chason())
+        .run(&m, &x)
+        .unwrap();
+    let se = Accelerator::new(AcceleratorConfig::serpens())
+        .run(&m, &x)
+        .unwrap();
     let ee_c = MeasuredPower::chason().energy_efficiency(ce.throughput_gflops());
     let ee_s = MeasuredPower::serpens().energy_efficiency(se.throughput_gflops());
     assert!(
@@ -133,8 +141,12 @@ fn claim_uram_budget() {
 fn claim_identical_parallelism() {
     let m = chason::sparse::generators::uniform_random(4096, 4096, 50_000, 9);
     let x = vec![1.0f32; 4096];
-    let ce = ChasonEngine::default().run(&m, &x).unwrap();
-    let se = SerpensEngine::default().run(&m, &x).unwrap();
+    let ce = Accelerator::new(AcceleratorConfig::chason())
+        .run(&m, &x)
+        .unwrap();
+    let se = Accelerator::new(AcceleratorConfig::serpens())
+        .run(&m, &x)
+        .unwrap();
     // Same PEs, same beat width: identical MAC counts; stream within a few
     // percent on a balanced matrix (CrHCS finds little to migrate).
     assert_eq!(ce.mac_ops, se.mac_ops);

@@ -18,7 +18,7 @@
 
 use chason_core::export::{write_plan, write_schedule};
 use chason_core::schedule::{migrate, HybridRowSplit, MigrationReport, Scheduler, SchedulerConfig};
-use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::{CooMatrix, DenseMatrix};
 
@@ -30,11 +30,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// `(chason, serpens)` CHPL digests of `matrix` under `sched`.
 fn plan_digests(matrix: &CooMatrix, sched: SchedulerConfig) -> (u64, u64) {
-    let chason = ChasonEngine::new(AcceleratorConfig {
+    let chason = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::chason()
     });
-    let serpens = SerpensEngine::new(AcceleratorConfig {
+    let serpens = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::serpens()
     });
@@ -256,11 +256,11 @@ fn spmv_digests(matrix: &CooMatrix, sched: SchedulerConfig) -> (u64, u64) {
         let bytes: Vec<u8> = y.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
         fnv1a(&bytes)
     };
-    let chason = ChasonEngine::new(AcceleratorConfig {
+    let chason = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::chason()
     });
-    let serpens = SerpensEngine::new(AcceleratorConfig {
+    let serpens = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::serpens()
     });
@@ -313,7 +313,7 @@ fn spmv_y_row_partitioned_toy_geometry() {
     // rows replay as two row-partition passes over three column windows.
     let m = power_law(60_000, 20_000, 50_000, 1.7, 23);
     let sched = SchedulerConfig::toy(3, 2, 5);
-    let plan = ChasonEngine::new(AcceleratorConfig {
+    let plan = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::chason()
     })
@@ -352,8 +352,8 @@ fn spmm_digests(width: usize) -> (u64, u64) {
         }
         fnv1a(&bytes)
     };
-    let chason = ChasonEngine::default().run_spmm(&a, &b, 1.5, 0.5, &c0);
-    let serpens = SerpensEngine::default().run_spmm(&a, &b, 1.5, 0.5, &c0);
+    let chason = Accelerator::new(AcceleratorConfig::chason()).run_spmm(&a, &b, 1.5, 0.5, &c0);
+    let serpens = Accelerator::new(AcceleratorConfig::serpens()).run_spmm(&a, &b, 1.5, 0.5, &c0);
     (digest(chason.unwrap()), digest(serpens.unwrap()))
 }
 
@@ -386,7 +386,7 @@ fn spmm_three_tiles() {
 /// stalls_after, raw_skips, cycles_before, cycles_after]`: each window of
 /// the Serpens plan, migrated.
 fn migration_reports(matrix: &CooMatrix, sched: SchedulerConfig) -> Vec<[usize; 6]> {
-    SerpensEngine::new(AcceleratorConfig {
+    Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::serpens()
     })

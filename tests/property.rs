@@ -5,7 +5,7 @@ use chason::core::element::SparseElement;
 use chason::core::schedule::{
     Crhcs, HybridRowSplit, PeAware, RowBased, ScheduledMatrix, Scheduler, SchedulerConfig,
 };
-use chason::sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::CooMatrix;
 use chason_testutil::{config_grid, sparse_matrix, toy_config};
 use proptest::prelude::*;
@@ -117,8 +117,8 @@ proptest! {
     fn engines_match_reference(m in sparse_matrix(40, 120), xs in proptest::collection::vec(-4.0f32..4.0, 40)) {
         let x: Vec<f32> = (0..m.cols()).map(|i| xs[i % xs.len()]).collect();
         let oracle = reference::spmv(&m, &x);
-        let chason = ChasonEngine::new(AcceleratorConfig::chason()).run(&m, &x).expect("chason runs");
-        let serpens = SerpensEngine::new(AcceleratorConfig::serpens()).run(&m, &x).expect("serpens runs");
+        let chason = Accelerator::new(AcceleratorConfig::chason()).run(&m, &x).expect("chason runs");
+        let serpens = Accelerator::new(AcceleratorConfig::serpens()).run(&m, &x).expect("serpens runs");
         prop_assert!(reference::max_relative_error(&chason.y, &oracle) < 1e-3);
         prop_assert!(reference::max_relative_error(&serpens.y, &oracle) < 1e-3);
     }
@@ -140,13 +140,13 @@ proptest! {
     #[test]
     fn planned_execution_is_bit_identical(m in sparse_matrix(48, 200), xs in proptest::collection::vec(-4.0f32..4.0, 48)) {
         let x: Vec<f32> = (0..m.cols()).map(|i| xs[i % xs.len()]).collect();
-        let chason = ChasonEngine::new(AcceleratorConfig::chason());
+        let chason = Accelerator::new(AcceleratorConfig::chason());
         let direct = chason.run(&m, &x).expect("chason runs");
         let planned = chason
             .run_planned(&chason.plan(&m).expect("chason plans"), &x)
             .expect("chason replays");
         prop_assert_eq!(direct, planned);
-        let serpens = SerpensEngine::new(AcceleratorConfig::serpens());
+        let serpens = Accelerator::new(AcceleratorConfig::serpens());
         let direct = serpens.run(&m, &x).expect("serpens runs");
         let planned = serpens
             .run_planned(&serpens.plan(&m).expect("serpens plans"), &x)
@@ -160,7 +160,7 @@ proptest! {
     #[test]
     fn parallel_planning_matches_serial(m in sparse_matrix(48, 200), threads in 2usize..9) {
         // A small window width forces several windows even on small inputs.
-        let engine = ChasonEngine::new(AcceleratorConfig {
+        let engine = Accelerator::new(AcceleratorConfig {
             window: 16,
             ..AcceleratorConfig::chason()
         });

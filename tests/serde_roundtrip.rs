@@ -4,7 +4,7 @@
 //! workspace itself deliberately carries no format crate).
 
 use chason::core::schedule::{Crhcs, Scheduler, SchedulerConfig};
-use chason::sim::{AcceleratorConfig, ChasonEngine};
+use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::{CooMatrix, CsrMatrix, DenseMatrix};
 
 fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
@@ -44,8 +44,7 @@ fn key_types_are_send_and_sync() {
     assert_send_sync::<CooMatrix>();
     assert_send_sync::<CsrMatrix>();
     assert_send_sync::<chason::core::schedule::ScheduledMatrix>();
-    assert_send_sync::<ChasonEngine>();
-    assert_send_sync::<chason::sim::SerpensEngine>();
+    assert_send_sync::<Accelerator>();
     assert_send_sync::<chason::sim::SimError>();
     assert_send_sync::<chason::sparse::SparseError>();
 }
@@ -62,7 +61,7 @@ fn binary_artifact_is_the_archival_path() {
     assert_eq!(artifact.lists, schedule.data_lists_padded());
     assert!((artifact.underutilization() - schedule.underutilization()).abs() < 1e-12);
     // And the engine still executes the same matrix correctly.
-    let exec = ChasonEngine::new(AcceleratorConfig::chason())
+    let exec = Accelerator::new(AcceleratorConfig::chason())
         .run(&m, &vec![1.0; 256])
         .unwrap();
     assert_eq!(exec.mac_ops as usize, m.nnz());

@@ -7,7 +7,7 @@
 use chason_conformance::golden::check_or_bless;
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::profile::window_spans;
-use chason_sim::{AcceleratorConfig, ChasonEngine, SerpensEngine};
+use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_telemetry::trace::{parse_jsonl, to_jsonl};
 use std::path::Path;
 
@@ -20,11 +20,11 @@ fn golden_path(name: &str) -> std::path::PathBuf {
 #[test]
 fn window_trace_is_byte_stable_and_matches_the_golden() {
     let sched = SchedulerConfig::toy(4, 4, 6);
-    let chason = ChasonEngine::new(AcceleratorConfig {
+    let chason = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::chason()
     });
-    let serpens = SerpensEngine::new(AcceleratorConfig {
+    let serpens = Accelerator::new(AcceleratorConfig {
         sched,
         ..AcceleratorConfig::serpens()
     });
