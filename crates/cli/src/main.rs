@@ -50,7 +50,7 @@ USAGE:
                                (recipes: uniform, powerlaw, banded, arrow)
   chason catalog
   chason serve                 [--addr HOST:PORT] [--workers N] [--queue N]
-                               [--plan-cache N] [--matrix-cache N]
+                               [--matrix-cache N]
                                [--idle-timeout-secs S] [--retry-after-ms MS]
                                [--channels N] [--pes N] [--distance D]
                                [--hops H] [--scan-limit N]

@@ -28,20 +28,32 @@ fn read_positional_matrix(args: &Args, index: usize) -> Result<CooMatrix, String
     read_matrix_market(file).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
+/// The [`ServeConfig`] a `chason serve` command line asks for. Every
+/// fallback but the listen address is [`ServeConfig::default`]'s.
+fn serve_config(args: &Args) -> Result<ServeConfig, String> {
+    if args.has_flag("plan-cache") {
+        // Each resident matrix holds its own plans, so one bound covers both.
+        return Err("--plan-cache was removed; --matrix-cache bounds the plans".to_string());
+    }
+    let defaults = ServeConfig::default();
+    Ok(ServeConfig {
+        addr: args.get("addr").unwrap_or("127.0.0.1:7477").to_string(),
+        workers: args.get_or("workers", defaults.workers)?,
+        queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
+        matrix_cache_capacity: args.get_or("matrix-cache", defaults.matrix_cache_capacity)?,
+        idle_timeout: Duration::from_secs(
+            args.get_or("idle-timeout-secs", defaults.idle_timeout.as_secs())?,
+        ),
+        retry_after_ms: args.get_or("retry-after-ms", defaults.retry_after_ms)?,
+        sched: scheduler_config(args)?,
+        ..defaults
+    })
+}
+
 /// `chason serve` — run the CHSP daemon until a `Shutdown` request
 /// arrives.
 pub fn serve(args: &Args) -> Result<(), String> {
-    let config = ServeConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7477").to_string(),
-        workers: args.get_or("workers", 4usize)?,
-        queue_capacity: args.get_or("queue", 64usize)?,
-        plan_cache_capacity: args.get_or("plan-cache", 64usize)?,
-        matrix_cache_capacity: args.get_or("matrix-cache", 32usize)?,
-        idle_timeout: Duration::from_secs(args.get_or("idle-timeout-secs", 30u64)?),
-        retry_after_ms: args.get_or("retry-after-ms", 20u32)?,
-        sched: scheduler_config(args)?,
-        ..ServeConfig::default()
-    };
+    let config = serve_config(args)?;
     let server = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("chason serve listening on {}", server.local_addr());
     // The line above is how scripts discover an ephemeral port; make sure
@@ -69,20 +81,25 @@ pub fn route(args: &Args) -> Result<(), String> {
     if shards.is_empty() {
         return Err("route needs --shards HOST:PORT,HOST:PORT,...".to_string());
     }
+    // Every fallback but the listen address is `RouterConfig::default()`'s.
+    let defaults = RouterConfig::default();
     let config = RouterConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7478").to_string(),
         shards,
-        workers: args.get_or("workers", 4usize)?,
-        queue_capacity: args.get_or("queue", 64usize)?,
-        matrix_cache_capacity: args.get_or("matrix-cache", 32usize)?,
-        retry_after_ms: args.get_or("retry-after-ms", 20u32)?,
+        workers: args.get_or("workers", defaults.workers)?,
+        queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
+        matrix_cache_capacity: args.get_or("matrix-cache", defaults.matrix_cache_capacity)?,
+        retry_after_ms: args.get_or("retry-after-ms", defaults.retry_after_ms)?,
         shard_retry: RetryPolicy {
-            max_attempts: args.get_or("retry-attempts", RetryPolicy::default().max_attempts)?,
-            ..RetryPolicy::default()
+            max_attempts: args.get_or("retry-attempts", defaults.shard_retry.max_attempts)?,
+            ..defaults.shard_retry
         },
-        health_interval: Duration::from_millis(args.get_or("health-interval-ms", 2000u64)?),
+        health_interval: Duration::from_millis(args.get_or(
+            "health-interval-ms",
+            defaults.health_interval.as_millis() as u64,
+        )?),
         shutdown_shards: args.has_flag("shutdown-shards"),
-        ..RouterConfig::default()
+        ..defaults
     };
     let router = Router::start(config).map_err(|e| format!("cannot start router: {e}"))?;
     println!("chason route listening on {}", router.local_addr());
@@ -342,4 +359,33 @@ pub fn run_loadgen(args: &Args) -> Result<(), String> {
         println!("report written to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).expect("a subcommand")
+    }
+
+    #[test]
+    fn serve_falls_back_to_the_server_defaults() {
+        let config = serve_config(&parse("serve")).expect("valid");
+        let defaults = ServeConfig::default();
+        assert_eq!(config.addr, "127.0.0.1:7477");
+        assert_eq!(config.workers, defaults.workers);
+        assert_eq!(config.queue_capacity, defaults.queue_capacity);
+        assert_eq!(config.matrix_cache_capacity, defaults.matrix_cache_capacity);
+        assert_eq!(config.idle_timeout, defaults.idle_timeout);
+        assert_eq!(config.retry_after_ms, defaults.retry_after_ms);
+        let config = serve_config(&parse("serve --matrix-cache 5")).expect("valid");
+        assert_eq!(config.matrix_cache_capacity, 5);
+    }
+
+    #[test]
+    fn serve_refuses_the_removed_plan_cache_flag() {
+        let err = serve_config(&parse("serve --plan-cache 64")).expect_err("removed flag");
+        assert!(err.contains("--matrix-cache"), "{err}");
+    }
 }

@@ -1,20 +1,19 @@
 //! A bounded LRU cache with hit/miss/eviction counters.
 //!
-//! Schedule plans are the repo's most expensive derived artifact, and both
-//! the iterative-solver backends and the `chason-serve` daemon want to keep
-//! them around keyed by [`PlanKey`](crate::plan::PlanKey). The solvers
-//! originally used a plain `HashMap`, which grows without bound in a
-//! long-lived process — acceptable for one CLI invocation, not for a daemon
-//! serving arbitrary matrices. [`LruCache`] is the shared replacement: a
-//! fixed-capacity map that evicts the least-recently-used entry on insert
-//! and counts hits, misses, and evictions so cache effectiveness is
-//! observable (`chason client stats` surfaces these numbers).
+//! Long-lived processes must not keep derived state without bound. The
+//! iterative-solver backends cache schedule plans keyed by
+//! [`PlanKey`](crate::plan::PlanKey); `chason serve` keeps its resident
+//! matrices (each holding its own plans) and `chason route` its sharded
+//! residents keyed by load-time fingerprint. [`LruCache`] is what they
+//! share: a fixed-capacity map that evicts the least-recently-used entry
+//! on insert and counts hits, misses, and evictions so cache effectiveness
+//! is observable (`chason client stats` surfaces these numbers).
 //!
 //! The implementation favours simplicity over asymptotics: recency is a
 //! monotonic tick per entry and eviction scans for the minimum, so `insert`
-//! is `O(len)`. Plan caches hold tens of entries, each worth milliseconds
-//! of scheduling — the scan is noise. Not internally synchronized; wrap in
-//! a `Mutex` to share across threads.
+//! is `O(len)`. These caches hold tens of entries, each worth milliseconds
+//! of scheduling or loading — the scan is noise. Not internally
+//! synchronized; wrap in a `Mutex` to share across threads.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -144,18 +143,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         evicted
     }
 
-    /// Looks up `key` and, on a miss, builds the value with `make` and
-    /// inserts it (evicting if needed). Returns a reference to the cached
-    /// value either way.
-    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &V {
-        if self.get(&key).is_none() {
-            let value = make();
-            self.insert(key.clone(), value);
-        }
-        // The entry is resident by construction.
-        #[allow(clippy::expect_used)] // inserted on the line above
-        let slot = self.map.get(&key).expect("entry resident after insert");
-        &slot.value
+    /// Iterates the resident values in no particular order, without
+    /// touching recency or counters.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|slot| &slot.value)
     }
 
     fn evict_lru(&mut self) -> Option<(K, V)> {
@@ -279,19 +270,15 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_with_builds_once() {
-        let mut cache = LruCache::new(4);
-        let mut builds = 0;
-        for _ in 0..3 {
-            let v = *cache.get_or_insert_with(7u32, || {
-                builds += 1;
-                42u64
-            });
-            assert_eq!(v, 42);
-        }
-        assert_eq!(builds, 1);
+    fn values_visit_every_entry_without_touching_recency_or_counters() {
+        let mut cache = LruCache::new(2);
+        cache.insert("a", 1);
+        cache.insert("b", 2);
+        assert_eq!(cache.values().sum::<i32>(), 3);
+        // "a" is still the LRU entry because values() did not bump it.
+        assert_eq!(cache.insert("c", 3), Some(("a", 1)));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 
     #[test]
@@ -316,8 +303,8 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0, "remove/clear are not evictions");
     }
 
-    /// Version-aware plan-cache key shape: `(fingerprint, version, config)`
-    /// as used by `chason-serve` for dynamic matrices.
+    /// A `(fingerprint, version, config)` key: several versions of one
+    /// matrix, under several configurations, sharing one cache.
     type VersionedKey = (u64, u64, u8);
 
     #[test]

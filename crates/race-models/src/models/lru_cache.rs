@@ -1,7 +1,8 @@
 //! Concurrent use of the real [`chason_core::LruCache`] behind a mutex —
-//! the plan-cache idiom in `chason-serve`. Exhaustively checks that the
-//! hit/miss/eviction counters stay consistent across every interleaving of
-//! two clients, and that per-op locking (lock, touch, unlock) is enough.
+//! the idiom of the resident tables in `chason serve` and `chason route`.
+//! Exhaustively checks that the hit/miss/eviction counters stay consistent
+//! across every interleaving of two clients, and that per-op locking
+//! (lock, touch, unlock) is enough.
 //!
 //! Mutant:
 //! * `toctou-insert` — a check-then-insert spans two lock acquisitions; two

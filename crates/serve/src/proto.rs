@@ -429,15 +429,16 @@ pub struct StatsSnapshot {
     pub batched: u64,
     /// Highest queue depth observed.
     pub queue_depth_hwm: u64,
-    /// Plan-cache lookups served from cache.
+    /// Plan lookups served from a resident matrix's plan slot.
     pub plan_cache_hits: u64,
-    /// Plan-cache lookups that had to schedule.
+    /// Plan lookups that found the slot empty and had to schedule.
     pub plan_cache_misses: u64,
-    /// Plans displaced by inserts into a full cache.
+    /// Plans dropped because their matrix was evicted.
     pub plan_cache_evictions: u64,
-    /// Plans currently resident.
+    /// Plans currently held by resident matrices.
     pub plan_cache_len: u64,
-    /// Plan-cache capacity.
+    /// Most plans the resident matrices can hold: one per simulated
+    /// engine per matrix slot.
     pub plan_cache_capacity: u64,
     /// Matrices currently resident.
     pub matrices_resident: u64,

@@ -4,7 +4,7 @@
 //! Connections, the bounded worker queue, shedding, worker threads, and
 //! drain all live in [`crate::dispatch`]; this module supplies the
 //! [`Daemon`] parts that are serve's own: executing requests against the
-//! shared matrix and plan caches, and the `Stats`/`Metrics` content.
+//! shared table of resident matrices and their plans, and the `Stats`/`Metrics` content.
 
 use crate::admit::{self, Outcome};
 use crate::dispatch::{Daemon, PoolConfig, WorkerPool};
@@ -13,14 +13,14 @@ use crate::proto::{
 };
 use crate::stats::{lock_unpoisoned, ServerStats};
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
-use chason_core::cache::LruCache;
+use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::{matrix_fingerprint, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::{Accelerator, AcceleratorConfig, SimError};
-use chason_sparse::{CooMatrix, MatrixDelta};
+use chason_sparse::CooMatrix;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tunable knobs of a [`Server`].
@@ -33,10 +33,8 @@ pub struct ServeConfig {
     /// Bounded queue capacity between connections and workers; the
     /// load-shedding threshold.
     pub queue_capacity: usize,
-    /// Plan-cache capacity (one entry per engine and resident matrix
-    /// generation).
-    pub plan_cache_capacity: usize,
-    /// Resident-matrix cache capacity.
+    /// Resident-matrix cache capacity. Each resident also holds at most
+    /// one plan per simulated engine, so this bounds the plans too.
     pub matrix_cache_capacity: usize,
     /// How long a connection may sit idle (no frame progress) before the
     /// server hangs up.
@@ -55,7 +53,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_capacity: 64,
-            plan_cache_capacity: 64,
             matrix_cache_capacity: 32,
             idle_timeout: Duration::from_secs(30),
             max_frame_len: DEFAULT_MAX_FRAME,
@@ -65,89 +62,108 @@ impl Default for ServeConfig {
     }
 }
 
+/// Simulated engines, hence plan slots per resident matrix.
+const PLAN_SLOTS: usize = 2;
+
+/// `wire`'s index into [`Shared::engines`] and [`Resident::plans`], or
+/// `None` for the CPU backend, which has no plan.
+fn slot(wire: Engine) -> Option<usize> {
+    match wire {
+        Engine::Cpu => None,
+        Engine::Chason => Some(0),
+        Engine::Serpens => Some(1),
+    }
+}
+
 /// A resident matrix: the one copy of its content, row-sorted COO that the
-/// CPU backend multiplies and the engines plan from, and a version counter
-/// that `Update` bumps. The cache key (the load-time fingerprint) never
-/// changes; the version distinguishes delta generations.
-#[derive(Debug, Clone)]
-struct ResidentMatrix {
+/// CPU backend multiplies and the engines plan from, a version counter
+/// that `Update` bumps, and each simulated engine's plan of exactly this
+/// content. The cache key (the load-time fingerprint) never changes; an
+/// update or a reload after eviction installs a new `Resident`, so a plan
+/// can never outlive the content it was scheduled from.
+#[derive(Debug)]
+struct Resident {
     matrix: Arc<CooMatrix>,
     version: u64,
-    /// Server-unique name of this exact content, the plan-cache key.
-    generation: u64,
+    /// Filled on the first lookup that schedules, or by an update's splice.
+    plans: [OnceLock<Arc<SpmvPlan>>; PLAN_SLOTS],
+}
+
+impl Resident {
+    fn new(matrix: CooMatrix, version: u64, plans: [OnceLock<Arc<SpmvPlan>>; PLAN_SLOTS]) -> Self {
+        Resident {
+            matrix: Arc::new(matrix),
+            version,
+            plans,
+        }
+    }
+
+    /// Plans this resident holds.
+    fn plan_count(&self) -> usize {
+        self.plans.iter().filter_map(OnceLock::get).count()
+    }
 }
 
 /// The serve daemon's state, shared by the loop thread and every worker.
-///
-/// Lock ordering: `matrices` before `plans` (updates splice plans while
-/// serialized under the matrices lock); no path acquires them in the
-/// opposite nesting.
 struct Shared {
-    chason: Accelerator,
-    serpens: Accelerator,
-    /// Resident matrices keyed by load-time structural fingerprint.
-    matrices: Mutex<LruCache<u64, ResidentMatrix>>,
-    /// Plans keyed by engine family and resident generation. Every load
-    /// and every update gives the resident content a fresh generation, so
-    /// the key names one `(handle, version)` without hashing the matrix
-    /// per request — and, unlike the version, it is never reused when an
-    /// evicted handle is loaded again and its versions restart at 0. Both
-    /// engines share one scheduler configuration, so the engine tag is
-    /// what keeps their plans apart.
-    plans: Mutex<LruCache<(Engine, u64), Arc<SpmvPlan>>>,
-    /// Source of [`ResidentMatrix::generation`].
-    generations: AtomicU64,
+    /// The simulated engines, indexed by [`slot`].
+    engines: [Accelerator; PLAN_SLOTS],
+    /// Resident matrices, with their plans, keyed by load-time structural
+    /// fingerprint.
+    matrices: Mutex<LruCache<u64, Arc<Resident>>>,
+    /// Plan-slot lookups that found a plan.
+    plan_hits: AtomicU64,
+    /// Plan-slot lookups that had to schedule.
+    plan_misses: AtomicU64,
+    /// Plans dropped because their matrix was evicted.
+    plan_evictions: AtomicU64,
     stats: ServerStats,
 }
 
 impl Shared {
-    fn matrix(&self, handle: u64) -> Result<ResidentMatrix, Box<Reply>> {
+    fn matrix(&self, handle: u64) -> Result<Arc<Resident>, Box<Reply>> {
         lock_unpoisoned(&self.matrices)
             .get(&handle)
             .cloned()
             .ok_or_else(|| admit::unknown_handle(handle))
     }
 
-    /// A generation number no resident content has carried before.
-    fn next_generation(&self) -> u64 {
-        // relaxed: only uniqueness matters, and fetch_add is atomic at
-        // every ordering; the matrices lock publishes the number.
-        self.generations.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The simulated accelerator behind `wire`, or `None` for the CPU backend.
-    fn planner(&self, wire: Engine) -> Option<&Accelerator> {
-        match wire {
-            Engine::Cpu => None,
-            Engine::Chason => Some(&self.chason),
-            Engine::Serpens => Some(&self.serpens),
-        }
-    }
-
-    /// Returns the cached plan for (`engine`, `matrix` at `generation`),
-    /// scheduling and inserting it on a miss. Scheduling runs outside the
-    /// cache lock, so concurrent misses on the same key may schedule
-    /// twice; the loser's insert is a harmless replace.
-    fn resolve_plan(
-        &self,
-        wire: Engine,
-        generation: u64,
-        planner: &Accelerator,
-        matrix: &CooMatrix,
-    ) -> Result<Arc<SpmvPlan>, SimError> {
-        let key = (wire, generation);
-        if let Some(plan) = lock_unpoisoned(&self.plans).get(&key) {
+    /// Returns `resident`'s plan in `slot`, scheduling and filling the
+    /// slot on a miss. Scheduling runs outside every lock, so concurrent
+    /// misses on one slot may schedule twice; the loser's plan is dropped.
+    fn resolve_plan(&self, slot: usize, resident: &Resident) -> Result<Arc<SpmvPlan>, SimError> {
+        let cached = &resident.plans[slot];
+        if let Some(plan) = cached.get() {
+            // relaxed: a statistics counter; it orders nothing.
+            self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(planner.plan(matrix)?);
-        lock_unpoisoned(&self.plans).insert(key, Arc::clone(&plan));
-        Ok(plan)
+        // relaxed: a statistics counter; it orders nothing.
+        self.plan_misses.fetch_add(1, Ordering::Relaxed);
+        let plan = Arc::new(self.engines[slot].plan(&resident.matrix)?);
+        Ok(Arc::clone(cached.get_or_init(|| plan)))
+    }
+
+    /// Samples the plan and matrix statistics under the matrices lock.
+    /// The plans' `len` counts those resident entries hold, and their
+    /// capacity is one plan per engine per resident.
+    fn cache_stats(&self) -> (CacheStats, CacheStats) {
+        let matrices = lock_unpoisoned(&self.matrices);
+        let plans = CacheStats {
+            // relaxed: statistics; evictions are written under this lock.
+            hits: self.plan_hits.load(Ordering::Relaxed),
+            misses: self.plan_misses.load(Ordering::Relaxed),
+            evictions: self.plan_evictions.load(Ordering::Relaxed),
+            len: matrices.values().map(|r| r.plan_count()).sum(),
+            capacity: PLAN_SLOTS * matrices.capacity(),
+        };
+        (plans, matrices.stats())
     }
 }
 
 impl Daemon for Shared {
     /// Serve workers keep no state of their own: everything lives in the
-    /// shared caches.
+    /// shared resident table.
     type Worker = ();
     const WORKER_NAME: &'static str = "chason-worker";
     const DRAINING: &'static str = "server is draining";
@@ -157,20 +173,14 @@ impl Daemon for Shared {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
-        let plan_stats = lock_unpoisoned(&self.plans).stats();
-        let matrices = lock_unpoisoned(&self.matrices);
-        let m = matrices.stats();
-        drop(matrices);
-        self.stats.snapshot(plan_stats, m.len as u64, m.evictions)
+        let (plans, m) = self.cache_stats();
+        self.stats.snapshot(plans, m.len as u64, m.evictions)
     }
 
     fn exposition(&self) -> String {
-        let plan_stats = lock_unpoisoned(&self.plans).stats();
-        let matrices = lock_unpoisoned(&self.matrices);
-        let m = matrices.stats();
-        drop(matrices);
+        let (plans, m) = self.cache_stats();
         self.stats
-            .render_exposition(plan_stats, m.len as u64, m.evictions)
+            .render_exposition(plans, m.len as u64, m.evictions)
     }
 
     fn worker(&self, _index: usize) {}
@@ -220,18 +230,21 @@ impl Server {
     /// I/O failures binding the listener or starting the pool.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let engine = |base: AcceleratorConfig| {
+            Accelerator::new(AcceleratorConfig {
+                sched: config.sched,
+                ..base
+            })
+        };
         let shared = Arc::new(Shared {
-            chason: Accelerator::new(AcceleratorConfig {
-                sched: config.sched,
-                ..AcceleratorConfig::chason()
-            }),
-            serpens: Accelerator::new(AcceleratorConfig {
-                sched: config.sched,
-                ..AcceleratorConfig::serpens()
-            }),
+            engines: [
+                engine(AcceleratorConfig::chason()),
+                engine(AcceleratorConfig::serpens()),
+            ],
             matrices: Mutex::new(LruCache::new(config.matrix_cache_capacity)),
-            plans: Mutex::new(LruCache::new(config.plan_cache_capacity)),
-            generations: AtomicU64::new(0),
+            plan_hits: AtomicU64::new(0),
+            plan_misses: AtomicU64::new(0),
+            plan_evictions: AtomicU64::new(0),
             stats: ServerStats::new(),
         });
         let pool = WorkerPool::start(
@@ -288,14 +301,15 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: Vec<(u64, u64, 
     let (fresh, version) = match matrices.peek(&handle) {
         Some(resident) => (false, resident.version),
         None => {
-            matrices.insert(
-                handle,
-                ResidentMatrix {
-                    matrix: Arc::new(matrix),
-                    version: 0,
-                    generation: shared.next_generation(),
-                },
-            );
+            let resident = Resident::new(matrix, 0, Default::default());
+            // The key is absent, so anything displaced was evicted, and
+            // its plans leave with it.
+            if let Some((_, evicted)) = matrices.insert(handle, Arc::new(resident)) {
+                // relaxed: a statistics counter, read under this lock.
+                shared
+                    .plan_evictions
+                    .fetch_add(evicted.plan_count() as u64, Ordering::Relaxed);
+            }
             (true, 0)
         }
     };
@@ -313,11 +327,9 @@ fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outc
     let resident = shared.matrix(handle)?;
     admit::spmv(&resident.matrix, x)?;
     let start = Instant::now();
-    let (y, simulated_nanos) = match shared.planner(engine) {
+    let (y, simulated_nanos) = match slot(engine) {
         None => (resident.matrix.spmv(x), 0),
-        Some(planner) => {
-            run_engine_spmv(shared, engine, planner, &resident, x).map_err(sim_error_reply)?
-        }
+        Some(slot) => run_engine_spmv(shared, slot, &resident, x).map_err(sim_error_reply)?,
     };
     Ok(Reply::Vector {
         y,
@@ -328,33 +340,32 @@ fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Outc
 
 fn run_engine_spmv(
     shared: &Shared,
-    wire: Engine,
-    planner: &Accelerator,
-    resident: &ResidentMatrix,
+    slot: usize,
+    resident: &Resident,
     x: &[f32],
 ) -> Result<(Vec<f32>, u64), SimError> {
-    let plan = shared.resolve_plan(wire, resident.generation, planner, &resident.matrix)?;
-    let exec = planner.run_planned(&plan, x)?;
+    let plan = shared.resolve_plan(slot, resident)?;
+    let exec = shared.engines[slot].run_planned(&plan, x)?;
     let nanos = (exec.latency_seconds() * 1e9) as u64;
     Ok((exec.y, nanos))
 }
 
-/// A solver backend that routes every product through the server's shared
-/// plan cache, so a solve warms the same cache later `Spmv` requests hit.
+/// A solver backend that routes every product through the resident's plan
+/// slot, so a solve warms the same slot later `Spmv` requests hit.
 struct SharedPlanBackend<'a> {
     shared: &'a Shared,
     wire: Engine,
-    generation: u64,
-    planner: &'a Accelerator,
+    slot: usize,
+    resident: Arc<Resident>,
     elapsed: f64,
 }
 
 impl SpmvBackend for SharedPlanBackend<'_> {
-    fn spmv(&mut self, matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
-        let plan = self
-            .shared
-            .resolve_plan(self.wire, self.generation, self.planner, matrix)?;
-        let exec = self.planner.run_planned(&plan, x)?;
+    /// `matrix` is the resident's own matrix: the solver multiplies the
+    /// content the slot plans.
+    fn spmv(&mut self, _matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
+        let plan = self.shared.resolve_plan(self.slot, &self.resident)?;
+        let exec = self.shared.engines[self.slot].run_planned(&plan, x)?;
         self.elapsed += exec.latency_seconds();
         Ok(exec.y)
     }
@@ -389,17 +400,17 @@ fn execute_solve(
         SolverKind::Cg => conjugate_gradient(backend, &matrix, b, options),
         SolverKind::Jacobi => jacobi(backend, &matrix, b, options),
     };
-    let (result, simulated_nanos) = match shared.planner(engine) {
+    let (result, simulated_nanos) = match slot(engine) {
         None => {
             let mut backend = chason::solvers::CpuBackend::default();
             (run(&mut backend), 0)
         }
-        Some(planner) => {
+        Some(slot) => {
             let mut backend = SharedPlanBackend {
                 shared,
                 wire: engine,
-                generation: resident.generation,
-                planner,
+                slot,
+                resident,
                 elapsed: 0.0,
             };
             let result = run(&mut backend);
@@ -419,11 +430,10 @@ fn execute_solve(
 
 fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
     let resident = shared.matrix(handle)?;
-    let planner = shared
-        .planner(engine)
-        .ok_or_else(|| admit::bad_request("the cpu backend has no schedule plan"))?;
+    let slot =
+        slot(engine).ok_or_else(|| admit::bad_request("the cpu backend has no schedule plan"))?;
     let plan = shared
-        .resolve_plan(engine, resident.generation, planner, &resident.matrix)
+        .resolve_plan(slot, &resident)
         .map_err(sim_error_reply)?;
     let mut bytes = Vec::new();
     chason_core::export::write_plan(&mut bytes, &plan).map_err(|err| {
@@ -435,33 +445,6 @@ fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Outcome {
     Ok(Reply::PlanArtifact { bytes })
 }
 
-/// Takes `wire`'s cached plan for the outgoing matrix generation (if any),
-/// resplices its dirty windows in place, and re-inserts it under the
-/// `incoming` generation's key. Returns `(windows_replanned,
-/// windows_total)`, or `None` when there was no cached plan or the splice
-/// failed — either way the stale plan is gone and the next request
-/// schedules from scratch.
-fn splice_plan(
-    shared: &Shared,
-    wire: Engine,
-    outgoing: &ResidentMatrix,
-    incoming: u64,
-    updated: &CooMatrix,
-    delta: &MatrixDelta,
-) -> Option<(u64, u64)> {
-    let planner = shared.planner(wire)?;
-    let plan = lock_unpoisoned(&shared.plans).remove(&(wire, outgoing.generation))?;
-    let mut spliced = (*plan).clone();
-    match planner.replan_delta(&mut spliced, updated, delta) {
-        Ok(report) => {
-            let windows_total = spliced.window_count() as u64;
-            lock_unpoisoned(&shared.plans).insert((wire, incoming), Arc::new(spliced));
-            Some((report.windows_replanned as u64, windows_total))
-        }
-        Err(_) => None,
-    }
-}
-
 fn execute_update(
     shared: &Shared,
     handle: u64,
@@ -471,37 +454,39 @@ fn execute_update(
 ) -> Outcome {
     admit::update_values(inserts, revalues)?;
     // Updates to a handle serialize under the matrices lock so version
-    // N+1 is always derived from version N (lock ordering: matrices
-    // before plans).
+    // N+1 is always derived from version N.
     let mut matrices = lock_unpoisoned(&shared.matrices);
     let resident = matrices
         .get(&handle)
         .cloned()
         .ok_or_else(|| admit::unknown_handle(handle))?;
     let (delta, updated) = admit::update(&resident.matrix, inserts, revalues, deletes)?;
+    // Each plan the outgoing resident holds is respliced in its dirty
+    // windows for the new resident. A failed splice leaves the new slot
+    // empty, so the next request schedules from scratch.
     let mut plans_spliced: u32 = 0;
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
-    let generation = shared.next_generation();
-    let splices = [Engine::Chason, Engine::Serpens]
-        .map(|wire| splice_plan(shared, wire, &resident, generation, &updated, &delta));
-    for (replanned, total) in splices.into_iter().flatten() {
-        plans_spliced += 1;
-        windows_replanned += replanned;
-        windows_total = windows_total.max(total);
-    }
+    let plans = std::array::from_fn(|slot| {
+        let Some(plan) = resident.plans[slot].get() else {
+            return OnceLock::new();
+        };
+        let mut spliced = (**plan).clone();
+        match shared.engines[slot].replan_delta(&mut spliced, &updated, &delta) {
+            Ok(report) => {
+                plans_spliced += 1;
+                windows_replanned += report.windows_replanned as u64;
+                windows_total = windows_total.max(spliced.window_count() as u64);
+                OnceLock::from(Arc::new(spliced))
+            }
+            Err(_) => OnceLock::new(),
+        }
+    });
     shared.stats.plans_spliced.add(u64::from(plans_spliced));
     shared.stats.replan_windows.add(windows_replanned);
     let version = resident.version + 1;
     let nnz = updated.nnz() as u64;
-    matrices.insert(
-        handle,
-        ResidentMatrix {
-            matrix: Arc::new(updated),
-            version,
-            generation,
-        },
-    );
+    matrices.insert(handle, Arc::new(Resident::new(updated, version, plans)));
     Ok(Reply::Updated {
         version,
         nnz,

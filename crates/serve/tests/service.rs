@@ -523,3 +523,37 @@ fn reloaded_handle_never_reuses_a_superseded_lineages_plan() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// Plans live in their matrix's resident entry, so evicting the matrix
+/// drops them and counts them as plan evictions instead of leaving them
+/// to hold plan slots under a handle nothing can reach.
+#[test]
+fn evicting_a_matrix_drops_its_plans() {
+    use chason_sparse::generators::uniform_random;
+
+    let server = start(ServeConfig {
+        matrix_cache_capacity: 1,
+        ..small_config()
+    });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let a = uniform_random(64, 64, 400, 3);
+    let b = uniform_random(64, 64, 300, 4);
+
+    let (handle, _) = client.load_matrix(&a).expect("load a");
+    for engine in [Engine::Chason, Engine::Serpens] {
+        client.plan(handle, engine).expect("plan");
+    }
+    let warm = client.stats().expect("stats");
+    assert_eq!((warm.plan_cache_len, warm.plan_cache_evictions), (2, 0));
+    assert_eq!(warm.plan_cache_capacity, 2);
+
+    client.load_matrix(&b).expect("load b evicts a");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.matrix_evictions, 1);
+    assert_eq!(stats.plan_cache_len, 0, "{stats:?}");
+    assert_eq!(stats.plan_cache_evictions, 2, "{stats:?}");
+    assert_eq!(stats.plan_cache_capacity, 2);
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}
