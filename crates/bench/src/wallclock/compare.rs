@@ -7,7 +7,11 @@
 //! noise is not a regression, and a genuine 2× slowdown always clears
 //! both gates regardless of noise. Benchmarks present in the
 //! baseline but missing from the current run are reported separately so a
-//! silently dropped benchmark cannot pass CI.
+//! silently dropped benchmark cannot pass CI. A row whose `-tN` id suffix
+//! asks for more threads than the current run's host has CPUs is
+//! reported as ungated instead: its threads time-share the cores, so its
+//! time says nothing about the code. Its input fingerprint is still
+//! checked.
 
 use super::report::BenchReport;
 
@@ -24,8 +28,12 @@ pub struct Delta {
     pub ratio: f64,
     /// Whether the two runs measured the same input.
     pub fingerprint_match: bool,
-    /// Whether this delta is a flagged regression.
+    /// Whether this delta is a flagged regression (never for an ungated
+    /// row).
     pub regressed: bool,
+    /// Whether the row runs more threads than the current host has CPUs,
+    /// so its time is not gated.
+    pub ungated: bool,
 }
 
 /// The comparator's verdict over two reports.
@@ -39,11 +47,14 @@ pub struct Comparison {
     pub missing: Vec<String>,
     /// Ids in the current run but not the baseline (informational).
     pub added: Vec<String>,
+    /// CPUs of the current run's host.
+    pub cpus: u64,
 }
 
 impl Comparison {
     /// Whether the comparison should fail a gate: any flagged regression,
-    /// any dropped benchmark, or any fingerprint mismatch.
+    /// any dropped benchmark, or any fingerprint mismatch, ungated rows
+    /// included.
     pub fn is_failure(&self) -> bool {
         !self.missing.is_empty()
             || self
@@ -66,13 +77,16 @@ impl Comparison {
         ));
         for d in &self.deltas {
             let verdict = if !d.fingerprint_match {
-                "FINGERPRINT MISMATCH"
+                "FINGERPRINT MISMATCH".to_string()
+            } else if d.ungated {
+                let threads = threads_of(&d.id).unwrap_or_default();
+                format!("ungated ({threads} threads > {} cpus)", self.cpus)
             } else if d.regressed {
-                "REGRESSION"
+                "REGRESSION".to_string()
             } else if d.ratio < 1.0 - self.threshold {
-                "improved"
+                "improved".to_string()
             } else {
-                "ok"
+                "ok".to_string()
             };
             out.push_str(&format!(
                 "{:<22} {:>14.1} {:>14.1} {:>8.3}  {verdict}\n",
@@ -98,10 +112,18 @@ impl Comparison {
     }
 }
 
+/// The thread count a benchmark id's `-tN` suffix names
+/// (`spmv/static-t4` → 4), if it has one.
+fn threads_of(id: &str) -> Option<u64> {
+    id.rsplit_once("-t")?.1.parse().ok()
+}
+
 /// Compares `current` against `baseline` with a relative `threshold`
 /// (0.2 = flag anything more than 20% slower, subject to the noise
-/// guard).
+/// guard). Rows asking for more threads than `current.host.cpus` are
+/// ungated.
 pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> Comparison {
+    let cpus = current.host.cpus;
     let mut deltas = Vec::new();
     let mut missing = Vec::new();
     for b in &baseline.results {
@@ -120,7 +142,8 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold: f64) ->
         let noise_guard =
             (3.0 * (b.mad_ns_per_iter + c.mad_ns_per_iter)).min(0.5 * b.median_ns_per_iter);
         let slowdown = c.median_ns_per_iter - b.median_ns_per_iter;
-        let regressed = ratio > 1.0 + threshold && slowdown > noise_guard;
+        let ungated = threads_of(&b.id).is_some_and(|threads| threads > cpus);
+        let regressed = !ungated && ratio > 1.0 + threshold && slowdown > noise_guard;
         deltas.push(Delta {
             id: b.id.clone(),
             baseline_ns: b.median_ns_per_iter,
@@ -128,6 +151,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold: f64) ->
             ratio,
             fingerprint_match: b.fingerprint == c.fingerprint,
             regressed,
+            ungated,
         });
     }
     let added = current
@@ -141,6 +165,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold: f64) ->
         deltas,
         missing,
         added,
+        cpus,
     }
 }
 
@@ -220,6 +245,42 @@ mod tests {
         assert!(cmp.is_failure());
         assert_eq!(cmp.missing, vec!["spmv/static-t2".to_string()]);
         assert_eq!(cmp.added, vec!["replay/chason".to_string()]);
+    }
+
+    #[test]
+    fn rows_with_more_threads_than_cpus_are_ungated_not_passed() {
+        let rows = |scale: f64| {
+            vec![
+                result("spmv/static-t4", 1000.0 * scale, 5.0),
+                result("plan/chason-from-serpens-t1", 1000.0 * scale, 5.0),
+                result("replay/chason", 1000.0, 5.0),
+            ]
+        };
+        let baseline = report_with(rows(1.0));
+        let mut current = report_with(rows(3.0));
+        current.host.cpus = 2;
+        let cmp = compare(&baseline, &current, 0.2);
+        assert_eq!(threads_of("spmv/static-t4"), Some(4));
+        assert_eq!(threads_of("replay/chason"), None);
+        let t4 = &cmp.deltas[0];
+        assert!(t4.ungated && !t4.regressed, "{t4:?}");
+        let t1 = &cmp.deltas[1];
+        assert!(!t1.ungated && t1.regressed, "a 1-thread row stays gated");
+        assert!(cmp.is_failure());
+        let table = cmp.render();
+        assert!(table.contains("ungated (4 threads > 2 cpus)"), "{table}");
+
+        // Without the gated regression the ungated slowdown passes, but a
+        // fingerprint mismatch on the ungated row still fails.
+        current.results[1].median_ns_per_iter = 1000.0;
+        assert!(!compare(&baseline, &current, 0.2).is_failure());
+        current.results[0].fingerprint = 7;
+        let cmp = compare(&baseline, &current, 0.2);
+        assert!(cmp.is_failure());
+        assert!(cmp.render().contains("FINGERPRINT MISMATCH"));
+        // A missing ungated row fails too.
+        current.results.remove(0);
+        assert!(compare(&baseline, &current, 0.2).is_failure());
     }
 
     #[test]

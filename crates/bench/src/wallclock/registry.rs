@@ -142,7 +142,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         ("plan/chason-t4", AcceleratorConfig::chason(), 4),
         ("plan/serpens-t1", AcceleratorConfig::serpens(), 1),
     ];
-    if plan_ids.iter().any(|(id, ..)| matches(id, filter)) {
+    let migrate_id = "plan/chason-from-serpens-t1";
+    if plan_ids.iter().any(|(id, ..)| matches(id, filter)) || matches(migrate_id, filter) {
         let matrix = Rc::new(plan_matrix(profile));
         let fingerprint = matrix_fingerprint(&matrix);
         for (id, config, threads) in plan_ids {
@@ -158,6 +159,27 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                     let engine = Accelerator::new(config);
                     #[allow(clippy::expect_used)] // bench corpus fits the engines
                     black_box(engine.plan_with_threads(&matrix, threads).expect("plan"));
+                }),
+            });
+        }
+        // The Chasoň plan derived from a built Serpens plan: the CrHCS
+        // migration of every window, out of place, and nothing else.
+        if matches(migrate_id, filter) {
+            let engine = Accelerator::new(AcceleratorConfig::chason());
+            #[allow(clippy::expect_used)] // bench corpus fits the engines
+            let baseline = Accelerator::new(AcceleratorConfig::serpens())
+                .plan_with_threads(&matrix, 1)
+                .expect("plan");
+            out.push(Benchmark {
+                id: migrate_id.to_string(),
+                fingerprint,
+                bytes_per_iter: 0,
+                routine: Box::new(move || {
+                    #[allow(clippy::expect_used)] // baseline comes from the same config
+                    let plan = engine
+                        .migrate_plan_with_threads(&baseline, 1)
+                        .expect("migrate");
+                    black_box(plan);
                 }),
             });
         }
@@ -422,7 +444,7 @@ mod tests {
                 "missing group {prefix} in {ids:?}"
             );
         }
-        assert_eq!(ids.len(), 18);
+        assert_eq!(ids.len(), 19);
     }
 
     #[test]

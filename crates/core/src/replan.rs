@@ -220,17 +220,7 @@ impl SpmvPlan {
             }
         }
         let dirty = dirty_windows(self, delta)?;
-        let report = ReplanReport {
-            windows_total: self.window_count(),
-            windows_replanned: dirty.len(),
-            passes_touched: dirty
-                .iter()
-                .map(|&(pi, _)| pi)
-                .collect::<BTreeSet<_>>()
-                .len(),
-            nnz_before: self.nnz,
-            nnz_after: updated.nnz(),
-        };
+        let report = self.replan_report(&dirty, updated.nnz());
         if dirty.is_empty() {
             return Ok(report);
         }
@@ -278,6 +268,90 @@ impl SpmvPlan {
         self.nnz = updated.nnz();
         self.key.fingerprint = matrix_fingerprint(updated);
         Ok(report)
+    }
+
+    /// Splices `delta` into the plan from `source`, a plan of the same
+    /// shape and pass/window skeleton that `delta` has already been spliced
+    /// into: each window the delta dirties becomes `derive` of `source`'s
+    /// window, and every other window is left as it was. The plan takes
+    /// `source`'s non-zero count and fingerprint.
+    ///
+    /// A Chasoň plan is spliced this way from its Serpens plan, with
+    /// `derive` the CrHCS migration pass, so no dirty window is dealt or
+    /// scheduled PE-aware a second time.
+    ///
+    /// On error the plan is left unchanged.
+    ///
+    /// # Errors
+    ///
+    /// * [`ReplanError::ShapeMismatch`] — `source` or `delta` disagrees with
+    ///   the plan's dimensions or window width;
+    /// * [`ReplanError::NnzMismatch`] — `source` does not hold `plan + delta`
+    ///   non-zeros;
+    /// * [`ReplanError::Structure`] — the two skeletons differ, or the plan's
+    ///   cannot place a delta coordinate.
+    pub fn splice_from(
+        &mut self,
+        source: &SpmvPlan,
+        delta: &MatrixDelta,
+        derive: impl Fn(&ScheduledMatrix) -> ScheduledMatrix,
+    ) -> Result<ReplanReport, ReplanError> {
+        if (source.rows, source.cols, source.window) != (self.rows, self.cols, self.window) {
+            return Err(ReplanError::ShapeMismatch(format!(
+                "source plan is {}x{} in windows of {} but the plan is {}x{} in windows of {}",
+                source.rows, source.cols, source.window, self.rows, self.cols, self.window
+            )));
+        }
+        let expected = (self.nnz as isize + delta.nnz_change()).max(0) as usize;
+        if source.nnz != expected {
+            return Err(ReplanError::NnzMismatch {
+                expected,
+                got: source.nnz,
+            });
+        }
+        let same_skeleton = source.passes.len() == self.passes.len()
+            && source.passes.iter().zip(&self.passes).all(|(s, p)| {
+                (s.row_start, s.row_end) == (p.row_start, p.row_end)
+                    && s.windows.len() == p.windows.len()
+                    && s.windows
+                        .iter()
+                        .zip(&p.windows)
+                        .all(|(sw, pw)| (sw.col_start, sw.col_end) == (pw.col_start, pw.col_end))
+            });
+        if !same_skeleton {
+            return Err(ReplanError::Structure(
+                "source plan passes or windows differ from the plan's".to_string(),
+            ));
+        }
+        let dirty = dirty_windows(self, delta)?;
+        let report = self.replan_report(&dirty, source.nnz);
+        for &(pi, wi) in &dirty {
+            let window = &source.passes[pi].windows[wi];
+            self.passes[pi].windows[wi] =
+                PlanWindow::new(window.col_start, window.col_end, derive(&window.schedule));
+        }
+        for pass in &mut self.passes {
+            pass.nnz = pass.windows.iter().map(|w| w.nnz).sum();
+        }
+        self.nnz = source.nnz;
+        self.key.fingerprint = source.key.fingerprint;
+        Ok(report)
+    }
+
+    /// What splicing the `dirty` windows does to this plan when the
+    /// updated matrix holds `nnz_after` non-zeros.
+    fn replan_report(&self, dirty: &BTreeSet<(usize, usize)>, nnz_after: usize) -> ReplanReport {
+        ReplanReport {
+            windows_total: self.window_count(),
+            windows_replanned: dirty.len(),
+            passes_touched: dirty
+                .iter()
+                .map(|&(pi, _)| pi)
+                .collect::<BTreeSet<_>>()
+                .len(),
+            nnz_before: self.nnz,
+            nnz_after,
+        }
     }
 }
 

@@ -221,31 +221,66 @@ impl ChannelSchedule {
         self.slots[index].nz
     }
 
-    /// One byte per cycle with bit `l` set when lane `l` is occupied
-    /// (channels of at most eight lanes).
-    pub(crate) fn lane_masks(&self, masks: &mut Vec<u8>) {
-        debug_assert!(self.lanes <= 8, "lane masks cover at most 8 lanes");
-        masks.clear();
-        masks.resize(self.cycles, 0);
-        for p in &self.slots {
-            masks[p.cycle as usize] |= 1 << p.lane;
-        }
+    /// The index of the first occupied slot after `cycle` (in
+    /// [`ChannelSchedule::occupied`] order) and the slots from there on.
+    pub(crate) fn occupied_after(
+        &self,
+        cycle: usize,
+    ) -> (usize, impl Iterator<Item = (usize, usize, &NzSlot)>) {
+        let start = self.slots.partition_point(|p| p.cycle as usize <= cycle);
+        let slots = self.slots[start..]
+            .iter()
+            .map(|p| (p.cycle as usize, usize::from(p.lane), &p.nz));
+        (start, slots)
     }
 
-    /// Merges `(cycle, lane, non-zero)` slots, ascending and landing only on
-    /// stalls within the channel's length, into the store in one pass from
-    /// the back.
-    pub(crate) fn merge(&mut self, incoming: &[(usize, usize, NzSlot)]) {
-        if incoming.is_empty() {
-            return;
+    /// The channel a migration leaves: the occupied slots not flagged in
+    /// `taken` (one flag per slot, in [`ChannelSchedule::occupied`] order)
+    /// merged with `incoming`, `(cycle, lane, non-zero)` slots that are
+    /// ascending and land only on stalls or taken slots. The new store is
+    /// written once, in one forward pass, and the channel is trimmed.
+    pub(crate) fn migrated(
+        &self,
+        taken: &[bool],
+        incoming: &[(usize, usize, NzSlot)],
+    ) -> ChannelSchedule {
+        let gone = taken.iter().filter(|&&t| t).count();
+        let mut slots = Vec::with_capacity(self.slots.len() - gone + incoming.len());
+        let mut kept = self
+            .slots
+            .iter()
+            .zip(taken)
+            .filter_map(|(p, &t)| (!t).then_some(*p))
+            .peekable();
+        for &(cycle, lane, nz) in incoming {
+            let key = (cycle, lane);
+            while let Some(p) = kept.next_if(|p| p.key() < key) {
+                slots.push(p);
+            }
+            slots.push(Placed::new(cycle, lane, nz));
         }
-        let old = self.slots.len();
+        slots.extend(kept);
+        debug_assert!(slots.windows(2).all(|w| w[0].key() < w[1].key()));
+        let mut out = ChannelSchedule {
+            slots,
+            ..ChannelSchedule::new(self.channel, self.lanes)
+        };
+        out.trim();
+        out
+    }
+
+    /// [`ChannelSchedule::migrated`] written over `self`, reusing its
+    /// store: the taken slots are compacted away, then `incoming` is merged
+    /// in from the back.
+    pub(crate) fn migrate_in_place(&mut self, taken: &[bool], incoming: &[(usize, usize, NzSlot)]) {
+        let mut flags = taken.iter();
+        self.slots.retain(|_| flags.next() == Some(&false));
+        let (mut i, mut j) = (self.slots.len(), incoming.len());
         self.slots.extend(
             incoming
                 .iter()
                 .map(|&(cycle, lane, nz)| Placed::new(cycle, lane, nz)),
         );
-        let (mut i, mut j) = (old, incoming.len());
         let mut k = self.slots.len();
         while j > 0 {
             k -= 1;
@@ -259,22 +294,7 @@ impl ChannelSchedule {
             }
         }
         debug_assert!(self.slots.windows(2).all(|w| w[0].key() < w[1].key()));
-        debug_assert!(self
-            .slots
-            .last()
-            .is_none_or(|p| (p.cycle as usize) < self.cycles));
-    }
-
-    /// Removes the occupied slots at `indices` (ascending, in
-    /// [`ChannelSchedule::occupied`] order); the channel keeps its length.
-    pub(crate) fn remove_sorted(&mut self, indices: &[usize]) {
-        let mut next = indices.iter().peekable();
-        let mut at = 0usize;
-        self.slots.retain(|_| {
-            let drop = next.next_if_eq(&&at).is_some();
-            at += 1;
-            !drop
-        });
+        self.trim();
     }
 
     /// Packs the schedule into the channel's 64-bit data list (row-major:

@@ -1,4 +1,6 @@
-use super::{NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows};
+use super::{
+    ChannelSchedule, NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows,
+};
 use serde::{Deserialize, Serialize};
 
 /// Cross-HBM-channel out-of-order scheduling (CrHCS) — §3, the paper's
@@ -58,22 +60,73 @@ impl Crhcs {
 /// schedule, with values migrated from ring-neighbour channels under the
 /// schedule's own configuration, then trims trailing all-stall cycles.
 ///
-/// [`Crhcs`] is [`PeAware`] followed by this pass, so migrating a copy of a
-/// PE-aware schedule yields exactly the CrHCS schedule of the same rows.
+/// [`Crhcs`] is [`PeAware`] followed by this pass, so migrating a PE-aware
+/// schedule yields exactly the CrHCS schedule of the same rows. The passes
+/// are [`migrated`]'s; only the final write reuses `schedule`'s stores
+/// instead of allocating new ones.
 ///
 /// # Panics
 ///
 /// Panics if the schedule's configuration is invalid.
 pub fn migrate(schedule: &mut ScheduledMatrix) -> MigrationReport {
-    let config = schedule.config;
+    let (stalls_before, cycles_before) = (schedule.stalls(), schedule.stream_cycles());
+    let (work, migrated, raw_skips) = migration_passes(schedule);
+    for (ch, w) in schedule.channels.iter_mut().zip(work) {
+        ch.migrate_in_place(&w.taken, &w.migrants);
+    }
+    MigrationReport {
+        migrated,
+        stalls_before,
+        stalls_after: schedule.stalls(),
+        raw_skips,
+        cycles_before,
+        cycles_after: schedule.stream_cycles(),
+    }
+}
+
+/// CrHCS's migration pass, out of place: returns the migrated schedule of
+/// `schedule` (see [`migrate`]) and the pass's report, leaving `schedule`
+/// untouched, so a PE-aware schedule and its migration can be kept side
+/// by side without a copy.
+///
+/// # Panics
+///
+/// Panics if the schedule's configuration is invalid.
+pub fn migrated(schedule: &ScheduledMatrix) -> (ScheduledMatrix, MigrationReport) {
+    let (work, migrated, raw_skips) = migration_passes(schedule);
+    let out = ScheduledMatrix {
+        channels: schedule
+            .channels
+            .iter()
+            .zip(&work)
+            .map(|(ch, w)| ch.migrated(&w.taken, &w.migrants))
+            .collect(),
+        ..*schedule
+    };
+    let report = MigrationReport {
+        migrated,
+        stalls_before: schedule.stalls(),
+        stalls_after: out.stalls(),
+        raw_skips,
+        cycles_before: schedule.stream_cycles(),
+        cycles_after: out.stream_cycles(),
+    };
+    (out, report)
+}
+
+/// Runs every hop's migration passes over `input` without writing it:
+/// each pass reads the input channels and records its moves in the
+/// per-channel [`Working`] state, whose taken flags and (sorted) migrants
+/// then say what each output channel holds. Returns that state, the values
+/// migrated and the RAW skips.
+fn migration_passes(input: &ScheduledMatrix) -> (Vec<Working>, usize, usize) {
+    let config = input.config;
     assert!(config.is_valid(), "invalid scheduler configuration");
-    let stalls_before = schedule.stalls();
-    let cycles_before = schedule.stream_cycles();
+    let mut work: Vec<Working> = input.channels.iter().map(Working::new).collect();
     let mut migrated = 0usize;
     let mut raw_skips = 0usize;
-
     if config.channels >= 2 {
-        let mut scratch = MigrationScratch::new(schedule.rows, &config);
+        let mut scratch = MigrationScratch::new(input.rows, &config);
         // Farthest sources first (§6.1's extended scheduling scope):
         // migrated values cannot hop twice, so letting the most distant
         // destination skim a donor's tail before nearer neighbours fill up
@@ -82,24 +135,49 @@ pub fn migrate(schedule: &mut ScheduledMatrix) -> MigrationReport {
         for hop in (1..=config.migration_hops.min(config.channels - 1)).rev() {
             for dest in 0..config.channels {
                 let src = (dest + hop) % config.channels;
-                let (m, s) = migrate_channel(schedule, dest, src, hop, &config, &mut scratch);
+                let (m, s) = migrate_channel(input, &mut work, dest, src, hop, &mut scratch);
                 migrated += m;
                 raw_skips += s;
             }
         }
     }
-
-    for ch in &mut schedule.channels {
-        ch.trim();
+    // One pass's migrants ascend; a multi-hop channel receives several runs.
+    for w in &mut work {
+        w.migrants
+            .sort_unstable_by_key(|&(cycle, lane, _)| (cycle, lane));
     }
+    (work, migrated, raw_skips)
+}
 
-    MigrationReport {
-        migrated,
-        stalls_before,
-        stalls_after: schedule.stalls(),
-        raw_skips,
-        cycles_before,
-        cycles_after: schedule.stream_cycles(),
+/// One channel's state while the migration passes run: what its output
+/// channel will hold, tracked beside the untouched input channel.
+struct Working {
+    /// One byte per cycle, bit `l` set when lane `l` holds a value; as
+    /// long as the channel: the input's length, extended while the channel
+    /// is a destination.
+    masks: Vec<u8>,
+    /// Per input occupied slot: its value has migrated out.
+    taken: Vec<bool>,
+    /// Private input values not yet migrated out.
+    eligible: usize,
+    /// Values migrated in, as `(cycle, lane, non-zero)`.
+    migrants: Vec<(usize, usize, NzSlot)>,
+}
+
+impl Working {
+    fn new(channel: &ChannelSchedule) -> Self {
+        let mut masks = vec![0u8; channel.cycles()];
+        let mut eligible = 0;
+        for (cycle, lane, nz) in channel.occupied() {
+            masks[cycle] |= 1 << lane;
+            eligible += usize::from(nz.pvt);
+        }
+        Working {
+            masks,
+            taken: vec![false; channel.nonzeros()],
+            eligible,
+            migrants: Vec::new(),
+        }
     }
 }
 
@@ -134,13 +212,8 @@ struct MigrationScratch {
     nonempty: Vec<u64>,
     /// The source cycle's candidates while they are being sorted.
     group: Vec<Candidate>,
-    /// Values placed into the destination this pass, `(cycle, lane)`
-    /// ascending.
-    migrants: Vec<(usize, usize, NzSlot)>,
-    /// Source occupied-slot indices taken this pass.
+    /// Candidates migrated this pass.
     taken: Vec<usize>,
-    /// Destination lane masks, one byte per cycle.
-    masks: Vec<u8>,
 }
 
 /// One still-private value of the source channel a destination may pull.
@@ -190,7 +263,6 @@ impl MigrationScratch {
         self.candidates.clear();
         self.rows.clear();
         self.placed.clear();
-        self.migrants.clear();
         self.taken.clear();
         self.first.resize(cycles, 0);
         self.bucket.clear();
@@ -253,16 +325,19 @@ impl MigrationScratch {
 }
 
 /// Fills `dest`'s stall slots with still-private values from `src`, the
-/// channel `hop` ring steps downstream.
+/// channel `hop` ring steps downstream, reading the values from `input`
+/// and recording the moves in `work`.
 ///
 /// A migration is only performed when it moves a value to a *strictly
 /// earlier* cycle than it occupied in its home channel (`src_cycle >
 /// dest_cycle`): channels run in lockstep, so relocating a value sideways or
 /// later can never shorten the stream — it would merely relabel which PEG is
 /// idle (the pathology would be migrating an entire channel into another,
-/// leaving the stream length unchanged). Candidates are consumed from the
-/// source's **tail** first, which is what lets the source list trim after
-/// its late values leave and produces the even load balance of Fig. 13.
+/// leaving the stream length unchanged). So a source value at or above the
+/// destination's first free cycle can never move, and is never offered.
+/// Candidates are consumed from the source's **tail** first, which is what
+/// lets the source list trim after its late values leave and produces the
+/// even load balance of Fig. 13.
 ///
 /// Rows are offered in (tail cycle desc, row desc) order from a bucket
 /// queue: one bucket per source cycle holding the rows whose deepest
@@ -275,18 +350,43 @@ impl MigrationScratch {
 ///
 /// Returns `(migrated, raw_skips)`.
 fn migrate_channel(
-    scheduled: &mut ScheduledMatrix,
+    input: &ScheduledMatrix,
+    work: &mut [Working],
     dest: usize,
     src: usize,
     hop: usize,
-    config: &SchedulerConfig,
     scratch: &mut MigrationScratch,
 ) -> (usize, usize) {
     if dest == src {
         return (0, 0);
     }
-    let source = &scheduled.channels[src];
-    let src_len = source.cycles();
+    let config = &input.config;
+    // Split each donor's surplus evenly across its destinations: when this
+    // pass runs, `hop` passes (including this one) will still pull from
+    // `src`, so this destination may take at most a 1/hop share of every
+    // private value left there, movable or not. With a single hop the quota
+    // is the whole surplus and behaviour is identical to the deployed
+    // design.
+    let quota = work[src].eligible.div_ceil(hop);
+    if quota == 0 {
+        return (0, 0);
+    }
+    let src_len = work[src].masks.len();
+    // The destination may be shorter than the source (virtual
+    // equalization): its implicit padding is eligible stall space, so
+    // extend it to the source's length before filling.
+    let target = &mut work[dest];
+    if target.masks.len() < src_len {
+        target.masks.resize(src_len, 0);
+    }
+    let pes = config.pes_per_channel;
+    let all_lanes = u8::MAX >> (8 - pes);
+    let first_free = target
+        .masks
+        .iter()
+        .position(|&mask| !mask & all_lanes != 0)
+        .unwrap_or(target.masks.len());
+
     // Group candidate positions by source row, in stream order. Only
     // private values are eligible: a value that already migrated into `src`
     // from its own neighbour must not hop a second channel (§3.4). The
@@ -294,8 +394,11 @@ fn migrate_channel(
     // contribute thousands of candidates that are all blocked for the same
     // reason, and they must be skipped in O(1), not re-scanned per slot.
     scratch.reset(src_len);
-    for (slot, (cycle, lane, nz)) in source.occupied().enumerate() {
-        if !nz.pvt {
+    let source = &input.channels[src];
+    let taken = &work[src].taken;
+    let (start, slots) = source.occupied_after(first_free);
+    for (slot, (cycle, lane, nz)) in (start..).zip(slots) {
+        if !nz.pvt || taken[slot] {
             continue;
         }
         if scratch.group.first().is_some_and(|c| c.cycle != cycle) {
@@ -311,31 +414,12 @@ fn migrate_channel(
         });
     }
     scratch.flush_group();
-    // Split each donor's surplus evenly across its destinations: when this
-    // pass runs, `hop` passes (including this one) will still pull from
-    // `src`, so this destination may take at most a 1/hop share. With a
-    // single hop the quota is the whole surplus and behaviour is identical
-    // to the deployed design.
-    let quota = scratch.candidates.len().div_ceil(hop);
-    if quota == 0 {
-        return (0, 0);
-    }
     for i in 0..scratch.rows.len() {
         let r = scratch.rows[i];
         scratch.enqueue(scratch.tail[r] - 1);
     }
     let mut top = scratch.nonempty_below(src_len);
 
-    // The destination may be shorter than the source (virtual
-    // equalization): its implicit padding is eligible stall space, so
-    // extend it to the source's length before filling.
-    let target = &mut scheduled.channels[dest];
-    if target.cycles() < src_len {
-        target.set_cycles(src_len);
-    }
-    target.lane_masks(&mut scratch.masks);
-    let pes = config.pes_per_channel;
-    let all_lanes = u8::MAX >> (8 - pes);
     let d = config.dependency_distance;
     let scan_limit = config.migration_scan_limit.max(1);
     // RAW tracking per (dest lane, row) lives in `scratch.last_cycle`: the
@@ -345,9 +429,9 @@ fn migrate_channel(
     // tracking the last cycle suffices.
     let mut migrated = 0usize;
     let mut raw_skips = 0usize;
-    let source = &scheduled.channels[src];
-    'slots: for cycle in 0..scratch.masks.len() {
-        let mut free = !scratch.masks[cycle] & all_lanes;
+    let target = &mut work[dest];
+    'slots: for cycle in first_free..target.masks.len() {
+        let mut free = !target.masks[cycle] & all_lanes;
         while free != 0 {
             let lane = free.trailing_zeros() as usize;
             free &= free - 1;
@@ -390,12 +474,13 @@ fn migrate_channel(
                     continue;
                 }
                 // Migrate: tag with the source lane; the source slot is
-                // dropped when the pass ends.
+                // freed when the pass ends.
                 let mut moved = source.nz_at(cand.slot);
                 moved.pvt = false;
                 moved.pe_src = cand.lane as u8;
-                scratch.migrants.push((cycle, lane, moved));
-                scratch.taken.push(cand.slot);
+                target.migrants.push((cycle, lane, moved));
+                target.masks[cycle] |= 1 << lane;
+                scratch.taken.push(index);
                 if prev == 0 {
                     scratch.placed.push(raw_slot);
                 }
@@ -413,9 +498,13 @@ fn migrate_channel(
             }
         }
     }
-    scheduled.channels[dest].merge(&scratch.migrants);
-    scratch.taken.sort_unstable();
-    scheduled.channels[src].remove_sorted(&scratch.taken);
+    let donor = &mut work[src];
+    donor.eligible -= migrated;
+    for &index in &scratch.taken {
+        let cand = scratch.candidates[index];
+        donor.taken[cand.slot] = true;
+        donor.masks[cand.cycle] &= !(1 << cand.lane);
+    }
     (migrated, raw_skips)
 }
 
@@ -539,6 +628,111 @@ mod tests {
         let report = migrate(&mut s);
         assert_eq!(s.stream_cycles(), 0);
         assert_eq!(report.migrated, 0);
+    }
+
+    /// A matrix of one value per listed row, all in column 0: PE-aware
+    /// scheduling gives each lane its rows in ascending order, one per
+    /// cycle.
+    fn one_value_per_row(rows: usize, listed: impl IntoIterator<Item = usize>) -> CooMatrix {
+        let triplets = listed.into_iter().map(|r| (r, 0, 1.0 + r as f32)).collect();
+        CooMatrix::from_triplets(rows, 1, triplets).unwrap()
+    }
+
+    fn channel_lengths(s: &ScheduledMatrix) -> Vec<usize> {
+        s.channels.iter().map(ChannelSchedule::cycles).collect()
+    }
+
+    /// The quota is a 1/hop share of every private value left in the
+    /// source, movable or not. Channel 0 (rows 0, 1 mod 6) holds 20 values
+    /// over 10 cycles and channel 1 (rows 2, 3 mod 6) 8 over 4; channel 2
+    /// is empty. The 2-hop pass into channel 1 may take ceil(20 / 2) = 10
+    /// values, and takes 6 before the tails meet the free slots; the 10
+    /// values past its first free cycle (4) would allow only 5. Likewise
+    /// channel 2 takes 4 of channel 1's 8 values, where a quota from the
+    /// 6 it can move would allow 3.
+    #[test]
+    fn the_quota_counts_values_that_cannot_move() {
+        let config = SchedulerConfig {
+            migration_hops: 2,
+            ..SchedulerConfig::toy(3, 2, 2)
+        };
+        let rows = (0..10)
+            .flat_map(|i| [6 * i, 6 * i + 1])
+            .chain((0..4).flat_map(|i| [6 * i + 2, 6 * i + 3]));
+        let m = one_value_per_row(60, rows);
+        let mut s = PeAware::new().schedule(&m, &config);
+        assert_eq!(channel_lengths(&s), [10, 4, 0]);
+        let report = migrate(&mut s);
+        s.validate(&m).unwrap();
+        assert_eq!(
+            report,
+            MigrationReport {
+                migrated: 14,
+                stalls_before: 32,
+                stalls_after: 14,
+                raw_skips: 0,
+                cycles_before: 10,
+                cycles_after: 7,
+            }
+        );
+        assert_eq!(channel_lengths(&s), [5, 7, 4]);
+        let migrants = |ch: usize| {
+            s.channels[ch]
+                .occupied()
+                .filter(|(_, _, nz)| !nz.pvt)
+                .count()
+        };
+        assert_eq!((migrants(0), migrants(1), migrants(2)), (0, 6, 8));
+    }
+
+    /// Channel 0 is full through cycle 9, past channel 1's last value
+    /// (cycle 5), so the pass into channel 0 offers nothing, exactly as the
+    /// unpruned pass moved nothing. The pass into channel 1 then moves
+    /// channel 0's four values past cycle 7.
+    #[test]
+    fn a_destination_full_past_the_source_moves_nothing() {
+        let config = SchedulerConfig::toy(2, 2, 2);
+        let lane = |offset: usize, count: usize| (0..count).map(move |i| 4 * i + offset);
+        let rows = lane(0, 12)
+            .chain(lane(1, 10))
+            .chain(lane(2, 6))
+            .chain(lane(3, 6));
+        let m = one_value_per_row(48, rows);
+        let mut s = PeAware::new().schedule(&m, &config);
+        assert_eq!(channel_lengths(&s), [12, 6]);
+        let report = migrate(&mut s);
+        s.validate(&m).unwrap();
+        assert_eq!(
+            report,
+            MigrationReport {
+                migrated: 4,
+                stalls_before: 14,
+                stalls_after: 2,
+                raw_skips: 0,
+                cycles_before: 12,
+                cycles_after: 9,
+            }
+        );
+        assert_eq!(channel_lengths(&s), [9, 8]);
+        assert!(s.channels[0].occupied().all(|(_, _, nz)| nz.pvt));
+    }
+
+    #[test]
+    fn out_of_place_migration_leaves_its_input_and_matches_in_place() {
+        for hops in 1..=3 {
+            let config = SchedulerConfig {
+                migration_hops: hops,
+                ..SchedulerConfig::toy(4, 4, 6)
+            };
+            let m = power_law(512, 512, 6000, 1.6, hops as u64);
+            let serpens = PeAware::new().schedule(&m, &config);
+            let (chason, report) = migrated(&serpens);
+            assert_eq!(serpens, PeAware::new().schedule(&m, &config));
+            let mut in_place = serpens.clone();
+            assert_eq!(migrate(&mut in_place), report);
+            assert_eq!(in_place, chason);
+            assert!(report.migrated > 0, "{report:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ mod row_based;
 mod row_split;
 
 pub use channel::ChannelSchedule;
-pub use crhcs::{migrate, Crhcs, MigrationReport};
+pub use crhcs::{migrate, migrated, Crhcs, MigrationReport};
 pub use pe_aware::PeAware;
 pub use row_based::RowBased;
 pub use row_split::HybridRowSplit;
@@ -619,17 +619,51 @@ pub(crate) mod tests {
         ch.insert(3, 1, NzSlot::private(3.0, 1, 0));
         ch.insert(0, 1, NzSlot::private(1.0, 1, 1));
         ch.insert(3, 0, NzSlot::private(2.0, 0, 2));
-        ch.merge(&[(1, 0, NzSlot::private(4.0, 4, 0))]);
+        ch.insert(1, 0, NzSlot::private(4.0, 4, 0));
         let order: Vec<(usize, usize)> = ch.occupied().map(|(c, l, _)| (c, l)).collect();
         assert_eq!(order, vec![(0, 1), (1, 0), (3, 0), (3, 1)]);
         assert_eq!(ch.take(1, 0).map(|nz| nz.value), Some(4.0));
         assert_eq!(ch.take(1, 0), None);
-        ch.remove_sorted(&[0, 2]);
+        assert!(ch.take(0, 1).is_some() && ch.take(3, 1).is_some());
         let order: Vec<(usize, usize)> = ch.occupied().map(|(c, l, _)| (c, l)).collect();
         assert_eq!(order, vec![(3, 0)]);
         assert_eq!(ch.cycles(), 4, "edits keep the channel length");
         ch.set_lanes(0);
         assert_eq!(ch.lanes(), 1, "lanes never drop below an occupied lane");
+    }
+
+    #[test]
+    fn a_migration_rewrites_the_channel_once_in_stream_order() {
+        let mut ch = ChannelSchedule::new(2, 2);
+        for (cycle, lane) in [(0, 1), (2, 0), (5, 1)] {
+            ch.insert(cycle, lane, NzSlot::private(cycle as f32, lane, cycle));
+        }
+        ch.set_cycles(9);
+        let (start, after) = ch.occupied_after(2);
+        assert_eq!(start, 2);
+        assert_eq!(after.map(|(c, l, _)| (c, l)).collect::<Vec<_>>(), [(5, 1)]);
+        assert_eq!(ch.occupied_after(6).0, 3);
+        // The last slot leaves and two migrants land, one on a stall and
+        // one on the first slot's lane a cycle later.
+        let migrant = |value: f32| NzSlot {
+            pvt: false,
+            ..NzSlot::private(value, 9, 9)
+        };
+        let out = ch.migrated(
+            &[false, false, true],
+            &[(0, 0, migrant(7.0)), (1, 1, migrant(8.0))],
+        );
+        let slots: Vec<(usize, usize, f32)> =
+            out.occupied().map(|(c, l, nz)| (c, l, nz.value)).collect();
+        assert_eq!(slots, [(0, 0, 7.0), (0, 1, 0.0), (1, 1, 8.0), (2, 0, 2.0)]);
+        assert_eq!((out.channel, out.lanes(), out.cycles()), (2, 2, 3));
+        assert_eq!(ch.nonzeros(), 3, "the input channel is left as it was");
+        let mut in_place = ch.clone();
+        in_place.migrate_in_place(
+            &[false, false, true],
+            &[(0, 0, migrant(7.0)), (1, 1, migrant(8.0))],
+        );
+        assert_eq!(in_place, out);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::stats::{lock_unpoisoned, ServerStats};
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::{matrix_fingerprint, SpmvPlan};
+use chason_core::replan::ReplanReport;
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::{Accelerator, AcceleratorConfig, SimError};
 use chason_sparse::CooMatrix;
@@ -65,13 +66,19 @@ impl Default for ServeConfig {
 /// Simulated engines, hence plan slots per resident matrix.
 const PLAN_SLOTS: usize = 2;
 
+/// The Chasoň slot of [`Shared::engines`] and [`Resident::plans`].
+const CHASON: usize = 0;
+
+/// The Serpens slot, whose plan the Chasoň plan is migrated from.
+const SERPENS: usize = 1;
+
 /// `wire`'s index into [`Shared::engines`] and [`Resident::plans`], or
 /// `None` for the CPU backend, which has no plan.
 fn slot(wire: Engine) -> Option<usize> {
     match wire {
         Engine::Cpu => None,
-        Engine::Chason => Some(0),
-        Engine::Serpens => Some(1),
+        Engine::Chason => Some(CHASON),
+        Engine::Serpens => Some(SERPENS),
     }
 }
 
@@ -81,11 +88,16 @@ fn slot(wire: Engine) -> Option<usize> {
 /// content. The cache key (the load-time fingerprint) never changes; an
 /// update or a reload after eviction installs a new `Resident`, so a plan
 /// can never outlive the content it was scheduled from.
+///
+/// The Chasoň plan is the Serpens plan with every window migrated, so it
+/// is derived from the Serpens slot, which it fills first when empty: a
+/// filled Chasoň slot implies a filled Serpens slot.
 #[derive(Debug)]
 struct Resident {
     matrix: Arc<CooMatrix>,
     version: u64,
-    /// Filled on the first lookup that schedules, or by an update's splice.
+    /// Filled on the first lookup that schedules, by a Chasoň lookup's
+    /// by-product (the Serpens slot), or by an update's splice.
     plans: [OnceLock<Arc<SpmvPlan>>; PLAN_SLOTS],
 }
 
@@ -128,9 +140,13 @@ impl Shared {
             .ok_or_else(|| admit::unknown_handle(handle))
     }
 
-    /// Returns `resident`'s plan in `slot`, scheduling and filling the
-    /// slot on a miss. Scheduling runs outside every lock, so concurrent
-    /// misses on one slot may schedule twice; the loser's plan is dropped.
+    /// Returns `resident`'s plan in `slot`, building and filling the slot
+    /// on a miss. A Chasoň miss migrates the Serpens slot's plan when it
+    /// is filled; otherwise it schedules each window PE-aware once and
+    /// fills the Serpens slot with that by-product before its own. Hits
+    /// and misses count lookups of `slot` only. Planning runs outside
+    /// every lock, so concurrent misses on one slot may plan twice; the
+    /// loser's plan is dropped.
     fn resolve_plan(&self, slot: usize, resident: &Resident) -> Result<Arc<SpmvPlan>, SimError> {
         let cached = &resident.plans[slot];
         if let Some(plan) = cached.get() {
@@ -140,8 +156,19 @@ impl Shared {
         }
         // relaxed: a statistics counter; it orders nothing.
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(self.engines[slot].plan(&resident.matrix)?);
-        Ok(Arc::clone(cached.get_or_init(|| plan)))
+        let engine = &self.engines[slot];
+        let plan = if slot != CHASON {
+            engine.plan(&resident.matrix)?
+        } else if let Some(baseline) = resident.plans[SERPENS].get() {
+            engine.migrate_plan(baseline)?
+        } else {
+            let (plan, baseline) = engine.plan_with_baseline(&resident.matrix)?;
+            if let Some(baseline) = baseline {
+                resident.plans[SERPENS].get_or_init(|| Arc::new(baseline));
+            }
+            plan
+        };
+        Ok(Arc::clone(cached.get_or_init(|| Arc::new(plan))))
     }
 
     /// Samples the plan and matrix statistics under the matrices lock.
@@ -461,27 +488,36 @@ fn execute_update(
         .cloned()
         .ok_or_else(|| admit::unknown_handle(handle))?;
     let (delta, updated) = admit::update(&resident.matrix, inserts, revalues, deletes)?;
-    // Each plan the outgoing resident holds is respliced in its dirty
-    // windows for the new resident. A failed splice leaves the new slot
-    // empty, so the next request schedules from scratch.
+    // The outgoing resident's Serpens plan is respliced in its dirty
+    // windows for the new resident, and its Chasoň plan, if any, migrates
+    // just those windows of the spliced Serpens plan. A failed splice
+    // leaves the new slot empty (the Chasoň one too when the Serpens
+    // splice fails), so the next request plans from scratch.
     let mut plans_spliced: u32 = 0;
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
-    let plans = std::array::from_fn(|slot| {
-        let Some(plan) = resident.plans[slot].get() else {
-            return OnceLock::new();
-        };
-        let mut spliced = (**plan).clone();
-        match shared.engines[slot].replan_delta(&mut spliced, &updated, &delta) {
-            Ok(report) => {
-                plans_spliced += 1;
-                windows_replanned += report.windows_replanned as u64;
-                windows_total = windows_total.max(spliced.window_count() as u64);
-                OnceLock::from(Arc::new(spliced))
+    let plans: [OnceLock<Arc<SpmvPlan>>; PLAN_SLOTS] = Default::default();
+    let mut count = |report: ReplanReport| {
+        plans_spliced += 1;
+        windows_replanned += report.windows_replanned as u64;
+        windows_total = windows_total.max(report.windows_total as u64);
+    };
+    if let Some(plan) = resident.plans[SERPENS].get() {
+        let mut baseline = (**plan).clone();
+        if let Ok(report) = shared.engines[SERPENS].replan_delta(&mut baseline, &updated, &delta) {
+            count(report);
+            if let Some(plan) = resident.plans[CHASON].get() {
+                let mut spliced = (**plan).clone();
+                if let Ok(report) =
+                    shared.engines[CHASON].migrate_delta(&mut spliced, &baseline, &delta)
+                {
+                    count(report);
+                    plans[CHASON].get_or_init(|| Arc::new(spliced));
+                }
             }
-            Err(_) => OnceLock::new(),
+            plans[SERPENS].get_or_init(|| Arc::new(baseline));
         }
-    });
+    }
     shared.stats.plans_spliced.add(u64::from(plans_spliced));
     shared.stats.replan_windows.add(windows_replanned);
     let version = resident.version + 1;

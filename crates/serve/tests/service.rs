@@ -557,3 +557,116 @@ fn evicting_a_matrix_drops_its_plans() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// The CHPL bytes a server built from `config` must send for `m` on each
+/// simulated engine: a from-scratch plan under the same configuration.
+fn scratch_plan_bytes(config: &ServeConfig, m: &chason_sparse::CooMatrix) -> [Vec<u8>; 2] {
+    use chason_sim::{Accelerator, AcceleratorConfig};
+    [AcceleratorConfig::chason(), AcceleratorConfig::serpens()].map(|base| {
+        let plan = Accelerator::new(AcceleratorConfig {
+            sched: config.sched,
+            ..base
+        })
+        .plan(m)
+        .expect("plan");
+        let mut bytes = Vec::new();
+        chason_core::export::write_plan(&mut bytes, &plan).expect("write plan");
+        bytes
+    })
+}
+
+/// The Chasoň plan is derived from the Serpens plan, so a Chasoň lookup
+/// on a fresh handle fills both slots while counting one miss; a later
+/// Serpens request is a hit. Either order serves the scratch plans' bytes.
+#[test]
+fn a_chason_plan_fills_the_serpens_slot_too() {
+    use chason_sparse::generators::uniform_random;
+
+    let config = small_config();
+    // Three column windows under the paper's W = 8192.
+    let m = uniform_random(128, 20_000, 4_000, 11);
+    let expected = scratch_plan_bytes(&config, &m);
+    let x = vec![1.0f32; m.cols()];
+    for order in [
+        [Engine::Chason, Engine::Serpens],
+        [Engine::Serpens, Engine::Chason],
+    ] {
+        let server = start(config.clone());
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let (handle, _) = client.load_matrix(&m).expect("load");
+        let first = client.plan(handle, order[0]).expect("plan");
+        let stats = client.stats().expect("stats");
+        let filled = if order[0] == Engine::Chason { 2 } else { 1 };
+        assert_eq!(
+            (
+                stats.plan_cache_len,
+                stats.plan_cache_misses,
+                stats.plan_cache_hits
+            ),
+            (filled, 1, 0),
+            "{order:?}"
+        );
+        let second = if order[1] == Engine::Serpens {
+            // The by-product fill: a hit, not a second miss.
+            client
+                .spmv(handle, Engine::Serpens, x.clone())
+                .expect("spmv");
+            let stats = client.stats().expect("stats");
+            assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (1, 1));
+            client.plan(handle, Engine::Serpens).expect("plan")
+        } else {
+            client.plan(handle, Engine::Chason).expect("plan")
+        };
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.plan_cache_len, 2, "{order:?}");
+        let bytes = |engine: Engine| if engine == order[0] { &first } else { &second };
+        assert!(*bytes(Engine::Chason) == expected[0], "{order:?}");
+        assert!(*bytes(Engine::Serpens) == expected[1], "{order:?}");
+        client.shutdown().expect("shutdown");
+        server.join();
+    }
+}
+
+/// An update splices the Serpens plan and migrates its dirty windows into
+/// the Chasoň plan; both equal from-scratch plans of the updated matrix.
+#[test]
+fn an_update_splices_both_plans_from_the_serpens_plan() {
+    use chason_sparse::generators::uniform_random;
+    use chason_sparse::MatrixDelta;
+
+    let config = small_config();
+    let m = uniform_random(128, 20_000, 4_000, 11);
+    let server = start(config.clone());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (handle, _) = client.load_matrix(&m).expect("load");
+    client.plan(handle, Engine::Chason).expect("plan");
+
+    let &(r, c, v) = m.triplets().first().expect("non-empty matrix");
+    let mut delta = MatrixDelta::for_matrix(&m);
+    delta.push_revalue(r, c, v * -8.0).expect("revalue");
+    let updated = delta.apply(&m).expect("apply");
+    let outcome = client
+        .update(handle, vec![], vec![(r as u64, c as u64, v * -8.0)], vec![])
+        .expect("update");
+    assert_eq!(outcome.plans_spliced, 2);
+    assert_eq!((outcome.windows_replanned, outcome.windows_total), (2, 3));
+
+    let expected = scratch_plan_bytes(&config, &updated);
+    let before = client.stats().expect("stats");
+    assert_eq!(before.plan_cache_len, 2);
+    for (engine, want) in [Engine::Chason, Engine::Serpens].into_iter().zip(&expected) {
+        assert!(
+            client.plan(handle, engine).expect("plan") == *want,
+            "{engine:?}"
+        );
+    }
+    let after = client.stats().expect("stats");
+    assert_eq!(
+        after.plan_cache_misses, before.plan_cache_misses,
+        "both were spliced"
+    );
+    assert_eq!(after.plans_spliced, 2);
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}

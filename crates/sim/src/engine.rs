@@ -16,10 +16,10 @@ use crate::config::{
 };
 use crate::replay::{rows_per_pe, Datapath, Replay, URAM_PARTIALS};
 use crate::spmm::{SpmmExecution, TILE_COLS};
-use crate::SimError;
+use crate::{Design, SimError};
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
 use chason_core::replan::ReplanReport;
-use chason_core::schedule::{migrate, PeAware, ScheduledMatrix, Scheduler, WindowRows};
+use chason_core::schedule::{migrate, migrated, PeAware, ScheduledMatrix, Scheduler, WindowRows};
 use chason_core::window::{deal_windows, DealtPass, DealtWindow};
 use chason_sparse::{CooMatrix, DenseMatrix, MatrixDelta};
 use std::sync::OnceLock;
@@ -190,16 +190,90 @@ impl Accelerator {
         matrix: &CooMatrix,
         threads: usize,
     ) -> Result<SpmvPlan, SimError> {
-        let config = &self.config;
+        let (passes, _) = self.plan_passes(matrix, threads, true, false)?;
+        Ok(self.spmv_plan(matrix, self.config.design, passes))
+    }
+
+    /// [`plan`](Self::plan), also returning the plan of this machine's
+    /// Serpens baseline when this is a Chasoň machine.
+    ///
+    /// Each window is dealt and scheduled PE-aware once: the window worker
+    /// that migrates a PE-aware schedule keeps it instead of dropping it.
+    /// The second plan equals [`plan`](Self::plan) of a Serpens machine
+    /// with this one's scheduler configuration and window width, and
+    /// [`migrate_plan`](Self::migrate_plan) of it equals the first. It is
+    /// `None` on a Serpens machine, whose own plan is that baseline.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`plan`](Self::plan).
+    pub fn plan_with_baseline(
+        &self,
+        matrix: &CooMatrix,
+    ) -> Result<(SpmvPlan, Option<SpmvPlan>), SimError> {
+        let (passes, baseline) = self.plan_passes(matrix, available_threads(), true, true)?;
+        Ok((
+            self.spmv_plan(matrix, self.config.design, passes),
+            baseline.map(|passes| self.spmv_plan(matrix, Design::Serpens, passes)),
+        ))
+    }
+
+    /// Derives this Chasoň machine's plan from `baseline`, a Serpens plan
+    /// built under the same scheduler configuration and window width, by
+    /// migrating each window's schedule out of place, in parallel across
+    /// windows. Nothing is dealt or scheduled PE-aware, and `baseline` is
+    /// left as it was. The result equals [`plan`](Self::plan) of the
+    /// baseline's matrix.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PlanMismatch`] on a Serpens machine, which has no ScUG
+    /// to migrate into, and for a baseline built by another design or
+    /// configuration.
+    pub fn migrate_plan(&self, baseline: &SpmvPlan) -> Result<SpmvPlan, SimError> {
+        self.migrate_plan_with_threads(baseline, available_threads())
+    }
+
+    /// [`migrate_plan`](Self::migrate_plan) with an explicit thread count
+    /// (`1` migrates serially).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`migrate_plan`](Self::migrate_plan).
+    pub fn migrate_plan_with_threads(
+        &self,
+        baseline: &SpmvPlan,
+        threads: usize,
+    ) -> Result<SpmvPlan, SimError> {
+        self.check_baseline(baseline)?;
+        let passes = baseline
+            .passes
+            .iter()
+            .map(|pass| PassPlan {
+                windows: parallel_map(&pass.windows, threads, |w| {
+                    PlanWindow::new(w.col_start, w.col_end, migrated(&w.schedule).0)
+                }),
+                ..*pass
+            })
+            .collect();
         Ok(SpmvPlan {
-            key: self.plan_key(matrix),
             engine: self.name().to_string(),
-            window: config.window,
+            passes,
+            ..*baseline
+        })
+    }
+
+    /// The plan of `matrix` on `design` holding `passes`.
+    fn spmv_plan(&self, matrix: &CooMatrix, design: Design, passes: Vec<PassPlan>) -> SpmvPlan {
+        SpmvPlan {
+            key: self.plan_key(matrix),
+            engine: design.name().to_string(),
+            window: self.config.window,
             rows: matrix.rows(),
             cols: matrix.cols(),
             nnz: matrix.nnz(),
-            passes: self.plan_passes(matrix, threads, true)?,
-        })
+            passes,
+        }
     }
 
     /// The cache key identifying `matrix` scheduled under this
@@ -232,8 +306,32 @@ impl Accelerator {
         updated: &CooMatrix,
         delta: &MatrixDelta,
     ) -> Result<ReplanReport, SimError> {
-        self.check_plan(plan, "be respliced on")?;
-        plan.apply_delta(updated, delta, |rows| self.schedule_window(rows))
+        self.check_plan(plan, self.config.design, "be respliced on")?;
+        plan.apply_delta(updated, delta, |rows| self.schedule_window(rows, false).0)
+            .map_err(|e| SimError::PlanMismatch(e.to_string()))
+    }
+
+    /// Splices `delta` into `plan`, this Chasoň machine's plan, from
+    /// `baseline`: the Serpens plan of the same matrix that
+    /// [`replan_delta`](Self::replan_delta) has already spliced `delta`
+    /// into. Only the windows the delta dirties are migrated again, out of
+    /// place from the baseline's; nothing is dealt or scheduled PE-aware.
+    /// The spliced plan equals [`plan`](Self::plan) of the updated matrix.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PlanMismatch`] if `plan` is not this machine's, if
+    /// `baseline` is not a Serpens plan of the same configuration, or if
+    /// the two plans and `delta` disagree on shape, windows or non-zeros.
+    pub fn migrate_delta(
+        &self,
+        plan: &mut SpmvPlan,
+        baseline: &SpmvPlan,
+        delta: &MatrixDelta,
+    ) -> Result<ReplanReport, SimError> {
+        self.check_plan(plan, self.config.design, "be respliced on")?;
+        self.check_baseline(baseline)?;
+        plan.splice_from(baseline, delta, |schedule| migrated(schedule).0)
             .map_err(|e| SimError::PlanMismatch(e.to_string()))
     }
 
@@ -251,7 +349,7 @@ impl Accelerator {
     /// * [`SimError::VectorLengthMismatch`] if `x.len() != plan.cols`;
     /// * [`SimError::InvalidConfig`] for inconsistent configurations.
     pub fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError> {
-        self.check_plan(plan, "run on")?;
+        self.check_plan(plan, self.config.design, "run on")?;
         self.execute_passes(&plan.passes, plan.cols, x)
     }
 
@@ -286,7 +384,7 @@ impl Accelerator {
             )));
         }
         // Unpartitioned planning deals exactly one pass.
-        let passes = self.plan_passes(a, 1, false)?;
+        let (passes, _) = self.plan_passes(a, 1, false, false)?;
         let pass = &passes[0];
         self.verify(pass)?;
         let n = b.cols();
@@ -321,91 +419,90 @@ impl Accelerator {
     }
 
     /// Schedules one dealt column window: the PE-aware (Serpens) schedule,
-    /// then CrHCS's migration pass exactly when the PEs carry a ScUG to
-    /// hold migrated partial sums.
-    fn schedule_window(&self, rows: &WindowRows) -> ScheduledMatrix {
-        let mut schedule = PeAware::new().schedule_rows(rows, &self.config.sched);
-        if self.scug_size() > 0 {
-            migrate(&mut schedule);
+    /// then, exactly when the PEs carry a ScUG to hold migrated partial
+    /// sums, CrHCS's migration of it. Returns the machine's own schedule
+    /// and, on a Chasoň machine with `keep_baseline` set, the PE-aware
+    /// schedule it migrated out of place; without it, the PE-aware
+    /// schedule is migrated in place, since nothing keeps it.
+    fn schedule_window(
+        &self,
+        rows: &WindowRows,
+        keep_baseline: bool,
+    ) -> (ScheduledMatrix, Option<ScheduledMatrix>) {
+        let mut pe_aware = PeAware::new().schedule_rows(rows, &self.config.sched);
+        if self.scug_size() == 0 {
+            return (pe_aware, None);
         }
-        schedule
+        if !keep_baseline {
+            migrate(&mut pe_aware);
+            return (pe_aware, None);
+        }
+        let (own, _) = migrated(&pe_aware);
+        (own, Some(pe_aware))
     }
 
-    /// Schedules every dealt column window of `pass` into a [`PassPlan`].
+    /// Schedules every dealt column window of `pass` into a [`PassPlan`],
+    /// plus the baseline's pass when `keep_baseline` is set (on a Chasoň
+    /// machine only; see [`schedule_window`](Self::schedule_window)).
     ///
     /// Windows are independent — each is scheduled from its own lanes — so
-    /// with `threads > 1` they are scheduled concurrently. Workers own
-    /// disjoint contiguous chunks of the window list and results are
-    /// reassembled in window order, so the plan is identical for every
-    /// thread count.
-    fn plan_pass(&self, pass: DealtPass, threads: usize) -> PassPlan {
-        let windows = pass.windows;
-        let plan_one = |window: &DealtWindow| {
-            PlanWindow::new(
-                window.col_start,
-                window.col_end,
-                self.schedule_window(&window.rows),
-            )
-        };
-
-        let threads = threads.clamp(1, windows.len().max(1));
-        let planned: Vec<PlanWindow> = if threads <= 1 {
-            windows.iter().map(plan_one).collect()
-        } else {
-            let chunk = windows.len().div_ceil(threads);
-            let chunks = crossbeam::scope(|scope| {
-                let handles: Vec<_> = windows
-                    .chunks(chunk)
-                    .map(|ws| scope.spawn(move |_| ws.iter().map(plan_one).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // A panic in a worker can only come from a scheduler
-                        // bug; propagating it (rather than discarding the
-                        // plan) is the correct surface for that failure.
-                        #[allow(clippy::expect_used)] // xtask: propagates worker panics
-                        h.join().expect("window planner threads do not panic")
-                    })
-                    .collect()
-            });
-            #[allow(clippy::expect_used)] // xtask: scope only errs if a child panicked
-            let chunks: Vec<Vec<PlanWindow>> = chunks.expect("window planner scope does not panic");
-            chunks.into_iter().flatten().collect()
-        };
-
-        PassPlan {
+    /// with `threads > 1` they are scheduled concurrently
+    /// ([`parallel_map`]); the plan is identical for every thread count.
+    fn plan_pass(
+        &self,
+        pass: DealtPass,
+        threads: usize,
+        keep_baseline: bool,
+    ) -> (PassPlan, Option<PassPlan>) {
+        let planned = parallel_map(&pass.windows, threads, |window: &DealtWindow| {
+            let at = |schedule| PlanWindow::new(window.col_start, window.col_end, schedule);
+            let (own, baseline) = self.schedule_window(&window.rows, keep_baseline);
+            (at(own), baseline.map(at))
+        });
+        let (own, baseline): (Vec<_>, Vec<_>) = planned.into_iter().unzip();
+        let pass_plan = |windows: Vec<PlanWindow>| PassPlan {
             row_start: pass.row_start,
             row_end: pass.row_end,
-            nnz: planned.iter().map(|w| w.nnz).sum(),
-            windows: planned,
-        }
+            nnz: windows.iter().map(|w| w.nnz).sum(),
+            windows,
+        };
+        (
+            pass_plan(own),
+            keep_baseline.then(|| pass_plan(baseline.into_iter().flatten().collect())),
+        )
     }
 
     /// Plans `matrix` pass by pass, dealing every window's entries to its
     /// lanes in one sweep of the matrix. With `partition` set, a matrix
     /// needing more partial-sum rows per PE than a URAM holds is split on
     /// capacity boundaries into row-partition passes (§4.5); otherwise it
-    /// is planned as one pass and replay reports the overflow.
+    /// is planned as one pass and replay reports the overflow. With
+    /// `keep_baseline` set on a Chasoň machine, the Serpens passes of the
+    /// same windows come back too.
     fn plan_passes(
         &self,
         matrix: &CooMatrix,
         threads: usize,
         partition: bool,
-    ) -> Result<Vec<PassPlan>, SimError> {
+        keep_baseline: bool,
+    ) -> Result<(Vec<PassPlan>, Option<Vec<PassPlan>>), SimError> {
         check_config(&self.config)?;
+        let keep_baseline = keep_baseline && self.scug_size() > 0;
         let sched = &self.config.sched;
         let rows_per_pe = if partition {
             URAM_PARTIALS
         } else {
             matrix.rows().div_ceil(sched.total_pes()).max(1)
         };
-        Ok(
+        let (own, baseline): (Vec<_>, Vec<_>) =
             deal_windows(matrix, sched, rows_per_pe, self.config.window, |_, _| true)
                 .into_iter()
-                .map(|pass| self.plan_pass(pass, threads))
-                .collect(),
-        )
+                .map(|pass| self.plan_pass(pass, threads, keep_baseline))
+                .unzip();
+        Ok((
+            own,
+            keep_baseline.then(|| baseline.into_iter().flatten().collect()),
+        ))
     }
 
     /// Plans (serially) and replays in one go; see `plan_passes` for
@@ -417,13 +514,14 @@ impl Accelerator {
         partition: bool,
     ) -> Result<Execution, SimError> {
         check_len(x.len(), matrix.cols())?;
-        let passes = self.plan_passes(matrix, 1, partition)?;
+        let (passes, _) = self.plan_passes(matrix, 1, partition, false)?;
         self.execute_passes(&passes, matrix.cols(), x)
     }
 
-    /// Rejects a plan built by another design or configuration.
-    fn check_plan(&self, plan: &SpmvPlan, action: &str) -> Result<(), SimError> {
-        if plan.engine != self.name() {
+    /// Rejects a plan built by another design than `design` or under
+    /// another configuration.
+    fn check_plan(&self, plan: &SpmvPlan, design: Design, action: &str) -> Result<(), SimError> {
+        if plan.engine != design.name() {
             return Err(SimError::PlanMismatch(format!(
                 "plan built by the {} engine cannot {action} {}",
                 plan.engine,
@@ -436,6 +534,19 @@ impl Accelerator {
             ));
         }
         Ok(())
+    }
+
+    /// Rejects a `baseline` this machine cannot migrate: one not built by
+    /// Serpens under this configuration, or any baseline when this machine
+    /// has no ScUG.
+    fn check_baseline(&self, baseline: &SpmvPlan) -> Result<(), SimError> {
+        if self.scug_size() == 0 {
+            return Err(SimError::PlanMismatch(format!(
+                "the {} engine has no ScUG to migrate a baseline plan into",
+                self.name()
+            )));
+        }
+        self.check_plan(baseline, Design::Serpens, "be migrated on")
     }
 
     /// The pass loop: replays every pass against `x` and concatenates them.
@@ -554,6 +665,41 @@ impl Accelerator {
             threads,
         )
     }
+}
+
+/// Maps `f` over `items` on up to `threads` scoped workers, each owning one
+/// contiguous chunk, and returns the results in item order, so they are the
+/// same for every thread count.
+fn parallel_map<T: Sync, U: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(threads);
+    let f = &f;
+    let chunks = crossbeam::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(move |_| part.iter().map(f).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                // A panic in a worker can only come from a scheduler bug;
+                // propagating it (rather than discarding the plan) is the
+                // correct surface for that failure.
+                #[allow(clippy::expect_used)] // xtask: propagates worker panics
+                h.join().expect("window planner threads do not panic")
+            })
+            .collect::<Vec<_>>()
+    });
+    #[allow(clippy::expect_used)] // xtask: scope only errs if a child panicked
+    let chunks = chunks.expect("window planner scope does not panic");
+    chunks.into_iter().flatten().collect()
 }
 
 /// Threads used by `plan` when the caller does not choose a count: the
@@ -1242,6 +1388,93 @@ mod tests {
         ));
         // Plan untouched by the failed attempts.
         assert_eq!(plan, chason.plan(&m).unwrap());
+    }
+
+    /// The Chasoň plan is derived from the Serpens plan three ways — one
+    /// planning run keeping both, a whole-plan migration, and a splice of
+    /// the dirty windows — and each equals planning from scratch.
+    #[test]
+    fn chason_plans_derived_from_the_serpens_plan_equal_scratch_plans() {
+        for hops in 1..=3 {
+            let sched = SchedulerConfig {
+                migration_hops: hops,
+                ..SchedulerConfig::paper()
+            };
+            let chason = Accelerator::new(AcceleratorConfig {
+                sched,
+                ..AcceleratorConfig::chason()
+            });
+            let serpens = Accelerator::new(AcceleratorConfig {
+                sched,
+                ..AcceleratorConfig::serpens()
+            });
+            // Three column windows of 8192.
+            let m = power_law(600, 20_000, 12_000, 1.8, hops as u64);
+            let (own, baseline) = chason.plan_with_baseline(&m).unwrap();
+            let baseline = baseline.expect("a Chasoň machine keeps its baseline");
+            assert_eq!(own, chason.plan_with_threads(&m, 1).unwrap());
+            assert_eq!(baseline, serpens.plan_with_threads(&m, 1).unwrap());
+            assert_eq!(
+                serpens.plan_with_baseline(&m).unwrap(),
+                (baseline.clone(), None)
+            );
+            for threads in [1, 2, 4] {
+                let migrated = chason
+                    .migrate_plan_with_threads(&baseline, threads)
+                    .unwrap();
+                assert_eq!(migrated, own, "hops {hops}, {threads} threads");
+            }
+
+            let delta = sample_delta(&m);
+            let updated = delta.apply(&m).unwrap();
+            let mut spliced_baseline = baseline.clone();
+            serpens
+                .replan_delta(&mut spliced_baseline, &updated, &delta)
+                .unwrap();
+            let mut spliced = own.clone();
+            let report = chason
+                .migrate_delta(&mut spliced, &spliced_baseline, &delta)
+                .unwrap();
+            assert_eq!(spliced, chason.plan_with_threads(&updated, 1).unwrap());
+            assert_eq!((report.windows_total, report.nnz_after), (3, updated.nnz()));
+            assert!(
+                report.windows_replanned < report.windows_total,
+                "{report:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_chason_machine_migrates_and_only_a_serpens_baseline() {
+        let m = uniform_random(64, 64, 300, 1);
+        let chason = chason();
+        let serpens = serpens();
+        let own = chason.plan(&m).unwrap();
+        let baseline = serpens.plan(&m).unwrap();
+        let mismatch = |r: Result<SpmvPlan, SimError>| matches!(r, Err(SimError::PlanMismatch(_)));
+        assert!(mismatch(serpens.migrate_plan(&baseline)));
+        assert!(mismatch(chason.migrate_plan(&own)));
+        let toy = Accelerator::new(AcceleratorConfig {
+            sched: SchedulerConfig::toy(2, 2, 4),
+            ..AcceleratorConfig::chason()
+        });
+        assert!(mismatch(toy.migrate_plan(&baseline)));
+        // An insert-only delta: the baseline was not spliced, so its
+        // non-zeros disagree with it, and a failed splice leaves the plan
+        // as it was.
+        let mut delta = MatrixDelta::for_matrix(&m);
+        let vacant = (0..m.cols())
+            .find(|&c| !m.triplets().iter().any(|&(r, tc, _)| r == 0 && tc == c))
+            .unwrap();
+        delta.push_insert(0, vacant, 1.5).unwrap();
+        let mut plan = own.clone();
+        for source in [&baseline, &own] {
+            assert!(matches!(
+                chason.migrate_delta(&mut plan, source, &delta),
+                Err(SimError::PlanMismatch(_))
+            ));
+        }
+        assert_eq!(plan, own);
     }
 
     #[test]
