@@ -1,13 +1,12 @@
 //! A bounded LRU cache with hit/miss/eviction counters.
 //!
-//! Long-lived processes must not keep derived state without bound. The
-//! iterative-solver backends cache schedule plans keyed by
-//! [`PlanKey`](crate::plan::PlanKey); `chason serve` keeps its resident
-//! matrices (each holding its own plans) and `chason route` its sharded
-//! residents keyed by load-time fingerprint. [`LruCache`] is what they
-//! share: a fixed-capacity map that evicts the least-recently-used entry
-//! on insert and counts hits, misses, and evictions so cache effectiveness
-//! is observable (`chason client stats` surfaces these numbers).
+//! Long-lived processes must not keep derived state without bound.
+//! `chason serve` keeps its resident matrices (each holding its own plans)
+//! and `chason route` its sharded residents, both keyed by load-time
+//! fingerprint. [`LruCache`] is what they share: a fixed-capacity map that
+//! evicts the least-recently-used entry on insert and counts hits, misses,
+//! and evictions so cache effectiveness is observable (`chason client
+//! stats` surfaces these numbers).
 //!
 //! The implementation favours simplicity over asymptotics: recency is a
 //! monotonic tick per entry and eviction scans for the minimum, so `insert`

@@ -10,7 +10,7 @@
 //! footprint can schedule differently. [`SpmvPlan::apply_delta`] computes
 //! that dirty set, re-schedules exactly those windows, and splices the
 //! results in place, updating the per-pass and plan-level non-zero counts
-//! and the cache fingerprint.
+//! and the plan key's fingerprint.
 //!
 //! For deterministic schedulers (all three in-tree schedulers are) the
 //! spliced plan is **bit-identical** to a from-scratch plan of the updated
@@ -164,9 +164,9 @@ impl SpmvPlan {
     /// the way the plan's windows were scheduled, under the plan's own
     /// [`SchedulerConfig`](crate::schedule::SchedulerConfig) — under those
     /// conditions, and a deterministic scheduler, the spliced plan equals a
-    /// from-scratch plan of `updated` exactly. The plan's cache fingerprint
-    /// is advanced to `updated`'s, so version-aware caches treat the result
-    /// as a plan for the new matrix content.
+    /// from-scratch plan of `updated` exactly. The plan's key takes
+    /// `updated`'s fingerprint, as a from-scratch plan's would, so the
+    /// spliced plan matches `updated` and no longer the matrix it came from.
     ///
     /// On error the plan is left unchanged.
     ///
@@ -253,20 +253,14 @@ impl SpmvPlan {
                 "plan passes or windows do not follow the engines' partition rule".to_string(),
             ));
         }
-        for (pi, pass) in dealt.into_iter().enumerate() {
-            for window in pass.windows {
-                self.passes[pi].windows[window.index] = PlanWindow::new(
-                    window.col_start,
-                    window.col_end,
-                    schedule_window(&window.rows),
-                );
-            }
-        }
-        for pass in &mut self.passes {
-            pass.nnz = pass.windows.iter().map(|w| w.nnz).sum();
-        }
-        self.nnz = updated.nnz();
-        self.key.fingerprint = matrix_fingerprint(updated);
+        let schedule_window = &schedule_window;
+        let windows = dealt.into_iter().enumerate().flat_map(|(pi, pass)| {
+            pass.windows.into_iter().map(move |w| {
+                let window = PlanWindow::new(w.col_start, w.col_end, schedule_window(&w.rows));
+                (pi, w.index, window)
+            })
+        });
+        self.install(windows, updated.nnz(), matrix_fingerprint(updated));
         Ok(report)
     }
 
@@ -325,17 +319,32 @@ impl SpmvPlan {
         }
         let dirty = dirty_windows(self, delta)?;
         let report = self.replan_report(&dirty, source.nnz);
-        for &(pi, wi) in &dirty {
-            let window = &source.passes[pi].windows[wi];
-            self.passes[pi].windows[wi] =
-                PlanWindow::new(window.col_start, window.col_end, derive(&window.schedule));
+        let windows = dirty.iter().map(|&(pi, wi)| {
+            let w = &source.passes[pi].windows[wi];
+            let window = PlanWindow::new(w.col_start, w.col_end, derive(&w.schedule));
+            (pi, wi, window)
+        });
+        self.install(windows, source.nnz, source.key.fingerprint);
+        Ok(report)
+    }
+
+    /// The splice's last step: puts each `(pass, window, new window)` in
+    /// place, re-totals every pass's non-zeros, and takes `nnz` and
+    /// `fingerprint` as the plan's.
+    fn install(
+        &mut self,
+        windows: impl IntoIterator<Item = (usize, usize, PlanWindow)>,
+        nnz: usize,
+        fingerprint: u64,
+    ) {
+        for (pi, wi, window) in windows {
+            self.passes[pi].windows[wi] = window;
         }
         for pass in &mut self.passes {
             pass.nnz = pass.windows.iter().map(|w| w.nnz).sum();
         }
-        self.nnz = source.nnz;
-        self.key.fingerprint = source.key.fingerprint;
-        Ok(report)
+        self.nnz = nnz;
+        self.key.fingerprint = fingerprint;
     }
 
     /// What splicing the `dirty` windows does to this plan when the

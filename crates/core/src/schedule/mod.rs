@@ -377,8 +377,8 @@ pub trait Scheduler {
 /// shared front end of every scheduler.
 ///
 /// Rows and columns are local to the window — rebased by its row pass and
-/// column window exactly as `partition_rows_capacity` and
-/// `partition_columns` rebase them. Lanes are stored flat, PE `channel ×
+/// column window exactly as [`deal_windows`](crate::window::deal_windows)
+/// rebases them. Lanes are stored flat, PE `channel ×
 /// pes_per_channel + lane` at that index, each one flat arena of its rows'
 /// `(col, value)` entries sized exactly by the dealing routine's counting
 /// pass.

@@ -106,8 +106,11 @@ pub fn window_count(cols: usize, window: usize) -> usize {
 
 /// One row partition of a matrix (§4.5: matrices whose per-PE row count
 /// exceeds the partial-sum URAM capacity are split and fed in passes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RowPartition {
+/// Test-only: the references that [`deal_windows`] and the plan splice are
+/// checked against build these.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RowPartition {
     /// Index of this partition (0-based).
     pub index: usize,
     /// First source row covered (inclusive).
@@ -131,23 +134,8 @@ pub struct RowPartition {
 /// # Panics
 ///
 /// Panics if `max_rows_per_pe == 0` or `total_pes == 0`.
-///
-/// # Example
-///
-/// ```
-/// use chason_core::window::partition_rows_capacity;
-/// use chason_sparse::CooMatrix;
-///
-/// # fn main() -> Result<(), chason_sparse::SparseError> {
-/// let m = CooMatrix::from_triplets(10, 2, vec![(0, 0, 1.0), (9, 1, 2.0)])?;
-/// // 2 PEs, at most 2 rows per PE -> passes of 4 rows.
-/// let parts = partition_rows_capacity(&m, 2, 2);
-/// assert_eq!(parts.len(), 3);
-/// assert_eq!(parts[2].matrix.triplets(), &[(1, 1, 2.0)]); // row 9 -> 1
-/// # Ok(())
-/// # }
-/// ```
-pub fn partition_rows_capacity(
+#[cfg(test)]
+pub(crate) fn partition_rows_capacity(
     matrix: &CooMatrix,
     max_rows_per_pe: usize,
     total_pes: usize,
@@ -234,9 +222,10 @@ fn window_runs(
 
 /// Deals the entries of `matrix` straight into the schedulers' per-lane
 /// arenas for every (row pass, column window) that `keep(pass, window)`
-/// selects — the result of [`partition_rows_capacity`], then
-/// [`partition_columns`] on each pass, then grouping each window by
-/// owning lane, without building any intermediate matrix.
+/// selects — the same entries as splitting the matrix into row passes,
+/// then each pass into column windows ([`partition_columns`]), then
+/// grouping each window by owning lane, without building any intermediate
+/// matrix.
 ///
 /// Passes cover `max_rows_per_pe × total_PEs` rows each (a matrix with no
 /// rows still has one, empty, pass); windows cover `window` columns each

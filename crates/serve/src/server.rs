@@ -90,14 +90,14 @@ fn slot(wire: Engine) -> Option<usize> {
 /// can never outlive the content it was scheduled from.
 ///
 /// The Chasoň plan is the Serpens plan with every window migrated, so it
-/// is derived from the Serpens slot, which it fills first when empty: a
-/// filled Chasoň slot implies a filled Serpens slot.
+/// is only ever derived from the Serpens slot, which it fills first when
+/// empty: a filled Chasoň slot implies a filled Serpens slot.
 #[derive(Debug)]
 struct Resident {
     matrix: Arc<CooMatrix>,
     version: u64,
-    /// Filled on the first lookup that schedules, by a Chasoň lookup's
-    /// by-product (the Serpens slot), or by an update's splice.
+    /// Filled on the first lookup of a slot, by a Chasoň fill (the Serpens
+    /// slot), or by an update's splice.
     plans: [OnceLock<Arc<SpmvPlan>>; PLAN_SLOTS],
 }
 
@@ -140,33 +140,34 @@ impl Shared {
             .ok_or_else(|| admit::unknown_handle(handle))
     }
 
-    /// Returns `resident`'s plan in `slot`, building and filling the slot
-    /// on a miss. A Chasoň miss migrates the Serpens slot's plan when it
-    /// is filled; otherwise it schedules each window PE-aware once and
-    /// fills the Serpens slot with that by-product before its own. Hits
-    /// and misses count lookups of `slot` only. Planning runs outside
-    /// every lock, so concurrent misses on one slot may plan twice; the
-    /// loser's plan is dropped.
+    /// Returns `resident`'s plan in `slot`: counts the lookup as a hit or
+    /// a miss, then [`fill`](Self::fill)s the slot.
     fn resolve_plan(&self, slot: usize, resident: &Resident) -> Result<Arc<SpmvPlan>, SimError> {
+        let counter = if resident.plans[slot].get().is_some() {
+            &self.plan_hits
+        } else {
+            &self.plan_misses
+        };
+        // relaxed: a statistics counter; it orders nothing.
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.fill(slot, resident)
+    }
+
+    /// Returns `resident`'s plan in `slot`, building it when the slot is
+    /// empty. The Chasoň plan is `migrate_plan` of the Serpens slot's plan,
+    /// which is filled first when empty; that fill counts no lookup.
+    /// Planning runs outside every lock, so concurrent fills of one slot
+    /// may plan twice; the loser's plan is dropped.
+    fn fill(&self, slot: usize, resident: &Resident) -> Result<Arc<SpmvPlan>, SimError> {
         let cached = &resident.plans[slot];
         if let Some(plan) = cached.get() {
-            // relaxed: a statistics counter; it orders nothing.
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
-        // relaxed: a statistics counter; it orders nothing.
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let engine = &self.engines[slot];
-        let plan = if slot != CHASON {
-            engine.plan(&resident.matrix)?
-        } else if let Some(baseline) = resident.plans[SERPENS].get() {
-            engine.migrate_plan(baseline)?
+        let plan = if slot == CHASON {
+            let baseline = self.fill(SERPENS, resident)?;
+            self.engines[CHASON].migrate_plan(&baseline)?
         } else {
-            let (plan, baseline) = engine.plan_with_baseline(&resident.matrix)?;
-            if let Some(baseline) = baseline {
-                resident.plans[SERPENS].get_or_init(|| Arc::new(baseline));
-            }
-            plan
+            self.engines[slot].plan(&resident.matrix)?
         };
         Ok(Arc::clone(cached.get_or_init(|| Arc::new(plan))))
     }

@@ -190,32 +190,8 @@ impl Accelerator {
         matrix: &CooMatrix,
         threads: usize,
     ) -> Result<SpmvPlan, SimError> {
-        let (passes, _) = self.plan_passes(matrix, threads, true, false)?;
-        Ok(self.spmv_plan(matrix, self.config.design, passes))
-    }
-
-    /// [`plan`](Self::plan), also returning the plan of this machine's
-    /// Serpens baseline when this is a Chasoň machine.
-    ///
-    /// Each window is dealt and scheduled PE-aware once: the window worker
-    /// that migrates a PE-aware schedule keeps it instead of dropping it.
-    /// The second plan equals [`plan`](Self::plan) of a Serpens machine
-    /// with this one's scheduler configuration and window width, and
-    /// [`migrate_plan`](Self::migrate_plan) of it equals the first. It is
-    /// `None` on a Serpens machine, whose own plan is that baseline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`plan`](Self::plan).
-    pub fn plan_with_baseline(
-        &self,
-        matrix: &CooMatrix,
-    ) -> Result<(SpmvPlan, Option<SpmvPlan>), SimError> {
-        let (passes, baseline) = self.plan_passes(matrix, available_threads(), true, true)?;
-        Ok((
-            self.spmv_plan(matrix, self.config.design, passes),
-            baseline.map(|passes| self.spmv_plan(matrix, Design::Serpens, passes)),
-        ))
+        let passes = self.plan_passes(matrix, threads, true)?;
+        Ok(self.spmv_plan(matrix, passes))
     }
 
     /// Derives this Chasoň machine's plan from `baseline`, a Serpens plan
@@ -263,11 +239,11 @@ impl Accelerator {
         })
     }
 
-    /// The plan of `matrix` on `design` holding `passes`.
-    fn spmv_plan(&self, matrix: &CooMatrix, design: Design, passes: Vec<PassPlan>) -> SpmvPlan {
+    /// This machine's plan of `matrix` holding `passes`.
+    fn spmv_plan(&self, matrix: &CooMatrix, passes: Vec<PassPlan>) -> SpmvPlan {
         SpmvPlan {
             key: self.plan_key(matrix),
-            engine: design.name().to_string(),
+            engine: self.name().to_string(),
             window: self.config.window,
             rows: matrix.rows(),
             cols: matrix.cols(),
@@ -307,7 +283,7 @@ impl Accelerator {
         delta: &MatrixDelta,
     ) -> Result<ReplanReport, SimError> {
         self.check_plan(plan, self.config.design, "be respliced on")?;
-        plan.apply_delta(updated, delta, |rows| self.schedule_window(rows, false).0)
+        plan.apply_delta(updated, delta, |rows| self.schedule_window(rows))
             .map_err(|e| SimError::PlanMismatch(e.to_string()))
     }
 
@@ -384,7 +360,7 @@ impl Accelerator {
             )));
         }
         // Unpartitioned planning deals exactly one pass.
-        let (passes, _) = self.plan_passes(a, 1, false, false)?;
+        let passes = self.plan_passes(a, 1, false)?;
         let pass = &passes[0];
         self.verify(pass)?;
         let n = b.cols();
@@ -420,89 +396,61 @@ impl Accelerator {
 
     /// Schedules one dealt column window: the PE-aware (Serpens) schedule,
     /// then, exactly when the PEs carry a ScUG to hold migrated partial
-    /// sums, CrHCS's migration of it. Returns the machine's own schedule
-    /// and, on a Chasoň machine with `keep_baseline` set, the PE-aware
-    /// schedule it migrated out of place; without it, the PE-aware
-    /// schedule is migrated in place, since nothing keeps it.
-    fn schedule_window(
-        &self,
-        rows: &WindowRows,
-        keep_baseline: bool,
-    ) -> (ScheduledMatrix, Option<ScheduledMatrix>) {
-        let mut pe_aware = PeAware::new().schedule_rows(rows, &self.config.sched);
-        if self.scug_size() == 0 {
-            return (pe_aware, None);
+    /// sums, CrHCS's migration of it, in place, since nothing keeps the
+    /// PE-aware schedule.
+    fn schedule_window(&self, rows: &WindowRows) -> ScheduledMatrix {
+        let mut schedule = PeAware::new().schedule_rows(rows, &self.config.sched);
+        if self.scug_size() > 0 {
+            migrate(&mut schedule);
         }
-        if !keep_baseline {
-            migrate(&mut pe_aware);
-            return (pe_aware, None);
-        }
-        let (own, _) = migrated(&pe_aware);
-        (own, Some(pe_aware))
+        schedule
     }
 
-    /// Schedules every dealt column window of `pass` into a [`PassPlan`],
-    /// plus the baseline's pass when `keep_baseline` is set (on a Chasoň
-    /// machine only; see [`schedule_window`](Self::schedule_window)).
+    /// Schedules every dealt column window of `pass` into a [`PassPlan`].
     ///
     /// Windows are independent — each is scheduled from its own lanes — so
     /// with `threads > 1` they are scheduled concurrently
     /// ([`parallel_map`]); the plan is identical for every thread count.
-    fn plan_pass(
-        &self,
-        pass: DealtPass,
-        threads: usize,
-        keep_baseline: bool,
-    ) -> (PassPlan, Option<PassPlan>) {
-        let planned = parallel_map(&pass.windows, threads, |window: &DealtWindow| {
-            let at = |schedule| PlanWindow::new(window.col_start, window.col_end, schedule);
-            let (own, baseline) = self.schedule_window(&window.rows, keep_baseline);
-            (at(own), baseline.map(at))
+    fn plan_pass(&self, pass: DealtPass, threads: usize) -> PassPlan {
+        let windows = parallel_map(&pass.windows, threads, |window: &DealtWindow| {
+            PlanWindow::new(
+                window.col_start,
+                window.col_end,
+                self.schedule_window(&window.rows),
+            )
         });
-        let (own, baseline): (Vec<_>, Vec<_>) = planned.into_iter().unzip();
-        let pass_plan = |windows: Vec<PlanWindow>| PassPlan {
+        PassPlan {
             row_start: pass.row_start,
             row_end: pass.row_end,
             nnz: windows.iter().map(|w| w.nnz).sum(),
             windows,
-        };
-        (
-            pass_plan(own),
-            keep_baseline.then(|| pass_plan(baseline.into_iter().flatten().collect())),
-        )
+        }
     }
 
     /// Plans `matrix` pass by pass, dealing every window's entries to its
     /// lanes in one sweep of the matrix. With `partition` set, a matrix
     /// needing more partial-sum rows per PE than a URAM holds is split on
     /// capacity boundaries into row-partition passes (§4.5); otherwise it
-    /// is planned as one pass and replay reports the overflow. With
-    /// `keep_baseline` set on a Chasoň machine, the Serpens passes of the
-    /// same windows come back too.
+    /// is planned as one pass and replay reports the overflow.
     fn plan_passes(
         &self,
         matrix: &CooMatrix,
         threads: usize,
         partition: bool,
-        keep_baseline: bool,
-    ) -> Result<(Vec<PassPlan>, Option<Vec<PassPlan>>), SimError> {
+    ) -> Result<Vec<PassPlan>, SimError> {
         check_config(&self.config)?;
-        let keep_baseline = keep_baseline && self.scug_size() > 0;
         let sched = &self.config.sched;
         let rows_per_pe = if partition {
             URAM_PARTIALS
         } else {
             matrix.rows().div_ceil(sched.total_pes()).max(1)
         };
-        let (own, baseline): (Vec<_>, Vec<_>) =
+        Ok(
             deal_windows(matrix, sched, rows_per_pe, self.config.window, |_, _| true)
                 .into_iter()
-                .map(|pass| self.plan_pass(pass, threads, keep_baseline))
-                .unzip();
-        Ok((
-            own,
-            keep_baseline.then(|| baseline.into_iter().flatten().collect()),
-        ))
+                .map(|pass| self.plan_pass(pass, threads))
+                .collect(),
+        )
     }
 
     /// Plans (serially) and replays in one go; see `plan_passes` for
@@ -514,7 +462,7 @@ impl Accelerator {
         partition: bool,
     ) -> Result<Execution, SimError> {
         check_len(x.len(), matrix.cols())?;
-        let (passes, _) = self.plan_passes(matrix, 1, partition, false)?;
+        let passes = self.plan_passes(matrix, 1, partition)?;
         self.execute_passes(&passes, matrix.cols(), x)
     }
 
@@ -1390,16 +1338,13 @@ mod tests {
         assert_eq!(plan, chason.plan(&m).unwrap());
     }
 
-    /// The Chasoň plan is derived from the Serpens plan three ways — one
-    /// planning run keeping both, a whole-plan migration, and a splice of
-    /// the dirty windows — and each equals planning from scratch.
+    /// The Chasoň plan is derived from the Serpens plan two ways — a
+    /// whole-plan migration and a splice of the dirty windows — and each
+    /// equals planning from scratch, on one pass and across row-partition
+    /// passes.
     #[test]
     fn chason_plans_derived_from_the_serpens_plan_equal_scratch_plans() {
-        for hops in 1..=3 {
-            let sched = SchedulerConfig {
-                migration_hops: hops,
-                ..SchedulerConfig::paper()
-            };
+        let check = |sched: SchedulerConfig, m: &CooMatrix, windows: usize, passes: usize| {
             let chason = Accelerator::new(AcceleratorConfig {
                 sched,
                 ..AcceleratorConfig::chason()
@@ -1408,25 +1353,19 @@ mod tests {
                 sched,
                 ..AcceleratorConfig::serpens()
             });
-            // Three column windows of 8192.
-            let m = power_law(600, 20_000, 12_000, 1.8, hops as u64);
-            let (own, baseline) = chason.plan_with_baseline(&m).unwrap();
-            let baseline = baseline.expect("a Chasoň machine keeps its baseline");
-            assert_eq!(own, chason.plan_with_threads(&m, 1).unwrap());
-            assert_eq!(baseline, serpens.plan_with_threads(&m, 1).unwrap());
-            assert_eq!(
-                serpens.plan_with_baseline(&m).unwrap(),
-                (baseline.clone(), None)
-            );
+            let own = chason.plan_with_threads(m, 1).unwrap();
+            let baseline = serpens.plan_with_threads(m, 1).unwrap();
+            assert_eq!(own.passes.len(), passes);
+            assert_eq!(chason.migrate_plan(&baseline).unwrap(), own);
             for threads in [1, 2, 4] {
                 let migrated = chason
                     .migrate_plan_with_threads(&baseline, threads)
                     .unwrap();
-                assert_eq!(migrated, own, "hops {hops}, {threads} threads");
+                assert_eq!(migrated, own, "{sched:?}, {threads} threads");
             }
 
-            let delta = sample_delta(&m);
-            let updated = delta.apply(&m).unwrap();
+            let delta = sample_delta(m);
+            let updated = delta.apply(m).unwrap();
             let mut spliced_baseline = baseline.clone();
             serpens
                 .replan_delta(&mut spliced_baseline, &updated, &delta)
@@ -1436,12 +1375,30 @@ mod tests {
                 .migrate_delta(&mut spliced, &spliced_baseline, &delta)
                 .unwrap();
             assert_eq!(spliced, chason.plan_with_threads(&updated, 1).unwrap());
-            assert_eq!((report.windows_total, report.nnz_after), (3, updated.nnz()));
+            assert_eq!(
+                (report.windows_total, report.nnz_after),
+                (windows, updated.nnz())
+            );
             assert!(
                 report.windows_replanned < report.windows_total,
                 "{report:?}"
             );
+        };
+        for hops in 1..=3 {
+            let sched = SchedulerConfig {
+                migration_hops: hops,
+                ..SchedulerConfig::paper()
+            };
+            // Three column windows of 8192.
+            let m = power_law(600, 20_000, 12_000, 1.8, hops as u64);
+            check(sched, &m, 3, 1);
         }
+        // 4 PEs x 8192 rows/PE = 32_768 rows per pass -> 2 passes of three
+        // column windows each.
+        let sched = SchedulerConfig::toy(2, 2, 4);
+        assert!(40_000 > URAM_PARTIALS * sched.total_pes());
+        let m = uniform_random(40_000, 20_000, 30_000, 8);
+        check(sched, &m, 6, 2);
     }
 
     #[test]
