@@ -420,17 +420,21 @@ fn read_schedule_grid<R: Read>(reader: &mut R) -> Result<ScheduledMatrix, Export
                         if flags[0] > 1 {
                             return Err(invalid(format!("bad pvt flag {}", flags[0])));
                         }
-                        ch.insert(
-                            cycle,
-                            lane,
-                            NzSlot {
-                                value,
-                                row: nz_row,
-                                col: nz_col,
-                                pvt: flags[0] == 1,
-                                pe_src: flags[1],
-                            },
-                        );
+                        let nz = NzSlot {
+                            value,
+                            row: nz_row,
+                            col: nz_col,
+                            pvt: flags[0] == 1,
+                            pe_src: flags[1],
+                        };
+                        if !ChannelSchedule::fits(cycle, lane, &nz) {
+                            return Err(invalid(format!(
+                                "channel {channel} slot ({cycle}, {lane}) holding row {nz_row}, \
+                                 column {nz_col}, PE_src {} is beyond the channel store's range",
+                                nz.pe_src
+                            )));
+                        }
+                        ch.insert(cycle, lane, nz);
                     }
                     t => return Err(invalid(format!("bad slot tag {t}"))),
                 }

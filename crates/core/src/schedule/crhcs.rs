@@ -1,5 +1,6 @@
 use super::{
-    ChannelSchedule, NzSlot, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows,
+    ChannelSchedule, PeAware, Placed, RowMap, ScheduledMatrix, Scheduler, SchedulerConfig,
+    WindowRows,
 };
 use serde::{Deserialize, Serialize};
 
@@ -122,6 +123,15 @@ pub fn migrated(schedule: &ScheduledMatrix) -> (ScheduledMatrix, MigrationReport
 fn migration_passes(input: &ScheduledMatrix) -> (Vec<Working>, usize, usize) {
     let config = input.config;
     assert!(config.is_valid(), "invalid scheduler configuration");
+    // The pass state indexes slots and rows with 32 bits.
+    assert!(
+        input.rows <= u32::MAX as usize
+            && input
+                .channels
+                .iter()
+                .all(|ch| ch.nonzeros() < u32::MAX as usize),
+        "schedule exceeds the migration pass's 32-bit indices"
+    );
     let mut work: Vec<Working> = input.channels.iter().map(Working::new).collect();
     let mut migrated = 0usize;
     let mut raw_skips = 0usize;
@@ -143,8 +153,7 @@ fn migration_passes(input: &ScheduledMatrix) -> (Vec<Working>, usize, usize) {
     }
     // One pass's migrants ascend; a multi-hop channel receives several runs.
     for w in &mut work {
-        w.migrants
-            .sort_unstable_by_key(|&(cycle, lane, _)| (cycle, lane));
+        w.migrants.sort_unstable_by_key(Placed::key);
     }
     (work, migrated, raw_skips)
 }
@@ -160,8 +169,8 @@ struct Working {
     taken: Vec<bool>,
     /// Private input values not yet migrated out.
     eligible: usize,
-    /// Values migrated in, as `(cycle, lane, non-zero)`.
-    migrants: Vec<(usize, usize, NzSlot)>,
+    /// Values migrated in, each at its destination slot.
+    migrants: Vec<Placed>,
 }
 
 impl Working {
@@ -185,26 +194,26 @@ impl Working {
 /// `(row / total_pes) · P + lane` and shared by every [`migrate_channel`]
 /// pass of one schedule, plus the per-pass bucket queue. Each pass resets
 /// exactly the row entries it touched, so the work per pass stays linear in
-/// its candidates and the source channel's length.
-#[derive(Default)]
+/// its candidates and the source channel's length. Indices, cycles and
+/// rows are 32-bit ([`migration_passes`] checks that they fit).
 struct MigrationScratch {
-    total_pes: usize,
+    row_map: RowMap,
     pes: usize,
     /// Per local row: 1 + index into `candidates` of the row's deepest
     /// remaining position (0 = none left).
-    tail: Vec<usize>,
+    tail: Vec<u32>,
     /// Per `local row · P + destination lane`: 1 + the last cycle a value
     /// of the row was placed into that lane (0 = never).
-    last_cycle: Vec<usize>,
+    last_cycle: Vec<u32>,
     /// Candidate positions, grouped by source cycle in ascending order and
     /// row-descending within a cycle.
     candidates: Vec<Candidate>,
     /// Local rows whose `tail` this pass set.
-    rows: Vec<usize>,
+    rows: Vec<u32>,
     /// `last_cycle` indices this pass set.
-    placed: Vec<usize>,
+    placed: Vec<u32>,
     /// Per source cycle: index of the cycle's first candidate.
-    first: Vec<usize>,
+    first: Vec<u32>,
     /// Per source cycle: the bucket, bit `k` set when candidate
     /// `first[cycle] + k` is its row's current tail.
     bucket: Vec<u8>,
@@ -213,52 +222,59 @@ struct MigrationScratch {
     /// The source cycle's candidates while they are being sorted.
     group: Vec<Candidate>,
     /// Candidates migrated this pass.
-    taken: Vec<usize>,
+    taken: Vec<u32>,
 }
 
 /// One still-private value of the source channel a destination may pull.
 #[derive(Clone, Copy)]
-struct Candidate {
+pub(super) struct Candidate {
     /// Source cycle.
-    cycle: usize,
-    /// Source lane (the migrant's `PE_src`).
-    lane: usize,
-    /// Global row.
-    row: usize,
+    cycle: u32,
+    /// Row.
+    row: u32,
     /// Channel-local row index.
-    local: usize,
+    local: u32,
     /// The row's previous (shallower) candidate, in the `tail` encoding.
-    link: usize,
+    link: u32,
     /// Index of the slot in the source's occupied order.
-    slot: usize,
+    slot: u32,
+    /// Source lane (the migrant's `PE_src`).
+    lane: u8,
 }
 
 impl MigrationScratch {
     fn new(rows: usize, config: &SchedulerConfig) -> Self {
-        let total_pes = config.total_pes();
-        let local_rows = rows.div_ceil(total_pes) * config.pes_per_channel;
+        let local_rows = rows.div_ceil(config.total_pes()) * config.pes_per_channel;
         MigrationScratch {
-            total_pes,
+            row_map: RowMap::new(config),
             pes: config.pes_per_channel,
             tail: vec![0; local_rows],
             last_cycle: vec![0; local_rows * config.pes_per_channel],
-            ..MigrationScratch::default()
+            candidates: Vec::new(),
+            rows: Vec::new(),
+            placed: Vec::new(),
+            first: Vec::new(),
+            bucket: Vec::new(),
+            nonempty: Vec::new(),
+            group: Vec::new(),
+            taken: Vec::new(),
         }
     }
 
-    /// Channel-local index of a global row.
-    fn local(&self, row: usize) -> usize {
-        (row / self.total_pes) * self.pes + row % self.pes
+    /// Channel-local index of a row.
+    fn local(&self, row: u32) -> u32 {
+        let (local_row, _, lane) = self.row_map.split(row);
+        (local_row * self.pes + lane) as u32
     }
 
     /// Clears everything the finished pass wrote and sizes the bucket
     /// queue for a source of `cycles` cycles.
     fn reset(&mut self, cycles: usize) {
         for &r in &self.rows {
-            self.tail[r] = 0;
+            self.tail[r as usize] = 0;
         }
         for &i in &self.placed {
-            self.last_cycle[i] = 0;
+            self.last_cycle[i as usize] = 0;
         }
         self.candidates.clear();
         self.rows.clear();
@@ -274,36 +290,36 @@ impl MigrationScratch {
     /// Appends the sorted `group` of one source cycle to `candidates`,
     /// threading each row's stack through its previous candidate.
     fn flush_group(&mut self) {
-        let Some(cycle) = self.group.first().map(|c| c.cycle) else {
+        let Some(cycle) = self.group.first().map(|c| c.cycle as usize) else {
             return;
         };
-        self.first[cycle] = self.candidates.len();
+        self.first[cycle] = self.candidates.len() as u32;
         self.group
             .sort_unstable_by_key(|c| std::cmp::Reverse(c.row));
         for k in 0..self.group.len() {
             let mut cand = self.group[k];
-            let r = cand.local;
+            let r = cand.local as usize;
             if self.tail[r] == 0 {
-                self.rows.push(r);
+                self.rows.push(cand.local);
             }
             cand.link = self.tail[r];
             self.candidates.push(cand);
-            self.tail[r] = self.candidates.len();
+            self.tail[r] = self.candidates.len() as u32;
         }
         self.group.clear();
     }
 
     /// Queues candidate `index` (its row's new tail) in its cycle's bucket.
     fn enqueue(&mut self, index: usize) {
-        let cycle = self.candidates[index].cycle;
-        self.bucket[cycle] |= 1 << (index - self.first[cycle]);
+        let cycle = self.candidates[index].cycle as usize;
+        self.bucket[cycle] |= 1 << (index - self.first[cycle] as usize);
         self.nonempty[cycle / 64] |= 1 << (cycle % 64);
     }
 
     /// Removes candidate `index` from its cycle's bucket.
     fn dequeue(&mut self, index: usize) {
-        let cycle = self.candidates[index].cycle;
-        self.bucket[cycle] &= !(1 << (index - self.first[cycle]));
+        let cycle = self.candidates[index].cycle as usize;
+        self.bucket[cycle] &= !(1 << (index - self.first[cycle] as usize));
         if self.bucket[cycle] == 0 {
             self.nonempty[cycle / 64] &= !(1 << (cycle % 64));
         }
@@ -397,26 +413,28 @@ fn migrate_channel(
     let source = &input.channels[src];
     let taken = &work[src].taken;
     let (start, slots) = source.occupied_after(first_free);
-    for (slot, (cycle, lane, nz)) in (start..).zip(slots) {
-        if !nz.pvt || taken[slot] {
+    for (slot, placed) in (start..).zip(slots) {
+        if !placed.pvt() || taken[slot] {
             continue;
         }
+        let cycle = placed.cycle() as u32;
         if scratch.group.first().is_some_and(|c| c.cycle != cycle) {
             scratch.flush_group();
         }
+        let row = placed.row() as u32;
         scratch.group.push(Candidate {
             cycle,
-            lane,
-            row: nz.row,
-            local: scratch.local(nz.row),
+            row,
+            local: scratch.local(row),
             link: 0,
-            slot,
+            slot: slot as u32,
+            lane: placed.lane() as u8,
         });
     }
     scratch.flush_group();
     for i in 0..scratch.rows.len() {
-        let r = scratch.rows[i];
-        scratch.enqueue(scratch.tail[r] - 1);
+        let r = scratch.rows[i] as usize;
+        scratch.enqueue(scratch.tail[r] as usize - 1);
     }
     let mut top = scratch.nonempty_below(src_len);
 
@@ -460,11 +478,11 @@ fn migrate_channel(
                 }
                 let k = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                let index = scratch.first[at] + k;
+                let index = scratch.first[at] as usize + k;
                 let cand = scratch.candidates[index];
-                let r = cand.local;
+                let r = cand.local as usize;
                 let raw_slot = r * pes + lane;
-                let prev = scratch.last_cycle[raw_slot];
+                let prev = scratch.last_cycle[raw_slot] as usize;
                 if prev != 0 && cycle < prev - 1 + d {
                     raw_skips += 1;
                     blocked += 1;
@@ -475,21 +493,19 @@ fn migrate_channel(
                 }
                 // Migrate: tag with the source lane; the source slot is
                 // freed when the pass ends.
-                let mut moved = source.nz_at(cand.slot);
-                moved.pvt = false;
-                moved.pe_src = cand.lane as u8;
-                target.migrants.push((cycle, lane, moved));
+                let moved = source.placed(cand.slot as usize).migrant(cycle, lane);
+                target.migrants.push(moved);
                 target.masks[cycle] |= 1 << lane;
-                scratch.taken.push(index);
+                scratch.taken.push(index as u32);
                 if prev == 0 {
-                    scratch.placed.push(raw_slot);
+                    scratch.placed.push(raw_slot as u32);
                 }
-                scratch.last_cycle[raw_slot] = cycle + 1;
+                scratch.last_cycle[raw_slot] = cycle as u32 + 1;
                 migrated += 1;
                 scratch.dequeue(index);
                 scratch.tail[r] = cand.link;
                 if cand.link != 0 {
-                    scratch.enqueue(cand.link - 1);
+                    scratch.enqueue(cand.link as usize - 1);
                 }
                 if scratch.bucket[deepest] == 0 {
                     top = scratch.nonempty_below(deepest);
@@ -501,9 +517,9 @@ fn migrate_channel(
     let donor = &mut work[src];
     donor.eligible -= migrated;
     for &index in &scratch.taken {
-        let cand = scratch.candidates[index];
-        donor.taken[cand.slot] = true;
-        donor.masks[cand.cycle] &= !(1 << cand.lane);
+        let cand = scratch.candidates[index as usize];
+        donor.taken[cand.slot as usize] = true;
+        donor.masks[cand.cycle as usize] &= !(1 << cand.lane);
     }
     (migrated, raw_skips)
 }

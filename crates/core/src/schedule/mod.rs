@@ -13,7 +13,7 @@ mod pe_aware;
 mod row_based;
 mod row_split;
 
-pub use channel::ChannelSchedule;
+pub use channel::{ChannelSchedule, STORE_COLS, STORE_LANES, STORE_PE_SRC, STORE_ROWS};
 pub use crhcs::{migrate, migrated, Crhcs, MigrationReport};
 pub use pe_aware::PeAware;
 pub use row_based::RowBased;
@@ -21,6 +21,7 @@ pub use row_split::HybridRowSplit;
 
 use crate::diag::{Location, RuleId, ScheduleError};
 use crate::element;
+use channel::Placed;
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -122,17 +123,98 @@ impl Default for SchedulerConfig {
     }
 }
 
+/// Eq. 1's row mapping without a hardware divide. Migration and replay
+/// split a row once per slot, so the divisions by the total PE count and
+/// by the PEs per channel multiply by reciprocals precomputed here
+/// instead; the result equals [`SchedulerConfig::local_row`],
+/// [`SchedulerConfig::channel_for_row`] and
+/// [`SchedulerConfig::lane_for_row`] for every row below `2^32`.
+#[derive(Debug, Clone, Copy)]
+pub struct RowMap {
+    total_pes: Divisor,
+    pes: Divisor,
+}
+
+impl RowMap {
+    /// The row mapping of `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has no PEs, or more than `u32::MAX` of them.
+    pub fn new(config: &SchedulerConfig) -> Self {
+        let total_pes = u32::try_from(config.total_pes()).unwrap_or(0);
+        assert!(
+            total_pes > 0 && config.pes_per_channel > 0,
+            "a row map needs between 1 and u32::MAX PEs"
+        );
+        RowMap {
+            total_pes: Divisor::new(total_pes),
+            pes: Divisor::new(config.pes_per_channel as u32),
+        }
+    }
+
+    /// `(local_row, channel, lane)` of `row`.
+    pub fn split(&self, row: u32) -> (usize, usize, usize) {
+        let (local_row, pe) = self.total_pes.div_rem(row);
+        let (channel, lane) = self.pes.div_rem(pe);
+        (local_row as usize, channel as usize, lane as usize)
+    }
+}
+
+/// A fixed divisor of `u32`s, divided by multiplying with a precomputed
+/// reciprocal.
+///
+/// With `m = ⌊(2^64 − 1) / d⌋ + 1`, `⌊n / d⌋ = ⌊m · n / 2^64⌋` exactly for
+/// every `u32` `n` and every divisor `2 ≤ d < 2^32` (Lemire, Kaser and
+/// Kurz, "Faster Remainder by Direct Computation", 2019). `d = 1` has no
+/// 64-bit `m` and is stored as `m = 0`.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u32,
+    m: u64,
+}
+
+impl Divisor {
+    /// `d` must be positive.
+    fn new(d: u32) -> Self {
+        debug_assert!(d > 0);
+        Divisor {
+            d,
+            m: (u64::MAX / u64::from(d)).wrapping_add(1),
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    fn div_rem(self, n: u32) -> (u32, u32) {
+        let q = if self.m == 0 {
+            n
+        } else {
+            ((u128::from(self.m) * u128::from(n)) >> 64) as u32
+        };
+        (q, n - q * self.d)
+    }
+}
+
 /// One scheduled non-zero occupying a slot of a channel's data list.
 ///
-/// `row` and `col` are *global* matrix coordinates; the wire format's local
-/// encodings are derived when packing (see [`ChannelSchedule::data_list`]).
+/// `row` and `col` are the coordinates of the schedule's own rows and
+/// columns: in a plan that is the window's, rebased by its row pass and
+/// column window (see [`WindowRows`]); for [`Scheduler::schedule`] of a
+/// whole matrix, the matrix's. The wire format's local encodings are
+/// derived when packing (see [`ChannelSchedule::data_list`]).
+///
+/// A [`ChannelSchedule`] stores a slot in 16 bytes, so a stored non-zero
+/// has `row < `[`STORE_ROWS`] (`2^32`), `col < `[`STORE_COLS`] (`2^16`,
+/// eight times the `W = 8192` window) and `pe_src < `[`STORE_PE_SRC`]
+/// (`2^7`); its lane is below [`STORE_LANES`] (`2^8`) and its cycle below
+/// `2^32`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NzSlot {
     /// The non-zero value.
     pub value: f32,
-    /// Global row index.
+    /// Row index within the schedule.
     pub row: usize,
-    /// Global column index.
+    /// Column index within the schedule.
     pub col: usize,
     /// `true` if the element is streamed by the channel that owns its row.
     pub pvt: bool,
@@ -442,7 +524,13 @@ impl WindowRows {
     }
 
     /// The lanes of each channel in channel order, checked against the
-    /// geometry the window was dealt for.
+    /// geometry the window was dealt for and against the channel store's
+    /// range, so the lane schedulers can store every entry as dealt.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window was dealt for another PE geometry, or if its
+    /// rows or columns exceed [`STORE_ROWS`] or [`STORE_COLS`].
     pub(crate) fn channels(
         &self,
         config: &SchedulerConfig,
@@ -451,6 +539,13 @@ impl WindowRows {
             self.lanes.len(),
             config.total_pes(),
             "window rows were dealt for another PE geometry"
+        );
+        assert!(
+            self.rows <= STORE_ROWS && self.cols <= STORE_COLS,
+            "a {} x {} window is beyond the channel store's range; schedule one column \
+             window at a time",
+            self.rows,
+            self.cols
         );
         self.lanes.chunks(config.pes_per_channel)
     }
@@ -474,7 +569,9 @@ impl WindowRows {
 
 /// The rows owned by one PE lane, stored flat: one shared `(col, value)`
 /// arena plus `(row, start, end)` spans into it, rows ascending, each row's
-/// entries in ascending column order.
+/// entries in ascending column order. Rows, columns and arena offsets are
+/// 32-bit ([`deal_windows`](crate::window::deal_windows) checks that they
+/// fit), so an entry takes 8 bytes and a span 12.
 ///
 /// The previous layout, `Vec<(row, Vec<(col, value)>)>`, paid one heap
 /// allocation (plus growth reallocations) per matrix row; planning pays
@@ -484,19 +581,19 @@ impl WindowRows {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FlatLaneRows {
     /// `(col, value)` entries of every row of the lane, grouped by row.
-    pub entries: Vec<(usize, f32)>,
+    pub entries: Vec<(u32, f32)>,
     /// Per row: `(row, start, end)` half-open span into `entries`.
-    pub spans: Vec<(usize, usize, usize)>,
+    pub spans: Vec<(u32, u32, u32)>,
 }
 
 impl FlatLaneRows {
     /// Appends one entry, extending the current row's span or opening a new
     /// one. Entries of a row must arrive consecutively.
-    pub fn push_entry(&mut self, row: usize, col: usize, value: f32) {
+    pub fn push_entry(&mut self, row: u32, col: u32, value: f32) {
         match self.spans.last_mut() {
             Some((last_row, _, end)) if *last_row == row => *end += 1,
             _ => {
-                let at = self.entries.len();
+                let at = self.entries.len() as u32;
                 self.spans.push((row, at, at + 1));
             }
         }
@@ -504,38 +601,42 @@ impl FlatLaneRows {
     }
 
     /// Entries of the row behind `spans[idx]`.
-    pub fn row_entries(&self, idx: usize) -> &[(usize, f32)] {
+    pub fn row_entries(&self, idx: usize) -> &[(u32, f32)] {
         let (_, start, end) = self.spans[idx];
-        &self.entries[start..end]
+        &self.entries[start as usize..end as usize]
     }
 }
+
+/// [`LaneScratch::last_cycle`] of a row that has not been emitted yet.
+pub(crate) const NEVER: u32 = u32::MAX;
 
 /// Reusable per-lane scheduling scratch ([`PeAware::schedule_lane`]): the
 /// row cursors, last-emission cycles and live-row ring are cleared and
 /// refilled for each lane instead of reallocated, which matters when
-/// planning schedules one window after another.
+/// planning schedules one window after another. Every entry is 32-bit,
+/// like the [`FlatLaneRows`] it walks.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
     /// Next unconsumed index into `entries` per row span.
-    pub(crate) cursor: Vec<usize>,
-    /// Cycle of the row's previous emission (`usize::MAX` = never).
-    pub(crate) last_cycle: Vec<usize>,
+    pub(crate) cursor: Vec<u32>,
+    /// Cycle of the row's previous emission ([`NEVER`] = never).
+    pub(crate) last_cycle: Vec<u32>,
     /// Ring of rows with entries left, in span order: successor per span.
-    pub(crate) next: Vec<usize>,
+    pub(crate) next: Vec<u32>,
     /// Predecessor per span in the same ring.
-    pub(crate) prev: Vec<usize>,
+    pub(crate) prev: Vec<u32>,
 }
 
 impl LaneScratch {
     /// Refills the scratch for `lane`: cursors at each row's first entry,
     /// no emissions yet, every row linked into the live ring.
     pub(crate) fn reset(&mut self, lane: &FlatLaneRows) {
-        let n = lane.spans.len();
+        let n = lane.spans.len() as u32;
         self.cursor.clear();
         self.cursor
             .extend(lane.spans.iter().map(|&(_, start, _)| start));
         self.last_cycle.clear();
-        self.last_cycle.resize(n, usize::MAX);
+        self.last_cycle.resize(n as usize, NEVER);
         self.next.clear();
         self.next.extend((0..n).map(|i| (i + 1) % n));
         self.prev.clear();
@@ -545,8 +646,8 @@ impl LaneScratch {
     /// Removes span `idx` from the live ring in O(1).
     pub(crate) fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.prev[idx], self.next[idx]);
-        self.next[prev] = next;
-        self.prev[next] = prev;
+        self.next[prev as usize] = next;
+        self.prev[next as usize] = prev;
     }
 }
 
@@ -564,7 +665,7 @@ pub(crate) mod tests {
     ) -> Vec<FlatLaneRows> {
         let mut by_pe = vec![FlatLaneRows::default(); config.total_pes()];
         for &(r, c, v) in matrix.iter() {
-            by_pe[config.pe_for_row(r)].push_entry(r, c, v);
+            by_pe[config.pe_for_row(r)].push_entry(r as u32, c as u32, v);
         }
         by_pe
     }
@@ -583,6 +684,59 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn reciprocal_division_matches_the_hardware_divide() {
+        let divisors = [
+            1u32,
+            2,
+            3,
+            5,
+            7,
+            8,
+            12,
+            16,
+            24,
+            100,
+            128,
+            255,
+            1000,
+            1 << 16,
+            (1 << 31) + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for d in divisors {
+            let divisor = Divisor::new(d);
+            let near_multiples = [1u32, 2, 3, 1000, u32::MAX / d]
+                .into_iter()
+                .map(|k| k.wrapping_mul(d))
+                .flat_map(|n| [n.wrapping_sub(1), n, n.wrapping_add(1)]);
+            let spread = (0..20_000u32).map(|i| i.wrapping_mul(2_654_435_761));
+            for n in [0, 1, u32::MAX - 1, u32::MAX]
+                .into_iter()
+                .chain(near_multiples)
+                .chain(spread)
+            {
+                assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+        for cfg in [
+            SchedulerConfig::paper(),
+            SchedulerConfig::toy(3, 5, 4),
+            SchedulerConfig::toy(1, 1, 2),
+        ] {
+            let map = RowMap::new(&cfg);
+            for row in (0..5_000).chain([u32::MAX as usize - 7, u32::MAX as usize]) {
+                let want = (
+                    cfg.local_row(row),
+                    cfg.channel_for_row(row),
+                    cfg.lane_for_row(row),
+                );
+                assert_eq!(map.split(row as u32), want, "row {row} under {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
     fn config_rejects_too_many_lanes_for_pe_src_bits() {
         let cfg = SchedulerConfig::toy(2, 9, 10);
         assert!(!cfg.is_valid(), "9 lanes cannot be tagged in 3 bits");
@@ -596,7 +750,7 @@ pub(crate) mod tests {
         assert_eq!(ch.cycles(), 2);
         assert_eq!(ch.stalls(), 3);
         assert_eq!(ch.nonzeros(), 1);
-        assert_eq!(ch.slot(0, 0), Some(&NzSlot::private(1.0, 0, 0)));
+        assert_eq!(ch.slot(0, 0), Some(NzSlot::private(1.0, 0, 0)));
         assert_eq!(ch.slot(0, 1), None);
         assert_eq!(ch.slot(5, 0), None);
     }
@@ -641,29 +795,67 @@ pub(crate) mod tests {
         ch.set_cycles(9);
         let (start, after) = ch.occupied_after(2);
         assert_eq!(start, 2);
-        assert_eq!(after.map(|(c, l, _)| (c, l)).collect::<Vec<_>>(), [(5, 1)]);
+        assert_eq!(
+            after
+                .iter()
+                .map(|p| (p.cycle(), p.lane()))
+                .collect::<Vec<_>>(),
+            [(5, 1)]
+        );
         assert_eq!(ch.occupied_after(6).0, 3);
         // The last slot leaves and two migrants land, one on a stall and
         // one on the first slot's lane a cycle later.
-        let migrant = |value: f32| NzSlot {
-            pvt: false,
-            ..NzSlot::private(value, 9, 9)
+        let migrant = |value: f32, cycle: usize, lane: usize| {
+            Placed::private(0, 1, 9, 9, value).migrant(cycle, lane)
         };
-        let out = ch.migrated(
-            &[false, false, true],
-            &[(0, 0, migrant(7.0)), (1, 1, migrant(8.0))],
-        );
+        let incoming = [migrant(7.0, 0, 0), migrant(8.0, 1, 1)];
+        let out = ch.migrated(&[false, false, true], &incoming);
         let slots: Vec<(usize, usize, f32)> =
             out.occupied().map(|(c, l, nz)| (c, l, nz.value)).collect();
         assert_eq!(slots, [(0, 0, 7.0), (0, 1, 0.0), (1, 1, 8.0), (2, 0, 2.0)]);
         assert_eq!((out.channel, out.lanes(), out.cycles()), (2, 2, 3));
+        let landed = out.slot(0, 0).unwrap();
+        assert_eq!(
+            (landed.row, landed.col, landed.pvt, landed.pe_src),
+            (9, 9, false, 1)
+        );
         assert_eq!(ch.nonzeros(), 3, "the input channel is left as it was");
         let mut in_place = ch.clone();
-        in_place.migrate_in_place(
-            &[false, false, true],
-            &[(0, 0, migrant(7.0)), (1, 1, migrant(8.0))],
-        );
+        in_place.migrate_in_place(&[false, false, true], &incoming);
         assert_eq!(in_place, out);
+    }
+
+    /// The store's slot and the migration candidate stay small: planning
+    /// and replay move these per non-zero.
+    #[test]
+    fn planning_records_stay_half_width() {
+        fn element_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert!(std::mem::size_of::<Placed>() <= 16);
+        assert!(std::mem::size_of::<crhcs::Candidate>() <= 24);
+        let lane = FlatLaneRows::default();
+        assert_eq!(element_size(&lane.entries), 8);
+        assert_eq!(element_size(&lane.spans), 12);
+    }
+
+    #[test]
+    fn edit_rewrites_one_slot_in_place() {
+        let mut ch = ChannelSchedule::new(0, 2);
+        ch.insert(1, 1, NzSlot::private(1.0, 3, 4));
+        assert!(ch.edit(1, 1, |nz| nz.col += 8192));
+        assert_eq!(ch.slot(1, 1).map(|nz| nz.col), Some(8196));
+        assert!(!ch.edit(0, 0, |_| unreachable!("a stall has no non-zero")));
+        assert!(!ch.edit(1 << 40, 300, |_| unreachable!("outside the store")));
+        assert_eq!(ch.nonzeros(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the channel store's range")]
+    fn an_edit_beyond_the_store_panics() {
+        let mut ch = ChannelSchedule::new(0, 1);
+        ch.insert(0, 0, NzSlot::private(1.0, 0, 0));
+        ch.edit(0, 0, |nz| nz.col = STORE_COLS);
     }
 
     #[test]
@@ -758,18 +950,21 @@ pub(crate) mod tests {
 
     #[test]
     fn from_lanes_interleaves_uneven_lanes_in_stream_order() {
-        let mk = |len: usize, row: usize| -> Vec<(usize, NzSlot)> {
+        let mk = |len: usize, lane: usize, row: u32| -> Vec<Placed> {
             (0..len)
                 .filter(|c| c % 3 == 0)
-                .map(|c| (c, NzSlot::private(c as f32, row, c)))
+                .map(|c| Placed::private(c as u32, lane, row, c as u32, c as f32))
                 .collect()
         };
-        let timelines = vec![mk(600, 0), mk(10, 1), Vec::new(), mk(257, 2)];
+        let timelines = vec![mk(600, 0, 0), mk(10, 1, 1), Vec::new(), mk(257, 3, 2)];
         let ch = ChannelSchedule::from_lanes(7, &timelines, &mut Vec::new());
         assert_eq!((ch.channel, ch.lanes(), ch.cycles()), (7, 4, 598));
         for cycle in 0..600 {
             for (lane, t) in timelines.iter().enumerate() {
-                let want = t.iter().find(|&&(c, _)| c == cycle).map(|(_, nz)| nz);
+                let want = t
+                    .iter()
+                    .find(|p| p.cycle() == cycle)
+                    .map(|p| NzSlot::private(cycle as f32, p.row(), cycle));
                 assert_eq!(ch.slot(cycle, lane), want);
             }
         }

@@ -1,6 +1,6 @@
 use super::{
-    ChannelSchedule, FlatLaneRows, LaneScratch, NzSlot, ScheduledMatrix, Scheduler,
-    SchedulerConfig, WindowRows,
+    ChannelSchedule, FlatLaneRows, LaneScratch, Placed, ScheduledMatrix, Scheduler,
+    SchedulerConfig, WindowRows, NEVER,
 };
 
 /// PE-aware out-of-order non-zero scheduling — Serpens' scheme (Fig. 2b).
@@ -25,9 +25,8 @@ impl PeAware {
         PeAware { _private: () }
     }
 
-    /// Schedules one lane's rows round-robin into `timeline`, which is
-    /// cleared first and receives the lane's occupied `(cycle, slot)` pairs
-    /// in cycle order.
+    /// Schedules the rows of `lane` round-robin into `timeline`, which is
+    /// cleared first and receives the lane's occupied slots in cycle order.
     ///
     /// Rows are consumed through cursors into the lane's flat entry arena
     /// — no queues are materialized — and `scratch` is reused across lanes
@@ -40,14 +39,19 @@ impl PeAware {
     /// so each emitted slot passes at most `D − 1` rows; when every live
     /// row is blocked, the scan jumps over the whole stall run to the
     /// earliest unblocking cycle in one step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane runs past `u32::MAX` cycles.
     pub(crate) fn schedule_lane(
-        lane: &FlatLaneRows,
+        rows: &FlatLaneRows,
+        lane: usize,
         dependency_distance: usize,
         scratch: &mut LaneScratch,
-        timeline: &mut Vec<(usize, NzSlot)>,
+        timeline: &mut Vec<Placed>,
     ) {
-        scratch.reset(lane);
-        let mut remaining = lane.entries.len();
+        scratch.reset(rows);
+        let mut remaining = rows.entries.len();
         timeline.clear();
         timeline.reserve(remaining);
         let mut head = 0usize; // live row the round-robin scan starts at
@@ -57,11 +61,11 @@ impl PeAware {
             let mut unblock = usize::MAX;
             let eligible = loop {
                 let last = scratch.last_cycle[idx];
-                if last == usize::MAX || cycle >= last + dependency_distance {
+                if last == NEVER || cycle >= last as usize + dependency_distance {
                     break Some(idx);
                 }
-                unblock = unblock.min(last + dependency_distance);
-                idx = scratch.next[idx];
+                unblock = unblock.min(last as usize + dependency_distance);
+                idx = scratch.next[idx] as usize;
                 if idx == head {
                     break None;
                 }
@@ -71,14 +75,16 @@ impl PeAware {
                 cycle = unblock;
                 continue;
             };
-            let (row, _, end) = lane.spans[idx];
+            let (row, _, end) = rows.spans[idx];
             let cur = scratch.cursor[idx];
-            let (col, value) = lane.entries[cur];
-            timeline.push((cycle, NzSlot::private(value, row, col)));
+            let (col, value) = rows.entries[cur as usize];
+            // Checked per slot: the 32-bit `last_cycle` would wrap past it.
+            assert!(cycle < u32::MAX as usize, "channel exceeds u32::MAX cycles");
+            timeline.push(Placed::private(cycle as u32, lane, row, col, value));
             scratch.cursor[idx] = cur + 1;
-            scratch.last_cycle[idx] = cycle;
+            scratch.last_cycle[idx] = cycle as u32;
             remaining -= 1;
-            head = scratch.next[idx];
+            head = scratch.next[idx] as usize;
             if cur + 1 == end {
                 scratch.unlink(idx);
             }
@@ -100,8 +106,8 @@ impl Scheduler for PeAware {
         let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
         for (ch_idx, lanes) in rows.channels(config).enumerate() {
-            for (lane, timeline) in lanes.iter().zip(&mut timelines) {
-                Self::schedule_lane(lane, d, &mut scratch, timeline);
+            for (lane, (rows, timeline)) in lanes.iter().zip(&mut timelines).enumerate() {
+                Self::schedule_lane(rows, lane, d, &mut scratch, timeline);
             }
             channels.push(ChannelSchedule::from_lanes(ch_idx, &timelines, &mut masks));
         }

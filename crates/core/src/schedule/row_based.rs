@@ -1,4 +1,4 @@
-use super::{ChannelSchedule, NzSlot, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows};
+use super::{ChannelSchedule, Placed, ScheduledMatrix, Scheduler, SchedulerConfig, WindowRows};
 
 /// Row-based (in-order) non-zero scheduling — Fig. 2a.
 ///
@@ -35,20 +35,25 @@ impl Scheduler for RowBased {
         let mut channels = Vec::with_capacity(config.channels);
         for (ch_idx, lanes) in rows.channels(config).enumerate() {
             // Per lane, lay out the occupied slots independently.
-            let mut lane_timelines: Vec<Vec<(usize, NzSlot)>> = Vec::with_capacity(lanes.len());
-            for lane in lanes {
-                let mut timeline = Vec::with_capacity(lane.entries.len());
+            let mut lane_timelines: Vec<Vec<Placed>> = Vec::with_capacity(lanes.len());
+            for (lane, rows) in lanes.iter().enumerate() {
+                let mut timeline = Vec::with_capacity(rows.entries.len());
                 let mut cycle = 0usize;
-                for (idx, &(row, _, _)) in lane.spans.iter().enumerate() {
-                    for (i, &(col, value)) in lane.row_entries(idx).iter().enumerate() {
+                for (idx, &(row, _, _)) in rows.spans.iter().enumerate() {
+                    for (i, &(col, value)) in rows.row_entries(idx).iter().enumerate() {
                         if i > 0 {
                             // RAW gap of D − 1 stalls to the row's previous value.
                             cycle += d - 1;
                         }
-                        timeline.push((cycle, NzSlot::private(value, row, col)));
+                        timeline.push(Placed::private(cycle as u32, lane, row, col, value));
                         cycle += 1;
                     }
                 }
+                // Cycles only grow, so a lane that stayed within range ends here.
+                assert!(
+                    cycle <= u32::MAX as usize,
+                    "channel exceeds u32::MAX cycles"
+                );
                 lane_timelines.push(timeline);
             }
             channels.push(ChannelSchedule::from_lanes(

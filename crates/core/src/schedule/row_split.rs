@@ -69,7 +69,7 @@ impl Scheduler for HybridRowSplit {
         let d = config.dependency_distance;
         let pes = config.pes_per_channel;
         let mut scratch = LaneScratch::default();
-        let mut sub_starts = vec![0usize; pes];
+        let mut sub_starts = vec![0u32; pes];
         let mut timelines = vec![Vec::new(); pes];
         let mut masks = Vec::new();
         let mut channels = Vec::with_capacity(config.channels);
@@ -91,13 +91,13 @@ impl Scheduler for HybridRowSplit {
                         // beforehand delimits the new spans without any
                         // per-sub-row buffer.
                         for (target, start) in sub_starts.iter_mut().enumerate() {
-                            *start = lane_rows[target].entries.len();
+                            *start = lane_rows[target].entries.len() as u32;
                         }
                         for (k, &entry) in entries.iter().enumerate() {
                             lane_rows[(lane + k) % pes].entries.push(entry);
                         }
                         for (target, arena) in lane_rows.iter_mut().enumerate() {
-                            let end = arena.entries.len();
+                            let end = arena.entries.len() as u32;
                             if end > sub_starts[target] {
                                 arena.spans.push((row, sub_starts[target], end));
                             }
@@ -109,8 +109,8 @@ impl Scheduler for HybridRowSplit {
                     }
                 }
             }
-            for (dealt, timeline) in lane_rows.iter().zip(&mut timelines) {
-                PeAware::schedule_lane(dealt, d, &mut scratch, timeline);
+            for (lane, (dealt, timeline)) in lane_rows.iter().zip(&mut timelines).enumerate() {
+                PeAware::schedule_lane(dealt, lane, d, &mut scratch, timeline);
             }
             channels.push(ChannelSchedule::from_lanes(ch_idx, &timelines, &mut masks));
         }

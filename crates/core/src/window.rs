@@ -237,9 +237,13 @@ fn window_runs(
 /// arena exactly, and a fill pass deals each entry into it. Entries of
 /// unselected windows are skipped by both.
 ///
+/// Lanes store rows, columns and arena offsets in 32 bits.
+///
 /// # Panics
 ///
-/// Panics if `config` is invalid or `max_rows_per_pe` or `window` is 0.
+/// Panics if `config` is invalid, if `max_rows_per_pe` or `window` is 0,
+/// or if a pass's rows, a window's columns or the matrix's non-zeros
+/// exceed `2^32`.
 pub fn deal_windows(
     matrix: &CooMatrix,
     config: &SchedulerConfig,
@@ -255,6 +259,12 @@ pub fn deal_windows(
     let span = max_rows_per_pe * pes;
     let passes = rows.div_ceil(span).max(1);
     let windows = cols.div_ceil(window);
+    assert!(
+        rows.min(span) <= 1 << 32
+            && cols.min(window) <= 1 << 32
+            && matrix.nnz() <= u32::MAX as usize,
+        "matrix exceeds the dealt lanes' 32-bit rows, columns and offsets"
+    );
     let kept: Vec<bool> = (0..passes * windows)
         .map(|cell| keep(cell / windows, cell % windows))
         .collect();
@@ -288,11 +298,15 @@ pub fn deal_windows(
         let cell = r / span * windows + w;
         if kept[cell] {
             let lane = &mut lanes[cell * pes + config.pe_for_row(r)];
-            let start = lane.entries.len();
+            let start = lane.entries.len() as u32;
             let col_start = w * window;
-            lane.entries
-                .extend(entries[run].iter().map(|&(_, c, v)| (c - col_start, v)));
-            lane.spans.push((r % span, start, lane.entries.len()));
+            lane.entries.extend(
+                entries[run]
+                    .iter()
+                    .map(|&(_, c, v)| ((c - col_start) as u32, v)),
+            );
+            lane.spans
+                .push(((r % span) as u32, start, lane.entries.len() as u32));
         }
     }
 

@@ -10,7 +10,10 @@
 use chason_core::element::{SparseElement, STALL_WORD};
 use chason_core::export::{read_plan, write_plan, write_schedule};
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
-use chason_core::schedule::{ChannelSchedule, NzSlot, ScheduledMatrix, SchedulerConfig};
+use chason_core::schedule::{
+    ChannelSchedule, NzSlot, ScheduledMatrix, SchedulerConfig, STORE_COLS, STORE_LANES,
+    STORE_PE_SRC, STORE_ROWS,
+};
 use proptest::prelude::*;
 
 type Dense = Vec<Vec<Option<NzSlot>>>;
@@ -151,6 +154,111 @@ fn dense_chpl(grids: &[Dense], plan: &SpmvPlan) -> Vec<u8> {
     out
 }
 
+/// A one-window plan around `schedule`.
+fn one_window_plan(schedule: ScheduledMatrix) -> SpmvPlan {
+    let (rows, cols, nnz) = (schedule.rows, schedule.cols, schedule.nnz);
+    SpmvPlan {
+        key: PlanKey {
+            fingerprint: 0x5eed,
+            config: schedule.config,
+        },
+        engine: "chason".to_string(),
+        window: 8192,
+        rows,
+        cols,
+        nnz,
+        passes: vec![PassPlan {
+            row_start: 0,
+            row_end: rows,
+            nnz,
+            windows: vec![PlanWindow {
+                col_start: 0,
+                col_end: cols,
+                nnz,
+                stalls: schedule.stalls(),
+                stream_cycles: schedule.stream_cycles(),
+                schedule,
+            }],
+        }],
+    }
+}
+
+/// Slots at each edge of the store's range — its last row, column, lane
+/// and `PE_src`, and its last cycle — come back unchanged from `insert`
+/// through `slot`/`occupied`, and the first four through CHPL. (A slot at
+/// the last cycle cannot go through CHPL: the grid spells out every stall
+/// before it.) One step past any edge is refused.
+#[test]
+fn slots_at_the_range_limits_round_trip() {
+    let edge = NzSlot {
+        value: -0.375,
+        row: STORE_ROWS - 1,
+        col: STORE_COLS - 1,
+        pvt: false,
+        pe_src: (STORE_PE_SRC - 1) as u8,
+    };
+    let lane = STORE_LANES - 1;
+    let mut ch = ChannelSchedule::new(0, 1);
+    assert_eq!(ch.insert(1, lane, edge), None);
+    assert_eq!(ch.insert(0, 0, NzSlot::private(2.0, 7, 0)), None);
+    assert_eq!((ch.cycles(), ch.lanes()), (2, STORE_LANES));
+    assert_eq!(ch.slot(1, lane), Some(edge));
+    let want = vec![(0, 0, NzSlot::private(2.0, 7, 0)), (1, lane, edge)];
+    assert_eq!(ch.occupied().collect::<Vec<_>>(), want);
+
+    let schedule = ScheduledMatrix {
+        config: SchedulerConfig::toy(1, 8, 4),
+        channels: vec![ch.clone()],
+        rows: STORE_ROWS,
+        cols: STORE_COLS,
+        nnz: 2,
+    };
+    let plan = one_window_plan(schedule);
+    let mut chpl = Vec::new();
+    write_plan(&mut chpl, &plan).unwrap();
+    let back = read_plan(&chpl[..]).unwrap();
+    assert_eq!(back, plan);
+    assert_eq!(
+        back.passes[0].windows[0].schedule.channels[0]
+            .occupied()
+            .collect::<Vec<_>>(),
+        want
+    );
+
+    let last = u32::MAX as usize;
+    let mut long = ChannelSchedule::new(3, 2);
+    long.insert(last, 1, edge);
+    assert_eq!(long.cycles(), last + 1);
+    assert_eq!(long.slot(last, 1), Some(edge));
+    assert_eq!(long.occupied().next(), Some((last, 1, edge)));
+    assert_eq!(long.take(last, 1), Some(edge));
+
+    let beyond = [
+        (last + 1, 0, NzSlot::private(1.0, 0, 0)),
+        (0, STORE_LANES, NzSlot::private(1.0, 0, 0)),
+        (0, 0, NzSlot::private(1.0, STORE_ROWS, 0)),
+        (0, 0, NzSlot::private(1.0, 0, STORE_COLS)),
+        (
+            0,
+            0,
+            NzSlot {
+                pe_src: STORE_PE_SRC as u8,
+                ..edge
+            },
+        ),
+    ];
+    for (cycle, lane, nz) in beyond {
+        let refused = std::panic::catch_unwind(|| {
+            ChannelSchedule::new(0, 1).insert(cycle, lane, nz);
+        });
+        assert!(refused.is_err(), "({cycle}, {lane}, {nz:?}) was stored");
+    }
+    // Positions outside the range hold nothing and cannot be taken.
+    assert_eq!(ch.slot(last + 1, 0), None);
+    assert_eq!(ch.slot(1, STORE_LANES), None);
+    assert_eq!(ch.take(1, lane + 1), None);
+}
+
 /// One drawn slot: `(cycle, lane, row, col, migrated)`.
 type Drawn = (usize, usize, usize, usize, bool);
 
@@ -226,13 +334,13 @@ proptest! {
             prop_assert_eq!(ch.nonzeros(), occupied.len());
             prop_assert_eq!(ch.stalls(), grid.len() * lanes - occupied.len());
             let got: Vec<(usize, usize, NzSlot)> =
-                ch.occupied().map(|(c, l, nz)| (c, l, *nz)).collect();
+                ch.occupied().collect();
             prop_assert_eq!(&got, &occupied);
-            prop_assert_eq!(ch.occupied().next_back().map(|(c, l, nz)| (c, l, *nz)), occupied.last().copied());
+            prop_assert_eq!(ch.occupied().next_back(), occupied.last().copied());
             for cycle in 0..grid.len() + 2 {
                 for lane in 0..lanes + 1 {
                     let want = grid.get(cycle).and_then(|s| s.get(lane).copied().flatten());
-                    prop_assert_eq!(ch.slot(cycle, lane).copied(), want);
+                    prop_assert_eq!(ch.slot(cycle, lane), want);
                 }
             }
             prop_assert_eq!(ch.data_list(&config), dense_words(grid, &config));
@@ -257,27 +365,7 @@ proptest! {
         write_schedule(&mut chsn, &schedule).unwrap();
         prop_assert_eq!(chsn, dense_chsn(&grids, &schedule));
 
-        let plan = SpmvPlan {
-            key: PlanKey { fingerprint: 0x5eed, config },
-            engine: "chason".to_string(),
-            window: 8192,
-            rows: 600,
-            cols: 8192,
-            nnz,
-            passes: vec![PassPlan {
-                row_start: 0,
-                row_end: 600,
-                nnz,
-                windows: vec![PlanWindow {
-                    col_start: 0,
-                    col_end: 8192,
-                    nnz,
-                    stalls: schedule.stalls(),
-                    stream_cycles: schedule.stream_cycles(),
-                    schedule,
-                }],
-            }],
-        };
+        let plan = one_window_plan(schedule);
         let mut chpl = Vec::new();
         write_plan(&mut chpl, &plan).unwrap();
         prop_assert_eq!(&chpl, &dense_chpl(&grids, &plan));

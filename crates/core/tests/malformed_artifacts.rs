@@ -216,6 +216,57 @@ fn channel_with_ragged_cycles_is_rejected() {
     );
 }
 
+/// A CHPL slot whose row, column or `PE_src` is beyond the channel store's
+/// range (see `ChannelSchedule`) is a typed error, not the panic `insert`
+/// raises.
+#[test]
+fn out_of_range_slots_are_typed_errors() {
+    let config = SchedulerConfig::toy(1, 2, 4);
+    let m = chason_sparse::CooMatrix::from_triplets(2, 2, vec![(1, 1, 2.5)]).unwrap();
+    let mut channel = ChannelSchedule::new(0, 2);
+    // Distinctive row and column values locate the slot's fields.
+    let (row, col) = (0x0123_4567_u64, 0x7654_u64);
+    channel.insert(0, 1, NzSlot::private(2.5, row as usize, col as usize));
+    let schedule = ScheduledMatrix {
+        config,
+        channels: vec![channel],
+        rows: 2,
+        cols: 2,
+        nnz: 1,
+    };
+    let bytes = plan_bytes(&m, schedule);
+    assert!(read_plan(&bytes[..]).is_ok());
+    let find = |v: u64| {
+        let needle = v.to_le_bytes();
+        bytes.windows(8).position(|w| w == needle).unwrap()
+    };
+    let (row_at, col_at) = (find(row), find(col));
+    assert_eq!(col_at, row_at + 8);
+    let pe_src_at = col_at + 9;
+    assert_eq!(bytes[pe_src_at - 1..=pe_src_at], [1, 0]);
+    let cases: [(usize, &[u8], &str); 4] = [
+        (row_at, &(1u64 << 32).to_le_bytes(), "row 4294967296"),
+        (col_at, &(1u64 << 16).to_le_bytes(), "column 65536"),
+        (
+            col_at,
+            &u64::MAX.to_le_bytes(),
+            "column 18446744073709551615",
+        ),
+        (pe_src_at, &[128], "PE_src 128"),
+    ];
+    for (at, field, named) in cases {
+        let mut bad = bytes.clone();
+        bad[at..at + field.len()].copy_from_slice(field);
+        match read_plan(&bad[..]) {
+            Err(ExportError::Malformed(msg)) => {
+                assert!(msg.contains("beyond the channel store's range"), "{msg}");
+                assert!(msg.contains(named), "{msg}");
+            }
+            other => panic!("{named}: expected a typed error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn oversized_engine_name_is_rejected() {
     let mut bytes = sample_plan_bytes();

@@ -10,8 +10,9 @@
 //! * `LoadMatrix` partitions the matrix with an nnz-balancing
 //!   [`ShardSpec`](chason_sparse::shard::ShardSpec) and scatters one
 //!   row-block slice per shard, remembering each shard's handle and
-//!   matrix version so PR 8's version-aware plan caching keeps working
-//!   end to end.
+//!   matrix version. The versions are what `UpdateMatrix` checks each
+//!   shard's reply against, and a load that finds a shard's slice at a
+//!   version the router did not produce is refused as diverged.
 //! * `Spmv` broadcasts the dense vector, gathers the per-shard partial
 //!   products, and reduces them by row-range placement — the distributed
 //!   Reduction Unit. Row-block partitioning keeps every output row on

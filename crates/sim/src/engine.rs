@@ -810,11 +810,7 @@ mod tests {
         // exist in an 8-PE group.
         for c in [12, 3] {
             let channel = &mut pass.windows[0].schedule.channels[c];
-            let (cycle, lane, nz) = channel
-                .occupied()
-                .next()
-                .map(|(c, l, nz)| (c, l, *nz))
-                .unwrap();
+            let (cycle, lane, nz) = channel.occupied().next().unwrap();
             channel.take(cycle, lane);
             channel.insert(cycle, 9, nz);
         }
@@ -836,16 +832,16 @@ mod tests {
         ));
     }
 
-    /// The first occupied slot of window `w`.
-    fn first_slot(pass: &mut PassPlan, w: usize) -> &mut NzSlot {
-        pass.windows[w]
+    /// Rewrites the first occupied slot of window `w` through `edit`.
+    fn edit_first_slot(pass: &mut PassPlan, w: usize, edit: impl FnOnce(&mut NzSlot)) {
+        let channel = pass.windows[w]
             .schedule
             .channels
             .iter_mut()
-            .flat_map(|ch| ch.occupied_mut())
-            .map(|(_, _, nz)| nz)
-            .next()
-            .unwrap()
+            .find(|ch| ch.nonzeros() > 0)
+            .unwrap();
+        let (cycle, lane, _) = channel.occupied().next().unwrap();
+        assert!(channel.edit(cycle, lane, edit));
     }
 
     #[test]
@@ -865,9 +861,15 @@ mod tests {
         let cases: [(Corrupt, &str); 3] = [
             // Inside the 16-word buffer, past the last window's 8 columns:
             // no x word of this window lives there.
-            (|pass| first_slot(pass, 2).col = 8, "x window holds 8 words"),
+            (
+                |pass| edit_first_slot(pass, 2, |nz| nz.col = 8),
+                "x window holds 8 words",
+            ),
             // Same PE, one URAM's worth of rows further on.
-            (|pass| first_slot(pass, 0).row += 64, "in a pass of 64 rows"),
+            (
+                |pass| edit_first_slot(pass, 0, |nz| nz.row += 64),
+                "in a pass of 64 rows",
+            ),
             (
                 |pass| pass.windows[0].col_end = 17,
                 "window at columns 0..17 does not fit a 16-word x buffer",

@@ -31,7 +31,7 @@
 //! `min(hops, C − 1)` of them.
 
 use crate::{Design, SimError};
-use chason_core::schedule::{ChannelSchedule, ScheduledMatrix, SchedulerConfig};
+use chason_core::schedule::{ChannelSchedule, RowMap, ScheduledMatrix, SchedulerConfig};
 use std::ops::Range;
 
 /// Capacity of one URAM in FP32 partial sums: 4096 slots × 72 bits, two
@@ -60,6 +60,8 @@ pub(crate) type Window<'a> = (Range<usize>, &'a ScheduledMatrix);
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Datapath {
     sched: SchedulerConfig,
+    /// Splits a row of the pass into its PE and URAM address (Eq. 1).
+    row_map: RowMap,
     /// `URAM_sh` banks per PE: `P × hops` for Chasoň, 0 for Serpens.
     scug_size: usize,
     /// Rows of the pass, the length of `y`.
@@ -74,8 +76,9 @@ impl Datapath {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for an invalid scheduler configuration,
-    /// and [`SimError::RowCapacityExceeded`] if one URAM cannot hold every
+    /// [`SimError::InvalidConfig`] for an invalid scheduler configuration
+    /// or a pass whose rows exceed 32-bit indices, and
+    /// [`SimError::RowCapacityExceeded`] if one URAM cannot hold every
     /// partial sum a PE owns.
     pub(crate) fn new(
         sched: SchedulerConfig,
@@ -94,8 +97,15 @@ impl Datapath {
                 capacity: URAM_PARTIALS,
             });
         }
+        if rows > u32::MAX as usize || sched.total_pes() > u32::MAX as usize {
+            return Err(SimError::InvalidConfig(format!(
+                "a pass of {rows} rows over {} PEs exceeds 32-bit row indices",
+                sched.total_pes()
+            )));
+        }
         Ok(Datapath {
             sched,
+            row_map: RowMap::new(&sched),
             scug_size,
             rows,
             rows_per_pe,
@@ -212,8 +222,7 @@ impl Datapath {
         sums: &mut [f32],
     ) -> Result<(), SimError> {
         let sched = &self.sched;
-        let pes = sched.pes_per_channel;
-        let total_pes = sched.total_pes();
+        let (channels, pes) = (sched.channels, sched.pes_per_channel);
         let violation = |msg: String| Err(SimError::RoutingViolation(msg));
         for (_, lane, nz) in channel.occupied() {
             if lane >= pes {
@@ -232,10 +241,10 @@ impl Datapath {
                     nz.row, self.rows
                 ));
             }
-            let (pe, local_row) = (nz.row % total_pes, nz.row / total_pes);
-            let home = pe / pes;
+            // The row is below the pass's rows, which `new` keeps 32-bit.
+            let (local_row, home, home_lane) = self.row_map.split(nz.row as u32);
             let bank = if nz.pvt {
-                if home != c || pe % pes != lane {
+                if home != c || home_lane != lane {
                     return violation(format!(
                         "private element of row {} reached PE ({c}, {lane})",
                         nz.row
@@ -243,7 +252,13 @@ impl Datapath {
                 }
                 0
             } else {
-                let hop = sched.hop_for(c, home);
+                // `SchedulerConfig::hop_for` without the modulo: both
+                // channels are below `channels`.
+                let hop = if home >= c {
+                    home - c
+                } else {
+                    home + channels - c
+                };
                 if hop == 0 {
                     return violation(format!(
                         "element of row {} tagged as migrated inside its home channel {c}",
@@ -266,34 +281,42 @@ impl Datapath {
     }
 
     /// The Reduction Unit and the Merger over every PEG's `sums`, in the
-    /// order the module docs give.
+    /// order the module docs give. Rows are visited in PE order — local
+    /// row, then channel, then lane — which is ascending row order, so no
+    /// row is ever divided.
     fn merge(&self, sums: &[Vec<f32>]) -> Vec<f32> {
         let sched = &self.sched;
         let (channels, pes) = (sched.channels, sched.pes_per_channel);
         let hops = sched.migration_hops.min(channels - 1);
-        (0..self.rows)
-            .map(|row| {
-                let (c, l, r) = (
-                    sched.channel_for_row(row),
-                    sched.lane_for_row(row),
-                    sched.local_row(row),
-                );
-                let mut acc = 0.0f32;
-                acc += sums[c][self.at(l, 0, r)];
-                for hop in 1..=hops {
-                    let k = (hop - 1) * pes + l;
-                    if k < self.scug_size {
-                        let holder = &sums[(c + channels - hop) % channels];
-                        let mut consolidated = 0.0f32;
-                        for lane in 0..pes {
-                            consolidated += holder[self.at(lane, 1 + k, r)];
-                        }
-                        acc += consolidated;
+        let mut y = Vec::with_capacity(self.rows);
+        'rows: for r in 0..self.rows_per_pe {
+            for c in 0..channels {
+                for l in 0..pes {
+                    if y.len() == self.rows {
+                        break 'rows;
                     }
+                    let mut acc = 0.0f32;
+                    acc += sums[c][self.at(l, 0, r)];
+                    for hop in 1..=hops {
+                        let k = (hop - 1) * pes + l;
+                        if k < self.scug_size {
+                            let holder = &sums[if c >= hop {
+                                c - hop
+                            } else {
+                                c + channels - hop
+                            }];
+                            let mut consolidated = 0.0f32;
+                            for lane in 0..pes {
+                                consolidated += holder[self.at(lane, 1 + k, r)];
+                            }
+                            acc += consolidated;
+                        }
+                    }
+                    y.push(acc);
                 }
-                acc
-            })
-            .collect()
+            }
+        }
+        y
     }
 }
 

@@ -144,7 +144,7 @@ impl Corruption {
 }
 
 fn with_first_nz(s: &mut ScheduledMatrix, f: impl FnOnce(&mut NzSlot)) -> bool {
-    find_nz_mut(s, |_| true).map(f).is_some()
+    edit_first(s, |_| true, f)
 }
 
 /// Finds the first slot matching `pred`, as (channel, cycle, lane).
@@ -159,16 +159,17 @@ fn find_nz(
     })
 }
 
-/// The first non-zero matching `pred`, for in-place edits.
-fn find_nz_mut(
+/// Rewrites the first non-zero matching `pred` in place through `edit`;
+/// `false` when none matches.
+fn edit_first(
     s: &mut ScheduledMatrix,
-    mut pred: impl FnMut(&NzSlot) -> bool,
-) -> Option<&mut NzSlot> {
-    s.channels
-        .iter_mut()
-        .flat_map(|ch| ch.occupied_mut())
-        .map(|(_, _, nz)| nz)
-        .find(|nz| pred(nz))
+    pred: impl FnMut(&NzSlot) -> bool,
+    edit: impl FnOnce(&mut NzSlot),
+) -> bool {
+    let Some((c, cycle, lane)) = find_nz(s, pred) else {
+        return false;
+    };
+    s.channels[c].edit(cycle, lane, edit)
 }
 
 /// Streams `nz` from a new cycle appended to channel `dest`, in lane 0.
@@ -189,7 +190,7 @@ fn duplicate_across_channels(s: &mut ScheduledMatrix) -> bool {
     let Some((c, cycle, lane)) = find_nz(s, |nz| nz.pvt) else {
         return false;
     };
-    let Some(&original) = s.channels[c].slot(cycle, lane) else {
+    let Some(original) = s.channels[c].slot(cycle, lane) else {
         return false;
     };
     // hop_for(dest, home) == 1  ⇔  dest == home - 1 (mod channels).
@@ -258,26 +259,21 @@ fn two_hop_migration(s: &mut ScheduledMatrix) -> bool {
 /// Flips `pvt` on a migrated slot (preferred — the lie is "this is mine"),
 /// falling back to un-flagging a private slot.
 fn tag_flip(s: &mut ScheduledMatrix) -> bool {
-    if let Some(nz) = find_nz_mut(s, |nz| !nz.pvt) {
-        nz.pvt = true;
-        return true;
-    }
-    with_first_nz(s, |nz| nz.pvt = false)
+    edit_first(s, |nz| !nz.pvt, |nz| nz.pvt = true) || with_first_nz(s, |nz| nz.pvt = false)
 }
 
 /// Points a slot's `PE_src` at a lane that is not the element's home lane
 /// (for migrated slots), or sets a non-zero tag on a private slot.
 fn pe_src_swap(s: &mut ScheduledMatrix) -> bool {
     let pes = s.config.pes_per_channel;
-    if let Some(nz) = find_nz_mut(s, |nz| !nz.pvt) {
+    let swap = |nz: &mut NzSlot| {
         nz.pe_src = if pes >= 2 {
             ((nz.pe_src as usize + 1) % pes) as u8
         } else {
             7
         };
-        return true;
-    }
-    with_first_nz(s, |nz| nz.pe_src = 1)
+    };
+    edit_first(s, |nz| !nz.pvt, swap) || with_first_nz(s, |nz| nz.pe_src = 1)
 }
 
 #[cfg(test)]

@@ -135,14 +135,18 @@ fn scug_bank_overflow_is_flagged() {
     let m = power_law(120, 120, 900, 1.8, 11);
     let cfg = SchedulerConfig::toy(4, 4, 6); // 4 lanes -> banks 0..4
     let mut s = Crhcs::new().schedule(&m, &cfg);
-    let site = s
+    let (c, cycle, lane) = s
         .channels
-        .iter_mut()
-        .flat_map(|ch| ch.occupied_mut())
-        .map(|(_, _, nz)| nz)
-        .find(|nz| !nz.pvt)
+        .iter()
+        .enumerate()
+        .find_map(|(c, ch)| {
+            ch.occupied()
+                .find(|(_, _, nz)| !nz.pvt)
+                .map(|(cycle, lane, _)| (c, cycle, lane))
+        })
         .expect("CrHCS migrates on a skewed matrix");
-    site.pe_src = 7; // valid for the 3-bit tag, beyond the 4-lane ScUG
+    // Valid for the 3-bit tag, beyond the 4-lane ScUG.
+    assert!(s.channels[c].edit(cycle, lane, |nz| nz.pe_src = 7));
     let report = verify_schedule(&s, Some(&m));
     assert!(report.has_rule(RuleId::R001), "{report}");
     assert!(
