@@ -11,7 +11,7 @@
 //! * [`precision`] — §5.5: 64-bit values with 32-bit metadata fit only 5
 //!   elements in a 512-bit beat, shrinking each PEG to 5 PEs.
 
-use chason_core::schedule::{migrate, PeAware, Scheduler, SchedulerConfig};
+use chason_core::schedule::{migrated, PeAware, Scheduler, SchedulerConfig};
 use chason_core::window::partition_columns;
 use chason_sim::resources::uram_count;
 use chason_sparse::generators::{arrow_with_nnz, power_law};
@@ -77,15 +77,14 @@ impl Measured {
 
 fn measure(matrix: &CooMatrix, config: &SchedulerConfig) -> Measured {
     let (mut stalls_before, mut stalls_after) = (0, 0);
-    let (mut serpens_cycles, mut chason_cycles, mut migrated) = (0, 0, 0);
+    let (mut serpens_cycles, mut chason_cycles, mut moved) = (0, 0, 0);
     for w in partition_columns(matrix, chason_core::element::WINDOW) {
-        let mut schedule = PeAware::new().schedule(&w.matrix, config);
-        let r = migrate(&mut schedule);
+        let (_, r) = migrated(&PeAware::new().schedule(&w.matrix, config));
         stalls_before += r.stalls_before;
         stalls_after += r.stalls_after;
         serpens_cycles += r.cycles_before;
         chason_cycles += r.cycles_after;
-        migrated += r.migrated;
+        moved += r.migrated;
     }
     let pct = |stalls: usize| {
         let slots = matrix.nnz() + stalls;
@@ -100,7 +99,7 @@ fn measure(matrix: &CooMatrix, config: &SchedulerConfig) -> Measured {
         chason_pct: pct(stalls_after),
         serpens_cycles,
         chason_cycles,
-        migrated,
+        migrated: moved,
     }
 }
 

@@ -5,7 +5,7 @@
 //! migration, at 7 stalls in 24 slots (29%, 2 cycles).
 
 use chason_core::schedule::{
-    migrate, MigrationReport, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig,
+    migrated, MigrationReport, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig,
 };
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
@@ -63,8 +63,7 @@ pub fn example_matrix() -> CooMatrix {
 fn schedules() -> (ScheduledMatrix, ScheduledMatrix, MigrationReport) {
     let matrix = example_matrix();
     let before = PeAware::new().schedule(&matrix, &config());
-    let mut after = before.clone();
-    let report = migrate(&mut after);
+    let (after, report) = migrated(&before);
     #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants
     before.validate(&matrix).expect("pe-aware invariants");
     #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants

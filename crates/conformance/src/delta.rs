@@ -5,8 +5,12 @@
 //! coordinates, deletions and revaluations of existing entries). The
 //! engines splice a delta into a cached [`SpmvPlan`] by re-scheduling only
 //! the column windows the delta's footprint dirties
-//! (`Accelerator::replan_delta`). This module proves that splicing is
-//! *sound*, per corpus case × round × delta kind × engine. Round 0 runs
+//! (`Accelerator::replan_delta`). `chason serve` splices a Chasoň plan a
+//! second way: it splices the Serpens plan, then migrates the dirty
+//! windows of the spliced Serpens plan (`Accelerator::migrate_delta`).
+//! This module proves that splicing is *sound*, per corpus case × round ×
+//! delta kind × splice route: both engines' `replan_delta` and serve's
+//! Chasoň route. Round 0 runs
 //! the paper geometry; every later round draws a toy geometry and a narrow
 //! column window (channels 2–4, PEs 2–4, `D ∈ {2, 4, 6}`, `W ∈ {16, 32}`):
 //!
@@ -33,8 +37,9 @@ use crate::harness::{probe_vector, Violation};
 use crate::ulp::{compare, row_scales, UlpTolerance};
 use chason_baselines::reference;
 use chason_core::plan::SpmvPlan;
+use chason_core::replan::ReplanReport;
 use chason_core::schedule::SchedulerConfig;
-use chason_sim::{Accelerator, AcceleratorConfig};
+use chason_sim::{Accelerator, AcceleratorConfig, SimError};
 use chason_sparse::{CooMatrix, MatrixDelta};
 use chason_verify::verify_plan;
 use std::collections::BTreeSet;
@@ -97,7 +102,7 @@ impl Default for DeltaOptions {
 /// Aggregate result of a delta-oracle run.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaReport {
-    /// Case × kind × engine checks executed.
+    /// Case × kind × splice route checks executed.
     pub checks: usize,
     /// Delta batches generated and spliced.
     pub deltas: usize,
@@ -256,31 +261,34 @@ fn push(violations: &mut Vec<Violation>, case: &str, oracle: &'static str, detai
     });
 }
 
-/// Runs all four oracles for one `(engine, base plan, delta)` triple;
-/// `tag` names the engine, delta kind and geometry in every violation.
+/// Runs all four oracles for one `(engine, base plan, splice)` triple,
+/// where `splice` writes the delta into a copy of the base plan; `tag`
+/// names the splice route, delta kind and geometry in every violation.
+/// Returns the spliced plan when it equals the scratch plan and replays,
+/// so another route can splice from it.
 #[allow(clippy::too_many_arguments)] // internal fan-in of precomputed state
 fn check_engine(
     engine: &Accelerator,
     case_name: &str,
     tag: &str,
     base_plan: &SpmvPlan,
-    delta: &MatrixDelta,
+    splice: impl FnOnce(&mut SpmvPlan) -> Result<ReplanReport, SimError>,
     updated: &CooMatrix,
     tol: &UlpTolerance,
     violations: &mut Vec<Violation>,
-) {
+) -> Option<SpmvPlan> {
     // Splice the delta into a copy of the cached base plan.
     let mut spliced = base_plan.clone();
-    let report = match engine.replan_delta(&mut spliced, updated, delta) {
+    let report = match splice(&mut spliced) {
         Ok(report) => report,
         Err(e) => {
             push(
                 violations,
                 case_name,
                 "splice",
-                format!("{tag}: replan_delta rejected a valid delta: {e}"),
+                format!("{tag}: the splice rejected a valid delta: {e}"),
             );
-            return;
+            return None;
         }
     };
 
@@ -298,7 +306,7 @@ fn check_engine(
                         report.windows_replanned, report.windows_total
                     ),
                 );
-                return; // downstream oracles would only echo the divergence
+                return None; // downstream oracles would only echo the divergence
             }
         }
         Err(e) => {
@@ -308,7 +316,7 @@ fn check_engine(
                 "splice",
                 format!("{tag}: scratch planning of the updated matrix failed: {e}"),
             );
-            return;
+            return None;
         }
     }
 
@@ -344,7 +352,7 @@ fn check_engine(
                 "execution",
                 format!("{tag}: spliced plan failed to replay: {e}"),
             );
-            return;
+            return None;
         }
     };
     let want = reference::spmv(updated, &x);
@@ -413,6 +421,7 @@ fn check_engine(
             format!("{tag}: spliced plan fails verification: {first}"),
         );
     }
+    Some(spliced)
 }
 
 /// The scheduler geometry and column window of one round. Round 0 runs
@@ -500,22 +509,37 @@ pub fn run_delta_cases(cases: &[CorpusCase], options: &DeltaOptions) -> DeltaRep
                     &case.name,
                     &format!("chason/{} @ {geometry}", kind.name()),
                     &chason_base,
-                    &delta,
+                    |plan| chason.replan_delta(plan, &updated, &delta),
                     &updated,
                     &options.tol,
                     &mut report.violations,
                 );
-                check_engine(
+                let serpens_spliced = check_engine(
                     &serpens,
                     &case.name,
                     &format!("serpens/{} @ {geometry}", kind.name()),
                     &serpens_base,
-                    &delta,
+                    |plan| serpens.replan_delta(plan, &updated, &delta),
                     &updated,
                     &options.tol,
                     &mut report.violations,
                 );
                 report.checks += 2;
+                // Serve's route: the Chasoň plan spliced from the spliced
+                // Serpens plan.
+                if let Some(baseline) = serpens_spliced {
+                    check_engine(
+                        &chason,
+                        &case.name,
+                        &format!("chason-from-serpens/{} @ {geometry}", kind.name()),
+                        &chason_base,
+                        |plan| chason.migrate_delta(plan, &baseline, &delta),
+                        &updated,
+                        &options.tol,
+                        &mut report.violations,
+                    );
+                    report.checks += 1;
+                }
             }
         }
     }
@@ -579,7 +603,7 @@ mod tests {
         let cases = corpus(CorpusSize::Small);
         let report = run_delta_cases(&cases[..4], &DeltaOptions::default());
         assert_eq!(report.deltas, 4 * 2 * DeltaKind::ALL.len());
-        assert_eq!(report.checks, report.deltas * 2);
+        assert_eq!(report.checks, report.deltas * 3);
         assert!(report.geometries.contains(&(16, 8, 10, 8192)));
         assert!(report.geometries.len() > 1, "{:?}", report.geometries);
         assert!(

@@ -14,9 +14,9 @@
 //! * [`schedule::Crhcs`] — the contribution (Fig. 2c, §3): stall slots are
 //!   filled by *migrating* non-zeros from the neighbouring HBM channel,
 //!   tagged with `pvt`/`PE_src` flags so the architecture can segregate the
-//!   partial sums. It is `PeAware` followed by [`schedule::migrate`], the
-//!   migration pass over a PE-aware schedule, which callers holding a
-//!   PE-aware schedule can run on a copy of it directly.
+//!   partial sums. It is `PeAware` followed by [`schedule::migrated`], the
+//!   migration pass, which reads a PE-aware schedule and returns its
+//!   migration, so callers holding a PE-aware schedule run it directly.
 //! * [`schedule::HybridRowSplit`] — the HiSpMV-style alternative (§2.1):
 //!   a row that dwarfs its siblings is split into `P` interleaved sub-rows
 //!   recombined by an intra-PEG adder tree. That fixes imbalance within a
@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use chason_core::schedule::{migrate, Crhcs, PeAware, Scheduler, SchedulerConfig};
+//! use chason_core::schedule::{migrated, Crhcs, PeAware, Scheduler, SchedulerConfig};
 //! use chason_sparse::generators::power_law;
 //!
 //! let matrix = power_law(256, 256, 1500, 1.8, 7);
@@ -41,9 +41,8 @@
 //! // CrHCS fills stalls by migrating values across channels:
 //! assert!(chason.underutilization() <= serpens.underutilization());
 //! // ... and is exactly the migration pass over the PE-aware schedule.
-//! let mut migrated = serpens.clone();
-//! let report = migrate(&mut migrated);
-//! assert_eq!(migrated, chason);
+//! let (from_pe_aware, report) = migrated(&serpens);
+//! assert_eq!(from_pe_aware, chason);
 //! assert_eq!(report.stalls_after, chason.stalls());
 //! ```
 

@@ -10,7 +10,7 @@
 //! These helpers bundle the per-schedule numbers needed by the Figure 3 /
 //! 11 / 12 / 13 experiment binaries.
 
-use crate::schedule::{migrate, Crhcs, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
+use crate::schedule::{migrated, Crhcs, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig};
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -201,8 +201,8 @@ pub fn windowed_metrics<S: Scheduler>(
 }
 
 /// [`windowed_metrics`] of [`PeAware`] and of [`Crhcs`] from one PE-aware
-/// pass per window: the CrHCS schedule is that window's PE-aware schedule
-/// after [`migrate`], so no window is scheduled PE-aware twice.
+/// pass per window: the CrHCS schedule is [`migrated`] from that window's
+/// PE-aware schedule, so no window is scheduled PE-aware twice.
 pub fn windowed_metrics_pe_aware_and_crhcs(
     matrix: &CooMatrix,
     config: &SchedulerConfig,
@@ -212,10 +212,9 @@ pub fn windowed_metrics_pe_aware_and_crhcs(
     let mut pe_aware = WindowedMetrics::empty(PeAware::new().name(), windows.len(), config);
     let mut crhcs = WindowedMetrics::empty(Crhcs::new().name(), windows.len(), config);
     for w in &windows {
-        let mut s = PeAware::new().schedule(&w.matrix, config);
+        let s = PeAware::new().schedule(&w.matrix, config);
         pe_aware.add(&s, config);
-        migrate(&mut s);
-        crhcs.add(&s, config);
+        crhcs.add(&migrated(&s).0, config);
     }
     (pe_aware, crhcs)
 }

@@ -12,7 +12,8 @@
 //! results in place, updating the per-pass and plan-level non-zero counts
 //! and the plan key's fingerprint.
 //!
-//! For deterministic schedulers (all three in-tree schedulers are) the
+//! For deterministic schedulers (all four in-tree schedulers are:
+//! `RowBased`, `PeAware`, `Crhcs` and `HybridRowSplit`) the
 //! spliced plan is **bit-identical** to a from-scratch plan of the updated
 //! matrix; `crates/conformance` proves this across the whole corpus.
 

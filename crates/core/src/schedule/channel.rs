@@ -377,30 +377,6 @@ impl ChannelSchedule {
         out
     }
 
-    /// [`ChannelSchedule::migrated`] written over `self`, reusing its
-    /// store: the taken slots are compacted away, then `incoming` is merged
-    /// in from the back.
-    pub(crate) fn migrate_in_place(&mut self, taken: &[bool], incoming: &[Placed]) {
-        let mut flags = taken.iter();
-        self.slots.retain(|_| flags.next() == Some(&false));
-        let (mut i, mut j) = (self.slots.len(), incoming.len());
-        self.slots.extend_from_slice(incoming);
-        let mut k = self.slots.len();
-        while j > 0 {
-            k -= 1;
-            let migrant = incoming[j - 1];
-            if i > 0 && self.slots[i - 1].key() > migrant.key() {
-                self.slots[k] = self.slots[i - 1];
-                i -= 1;
-            } else {
-                self.slots[k] = migrant;
-                j -= 1;
-            }
-        }
-        debug_assert!(self.slots.windows(2).all(|w| w[0].key() < w[1].key()));
-        self.trim();
-    }
-
     /// Packs the schedule into the channel's 64-bit data list (row-major:
     /// cycle 0 lanes 0..P, cycle 1 lanes 0..P, ...), the exact stream the
     /// architecture consumes, with every stall written as the stall word.

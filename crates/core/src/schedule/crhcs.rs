@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// contribution.
 ///
 /// CrHCS starts from the PE-aware schedule and *migrates* non-zeros across
-/// channels to fill stall slots ([`migrate`]):
+/// channels to fill stall slots ([`migrated`]):
 ///
 /// 1. channels are processed in ring order: channel `c`'s stalls are filled
 ///    with values pulled from channel `c + 1`'s data list (§3.1 limits
@@ -57,38 +57,15 @@ impl Crhcs {
     }
 }
 
-/// CrHCS's migration pass: fills the stall slots of `schedule`, a PE-aware
-/// schedule, with values migrated from ring-neighbour channels under the
-/// schedule's own configuration, then trims trailing all-stall cycles.
+/// CrHCS's migration pass over `schedule`, a PE-aware schedule: returns
+/// it with its stall slots filled by values migrated from ring-neighbour
+/// channels under the schedule's own configuration and its trailing
+/// all-stall cycles trimmed, and the pass's report. `schedule` itself is
+/// left untouched, so a PE-aware schedule and its migration can be kept
+/// side by side without a copy.
 ///
 /// [`Crhcs`] is [`PeAware`] followed by this pass, so migrating a PE-aware
-/// schedule yields exactly the CrHCS schedule of the same rows. The passes
-/// are [`migrated`]'s; only the final write reuses `schedule`'s stores
-/// instead of allocating new ones.
-///
-/// # Panics
-///
-/// Panics if the schedule's configuration is invalid.
-pub fn migrate(schedule: &mut ScheduledMatrix) -> MigrationReport {
-    let (stalls_before, cycles_before) = (schedule.stalls(), schedule.stream_cycles());
-    let (work, migrated, raw_skips) = migration_passes(schedule);
-    for (ch, w) in schedule.channels.iter_mut().zip(work) {
-        ch.migrate_in_place(&w.taken, &w.migrants);
-    }
-    MigrationReport {
-        migrated,
-        stalls_before,
-        stalls_after: schedule.stalls(),
-        raw_skips,
-        cycles_before,
-        cycles_after: schedule.stream_cycles(),
-    }
-}
-
-/// CrHCS's migration pass, out of place: returns the migrated schedule of
-/// `schedule` (see [`migrate`]) and the pass's report, leaving `schedule`
-/// untouched, so a PE-aware schedule and its migration can be kept side
-/// by side without a copy.
+/// schedule yields exactly the CrHCS schedule of the same rows.
 ///
 /// # Panics
 ///
@@ -530,9 +507,7 @@ impl Scheduler for Crhcs {
     }
 
     fn schedule_rows(&self, rows: &WindowRows, config: &SchedulerConfig) -> ScheduledMatrix {
-        let mut schedule = PeAware::new().schedule_rows(rows, config);
-        migrate(&mut schedule);
-        schedule
+        migrated(&PeAware::new().schedule_rows(rows, config)).0
     }
 }
 
@@ -547,8 +522,7 @@ mod tests {
         let config = SchedulerConfig::paper();
         let m = power_law(1024, 1024, 8000, 1.8, 21);
         let serpens = PeAware::new().schedule(&m, &config);
-        let mut chason = serpens.clone();
-        let report = migrate(&mut chason);
+        let (chason, report) = migrated(&serpens);
         assert!(chason.underutilization() <= serpens.underutilization());
         assert!(
             report.migrated > 0,
@@ -599,8 +573,7 @@ mod tests {
             (0..10).map(|c| (1usize, c, c as f32 + 1.0)).collect();
         triplets.push((0, 0, 99.0));
         let m = CooMatrix::from_triplets(2, 10, triplets).unwrap();
-        let mut s = PeAware::new().schedule(&m, &config);
-        let report = migrate(&mut s);
+        let (s, report) = migrated(&PeAware::new().schedule(&m, &config));
         s.validate(&m).unwrap();
         assert!(report.migrated > 0 && report.raw_skips > 0, "{report:?}");
     }
@@ -625,8 +598,7 @@ mod tests {
             .collect();
         let m = CooMatrix::from_triplets(128, 16, triplets).unwrap();
         let serpens = PeAware::new().schedule(&m, &config);
-        let mut chason = serpens.clone();
-        let report = migrate(&mut chason);
+        let (chason, report) = migrated(&serpens);
         assert!(
             chason.stream_cycles() < serpens.stream_cycles(),
             "chason {} vs serpens {}",
@@ -640,8 +612,7 @@ mod tests {
     #[test]
     fn empty_matrix_is_fine() {
         let config = SchedulerConfig::paper();
-        let mut s = PeAware::new().schedule(&CooMatrix::new(64, 64), &config);
-        let report = migrate(&mut s);
+        let (s, report) = migrated(&PeAware::new().schedule(&CooMatrix::new(64, 64), &config));
         assert_eq!(s.stream_cycles(), 0);
         assert_eq!(report.migrated, 0);
     }
@@ -676,9 +647,9 @@ mod tests {
             .flat_map(|i| [6 * i, 6 * i + 1])
             .chain((0..4).flat_map(|i| [6 * i + 2, 6 * i + 3]));
         let m = one_value_per_row(60, rows);
-        let mut s = PeAware::new().schedule(&m, &config);
-        assert_eq!(channel_lengths(&s), [10, 4, 0]);
-        let report = migrate(&mut s);
+        let pe_aware = PeAware::new().schedule(&m, &config);
+        assert_eq!(channel_lengths(&pe_aware), [10, 4, 0]);
+        let (s, report) = migrated(&pe_aware);
         s.validate(&m).unwrap();
         assert_eq!(
             report,
@@ -714,9 +685,9 @@ mod tests {
             .chain(lane(2, 6))
             .chain(lane(3, 6));
         let m = one_value_per_row(48, rows);
-        let mut s = PeAware::new().schedule(&m, &config);
-        assert_eq!(channel_lengths(&s), [12, 6]);
-        let report = migrate(&mut s);
+        let pe_aware = PeAware::new().schedule(&m, &config);
+        assert_eq!(channel_lengths(&pe_aware), [12, 6]);
+        let (s, report) = migrated(&pe_aware);
         s.validate(&m).unwrap();
         assert_eq!(
             report,
@@ -734,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_place_migration_leaves_its_input_and_matches_in_place() {
+    fn migration_leaves_its_input_and_returns_its_report() {
         for hops in 1..=3 {
             let config = SchedulerConfig {
                 migration_hops: hops,
@@ -744,10 +715,15 @@ mod tests {
             let serpens = PeAware::new().schedule(&m, &config);
             let (chason, report) = migrated(&serpens);
             assert_eq!(serpens, PeAware::new().schedule(&m, &config));
-            let mut in_place = serpens.clone();
-            assert_eq!(migrate(&mut in_place), report);
-            assert_eq!(in_place, chason);
             assert!(report.migrated > 0, "{report:?}");
+            assert_eq!(
+                (report.stalls_before, report.cycles_before),
+                (serpens.stalls(), serpens.stream_cycles())
+            );
+            assert_eq!(
+                (report.stalls_after, report.cycles_after),
+                (chason.stalls(), chason.stream_cycles())
+            );
         }
     }
 

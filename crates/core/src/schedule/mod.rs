@@ -14,7 +14,7 @@ mod row_based;
 mod row_split;
 
 pub use channel::{ChannelSchedule, STORE_COLS, STORE_LANES, STORE_PE_SRC, STORE_ROWS};
-pub use crhcs::{migrate, migrated, Crhcs, MigrationReport};
+pub use crhcs::{migrated, Crhcs, MigrationReport};
 pub use pe_aware::PeAware;
 pub use row_based::RowBased;
 pub use row_split::HybridRowSplit;
@@ -820,9 +820,6 @@ pub(crate) mod tests {
             (9, 9, false, 1)
         );
         assert_eq!(ch.nonzeros(), 3, "the input channel is left as it was");
-        let mut in_place = ch.clone();
-        in_place.migrate_in_place(&[false, false, true], &incoming);
-        assert_eq!(in_place, out);
     }
 
     /// The store's slot and the migration candidate stay small: planning

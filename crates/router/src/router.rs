@@ -504,7 +504,7 @@ fn execute_load(
     cols: u64,
     triplets: Vec<(u64, u64, f32)>,
 ) -> Outcome {
-    let matrix = admit::load_matrix(rows, cols, triplets)?;
+    let matrix = admit::load_matrix(rows, cols, triplets, shared.config.max_frame_len)?;
     let handle = matrix_fingerprint(&matrix);
     let nnz = matrix.nnz() as u64;
     // Loads serialize under the resident lock so two identical concurrent

@@ -9,6 +9,7 @@ use chason_serve::client::{Client, ClientError, RetryPolicy};
 use chason_serve::proto::{Engine, ErrorCode, SolverKind};
 use chason_serve::server::{ServeConfig, Server};
 use chason_sparse::shard::ShardSpec;
+use chason_sparse::CooMatrix;
 use chason_testutil::spd_system;
 use std::time::Duration;
 
@@ -42,6 +43,27 @@ fn server_code(err: ClientError) -> ErrorCode {
         ClientError::Server { code, .. } => code,
         other => panic!("expected a typed server error, got {other:?}"),
     }
+}
+
+/// A 2^32-row upload is refused before the router sizes a shard split by
+/// its rows, and the router keeps answering.
+#[test]
+fn a_dimension_no_frame_can_carry_is_refused_and_the_router_keeps_answering() {
+    let shard = start_shard();
+    let router = start_router(&[&shard]);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let hostile = CooMatrix::from_triplets(1 << 32, 1, vec![(0, 0, 1.0)]).expect("one triplet");
+    let err = client
+        .load_matrix(&hostile)
+        .expect_err("load must be refused");
+    assert_eq!(server_code(err), ErrorCode::BadRequest);
+    let stats = client.stats().expect("stats after the refusal");
+    assert_eq!((stats.requests_load, stats.matrices_resident), (1, 0));
+
+    client.shutdown().expect("shutdown");
+    router.join();
+    shard.shutdown();
+    shard.join();
 }
 
 #[test]

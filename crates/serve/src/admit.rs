@@ -9,15 +9,12 @@
 //! values with [`update_values`] *before* it looks the handle up, so a
 //! request with both faults gets `BadRequest`, not `UnknownHandle`.
 
-use crate::proto::{ErrorCode, Reply, SolverKind};
+use crate::proto::{max_vector_len, ErrorCode, Reply, SolverKind};
 use chason_sparse::{CooMatrix, MatrixDelta, SparseError};
 
 /// What a daemon's executor answers: the reply, or the rejection sent
 /// instead.
 pub type Outcome = Result<Reply, Box<Reply>>;
-
-/// Largest accepted matrix dimension.
-const MAX_DIM: u64 = 1 << 32;
 
 /// A `BadRequest` rejection.
 pub fn bad_request(message: impl Into<String>) -> Box<Reply> {
@@ -59,6 +56,11 @@ fn check_values<'a>(
 /// every coordinate in bounds and unique. Rejects with `BadRequest`
 /// naming the first violated rule.
 ///
+/// A dimension is in range when it is at least 1 and its `f32` vector fits
+/// in one frame of the daemon's `max_frame_len` ([`max_vector_len`]): a
+/// longer one could never receive its `x` or return its `y`, and checking
+/// it here keeps a tiny upload from making the daemon allocate for it.
+///
 /// The decoded triplets become the matrix's entries: `(u64, u64, f32)` and
 /// `(usize, usize, f32)` have one layout on the 64-bit targets CHSP
 /// serves from, so the conversion reuses the request's buffer rather than
@@ -67,10 +69,13 @@ pub fn load_matrix(
     rows: u64,
     cols: u64,
     triplets: Vec<(u64, u64, f32)>,
+    max_frame_len: usize,
 ) -> Result<CooMatrix, Box<Reply>> {
-    if rows == 0 || cols == 0 || rows > MAX_DIM || cols > MAX_DIM {
+    let max_dim = max_vector_len(max_frame_len) as u64;
+    if rows == 0 || cols == 0 || rows > max_dim || cols > max_dim {
         return Err(bad_request(format!(
-            "matrix dimensions {rows}x{cols} out of range"
+            "matrix dimensions {rows}x{cols} out of range: each must be 1 to {max_dim}, \
+             the longest f32 vector a {max_frame_len}-byte frame carries"
         )));
     }
     check_values(&triplets)?;
@@ -176,4 +181,42 @@ pub fn update(
     }
     let updated = delta.apply(matrix).map_err(sparse_error)?;
     Ok((delta, updated))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::DEFAULT_MAX_FRAME;
+
+    fn rejected(outcome: Result<CooMatrix, Box<Reply>>) -> String {
+        match outcome.map(|_| ()).unwrap_err().as_ref() {
+            Reply::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => message.clone(),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+
+    /// A 2^32-row matrix of one triplet is about 40 bytes on the wire, yet
+    /// a `y` for it could never be sent back; admission refuses it before
+    /// anything is sized by its dimensions.
+    #[test]
+    fn load_matrix_rejects_dimensions_no_frame_can_carry_a_vector_of() {
+        let hostile = 1u64 << 32;
+        for (rows, cols) in [(hostile, 1), (1, hostile), (0, 1), (1, 0)] {
+            let message = rejected(load_matrix(
+                rows,
+                cols,
+                vec![(0, 0, 1.0)],
+                DEFAULT_MAX_FRAME,
+            ));
+            assert!(message.contains("out of range"), "{message}");
+            assert!(message.contains("longest f32 vector"), "{message}");
+        }
+        let max = max_vector_len(1000) as u64;
+        assert!(load_matrix(max, max, vec![(0, 0, 1.0)], 1000).is_ok());
+        rejected(load_matrix(max + 1, 1, vec![(0, 0, 1.0)], 1000));
+        rejected(load_matrix(1, max + 1, vec![(0, 0, 1.0)], 1000));
+    }
 }

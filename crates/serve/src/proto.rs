@@ -1160,6 +1160,23 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     buf
 }
 
+/// The longest `f32` vector that fits in a payload of `max_frame_len`
+/// bytes in every message carrying one (`Spmv`, `Solve`, `Vector` and
+/// `Solved`). A matrix dimension past it could never receive its `x` or
+/// return its `y`.
+pub fn max_vector_len(max_frame_len: usize) -> usize {
+    // `Solved` has the longest fixed part of the four.
+    let header = reply_len(&Reply::Solved {
+        solution: Vec::new(),
+        iterations: 0,
+        residual: 0.0,
+        converged: false,
+        service_micros: 0,
+        simulated_nanos: 0,
+    });
+    max_frame_len.saturating_sub(header) / f32::WIDTH
+}
+
 /// The exact payload length [`encode_reply`] writes for `reply`.
 fn reply_len(reply: &Reply) -> usize {
     match reply {
@@ -1479,6 +1496,48 @@ fn is_timeout(e: &io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_vector_len_fits_every_vector_message() {
+        let cap = 1000;
+        let fits = |n: usize| {
+            let v = vec![1.0f32; n];
+            let (handle, engine) = (7, Engine::Chason);
+            [
+                request_len(&Request::Spmv {
+                    handle,
+                    engine,
+                    x: v.clone(),
+                }),
+                request_len(&Request::Solve {
+                    handle,
+                    engine,
+                    solver: SolverKind::Cg,
+                    max_iterations: 1,
+                    tolerance: 0.0,
+                    b: v.clone(),
+                }),
+                reply_len(&Reply::Vector {
+                    y: v.clone(),
+                    service_micros: 0,
+                    simulated_nanos: 0,
+                }),
+                reply_len(&Reply::Solved {
+                    solution: v,
+                    iterations: 0,
+                    residual: 0.0,
+                    converged: true,
+                    service_micros: 0,
+                    simulated_nanos: 0,
+                }),
+            ]
+            .into_iter()
+            .all(|len| len <= cap)
+        };
+        let n = max_vector_len(cap);
+        assert!(fits(n) && !fits(n + 1), "{n}");
+        assert_eq!(max_vector_len(0), 0);
+    }
 
     #[test]
     fn frame_round_trip() {

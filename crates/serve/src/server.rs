@@ -130,6 +130,8 @@ struct Shared {
     /// Plans dropped because their matrix was evicted.
     plan_evictions: AtomicU64,
     stats: ServerStats,
+    /// The connection loop's frame cap, which bounds admitted dimensions.
+    max_frame_len: usize,
 }
 
 impl Shared {
@@ -274,6 +276,7 @@ impl Server {
             plan_misses: AtomicU64::new(0),
             plan_evictions: AtomicU64::new(0),
             stats: ServerStats::new(),
+            max_frame_len: config.max_frame_len,
         });
         let pool = WorkerPool::start(
             listener,
@@ -317,7 +320,7 @@ fn sim_error_reply(err: SimError) -> Box<Reply> {
 }
 
 fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: Vec<(u64, u64, f32)>) -> Outcome {
-    let matrix = admit::load_matrix(rows, cols, triplets)?;
+    let matrix = admit::load_matrix(rows, cols, triplets, shared.max_frame_len)?;
     // Hashed once here; the engines' plan keys reuse the memo.
     let handle = matrix_fingerprint(&matrix);
     let nnz = matrix.nnz() as u64;

@@ -2,12 +2,13 @@
 //! ports: happy path, malformed and oversized frames, queue-full
 //! shedding, mid-request disconnects, and graceful shutdown draining.
 
-use chason_serve::client::Client;
+use chason_serve::client::{Client, ClientError};
 use chason_serve::proto::{
     decode_reply, encode_request, read_frame_blocking, write_frame, Engine, ErrorCode, Reply,
     Request, SolverKind, DEFAULT_MAX_FRAME,
 };
 use chason_serve::server::{ServeConfig, Server};
+use chason_sparse::CooMatrix;
 use chason_testutil::spd_system;
 use std::io::Write;
 use std::net::TcpStream;
@@ -191,6 +192,31 @@ fn malformed_frame_gets_a_typed_error_and_the_connection_survives() {
         Reply::Stats(snapshot) => assert_eq!(snapshot.requests_stats, 1),
         other => panic!("{other:?}"),
     }
+
+    server.shutdown();
+    server.join();
+}
+
+/// A matrix of 2^32 rows fits a 40-byte upload, but no frame could carry
+/// its `y`: the load is refused as a bad request, and the server, which
+/// never sized anything by the rows, keeps answering on the connection.
+#[test]
+fn a_dimension_no_frame_can_carry_is_refused_and_the_server_keeps_answering() {
+    let server = start(small_config());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let hostile = CooMatrix::from_triplets(1 << 32, 1, vec![(0, 0, 1.0)]).expect("one triplet");
+    match client
+        .load_matrix(&hostile)
+        .expect_err("load must be refused")
+    {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("longest f32 vector"), "{message}");
+        }
+        other => panic!("expected a typed server error, got {other:?}"),
+    }
+    let stats = client.stats().expect("stats after the refusal");
+    assert_eq!((stats.requests_load, stats.matrices_resident), (1, 0));
 
     server.shutdown();
     server.join();

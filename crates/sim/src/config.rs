@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 pub enum Design {
     /// The Chasoň accelerator (§4). It schedules each column window like
     /// Serpens, then runs CrHCS's cross-channel migration pass
-    /// ([`chason_core::schedule::migrate`]) over it, because its ScUG can
+    /// ([`chason_core::schedule::migrated`]) over it, because its ScUG can
     /// hold migrated partial sums. Its PEs carry a full ScUG (one `URAM_sh`
     /// per neighbour-channel PE), its PEGs a Reduction Unit and the
     /// extended Rearrange/Arbiter/Merger path. Runs at 301 MHz post-route

@@ -19,7 +19,7 @@ use crate::spmm::{SpmmExecution, TILE_COLS};
 use crate::{Design, SimError};
 use chason_core::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
 use chason_core::replan::ReplanReport;
-use chason_core::schedule::{migrate, migrated, PeAware, ScheduledMatrix, Scheduler, WindowRows};
+use chason_core::schedule::{migrated, Crhcs, PeAware, ScheduledMatrix, Scheduler, WindowRows};
 use chason_core::window::{deal_windows, DealtPass, DealtWindow};
 use chason_sparse::{CooMatrix, DenseMatrix, MatrixDelta};
 use std::sync::OnceLock;
@@ -394,16 +394,15 @@ impl Accelerator {
         })
     }
 
-    /// Schedules one dealt column window: the PE-aware (Serpens) schedule,
-    /// then, exactly when the PEs carry a ScUG to hold migrated partial
-    /// sums, CrHCS's migration of it, in place, since nothing keeps the
-    /// PE-aware schedule.
+    /// Schedules one dealt column window: with [`Crhcs`] exactly when the
+    /// PEs carry a ScUG to hold migrated partial sums, with [`PeAware`]
+    /// (Serpens) otherwise.
     fn schedule_window(&self, rows: &WindowRows) -> ScheduledMatrix {
-        let mut schedule = PeAware::new().schedule_rows(rows, &self.config.sched);
         if self.scug_size() > 0 {
-            migrate(&mut schedule);
+            Crhcs::new().schedule_rows(rows, &self.config.sched)
+        } else {
+            PeAware::new().schedule_rows(rows, &self.config.sched)
         }
-        schedule
     }
 
     /// Schedules every dealt column window of `pass` into a [`PassPlan`].
@@ -673,7 +672,6 @@ fn replay_threads(pass: &PassPlan) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Design;
     use chason_core::schedule::{NzSlot, SchedulerConfig};
     use chason_sparse::generators::{power_law, uniform_random};
 
@@ -727,76 +725,6 @@ mod tests {
     /// Every window of `plan`, in (pass, window) order.
     fn plan_windows(plan: &SpmvPlan) -> Vec<&PlanWindow> {
         plan.passes.iter().flat_map(|p| &p.windows).collect()
-    }
-
-    #[test]
-    fn chason_plan_is_the_serpens_plan_migrated() {
-        let geometries = (1..=3)
-            .map(|hops| SchedulerConfig {
-                migration_hops: hops,
-                ..SchedulerConfig::paper()
-            })
-            .chain([SchedulerConfig {
-                migration_hops: 2,
-                ..SchedulerConfig::toy(4, 4, 6)
-            }]);
-        for sched in geometries {
-            let chason_config = AcceleratorConfig {
-                sched,
-                ..AcceleratorConfig::chason()
-            };
-            // Only the design flips: clock, window and geometry stay.
-            let serpens_config = AcceleratorConfig {
-                design: Design::Serpens,
-                ..chason_config
-            };
-            let one_hop_serpens = Accelerator::new(AcceleratorConfig {
-                sched: SchedulerConfig {
-                    migration_hops: 1,
-                    ..sched
-                },
-                ..serpens_config
-            });
-            for m in [
-                power_law(2000, 2000, 30_000, 1.8, 5),
-                // Three column windows of 8192.
-                uniform_random(3000, 20_000, 40_000, 5),
-            ] {
-                let chason = Accelerator::new(chason_config)
-                    .plan_with_threads(&m, 1)
-                    .unwrap();
-                let serpens = Accelerator::new(serpens_config)
-                    .plan_with_threads(&m, 1)
-                    .unwrap();
-                let migrated: Vec<PlanWindow> = plan_windows(&serpens)
-                    .into_iter()
-                    .map(|w| {
-                        let mut schedule = w.schedule.clone();
-                        assert!(migrate(&mut schedule).migrated > 0, "{sched:?}");
-                        PlanWindow::new(w.col_start, w.col_end, schedule)
-                    })
-                    .collect();
-                let planned = plan_windows(&chason);
-                assert_eq!(planned.len(), m.cols().div_ceil(8192));
-                assert!(planned.into_iter().eq(&migrated), "{sched:?}");
-
-                // Serpens has no ScUG, so its hop count changes nothing:
-                // every slot is private and lands where one hop puts it.
-                let one_hop = one_hop_serpens.plan_with_threads(&m, 1).unwrap();
-                for (w, one) in plan_windows(&serpens)
-                    .into_iter()
-                    .zip(plan_windows(&one_hop))
-                {
-                    assert_eq!(w.schedule.channels, one.schedule.channels, "{sched:?}");
-                    assert!(w
-                        .schedule
-                        .channels
-                        .iter()
-                        .flat_map(|ch| ch.occupied())
-                        .all(|(_, _, nz)| nz.pvt));
-                }
-            }
-        }
     }
 
     #[test]
@@ -1343,7 +1271,9 @@ mod tests {
     /// The Chasoň plan is derived from the Serpens plan two ways — a
     /// whole-plan migration and a splice of the dirty windows — and each
     /// equals planning from scratch, on one pass and across row-partition
-    /// passes.
+    /// passes, at every hop count. Serpens has no ScUG, so its hop count
+    /// changes nothing: every slot is private and lands where one hop puts
+    /// it.
     #[test]
     fn chason_plans_derived_from_the_serpens_plan_equal_scratch_plans() {
         let check = |sched: SchedulerConfig, m: &CooMatrix, windows: usize, passes: usize| {
@@ -1355,9 +1285,36 @@ mod tests {
                 sched,
                 ..AcceleratorConfig::serpens()
             });
+            let one_hop_serpens = Accelerator::new(AcceleratorConfig {
+                sched: SchedulerConfig {
+                    migration_hops: 1,
+                    ..sched
+                },
+                ..AcceleratorConfig::serpens()
+            });
             let own = chason.plan_with_threads(m, 1).unwrap();
             let baseline = serpens.plan_with_threads(m, 1).unwrap();
             assert_eq!(own.passes.len(), passes);
+            assert!(
+                plan_windows(&own)
+                    .into_iter()
+                    .zip(plan_windows(&baseline))
+                    .all(|(c, s)| c.schedule != s.schedule),
+                "every window migrates: {sched:?}"
+            );
+            let one_hop = one_hop_serpens.plan_with_threads(m, 1).unwrap();
+            for (w, one) in plan_windows(&baseline)
+                .into_iter()
+                .zip(plan_windows(&one_hop))
+            {
+                assert_eq!(w.schedule.channels, one.schedule.channels, "{sched:?}");
+                assert!(w
+                    .schedule
+                    .channels
+                    .iter()
+                    .flat_map(|ch| ch.occupied())
+                    .all(|(_, _, nz)| nz.pvt));
+            }
             assert_eq!(chason.migrate_plan(&baseline).unwrap(), own);
             for threads in [1, 2, 4] {
                 let migrated = chason
@@ -1395,6 +1352,11 @@ mod tests {
             let m = power_law(600, 20_000, 12_000, 1.8, hops as u64);
             check(sched, &m, 3, 1);
         }
+        let sched = SchedulerConfig {
+            migration_hops: 2,
+            ..SchedulerConfig::toy(4, 4, 6)
+        };
+        check(sched, &uniform_random(3000, 20_000, 40_000, 5), 3, 1);
         // 4 PEs x 8192 rows/PE = 32_768 rows per pass -> 2 passes of three
         // column windows each.
         let sched = SchedulerConfig::toy(2, 2, 4);

@@ -10,7 +10,7 @@
 //! ```
 
 use chason::core::metrics::ScheduleMetrics;
-use chason::core::schedule::{migrate, PeAware, RowBased, Scheduler, SchedulerConfig};
+use chason::core::schedule::{migrated, PeAware, RowBased, Scheduler, SchedulerConfig};
 use chason::sparse::generators::{arrow_with_nnz, banded_with_nnz, power_law, uniform_random};
 use chason::sparse::CooMatrix;
 
@@ -24,8 +24,7 @@ fn describe(name: &str, matrix: &CooMatrix, config: &SchedulerConfig) {
     let row_based = RowBased::new().schedule(matrix, config);
     let pe_aware = PeAware::new().schedule(matrix, config);
     // CrHCS is the PE-aware schedule with stalls filled by migration.
-    let mut crhcs = pe_aware.clone();
-    let migration = migrate(&mut crhcs);
+    let (crhcs, migration) = migrated(&pe_aware);
     for (label, schedule) in [
         ("row-based", &row_based),
         ("pe-aware ", &pe_aware),

@@ -112,8 +112,8 @@ fn fuzzer_catches_every_injected_corruption() {
     assert_eq!(table.lines().count(), 12, "header + divider + ten rows");
 }
 
-/// Every spliced plan across the full small corpus — both engines, all
-/// four delta kinds, under the paper geometry and drawn toy geometries
+/// Every spliced plan across the full small corpus — both engines and
+/// serve's Chasoň route, all four delta kinds, under the paper geometry and drawn toy geometries
 /// whose narrow windows make the matrices span several column windows —
 /// is bit-identical to a from-scratch plan of the updated matrix, replays
 /// to the CPU reference, conserves its cycle report, and passes
@@ -127,7 +127,11 @@ fn delta_splices_equal_scratch_plans_across_the_corpus() {
     let cases = corpus(CorpusSize::Small);
     let report = run_delta_cases(&cases, &options);
     assert_eq!(report.deltas, cases.len() * 3 * DeltaKind::ALL.len());
-    assert_eq!(report.checks, report.deltas * 2, "both engines per delta");
+    assert_eq!(
+        report.checks,
+        report.deltas * 3,
+        "both engines and serve's Chasoň route per delta"
+    );
     assert!(
         report.is_clean(),
         "{}\n{}",
@@ -174,7 +178,11 @@ fn delta_fuzzer_finds_no_splice_escapes() {
         48 * DeltaKind::ALL.len(),
         "every kind per round"
     );
-    assert_eq!(report.checks, report.deltas * 2, "both engines per delta");
+    assert_eq!(
+        report.checks,
+        report.deltas * 3,
+        "both engines and serve's Chasoň route per delta"
+    );
     assert!(report.geometries.len() > 4, "{:?}", report.geometries);
     assert!(
         report.is_clean(),

@@ -17,7 +17,9 @@
 //! `cargo test --release --test plan_digest -- --include-ignored`.
 
 use chason_core::export::{write_plan, write_schedule};
-use chason_core::schedule::{migrate, HybridRowSplit, MigrationReport, Scheduler, SchedulerConfig};
+use chason_core::schedule::{
+    migrated, HybridRowSplit, MigrationReport, Scheduler, SchedulerConfig,
+};
 use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::{CooMatrix, DenseMatrix};
@@ -395,7 +397,7 @@ fn migration_reports(matrix: &CooMatrix, sched: SchedulerConfig) -> Vec<[usize; 
     .passes
     .iter()
     .flat_map(|p| &p.windows)
-    .map(|w| report_row(&migrate(&mut w.schedule.clone())))
+    .map(|w| report_row(&migrated(&w.schedule).1))
     .collect()
 }
 
