@@ -11,6 +11,7 @@ use chason_core::schedule::{
     Crhcs, PeAware, RowBased, ScheduledMatrix, Scheduler, SchedulerConfig,
 };
 use chason_sparse::CooMatrix;
+use chason_verify::verify_scheduler_contract;
 use serde::{Deserialize, Serialize};
 
 /// Result of the Fig. 2 experiment: one entry per scheduling scheme.
@@ -112,8 +113,8 @@ pub fn run() -> Fig02Result {
     ];
     for (name, schedule) in schedulers {
         let s = schedule();
-        #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants
-        s.validate(&matrix).expect("scheduler invariants hold");
+        let report = verify_scheduler_contract(&s, &matrix);
+        assert!(report.is_clean(), "{name}: {report}");
         let (pe0_timeline, pe0_nz_per_cycle, pe0_underutilization_pct) = pe0_timeline(&s);
         schemes.push(SchemeResult {
             name: name.to_string(),

@@ -8,6 +8,7 @@ use chason_core::schedule::{
     migrated, MigrationReport, PeAware, ScheduledMatrix, Scheduler, SchedulerConfig,
 };
 use chason_sparse::CooMatrix;
+use chason_verify::verify_scheduler_contract;
 use serde::{Deserialize, Serialize};
 
 /// Result of the Fig. 5 walkthrough.
@@ -64,10 +65,10 @@ fn schedules() -> (ScheduledMatrix, ScheduledMatrix, MigrationReport) {
     let matrix = example_matrix();
     let before = PeAware::new().schedule(&matrix, &config());
     let (after, report) = migrated(&before);
-    #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants
-    before.validate(&matrix).expect("pe-aware invariants");
-    #[allow(clippy::expect_used)] // experiment asserts the schedulers' own invariants
-    after.validate(&matrix).expect("crhcs invariants");
+    for s in [&before, &after] {
+        let report = verify_scheduler_contract(s, &matrix);
+        assert!(report.is_clean(), "{report}");
+    }
     (before, after, report)
 }
 

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod diag;
 pub mod element;
 pub mod export;
 pub mod metrics;
@@ -61,7 +60,6 @@ pub mod viz;
 pub mod window;
 
 pub use cache::{CacheStats, LruCache};
-pub use diag::{Location, RuleId, ScheduleError, Severity};
 pub use element::SparseElement;
 pub use plan::{matrix_fingerprint, PassPlan, PlanKey, PlanWindow, SpmvPlan};
 pub use replan::{dirty_windows, ReplanError, ReplanReport};

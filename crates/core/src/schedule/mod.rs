@@ -19,7 +19,6 @@ pub use pe_aware::PeAware;
 pub use row_based::RowBased;
 pub use row_split::HybridRowSplit;
 
-use crate::diag::{Location, RuleId, ScheduleError};
 use crate::element;
 use channel::Placed;
 use chason_sparse::CooMatrix;
@@ -334,110 +333,13 @@ impl ScheduledMatrix {
             })
             .collect()
     }
-
-    /// Checks the structural invariants every scheduler must uphold,
-    /// returning the first violation as a typed [`ScheduleError`] carrying a
-    /// stable [`RuleId`]:
-    ///
-    /// * **S002** — every source non-zero appears exactly once (duplicates
-    ///   are reported even when the two copies live in *different* channels
-    ///   with identical values);
-    /// * **S003** — two slots of the same row never land in the same
-    ///   destination PE within the RAW dependency distance.
-    ///
-    /// This is the fast first-error check schedulers assert against. The
-    /// `chason-verify` crate runs the full rule set (S001–S006) and collects
-    /// *all* violations instead of stopping at the first.
-    pub fn validate(&self, source: &CooMatrix) -> Result<(), ScheduleError> {
-        use std::collections::HashMap;
-        // Conservation (S002). Key on (row, col) but remember where the
-        // first copy was scheduled, so a duplicate — even one carrying the
-        // identical value in another channel's lane — is reported with both
-        // locations instead of silently colliding in the map.
-        let mut scheduled: HashMap<(usize, usize), (f32, Location)> = HashMap::new();
-        for ch in &self.channels {
-            for (cycle, lane, nz) in ch.occupied() {
-                let here = Location::slot(ch.channel, cycle, lane);
-                if let Some((prev_value, prev_loc)) =
-                    scheduled.insert((nz.row, nz.col), (nz.value, here))
-                {
-                    let same = if prev_value == nz.value {
-                        " with an identical value"
-                    } else {
-                        ""
-                    };
-                    return Err(ScheduleError::new(
-                        RuleId::S002,
-                        here,
-                        format!(
-                            "entry ({}, {}) scheduled more than once{same}: first at {prev_loc}",
-                            nz.row, nz.col
-                        ),
-                    ));
-                }
-            }
-        }
-        if scheduled.len() != source.nnz() {
-            return Err(ScheduleError::new(
-                RuleId::S002,
-                Location::whole_artifact(),
-                format!(
-                    "scheduled {} of {} source non-zeros",
-                    scheduled.len(),
-                    source.nnz()
-                ),
-            ));
-        }
-        for &(r, c, v) in source.iter() {
-            match scheduled.get(&(r, c)) {
-                Some(&(sv, _)) if sv == v => {}
-                Some(&(sv, loc)) => {
-                    return Err(ScheduleError::new(
-                        RuleId::S002,
-                        loc,
-                        format!("entry ({r}, {c}) value {sv} != source {v}"),
-                    ))
-                }
-                None => {
-                    return Err(ScheduleError::new(
-                        RuleId::S002,
-                        Location::whole_artifact(),
-                        format!("entry ({r}, {c}) missing from schedule"),
-                    ))
-                }
-            }
-        }
-        // RAW distance within each destination PE (S003).
-        let d = self.config.dependency_distance;
-        for ch in &self.channels {
-            // Last cycle per (lane, row); occupied slots arrive in cycle
-            // order, so every lane sees its slots in stream order.
-            let mut last: HashMap<(usize, usize), usize> = HashMap::new();
-            for (cycle, lane, slot) in ch.occupied() {
-                if let Some(&prev) = last.get(&(lane, slot.row)) {
-                    if cycle - prev < d {
-                        return Err(ScheduleError::new(
-                            RuleId::S003,
-                            Location::slot(ch.channel, cycle, lane),
-                            format!(
-                                "RAW violation: row {} at cycles {} and {} (distance {})",
-                                slot.row, prev, cycle, d
-                            ),
-                        ));
-                    }
-                }
-                last.insert((lane, slot.row), cycle);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A non-zero scheduling policy.
 ///
 /// Implementations must conserve non-zeros and respect the RAW dependency
-/// distance within every destination PE — see
-/// [`ScheduledMatrix::validate`].
+/// distance within every destination PE: rules S002 and S003 of the
+/// `chason-verify` crate, whose `verify_scheduler_contract` checks them.
 pub trait Scheduler {
     /// Human-readable name used in reports.
     fn name(&self) -> &'static str;
@@ -971,81 +873,5 @@ pub(crate) mod tests {
             ChannelSchedule::from_lanes(0, &[], &mut Vec::new()).cycles(),
             0
         );
-    }
-
-    #[test]
-    fn validate_detects_missing_entry() {
-        let cfg = SchedulerConfig::toy(1, 1, 2);
-        let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 1.0)]).unwrap();
-        let s = ScheduledMatrix {
-            config: cfg,
-            channels: vec![ChannelSchedule::new(0, 1)],
-            rows: 1,
-            cols: 1,
-            nnz: 1,
-        };
-        let err = s.validate(&m).unwrap_err();
-        assert_eq!(err.rule, RuleId::S002);
-    }
-
-    #[test]
-    fn validate_detects_raw_violation_with_typed_rule() {
-        let cfg = SchedulerConfig::toy(1, 1, 5);
-        let m =
-            chason_sparse::CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 2.0)]).unwrap();
-        let mut ch = ChannelSchedule::new(0, 1);
-        ch.insert(0, 0, NzSlot::private(1.0, 0, 0));
-        ch.insert(1, 0, NzSlot::private(2.0, 0, 1)); // 1 cycle apart < 5
-        let s = ScheduledMatrix {
-            config: cfg,
-            channels: vec![ch],
-            rows: 1,
-            cols: 2,
-            nnz: 2,
-        };
-        let err = s.validate(&m).unwrap_err();
-        assert_eq!(err.rule, RuleId::S003, "unexpected error: {err}");
-        assert_eq!(err.location, Location::slot(0, 1, 0));
-    }
-
-    /// A value duplicated into *another channel* with the identical payload
-    /// must still be flagged — the old checker's `(row, col)`-keyed map is
-    /// retained but the error now names both scheduled locations.
-    #[test]
-    fn validate_detects_identical_duplicate_across_channels() {
-        let cfg = SchedulerConfig::toy(2, 1, 2);
-        // Row 0 is owned by channel 0; duplicate its sole entry into
-        // channel 1 as a (tag-consistent-looking) migrated copy.
-        let m = chason_sparse::CooMatrix::from_triplets(1, 1, vec![(0, 0, 3.5)]).unwrap();
-        let mut ch0 = ChannelSchedule::new(0, 1);
-        ch0.insert(0, 0, NzSlot::private(3.5, 0, 0));
-        let mut ch1 = ChannelSchedule::new(1, 1);
-        ch1.insert(
-            0,
-            0,
-            NzSlot {
-                value: 3.5,
-                row: 0,
-                col: 0,
-                pvt: false,
-                pe_src: 0,
-            },
-        );
-        let s = ScheduledMatrix {
-            config: cfg,
-            channels: vec![ch0, ch1],
-            rows: 1,
-            cols: 1,
-            nnz: 1,
-        };
-        let err = s.validate(&m).unwrap_err();
-        assert_eq!(err.rule, RuleId::S002);
-        assert!(
-            err.message.contains("identical value"),
-            "unexpected message: {}",
-            err.message
-        );
-        assert!(err.message.contains("channel 0"), "{}", err.message);
-        assert_eq!(err.location.channel, Some(1));
     }
 }

@@ -121,77 +121,6 @@ mod tests {
     use chason_sparse::generators::{power_law, uniform_random};
     use chason_sparse::CooMatrix;
 
-    /// Two interleavable rows let the PE emit on consecutive cycles even
-    /// with a long dependency distance (the Fig. 2b improvement).
-    #[test]
-    fn round_robin_interleaves_independent_rows() {
-        let config = SchedulerConfig::toy(1, 4, 10);
-        // Rows 0 and 4 both map to lane 0.
-        let m = CooMatrix::from_triplets(
-            8,
-            2,
-            vec![(0, 0, 1.0), (0, 1, 2.0), (4, 0, 3.0), (4, 1, 4.0)],
-        )
-        .unwrap();
-        let s = PeAware::new().schedule(&m, &config);
-        let lane0: Vec<(usize, usize)> = s.channels[0]
-            .occupied()
-            .filter(|&(_, lane, _)| lane == 0)
-            .map(|(c, _, nz)| (c, nz.row))
-            .collect();
-        // cycle 0: row 0; cycle 1: row 4; then both blocked until D elapses.
-        assert_eq!(lane0[0], (0, 0));
-        assert_eq!(lane0[1], (1, 4));
-        assert_eq!(lane0[2], (10, 0));
-        assert_eq!(lane0[3], (11, 4));
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn single_row_degrades_to_row_based_behaviour() {
-        let config = SchedulerConfig::toy(1, 1, 10);
-        let m =
-            CooMatrix::from_triplets(1, 3, vec![(0, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0)]).unwrap();
-        let s = PeAware::new().schedule(&m, &config);
-        assert_eq!(s.stream_cycles(), 21);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn enough_rows_fully_hide_the_latency() {
-        // 10 singleton-entry rows on one PE with D = 10: zero stalls.
-        let config = SchedulerConfig::toy(1, 1, 10);
-        let triplets: Vec<_> = (0..10).map(|r| (r, 0, (r + 1) as f32)).collect();
-        let m = CooMatrix::from_triplets(10, 1, triplets).unwrap();
-        let s = PeAware::new().schedule(&m, &config);
-        assert_eq!(s.stream_cycles(), 10);
-        assert_eq!(s.stalls(), 0);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn never_beats_the_nz_per_cycle_bound_and_conserves() {
-        let config = SchedulerConfig::toy(2, 2, 4);
-        let m = uniform_random(64, 64, 300, 3);
-        let s = PeAware::new().schedule(&m, &config);
-        assert_eq!(s.scheduled_nonzeros(), 300);
-        assert!(s.stream_cycles() * config.total_pes() >= 300);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn skewed_matrices_leave_many_stalls() {
-        let config = SchedulerConfig::paper();
-        let m = power_law(512, 512, 2000, 1.8, 13);
-        let s = PeAware::new().schedule(&m, &config);
-        assert!(
-            s.underutilization() > 0.4,
-            "expected heavy stalling on a skewed matrix, got {}",
-            s.underutilization()
-        );
-        s.validate(&m).unwrap();
-    }
-
     #[test]
     fn balanced_matrices_beat_skewed_ones() {
         let config = SchedulerConfig::paper();

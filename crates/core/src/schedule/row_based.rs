@@ -69,84 +69,6 @@ impl Scheduler for RowBased {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chason_sparse::CooMatrix;
-
-    /// Fig. 2a: one PE owning a 3-entry row runs at ~0.1 nz/cycle with D=10.
-    #[test]
-    fn dense_row_leaves_d_minus_one_stalls() {
-        let config = SchedulerConfig::toy(1, 1, 10);
-        let m =
-            CooMatrix::from_triplets(1, 3, vec![(0, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0)]).unwrap();
-        let s = RowBased::new().schedule(&m, &config);
-        // 3 values with two 9-stall gaps: 21 cycles.
-        assert_eq!(s.stream_cycles(), 21);
-        assert_eq!(s.stalls(), 18);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn independent_rows_on_same_pe_still_serialize() {
-        // Rows 0 and 4 both map to PE 0 of a 1-channel/4-PE config.
-        let config = SchedulerConfig::toy(1, 4, 10);
-        let m =
-            CooMatrix::from_triplets(8, 2, vec![(0, 0, 1.0), (0, 1, 2.0), (4, 0, 3.0)]).unwrap();
-        let s = RowBased::new().schedule(&m, &config);
-        // Row 0: cycles 0 and 10; row 4 immediately after at cycle 11.
-        let lane0: Vec<usize> = s.channels[0]
-            .occupied()
-            .filter(|&(_, lane, _)| lane == 0)
-            .map(|(c, _, _)| c)
-            .collect();
-        assert_eq!(lane0, vec![0, 10, 11]);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn singleton_rows_run_back_to_back() {
-        // Every row has one value: no RAW gaps at all.
-        let config = SchedulerConfig::toy(1, 2, 10);
-        let m = CooMatrix::from_triplets(
-            6,
-            1,
-            vec![(0, 0, 1.0), (2, 0, 2.0), (4, 0, 3.0), (1, 0, 4.0)],
-        )
-        .unwrap();
-        let s = RowBased::new().schedule(&m, &config);
-        // Lane 0 owns rows 0,2,4 (3 values), lane 1 owns row 1 (1 value).
-        assert_eq!(s.stream_cycles(), 3);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn empty_matrix_schedules_to_nothing() {
-        let config = SchedulerConfig::toy(2, 2, 10);
-        let m = CooMatrix::new(8, 8);
-        let s = RowBased::new().schedule(&m, &config);
-        assert_eq!(s.stream_cycles(), 0);
-        assert_eq!(s.underutilization(), 0.0);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn virtual_equalization_counts_padding_stalls() {
-        let config = SchedulerConfig::toy(2, 1, 4);
-        // Channel 0 (row 0) gets 3 values; channel 1 (row 1) gets 1.
-        let m = CooMatrix::from_triplets(
-            2,
-            3,
-            vec![(0, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0), (1, 0, 4.0)],
-        )
-        .unwrap();
-        let s = RowBased::new().schedule(&m, &config);
-        // Channel 0's RAW chain: values at cycles 0, 4, 8 -> 9 cycles.
-        assert_eq!(s.stream_cycles(), 9);
-        // Stalls include channel 1's virtual padding: (9-3) + (9-1) = 14.
-        assert_eq!(s.stalls(), 14);
-        // Padded data lists materialize the synchronized-finish rule.
-        let lists = s.data_lists_padded();
-        assert_eq!(lists[0].len(), lists[1].len());
-        s.validate(&m).unwrap();
-    }
 
     #[test]
     fn name_is_stable() {

@@ -121,51 +121,7 @@ impl Scheduler for HybridRowSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Crhcs;
-    use chason_sparse::generators::{arrow_with_nnz, uniform_random};
-
-    #[test]
-    fn conserves_and_respects_raw() {
-        let config = SchedulerConfig::toy(2, 4, 6);
-        let m = arrow_with_nnz(256, 3, 2, 3_000, 7);
-        let s = HybridRowSplit::auto(&m, &config).schedule(&m, &config);
-        assert_eq!(s.scheduled_nonzeros(), 3_000);
-        s.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn splitting_breaks_the_intra_channel_chain() {
-        // One hub row on one PE: PE-aware serializes it, splitting spreads it.
-        let config = SchedulerConfig::toy(2, 4, 10);
-        let t: Vec<_> = (0..400).map(|k| (0usize, k, 1.0 + k as f32)).collect();
-        let m = CooMatrix::from_triplets(8, 400, t).unwrap();
-        let pe_aware = PeAware::new().schedule(&m, &config);
-        let split = HybridRowSplit::new(16).schedule(&m, &config);
-        split.validate(&m).unwrap();
-        assert!(
-            split.stream_cycles() < pe_aware.stream_cycles() / 2,
-            "split {} vs pe-aware {}",
-            split.stream_cycles(),
-            pe_aware.stream_cycles()
-        );
-    }
-
-    #[test]
-    fn inter_channel_imbalance_still_needs_migration() {
-        // All hubs on one channel: splitting helps within the channel, but
-        // CrHCS (which also rebalances across channels) does better.
-        let config = SchedulerConfig::paper();
-        let m = arrow_with_nnz(2048, 3, 8, 40_000, 3);
-        let split = HybridRowSplit::auto(&m, &config).schedule(&m, &config);
-        let crhcs = Crhcs::new().schedule(&m, &config);
-        split.validate(&m).unwrap();
-        assert!(
-            crhcs.underutilization() < split.underutilization(),
-            "crhcs {} should beat row-splitting {} on cross-channel imbalance",
-            crhcs.underutilization(),
-            split.underutilization()
-        );
-    }
+    use chason_sparse::generators::uniform_random;
 
     #[test]
     fn balanced_matrices_are_untouched() {

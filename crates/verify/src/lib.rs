@@ -1,24 +1,24 @@
 //! `chason-verify`: a rule-based static checker for schedules, plans, and
 //! configurations.
 //!
-//! Schedulers assert their own invariants with the fast, first-error
-//! [`chason_core::schedule::ScheduledMatrix::validate`]. This crate is the
-//! other half of the story: a *collect-everything* analyzer that runs the
-//! full rule set over an artifact and reports **all** violations as typed
-//! [`Diagnostic`]s with stable [`RuleId`]s, severities, and source
-//! locations, rendered `rustc`-style. It backs the `chason verify` CLI
-//! subcommand, the engines' debug-mode pre-execution check, and the
-//! mutation test suite.
+//! This crate is the one checker of the rules schedules, plans, and
+//! configurations must uphold. It runs the full rule set over an artifact
+//! and reports **all** violations as typed [`Diagnostic`]s with stable
+//! [`RuleId`]s, severities, and source locations, rendered `rustc`-style.
+//! It backs the `chason verify` CLI subcommand, the engines' debug-mode
+//! pre-execution check, the schedulers' tests, and the mutation test
+//! suite.
 //!
 //! | Entry point | Artifact | Rules |
 //! |-------------|----------|-------|
 //! | [`verify_config`] | [`SchedulerConfig`] | R001 (+ P001 on an invalid config) |
 //! | [`verify_schedule`] | [`ScheduledMatrix`] | S001–S006, R001 (S002 needs the source matrix) |
+//! | [`verify_scheduler_contract`] | [`ScheduledMatrix`] + source | S002, S003 |
 //! | [`verify_pass`] | [`PassPlan`] | P001 + the schedule rules per window |
 //! | [`verify_plan`] | [`SpmvPlan`] | P001 + everything above (+ global conservation with the source) |
 //!
-//! See [`chason_core::diag`] for what each rule enforces and the paper
-//! section it models.
+//! See [`RuleId`] for what each rule enforces and the paper section it
+//! models.
 //!
 //! # Example
 //!
@@ -40,11 +40,12 @@
 //! println!("{report}");
 //! ```
 
+mod diag;
 pub mod mutate;
 mod report;
 mod rules;
 
-pub use chason_core::diag::{Location, RuleId, ScheduleError, Severity};
+pub use diag::{Location, RuleId, Severity};
 pub use report::{Diagnostic, Report};
 
 use chason_core::plan::{PassPlan, SpmvPlan};
@@ -70,6 +71,23 @@ pub fn verify_schedule(schedule: &ScheduledMatrix, source: Option<&CooMatrix>) -
     rules::check_schedule(schedule, source, &mut report);
     report.sort();
     report
+}
+
+/// The findings of [`verify_schedule`] under the two rules every
+/// [`Scheduler`](chason_core::schedule::Scheduler) promises on any input:
+/// conservation (S002) and RAW distance within each destination PE (S003).
+///
+/// A schedule can keep this contract and still fail [`verify_schedule`]:
+/// a whole-matrix schedule wider than one column window trips S001, which
+/// planning avoids by windowing every matrix before it reaches hardware.
+pub fn verify_scheduler_contract(schedule: &ScheduledMatrix, source: &CooMatrix) -> Report {
+    let mut contract = Report::new();
+    for d in verify_schedule(schedule, Some(source)).diagnostics() {
+        if matches!(d.rule, RuleId::S002 | RuleId::S003) {
+            contract.push(d.clone());
+        }
+    }
+    contract
 }
 
 /// Verifies one row-partition pass of a plan: P001 coherence of the stored

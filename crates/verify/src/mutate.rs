@@ -8,7 +8,7 @@
 //! `chason verify --corrupt` CLI flag uses the same library to produce
 //! demonstration fixtures.
 
-use chason_core::diag::RuleId;
+use crate::diag::RuleId;
 use chason_core::element::WINDOW;
 use chason_core::schedule::{NzSlot, ScheduledMatrix};
 

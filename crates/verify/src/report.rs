@@ -1,11 +1,10 @@
 //! Diagnostic collection and `rustc`-style rendering.
 //!
-//! Unlike [`chason_core::schedule::ScheduledMatrix::validate`], which stops
-//! at the first violation, the verifier accumulates every finding into a
-//! [`Report`] so one run paints the complete picture of what is wrong with
-//! an artifact.
+//! The verifier never stops at the first violation: it accumulates every
+//! finding into a [`Report`] so one run paints the complete picture of
+//! what is wrong with an artifact.
 
-use chason_core::diag::{Location, RuleId, Severity};
+use crate::diag::{Location, RuleId, Severity};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;

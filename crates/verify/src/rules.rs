@@ -2,11 +2,11 @@
 //!
 //! Each checker appends to a shared [`Report`] and never bails early: the
 //! point of the static analyzer is to paint the complete picture of an
-//! artifact's problems in one run. See [`chason_core::diag`] for the rule
-//! vocabulary and the paper sections each rule models.
+//! artifact's problems in one run. See [`RuleId`] for the rule vocabulary
+//! and the paper sections each rule models.
 
+use crate::diag::{Location, RuleId};
 use crate::report::{Diagnostic, Report};
-use chason_core::diag::{Location, RuleId};
 use chason_core::element::{MAX_LOCAL_ROWS, PE_SRC_BITS, WINDOW};
 use chason_core::plan::{matrix_fingerprint, PassPlan, SpmvPlan};
 use chason_core::schedule::{ChannelSchedule, ScheduledMatrix, SchedulerConfig};
@@ -295,27 +295,26 @@ pub(crate) fn check_schedule(
         }
     }
 
-    // S003: RAW distance within every destination PE, all violations.
+    // S003: RAW distance within every destination PE, all violations, in
+    // one pass per channel: occupied slots arrive in cycle order, so every
+    // lane sees its own slots in stream order.
     let d = cfg.dependency_distance;
     for (c, ch) in schedule.channels.iter().enumerate() {
-        for lane in 0..ch.lanes() {
-            let mut last: HashMap<usize, usize> = HashMap::new();
-            for (cycle, _, nz) in ch.occupied().filter(|&(_, l, _)| l == lane) {
-                if let Some(&prev) = last.get(&nz.row) {
-                    if cycle - prev < d {
-                        report.push(Diagnostic::error(
-                            RuleId::S003,
-                            Location::slot(c, cycle, lane),
-                            format!(
-                                "RAW violation: row {} re-enters its PE at cycle {cycle}, \
-                                 only {} cycle(s) after cycle {prev} (accumulator depth {d})",
-                                nz.row,
-                                cycle - prev
-                            ),
-                        ));
-                    }
+        let mut last: HashMap<(usize, usize), usize> = HashMap::new();
+        for (cycle, lane, nz) in ch.occupied() {
+            if let Some(prev) = last.insert((lane, nz.row), cycle) {
+                if cycle - prev < d {
+                    report.push(Diagnostic::error(
+                        RuleId::S003,
+                        Location::slot(c, cycle, lane),
+                        format!(
+                            "RAW violation: row {} re-enters its PE at cycle {cycle}, \
+                             only {} cycle(s) after cycle {prev} (accumulator depth {d})",
+                            nz.row,
+                            cycle - prev
+                        ),
+                    ));
                 }
-                last.insert(nz.row, cycle);
             }
         }
     }

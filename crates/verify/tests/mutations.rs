@@ -10,7 +10,7 @@ use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::CooMatrix;
 use chason_testutil::{archetype_corpus as corpus, config_grid as configs, schedulers};
 use chason_verify::mutate::Corruption;
-use chason_verify::{verify_config, verify_pass, verify_plan, verify_schedule, RuleId};
+use chason_verify::{verify_config, verify_pass, verify_plan, verify_schedule, Location, RuleId};
 use proptest::prelude::*;
 
 /// Every clean schedule across the corpus verifies with zero diagnostics —
@@ -85,6 +85,7 @@ fn multiply_corrupted_fixture_reports_every_violation() {
         Corruption::DropElement,
         Corruption::ZeroValue,
         Corruption::TagFlip,
+        Corruption::DuplicateAcrossChannels,
         Corruption::PhantomPadding,
     ];
     for c in stack {
@@ -105,6 +106,13 @@ fn multiply_corrupted_fixture_reports_every_violation() {
     }
     assert!(rendered.contains("-->"), "{rendered}");
     assert!(rendered.contains("verification failed"), "{rendered}");
+    // The dropped entry is missing; the duplicate is bit-identical to its
+    // original, in another channel, and still counted twice.
+    assert!(
+        rendered.contains("is missing from the schedule"),
+        "{rendered}"
+    );
+    assert!(rendered.contains("with an identical value"), "{rendered}");
 }
 
 /// R001 at the configuration level: hop counts whose ScUG banks exceed the
@@ -170,6 +178,7 @@ fn raw_distance_boundaries() {
         ..pvt(row)
     };
     let cases = [
+        ("same row 1 apart", pvt(0), 1, pvt(0), true),
         ("same row D - 1 apart", pvt(0), 3, pvt(0), true),
         ("same row exactly D apart", pvt(0), 4, pvt(0), false),
         ("same migrated row D - 1 apart", mig(2), 3, mig(2), true),
@@ -190,7 +199,15 @@ fn raw_distance_boundaries() {
         };
         let report = verify_schedule(&s, None);
         assert_eq!(report.has_rule(RuleId::S003), flagged, "{name}:\n{report}");
-        if !flagged {
+        if flagged {
+            // The finding points at the slot that came back too soon.
+            let at = report.diagnostics().iter().find(|d| d.rule == RuleId::S003);
+            assert_eq!(
+                at.map(|d| d.location),
+                Some(Location::slot(0, gap, 0)),
+                "{name}"
+            );
+        } else {
             assert!(report.is_clean(), "{name}:\n{report}");
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! * **L001** — no un-annotated `.unwrap()` / `.expect(` in *non-test*
 //!   workspace code (every `crates/*/src` plus the root crate). The
-//!   stack's contract is typed errors (`SimError`, `ScheduleError`, ...);
+//!   stack's contract is typed errors (`SimError`, `ReplanError`, ...);
 //!   a panic site must carry an `#[allow(clippy::unwrap_used)]` /
 //!   `#[allow(clippy::expect_used)]` annotation (same line or up to three
 //!   lines above) stating why it cannot fire.

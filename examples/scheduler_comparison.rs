@@ -13,6 +13,7 @@ use chason::core::metrics::ScheduleMetrics;
 use chason::core::schedule::{migrated, PeAware, RowBased, Scheduler, SchedulerConfig};
 use chason::sparse::generators::{arrow_with_nnz, banded_with_nnz, power_law, uniform_random};
 use chason::sparse::CooMatrix;
+use chason_verify::verify_scheduler_contract;
 
 fn describe(name: &str, matrix: &CooMatrix, config: &SchedulerConfig) {
     println!(
@@ -30,6 +31,9 @@ fn describe(name: &str, matrix: &CooMatrix, config: &SchedulerConfig) {
         ("pe-aware ", &pe_aware),
         ("crhcs    ", &crhcs),
     ] {
+        // Safety net: every schedule keeps the scheduler contract.
+        let report = verify_scheduler_contract(schedule, matrix);
+        assert!(report.is_clean(), "{label}: {report}");
         let m = ScheduleMetrics::from_schedule(label, schedule);
         println!(
             "  {label}: {:7} cycles | {:8} stalls | {:5.1}% idle | {:.3} nz/cycle/PE",
@@ -40,10 +44,6 @@ fn describe(name: &str, matrix: &CooMatrix, config: &SchedulerConfig) {
         "  migration: {} values moved, {} RAW skips, stream {} -> {} cycles",
         migration.migrated, migration.raw_skips, migration.cycles_before, migration.cycles_after
     );
-    // Safety net: the schedules must all be valid.
-    row_based.validate(matrix).expect("row-based invariants");
-    pe_aware.validate(matrix).expect("pe-aware invariants");
-    crhcs.validate(matrix).expect("crhcs invariants");
 }
 
 fn main() {

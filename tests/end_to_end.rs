@@ -5,6 +5,7 @@ use chason::baselines::reference;
 use chason::core::schedule::{Crhcs, PeAware, Scheduler, SchedulerConfig};
 use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::datasets::{corpus, table2};
+use chason_verify::verify_scheduler_contract;
 
 /// The smaller Table 2 matrices run through both engines and must agree
 /// with the CPU reference.
@@ -59,11 +60,19 @@ fn corpus_sample_upholds_scheduler_invariants() {
             continue;
         }
         let s = PeAware::new().schedule(&matrix, &config);
-        s.validate(&matrix)
-            .unwrap_or_else(|e| panic!("pe-aware on corpus {}: {e}", spec.index));
+        let report = verify_scheduler_contract(&s, &matrix);
+        assert!(
+            report.is_clean(),
+            "pe-aware on corpus {}: {report}",
+            spec.index
+        );
         let c = Crhcs::new().schedule(&matrix, &config);
-        c.validate(&matrix)
-            .unwrap_or_else(|e| panic!("crhcs on corpus {}: {e}", spec.index));
+        let report = verify_scheduler_contract(&c, &matrix);
+        assert!(
+            report.is_clean(),
+            "crhcs on corpus {}: {report}",
+            spec.index
+        );
     }
 }
 

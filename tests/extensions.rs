@@ -7,6 +7,7 @@ use chason::sim::spmm::reference_spmm;
 use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::generators::{arrow_with_nnz, power_law};
 use chason::sparse::DenseMatrix;
+use chason_verify::verify_scheduler_contract;
 
 fn hops_config(hops: usize) -> SchedulerConfig {
     SchedulerConfig {
@@ -25,8 +26,8 @@ fn multi_hop_scheduling_is_sound_and_monotone() {
     for hops in 1..=3 {
         let config = hops_config(hops);
         let s = Crhcs::new().schedule(&matrix, &config);
-        s.validate(&matrix)
-            .unwrap_or_else(|e| panic!("hops = {hops}: {e}"));
+        let report = verify_scheduler_contract(&s, &matrix);
+        assert!(report.is_clean(), "hops = {hops}: {report}");
         let u = s.underutilization();
         assert!(u <= prev + 1e-12, "hops {hops} regressed: {u} > {prev}");
         prev = u;

@@ -8,6 +8,7 @@ use chason::core::schedule::{
 use chason::sim::{Accelerator, AcceleratorConfig};
 use chason::sparse::CooMatrix;
 use chason_testutil::{config_grid, sparse_matrix, toy_config};
+use chason_verify::verify_scheduler_contract;
 use proptest::prelude::*;
 
 /// Every channel's length and every occupied slot's position: channel,
@@ -92,12 +93,12 @@ proptest! {
     /// Every scheduler conserves non-zeros and respects RAW distances.
     #[test]
     fn schedulers_uphold_invariants(m in sparse_matrix(48, 160), cfg in toy_config()) {
-        for scheduler in [&RowBased::new() as &dyn Scheduler, &PeAware::new(), &Crhcs::new()] {
+        let row_split = HybridRowSplit::auto(&m, &cfg);
+        for scheduler in [&RowBased::new() as &dyn Scheduler, &PeAware::new(), &Crhcs::new(), &row_split] {
             let s = scheduler.schedule(&m, &cfg);
             prop_assert_eq!(s.scheduled_nonzeros(), m.nnz());
-            if let Err(e) = s.validate(&m) {
-                prop_assert!(false, "{} violated: {}", scheduler.name(), e);
-            }
+            let report = verify_scheduler_contract(&s, &m);
+            prop_assert!(report.is_clean(), "{} violated:\n{}", scheduler.name(), report);
         }
     }
 
