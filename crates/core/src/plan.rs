@@ -149,7 +149,7 @@ impl SpmvPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chason_sparse::generators::uniform_random;
+    use chason_sparse::generators::{power_law, uniform_random};
 
     #[test]
     fn fingerprint_is_structural() {
@@ -158,6 +158,39 @@ mod tests {
         assert_eq!(matrix_fingerprint(&a), matrix_fingerprint(&b));
         let c = uniform_random(64, 64, 300, 10);
         assert_ne!(matrix_fingerprint(&a), matrix_fingerprint(&c));
+    }
+
+    /// Pinned handles: serve, the router, CHPL and the bench ledger all
+    /// key by this value, so a change to the hash shows up here first.
+    #[test]
+    fn matrix_fingerprint_known_answers() {
+        let cases: [(CooMatrix, u64); 5] = [
+            (CooMatrix::new(0, 0), 0x88201fb960ff6465),
+            (CooMatrix::new(0, 7), 0x2b2fca9e40318602),
+            (CooMatrix::new(1 << 40, 3), 0x386bf6b834e5d839),
+            (power_law(96, 96, 700, 1.7, 31), 0x9b259d68d000e7e9),
+            (
+                CooMatrix::from_triplets(
+                    5,
+                    6,
+                    vec![
+                        (0, 0, 1.0),
+                        (0, 5, -2.5),
+                        (2, 3, 0.125),
+                        (3, 1, 1e-7),
+                        (4, 4, 3.0e5),
+                    ],
+                )
+                .unwrap(),
+                0x33de823107de9eda,
+            ),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(m, _)| format!("{:#018x}", matrix_fingerprint(m)))
+            .collect();
+        let expected: Vec<String> = cases.iter().map(|(_, h)| format!("{h:#018x}")).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
