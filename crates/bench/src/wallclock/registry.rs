@@ -1,7 +1,7 @@
 //! The registered wall-clock benchmarks: threaded SpMV kernels, engine
 //! planning, plan replay, incremental delta re-planning, CHSP codec
-//! round-trips, and pipelined echo round-trips through the chason-net
-//! readiness loop.
+//! round-trips, the upload fingerprint beside a plain memory copy, and
+//! pipelined echo round-trips through the chason-net readiness loop.
 //!
 //! Every benchmark has a stable `group/case` id — the comparator matches
 //! baseline to current by id — and an input fingerprint, so a baseline
@@ -339,7 +339,43 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         }
     }
 
-    // (f) Pipelined echo through the chason-net readiness loop on a real
+    // (f) The upload's content hash beside the host's memory roof: a cold
+    // fingerprint of the plan matrix (the memo is bypassed, so every
+    // iteration hashes), and a plain copy of as many bytes between two
+    // preallocated buffers.
+    let upload_id = "upload/fingerprint";
+    let copy_id = "mem/stream-copy";
+    let matrix_bytes = |matrix: &CooMatrix| matrix.nnz() * 24; // three 8-byte words per entry
+    if matches(upload_id, filter) {
+        let matrix = plan_matrix(profile);
+        out.push(Benchmark {
+            id: upload_id.to_string(),
+            // Keyed by the upload's wire bytes, not by the hash under
+            // test, so a new hash is compared on the same input.
+            fingerprint: fnv1a(&encode_load_matrix(&matrix)),
+            bytes_per_iter: matrix_bytes(&matrix) as u64,
+            routine: Box::new(move || {
+                black_box(black_box(&matrix).compute_fingerprint());
+            }),
+        });
+    }
+    if matches(copy_id, filter) {
+        let words = matrix_bytes(&plan_matrix(profile)) / 8;
+        let src: Vec<u64> = (0..words as u64).collect();
+        let mut dst = vec![0u64; words];
+        out.push(Benchmark {
+            id: copy_id.to_string(),
+            fingerprint: fnv1a(&(words as u64).to_le_bytes()),
+            // Every byte is read once and written once.
+            bytes_per_iter: (words * 8 * 2) as u64,
+            routine: Box::new(move || {
+                dst.copy_from_slice(black_box(&src));
+                black_box(&dst);
+            }),
+        });
+    }
+
+    // (g) Pipelined echo through the chason-net readiness loop on a real
     // loopback socket: one iteration writes `depth` frames back-to-back
     // and reads `depth` replies, so the depth sweep shows how much
     // per-round-trip latency pipelining amortises away.
@@ -432,19 +468,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_all_six_groups() {
+    fn registry_covers_every_group() {
         let profile = Profile::smoke();
         let ids: Vec<String> = benchmarks(&profile, None)
             .iter()
             .map(|b| b.id.clone())
             .collect();
-        for prefix in ["spmv/", "plan/", "replay/", "replan/", "chsp/", "net/"] {
+        for prefix in [
+            "spmv/", "plan/", "replay/", "replan/", "chsp/", "upload/", "mem/", "net/",
+        ] {
             assert!(
                 ids.iter().any(|id| id.starts_with(prefix)),
                 "missing group {prefix} in {ids:?}"
             );
         }
-        assert_eq!(ids.len(), 19);
+        assert_eq!(ids.len(), 21);
     }
 
     #[test]

@@ -220,16 +220,21 @@ impl CooMatrix {
     /// later call — on this matrix or on a clone — returns the memo, until
     /// [`insert`](Self::insert) changes the entries.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let mut h = fnv1a_word(FNV_OFFSET, self.rows as u64);
-            h = fnv1a_word(h, self.cols as u64);
-            for &(r, c, v) in &self.entries {
-                h = fnv1a_word(h, r as u64);
-                h = fnv1a_word(h, c as u64);
-                h = fnv1a_word(h, u64::from(v.to_bits()));
-            }
-            h
-        })
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    /// The hash behind [`fingerprint`](Self::fingerprint), computed afresh:
+    /// it neither reads nor fills the memo, so it costs a full pass over
+    /// the entries on every call.
+    pub fn compute_fingerprint(&self) -> u64 {
+        let mut h = fnv1a_word(FNV_OFFSET, self.rows as u64);
+        h = fnv1a_word(h, self.cols as u64);
+        for &(r, c, v) in &self.entries {
+            h = fnv1a_word(h, r as u64);
+            h = fnv1a_word(h, c as u64);
+            h = fnv1a_word(h, u64::from(v.to_bits()));
+        }
+        h
     }
 
     /// Computes `y = A·x` directly on the triplet representation.
