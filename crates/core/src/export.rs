@@ -20,6 +20,12 @@
 //! A second container, `CHPL`, serializes a full reusable [`SpmvPlan`]
 //! (every pass, window, and scheduled slot) so iterative solvers can ship
 //! the plan artifact across processes; see [`write_plan`] / [`read_plan`].
+//! Its header carries the matrix fingerprint ([`CooMatrix::fingerprint`]),
+//! so the CHPL version moves with the hash: version 2 holds the four-lane
+//! fingerprint, and a version 1 file, keyed by the earlier byte-serial hash, is
+//! refused as [`ExportError::UnsupportedVersion`].
+//!
+//! [`CooMatrix::fingerprint`]: chason_sparse::CooMatrix::fingerprint
 
 use crate::element::STALL_WORD;
 use crate::plan::{PassPlan, PlanKey, PlanWindow, SpmvPlan};
@@ -30,7 +36,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"CHSN";
 const VERSION: u32 = 1;
 const PLAN_MAGIC: &[u8; 4] = b"CHPL";
-const PLAN_VERSION: u32 = 1;
+const PLAN_VERSION: u32 = 2;
 
 /// Pre-allocation ceiling for length-prefixed collections: a corrupt or
 /// adversarial count can at most reserve this many elements up front; the

@@ -89,7 +89,7 @@ fn dense_chpl(grids: &[Dense], plan: &SpmvPlan) -> Vec<u8> {
         cfg.migration_hops as u32,
     ];
     let mut out = b"CHPL".to_vec();
-    u32s(&mut out, &[1]);
+    u32s(&mut out, &[2]);
     u64s(&mut out, &[plan.key.fingerprint]);
     u32s(&mut out, &config_words);
     u32s(&mut out, &[plan.engine.len() as u32]);

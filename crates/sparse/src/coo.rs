@@ -212,9 +212,17 @@ impl CooMatrix {
         CooMatrix::sorted(self.cols, self.rows, t)
     }
 
-    /// FNV-1a fingerprint of the dimensions and the `(row, col, value)`
-    /// triplets, each fed as little-endian 64-bit words (values as their
-    /// `f32` bits).
+    /// A 64-bit hash of the dimensions and the `(row, col, value)`
+    /// triplets: the matrix's content identity (serve's handle, the plan
+    /// key, the CHPL fingerprint).
+    ///
+    /// Entry `i` is mixed into lane `i % 4` of four independent
+    /// multiply-fold chains, so the hash runs near memory speed instead of
+    /// at the latency of one chain. Every index enters at its full 64 bits
+    /// and every value as its `f32` bits; the constants are fixed, so the
+    /// value is the same on every platform, thread count and process. It
+    /// is not a cryptographic hash: collisions can be constructed, but
+    /// distinct real matrices do not meet one by accident.
     ///
     /// It is computed once per content: the first call hashes and every
     /// later call — on this matrix or on a clone — returns the memo, until
@@ -227,14 +235,22 @@ impl CooMatrix {
     /// it neither reads nor fills the memo, so it costs a full pass over
     /// the entries on every call.
     pub fn compute_fingerprint(&self) -> u64 {
-        let mut h = fnv1a_word(FNV_OFFSET, self.rows as u64);
-        h = fnv1a_word(h, self.cols as u64);
-        for &(r, c, v) in &self.entries {
-            h = fnv1a_word(h, r as u64);
-            h = fnv1a_word(h, c as u64);
-            h = fnv1a_word(h, u64::from(v.to_bits()));
+        let mut lanes: [u64; 4] =
+            std::array::from_fn(|l| fold(self.rows as u64 ^ MIX[l], self.cols as u64 ^ MIX[l + 2]));
+        let mut quads = self.entries.chunks_exact(4);
+        for quad in &mut quads {
+            for (l, entry) in quad.iter().enumerate() {
+                lanes[l] = mix_entry(lanes[l], l, entry);
+            }
         }
-        h
+        for (l, entry) in quads.remainder().iter().enumerate() {
+            lanes[l] = mix_entry(lanes[l], l, entry);
+        }
+        lanes
+            .iter()
+            .fold(self.entries.len() as u64 ^ MIX[5], |h, &lane| {
+                fold(h ^ lane, MIX[5])
+            })
     }
 
     /// Computes `y = A·x` directly on the triplet representation.
@@ -269,32 +285,28 @@ impl CooMatrix {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The fixed constants of [`CooMatrix::fingerprint`]: odd, with about
+/// half their bits set.
+const MIX: [u64; 6] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+    0x1d8e_4e27_c47d_124f,
+    0x9e37_79b9_7f4a_7c15,
+];
 
-/// `FNV_PRIME^k` for `k = 0..=8`.
-const FNV_PRIME_POWERS: [u64; 9] = {
-    let mut powers = [1u64; 9];
-    let mut k = 1;
-    while k < 9 {
-        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
-        k += 1;
-    }
-    powers
-};
+/// The full 128-bit product of `a` and `b`, its two halves XORed.
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
 
-/// Feeds the eight little-endian bytes of `word` to FNV-1a. Since
-/// `h ^ 0 = h`, the word's run of high zero bytes — six of eight for a
-/// small index, four for every `f32` — is one multiply by `PRIME^k`, and
-/// the result is bit-identical to hashing a byte at a time.
-fn fnv1a_word(mut h: u64, word: u64) -> u64 {
-    let zero_bytes = (word.leading_zeros() / 8) as usize;
-    let mut rest = word;
-    for _ in zero_bytes..8 {
-        h = (h ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
-        rest >>= 8;
-    }
-    h.wrapping_mul(FNV_PRIME_POWERS[zero_bytes])
+/// Mixes one entry into lane `l` (`0..4`) of the fingerprint.
+#[inline(always)]
+fn mix_entry(lane: u64, l: usize, &(r, c, v): &Triplet) -> u64 {
+    let x = fold(r as u64 ^ MIX[l], c as u64 ^ MIX[l + 1]) ^ u64::from(v.to_bits());
+    fold(lane ^ x, MIX[l + 2])
 }
 
 impl Default for CooMatrix {
@@ -318,65 +330,51 @@ mod tests {
     use crate::generators::uniform_random;
     use proptest::prelude::*;
 
-    /// Byte-at-a-time FNV-1a over little-endian words.
-    fn reference(words: &[u64]) -> u64 {
-        words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .fold(FNV_OFFSET, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-            })
-    }
-
+    /// The fingerprint one entry at a time, written out apart from the
+    /// production loop: entry `i` goes to lane `i % 4`.
     fn reference_fingerprint(m: &CooMatrix) -> u64 {
-        let mut words = vec![m.rows() as u64, m.cols() as u64];
-        for &(r, c, v) in m.triplets() {
-            words.extend([r as u64, c as u64, u64::from(v.to_bits())]);
+        let fold = |a: u64, b: u64| {
+            let p = u128::from(a) * u128::from(b);
+            (p as u64) ^ ((p >> 64) as u64)
+        };
+        let (rows, cols) = (m.rows() as u64, m.cols() as u64);
+        let mut lanes = [0u64; 4];
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane = fold(rows ^ MIX[l], cols ^ MIX[l + 2]);
         }
-        reference(&words)
-    }
-
-    /// A word with exactly `zeros` leading zero bytes; `holes` clears
-    /// lower bytes too, so zero bytes inside the word occur as well.
-    fn word_with_leading_zero_bytes(bits: u64, zeros: u32, holes: u8) -> u64 {
-        if zeros == 8 {
-            return 0;
+        for (i, &(r, c, v)) in m.triplets().iter().enumerate() {
+            let l = i % 4;
+            let x = fold(r as u64 ^ MIX[l], c as u64 ^ MIX[l + 1]) ^ u64::from(v.to_bits());
+            lanes[l] = fold(lanes[l] ^ x, MIX[l + 2]);
         }
-        let mut word = bits >> (8 * zeros);
-        for byte in 0..8 - zeros {
-            if holes & (1 << byte) != 0 {
-                word &= !(0xff << (8 * byte));
-            }
+        let mut h = m.nnz() as u64 ^ MIX[5];
+        for lane in lanes {
+            h = fold(h ^ lane, MIX[5]);
         }
-        word | 1 << (8 * (7 - zeros) + 7)
+        h
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn word_hash_matches_byte_at_a_time(
-            drawn in proptest::collection::vec((any::<u64>(), 0u32..9, any::<u8>()), 0..12),
-        ) {
-            let words: Vec<u64> = drawn
-                .iter()
-                .map(|&(bits, zeros, holes)| word_with_leading_zero_bytes(bits, zeros, holes))
-                .collect();
-            for (&(_, zeros, _), &w) in drawn.iter().zip(&words) {
-                prop_assert_eq!(w.leading_zeros() / 8, zeros);
-            }
-            let fast = words.iter().fold(FNV_OFFSET, |h, &w| fnv1a_word(h, w));
-            prop_assert_eq!(fast, reference(&words));
-        }
-
-        #[test]
-        fn fingerprint_matches_byte_at_a_time(
+        fn fingerprint_matches_one_entry_at_a_time(
             rows in 1usize..100_000,
             cols in 1usize..100_000,
             seed in 0u64..1000,
             nnz in 0usize..40,
+            high in 0u32..2,
         ) {
             let m = uniform_random(rows, cols, nnz.min(rows * cols), seed);
+            // Optionally lift every index past 2^32, so the high words of
+            // the indices take part.
+            let lift = (high as usize) << 33;
+            let m = CooMatrix::sorted(
+                rows + lift,
+                cols + lift,
+                m.iter().map(|&(r, c, v)| (r + lift, c + lift, v)).collect(),
+            );
+            prop_assert_eq!(m.compute_fingerprint(), reference_fingerprint(&m));
             prop_assert_eq!(m.fingerprint(), reference_fingerprint(&m));
             // The memoized second answer is the same hash.
             prop_assert_eq!(m.fingerprint(), reference_fingerprint(&m));
@@ -412,20 +410,95 @@ mod tests {
     }
 
     #[test]
-    fn empty_matrix_fingerprint_matches_byte_at_a_time() {
+    fn empty_matrix_fingerprint_matches_reference() {
         for (rows, cols) in [(0, 0), (0, 7), (1 << 40, 3)] {
             let m = CooMatrix::new(rows, cols);
             assert_eq!(m.fingerprint(), reference_fingerprint(&m));
         }
     }
 
+    /// Each edit a content hash must see changes the fingerprint, and no
+    /// two of the edited matrices share one.
     #[test]
-    fn fingerprint_sees_dimensions_and_values() {
-        let base = CooMatrix::from_triplets(4, 4, vec![(0, 0, 1.0)]).unwrap();
-        let taller = CooMatrix::from_triplets(5, 4, vec![(0, 0, 1.0)]).unwrap();
-        let other_value = CooMatrix::from_triplets(4, 4, vec![(0, 0, 2.0)]).unwrap();
-        assert_ne!(base.fingerprint(), taller.fingerprint());
-        assert_ne!(base.fingerprint(), other_value.fingerprint());
+    fn fingerprint_sees_every_word() {
+        let entries = vec![
+            (0, 1, 1.5),
+            (1, 0, 0.5),
+            (2, 3, -0.25),
+            (3, 3, 4.0),
+            (5, 7, 2.0),
+        ];
+        let with = |rows: usize, cols: usize, edit: &dyn Fn(&mut Vec<Triplet>)| {
+            let mut t = entries.clone();
+            edit(&mut t);
+            CooMatrix::from_triplets(rows, cols, t).unwrap()
+        };
+        let big = 1usize << 33;
+        let high_row = |r: usize| CooMatrix::from_triplets(big, 4, vec![(r, 2, 1.0)]).unwrap();
+        let high_col = |c: usize| CooMatrix::from_triplets(4, big, vec![(2, c, 1.0)]).unwrap();
+        let variants = [
+            ("base", with(6, 8, &|_| {})),
+            (
+                "one-ulp revalue",
+                with(6, 8, &|t| t[2].2 = f32::from_bits(t[2].2.to_bits() + 1)),
+            ),
+            ("moved one column", with(6, 8, &|t| t[2].1 += 1)),
+            (
+                "swapped values",
+                with(6, 8, &|t| (t[0].2, t[3].2) = (t[3].2, t[0].2)),
+            ),
+            ("one more row", with(7, 8, &|_| {})),
+            ("one more column", with(6, 9, &|_| {})),
+            ("row 0", high_row(0)),
+            ("row 2^32", high_row(1 << 32)),
+            ("row 2^32 + 5", high_row((1 << 32) + 5)),
+            ("row 5", high_row(5)),
+            ("col 3", high_col(3)),
+            ("col 2^32 + 3", high_col((1 << 32) + 3)),
+        ];
+        for (i, (a, ma)) in variants.iter().enumerate() {
+            for (b, mb) in &variants[i + 1..] {
+                assert_ne!(ma.fingerprint(), mb.fingerprint(), "{a} vs {b}");
+            }
+        }
+    }
+
+    /// Over 2,000 distinct small matrices (shapes, single and paired
+    /// entries one cell or one ulp apart, random fills), no two share a
+    /// fingerprint.
+    #[test]
+    fn distinct_matrices_do_not_collide() {
+        let mut matrices: Vec<CooMatrix> = Vec::new();
+        for rows in 0..20 {
+            for cols in 0..20 {
+                matrices.push(CooMatrix::new(rows, cols));
+            }
+        }
+        let one_ulp_up = f32::from_bits(1.0f32.to_bits() + 1);
+        for (r, c) in (0..12).flat_map(|r| (0..12).map(move |c| (r, c))) {
+            for v in [1.0, -1.0, 2.0, one_ulp_up] {
+                matrices.push(CooMatrix::from_triplets(12, 12, vec![(r, c, v)]).unwrap());
+            }
+        }
+        let cells: Vec<(usize, usize)> = (0..6).flat_map(|r| (0..6).map(move |c| (r, c))).collect();
+        for (k, &(r0, c0)) in cells.iter().enumerate() {
+            for &(r1, c1) in &cells[k + 1..] {
+                for (v0, v1) in [(1.0, 2.0), (2.0, 1.0)] {
+                    let t = vec![(r0, c0, v0), (r1, c1, v1)];
+                    matrices.push(CooMatrix::from_triplets(6, 6, t).unwrap());
+                }
+            }
+        }
+        for seed in 0..200 {
+            matrices.push(uniform_random(40, 40, 1 + seed as usize % 60, seed));
+        }
+        // `Debug` prints the shape and every entry, each value in its
+        // shortest round-tripping form, so equal text means equal content.
+        let contents: HashSet<String> = matrices.iter().map(|m| format!("{m:?}")).collect();
+        assert_eq!(contents.len(), matrices.len(), "the sweep repeats a matrix");
+        assert!(matrices.len() >= 2000, "{} matrices", matrices.len());
+        let fingerprints: HashSet<u64> = matrices.iter().map(CooMatrix::fingerprint).collect();
+        assert_eq!(fingerprints.len(), matrices.len());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! read yesterday's bytes fails here before it ships.
 
 use chason_conformance::golden;
-use chason_core::export::{read_plan, write_plan};
+use chason_core::export::{read_plan, write_plan, ExportError};
 use chason_core::plan::SpmvPlan;
 use chason_core::schedule::SchedulerConfig;
 use chason_sim::power::MeasuredPower;
@@ -54,6 +54,21 @@ fn chpl_plan_fixture_stays_readable() {
         plan,
         "committed CHPL fixture no longer decodes to the original plan"
     );
+}
+
+/// A version 1 CHPL file carries the earlier FNV-1a matrix fingerprint,
+/// which no longer names its matrix: it is refused with the typed version
+/// error, not read as drift.
+#[test]
+fn chpl_version_one_fixture_is_refused() {
+    let committed = std::fs::read(golden_path("plan_toy_v1.chpl")).unwrap();
+    match read_plan(&committed[..]) {
+        Err(ExportError::UnsupportedVersion {
+            got: 1,
+            expected: 2,
+        }) => {}
+        other => panic!("expected UnsupportedVersion {{ got: 1, expected: 2 }}, got {other:?}"),
+    }
 }
 
 /// The performance-report record renders f64 metrics as IEEE-754 bit
