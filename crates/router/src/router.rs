@@ -39,8 +39,7 @@ use chason_sim::SimError;
 use chason_sparse::shard::ShardSpec;
 use chason_sparse::CooMatrix;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -97,10 +96,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// How often the health-checker sleep wakes up to re-check the drain
-/// flag.
-const HEALTH_TICK: Duration = Duration::from_millis(100);
-
 /// One sharded matrix the router can route: the full-matrix source of
 /// truth (the solver outer loops and update validation need it), the
 /// row-block partition, and per-shard handle/version bookkeeping.
@@ -131,6 +126,19 @@ struct Shared {
     stats: RouterStats,
     health: Arc<HealthBoard>,
     config: RouterConfig,
+    /// Set when the router drains. The health checker waits on
+    /// `health_wake` between probe rounds, so a drain ends that wait at
+    /// once instead of after the interval.
+    stopping: Mutex<bool>,
+    health_wake: Condvar,
+}
+
+impl Shared {
+    /// Tells the health checker to exit, waking it if it is waiting.
+    fn stop_health(&self) {
+        *lock_unpoisoned(&self.stopping) = true;
+        self.health_wake.notify_all();
+    }
 }
 
 impl Daemon for Shared {
@@ -230,6 +238,7 @@ impl Daemon for Shared {
     }
 
     fn on_shutdown(&self) {
+        self.stop_health();
         if self.config.shutdown_shards {
             // Forward before acknowledging so "client shutdown; wait for
             // the router pid" is a complete drain of the whole deployment.
@@ -273,12 +282,13 @@ impl Router {
             stats: RouterStats::new(config.shards.len()),
             health: Arc::new(HealthBoard::new(config.shards.len())),
             config,
+            stopping: Mutex::new(false),
+            health_wake: Condvar::new(),
         });
         let pool = WorkerPool::start(listener, Arc::clone(&shared), pool_config)?;
-        let draining = pool.drain_flag();
         let spawned = thread::Builder::new()
             .name("chason-router-health".to_string())
-            .spawn(move || health_loop(&shared, &draining));
+            .spawn(move || health_loop(&shared));
         match spawned {
             Ok(health_thread) => Ok(Router {
                 pool,
@@ -314,6 +324,7 @@ impl Router {
     /// backends down too.
     pub fn shutdown(&self) {
         self.pool.shutdown();
+        self.pool.daemon().stop_health();
     }
 
     /// Blocks until the connection loop, every connection, every worker,
@@ -895,13 +906,14 @@ fn execute_update(
 // ---------------------------------------------------------------------------
 
 /// Periodically pings every shard with `Stats` over its own persistent
-/// connections, updating the board and the per-shard gauges. Sleeps in
-/// [`HEALTH_TICK`] increments so it stops promptly once `draining` is set.
-fn health_loop(shared: &Shared, draining: &AtomicBool) {
+/// connections, updating the board and the per-shard gauges. Between
+/// rounds it waits on [`Shared::health_wake`], so it exits as soon as the
+/// router drains.
+fn health_loop(shared: &Shared) {
     let mut clients: Vec<Option<Client>> = shared.config.shards.iter().map(|_| None).collect();
     loop {
         for (k, slot) in clients.iter_mut().enumerate() {
-            if draining.load(Ordering::SeqCst) {
+            if *lock_unpoisoned(&shared.stopping) {
                 return;
             }
             if slot.is_none() {
@@ -927,13 +939,13 @@ fn health_loop(shared: &Shared, draining: &AtomicBool) {
             shared.health.set(k, up);
             shared.stats.shard_up[k].set(u64::from(up));
         }
-        let mut slept = Duration::ZERO;
-        while slept < shared.config.health_interval {
-            if draining.load(Ordering::SeqCst) {
-                return;
-            }
-            thread::sleep(HEALTH_TICK);
-            slept += HEALTH_TICK;
+        let stopping = lock_unpoisoned(&shared.stopping);
+        let (stopping, _) = shared
+            .health_wake
+            .wait_timeout_while(stopping, shared.config.health_interval, |stop| !*stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        if *stopping {
+            return;
         }
     }
 }
@@ -941,6 +953,31 @@ fn health_loop(shared: &Shared, draining: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A drain wakes the health checker out of its wait: `join` does not
+    /// sit out the probe interval.
+    #[test]
+    fn shutdown_does_not_wait_out_the_health_interval() {
+        // A port nothing listens on: the shard is simply down.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let router = Router::start(RouterConfig {
+            shards: vec![dead.to_string()],
+            workers: 1,
+            health_interval: Duration::from_secs(3600),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        // Let the first probe round finish and the checker start waiting.
+        thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        router.shutdown();
+        router.join();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "stop took {took:?}");
+    }
 
     #[test]
     fn router_refuses_empty_shard_list() {

@@ -165,12 +165,6 @@ impl<D: Daemon> WorkerPool<D> {
         &self.daemon
     }
 
-    /// The drain flag, for daemon threads outside the pool (the router's
-    /// health checker) that must stop when the daemon drains.
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.draining)
-    }
-
     /// Initiates the same graceful drain a wire `Shutdown` does, without
     /// the daemon's shutdown fan-out.
     pub fn shutdown(&self) {
