@@ -34,7 +34,7 @@ use std::rc::Rc;
 pub struct Benchmark {
     /// Stable `group/case` identifier.
     pub id: String,
-    /// FNV-1a fingerprint of the benchmark's input.
+    /// Input fingerprint of the benchmark.
     pub fingerprint: u64,
     /// Nominal bytes moved per iteration (0 = throughput not meaningful).
     pub bytes_per_iter: u64,

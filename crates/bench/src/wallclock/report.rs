@@ -41,8 +41,8 @@ impl HostInfo {
 pub struct BenchResult {
     /// Stable benchmark identifier, `group/case` (e.g. `spmv/static-t4`).
     pub id: String,
-    /// FNV-1a fingerprint of the benchmark's input (matrix triplets or
-    /// payload bytes), so a baseline measured on different data cannot be
+    /// Input fingerprint of the benchmark (of the matrix or of the payload
+    /// bytes), so a baseline measured on different data cannot be
     /// compared silently.
     pub fingerprint: u64,
     /// Untimed iterations executed before sampling started.
