@@ -22,8 +22,8 @@
 //! the plan artifact across processes; see [`write_plan`] / [`read_plan`].
 //! Its header carries the matrix fingerprint ([`CooMatrix::fingerprint`]),
 //! so the CHPL version moves with the hash: version 2 holds the four-lane
-//! fingerprint, and a version 1 file, keyed by the earlier byte-serial hash, is
-//! refused as [`ExportError::UnsupportedVersion`].
+//! fingerprint, and a version 1 file, keyed by the earlier byte-serial
+//! hash, is refused as [`ExportError::UnsupportedVersion`].
 //!
 //! [`CooMatrix::fingerprint`]: chason_sparse::CooMatrix::fingerprint
 

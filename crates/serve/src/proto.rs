@@ -231,8 +231,8 @@ impl ErrorCode {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Uploads a matrix; the reply's handle (the structural fingerprint,
-    /// `CooMatrix::fingerprint`) names it in subsequent requests. Layout: `rows u64, cols u64,
-    /// nnz u64, nnz × (row u64, col u64, value f32)`.
+    /// `CooMatrix::fingerprint`) names it in subsequent requests. Layout:
+    /// `rows u64, cols u64, nnz u64, nnz × (row u64, col u64, value f32)`.
     LoadMatrix {
         /// Row count.
         rows: u64,
