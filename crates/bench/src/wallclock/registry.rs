@@ -1,11 +1,14 @@
 //! The registered wall-clock benchmarks: threaded SpMV kernels, engine
 //! planning, plan replay, incremental delta re-planning, CHSP codec
-//! round-trips, the upload fingerprint beside a plain memory copy, and
-//! pipelined echo round-trips through the chason-net readiness loop.
+//! round-trips, the upload's fingerprint, admission and shard scatter
+//! beside a plain memory copy, and pipelined echo round-trips through the
+//! chason-net readiness loop.
 //!
 //! Every benchmark has a stable `group/case` id — the comparator matches
 //! baseline to current by id — and an input fingerprint, so a baseline
-//! measured on different data is detectable. Inputs are generated
+//! measured on different data is detectable. A matrix input is keyed by
+//! a hash of its `LoadMatrix` bytes, never by the matrix hash under test,
+//! so a ledger survives a change to that hash. Inputs are generated
 //! deterministically (fixed seeds) and sized by the profile: `smoke` uses
 //! small matrices so CI stays fast, `full` uses the sizes committed
 //! baselines are measured on.
@@ -13,14 +16,15 @@
 use super::report::BenchResult;
 use super::runner::{measure, Profile};
 use chason_baselines::parallel::{spmv_dynamic, spmv_static};
-use chason_core::plan::matrix_fingerprint;
 use chason_net::server::{FrameOutcome, NetConfig, NetServer, Service};
+use chason_serve::admit;
 use chason_serve::proto::{
-    decode_reply, decode_request, encode_load_matrix, encode_reply, encode_request, Engine, Reply,
-    Request,
+    decode_reply, decode_request, encode_load_matrix, encode_load_run, encode_reply,
+    encode_request, Engine, Reply, Request, DEFAULT_MAX_FRAME,
 };
 use chason_sim::{Accelerator, AcceleratorConfig};
 use chason_sparse::generators::{power_law, uniform_random};
+use chason_sparse::shard::ShardSpec;
 use chason_sparse::{CooMatrix, CsrMatrix, MatrixDelta};
 use chason_telemetry::metrics::Registry;
 use std::hint::black_box;
@@ -64,6 +68,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     }
     hash
 }
+
+/// A matrix input's ledger key: FNV-1a of its `LoadMatrix` bytes.
+fn input_key(matrix: &CooMatrix) -> u64 {
+    fnv1a(&encode_load_matrix(matrix))
+}
+
+/// Shards the `upload/shard-scatter` row splits the plan matrix into, as
+/// `sharded-spmv` deploys the router.
+const SCATTER_SHARDS: usize = 3;
 
 /// The matrix the SpMV-kernel group runs on.
 fn spmv_matrix(profile: &Profile) -> CooMatrix {
@@ -110,7 +123,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         .collect();
     if spmv_ids.iter().any(|(id, ..)| matches(id, filter)) {
         let coo = spmv_matrix(profile);
-        let fingerprint = matrix_fingerprint(&coo);
+        let fingerprint = input_key(&coo);
         let bytes = spmv_bytes(&coo);
         let csr = Rc::new(CsrMatrix::from(&coo));
         let x: Rc<Vec<f32>> = Rc::new((0..coo.cols()).map(|i| (i as f32 * 0.17).cos()).collect());
@@ -145,7 +158,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
     let migrate_id = "plan/chason-from-serpens-t1";
     if plan_ids.iter().any(|(id, ..)| matches(id, filter)) || matches(migrate_id, filter) {
         let matrix = Rc::new(plan_matrix(profile));
-        let fingerprint = matrix_fingerprint(&matrix);
+        let fingerprint = input_key(&matrix);
         for (id, config, threads) in plan_ids {
             if !matches(id, filter) {
                 continue;
@@ -189,7 +202,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
     let replay_id = "replay/chason";
     if matches(replay_id, filter) {
         let matrix = plan_matrix(profile);
-        let fingerprint = matrix_fingerprint(&matrix);
+        let fingerprint = input_key(&matrix);
         let bytes = spmv_bytes(&matrix);
         let engine = Accelerator::new(AcceleratorConfig::chason());
         #[allow(clippy::expect_used)] // bench corpus fits the engines
@@ -234,7 +247,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         }
         #[allow(clippy::expect_used)] // delta revalues existing entries only
         let updated = delta.apply(&matrix).expect("apply delta");
-        let fingerprint = matrix_fingerprint(&updated);
+        let fingerprint = input_key(&updated);
         if matches(replan_ids[0], filter) {
             let engine = Accelerator::new(AcceleratorConfig::chason());
             let updated = updated.clone();
@@ -339,23 +352,73 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         }
     }
 
-    // (f) The upload's content hash beside the host's memory roof: a cold
-    // fingerprint of the plan matrix (the memo is bypassed, so every
-    // iteration hashes), and a plain copy of as many bytes between two
-    // preallocated buffers.
+    // (f) The upload's phases beside the host's memory roof, all on the
+    // plan matrix and keyed by its wire bytes: a cold fingerprint (the
+    // memo is bypassed, so every iteration hashes); admission, the decode
+    // plus `admit::load_matrix` every daemon runs on a `LoadMatrix`; the
+    // router's scatter, its nnz-balanced split plus one payload per
+    // shard; and a plain copy of as many bytes between two preallocated
+    // buffers.
     let upload_id = "upload/fingerprint";
+    let admit_id = "upload/admit";
+    let scatter_id = "upload/shard-scatter";
     let copy_id = "mem/stream-copy";
     let matrix_bytes = |matrix: &CooMatrix| matrix.nnz() * 24; // three 8-byte words per entry
     if matches(upload_id, filter) {
         let matrix = plan_matrix(profile);
         out.push(Benchmark {
             id: upload_id.to_string(),
-            // Keyed by the upload's wire bytes, not by the hash under
-            // test, so a new hash is compared on the same input.
-            fingerprint: fnv1a(&encode_load_matrix(&matrix)),
+            fingerprint: input_key(&matrix),
             bytes_per_iter: matrix_bytes(&matrix) as u64,
             routine: Box::new(move || {
                 black_box(black_box(&matrix).compute_fingerprint());
+            }),
+        });
+    }
+    if matches(admit_id, filter) {
+        let matrix = plan_matrix(profile);
+        let wire = encode_load_matrix(&matrix);
+        out.push(Benchmark {
+            id: admit_id.to_string(),
+            fingerprint: fnv1a(&wire),
+            // The wire bytes are read once and the entries written once.
+            bytes_per_iter: (wire.len() + matrix_bytes(&matrix)) as u64,
+            routine: Box::new(move || {
+                #[allow(clippy::expect_used)] // decoding our own encoder's output
+                let request = decode_request(black_box(&wire)).expect("decode load");
+                let Request::LoadMatrix {
+                    rows,
+                    cols,
+                    triplets,
+                } = request
+                else {
+                    unreachable!("a LoadMatrix payload decodes as LoadMatrix")
+                };
+                #[allow(clippy::expect_used)] // the encoded matrix was valid
+                let admitted = admit::load_matrix(rows, cols, triplets, DEFAULT_MAX_FRAME)
+                    .expect("admit load");
+                black_box(admitted);
+            }),
+        });
+    }
+    if matches(scatter_id, filter) {
+        let matrix = plan_matrix(profile);
+        let wire = encode_load_matrix(&matrix);
+        out.push(Benchmark {
+            id: scatter_id.to_string(),
+            fingerprint: fnv1a(&wire),
+            // The entries are read once and the payloads written once.
+            bytes_per_iter: (matrix_bytes(&matrix) + wire.len()) as u64,
+            routine: Box::new(move || {
+                let matrix = black_box(&matrix);
+                #[allow(clippy::expect_used)] // the plan matrix has rows to spare
+                let spec = ShardSpec::nnz_balanced(matrix, SCATTER_SHARDS).expect("split");
+                for k in 0..SCATTER_SHARDS {
+                    let (start, end) = spec.range(k);
+                    #[allow(clippy::expect_used)] // the spec was built from this matrix
+                    let run = spec.entries(matrix, k).expect("run");
+                    black_box(encode_load_run(end - start, matrix.cols(), start, run));
+                }
             }),
         });
     }
@@ -482,7 +545,7 @@ mod tests {
                 "missing group {prefix} in {ids:?}"
             );
         }
-        assert_eq!(ids.len(), 21);
+        assert_eq!(ids.len(), 23);
     }
 
     #[test]

@@ -31,13 +31,13 @@ use chason_serve::admit::{self, Outcome};
 use chason_serve::client::{Client, RetryPolicy};
 use chason_serve::dispatch::{Daemon, PoolConfig, WorkerPool};
 use chason_serve::proto::{
-    encode_load_matrix, encode_request, encode_spmv, Engine, ErrorCode, Reply, Request, SolverKind,
+    encode_load_run, encode_request, encode_spmv, Engine, ErrorCode, Reply, Request, SolverKind,
     StatsSnapshot, DEFAULT_MAX_FRAME,
 };
 use chason_serve::stats::{lock_unpoisoned, ServerStats};
 use chason_sim::SimError;
 use chason_sparse::shard::ShardSpec;
-use chason_sparse::CooMatrix;
+use chason_sparse::{CooMatrix, SparseError};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -508,6 +508,15 @@ fn scatter_spmv(
 // Executors
 // ---------------------------------------------------------------------------
 
+/// Shard `k`'s `LoadMatrix` payload, encoded straight from its run of the
+/// resident's entries: the bytes of `encode_load_matrix(&spec.slice(..))`
+/// without building the slice.
+fn shard_load(matrix: &CooMatrix, spec: &ShardSpec, k: usize) -> Result<Vec<u8>, SparseError> {
+    let run = spec.entries(matrix, k)?;
+    let (start, end) = spec.range(k);
+    Ok(encode_load_run(end - start, matrix.cols(), start, run))
+}
+
 fn execute_load(
     shared: &Shared,
     conns: &mut [ShardConn],
@@ -539,13 +548,13 @@ fn execute_load(
         .map_err(|err| admit::bad_request(format!("sharding failed: {err}")))?;
     let mut requests: Vec<Option<Vec<u8>>> = vec![None; conns.len()];
     for (k, slot) in requests.iter_mut().take(shard_count).enumerate() {
-        let slice = spec.slice(&matrix, k).map_err(|err| {
+        let payload = shard_load(&matrix, &spec, k).map_err(|err| {
             Box::new(Reply::Error {
                 code: ErrorCode::Internal,
                 message: format!("slicing shard {k} failed: {err}"),
             })
         })?;
-        *slot = Some(encode_load_matrix(&slice));
+        *slot = Some(payload);
     }
     let started = Instant::now();
     let results = scatter(conns, requests, true);
@@ -977,6 +986,24 @@ mod tests {
         router.join();
         let took = started.elapsed();
         assert!(took < Duration::from_millis(50), "stop took {took:?}");
+    }
+
+    /// Each shard's payload is the bytes of its slice encoded on its own.
+    #[test]
+    fn shard_payloads_are_the_encoded_slices() {
+        let m = chason_sparse::generators::power_law(300, 200, 4_000, 1.7, 3);
+        for shards in 1..=4 {
+            let spec = ShardSpec::nnz_balanced(&m, shards).unwrap();
+            for k in 0..shards {
+                let slice = spec.slice(&m, k).unwrap();
+                let want = chason_serve::proto::encode_load_matrix(&slice);
+                assert_eq!(
+                    shard_load(&m, &spec, k).unwrap(),
+                    want,
+                    "shard {k} of {shards}"
+                );
+            }
+        }
     }
 
     #[test]

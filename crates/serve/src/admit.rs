@@ -39,11 +39,14 @@ fn sparse_error(err: SparseError) -> Box<Reply> {
 /// §3.2 reserves the all-zero word for stalls, so an explicit zero (or a
 /// non-finite) value is unschedulable. Deleting is the way to write a
 /// zero.
-fn check_values<'a>(
-    triplets: impl IntoIterator<Item = &'a (u64, u64, f32)>,
-) -> Result<(), Box<Reply>> {
-    for &(r, c, v) in triplets {
-        if !v.is_finite() || v == 0.0 {
+fn schedulable(v: f32) -> bool {
+    v.is_finite() && v != 0.0
+}
+
+/// The first unschedulable value's rejection.
+fn check_values(triplets: impl IntoIterator<Item = (u64, u64, f32)>) -> Result<(), Box<Reply>> {
+    for (r, c, v) in triplets {
+        if !schedulable(v) {
             return Err(bad_request(format!(
                 "unschedulable value {v} at ({r}, {c}): values must be finite and non-zero"
             )));
@@ -64,7 +67,11 @@ fn check_values<'a>(
 /// The decoded triplets become the matrix's entries: `(u64, u64, f32)` and
 /// `(usize, usize, f32)` have one layout on the 64-bit targets CHSP
 /// serves from, so the conversion reuses the request's buffer rather than
-/// copying it.
+/// copying it. An upload already in `(row, col)` order with every value
+/// schedulable, the common case, is checked in one pass
+/// ([`CooMatrix::try_from_sorted`]); any other runs the value rule over
+/// all of it and then [`CooMatrix::from_triplets`], so the first violated
+/// rule names the rejection either way.
 pub fn load_matrix(
     rows: u64,
     cols: u64,
@@ -78,12 +85,18 @@ pub fn load_matrix(
              the longest f32 vector a {max_frame_len}-byte frame carries"
         )));
     }
-    check_values(&triplets)?;
     let converted = triplets
         .into_iter()
         .map(|(r, c, v)| (r as usize, c as usize, v))
         .collect();
-    CooMatrix::from_triplets(rows as usize, cols as usize, converted).map_err(sparse_error)
+    let (rows, cols) = (rows as usize, cols as usize);
+    let converted =
+        match CooMatrix::try_from_sorted(rows, cols, converted, |&(_, _, v)| schedulable(v)) {
+            Ok(matrix) => return Ok(matrix),
+            Err(converted) => converted,
+        };
+    check_values(converted.iter().map(|&(r, c, v)| (r as u64, c as u64, v)))?;
+    CooMatrix::from_triplets(rows, cols, converted).map_err(sparse_error)
 }
 
 /// Admission for an `Spmv` input vector: one entry per matrix column.
@@ -149,7 +162,7 @@ pub fn update_values(
     inserts: &[(u64, u64, f32)],
     revalues: &[(u64, u64, f32)],
 ) -> Result<(), Box<Reply>> {
-    check_values(inserts.iter().chain(revalues))
+    check_values(inserts.iter().chain(revalues).copied())
 }
 
 /// Builds the delta of an `Update` against the resident matrix and
@@ -218,5 +231,44 @@ mod tests {
         assert!(load_matrix(max, max, vec![(0, 0, 1.0)], 1000).is_ok());
         rejected(load_matrix(max + 1, 1, vec![(0, 0, 1.0)], 1000));
         rejected(load_matrix(1, max + 1, vec![(0, 0, 1.0)], 1000));
+    }
+
+    /// The one-pass check admits what the two-pass sequence admits, and on
+    /// any violation the value rule still runs over the whole upload
+    /// first: a bad value anywhere outranks an earlier bad coordinate.
+    #[test]
+    fn load_matrix_keeps_the_first_violated_rule() {
+        let load = |triplets: Vec<(u64, u64, f32)>| load_matrix(3, 3, triplets, DEFAULT_MAX_FRAME);
+        let sorted = vec![(0, 1, 1.0), (1, 0, 2.0), (2, 2, 3.0)];
+        let want = CooMatrix::from_triplets(
+            3,
+            3,
+            sorted
+                .iter()
+                .map(|&(r, c, v)| (r as usize, c as usize, v))
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(load(sorted.clone()).unwrap(), want);
+        assert_eq!(load(sorted.into_iter().rev().collect()).unwrap(), want);
+
+        let value = "unschedulable value 0 at (1, 0)";
+        let cases = [
+            (vec![(0, 0, 1.0), (1, 0, 0.0)], value),
+            (vec![(0, 0, 1.0), (5, 0, 1.0), (1, 0, 0.0)], value),
+            (vec![(2, 0, 1.0), (0, 0, 1.0), (1, 0, 0.0)], value),
+            (
+                vec![(0, 0, 1.0), (0, 0, 2.0)],
+                "duplicate explicit entry at (0, 0)",
+            ),
+            (
+                vec![(1, 1, 1.0), (0, 7, 2.0)],
+                "column index 7 out of bounds for matrix with 3 columns",
+            ),
+        ];
+        for (triplets, needle) in cases {
+            let message = rejected(load(triplets));
+            assert!(message.starts_with(needle), "{message} is not {needle}");
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! feed it back to any offline tool that already speaks CHPL.
 
 use chason_net::{FrameAssembler, FrameTooLarge, READ_CHUNK};
-use chason_sparse::CooMatrix;
+use chason_sparse::{CooMatrix, Triplet};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -880,7 +880,7 @@ fn put_spmv(buf: &mut Vec<u8>, handle: u64, engine: Engine, x: &[f32]) {
 }
 
 /// Writes a whole `LoadMatrix` payload: the one triplet writer behind
-/// both [`encode_request`] and [`encode_load_matrix`].
+/// both [`encode_request`] and [`encode_load_run`].
 fn put_load(
     buf: &mut Vec<u8>,
     rows: u64,
@@ -1320,12 +1320,29 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtoError> {
 /// entries, with no intermediate [`Request`]: the bytes are exactly
 /// [`encode_request`]'s for the same rows, columns and triplets.
 pub fn encode_load_matrix(matrix: &CooMatrix) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(load_len(matrix.nnz()));
+    encode_load_run(matrix.rows(), matrix.cols(), 0, matrix.triplets())
+}
+
+/// Encodes the `LoadMatrix` payload of a `rows × cols` matrix whose
+/// entries are `run` with `row_offset` subtracted from every row: a row
+/// block of a larger matrix, sent without building the block. The bytes
+/// are exactly [`encode_request`]'s for the rebased triplets.
+///
+/// `run` must be sorted and hold rows `row_offset..row_offset + rows`
+/// only, as [`chason_sparse::shard::ShardSpec::entries`] returns them.
+pub fn encode_load_run(rows: usize, cols: usize, row_offset: usize, run: &[Triplet]) -> Vec<u8> {
+    debug_assert!(
+        run.iter()
+            .all(|&(r, _, _)| (row_offset..row_offset + rows).contains(&r)),
+        "run holds a row outside its block"
+    );
+    let mut buf = Vec::with_capacity(load_len(run.len()));
     put_load(
         &mut buf,
-        matrix.rows() as u64,
-        matrix.cols() as u64,
-        matrix.iter().map(|&(r, c, v)| (r as u64, c as u64, v)),
+        rows as u64,
+        cols as u64,
+        run.iter()
+            .map(|&(r, c, v)| ((r - row_offset) as u64, c as u64, v)),
     );
     buf
 }

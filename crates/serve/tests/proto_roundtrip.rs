@@ -8,9 +8,11 @@
 //! bit-exactly.
 
 use chason_serve::proto::{
-    decode_reply, decode_request, encode_load_matrix, encode_reply, encode_request, encode_spmv,
-    read_frame_blocking, write_frame, Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot,
+    decode_reply, decode_request, encode_load_matrix, encode_load_run, encode_reply,
+    encode_request, encode_spmv, read_frame_blocking, write_frame, Engine, ErrorCode, Reply,
+    Request, SolverKind, StatsSnapshot,
 };
+use chason_sparse::shard::ShardSpec;
 use chason_sparse::CooMatrix;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -359,6 +361,19 @@ proptest! {
                 .collect(),
         });
         prop_assert_eq!(direct, via_request);
+
+        // A row block encoded from its run of the matrix's entries writes
+        // the bytes of the block built as a matrix of its own.
+        let spec = ShardSpec::nnz_balanced(&matrix, matrix.rows().min(3))
+            .expect("at most one shard per row");
+        for k in 0..spec.shards() {
+            let (start, end) = spec.range(k);
+            let run = spec.entries(&matrix, k).expect("spec tiles the matrix");
+            let from_run = encode_load_run(end - start, matrix.cols(), start, run);
+            prop_assert_eq!(from_run.capacity(), from_run.len());
+            let slice = spec.slice(&matrix, k).expect("spec tiles the matrix");
+            prop_assert_eq!(from_run, encode_load_matrix(&slice));
+        }
     }
 
     #[test]

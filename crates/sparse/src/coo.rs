@@ -60,7 +60,7 @@ impl CooMatrix {
     }
 
     /// Wraps entries already sorted, unique and in bounds.
-    fn sorted(rows: usize, cols: usize, entries: Vec<Triplet>) -> Self {
+    pub(crate) fn sorted(rows: usize, cols: usize, entries: Vec<Triplet>) -> Self {
         CooMatrix {
             rows,
             cols,
@@ -84,13 +84,12 @@ impl CooMatrix {
     pub fn from_triplets(
         rows: usize,
         cols: usize,
-        mut triplets: Vec<Triplet>,
+        triplets: Vec<Triplet>,
     ) -> Result<Self, SparseError> {
-        let in_bounds = |&(r, c, _): &Triplet| r < rows && c < cols;
-        let increasing = |w: &[Triplet]| (w[0].0, w[0].1) < (w[1].0, w[1].1);
-        if triplets.iter().all(in_bounds) && triplets.windows(2).all(increasing) {
-            return Ok(CooMatrix::sorted(rows, cols, triplets));
-        }
+        let mut triplets = match CooMatrix::try_from_sorted(rows, cols, triplets, |_| true) {
+            Ok(matrix) => return Ok(matrix),
+            Err(triplets) => triplets,
+        };
         let mut seen = HashSet::with_capacity(triplets.len());
         for &(r, c, _) in &triplets {
             if r >= rows {
@@ -104,6 +103,28 @@ impl CooMatrix {
             }
         }
         triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        Ok(CooMatrix::sorted(rows, cols, triplets))
+    }
+
+    /// Wraps `triplets` as the matrix's entries, without copying them,
+    /// when they are strictly increasing in `(row, col)`, in bounds, and
+    /// each passes `accept`; otherwise hands them back unchanged. One pass
+    /// checks all three, so a caller with a rule of its own (a daemon's
+    /// value rule, say) reads its input once on the common path and keeps
+    /// its own error order for the rare one.
+    pub fn try_from_sorted(
+        rows: usize,
+        cols: usize,
+        triplets: Vec<Triplet>,
+        accept: impl Fn(&Triplet) -> bool,
+    ) -> Result<Self, Vec<Triplet>> {
+        let mut prev = None;
+        for t @ &(r, c, _) in &triplets {
+            if r >= rows || c >= cols || prev >= Some((r, c)) || !accept(t) {
+                return Err(triplets);
+            }
+            prev = Some((r, c));
+        }
         Ok(CooMatrix::sorted(rows, cols, triplets))
     }
 

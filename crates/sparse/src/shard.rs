@@ -14,6 +14,7 @@
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
+use crate::Triplet;
 
 /// A contiguous row-block partition of a matrix's row space.
 ///
@@ -94,6 +95,12 @@ impl ShardSpec {
     /// pathological distributions (for example all non-zeros in one row)
     /// trailing shards can end up empty of non-zeros; they still own their
     /// row range and contribute zero partials.
+    ///
+    /// The entries are sorted by row, so the walk needs no histogram: the
+    /// shard starting at `start` with `consumed` entries before it reaches
+    /// its `target` exactly when it takes the row of entry
+    /// `consumed + target - 1`, and the next shard's `consumed` is a binary
+    /// search. The split costs `O(shards · log nnz)`.
     pub fn nnz_balanced(matrix: &CooMatrix, shards: usize) -> Result<Self, SparseError> {
         let rows = matrix.rows();
         if shards == 0 {
@@ -106,11 +113,8 @@ impl ShardSpec {
                 "cannot split {rows} rows into {shards} non-empty shards"
             )));
         }
-        let mut row_nnz = vec![0usize; rows];
-        for &(r, _, _) in matrix.iter() {
-            row_nnz[r] += 1;
-        }
-        let mut remaining: usize = matrix.nnz();
+        let entries = matrix.triplets();
+        let mut consumed = 0usize;
         let mut ranges = Vec::with_capacity(shards);
         let mut start = 0usize;
         for k in 0..shards {
@@ -119,18 +123,22 @@ impl ShardSpec {
                 ranges.push((start, rows));
                 break;
             }
-            let target = remaining.div_ceil(shards_left);
-            // Never eat into the rows the remaining shards need.
+            let target = (entries.len() - consumed).div_ceil(shards_left);
+            // Every shard owns at least one row, and never eats into the
+            // rows the remaining shards need.
             let hard_end = rows - (shards_left - 1);
-            let mut end = start + 1; // every shard owns at least one row
-            let mut acc = row_nnz[start];
-            while end < hard_end && acc < target {
-                acc += row_nnz[end];
-                end += 1;
-            }
+            let end = if target == 0 {
+                start + 1
+            } else {
+                entries
+                    .get(consumed + target - 1)
+                    .map_or(hard_end, |&(row, _, _)| {
+                        (row + 1).clamp(start + 1, hard_end)
+                    })
+            };
             ranges.push((start, end));
             start = end;
-            remaining -= acc;
+            consumed += entries[consumed..].partition_point(|&(r, _, _)| r < end);
         }
         ShardSpec::from_ranges(rows, ranges)
     }
@@ -169,45 +177,44 @@ impl ShardSpec {
         Some(idx - 1)
     }
 
-    /// Extracts shard `k`'s row block as a standalone matrix.
+    /// Shard `k`'s entries: one contiguous run of the matrix's entries,
+    /// since they are sorted by row. Rows stay global.
     ///
-    /// Rows are remapped to the local space `0..(end - start)`; the column
-    /// space is kept at full width so the slice consumes the same dense
-    /// input vector as the original matrix.
-    pub fn slice(&self, matrix: &CooMatrix, k: usize) -> Result<CooMatrix, SparseError> {
-        if matrix.rows() != self.rows {
-            return Err(SparseError::InvalidShardSpec(format!(
-                "spec covers {} rows but the matrix has {}",
-                self.rows,
-                matrix.rows()
-            )));
-        }
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn entries<'m>(
+        &self,
+        matrix: &'m CooMatrix,
+        k: usize,
+    ) -> Result<&'m [Triplet], SparseError> {
+        self.check_rows(matrix)?;
         let (start, end) = self.range(k);
-        let triplets: Vec<_> = matrix
-            .iter()
-            .filter(|&&(r, _, _)| r >= start && r < end)
-            .map(|&(r, c, v)| (r - start, c, v))
-            .collect();
-        CooMatrix::from_triplets(end - start, matrix.cols(), triplets)
+        let all = matrix.triplets();
+        let first = all.partition_point(|&(r, _, _)| r < start);
+        let len = all[first..].partition_point(|&(r, _, _)| r < end);
+        Ok(&all[first..first + len])
     }
 
-    /// Non-zero count owned by each shard.
+    /// Extracts shard `k`'s row block as a standalone matrix: its
+    /// [`ShardSpec::entries`] run, copied once with rows remapped to the
+    /// local space `0..(end - start)`. The column space is kept at full
+    /// width so the slice consumes the same dense input vector as the
+    /// original matrix.
+    pub fn slice(&self, matrix: &CooMatrix, k: usize) -> Result<CooMatrix, SparseError> {
+        let run = self.entries(matrix, k)?;
+        let (start, end) = self.range(k);
+        let triplets = run.iter().map(|&(r, c, v)| (r - start, c, v)).collect();
+        // A rebased run of a valid matrix is sorted, unique and in bounds.
+        Ok(CooMatrix::sorted(end - start, matrix.cols(), triplets))
+    }
+
+    /// Non-zero count owned by each shard: the length of each
+    /// [`ShardSpec::entries`] run.
     pub fn nnz_per_shard(&self, matrix: &CooMatrix) -> Result<Vec<usize>, SparseError> {
-        if matrix.rows() != self.rows {
-            return Err(SparseError::InvalidShardSpec(format!(
-                "spec covers {} rows but the matrix has {}",
-                self.rows,
-                matrix.rows()
-            )));
-        }
-        let mut counts = vec![0usize; self.ranges.len()];
-        for &(r, _, _) in matrix.iter() {
-            // Every row is owned: the spec tiles 0..rows and r < rows.
-            if let Some(k) = self.shard_of_row(r) {
-                counts[k] += 1;
-            }
-        }
-        Ok(counts)
+        (0..self.shards())
+            .map(|k| self.entries(matrix, k).map(<[Triplet]>::len))
+            .collect()
     }
 
     /// `max / mean` non-zero load across shards (1.0 = perfectly
@@ -221,6 +228,18 @@ impl ShardSpec {
         let mean = total as f64 / counts.len() as f64;
         let max = counts.iter().copied().max().unwrap_or(0) as f64;
         Ok(max / mean)
+    }
+
+    /// Fails unless the matrix has the rows this spec tiles.
+    fn check_rows(&self, matrix: &CooMatrix) -> Result<(), SparseError> {
+        if matrix.rows() != self.rows {
+            return Err(SparseError::InvalidShardSpec(format!(
+                "spec covers {} rows but the matrix has {}",
+                self.rows,
+                matrix.rows()
+            )));
+        }
+        Ok(())
     }
 
     /// Reassembles a full output vector from per-shard partial products.
@@ -258,7 +277,96 @@ impl ShardSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::uniform_random;
+    use crate::generators::{power_law, uniform_random};
+    use proptest::prelude::*;
+
+    /// The greedy walk over a row histogram, written out apart from the
+    /// binary-search split: shard `k` takes rows one at a time until it
+    /// reaches `ceil(remaining / shards_left)` non-zeros or must leave
+    /// the remaining shards one row each.
+    fn histogram_walk(matrix: &CooMatrix, shards: usize) -> Vec<(usize, usize)> {
+        let rows = matrix.rows();
+        let mut row_nnz = vec![0usize; rows];
+        for &(r, _, _) in matrix.iter() {
+            row_nnz[r] += 1;
+        }
+        let mut remaining = matrix.nnz();
+        let mut ranges = Vec::with_capacity(shards);
+        let mut start = 0usize;
+        for k in 0..shards {
+            let shards_left = shards - k;
+            if shards_left == 1 {
+                ranges.push((start, rows));
+                break;
+            }
+            let target = remaining.div_ceil(shards_left);
+            let hard_end = rows - (shards_left - 1);
+            let mut end = start + 1;
+            let mut acc = row_nnz[start];
+            while end < hard_end && acc < target {
+                acc += row_nnz[end];
+                end += 1;
+            }
+            ranges.push((start, end));
+            start = end;
+            remaining -= acc;
+        }
+        ranges
+    }
+
+    /// A matrix of one of four shapes: uniform, power-law, every entry in
+    /// one row, or empty.
+    fn shaped(shape: u8, rows: usize, cols: usize, nnz: usize, seed: u64) -> CooMatrix {
+        let nnz = nnz.min(rows * cols);
+        match shape {
+            0 => uniform_random(rows, cols, nnz, seed),
+            1 => power_law(rows, cols, nnz, 1.7, seed),
+            2 => {
+                let row = seed as usize % rows;
+                let triplets = (0..nnz.min(cols)).map(|c| (row, c, 1.0)).collect();
+                CooMatrix::from_triplets(rows, cols, triplets).unwrap()
+            }
+            _ => CooMatrix::new(rows, cols),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The binary-search split cuts exactly where the histogram walk
+        /// does, and its runs tile the entries in shard order.
+        #[test]
+        fn nnz_balanced_equals_the_histogram_walk(
+            shape in 0u8..4,
+            rows in 1usize..200,
+            cols in 1usize..60,
+            nnz in 0usize..800,
+            seed in 0u64..1000,
+            shards in 1usize..10,
+        ) {
+            let m = shaped(shape, rows, cols, nnz, seed);
+            for shards in 1..=shards.min(rows) {
+                let spec = ShardSpec::nnz_balanced(&m, shards).unwrap();
+                prop_assert_eq!(spec.ranges(), histogram_walk(&m, shards).as_slice());
+                let runs: Vec<Triplet> = (0..shards)
+                    .flat_map(|k| spec.entries(&m, k).unwrap().iter().copied())
+                    .collect();
+                prop_assert_eq!(runs.as_slice(), m.triplets());
+                for k in 0..shards {
+                    let (start, end) = spec.range(k);
+                    let run = spec.entries(&m, k).unwrap();
+                    prop_assert!(run.iter().all(|&(r, _, _)| r >= start && r < end));
+                    let rebased = m
+                        .iter()
+                        .filter(|&&(r, _, _)| r >= start && r < end)
+                        .map(|&(r, c, v)| (r - start, c, v))
+                        .collect();
+                    let want = CooMatrix::from_triplets(end - start, m.cols(), rebased).unwrap();
+                    prop_assert_eq!(spec.slice(&m, k).unwrap(), want);
+                }
+            }
+        }
+    }
 
     #[test]
     fn uniform_tiles_exactly() {
@@ -376,6 +484,7 @@ mod tests {
         let spec = ShardSpec::uniform(6, 2).unwrap();
         let m = CooMatrix::new(5, 5);
         assert!(spec.slice(&m, 0).is_err());
+        assert!(spec.entries(&m, 0).is_err());
         assert!(spec.nnz_per_shard(&m).is_err());
     }
 }
