@@ -3,9 +3,8 @@
 //!
 //! Two kinds of baselines live here:
 //!
-//! * **Executable** CPU kernels — [`reference`](mod@crate::reference) (serial CSR, the functional
-//!   ground truth for every engine test) and [`parallel`] (multithreaded
-//!   CSR with static and MKL-style dynamic row scheduling);
+//! * The **executable** CPU kernel, [`reference`](mod@crate::reference)
+//!   (serial CSR, the functional ground truth for every engine test);
 //! * **Analytic device models** ([`gpu`], [`cpu`]) reproducing the
 //!   *published measurements* of the paper's Nvidia RTX 4090 / RTX A6000
 //!   (cuSparse) and Intel Core i9-11980HK (MKL) baselines. We have none of
@@ -22,7 +21,6 @@
 
 pub mod cpu;
 pub mod gpu;
-pub mod parallel;
 pub mod reference;
 
 mod device;

@@ -4,8 +4,7 @@ use chason_sparse::{CooMatrix, CsrMatrix};
 
 /// Computes `y = A·x` with a serial CSR kernel.
 ///
-/// This is the oracle every accelerator engine and parallel kernel is
-/// checked against.
+/// This is the oracle every accelerator engine is checked against.
 ///
 /// # Panics
 ///

@@ -113,7 +113,7 @@ impl Comparison {
 }
 
 /// The thread count a benchmark id's `-tN` suffix names
-/// (`spmv/static-t4` → 4), if it has one.
+/// (`plan/chason-t4` → 4), if it has one.
 fn threads_of(id: &str) -> Option<u64> {
     id.rsplit_once("-t")?.1.parse().ok()
 }

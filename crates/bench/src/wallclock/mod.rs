@@ -1,11 +1,12 @@
 //! Wall-clock benchmark harness with `BENCH_<name>.json` regression
 //! tracking (DESIGN.md §11).
 //!
-//! The harness measures four hot paths — threaded SpMV kernels, engine
-//! planning, plan replay, and CHSP codec round-trips — and emits a
-//! machine-readable report a committed baseline is compared against. It
-//! is the crate's only benchmark path: reproducible, file-backed, and
-//! gated in CI (`chason bench` / `cargo xtask bench`).
+//! The harness measures the hot paths — the CPU engine's SpMV, engine
+//! planning, plan replay, CHSP codec round-trips, the upload's phases and
+//! the net loop (`registry` lists them) — and emits a machine-readable
+//! report a committed baseline is compared against. It is the crate's
+//! only benchmark path: reproducible, file-backed, and gated in CI
+//! (`chason bench` / `cargo xtask bench`).
 
 pub mod compare;
 pub mod registry;

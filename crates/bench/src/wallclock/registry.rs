@@ -1,4 +1,4 @@
-//! The registered wall-clock benchmarks: threaded SpMV kernels, engine
+//! The registered wall-clock benchmarks: the CPU engine's SpMV, engine
 //! planning, plan replay, incremental delta re-planning, CHSP codec
 //! round-trips, the upload's fingerprint, admission and shard scatter
 //! beside a plain memory copy, and pipelined echo round-trips through the
@@ -15,7 +15,6 @@
 
 use super::report::BenchResult;
 use super::runner::{measure, Profile};
-use chason_baselines::parallel::{spmv_dynamic, spmv_static};
 use chason_net::server::{FrameOutcome, NetConfig, NetServer, Service};
 use chason_serve::admit;
 use chason_serve::proto::{
@@ -23,9 +22,9 @@ use chason_serve::proto::{
     encode_request, Engine, Reply, Request, DEFAULT_MAX_FRAME,
 };
 use chason_sim::{Accelerator, AcceleratorConfig};
-use chason_sparse::generators::{power_law, uniform_random};
+use chason_sparse::generators::uniform_random;
 use chason_sparse::shard::ShardSpec;
-use chason_sparse::{CooMatrix, CsrMatrix, MatrixDelta};
+use chason_sparse::{CooMatrix, MatrixDelta};
 use chason_telemetry::metrics::Registry;
 use std::hint::black_box;
 use std::io::{Read, Write};
@@ -45,10 +44,6 @@ pub struct Benchmark {
     /// The timed routine.
     pub routine: Box<dyn FnMut()>,
 }
-
-/// Thread counts every threaded kernel is measured at. Fixed (not derived
-/// from the host) so benchmark ids are stable across machines.
-pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn matches(id: &str, filter: Option<&str>) -> bool {
     filter.is_none_or(|f| id.contains(f))
@@ -78,23 +73,21 @@ fn input_key(matrix: &CooMatrix) -> u64 {
 /// `sharded-spmv` deploys the router.
 const SCATTER_SHARDS: usize = 3;
 
-/// The matrix the SpMV-kernel group runs on.
-fn spmv_matrix(profile: &Profile) -> CooMatrix {
-    if profile.name == "full" {
-        power_law(16_384, 16_384, 1_000_000, 1.7, 11)
-    } else {
-        power_law(2_000, 2_000, 40_000, 1.7, 11)
-    }
-}
-
-/// The matrix the planning and replay groups run on; wide enough to span
-/// several column windows (W = 8192).
+/// The matrix the SpMV, planning and replay groups run on; wide enough to
+/// span several column windows (W = 8192).
 fn plan_matrix(profile: &Profile) -> CooMatrix {
     if profile.name == "full" {
         uniform_random(4_096, 60_000, 600_000, 13)
     } else {
         uniform_random(1_024, 20_000, 60_000, 13)
     }
+}
+
+/// The dense vector the SpMV and replay rows multiply by.
+fn replay_vector(matrix: &CooMatrix) -> Vec<f32> {
+    (0..matrix.cols())
+        .map(|i| (i as f32 * 0.29).sin())
+        .collect()
 }
 
 fn chsp_vector_len(profile: &Profile) -> usize {
@@ -111,42 +104,20 @@ fn chsp_vector_len(profile: &Profile) -> usize {
 pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
     let mut out: Vec<Benchmark> = Vec::new();
 
-    // (a) Threaded SpMV kernels, static and dynamic partitioning.
-    let spmv_ids: Vec<(String, usize, bool)> = THREAD_COUNTS
-        .iter()
-        .flat_map(|&t| {
-            [
-                (format!("spmv/static-t{t}"), t, true),
-                (format!("spmv/dynamic-t{t}"), t, false),
-            ]
-        })
-        .collect();
-    if spmv_ids.iter().any(|(id, ..)| matches(id, filter)) {
-        let coo = spmv_matrix(profile);
-        let fingerprint = input_key(&coo);
-        let bytes = spmv_bytes(&coo);
-        let csr = Rc::new(CsrMatrix::from(&coo));
-        let x: Rc<Vec<f32>> = Rc::new((0..coo.cols()).map(|i| (i as f32 * 0.17).cos()).collect());
-        for (id, threads, is_static) in spmv_ids {
-            if !matches(&id, filter) {
-                continue;
-            }
-            let csr = Rc::clone(&csr);
-            let x = Rc::clone(&x);
-            out.push(Benchmark {
-                id,
-                fingerprint,
-                bytes_per_iter: bytes,
-                routine: Box::new(move || {
-                    let y = if is_static {
-                        spmv_static(&csr, &x, threads)
-                    } else {
-                        spmv_dynamic(&csr, &x, threads, 256)
-                    };
-                    black_box(y);
-                }),
-            });
-        }
+    // (a) The CPU engine's SpMV, `CooMatrix::spmv` as `chason serve` runs
+    // it, on the replay row's matrix and probe vector.
+    let coo_id = "spmv/coo";
+    if matches(coo_id, filter) {
+        let matrix = plan_matrix(profile);
+        let x = replay_vector(&matrix);
+        out.push(Benchmark {
+            id: coo_id.to_string(),
+            fingerprint: input_key(&matrix),
+            bytes_per_iter: spmv_bytes(&matrix),
+            routine: Box::new(move || {
+                black_box(black_box(&matrix).spmv(&x));
+            }),
+        });
     }
 
     // (b) Engine planning (schedule every column window, no execution).
@@ -207,9 +178,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         let engine = Accelerator::new(AcceleratorConfig::chason());
         #[allow(clippy::expect_used)] // bench corpus fits the engines
         let plan = engine.plan_with_threads(&matrix, 1).expect("plan");
-        let x: Vec<f32> = (0..matrix.cols())
-            .map(|i| (i as f32 * 0.29).sin())
-            .collect();
+        let x = replay_vector(&matrix);
         out.push(Benchmark {
             id: replay_id.to_string(),
             fingerprint,
@@ -545,7 +514,7 @@ mod tests {
                 "missing group {prefix} in {ids:?}"
             );
         }
-        assert_eq!(ids.len(), 23);
+        assert_eq!(ids.len(), 18);
     }
 
     #[test]
@@ -557,6 +526,19 @@ mod tests {
         let benches = benchmarks(&profile, Some("replan/"));
         assert_eq!(benches.len(), 2);
         assert_eq!(benches[0].fingerprint, benches[1].fingerprint);
+    }
+
+    #[test]
+    fn coo_spmv_and_replay_share_one_input() {
+        // The CPU kernel and the replay are compared on one matrix: the
+        // same input key and the same nominal bytes.
+        let profile = Profile::smoke();
+        let coo = benchmarks(&profile, Some("spmv/coo"));
+        let replay = benchmarks(&profile, Some("replay/chason"));
+        assert_eq!(coo.len(), 1);
+        assert_eq!(replay.len(), 1);
+        assert_eq!(coo[0].fingerprint, replay[0].fingerprint);
+        assert_eq!(coo[0].bytes_per_iter, replay[0].bytes_per_iter);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl HostInfo {
 /// One benchmark's measured result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Stable benchmark identifier, `group/case` (e.g. `spmv/static-t4`).
+    /// Stable benchmark identifier, `group/case` (e.g. `plan/chason-t4`).
     pub id: String,
     /// Input fingerprint of the benchmark (of the matrix or of the payload
     /// bytes), so a baseline measured on different data cannot be

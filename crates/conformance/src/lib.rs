@@ -9,8 +9,7 @@
 //! 1. **Numeric equivalence** ([`ulp`]): every engine's output must match
 //!    the CPU reference within an explicit ULP tolerance (with a
 //!    cancellation-aware absolute fallback, since FP32 reassociation is the
-//!    only legitimate source of divergence), and the threaded CPU kernels
-//!    must match the serial kernel *bit for bit*.
+//!    only legitimate source of divergence).
 //! 2. **Metamorphic cycle-report invariants** ([`harness`]): Chasoň's
 //!    latency never exceeds Serpens' on the same matrix (CrHCS fills
 //!    Serpens' stall slots — §4/Fig. 5), window cycle accounting is

@@ -4,21 +4,19 @@
 //! `chason verify --corrupt` and the bench comparator, applied to
 //! concurrency).
 //!
-//! Five structure suites plus a shim-semantics suite:
+//! Four structure suites plus a shim-semantics suite:
 //!
 //! | suite             | models                                              |
 //! |-------------------|-----------------------------------------------------|
 //! | `serve-queue`     | `chason_serve::dispatch` queue, shed, worker drain  |
 //! | `shutdown-drain`  | producer/consumer shutdown with disconnect drain    |
 //! | `lru-cache`       | shared `LruCache` get/insert/evict counters         |
-//! | `dynamic-cursor`  | `spmv_dynamic`-style work-stealing chunk claims     |
-//! | `histogram-shard` | telemetry shard merge while another thread records  |
+//! | `net-wakeup`      | `chason_net` loop notify dedupe vs. inbox drain     |
 //! | `channel`         | crossbeam-shim blocking semantics under the checker |
 //!
 //! Every model runs the *real* `vendor/crossbeam` channel code (this crate
 //! enables its `model-check` feature) and, where practical, the real
-//! workspace types (`chason_core::LruCache`,
-//! `chason_telemetry::metrics::HistogramShard`).
+//! workspace types (`chason_core::LruCache`).
 //!
 //! Run via `cargo xtask race`; see DESIGN.md §12 for how to write a model.
 
@@ -76,8 +74,6 @@ pub fn all_models() -> Vec<ModelDef> {
     out.extend(models::serve_queue::models());
     out.extend(models::shutdown_drain::models());
     out.extend(models::lru_cache::models());
-    out.extend(models::dynamic_cursor::models());
-    out.extend(models::histogram_shard::models());
     out.extend(models::channel_semantics::models());
     out.extend(models::net_wakeup::models());
     out

@@ -3,8 +3,6 @@
 //! (`ok*`) extract; see the module docs for what each mutant plants.
 
 pub mod channel_semantics;
-pub mod dynamic_cursor;
-pub mod histogram_shard;
 pub mod lru_cache;
 pub mod net_wakeup;
 pub mod serve_queue;

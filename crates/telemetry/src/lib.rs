@@ -4,9 +4,8 @@
 //!
 //! * [`metrics`] — a lock-free [`Registry`](metrics::Registry) of atomic
 //!   [`Counter`](metrics::Counter)s, [`Gauge`](metrics::Gauge)s and
-//!   fixed-bucket [`Histogram`](metrics::Histogram)s, with per-thread
-//!   [`HistogramShard`](metrics::HistogramShard)s that merge losslessly,
-//!   plus a Prometheus-style text exposition;
+//!   fixed-bucket [`Histogram`](metrics::Histogram)s, plus a
+//!   Prometheus-style text exposition;
 //! * [`trace`] — span tracing into a bounded ring-buffer
 //!   [`FlightRecorder`](trace::FlightRecorder) with lossless JSONL export,
 //!   deterministic under the [`Clock::fixed`](trace::Clock::fixed) source
@@ -24,8 +23,7 @@
 //! no-op: [`enabled`] is a `const fn` returning `false`, and all record
 //! paths branch on it, so the optimizer deletes them. Read paths (renders,
 //! snapshots) still exist and report zeros; callers never need `cfg`
-//! guards. The overhead guard in `chason-baselines` holds the disabled
-//! instrumentation to ≤ 2% on the threaded SpMV hot path.
+//! guards.
 //!
 //! # Example
 //!

@@ -173,80 +173,6 @@ impl Default for Histogram {
     }
 }
 
-/// A thread-private, non-atomic histogram shard.
-///
-/// Worker threads record into their own shard without any shared-memory
-/// traffic, then [`merge_into`](HistogramShard::merge_into) a shared
-/// [`Histogram`] once at the end (or periodically). Merging is exact and
-/// order-independent: any partition of a sample stream across shards,
-/// merged in any order, yields the same histogram as recording every
-/// sample into one histogram directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramShard {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl HistogramShard {
-    /// Creates an empty shard.
-    pub fn new() -> Self {
-        HistogramShard {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample. A no-op under `telemetry-off`.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        if crate::enabled() {
-            self.buckets[bucket_index(value)] += 1;
-            self.count += 1;
-            // Wrapping, like `AtomicU64::fetch_add` in `Histogram`: the sum
-            // is a monotonic counter and readers handle wrap, not a panic.
-            self.sum = self.sum.wrapping_add(value);
-            self.max = self.max.max(value);
-        }
-    }
-
-    /// Samples recorded into this shard.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds another shard into this one.
-    pub fn absorb(&mut self, other: &HistogramShard) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Adds this shard's samples to a shared histogram.
-    pub fn merge_into(&self, histogram: &Histogram) {
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                histogram.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        histogram.count.fetch_add(self.count, Ordering::Relaxed);
-        histogram.sum.fetch_add(self.sum, Ordering::Relaxed);
-        histogram.max.fetch_max(self.max, Ordering::Relaxed);
-    }
-}
-
-impl Default for HistogramShard {
-    fn default() -> Self {
-        HistogramShard::new()
-    }
-}
-
 /// Named metric handles plus a deterministic text exposition.
 ///
 /// `counter`/`gauge`/`histogram` are get-or-register: the first call for a
@@ -327,9 +253,14 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "telemetry-off"))]
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
+        // The exposition format bakes the bucket count in; a change must
+        // be deliberate.
+        assert_eq!(HISTOGRAM_BUCKETS, 64);
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 1);
         assert_eq!(bucket_index(2), 2);
@@ -391,30 +322,27 @@ mod tests {
     }
 
     #[cfg(not(feature = "telemetry-off"))]
-    #[test]
-    fn shards_merge_exactly() {
-        let mut a = HistogramShard::new();
-        let mut b = HistogramShard::new();
-        let direct = Histogram::new();
-        for v in 0..1000u64 {
-            if v % 3 == 0 {
-                a.record(v * 17)
-            } else {
-                b.record(v * 17)
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Quantile estimates never under-report: the estimate is an upper
+        /// bound of the true quantile and never exceeds the true maximum.
+        #[test]
+        fn quantile_estimates_bound_the_truth(
+            mut samples in proptest::collection::vec(any::<u64>(), 1..300),
+            q in 0.0f64..=1.0,
+        ) {
+            let h = Histogram::new();
+            for &v in &samples {
+                h.record(v);
             }
-            direct.record(v * 17);
+            samples.sort_unstable();
+            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+            let truth = samples[rank - 1];
+            let estimate = h.quantile(q);
+            prop_assert!(estimate >= truth, "estimate {estimate} < true quantile {truth}");
+            prop_assert!(estimate <= *samples.last().expect("non-empty"));
         }
-        let merged = Histogram::new();
-        b.merge_into(&merged); // order must not matter
-        a.merge_into(&merged);
-        assert_eq!(merged.count(), direct.count());
-        assert_eq!(merged.sum(), direct.sum());
-        assert_eq!(merged.max(), direct.max());
-        assert_eq!(merged.bucket_counts(), direct.bucket_counts());
-        let mut folded = HistogramShard::new();
-        folded.absorb(&a);
-        folded.absorb(&b);
-        assert_eq!(folded.count(), 1000);
     }
 
     #[test]
@@ -456,8 +384,5 @@ mod tests {
         let h = Histogram::new();
         h.record(10);
         assert_eq!(h.count(), 0);
-        let mut s = HistogramShard::new();
-        s.record(10);
-        assert_eq!(s.count(), 0);
     }
 }

@@ -124,17 +124,6 @@ proptest! {
         prop_assert!(reference::max_relative_error(&serpens.y, &oracle) < 1e-3);
     }
 
-    /// The threaded SpMV kernels agree exactly with the serial kernel
-    /// (identical per-row accumulation order).
-    #[test]
-    fn parallel_spmv_matches_serial(m in sparse_matrix(64, 300), threads in 1usize..6) {
-        let csr = chason::sparse::CsrMatrix::from(&m);
-        let x: Vec<f32> = (0..m.cols()).map(|i| (i as f32 * 0.37).sin()).collect();
-        let serial = csr.spmv(&x);
-        prop_assert_eq!(chason::baselines::parallel::spmv_static(&csr, &x, threads), serial.clone());
-        prop_assert_eq!(chason::baselines::parallel::spmv_dynamic(&csr, &x, threads, 7), serial);
-    }
-
     /// Planning then executing reproduces direct execution *bit for bit* —
     /// result vector, cycle breakdown, traffic, and stall accounting alike —
     /// for both engine families.
